@@ -177,6 +177,19 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens a socket and stalls cannot
+// hold a connection (and its goroutine) forever. Request bodies are
+// small and bounded separately (maxRequestBytes in internal/service);
+// responses stream for as long as a campaign runs, so no write or
+// whole-request deadline is set.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the http.Server every mode serves through.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func runServe(args []string) error {
 	fs, o := newServeFlags()
 	fs.SetOutput(os.Stderr)
@@ -212,7 +225,7 @@ func runServe(args []string) error {
 	if o.pprof {
 		handler = withPprof(handler)
 	}
-	hs := &http.Server{Addr: o.addr, Handler: handler}
+	hs := newHTTPServer(o.addr, handler)
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -414,21 +427,12 @@ func runSmoke(args []string) error {
 	// never perturbs results, and the traces feed the phase-histogram
 	// reconciliation in checkMetrics.
 	traceDir := filepath.Join(o.outdir, "traces-"+o.label)
-	srv, err := service.New(service.Options{Workers: o.workers, TraceDir: traceDir, TraceRanks: "all"})
+	ls, err := startServer(service.Options{Workers: o.workers, TraceDir: traceDir, TraceRanks: "all"})
 	if err != nil {
 		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-	go hs.Serve(ln)
-	defer func() {
-		hs.Close()
-		srv.Close()
-	}()
-	cl := &service.Client{Base: "http://" + ln.Addr().String()}
+	defer ls.stop()
+	cl := ls.cl
 	if err := cl.Healthz(); err != nil {
 		return err
 	}
@@ -630,7 +634,7 @@ func startServer(opts service.Options) (*liveServer, error) {
 		srv.Close()
 		return nil, err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer("", srv.Handler())
 	go hs.Serve(ln)
 	return &liveServer{srv: srv, hs: hs, cl: &service.Client{Base: "http://" + ln.Addr().String()}}, nil
 }

@@ -309,7 +309,7 @@ func chebyshevApplyKernel() (func(n int), func()) {
 
 // obsDisabledKernel measures the disabled-telemetry path: every obs
 // sink is nil (the state a solve runs in when no registry or tracer is
-// attached), and one op is the full set of hook calls an instrumented
+// attached), and one op is the full set of sink calls an instrumented
 // hot path would make. The allocs/op gate pins this at exactly 0 —
 // disabled observability must cost nothing but a nil check.
 func obsDisabledKernel() (func(n int), func()) {
@@ -324,32 +324,32 @@ func obsDisabledKernel() (func(n int), func()) {
 			c.Inc()
 			g.Set(float64(i))
 			h.Observe(float64(i))
-			if tr.Enabled() {
-				tr.Emit(0, float64(i), "iteration", 0, i, 0, "")
+			if tr != nil { // hot paths skip building the event, not just recording it
+				tr.Observe(obs.Event{T: float64(i), Name: obs.EventIteration, Iter: i})
 			}
 		}
 	}, func() {}
 }
 
 // obsDisabledSpanKernel measures the disabled-span path: the nil
-// tracer's StartSpan/End pair plus a direct EmitSpan — the phase
-// attribution hooks an instrumented solve calls in every inner loop.
-// Spans are plain values, so with a nil tracer one op must be exactly
-// 0 allocs (the gate in TestObsKernelsAllocationFree pins it).
+// tracer handed, unguarded, the span events an instrumented solve emits
+// in every inner loop — two plain, one wait-attributed, the same three
+// per op BENCH_baseline.json was recorded with. Events are plain
+// values, so with a nil tracer one op must be exactly 0 allocs (the
+// gate in TestObsKernelsAllocationFree pins it).
 func obsDisabledSpanKernel() (func(n int), func()) {
 	var tr *obs.RunTracer
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			sp := tr.StartSpan(0, 1, obs.PhaseSpMV, float64(i))
-			sp.End(float64(i + 1))
-			tr.EmitSpan(0, float64(i), float64(i+1), 1, obs.PhaseAllreduce)
-			tr.EmitSpanWait(0, float64(i), float64(i+1), 1, obs.PhaseHaloExchange, 0.5)
+			tr.Observe(obs.Event{T: float64(i), Name: obs.EventSpan, Attempt: 1, Dur: 1, Detail: obs.PhaseSpMV})
+			tr.Observe(obs.Event{T: float64(i), Name: obs.EventSpan, Attempt: 1, Dur: 1, Detail: obs.PhaseAllreduce})
+			tr.Observe(obs.Event{T: float64(i), Name: obs.EventSpan, Attempt: 1, Dur: 1, Wait: 0.5, Detail: obs.PhaseHaloExchange})
 		}
 	}, func() {}
 }
 
 // commDisabledSpanKernel measures the disabled-span path at the comm
-// layer: every rank of a 4-rank world with no Config.OnSpan observer
+// layer: every rank of a 4-rank world with no Config.Observer
 // runs the full bracket an instrumented phase pays — SpanStart,
 // WaitMark, a clock advance standing in for the phase body, SpanEndWait
 // and SpanEnd. With no observer the bracket must collapse to clock and

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -16,7 +15,8 @@ import (
 func allRankTraceRun(t *testing.T, spec *Spec, cell Cell, rep int) (Record, []byte, []obs.Event) {
 	t.Helper()
 	tr := NewRunTracer(spec, cell, rep)
-	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Tracer: tr, TraceAllRanks: true})
+	tr.AllRanks = true
+	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Events: tr.Observe})
 	var b bytes.Buffer
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -67,65 +67,6 @@ func TestAllRankTraceIsObserver(t *testing.T) {
 	}
 }
 
-// TestRankZeroTraceUnchangedByFanIn pins that the default rank-0 trace
-// is bitwise independent of the capture path: a run traced through the
-// fan-in (forced by an OnSpan observer) produces the same bytes as the
-// direct rank-0 emit path, so enabling observers can never shift
-// existing trace artifacts.
-func TestRankZeroTraceUnchangedByFanIn(t *testing.T) {
-	spec := testSpec()
-	cell := Cell{
-		Solver: SolverGMRES, Precond: PrecondJacobi, Problem: ProblemPoisson,
-		Ranks: 2, Fault: FaultSpec{Model: FaultRankKill, MTBF: 60},
-	}
-	_, direct, _ := traceRun(t, &spec, cell, 0)
-	tr := NewRunTracer(&spec, cell, 0)
-	env := &ExecEnv{Tracer: tr, OnSpan: func(rank int, phase string, start, end, wait float64) {}}
-	ExecuteRunEnv(&spec, cell, 0, env)
-	var b bytes.Buffer
-	if err := tr.WriteJSONL(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(direct, b.Bytes()) {
-		t.Fatal("rank-0 trace bytes differ between the direct and fan-in capture paths")
-	}
-}
-
-// TestOnSpanDeliversEveryRank pins the engine-level observer: spans of
-// every rank arrive (in rank order per attempt) regardless of whether
-// tracing is on, and the wait totals reported per rank are nonnegative.
-func TestOnSpanDeliversEveryRank(t *testing.T) {
-	spec := testSpec()
-	var mu sync.Mutex
-	perRank := map[int]int{}
-	_, err := Run(Options{
-		Spec: spec, Workers: 2, Out: filepath.Join(t.TempDir(), "runs.jsonl"),
-		OnSpan: func(rank int, phase string, start, end, wait float64) {
-			if end < start || wait < 0 {
-				t.Errorf("bad span: rank %d %s [%g,%g] wait %g", rank, phase, start, end, wait)
-			}
-			mu.Lock()
-			perRank[rank]++
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rank := 0; rank < 2; rank++ {
-		if perRank[rank] == 0 {
-			t.Errorf("OnSpan never saw rank %d", rank)
-		}
-	}
-	if _, err := Run(Options{
-		Spec: spec, Out: filepath.Join(t.TempDir(), "r.jsonl"),
-		Exec:   func(spec *Spec, cell Cell, rep int) Record { return Record{} },
-		OnSpan: func(rank int, phase string, start, end, wait float64) {},
-	}); err == nil {
-		t.Fatal("OnSpan with a remote Exec did not error")
-	}
-}
-
 // readTraceDir maps trace file name to content for a whole directory.
 func readTraceDir(t *testing.T, dir string) map[string][]byte {
 	t.Helper()
@@ -145,11 +86,11 @@ func readTraceDir(t *testing.T, dir string) map[string][]byte {
 }
 
 // TestAllRankTracesWorkerInvariant is the race-targeted determinism
-// test for the per-rank fan-in: an all-rank traced campaign writes the
-// same trace files byte for byte whether one worker or four produced
-// them. Under -race (CI's race job runs -short) this also exercises
-// concurrent per-rank span emission across simultaneously executing
-// runs.
+// test for live all-rank capture: an all-rank traced campaign writes
+// the same trace files byte for byte whether one worker or four
+// produced them. Under -race (CI's race job runs -short) this also
+// exercises concurrent per-rank span emission into one tracer, across
+// simultaneously executing runs.
 func TestAllRankTracesWorkerInvariant(t *testing.T) {
 	spec := testSpec()
 	dirs := [2]string{}

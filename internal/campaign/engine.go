@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // Options configures one engine invocation.
@@ -40,9 +41,8 @@ type Options struct {
 	// format (a .chrome.json sibling) for timeline viewers.
 	TraceChrome bool
 	// TraceRanks selects which ranks' phase spans land in the traces:
-	// "" or "0" keep the classic rank-0 filter, "all" captures every
-	// rank through the race-safe per-rank fan-in (see
-	// ExecEnv.TraceAllRanks). Requires TraceDir.
+	// "" or "0" keep the classic rank-0 filter, "all" keeps every rank
+	// (see obs.RunTracer.AllRanks). Requires TraceDir.
 	TraceRanks string
 	// TraceSample deterministically samples which runs are traced:
 	// "k/n" traces the runs whose seeded run-key hash falls in k of n
@@ -50,12 +50,6 @@ type Options struct {
 	// The sampled set is identical across reruns, shards and worker
 	// counts. Requires TraceDir.
 	TraceSample string
-	// OnSpan, when non-nil, observes every executed run's phase spans
-	// (all ranks, run-virtual time) regardless of TraceDir — the
-	// programmatic twin of span tracing. Runs execute concurrently, so
-	// the observer must be safe for concurrent use. Incompatible with
-	// Exec for the same reason TraceDir is.
-	OnSpan func(rank int, phase string, start, end, wait float64)
 	// Exec, when non-nil, replaces local ExecuteRun for every run —
 	// the remote-execution hook: cmd/solverd's submit mode sets it to
 	// POST each run to a solve service, turning this engine into a
@@ -100,9 +94,6 @@ func Run(opts Options) (RunStats, error) {
 	}
 	if opts.TraceDir != "" && opts.Exec != nil {
 		return st, fmt.Errorf("campaign: tracing requires local execution (TraceDir is incompatible with Exec)")
-	}
-	if opts.OnSpan != nil && opts.Exec != nil {
-		return st, fmt.Errorf("campaign: span observation requires local execution (OnSpan is incompatible with Exec)")
 	}
 	traceAll, err := ParseTraceRanks(opts.TraceRanks)
 	if err != nil {
@@ -172,13 +163,15 @@ func Run(opts Options) (RunStats, error) {
 				if opts.Exec != nil {
 					rec = opts.Exec(&spec, j.Cell, j.Rep)
 				} else {
-					env := &ExecEnv{Ledger: opts.Ledger, OnSpan: opts.OnSpan}
+					env := &ExecEnv{Ledger: opts.Ledger}
+					var tr *obs.RunTracer
 					if opts.TraceDir != "" && TraceSampled(spec.Seed, j.Cell.RunKey(j.Rep), sampleK, sampleN) {
-						env.Tracer = NewRunTracer(&spec, j.Cell, j.Rep)
-						env.TraceAllRanks = traceAll
+						tr = NewRunTracer(&spec, j.Cell, j.Rep)
+						tr.AllRanks = traceAll
+						env.Events = tr.Observe
 					}
 					rec = ExecuteRunEnv(&spec, j.Cell, j.Rep, env)
-					if _, err := WriteRunTrace(opts.TraceDir, env.Tracer, opts.TraceChrome); err != nil {
+					if _, err := WriteRunTrace(opts.TraceDir, tr, opts.TraceChrome); err != nil {
 						mu.Lock()
 						if writeErr == nil {
 							writeErr = err

@@ -54,23 +54,12 @@ type Env struct {
 	Seed    uint64
 	Tol     float64
 	MaxIter int
-	// Hook is this rank's per-iteration observer (nil almost always:
-	// the engine installs one on rank 0 only when an ExecEnv.Progress
-	// sink or Tracer is attached). Runners thread it into their solver
-	// options; for ftgmres it observes the *outer* iterations.
-	Hook krylov.IterationHook
-	// setupKey and xe thread the run's setup-cache identity and
-	// execution environment to runners that build their own sub-stacks:
-	// ftgmres's inner ILU factorisation is keyed identically to the
-	// plain bj-ilu one, so it must consult the same cache buildPrecond
-	// does.
+	// setupKey and setups thread the run's setup-cache identity and
+	// cache to runners that build their own sub-stacks: ftgmres's inner
+	// ILU factorisation is keyed identically to the plain bj-ilu one,
+	// so it must consult the same cache buildPrecond does.
 	setupKey SetupKey
-	xe       *ExecEnv
-	// attempt and tc carry the global-restart attempt number and the
-	// attempt's trace context to runners that emit their own events
-	// (ftgmres's injections and discards).
-	attempt int
-	tc      *traceCtx
+	setups   SetupCache
 }
 
 // Outcome is what a Runner reports from rank 0 (the SPMD convention:
@@ -113,30 +102,30 @@ func fromStats(st krylov.Stats) Outcome {
 }
 
 func runCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistCG(env.C, env.Op, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter, Hook: env.Hook})
+	_, st, err := krylov.DistCG(env.C, env.Op, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
 	return fromStats(st), err
 }
 
 func runPCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter, Hook: env.Hook})
+	_, st, err := krylov.DistPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
 	return fromStats(st), err
 }
 
 func runPipelinedPCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistPipelinedPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter, Hook: env.Hook})
+	_, st, err := krylov.DistPipelinedPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
 	return fromStats(st), err
 }
 
 func runGMRES(env *Env) (Outcome, error) {
 	_, st, err := krylov.DistGMRES(env.C, env.Op, env.B, nil, krylov.DistGMRESOptions{
-		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Precon: env.M, Hook: env.Hook,
+		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Precon: env.M,
 	})
 	return fromStats(st), err
 }
 
 func runFGMRES(env *Env) (Outcome, error) {
 	_, st, err := krylov.DistFGMRES(env.C, env.Op, env.M, env.B, nil, krylov.DistGMRESOptions{
-		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Hook: env.Hook,
+		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter,
 	})
 	return fromStats(st), err
 }
@@ -174,10 +163,7 @@ func runFTGMRES(env *Env) (Outcome, error) {
 	faulty := &srp.FaultyDistOp{
 		Inner:    inner,
 		Injector: fault.NewVectorInjector(env.Seed + uint64(env.C.Rank())).WithRate(opRate),
-	}
-	if env.tc.enabled() {
-		c, tc := env.C, env.tc
-		faulty.OnInject = func(n int) { tc.emit(c.Rank(), c.Clock(), "fault_inject", 0, float64(n), "bitflip") }
+		OnInject: emitInjections(env.C, "bitflip"),
 	}
 	var innerM krylov.DistPreconditioner
 	if env.Precond == PrecondBJILU {
@@ -186,38 +172,21 @@ func runFTGMRES(env *Env) (Outcome, error) {
 		// factorisation itself runs reliably either way, only
 		// applications are corrupted.
 		bj := precond.NewBlockJacobiILU(env.C, env.A)
-		if err := setupWithCache(env.C, bj, env.xe, env.setupKey, env.tc); err != nil {
+		if err := setupWithCache(env.C, bj, env.setups, env.setupKey); err != nil {
 			return Outcome{}, err
 		}
-		fm := &precond.Faulty{
+		innerM = &precond.Faulty{
 			Inner:    bj,
 			Injector: fault.NewVectorInjector(env.Seed + seedOffPrecond + uint64(env.C.Rank())).WithRate(precRate),
+			OnInject: emitInjections(env.C, "precond"),
 		}
-		if env.tc.enabled() {
-			c, tc := env.C, env.tc
-			fm.OnInject = func(n int) { tc.emit(c.Rank(), c.Clock(), "fault_inject", 0, float64(n), "precond") }
-		}
-		innerM = fm
 	}
 	maxOuter := env.MaxIter / ftgmresInnerIters
 	if maxOuter < 10 {
 		maxOuter = 10
 	}
-	// Discards reach both the live sink (service SSE) and the trace from
-	// rank 0 only; the consensus fires the callback on every rank.
-	var onDiscard func(solve int)
-	if env.C.Rank() == 0 && ((env.xe != nil && env.xe.Discards != nil) || env.tc.enabled()) {
-		c, tc, xe, attempt := env.C, env.tc, env.xe, env.attempt
-		onDiscard = func(solve int) {
-			if xe != nil && xe.Discards != nil {
-				xe.Discards(attempt, solve)
-			}
-			tc.emit(0, c.Clock(), "discard", solve, 0, "")
-		}
-	}
 	res, err := srp.DistFTGMRESPreconditioned(env.C, env.Op, faulty, innerM, env.B, srp.Options{
 		InnerIters: ftgmresInnerIters, Tol: env.Tol, MaxOuter: maxOuter, OuterRestart: 30,
-		Hook: env.Hook, OnDiscard: onDiscard,
 	})
 	out := fromStats(res.Stats)
 	out.Discards = res.InnerDiscards
@@ -301,10 +270,10 @@ type SetupCache interface {
 	Store(k SetupKey, rank int, a *precond.Artifact)
 }
 
-// ExecEnv is the optional execution environment of one run — the hooks
-// an embedding service (internal/service) uses to reuse assembly work
-// across requests and to observe progress. A nil *ExecEnv or the zero
-// value is plain hookless execution.
+// ExecEnv is the optional execution environment of one run — what an
+// embedding service (internal/service) uses to reuse assembly work
+// across requests and to observe the run. A nil *ExecEnv or the zero
+// value is plain unobserved execution.
 type ExecEnv struct {
 	// Ledger, when non-nil, aggregates communication activity over
 	// every world the run creates.
@@ -318,51 +287,87 @@ type ExecEnv struct {
 	// as running Setup (see precond.Cacheable), so cached and fresh
 	// runs agree bitwise.
 	Setups SetupCache
-	// Progress, when non-nil, receives rank 0's per-iteration progress
-	// (global-restart attempt, iteration, relative residual), called
-	// from the rank-0 goroutine of the running world. It must not
-	// block for long: the solve's virtual time is unaffected, but its
-	// wall-clock time stalls with it.
-	Progress func(attempt, iter int, relres float64)
-	// Discards, when non-nil, receives rank 0's inner-discard events
-	// (ftgmres cells only): the global-restart attempt and the ordinal
-	// of the inner solve whose result the sanitisation consensus
-	// rejected. Same calling discipline as Progress.
-	Discards func(attempt, solve int)
-	// Tracer, when non-nil, records the run's event timeline (see
-	// internal/obs): run/attempt spans, rank-0 iterations, per-rank
-	// fault injections, rank kills, restarts, setup-cache hits and
-	// inner discards, all stamped with virtual time made monotone
-	// across global-restart attempts. Like the caches, tracing never
-	// perturbs the solve: traces of a seeded run are byte-identical
-	// across reruns (caveat: under rank-kill, survivor-side timings are
-	// scheduling-dependent in their trailing digits — see comm.Die).
-	Tracer *obs.RunTracer
-	// TraceAllRanks lifts the Tracer's rank-0 span filter: every rank's
-	// phase spans are captured through a race-safe per-rank fan-in and
-	// emitted in rank order after each attempt's world completes, so
-	// all-rank traces stay byte-deterministic. Opt-in because it grows
-	// trace volume from O(iterations) to O(iterations × ranks) — but it
-	// is what traceq's load-imbalance, wait-share and critical-path
-	// sections need. Ignored without a Tracer.
-	TraceAllRanks bool
-	// OnSpan, when non-nil, receives every rank's phase spans — start,
-	// end and wait in run-virtual time (monotone across global-restart
-	// attempts) — whether or not a Tracer is attached; the service's
-	// phase histograms hang off it. Spans arrive after each attempt's
-	// world completes, in rank order, from the goroutine executing the
-	// run; with a concurrent engine that means concurrently across
-	// runs, so the observer must be safe for concurrent use.
-	OnSpan func(rank int, phase string, start, end, wait float64)
+	// Events, when non-nil, receives the run's event stream: harness
+	// bookkeeping on rank -1 (run/attempt begin and end, restart,
+	// recovery), rank 0's iterations and inner discards, and from the
+	// rank that caused them fault injections, rank kills, setup-cache
+	// hits and misses and every phase span — the event × rank table in
+	// docs/OBSERVABILITY.md. T is run-virtual time, monotone across
+	// global-restart attempts; Attempt is stamped; a value JSON cannot
+	// carry (a diverged solve's NaN/Inf residual) is clamped to the -1
+	// sentinel Record.Relres uses. Events arrive live on the goroutine
+	// that caused them — rank goroutines concurrently — so the sink
+	// must be safe for concurrent use and must not block for long: the
+	// solve's virtual time is unaffected, but its wall-clock time
+	// stalls with it. Like the caches, observation never perturbs the
+	// solve. An obs.RunTracer's Observe is the recording sink; obs.Tee
+	// composes several.
+	Events func(obs.Event)
+}
+
+// observer returns the observer one attempt's world — and the harness
+// around it — emits through: it does the campaign-specific stamping
+// (base is the virtual time earlier attempts already charged to the
+// run) and forwards to env.Events. Nil without a sink, which keeps an
+// unobserved world on its observer-free fast path.
+func (env *ExecEnv) observer(base float64, attempt int) emitter {
+	sink := env.Events
+	if sink == nil {
+		return nil
+	}
+	return func(ev obs.Event) {
+		if ev.Rank != 0 && (ev.Name == obs.EventIteration || ev.Name == obs.EventDiscard) {
+			// SPMD solvers report progress on every rank; one copy is
+			// the run's.
+			return
+		}
+		if ev.Name == obs.EventSpan && base != 0 {
+			// Shift both endpoints and re-derive the length: T+Dur then
+			// lands on the very float the rank's next event gets as T,
+			// which traceq's nesting sweep compares for equality. Adding
+			// base to T alone leaves the sum an ulp off every few spans.
+			end := base + (ev.T + ev.Dur)
+			ev.T += base
+			ev.Dur = end - ev.T
+		} else {
+			ev.T += base
+		}
+		ev.Attempt = attempt
+		if math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0) {
+			ev.Value = -1
+		}
+		sink(ev)
+	}
+}
+
+// emitter is an attempt's observer as the harness uses it.
+type emitter func(obs.Event)
+
+// harness emits one run/attempt bookkeeping event on the harness stream
+// (rank -1); ev.T is the attempt-local clock. A nil emitter discards it.
+func (e emitter) harness(ev obs.Event) {
+	if e != nil {
+		ev.Rank = -1
+		e(ev)
+	}
+}
+
+// emitInjections is the OnInject callback of all four fault-wrapper
+// sites: each corrupting pass becomes a fault_inject event on the rank
+// whose injector fired, carrying the flip count and the injection site.
+func emitInjections(c *comm.Comm, site string) func(faults int) {
+	return func(faults int) {
+		c.Emit(obs.Event{Name: "fault_inject", Value: float64(faults), Detail: site})
+	}
 }
 
 // buildPrecond constructs the named preconditioner over the trusted
 // operator. Chebyshev applies the *clean* operator internally — faults
 // target the solver's operator or the preconditioner output, never
-// both through one wrapper. Cacheable families consult env's setup
+// both through one wrapper. Cacheable families consult the setup
 // cache: a hit adopts the shared artifact (same virtual cost, no real
 // factorisation work), a miss runs Setup and offers the export back.
-func buildPrecond(c *comm.Comm, name string, p Problem, trusted dist.Operator, env *ExecEnv, key SetupKey, tc *traceCtx) (precond.Preconditioner, error) {
+func buildPrecond(c *comm.Comm, name string, p Problem, trusted dist.Operator, cache SetupCache, key SetupKey) (precond.Preconditioner, error) {
 	var m precond.Preconditioner
 	switch name {
 	case PrecondJacobi:
@@ -374,48 +379,44 @@ func buildPrecond(c *comm.Comm, name string, p Problem, trusted dist.Operator, e
 	default:
 		return nil, fmt.Errorf("campaign: unknown preconditioner %q", name)
 	}
-	return m, setupWithCache(c, m, env, key, tc)
+	return m, setupWithCache(c, m, cache, key)
 }
 
-// setupWithCache runs m's Setup, consulting env's setup cache for
-// cacheable families: a hit adopts the shared artifact (same virtual
-// cost, no real factorisation work), a miss runs Setup and offers the
-// export back. Both buildPrecond and ftgmres's inner stack go through
-// here, so every factorisation of one (problem, grid, ranks, precond)
-// identity shares one cache entry.
-func setupWithCache(c *comm.Comm, m precond.Preconditioner, env *ExecEnv, key SetupKey, tc *traceCtx) error {
+// setupWithCache runs m's Setup under one precond-setup span,
+// consulting the setup cache (nil for none) for cacheable families: a
+// hit adopts the shared artifact (same virtual cost, no real
+// factorisation work), a miss runs Setup and offers the export back.
+// Both buildPrecond and ftgmres's inner stack go through here, so every
+// factorisation of one (problem, grid, ranks, precond) identity shares
+// one cache entry.
+func setupWithCache(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key SetupKey) error {
 	start := c.SpanStart()
-	if err := setupUncachedOrAdopt(c, m, env, key, tc); err != nil {
+	if err := setupOrAdopt(c, m, cache, key); err != nil {
 		return err
 	}
 	c.SpanEnd(obs.PhasePrecondSetup, start)
 	return nil
 }
 
-// setupUncachedOrAdopt is setupWithCache's body, split out so the
-// precond-setup span covers every path — adopt, fresh Setup, and the
-// uncacheable fallback — with one start/end pair.
-func setupUncachedOrAdopt(c *comm.Comm, m precond.Preconditioner, env *ExecEnv, key SetupKey, tc *traceCtx) error {
-	if env != nil && env.Setups != nil {
-		if ca, ok := m.(precond.Cacheable); ok {
-			if art := env.Setups.Lookup(key, c.Rank()); art != nil {
-				if err := ca.Adopt(art); err == nil {
-					tc.emit(c.Rank(), c.Clock(), "setup_cache_hit", 0, 0, key.Precond)
-					return nil
-				}
-				// A mismatched artifact (stale or corrupt cache entry)
-				// falls through to a fresh Setup instead of failing the
-				// run.
-			}
-			if err := ca.Setup(); err != nil {
-				return err
-			}
-			env.Setups.Store(key, c.Rank(), ca.Export())
-			tc.emit(c.Rank(), c.Clock(), "setup_cache_miss", 0, 0, key.Precond)
+func setupOrAdopt(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key SetupKey) error {
+	ca, ok := m.(precond.Cacheable)
+	if cache == nil || !ok {
+		return m.Setup()
+	}
+	if art := cache.Lookup(key, c.Rank()); art != nil {
+		if err := ca.Adopt(art); err == nil {
+			c.Emit(obs.Event{Name: "setup_cache_hit", Detail: key.Precond})
 			return nil
 		}
+		// A mismatched artifact (stale or corrupt cache entry) falls
+		// through to a fresh Setup instead of failing the run.
 	}
-	return m.Setup()
+	if err := ca.Setup(); err != nil {
+		return err
+	}
+	cache.Store(key, c.Rank(), ca.Export())
+	c.Emit(obs.Event{Name: "setup_cache_miss", Detail: key.Precond})
+	return nil
 }
 
 // Per-run injector stream offsets: the solver-operator and
@@ -443,11 +444,14 @@ type killSchedule struct {
 }
 
 // tick counts one operator application; on the scheduled one it
-// records the death clock and kills the rank.
+// records the death clock, reports the kill — before the failure
+// becomes visible, so the event carries death-time state — and kills
+// the rank.
 func (k *killSchedule) tick() error {
 	k.applies++
 	if k.applies == k.killAt {
 		k.att.death = k.c.Clock()
+		k.c.Emit(obs.Event{Name: "rank_kill", Detail: "mtbf strike"})
 		return k.c.Die()
 	}
 	return nil
@@ -488,7 +492,7 @@ type attemptState struct {
 
 // runRank is the SPMD body of one solve attempt: assemble the env for
 // this rank (fault wiring included) and dispatch the cell's Runner.
-func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *attemptState, xe *ExecEnv, attempt int, tc *traceCtx) error {
+func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *attemptState, setups SetupCache) error {
 	assemble := c.SpanStart()
 	trusted := dist.NewCSR(c, p.A)
 	// Assembly is replicated and communication-free in this model, so the
@@ -502,14 +506,11 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *a
 		// ftgmres routes the flips into its own inner stack; wrapping
 		// the outer operator too would corrupt the reliable phase.
 		if cell.Solver != SolverFTGMRES {
-			fi := &srp.FaultyDistOp{
+			op = &srp.FaultyDistOp{
 				Inner:    trusted,
 				Injector: fault.NewVectorInjector(seed + seedOffOp + uint64(c.Rank())).WithRate(cell.Fault.Rate),
+				OnInject: emitInjections(c, "bitflip"),
 			}
-			if tc.enabled() {
-				fi.OnInject = func(n int) { tc.emit(c.Rank(), c.Clock(), "fault_inject", 0, float64(n), "bitflip") }
-			}
-			op = fi
 		}
 	case FaultRankKill:
 		// Every rank draws the same (victim, killAt) pair from the
@@ -528,19 +529,16 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *a
 	key := SetupKey{Problem: cell.Problem, Grid: spec.Grid, Ranks: cell.Ranks, Precond: cell.Precond}
 	var m krylov.DistPreconditioner
 	if cell.Solver != SolverFTGMRES && cell.Precond != PrecondNone {
-		pc, err := buildPrecond(c, cell.Precond, p, trusted, xe, key, tc)
+		pc, err := buildPrecond(c, cell.Precond, p, trusted, setups, key)
 		if err != nil {
 			return err
 		}
 		if cell.Fault.Model == FaultFaultyPrecond {
-			fp := &precond.Faulty{
+			pc = &precond.Faulty{
 				Inner:    pc,
 				Injector: fault.NewVectorInjector(seed + seedOffPrecond + uint64(c.Rank())).WithRate(cell.Fault.Rate),
+				OnInject: emitInjections(c, "precond"),
 			}
-			if tc.enabled() {
-				fp.OnInject = func(n int) { tc.emit(c.Rank(), c.Clock(), "fault_inject", 0, float64(n), "precond") }
-			}
-			pc = fp
 		}
 		m = pc
 	}
@@ -549,28 +547,11 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *a
 	if !ok {
 		return fmt.Errorf("campaign: unknown solver %q", cell.Solver)
 	}
-	var hook krylov.IterationHook
-	if c.Rank() == 0 {
-		var progress, trace krylov.IterationHook
-		if xe != nil && xe.Progress != nil {
-			progress = func(iter int, relres float64) error {
-				xe.Progress(attempt, iter, relres)
-				return nil
-			}
-		}
-		if tc.enabled() {
-			trace = func(iter int, relres float64) error {
-				tc.emit(0, c.Clock(), "iteration", iter, relres, "")
-				return nil
-			}
-		}
-		hook = krylov.ChainHooks(progress, trace)
-	}
 	out, err := run(&Env{
 		C: c, Op: op, A: p.A, M: m, B: trusted.Scatter(p.RHS),
 		Precond: cell.Precond, Fault: cell.Fault, Seed: seed, kill: kill,
-		Tol: spec.Tol, MaxIter: spec.MaxIter, Hook: hook,
-		setupKey: key, xe: xe, attempt: attempt, tc: tc,
+		Tol: spec.Tol, MaxIter: spec.MaxIter,
+		setupKey: key, setups: setups,
 	})
 	if err != nil {
 		return err
@@ -606,7 +587,7 @@ func noiseModel(n NoiseSpec) machine.Noise {
 }
 
 // ExecuteRunEnv is ExecuteRun with an explicit execution environment:
-// assembly caches and a progress sink (see ExecEnv). Results are
+// assembly caches and an event sink (see ExecEnv). Results are
 // bitwise independent of the environment — caching skips real work,
 // never virtual work — which is the property the solve service's
 // loadgen test pins.
@@ -621,8 +602,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		env = &ExecEnv{}
 	}
 	rec := cell.Record(spec, rep)
-	tr := env.Tracer
-	(&traceCtx{tr: tr}).emit(-1, 0, "run_begin", 0, 0, cell.Key())
+	env.observer(0, 0).harness(obs.Event{Name: "run_begin", Detail: cell.Key()})
 	build := BuildProblem
 	if env.Problems != nil {
 		build = env.Problems
@@ -630,7 +610,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 	p, err := build(cell.Problem, spec.Grid)
 	if err != nil {
 		rec.Err = err.Error()
-		(&traceCtx{tr: tr}).emit(-1, 0, "run_end", 0, 0, "error")
+		env.observer(0, 0).harness(obs.Event{Name: "run_end", Detail: "error"})
 		return rec
 	}
 	maxAttempts := 1
@@ -643,65 +623,32 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		lastAttempt = attempt
 		aseed := attemptSeed(rec.Seed, attempt)
 		att := &attemptState{death: -1}
-		tc := &traceCtx{tr: tr, base: vtime, attempt: attempt}
+		emit := env.observer(vtime, attempt)
 		if attempt > 0 {
 			// The previous attempt's restart has taken effect: a fresh
 			// world (respawned victim included) resumes the run.
-			tc.emit(-1, 0, "recovery", 0, 0, "respawned world")
+			emit.harness(obs.Event{Name: "recovery", Detail: "respawned world"})
 		}
-		tc.emit(-1, 0, "attempt_begin", 0, 0, "")
-		cfg := comm.Config{
+		emit.harness(obs.Event{Name: "attempt_begin"})
+		err := comm.Run(comm.Config{
 			Ranks: cell.Ranks, Cost: machine.DefaultCostModel(),
 			Noise: noiseModel(cell.Noise), Seed: aseed, Ledger: env.Ledger,
-		}
-		if tc.enabled() {
-			cfg.OnFailure = func(rank int, vt float64) {
-				tc.emit(rank, vt, "rank_kill", 0, 0, "mtbf strike")
-			}
-		}
-		// Rank 0's spans always reach the tracer directly from rank 0's
-		// goroutine, so their interleave with the harness events that
-		// goroutine emits — and therefore the trace bytes of the default
-		// rank-0 mode — is identical whether or not any observer is on.
-		// Everything else rides the fan-in: each rank records onto its
-		// own slot during the attempt (one writer per slot, race-free by
-		// construction) and the flush below drains the slots in rank
-		// order once the world is done, keeping all-rank traces and
-		// observer deliveries deterministic under any scheduling. The
-		// default mode keeps rank 0 only because the solves are
-		// SPMD-symmetric: one rank's attribution is representative, and
-		// the filter keeps trace volume linear in iterations rather than
-		// iterations × ranks. ExecEnv's TraceAllRanks lifts it.
-		var fan *spanFanIn
-		if env.OnSpan != nil || (tc.enabled() && env.TraceAllRanks) {
-			fan = newSpanFanIn(cell.Ranks)
-		}
-		if tc.enabled() || fan != nil {
-			cfg.OnSpan = func(rank int, phase string, start, end, wait float64) {
-				if rank == 0 && tc.enabled() {
-					tc.emitSpanWait(rank, start, end, phase, wait)
-				}
-				if fan != nil {
-					fan.observe(rank, phase, start, end, wait)
-				}
-			}
-		}
-		err := comm.Run(cfg, func(c *comm.Comm) error {
-			return runRank(c, spec, cell, p, aseed, att, env, attempt, tc)
+			Observer: emit,
+		}, func(c *comm.Comm) error {
+			return runRank(c, spec, cell, p, aseed, att, env.Setups)
 		})
-		fan.flush(tc, env.TraceAllRanks, env.OnSpan)
 		if err != nil {
 			if isRankFailure(err) && cell.Fault.Model == FaultRankKill {
 				lost := att.death
 				if lost < 0 {
 					lost = 0
 				}
-				tc.emit(-1, lost, "attempt_end", 0, 0, "rank-failure")
-				tc.emit(-1, lost, "restart", 0, 0, "global restart")
+				emit.harness(obs.Event{T: lost, Name: "attempt_end", Detail: "rank-failure"})
+				emit.harness(obs.Event{T: lost, Name: "restart", Detail: "global restart"})
 				// The recovery span re-labels the whole lost attempt on
 				// the harness stream: analytics read it as the
 				// fault-to-recovery latency the restart policy charged.
-				tc.emitSpan(-1, 0, lost, obs.PhaseRestartRecovery)
+				emit.harness(obs.Event{Name: obs.EventSpan, Dur: lost, Detail: obs.PhaseRestartRecovery})
 				if att.death > 0 {
 					vtime += att.death // work lost to the failure
 				}
@@ -709,7 +656,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 				continue
 			}
 			rec.Err = err.Error()
-			tc.emit(-1, 0, "attempt_end", 0, 0, "error")
+			emit.harness(obs.Event{Name: "attempt_end", Detail: "error"})
 			break
 		}
 		vtime += att.out.VTime
@@ -721,7 +668,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		if !att.out.Converged {
 			detail = "unconverged"
 		}
-		tc.emit(-1, att.out.VTime, "attempt_end", att.out.Iters, att.out.Relres, detail)
+		emit.harness(obs.Event{T: att.out.VTime, Name: "attempt_end", Iter: att.out.Iters, Value: att.out.Relres, Detail: detail})
 		break
 	}
 	rec.VTime = vtime
@@ -737,6 +684,6 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 	case !rec.Converged:
 		endDetail = "unconverged"
 	}
-	(&traceCtx{tr: tr, attempt: lastAttempt}).emit(-1, vtime, "run_end", rec.Iters, rec.Relres, endDetail)
+	env.observer(0, lastAttempt).harness(obs.Event{T: vtime, Name: "run_end", Iter: rec.Iters, Value: rec.Relres, Detail: endDetail})
 	return rec
 }

@@ -1,108 +1,12 @@
 package campaign
 
 import (
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"repro/internal/obs"
 )
-
-// traceCtx scopes one global-restart attempt's trace emission: base is
-// the virtual time already charged to the run by earlier attempts, so
-// every event lands at base + the attempt-local clock and the run's
-// timeline stays monotone across restarts. A traceCtx with a nil tracer
-// (or a nil traceCtx) emits nothing; callers that would do per-event
-// work first check enabled().
-type traceCtx struct {
-	tr      *obs.RunTracer
-	base    float64
-	attempt int
-}
-
-func (tc *traceCtx) enabled() bool { return tc != nil && tc.tr.Enabled() }
-
-// emit records one event at base + clock on rank's stream. Values that
-// JSON cannot carry (a diverged solve's NaN/Inf residual) clamp to the
-// same -1 sentinel Record.Relres uses.
-func (tc *traceCtx) emit(rank int, clock float64, name string, iter int, value float64, detail string) {
-	if !tc.enabled() {
-		return
-	}
-	if math.IsNaN(value) || math.IsInf(value, 0) {
-		value = -1
-	}
-	tc.tr.Emit(rank, tc.base+clock, name, tc.attempt, iter, value, detail)
-}
-
-// emitSpan records one phase span whose attempt-local interval is
-// [start, end], offset to run time like every other event.
-func (tc *traceCtx) emitSpan(rank int, start, end float64, phase string) {
-	tc.emitSpanWait(rank, start, end, phase, 0)
-}
-
-// emitSpanWait is emitSpan carrying the span's wait attribution (see
-// comm.Config.OnSpan) onto the trace.
-func (tc *traceCtx) emitSpanWait(rank int, start, end float64, phase string, wait float64) {
-	if !tc.enabled() {
-		return
-	}
-	tc.tr.EmitSpanWait(rank, tc.base+start, tc.base+end, tc.attempt, phase, wait)
-}
-
-// spanRec is one captured phase span, in attempt-local time.
-type spanRec struct {
-	phase            string
-	start, end, wait float64
-}
-
-// spanFanIn captures every rank's phase spans during one attempt's
-// world without cross-rank synchronisation: each rank appends to its
-// own slot — one writer per rank goroutine, so the capture is race-free
-// by construction — and the harness drains the slots in rank order
-// after comm.Run returns (the world's WaitGroup gives the drain a
-// happens-before edge over every append). The two-phase capture keeps
-// the tracer's mutex out of the rank hot loops, and makes the emission
-// order — and therefore the trace bytes — a pure function of the run,
-// independent of goroutine scheduling and engine worker count.
-type spanFanIn struct {
-	perRank [][]spanRec
-}
-
-// newSpanFanIn sizes a fan-in for one world's rank count.
-func newSpanFanIn(ranks int) *spanFanIn {
-	return &spanFanIn{perRank: make([][]spanRec, ranks)}
-}
-
-// observe is the comm.Config.OnSpan hook: record on the emitting rank's
-// slot, emit nothing yet.
-func (f *spanFanIn) observe(rank int, phase string, start, end, wait float64) {
-	f.perRank[rank] = append(f.perRank[rank], spanRec{phase: phase, start: start, end: end, wait: wait})
-}
-
-// flush drains the captured spans in rank order: ranks past 0 onto the
-// trace when allRanks is set (rank 0 already emitted directly from its
-// own goroutine, preserving its interleave with the harness events and
-// so the exact bytes of the default rank-0 trace), and every rank to
-// the programmatic onSpan observer, stamped in run-virtual time. Safe
-// on a nil fan-in and after a failed attempt — partially captured spans
-// flush like direct emission would have.
-func (f *spanFanIn) flush(tc *traceCtx, allRanks bool, onSpan func(rank int, phase string, start, end, wait float64)) {
-	if f == nil {
-		return
-	}
-	for rank, spans := range f.perRank {
-		for _, s := range spans {
-			if allRanks && rank != 0 {
-				tc.emitSpanWait(rank, s.start, s.end, s.phase, s.wait)
-			}
-			if onSpan != nil {
-				onSpan(rank, s.phase, tc.base+s.start, tc.base+s.end, s.wait)
-			}
-		}
-	}
-}
 
 // TraceFileName maps a run key to its trace file name: path separators
 // flatten to underscores, so every run of a campaign traces into one
@@ -116,9 +20,6 @@ func TraceFileName(runKey string) string {
 // trace-event format), returning the JSONL path. A nil tracer writes
 // nothing.
 func WriteRunTrace(dir string, tr *obs.RunTracer, chrome bool) (string, error) {
-	if !tr.Enabled() {
-		return "", nil
-	}
 	return WriteRunTraceAs(dir, tr, chrome, TraceFileName(tr.Key()))
 }
 
@@ -127,7 +28,7 @@ func WriteRunTrace(dir string, tr *obs.RunTracer, chrome bool) (string, error) {
 // service prefixes the request ID) choose the name; everyone else goes
 // through WriteRunTrace and the canonical TraceFileName.
 func WriteRunTraceAs(dir string, tr *obs.RunTracer, chrome bool, name string) (string, error) {
-	if !tr.Enabled() {
+	if tr == nil {
 		return "", nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

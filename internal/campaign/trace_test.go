@@ -17,7 +17,7 @@ import (
 func traceRun(t *testing.T, spec *Spec, cell Cell, rep int) (Record, []byte, []obs.Event) {
 	t.Helper()
 	tr := NewRunTracer(spec, cell, rep)
-	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Tracer: tr})
+	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Events: tr.Observe})
 	var b bytes.Buffer
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package comm
 
-import "repro/internal/machine"
+import (
+	"repro/internal/machine"
+	"repro/internal/obs"
+)
 
 // Comm is one rank's handle to the world: its identity, virtual clock,
 // deterministic RNG, and the communication operations. A Comm is used by
@@ -65,22 +68,35 @@ func (c *Comm) Compute(flops float64) {
 // checkpointing experiment).
 func (c *Comm) AdvanceClock(seconds float64) { c.clock.Advance(seconds) }
 
-// SpanStart opens a phase span: it returns the rank's current virtual
-// clock, to be handed back to SpanEnd when the phase closes. It is a
-// pure clock read — free whether or not a span observer is attached —
-// so instrumented hot loops pay nothing when tracing is off.
-func (c *Comm) SpanStart() float64 { return c.clock.Now() }
-
-// SpanEnd closes a phase span opened at start, reporting the interval
-// [start, now] under the given phase name (the obs.Phase* catalogue) to
-// the world's Config.OnSpan observer. Without an observer it is a no-op
-// with zero allocations. Call it only on success paths: an operation
-// that failed mid-phase has no meaningful duration.
-func (c *Comm) SpanEnd(phase string, start float64) {
-	if c.world.onSpan == nil {
+// Emit reports one event to the world's Config.Observer, stamped with
+// this rank and — for everything but spans, whose T is their start —
+// its current virtual clock. Without an observer it is a no-op with
+// zero allocations, so layers holding a *Comm report unconditionally.
+func (c *Comm) Emit(ev obs.Event) {
+	if c.world.observer == nil {
 		return
 	}
-	c.world.onSpan(c.rank, phase, start, c.clock.Now(), 0)
+	ev.Rank = c.rank
+	if ev.Name != obs.EventSpan {
+		ev.T = c.clock.Now()
+	}
+	c.world.observer(ev)
+}
+
+// SpanStart opens a phase span: it returns the rank's current virtual
+// clock, to be handed back to SpanEnd when the phase closes. It is a
+// pure clock read — free whether or not an observer is attached — so
+// instrumented hot loops pay nothing when tracing is off.
+func (c *Comm) SpanStart() float64 { return c.clock.Now() }
+
+// SpanEnd closes a phase span opened at start, emitting the interval
+// [start, now] under the given phase name (the obs.Phase* catalogue)
+// with no wait attributed. Call it only on success paths: an operation
+// that failed mid-phase has no meaningful duration.
+func (c *Comm) SpanEnd(phase string, start float64) {
+	if c.world.observer != nil {
+		c.emitSpan(phase, start, c.waited)
+	}
 }
 
 // WaitMark returns the rank's cumulative wait time: the virtual seconds
@@ -96,18 +112,18 @@ func (c *Comm) WaitMark() float64 { return c.waited }
 // additionally attributes the wait accrued since mark (a WaitMark taken
 // alongside SpanStart) to the span — the share of [start, now] this
 // rank spent blocked behind the slowest participant rather than doing
-// its own work. Without an observer it is a no-op with zero
-// allocations.
+// its own work.
 func (c *Comm) SpanEndWait(phase string, start, mark float64) {
-	if c.world.onSpan == nil {
-		return
+	if c.world.observer != nil {
+		c.emitSpan(phase, start, mark)
 	}
-	c.world.onSpan(c.rank, phase, start, c.clock.Now(), c.waited-mark)
 }
 
-// SpanEnabled reports whether a span observer is attached — for callers
-// that would do per-span work beyond the SpanStart/SpanEnd pair.
-func (c *Comm) SpanEnabled() bool { return c.world.onSpan != nil }
+// emitSpan is the observed half of SpanEnd/SpanEndWait, kept out of
+// line so the unobserved half inlines to a nil check in hot loops.
+func (c *Comm) emitSpan(phase string, start, mark float64) {
+	c.Emit(obs.Event{Name: obs.EventSpan, T: start, Dur: c.clock.Now() - start, Wait: c.waited - mark, Detail: phase})
+}
 
 // Die marks this rank failed, waking every blocked operation in the world
 // so survivors observe the failure. It returns ErrKilled, which the
@@ -130,13 +146,6 @@ func (c *Comm) SpanEnabled() bool { return c.world.onSpan != nil }
 // either per-peer-only failure checks (which deadlock survivors
 // blocked on peers that unwound early) or a global deadlock detector.
 func (c *Comm) Die() error {
-	if c.world.onFailure != nil {
-		// Fire before the failure becomes visible: the victim's clock is
-		// final here (a dead rank's clock never advances), and survivors
-		// have not yet been woken, so the callback observes death-time
-		// state without racing the recovery machinery.
-		c.world.onFailure(c.rank, c.clock.Now())
-	}
 	c.world.mu.Lock()
 	c.world.killLocked(c.rank)
 	c.world.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestFailureDuringEachCollective kills a rank while the others are
@@ -288,28 +290,31 @@ func TestRepairIsolation(t *testing.T) {
 	}
 }
 
-// TestOnFailureHook pins Config.OnFailure: it fires once per Die, from
-// the dying rank, carrying the victim's final virtual clock.
-func TestOnFailureHook(t *testing.T) {
+// TestEmitStampsRankAndClock pins Config.Observer and (*Comm).Emit:
+// point events arrive stamped with the emitting rank and its clock
+// (whatever the caller put there), a rank reporting its own death just
+// before Die carries its final clock, spans keep their start as T with
+// Dur and Wait measured by the Comm, and nothing in the world emits on
+// its own — not Die, not the external World.Kill.
+func TestEmitStampsRankAndClock(t *testing.T) {
 	const P = 3
 	const victim = 2
 	var mu sync.Mutex
-	type death struct {
-		rank  int
-		vtime float64
-	}
-	var deaths []death
+	var got []obs.Event
 	cfg := testConfig(P)
-	cfg.OnFailure = func(rank int, vtime float64) {
+	cfg.Observer = func(ev obs.Event) {
 		mu.Lock()
-		deaths = append(deaths, death{rank, vtime})
+		got = append(got, ev)
 		mu.Unlock()
 	}
 	w := NewWorld(cfg)
 	for r := 0; r < P; r++ {
 		w.Spawn(r, 0, func(c *Comm) error {
 			if c.Rank() == victim {
+				start, mark := c.SpanStart(), c.WaitMark()
 				c.AdvanceClock(2.5)
+				c.SpanEndWait("phase", start, mark)
+				c.Emit(obs.Event{Name: "rank_kill", Rank: 99, T: 99})
 				return c.Die()
 			}
 			_, err := c.AllreduceScalar(1, OpSum)
@@ -317,17 +322,23 @@ func TestOnFailureHook(t *testing.T) {
 		})
 	}
 	w.Wait()
-	if len(deaths) != 1 {
-		t.Fatalf("OnFailure fired %d times, want 1", len(deaths))
+	want := []obs.Event{
+		{Name: obs.EventSpan, Rank: victim, T: 0, Dur: 2.5, Detail: "phase"},
+		{Name: "rank_kill", Rank: victim, T: 2.5},
 	}
-	if deaths[0].rank != victim || deaths[0].vtime != 2.5 {
-		t.Fatalf("OnFailure got rank %d at t=%v, want rank %d at t=2.5", deaths[0].rank, deaths[0].vtime, victim)
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("observer saw %+v, want %+v", got, want)
 	}
-	// World.Kill is external: its caller already knows, so no callback.
 	w2 := NewWorld(cfg)
-	deaths = nil
 	w2.Kill(0)
-	if len(deaths) != 0 {
-		t.Fatalf("OnFailure fired for World.Kill")
+	if len(got) != len(want) {
+		t.Fatalf("World.Kill emitted an event: %+v", got[len(want):])
+	}
+	// Without an observer Emit is a no-op.
+	if err := Run(testConfig(1), func(c *Comm) error {
+		c.Emit(obs.Event{Name: "x"})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

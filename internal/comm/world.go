@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // Errors returned by communication operations after a failure event.
@@ -50,28 +51,17 @@ type Config struct {
 	Seed   uint64            // master seed; per-rank RNGs derive from it
 	Ledger *Ledger           // optional cross-world activity aggregation
 
-	// OnFailure, if non-nil, is called when a rank dies cooperatively via
-	// (*Comm).Die, with the dying rank and its virtual clock at the moment
-	// of death. It runs on the dying rank's goroutine, before the failure
-	// becomes visible to survivors and outside all world locks, so the
-	// callback may not call back into the world. Telemetry (the run
-	// tracer's rank_kill events) hangs off this hook; it does not fire for
-	// the asynchronous World.Kill, whose caller already knows the kill.
-	OnFailure func(rank int, vtime float64)
-
-	// OnSpan, if non-nil, receives one closed phase span per instrumented
-	// operation: the emitting rank, the phase name (the obs.Phase*
-	// catalogue), the span's start/end on that rank's virtual clock, and
-	// the wait — the virtual seconds of [start, end] the rank spent
-	// blocked behind the slowest participant (zero for spans that never
-	// block; see (*Comm).WaitMark). It fires on the emitting rank's
-	// goroutine, outside all world locks, after the operation completed
-	// successfully; with more than one rank it therefore fires
-	// concurrently, one goroutine per rank. Span observation is
-	// read-only — it never advances a clock or touches an RNG — so a
-	// world with an observer computes bit-identical results to one
-	// without. See (*Comm).SpanStart / (*Comm).SpanEnd / SpanEndWait.
-	OnSpan func(rank int, phase string, start, end, wait float64)
+	// Observer, if non-nil, receives every event the world's ranks
+	// emit through (*Comm).Emit: closed phase spans from the
+	// instrumented operations and whatever point events the layers
+	// holding a *Comm report (solver iterations, fault injections,
+	// discards, rank kills). It is called on the emitting rank's
+	// goroutine, outside all world locks — with more than one rank,
+	// concurrently — so it must be safe for concurrent use and may not
+	// call back into the world. Observation is read-only — it never
+	// advances a clock or touches an RNG — so a world with an observer
+	// computes bit-identical results to one without.
+	Observer func(obs.Event)
 }
 
 // World is a set of simulated ranks plus the shared machinery they
@@ -95,13 +85,12 @@ type World struct {
 	pool     bufPool // recycled payload buffers (guarded by mu)
 	slotPool []*collSlot
 
-	ledger    *Ledger
-	onFailure func(rank int, vtime float64)
-	onSpan    func(rank int, phase string, start, end, wait float64)
-	seedRNG   *machine.RNG
-	wg        sync.WaitGroup
-	errsMu    sync.Mutex
-	errs      map[int]error // exit error per rank (most recent run)
+	ledger   *Ledger
+	observer func(obs.Event)
+	seedRNG  *machine.RNG
+	wg       sync.WaitGroup
+	errsMu   sync.Mutex
+	errs     map[int]error // exit error per rank (most recent run)
 }
 
 type collKey struct {
@@ -118,17 +107,16 @@ func NewWorld(cfg Config) *World {
 		cfg.Noise = machine.NoNoise{}
 	}
 	w := &World{
-		n:         cfg.Ranks,
-		cost:      cfg.Cost,
-		noise:     cfg.Noise,
-		failed:    make([]bool, cfg.Ranks),
-		queues:    make([]msgQueue, cfg.Ranks),
-		colls:     make(map[collKey]*collSlot),
-		ledger:    cfg.Ledger,
-		onFailure: cfg.OnFailure,
-		onSpan:    cfg.OnSpan,
-		seedRNG:   machine.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb),
-		errs:      make(map[int]error),
+		n:        cfg.Ranks,
+		cost:     cfg.Cost,
+		noise:    cfg.Noise,
+		failed:   make([]bool, cfg.Ranks),
+		queues:   make([]msgQueue, cfg.Ranks),
+		colls:    make(map[collKey]*collSlot),
+		ledger:   cfg.Ledger,
+		observer: cfg.Observer,
+		seedRNG:  machine.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb),
+		errs:     make(map[int]error),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	if w.ledger != nil {

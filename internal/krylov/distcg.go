@@ -6,23 +6,20 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/la"
+	"repro/internal/obs"
 )
 
 // DistOptions configures the distributed solvers.
 type DistOptions struct {
 	Tol     float64 // relative residual target (default 1e-8)
 	MaxIter int     // iteration cap (default 500)
-	// Hook, when non-nil, observes (iteration, relative residual) once
-	// per iteration on this rank; returning a non-nil error aborts the
-	// solve with that error. The hook is rank-local and must not
-	// communicate. Distributed solves are SPMD: an error abort is only
-	// safe when every rank's hook returns it at the same iteration (the
-	// invocation points are collectively aligned, so symmetric hooks
-	// abort cleanly) — an asymmetric abort leaves the other ranks
-	// blocked in their next collective. Pure observers that always
-	// return nil are unrestricted, which is why the solve service can
-	// stream progress from a hook on rank 0 only.
-	Hook IterationHook
+}
+
+// emitIteration reports one solver iteration — its index and relative
+// residual — on the rank's event stream. Every rank of an SPMD solve
+// emits; consumers that want one progress line keep rank 0's.
+func emitIteration(c *comm.Comm, iter int, relres float64) {
+	c.Emit(obs.Event{Name: obs.EventIteration, Iter: iter, Value: relres})
 }
 
 func (o *DistOptions) defaults() {
@@ -81,11 +78,7 @@ func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([
 		relres := math.Sqrt(rho) / bnorm
 		st.Residuals = append(st.Residuals, relres)
 		st.FinalResidual = relres
-		if opts.Hook != nil {
-			if err := opts.Hook(st.Iterations, relres); err != nil {
-				return x, st, err
-			}
-		}
+		emitIteration(c, st.Iterations, relres)
 		if relres <= opts.Tol {
 			st.Converged = true
 			break
@@ -198,11 +191,7 @@ func DistPipelinedCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOp
 		relres := math.Sqrt(gamma) / bnorm
 		st.Residuals = append(st.Residuals, relres)
 		st.FinalResidual = relres
-		if opts.Hook != nil {
-			if err := opts.Hook(st.Iterations, relres); err != nil {
-				return x, st, err
-			}
-		}
+		emitIteration(c, st.Iterations, relres)
 		if relres <= opts.Tol {
 			st.Converged = true
 			break

@@ -142,11 +142,7 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 			relres := math.Abs(g[j+1]) / bnorm
 			st.Residuals = append(st.Residuals, relres)
 			st.FinalResidual = relres
-			if opts.Hook != nil {
-				if err := opts.Hook(st.Iterations, relres); err != nil {
-					return x, st, err
-				}
-			}
+			emitIteration(c, st.Iterations, relres)
 			if relres <= opts.Tol || hj1 == 0 {
 				j++
 				break

@@ -25,12 +25,6 @@ type DistGMRESOptions struct {
 	// unpreconditioned and rejects a set Precon with an error rather
 	// than silently dropping it.
 	Precon DistPreconditioner
-	// Hook, when non-nil, observes (iteration, relative residual) once
-	// per inner iteration on this rank; a non-nil return aborts the
-	// solve. Rank-local, must not communicate; error aborts must be
-	// symmetric across ranks — see DistOptions.Hook for the SPMD
-	// contract.
-	Hook IterationHook
 }
 
 func (o *DistGMRESOptions) defaults() {
@@ -53,6 +47,18 @@ func (o *DistGMRESOptions) defaults() {
 // for p1-GMRES in experiments F2/F3. With opts.Precon set it runs
 // right-preconditioned (see DistGMRESOptions.Precon).
 func DistGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+	return distGMRES(c, a, b, x0, opts, false)
+}
+
+// DistGMRESInner is DistGMRES run as a preconditioner inside another
+// solve (srp.DistInner): identical arithmetic, cost and spans, but no
+// iteration events — a run's progress stream reports the outer solver's
+// iterations only.
+func DistGMRESInner(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+	return distGMRES(c, a, b, x0, opts, true)
+}
+
+func distGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions, quiet bool) ([]float64, Stats, error) {
 	opts.defaults()
 	n := a.LocalLen()
 	la.CheckLen("b", b, n)
@@ -169,10 +175,8 @@ func DistGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOpt
 			relres := math.Abs(g[j+1]) / bnorm
 			st.Residuals = append(st.Residuals, relres)
 			st.FinalResidual = relres
-			if opts.Hook != nil {
-				if err := opts.Hook(st.Iterations, relres); err != nil {
-					return x, st, err
-				}
+			if !quiet {
+				emitIteration(c, st.Iterations, relres)
 			}
 			if relres <= opts.Tol || hj1 == 0 {
 				j++
@@ -446,11 +450,7 @@ func p1Cycle(c *comm.Comm, a dist.Operator, b, x []float64, bnorm float64, m int
 			relres := math.Abs(g[col+1]) / bnorm
 			st.Residuals = append(st.Residuals, relres)
 			st.FinalResidual = relres
-			if opts.Hook != nil {
-				if err := opts.Hook(st.Iterations, relres); err != nil {
-					return false, err
-				}
-			}
+			emitIteration(c, st.Iterations, relres)
 			if relres <= opts.Tol || st.Iterations >= opts.MaxIter || breakdown {
 				break
 			}

@@ -21,6 +21,7 @@ func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float6
 	la.CheckLen("b", b, n)
 	x := make([]float64, n)
 	if x0 != nil {
+		la.CheckLen("x0", x0, n)
 		copy(x, x0)
 	}
 	var st Stats
@@ -66,11 +67,7 @@ func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float6
 		relres := math.Sqrt(rr) / bnorm
 		st.Residuals = append(st.Residuals, relres)
 		st.FinalResidual = relres
-		if opts.Hook != nil {
-			if err := opts.Hook(st.Iterations, relres); err != nil {
-				return x, st, err
-			}
-		}
+		emitIteration(c, st.Iterations, relres)
 		if relres <= opts.Tol {
 			st.Converged = true
 			break
@@ -132,6 +129,7 @@ func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0
 	la.CheckLen("b", b, n)
 	x := make([]float64, n)
 	if x0 != nil {
+		la.CheckLen("x0", x0, n)
 		copy(x, x0)
 	}
 	var st Stats
@@ -201,11 +199,7 @@ func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0
 		relres := math.Sqrt(rr) / bnorm
 		st.Residuals = append(st.Residuals, relres)
 		st.FinalResidual = relres
-		if opts.Hook != nil {
-			if err := opts.Hook(st.Iterations, relres); err != nil {
-				return x, st, err
-			}
-		}
+		emitIteration(c, st.Iterations, relres)
 		if relres <= opts.Tol {
 			st.Converged = true
 			break

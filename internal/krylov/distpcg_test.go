@@ -1,11 +1,14 @@
 package krylov
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/la"
+	"repro/internal/machine"
 	"repro/internal/precond"
 	"repro/internal/problems"
 )
@@ -179,5 +182,47 @@ func TestUnpreconditionedPCGMatchesCG(t *testing.T) {
 	}
 	if e := la.NrmInf(la.Sub(xP, xC)); e > 1e-8 {
 		t.Errorf("identity-PCG deviates from CG by %g", e)
+	}
+}
+
+// TestDistCGFamilyRejectsShortWarmStart: every CG-family dist solver
+// must refuse a warm start whose length is not the rank's slab —
+// copy would otherwise truncate it silently and solve from a
+// half-zero guess.
+func TestDistCGFamilyRejectsShortWarmStart(t *testing.T) {
+	a := problems.Poisson2D(6, 6)
+	rhs, _ := problems.ManufacturedRHS(a)
+	type solve func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error
+	for name, run := range map[string]solve{
+		"DistCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
+			_, _, err := DistCG(c, op, b, x0, DistOptions{})
+			return err
+		},
+		"DistPipelinedCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
+			_, _, err := DistPipelinedCG(c, op, b, x0, DistOptions{})
+			return err
+		},
+		"DistPCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
+			_, _, err := DistPCG(c, op, nil, b, x0, DistOptions{})
+			return err
+		},
+		"DistPipelinedPCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
+			_, _, err := DistPipelinedPCG(c, op, nil, b, x0, DistOptions{})
+			return err
+		},
+	} {
+		err := comm.Run(comm.Config{Ranks: 1, Cost: machine.DefaultCostModel()}, func(c *comm.Comm) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("%v", r)
+				}
+			}()
+			op := dist.NewCSR(c, a)
+			b := op.Scatter(rhs)
+			return run(c, op, b, make([]float64, len(b)-1))
+		})
+		if err == nil || !strings.Contains(err.Error(), "x0 has length") {
+			t.Errorf("%s accepted a short x0 (err %v)", name, err)
+		}
 	}
 }

@@ -157,31 +157,3 @@ var ErrDetectedFault = errors.New("krylov: skeptical check detected an invariant
 // non-nil error aborts the solve with that error. The skeptical layer
 // uses hooks for orthogonality and residual-monotonicity checks.
 type IterationHook func(iter int, relres float64) error
-
-// ChainHooks composes iteration hooks into one that invokes each in
-// order, stopping at (and returning) the first error. Nil hooks are
-// skipped; chaining only nils returns nil, so solvers keep their
-// hook-free fast path. The campaign engine uses it to layer progress
-// streaming and run tracing onto one solver option slot.
-func ChainHooks(hooks ...IterationHook) IterationHook {
-	live := hooks[:0:0]
-	for _, h := range hooks {
-		if h != nil {
-			live = append(live, h)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(iter int, relres float64) error {
-		for _, h := range live {
-			if err := h(iter, relres); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}

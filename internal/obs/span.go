@@ -55,60 +55,3 @@ func Phases() []string {
 		PhaseOrthogonalize, PhaseSanitize, PhaseRestartRecovery,
 	}
 }
-
-// EmitSpan records one closed phase span on rank's stream: the interval
-// [start, end] in run-virtual time, attributed to phase. A nil tracer
-// discards the span for free — same contract as Emit.
-func (t *RunTracer) EmitSpan(rank int, start, end float64, attempt int, phase string) {
-	t.EmitSpanWait(rank, start, end, attempt, phase, 0)
-}
-
-// EmitSpanWait is EmitSpan carrying a wait attribution: the virtual
-// seconds of [start, end] the rank spent blocked behind the slowest
-// participant of a collective or the late arrival of a halo message
-// (see comm.Config.OnSpan). Zero wait writes the same event EmitSpan
-// does — the wait field is omitted from the wire format when zero, so
-// pre-wait traces and non-blocking spans are byte-unchanged.
-func (t *RunTracer) EmitSpanWait(rank int, start, end float64, attempt int, phase string, wait float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	seq := t.seq[rank]
-	t.seq[rank] = seq + 1
-	t.events = append(t.events, Event{
-		T: start, Rank: rank, Seq: seq, Name: EventSpan,
-		Attempt: attempt, Dur: end - start, Detail: phase, Wait: wait,
-	})
-	t.mu.Unlock()
-}
-
-// Span is an open phase interval handed out by StartSpan. It is a plain
-// value — no allocation, safe to keep on the stack of a hot loop — and
-// the Span of a nil tracer is the zero Span, whose End is a no-op. A
-// Span is used by the goroutine that started it.
-type Span struct {
-	tr      *RunTracer
-	rank    int
-	attempt int
-	phase   string
-	start   float64
-}
-
-// StartSpan opens a phase span on rank's stream at virtual time vt.
-// Close it with End. On a nil tracer it returns the zero Span for free.
-func (t *RunTracer) StartSpan(rank, attempt int, phase string, vt float64) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{tr: t, rank: rank, attempt: attempt, phase: phase, start: vt}
-}
-
-// End closes the span at virtual time vt, emitting the span event. The
-// zero Span (from a nil tracer) discards the call for free.
-func (s Span) End(vt float64) {
-	if s.tr == nil {
-		return
-	}
-	s.tr.EmitSpan(s.rank, s.start, vt, s.attempt, s.phase)
-}

@@ -5,15 +5,20 @@ import (
 	"testing"
 )
 
-// TestSpanRoundTrip pins the span wire contract: EmitSpan and
-// StartSpan/End write span events whose T is the start, Dur the
-// length and Detail the phase, and a WriteJSONL/ReadTrace round trip
-// preserves them exactly.
+// TestSpanRoundTrip pins the span wire contract: a span event's T is
+// the start, Dur the length and Detail the phase; spans from ranks
+// past 0 are kept only under AllRanks; and a WriteJSONL/ReadTrace
+// round trip preserves what was kept exactly.
 func TestSpanRoundTrip(t *testing.T) {
+	rank1 := Event{T: 10, Rank: 1, Name: EventSpan, Attempt: 3, Dur: 2.5, Detail: PhaseAllreduce}
 	tr := NewRunTracer("k", 7)
-	tr.EmitSpan(0, 1.5, 4.0, 2, PhaseSpMV)
-	sp := tr.StartSpan(1, 3, PhaseAllreduce, 10)
-	sp.End(12.5)
+	tr.Observe(rank1)
+	if evs := tr.Events(); len(evs) != 0 {
+		t.Fatalf("rank-0 tracer kept a rank-1 span: %+v", evs)
+	}
+	tr.AllRanks = true
+	tr.Observe(Event{T: 1.5, Name: EventSpan, Attempt: 2, Dur: 2.5, Detail: PhaseSpMV})
+	tr.Observe(rank1)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -45,9 +50,9 @@ func TestSpanRoundTrip(t *testing.T) {
 // stream, and per-rank Seq stays strictly increasing across both kinds.
 func TestSpanOrderingWithPointEvents(t *testing.T) {
 	tr := NewRunTracer("k", 1)
-	tr.Emit(0, 5, "iter", 1, 3, 0.5, "")
-	tr.EmitSpan(0, 2, 6, 1, PhasePrecondApply) // starts before the iter event
-	tr.Emit(0, 2, "fault", 1, 0, 0, "bitflip")
+	tr.Observe(Event{T: 5, Name: "iter", Attempt: 1, Iter: 3, Value: 0.5})
+	tr.Observe(Event{T: 2, Name: EventSpan, Attempt: 1, Dur: 4, Detail: PhasePrecondApply}) // starts before the iter event
+	tr.Observe(Event{T: 2, Name: "fault", Attempt: 1, Detail: "bitflip"})
 
 	evs := tr.Events()
 	if len(evs) != 3 {
@@ -68,25 +73,18 @@ func TestSpanOrderingWithPointEvents(t *testing.T) {
 	}
 }
 
-// TestNilTracerSpansAreNoOps: the nil tracer's span surface is free
-// and safe — EmitSpan discards, StartSpan returns the zero Span, and
-// the zero Span's End does nothing.
+// TestNilTracerSpansAreNoOps: the nil tracer is a free and safe span
+// sink — Observe discards without allocating.
 func TestNilTracerSpansAreNoOps(t *testing.T) {
 	var tr *RunTracer
-	tr.EmitSpan(0, 0, 1, 1, PhaseSpMV)
-	sp := tr.StartSpan(0, 1, PhaseAllreduce, 0)
-	if sp != (Span{}) {
-		t.Errorf("nil tracer StartSpan returned %+v, want the zero Span", sp)
-	}
-	sp.End(1)
+	tr.Observe(Event{Name: EventSpan, Attempt: 1, Dur: 1, Detail: PhaseSpMV})
 	if evs := tr.Events(); evs != nil {
 		t.Errorf("nil tracer holds events: %v", evs)
 	}
 
 	if n := testing.AllocsPerRun(100, func() {
-		s := tr.StartSpan(0, 1, PhaseSpMV, 0)
-		s.End(1)
-		tr.EmitSpan(1, 0, 1, 1, PhaseHaloExchange)
+		tr.Observe(Event{Name: EventSpan, Attempt: 1, Dur: 1, Detail: PhaseSpMV})
+		tr.Observe(Event{Rank: 1, Name: EventSpan, Attempt: 1, Dur: 1, Wait: 0.5, Detail: PhaseHaloExchange})
 	}); n != 0 {
 		t.Errorf("disabled span path allocates %g per op, want 0", n)
 	}

@@ -61,14 +61,55 @@ type traceHeader struct {
 	Events int    `json:"events"`
 }
 
-// RunTracer collects one run's events from every goroutine that touches
-// the run — the harness, the rank goroutines, the engine's supervisor —
-// and exports them in a deterministic order. The nil *RunTracer is a
-// valid no-op sink: every method returns immediately, with zero
-// allocations, which is how tracing stays free when disabled (pinned by
+// EventIteration and EventDiscard name the two progress events with
+// live consumers beyond the trace (the solve service streams them as
+// SSE frames): one solver iteration with its relative residual in
+// Value, and one inner solve rejected by FT-GMRES's sanitisation
+// consensus with its ordinal in Iter.
+const (
+	EventIteration = "iteration"
+	EventDiscard   = "discard"
+)
+
+// Tee composes event sinks into one that delivers each event to every
+// sink in order. Nil sinks are skipped and a Tee of none is nil, so an
+// unobserved run keeps its observer-free fast path.
+func Tee(sinks ...func(Event)) func(Event) {
+	live := sinks[:0:0]
+	for _, s := range sinks {
+		if s != nil {
+			live = append(live, s)
+		}
+	}
+	switch len(live) {
+	case 0:
+		return nil
+	case 1:
+		return live[0]
+	}
+	return func(ev Event) {
+		for _, s := range live {
+			s(ev)
+		}
+	}
+}
+
+// RunTracer is the event sink that records one run's timeline — from
+// the harness, every rank goroutine and the engine's supervisor — and
+// exports it in a deterministic order. The nil *RunTracer is a valid
+// no-op sink: every method returns immediately, with zero allocations,
+// which is how tracing stays free when disabled (pinned by
 // kernel/obs-disabled-telemetry). A RunTracer is safe for concurrent
 // use.
 type RunTracer struct {
+	// AllRanks keeps every rank's phase spans. Off, spans from ranks
+	// past 0 are dropped on arrival: the solves are SPMD-symmetric, so
+	// one rank's attribution is representative and trace volume stays
+	// linear in iterations rather than iterations × ranks — but
+	// traceq's load-imbalance, wait-share and critical-path sections
+	// need every rank. Set it before the run starts.
+	AllRanks bool
+
 	key  string
 	seed uint64
 
@@ -91,24 +132,25 @@ func (t *RunTracer) Key() string {
 	return t.key
 }
 
-// Enabled reports whether events are being recorded (false on nil —
-// callers use it to skip building event arguments entirely).
-func (t *RunTracer) Enabled() bool { return t != nil }
+// Observe records one event, stamping Seq with the event's index in
+// its rank's stream. It is the tracer's func(Event) sink; a nil tracer
+// discards the event for free.
+func (t *RunTracer) Observe(ev Event) {
+	if t != nil {
+		t.record(ev)
+	}
+}
 
-// Emit records one event: rank's stream, virtual time vt, the event
-// name, its attempt, and the optional iter/value/detail payload. A nil
-// tracer discards the event for free.
-func (t *RunTracer) Emit(rank int, vt float64, name string, attempt, iter int, value float64, detail string) {
-	if t == nil {
+// record is Observe's body, out of line so that Observe inlines to a
+// nil check at call sites holding a possibly-nil tracer.
+func (t *RunTracer) record(ev Event) {
+	if ev.Name == EventSpan && ev.Rank > 0 && !t.AllRanks {
 		return
 	}
 	t.mu.Lock()
-	seq := t.seq[rank]
-	t.seq[rank] = seq + 1
-	t.events = append(t.events, Event{
-		T: vt, Rank: rank, Seq: seq, Name: name,
-		Attempt: attempt, Iter: iter, Value: value, Detail: detail,
-	})
+	ev.Seq = t.seq[ev.Rank]
+	t.seq[ev.Rank] = ev.Seq + 1
+	t.events = append(t.events, ev)
 	t.mu.Unlock()
 }
 

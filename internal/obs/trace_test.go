@@ -10,10 +10,7 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *RunTracer
-	tr.Emit(0, 1, "iteration", 0, 3, 0.5, "")
-	if tr.Enabled() {
-		t.Fatalf("nil tracer reports enabled")
-	}
+	tr.Observe(Event{T: 1, Name: EventIteration, Iter: 3, Value: 0.5})
 	if tr.Key() != "" || tr.Events() != nil {
 		t.Fatalf("nil tracer must read as empty")
 	}
@@ -39,12 +36,12 @@ func TestTracerExportOrderDeterministic(t *testing.T) {
 			go func(rank int) {
 				defer wg.Done()
 				for i := 0; i < 5; i++ {
-					tr.Emit(rank, float64(i), "iteration", 0, i+1, 1.0/float64(i+1), "")
+					tr.Observe(Event{T: float64(i), Rank: rank, Name: EventIteration, Iter: i + 1, Value: 1.0 / float64(i+1)})
 				}
 			}(rank)
 		}
 		wg.Wait()
-		tr.Emit(-1, 5, "run_end", 0, 0, 0, "converged")
+		tr.Observe(Event{T: 5, Rank: -1, Name: "run_end", Detail: "converged"})
 		var b bytes.Buffer
 		if err := tr.WriteJSONL(&b); err != nil {
 			t.Fatal(err)
@@ -60,9 +57,9 @@ func TestTracerExportOrderDeterministic(t *testing.T) {
 
 func TestTracerJSONLFormat(t *testing.T) {
 	tr := NewRunTracer("k", 7)
-	tr.Emit(-1, 0, "run_begin", 0, 0, 0, "")
-	tr.Emit(0, 0.5, "iteration", 0, 1, 0.25, "")
-	tr.Emit(-1, 1, "run_end", 0, 0, 0, "converged")
+	tr.Observe(Event{Rank: -1, Name: "run_begin"})
+	tr.Observe(Event{T: 0.5, Name: EventIteration, Iter: 1, Value: 0.25})
+	tr.Observe(Event{T: 1, Rank: -1, Name: "run_end", Detail: "converged"})
 	var b bytes.Buffer
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -89,11 +86,11 @@ func TestTracerJSONLFormat(t *testing.T) {
 
 func TestTracerChromeTrace(t *testing.T) {
 	tr := NewRunTracer("cell", 1)
-	tr.Emit(-1, 0, "run_begin", 0, 0, 0, "")
-	tr.Emit(-1, 0, "attempt_begin", 0, 0, 0, "")
-	tr.Emit(1, 0.25, "fault_inject", 0, 0, 2, "bitflip")
-	tr.Emit(-1, 1, "attempt_end", 0, 0, 0, "")
-	tr.Emit(-1, 1, "run_end", 0, 0, 0, "")
+	tr.Observe(Event{Rank: -1, Name: "run_begin"})
+	tr.Observe(Event{Rank: -1, Name: "attempt_begin"})
+	tr.Observe(Event{T: 0.25, Rank: 1, Name: "fault_inject", Value: 2, Detail: "bitflip"})
+	tr.Observe(Event{T: 1, Rank: -1, Name: "attempt_end"})
+	tr.Observe(Event{T: 1, Rank: -1, Name: "run_end"})
 	var b bytes.Buffer
 	if err := tr.WriteChromeTrace(&b); err != nil {
 		t.Fatal(err)
@@ -117,5 +114,23 @@ func TestTracerChromeTrace(t *testing.T) {
 		if ce.Name == "fault_inject" && ce.Ts != 0.25e6 {
 			t.Fatalf("fault_inject ts = %v, want 2.5e5", ce.Ts)
 		}
+	}
+}
+
+// TestTee pins the sink combinator: nil sinks are skipped, a Tee of
+// none is nil (the unobserved fast path survives composition), a Tee
+// of one is that sink, and several receive every event in order.
+func TestTee(t *testing.T) {
+	if Tee() != nil || Tee(nil, nil) != nil {
+		t.Fatal("Tee of no live sinks must be nil")
+	}
+	var got []string
+	mk := func(name string) func(Event) {
+		return func(ev Event) { got = append(got, name+":"+ev.Name) }
+	}
+	Tee(nil, mk("only"), nil)(Event{Name: "x"})
+	Tee(mk("a"), nil, mk("b"))(Event{Name: "y"})
+	if want := "only:x a:y b:y"; strings.Join(got, " ") != want {
+		t.Fatalf("deliveries %q, want %q", strings.Join(got, " "), want)
 	}
 }

@@ -204,10 +204,3 @@ func (c *Cache) Stats() CacheStats {
 	st.SetupEntries = int64(c.lru.Len())
 	return st
 }
-
-// Env returns the campaign execution environment that routes one run's
-// assembly through this cache and its progress through the given sink
-// (nil for none).
-func (c *Cache) Env(progress func(attempt, iter int, relres float64)) *campaign.ExecEnv {
-	return &campaign.ExecEnv{Problems: c.Problem, Setups: c, Progress: progress}
-}

@@ -33,8 +33,8 @@
 //
 //   - Streaming (stream.go): a solve request with "stream": true
 //     receives Server-Sent Events — one "progress" event per solver
-//     iteration (attempt, iteration, relative residual, from the
-//     rank-0 hook) and a final "result" event. Campaign requests
+//     iteration (attempt, iteration, relative residual, fed from the
+//     run's event stream) and a final "result" event. Campaign requests
 //     stream one NDJSON record line per completed run plus a trailing
 //     summary line.
 //

@@ -27,9 +27,9 @@ func (s *Server) initMetrics() {
 	s.traceErrors = r.Counter("repro_trace_write_errors_total",
 		"Run traces that could not be persisted to the trace directory.")
 
-	// Per-phase virtual-duration histograms, fed by the campaign
-	// ExecEnv.OnSpan tap (see observeSpan): every rank's spans of every
-	// executed run, in virtual seconds, whether or not tracing is on.
+	// Per-phase virtual-duration histograms, fed from each run's event
+	// stream (see observePhase): every rank's spans of every executed
+	// run, in virtual seconds, whether or not tracing is on.
 	// Restart-recovery is excluded — it re-labels lost work rather than
 	// timing a phase.
 	s.phaseSec = make(map[string]*obs.Histogram)
@@ -153,12 +153,16 @@ func phaseBuckets() []float64 {
 	return []float64{1e-7, 1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
-// observeSpan is the campaign ExecEnv.OnSpan observer: one histogram
-// sample per phase span, in virtual seconds. Called concurrently from
-// every worker's runs; histograms are atomic, so no extra locking.
-func (s *Server) observeSpan(rank int, phase string, start, end, wait float64) {
-	if h := s.phaseSec[phase]; h != nil {
-		h.Observe(end - start)
+// observePhase is the event sink behind repro_phase_vseconds: one
+// histogram sample per phase span, in virtual seconds. Called
+// concurrently from the rank goroutines of every worker's runs;
+// histograms are atomic, so no extra locking.
+func (s *Server) observePhase(ev obs.Event) {
+	if ev.Name != obs.EventSpan {
+		return
+	}
+	if h := s.phaseSec[ev.Detail]; h != nil {
+		h.Observe(ev.Dur)
 	}
 }
 

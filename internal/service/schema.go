@@ -139,7 +139,8 @@ type ProgressEvent struct {
 	Attempt int `json:"attempt"`
 	// Iter is the solver iteration within the attempt.
 	Iter int `json:"iter"`
-	// Relres is the relative residual after that iteration.
+	// Relres is the relative residual after that iteration; -1 when
+	// the solve diverged to a value JSON cannot carry (NaN/Inf).
 	Relres float64 `json:"relres"`
 }
 

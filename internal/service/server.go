@@ -303,27 +303,26 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // execute runs one request's solve on the calling goroutine (a pool
-// worker) and updates the counters. The optional sinks receive rank
-// 0's per-iteration progress and inner-discard events; when the server
-// has a trace directory, the run's timeline is recorded and persisted
-// alongside.
-func (s *Server) execute(req *SolveRequest, progress func(attempt, iter int, relres float64), discard func(attempt, solve int)) campaign.Record {
+// worker) and updates the counters. The run's event stream is tee'd to
+// events (the SSE feeder; nil for none), the per-phase histograms on
+// /metrics — every run, traced or not — and, when the server has a
+// trace directory and the run is sampled, a tracer whose timeline is
+// persisted alongside.
+func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Record {
 	reqID := RequestID(req)
 	spec, cell := req.SpecCell()
-	env := s.cache.Env(progress)
-	env.Discards = discard
-	// Every run feeds the per-phase virtual-duration histograms on
-	// /metrics, traced or not: the observer tap is independent of trace
-	// persistence.
-	env.OnSpan = s.observeSpan
+	var tr *obs.RunTracer // nil (a no-op sink) when the run is not traced
 	if s.traceDir != "" && campaign.TraceSampled(spec.Seed, cell.RunKey(req.Rep), s.sampleK, s.sampleN) {
-		env.Tracer = campaign.NewRunTracer(&spec, cell, req.Rep)
-		env.TraceAllRanks = s.traceAll
+		tr = campaign.NewRunTracer(&spec, cell, req.Rep)
+		tr.AllRanks = s.traceAll
 	}
-	rec := campaign.ExecuteRunEnv(&spec, cell, req.Rep, env)
+	rec := campaign.ExecuteRunEnv(&spec, cell, req.Rep, &campaign.ExecEnv{
+		Problems: s.cache.Problem, Setups: s.cache,
+		Events: obs.Tee(events, s.observePhase, tr.Observe),
+	})
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
-	if _, err := campaign.WriteRunTraceAs(s.traceDir, env.Tracer,
+	if _, err := campaign.WriteRunTraceAs(s.traceDir, tr,
 		false, TraceName(reqID, cell.RunKey(req.Rep))); err != nil {
 		// A failed trace write must not fail the solve: the record is
 		// sound. It is counted, so a scrape surfaces the data loss.
@@ -355,12 +354,12 @@ func (s *Server) execute(req *SolveRequest, progress func(attempt, iter int, rel
 // job wraps one request into a pool job that times its queue wait and
 // execution (the two latency histograms on /metrics) and delivers the
 // record on done.
-func (s *Server) job(req *SolveRequest, progress func(attempt, iter int, relres float64), discard func(attempt, solve int), done chan<- campaign.Record) func() {
+func (s *Server) job(req *SolveRequest, events func(obs.Event), done chan<- campaign.Record) func() {
 	enqueued := time.Now()
 	return func() {
 		started := time.Now()
 		s.queueWait.Observe(started.Sub(enqueued).Seconds())
-		rec := s.execute(req, progress, discard)
+		rec := s.execute(req, events)
 		s.execSec.Observe(time.Since(started).Seconds())
 		done <- rec
 	}
@@ -369,9 +368,9 @@ func (s *Server) job(req *SolveRequest, progress func(attempt, iter int, relres 
 // schedule submits one request to the pool; the returned channel
 // yields the record when the run completes. ok is false when the queue
 // is full.
-func (s *Server) schedule(req *SolveRequest, progress func(attempt, iter int, relres float64), discard func(attempt, solve int)) (<-chan campaign.Record, bool) {
+func (s *Server) schedule(req *SolveRequest, events func(obs.Event)) (<-chan campaign.Record, bool) {
 	done := make(chan campaign.Record, 1)
-	accepted := s.pool.submit(s.job(req, progress, discard, done))
+	accepted := s.pool.submit(s.job(req, events, done))
 	s.account(req, accepted)
 	if !accepted {
 		return nil, false
@@ -385,7 +384,7 @@ func (s *Server) schedule(req *SolveRequest, progress func(attempt, iter int, re
 // same received/rejected accounting as schedule, so /stats never
 // undercounts refusals.
 func (s *Server) scheduleWait(req *SolveRequest, deliver chan<- campaign.Record) bool {
-	accepted := s.pool.submitWait(s.job(req, nil, nil, deliver), s.queue/2)
+	accepted := s.pool.submitWait(s.job(req, nil, deliver), s.queue/2)
 	s.account(req, accepted)
 	return accepted
 }
@@ -470,7 +469,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.streamSolve(r.Context(), w, reqID, &req)
 		return
 	}
-	done, ok := s.schedule(&req, nil, nil)
+	done, ok := s.schedule(&req, nil)
 	if !ok {
 		s.log.Warn("solve rejected", "req", reqID, "reason", "queue full")
 		writeError(w, http.StatusServiceUnavailable, "queue full, retry later")

@@ -231,6 +231,59 @@ func TestSolveStreaming(t *testing.T) {
 	}
 }
 
+// TestStreamedProgressSurvivesDivergence: when a bit-flipped GMRES blows
+// up, its residual goes NaN/Inf — values JSON cannot carry. The run's
+// event stream clamps them to the -1 sentinel the record uses, so the
+// SSE stream keeps delivering progress frames through exactly the
+// iterations a client most wants to see instead of silently skipping
+// them.
+func TestStreamedProgressSurvivesDivergence(t *testing.T) {
+	spec := campaign.QuickSpec()
+	var req SolveRequest
+	for _, cell := range spec.Cells() {
+		if cell.Key() == "gmres/jacobi/aniso/p2/bitflip@0.001" {
+			req = NewSolveRequest(&spec, cell, 1)
+		}
+	}
+	cspec, cell := req.SpecCell()
+	direct := campaign.ExecuteRun(&cspec, cell, req.Rep, nil)
+	if direct.Relres != -1 {
+		t.Fatalf("fixture run no longer diverges (relres %g); pick another cell", direct.Relres)
+	}
+
+	_, cl, done := newTestServer(t, Options{Workers: 1})
+	defer done()
+	req.Stream = true
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames, sentinels := 0, 0
+	for _, ev := range parseSSE(t, bufio.NewReader(resp.Body)) {
+		if ev.name != "progress" {
+			continue
+		}
+		var p ProgressEvent
+		if err := json.Unmarshal([]byte(ev.data), &p); err != nil {
+			t.Fatalf("progress payload %q: %v", ev.data, err)
+		}
+		frames++
+		if p.Relres == -1 {
+			sentinels++
+		}
+	}
+	// The stream buffer (4096) exceeds the run's iteration count, so
+	// nothing is dropped for slowness: every iteration has its frame.
+	if frames != direct.Iters {
+		t.Errorf("%d progress frames for %d iterations: diverged iterations vanished from the stream", frames, direct.Iters)
+	}
+	if sentinels == 0 {
+		t.Error("no progress frame carries relres -1 for a run whose residual went non-finite")
+	}
+}
+
 // TestCampaignEndpoint: a small spec executed server-side streams
 // records that match local engine execution record-for-record.
 func TestCampaignEndpoint(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 
 	"repro/internal/campaign"
+	"repro/internal/obs"
 )
 
 // progressBuffer bounds the per-solve progress queue. A slow SSE
@@ -58,13 +59,14 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, reqID s
 			// Slow consumer: drop the event rather than stall the solve.
 		}
 	}
-	progress := func(attempt, iter int, relres float64) {
-		emit(sseFrame{"progress", ProgressEvent{Attempt: attempt, Iter: iter, Relres: relres}})
-	}
-	discard := func(attempt, solve int) {
-		emit(sseFrame{"discard", DiscardEvent{Attempt: attempt, Solve: solve}})
-	}
-	done, ok := s.schedule(req, progress, discard)
+	done, ok := s.schedule(req, func(ev obs.Event) {
+		switch ev.Name {
+		case obs.EventIteration:
+			emit(sseFrame{"progress", ProgressEvent{Attempt: ev.Attempt, Iter: ev.Iter, Relres: ev.Value}})
+		case obs.EventDiscard:
+			emit(sseFrame{"discard", DiscardEvent{Attempt: ev.Attempt, Solve: ev.Iter}})
+		}
+	})
 	if !ok {
 		writeError(w, http.StatusServiceUnavailable, "queue full, retry later")
 		return

@@ -64,23 +64,20 @@ type DistInner struct {
 
 	Solves   int
 	Discards int
-
-	// OnDiscard, when non-nil, fires on each discard with the ordinal of
-	// the inner solve whose result was rejected. The discard decision is
-	// a global consensus, so every rank fires it in the same solves.
-	OnDiscard func(solve int)
 }
 
 // ApplyInto implements krylov.DistPreconditioner: one fixed-budget
 // unreliable solve, then the reliable analyse-and-use-or-discard step
-// of §III-D.
+// of §III-D. Each discard is reported as an obs.EventDiscard carrying
+// the rejected solve's ordinal in Iter; the decision is a global
+// consensus, so every rank emits it in the same solves.
 func (s *DistInner) ApplyInto(r, z []float64) error {
 	s.Solves++
 	restart := s.Restart
 	if restart <= 0 {
 		restart = s.Iters
 	}
-	out, _, err := krylov.DistGMRES(s.C, s.Faulty, r, nil, krylov.DistGMRESOptions{
+	out, _, err := krylov.DistGMRESInner(s.C, s.Faulty, r, nil, krylov.DistGMRESOptions{
 		Restart: restart, MaxIter: s.Iters, Tol: 1e-13, Precon: s.Precon,
 	})
 	if err != nil {
@@ -103,9 +100,7 @@ func (s *DistInner) ApplyInto(r, z []float64) error {
 	if agg[0] > 0 || (agg[2] > 0 && (agg[1] == 0 || agg[1] > 1e16*agg[2])) {
 		s.Discards++
 		s.C.SpanEnd(obs.PhaseSanitize, sanitize)
-		if s.OnDiscard != nil {
-			s.OnDiscard(s.Solves)
-		}
+		s.C.Emit(obs.Event{Name: obs.EventDiscard, Iter: s.Solves})
 		copy(z, r)
 		return nil
 	}
@@ -169,13 +164,12 @@ func DistFTGMRESPreconditioned(c *comm.Comm, trusted, faulty dist.Operator, inne
 	opts.defaults()
 	inner := &DistInner{
 		C: c, Faulty: faulty, Iters: opts.InnerIters, Restart: opts.InnerIters,
-		Precon: innerM, OnDiscard: opts.OnDiscard,
+		Precon: innerM,
 	}
 	x, st, err := krylov.DistFGMRES(c, trusted, inner, b, nil, krylov.DistGMRESOptions{
 		Restart: opts.OuterRestart,
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxOuter,
-		Hook:    opts.Hook,
 	})
 	return DistFTGMRESResult{X: x, Stats: st, InnerSolves: inner.Solves, InnerDiscards: inner.Discards}, err
 }

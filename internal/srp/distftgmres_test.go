@@ -1,6 +1,7 @@
 package srp
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/problems"
 )
 
@@ -175,22 +177,32 @@ func TestFaultyDistOpPreservesMetadata(t *testing.T) {
 	}
 }
 
-// TestDistFTGMRESHooks pins the srp.Options observability surface: the
-// outer-iteration Hook fires on every rank with increasing iteration
-// numbers and a final residual at or below the solver's reported one,
-// and OnDiscard fires identically on every rank when the inner stack is
-// corrupted hard enough to force discards.
+// TestDistFTGMRESHooks pins what a distributed FT-GMRES solve reports
+// on its world's event stream: iteration events for the *outer*
+// iterations only — consecutive numbers on every rank, so the inner
+// solves' own iterations stay silent — and a discard event carrying the
+// rejected solve's ordinal, identical on every rank, when the inner
+// stack is corrupted hard enough to force discards.
 func TestDistFTGMRESHooks(t *testing.T) {
 	const p = 4
 	a := problems.ConvDiff2D(12, 12, 20, 10)
 	bGlob, _ := problems.ManufacturedRHS(a)
-	cfg := comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 31}
 
 	type rankObs struct {
 		iters    []int
 		discards []int
 	}
-	obs := make([]rankObs, p)
+	// One slot per rank: each rank's events arrive on its own goroutine.
+	seen := make([]rankObs, p)
+	cfg := comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 31,
+		Observer: func(ev obs.Event) {
+			switch me := &seen[ev.Rank]; ev.Name {
+			case obs.EventIteration:
+				me.iters = append(me.iters, ev.Iter)
+			case obs.EventDiscard:
+				me.discards = append(me.discards, ev.Iter)
+			}
+		}}
 	var reportedDiscards int
 	err := comm.Run(cfg, func(c *comm.Comm) error {
 		trusted := dist.NewCSR(c, a)
@@ -200,17 +212,8 @@ func TestDistFTGMRESHooks(t *testing.T) {
 			Inner:    dist.NewCSR(c, a),
 			Injector: fault.NewVectorInjector(uint64(7000 + c.Rank())).WithRate(0.05),
 		}
-		local := trusted.Scatter(bGlob)
-		me := &obs[c.Rank()]
-		res, err := DistFTGMRES(c, trusted, faulty, local, Options{
+		res, err := DistFTGMRES(c, trusted, faulty, trusted.Scatter(bGlob), Options{
 			InnerIters: 10, Tol: 1e-8, MaxOuter: 25, OuterRestart: 25,
-			Hook: func(iter int, relres float64) error {
-				me.iters = append(me.iters, iter)
-				return nil
-			},
-			OnDiscard: func(solve int) {
-				me.discards = append(me.discards, solve)
-			},
 		})
 		if err != nil {
 			return err
@@ -223,13 +226,13 @@ func TestDistFTGMRESHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs[0].iters) == 0 {
-		t.Fatal("outer-iteration hook never fired")
+	if len(seen[0].iters) == 0 {
+		t.Fatal("no outer-iteration event was emitted")
 	}
 	for r := 0; r < p; r++ {
-		for i, it := range obs[r].iters {
+		for i, it := range seen[r].iters {
 			if it != i+1 {
-				t.Fatalf("rank %d: hook iteration %d at position %d", r, it, i)
+				t.Fatalf("rank %d: iteration event %d at position %d", r, it, i)
 			}
 		}
 	}
@@ -237,31 +240,12 @@ func TestDistFTGMRESHooks(t *testing.T) {
 		t.Fatal("expected discards at 5% fault rate")
 	}
 	for r := 1; r < p; r++ {
-		if len(obs[r].discards) != len(obs[0].discards) {
-			t.Fatalf("discard consensus broken: rank %d saw %d, rank 0 saw %d",
-				r, len(obs[r].discards), len(obs[0].discards))
+		if !slices.Equal(seen[r].discards, seen[0].discards) {
+			t.Fatalf("discard consensus broken: rank %d saw %v, rank 0 saw %v",
+				r, seen[r].discards, seen[0].discards)
 		}
 	}
-	if len(obs[0].discards) != reportedDiscards {
-		t.Fatalf("OnDiscard fired %d times, result reports %d", len(obs[0].discards), reportedDiscards)
-	}
-}
-
-// TestFTGMRESHookSerial checks the same Options surface on the serial
-// FTGMRES entry point.
-func TestFTGMRESHookSerial(t *testing.T) {
-	a := problems.Poisson2D(10, 10)
-	b, _ := problems.ManufacturedRHS(a)
-	var iters int
-	res, err := FTGMRES(krylov.NewCSROp(a), fault.NewVectorInjector(3).WithRate(0.05), b, Options{
-		InnerIters: 10, Tol: 1e-8, MaxOuter: 30,
-		Hook:      func(iter int, relres float64) error { iters++; return nil },
-		OnDiscard: func(solve int) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if iters == 0 || iters != res.Stats.Iterations {
-		t.Fatalf("hook fired %d times, stats report %d iterations", iters, res.Stats.Iterations)
+	if len(seen[0].discards) != reportedDiscards {
+		t.Fatalf("%d discard events, result reports %d", len(seen[0].discards), reportedDiscards)
 	}
 }

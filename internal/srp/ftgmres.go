@@ -32,10 +32,6 @@ type InnerSolver struct {
 	Discards int
 	// Solves counts inner invocations.
 	Solves int
-
-	// OnDiscard, when non-nil, fires on each discard with the ordinal of
-	// the inner solve whose result was rejected.
-	OnDiscard func(solve int)
 }
 
 // Solve implements krylov.Preconditioner.
@@ -56,22 +52,15 @@ func (s *InnerSolver) Solve(r []float64) []float64 {
 	// keeps the outer iteration valid — merely unpreconditioned for one
 	// step.
 	if err != nil || la.HasNonFinite(z) {
-		s.discard()
+		s.Discards++
 		return la.Copy(r)
 	}
 	zn, rn := la.Nrm2(z), la.Nrm2(r)
 	if rn > 0 && (zn == 0 || zn > 1e8*rn) {
-		s.discard()
+		s.Discards++
 		return la.Copy(r)
 	}
 	return z
-}
-
-func (s *InnerSolver) discard() {
-	s.Discards++
-	if s.OnDiscard != nil {
-		s.OnDiscard(s.Solves)
-	}
 }
 
 // Result carries the FT-GMRES outcome and reliability accounting.
@@ -92,19 +81,6 @@ type Options struct {
 	InnerIters   int     // inner GMRES iterations per outer step (default 20)
 	Tol          float64 // outer relative residual target (default 1e-8)
 	MaxOuter     int     // outer iteration cap (default 60)
-
-	// Hook, when non-nil, observes each *outer* iteration — (iteration,
-	// relative residual), exactly like the Hook on the other dist
-	// solvers' options — so FT-GMRES streams progress over SSE and into
-	// run traces like everything else. In the distributed solvers the
-	// hook runs on every rank (SPMD); stream from rank 0 only. Returning
-	// an error aborts the solve with krylov.ErrHookAbort semantics.
-	Hook krylov.IterationHook
-	// OnDiscard, when non-nil, fires each time the reliable sanitisation
-	// step rejects an inner result, with the inner-solve ordinal that was
-	// discarded. Distributed solves reach the discard decision by global
-	// consensus, so every rank fires it in the same solves.
-	OnDiscard func(solve int)
 }
 
 func (o *Options) defaults() {
@@ -131,17 +107,15 @@ func (o *Options) defaults() {
 func FTGMRES(trusted krylov.Op, injector *fault.VectorInjector, b []float64, opts Options) (Result, error) {
 	opts.defaults()
 	inner := &InnerSolver{
-		Faulty:    krylov.NewFaultyOp(trusted, injector),
-		Iters:     opts.InnerIters,
-		Restart:   opts.InnerIters,
-		OnDiscard: opts.OnDiscard,
+		Faulty:  krylov.NewFaultyOp(trusted, injector),
+		Iters:   opts.InnerIters,
+		Restart: opts.InnerIters,
 	}
 	x, st, err := krylov.GMRES(trusted, b, nil, krylov.GMRESOptions{
 		Restart: opts.OuterRestart,
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxOuter,
 		Precon:  inner,
-		Hook:    opts.Hook,
 	})
 	return Result{
 		X:              x,

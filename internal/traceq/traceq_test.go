@@ -155,8 +155,8 @@ func TestAnalyzeSortsByKey(t *testing.T) {
 func TestLoadDirRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tr := obs.NewRunTracer("gmres/none/poisson/p2/none/r0", 7)
-	tr.EmitSpan(0, 1, 3, 0, obs.PhaseSpMV)
-	tr.Emit(-1, 10, "run_end", 0, 0, 0, "")
+	tr.Observe(obs.Event{T: 1, Name: obs.EventSpan, Dur: 2, Detail: obs.PhaseSpMV})
+	tr.Observe(obs.Event{T: 10, Rank: -1, Name: "run_end"})
 	var b bytes.Buffer
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
