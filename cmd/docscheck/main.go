@@ -3,9 +3,8 @@
 // inside Go comments that point at files which do not exist (the drift
 // that once left package docs citing design notes nobody wrote); and
 // exported identifiers in the godoc-gated packages (internal/precond,
-// internal/campaign, internal/service, internal/obs, internal/traceq)
-// that lack doc
-// comments. It
+// internal/campaign, internal/service, internal/obs, internal/traceq,
+// internal/jsonl, internal/stats) that lack doc comments. It
 // takes the repository root as an optional argument (default ".") and
 // exits non-zero with one line per problem.
 //
@@ -52,6 +51,8 @@ var godocGated = []string{
 	filepath.Join("internal", "service"),
 	filepath.Join("internal", "obs"),
 	filepath.Join("internal", "traceq"),
+	filepath.Join("internal", "jsonl"),
+	filepath.Join("internal", "stats"),
 }
 
 // run performs all checks and returns the sorted problem list.

@@ -36,12 +36,10 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -177,19 +175,6 @@ func withPprof(h http.Handler) http.Handler {
 	return mux
 }
 
-// readHeaderTimeout bounds how long a connection may take to send its
-// request headers, so a client that opens a socket and stalls cannot
-// hold a connection (and its goroutine) forever. Request bodies are
-// small and bounded separately (maxRequestBytes in internal/service);
-// responses stream for as long as a campaign runs, so no write or
-// whole-request deadline is set.
-const readHeaderTimeout = 10 * time.Second
-
-// newHTTPServer builds the http.Server every mode serves through.
-func newHTTPServer(addr string, h http.Handler) *http.Server {
-	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
-}
-
 func runServe(args []string) error {
 	fs, o := newServeFlags()
 	fs.SetOutput(os.Stderr)
@@ -225,7 +210,7 @@ func runServe(args []string) error {
 	if o.pprof {
 		handler = withPprof(handler)
 	}
-	hs := newHTTPServer(o.addr, handler)
+	hs := service.NewHTTPServer(o.addr, handler)
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
@@ -388,10 +373,9 @@ func newSmokeFlags() (*flag.FlagSet, *smokeOptions) {
 	return fs, o
 }
 
-// runSmoke is the end-to-end proof in one process: start a real HTTP
-// server on a loopback port, run the campaign directly AND through the
-// server, and byte-diff the two aggregates. This is what the CI
-// solverd-smoke job runs.
+// runSmoke runs the service's end-to-end proofs (service.Smoke, or
+// service.KillReplay under -kill-at) and prints their verdict — what
+// the CI solverd-smoke and kill-replay-smoke jobs run.
 func runSmoke(args []string) error {
 	fs, o := newSmokeFlags()
 	fs.SetOutput(os.Stderr)
@@ -407,404 +391,42 @@ func runSmoke(args []string) error {
 			return err
 		}
 	}
+	var verdict map[string]any
 	if o.killAt != "" {
-		return runKillReplay(spec, o)
-	}
-
-	// Direct execution: the oracle.
-	directRuns := filepath.Join(o.outdir, "campaign_"+o.label+"-direct.jsonl")
-	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: o.workers, Out: directRuns}); err != nil {
-		return err
-	}
-	directAgg, err := campaign.AggregateFiles(spec, o.label, directRuns)
-	if err != nil {
-		return err
-	}
-
-	// Served execution: a real listener, a real client. The served pass
-	// traces every rank of every run — the byte-diff against the
-	// untraced direct pass below is the proof that all-rank tracing
-	// never perturbs results, and the traces feed the phase-histogram
-	// reconciliation in checkMetrics.
-	traceDir := filepath.Join(o.outdir, "traces-"+o.label)
-	ls, err := startServer(service.Options{Workers: o.workers, TraceDir: traceDir, TraceRanks: "all"})
-	if err != nil {
-		return err
-	}
-	defer ls.stop()
-	cl := ls.cl
-	if err := cl.Healthz(); err != nil {
-		return err
-	}
-
-	servedRuns := filepath.Join(o.outdir, "campaign_"+o.label+"-served.jsonl")
-	st, err := campaign.Run(campaign.Options{Spec: spec, Workers: o.workers, Out: servedRuns, Exec: cl.Exec})
-	if err != nil {
-		return err
-	}
-	if st.Errored > 0 {
-		return fmt.Errorf("smoke: %d of %d served runs errored", st.Errored, st.Executed)
-	}
-	servedAgg, err := campaign.AggregateFiles(spec, o.label, servedRuns)
-	if err != nil {
-		return err
-	}
-
-	directPath := filepath.Join(o.outdir, "CAMPAIGN_"+o.label+"-direct.json")
-	servedPath := filepath.Join(o.outdir, "CAMPAIGN_"+o.label+"-served.json")
-	if err := campaign.WriteAggregate(directAgg, directPath); err != nil {
-		return err
-	}
-	if err := campaign.WriteAggregate(servedAgg, servedPath); err != nil {
-		return err
-	}
-	da, err := os.ReadFile(directPath)
-	if err != nil {
-		return err
-	}
-	sa, err := os.ReadFile(servedPath)
-	if err != nil {
-		return err
-	}
-	stats, err := cl.Stats()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("smoke: %d runs served (%d workers), setup cache %d hits / %d misses\n",
-		stats.Completed, o.workers, stats.Cache.SetupHits, stats.Cache.SetupMisses)
-	if !bytes.Equal(da, sa) {
-		return fmt.Errorf("smoke: %s and %s differ — all-rank traced execution is not byte-identical to untraced", directPath, servedPath)
-	}
-	if stats.Cache.SetupHits == 0 {
-		return fmt.Errorf("smoke: setup cache reported no hits under repeated-cell traffic")
-	}
-	if err := checkMetrics(cl.Base, stats, traceDir); err != nil {
-		return err
-	}
-	// A machine-readable verdict line for the CI log.
-	verdict, _ := json.Marshal(map[string]any{
-		"schema": service.Schema, "smoke": "ok", "runs": stats.Completed,
-		"setup_hits": stats.Cache.SetupHits, "setup_misses": stats.Cache.SetupMisses,
-	})
-	fmt.Println(string(verdict))
-	return nil
-}
-
-// checkMetrics scrapes GET /metrics after the loadgen traffic and
-// asserts the Prometheus surface reconciles exactly with /stats: both
-// read the same counters, so any disagreement is a wiring bug worth
-// failing CI over. traceDir, when non-empty, holds the all-rank traces
-// of the same runs; the per-phase virtual-duration histograms must then
-// reconcile with the spans the traces persisted — counts exactly, sums
-// to float tolerance (accumulation order differs across workers).
-func checkMetrics(base string, stats service.StatsResponse, traceDir string) error {
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	series, err := obs.ParseText(body)
-	if err != nil {
-		return fmt.Errorf("smoke: /metrics is not valid exposition text: %w", err)
-	}
-	for name, want := range map[string]int64{
-		"repro_runs_completed_total":       stats.Completed,
-		"repro_runs_errored_total":         stats.Errored,
-		"repro_setup_cache_hits_total":     stats.Cache.SetupHits,
-		"repro_setup_cache_misses_total":   stats.Cache.SetupMisses,
-		"repro_problem_cache_hits_total":   stats.Cache.ProblemHits,
-		"repro_problem_cache_misses_total": stats.Cache.ProblemMisses,
-	} {
-		got, ok := series[name]
-		if !ok {
-			return fmt.Errorf("smoke: /metrics is missing %s", name)
+		kills, err := service.ParseKillPoints(o.killAt)
+		if err != nil {
+			return fmt.Errorf("-kill-at: %w", err)
 		}
-		if got != float64(want) {
-			return fmt.Errorf("smoke: %s is %g on /metrics but %d on /stats", name, got, want)
+		dir := o.journalDir
+		if dir == "" {
+			dir = filepath.Join(o.outdir, "journal-"+o.label)
 		}
-	}
-	for _, h := range []string{"repro_run_queue_wait_seconds", "repro_run_execute_seconds"} {
-		if series[h+"_count"] != float64(stats.Completed) {
-			return fmt.Errorf("smoke: %s_count is %g, want one observation per completed run (%d)",
-				h, series[h+"_count"], stats.Completed)
-		}
-	}
-	if traceDir != "" {
-		if err := checkPhaseMetrics(series, traceDir); err != nil {
-			return err
-		}
-	}
-	fmt.Printf("smoke: /metrics reconciles with /stats (%d series scraped)\n", len(series))
-	return nil
-}
-
-// checkPhaseMetrics reconciles repro_phase_vseconds against the
-// all-rank traces of the same runs: every phase span a trace persisted
-// is exactly one histogram observation (restart-recovery excluded — it
-// is a harness-stream annotation, not a phase the solve spent time in).
-func checkPhaseMetrics(series map[string]float64, traceDir string) error {
-	paths, err := filepath.Glob(filepath.Join(traceDir, "*.trace.jsonl"))
-	if err != nil {
-		return err
-	}
-	if len(paths) == 0 {
-		return fmt.Errorf("smoke: no traces in %s — the served pass should have traced every run", traceDir)
-	}
-	count := map[string]int{}
-	sum := map[string]float64{}
-	for _, p := range paths {
-		tr, err := obs.ReadTraceFile(p)
+		res, err := service.KillReplay(spec, o.label, o.outdir, dir, o.workers, kills)
 		if err != nil {
 			return err
 		}
-		for _, ev := range tr.Events {
-			if ev.Name != obs.EventSpan || ev.Detail == obs.PhaseRestartRecovery {
-				continue
-			}
-			count[ev.Detail]++
-			sum[ev.Detail] += ev.Dur
+		verdict = map[string]any{
+			"schema": service.Schema, "kill_replay": "ok", "kill_points": o.killAt,
+			"total_runs": res.Total, "recorded": res.Recorded, "journal_hits": res.Hits,
+			"resumed_executed": res.Executed, "snapshots": res.Snapshots,
 		}
-	}
-	if count[obs.PhaseAllreduce] == 0 || count[obs.PhaseSpMV] == 0 {
-		return fmt.Errorf("smoke: traces carry no allreduce/spmv spans — all-rank capture is not working")
-	}
-	for phase, n := range count {
-		key := fmt.Sprintf("repro_phase_vseconds_count{phase=%q}", phase)
-		if got := series[key]; got != float64(n) {
-			return fmt.Errorf("smoke: %s is %g but the traces persisted %d %s spans", key, got, n, phase)
-		}
-		skey := fmt.Sprintf("repro_phase_vseconds_sum{phase=%q}", phase)
-		got, want := series[skey], sum[phase]
-		if diff := got - want; diff < -1e-9*want || diff > 1e-9*want {
-			return fmt.Errorf("smoke: %s is %g but the traces sum to %g", skey, got, want)
-		}
-	}
-	fmt.Printf("smoke: repro_phase_vseconds reconciles with %d traces (%d phases)\n", len(paths), len(count))
-	return nil
-}
-
-// killReplaySnapshotEvery is the snapshot cadence the kill-replay
-// harness runs with — small, so crash passes exercise snapshot writes
-// and journal rotation, not just raw journal replay.
-const killReplaySnapshotEvery = 16
-
-// killPoint is one parsed -kill-at crash point.
-type killPoint struct {
-	mode string // "run", "journal" or "stream"
-	n    int
-}
-
-// parseKillPoints parses the -kill-at list ("run:40,stream:3,journal:80").
-func parseKillPoints(s string) ([]killPoint, error) {
-	var kps []killPoint
-	for _, part := range strings.Split(s, ",") {
-		mode, num, ok := strings.Cut(strings.TrimSpace(part), ":")
-		var n int
-		if ok {
-			if _, err := fmt.Sscanf(num, "%d", &n); err != nil {
-				ok = false
-			}
-		}
-		if !ok || n < 1 || (mode != "run" && mode != "journal" && mode != "stream") {
-			return nil, fmt.Errorf("-kill-at: %q is not run:N, journal:N or stream:N with N >= 1", part)
-		}
-		kps = append(kps, killPoint{mode: mode, n: n})
-	}
-	return kps, nil
-}
-
-// liveServer is one in-process solverd behind a real loopback listener.
-type liveServer struct {
-	srv *service.Server
-	hs  *http.Server
-	cl  *service.Client
-}
-
-func startServer(opts service.Options) (*liveServer, error) {
-	srv, err := service.New(opts)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	hs := newHTTPServer("", srv.Handler())
-	go hs.Serve(ln)
-	return &liveServer{srv: srv, hs: hs, cl: &service.Client{Base: "http://" + ln.Addr().String()}}, nil
-}
-
-func (ls *liveServer) stop() {
-	ls.hs.Close()
-	ls.srv.Close()
-}
-
-// crashPass drives the campaign into a durable server and crashes it at
-// the seeded kill point: the journal sink goes dead (a dead process
-// journals nothing) and the listener is severed mid-whatever-was-
-// happening. The journal directory is left exactly as a real crash
-// would leave it — possibly with a torn trailing line.
-func crashPass(spec campaign.Spec, o *smokeOptions, dir string, kp killPoint) error {
-	inner, err := service.OpenJournal(dir, false)
-	if err != nil {
-		return err
-	}
-	cs := &service.CrashSink{Inner: inner}
-	switch kp.mode {
-	case "run":
-		cs.DieAfterRun = kp.n
-	case "journal":
-		cs.TearAtRun = kp.n
-	}
-	ls, err := startServer(service.Options{
-		Workers: o.workers, JournalDir: dir, JournalSink: cs,
-		SnapshotEvery: killReplaySnapshotEvery,
-	})
-	if err != nil {
-		inner.Close()
-		return err
-	}
-	// The crash callback runs on whatever goroutine hit the kill point
-	// (possibly a pool worker mid-append), so the listener teardown is
-	// asynchronous — exactly like a process dying under the handler.
-	cs.OnCrash = func() { go ls.hs.Close() }
-
-	streamed := 0
-	serr := ls.cl.CampaignStream(service.CampaignRequest{Schema: service.Schema, Spec: spec},
-		func(rec campaign.Record) error {
-			streamed++
-			if kp.mode == "stream" && streamed == kp.n {
-				cs.Kill()
-			}
-			return nil
-		})
-	_ = serr // the severed stream is the expected outcome of a crash
-	if !cs.Crashed() {
-		ls.stop()
-		return fmt.Errorf("kill-replay: kill point %s:%d never fired (%d records streamed — is N larger than the campaign?)", kp.mode, kp.n, streamed)
-	}
-	// Reap the pool. Runs completing after the crash hit the dead sink
-	// and are journaled nowhere, exactly like work lost with a process.
-	ls.srv.Close()
-	return nil
-}
-
-// runKillReplay is the kill-and-replay determinism harness behind the
-// smoke command's -kill-at flag: run the campaign directly (the oracle),
-// then crash a durable server at each seeded kill point over one
-// shared journal directory, then restart once more and stream the full
-// campaign to completion. The resumed aggregate must be byte-identical
-// to direct execution, every journaled run must be served as a journal
-// hit, and the executed-run counter must show no recorded run was
-// re-executed.
-func runKillReplay(spec campaign.Spec, o *smokeOptions) error {
-	kps, err := parseKillPoints(o.killAt)
-	if err != nil {
-		return err
-	}
-	dir := o.journalDir
-	if dir == "" {
-		dir = filepath.Join(o.outdir, "journal-"+o.label)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
-	// Direct execution: the oracle.
-	directRuns := filepath.Join(o.outdir, "campaign_"+o.label+"-direct.jsonl")
-	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: o.workers, Out: directRuns}); err != nil {
-		return err
-	}
-	directAgg, err := campaign.AggregateFiles(spec, o.label, directRuns)
-	if err != nil {
-		return err
-	}
-	directPath := filepath.Join(o.outdir, "CAMPAIGN_"+o.label+"-direct.json")
-	if err := campaign.WriteAggregate(directAgg, directPath); err != nil {
-		return err
-	}
-
-	total := len(spec.ShardRuns(0, 1))
-	for i, kp := range kps {
-		fmt.Fprintf(os.Stderr, "kill-replay: crash pass %d/%d at %s:%d\n", i+1, len(kps), kp.mode, kp.n)
-		if err := crashPass(spec, o, dir, kp); err != nil {
+	} else {
+		rep, err := service.Smoke(spec, o.label, o.outdir, o.workers)
+		if err != nil {
 			return err
 		}
+		c := rep.Stats.Cache
+		fmt.Printf("smoke: %d runs served (%d workers), setup cache %d hits / %d misses\n",
+			rep.Stats.Completed, o.workers, c.SetupHits, c.SetupMisses)
+		fmt.Printf("smoke: repro_phase_vseconds reconciles with %d traces (%d phases)\n", rep.Traces, rep.Phases)
+		fmt.Printf("smoke: /metrics reconciles with /stats (%d series scraped)\n", len(rep.Series))
+		verdict = map[string]any{
+			"schema": service.Schema, "smoke": "ok", "runs": rep.Stats.Completed,
+			"setup_hits": c.SetupHits, "setup_misses": c.SetupMisses,
+		}
 	}
-
-	// The resumed final pass: a fresh server over the same journal
-	// directory, production sink, full campaign to completion.
-	ls, err := startServer(service.Options{
-		Workers: o.workers, JournalDir: dir,
-		SnapshotEvery: killReplaySnapshotEvery,
-	})
-	if err != nil {
-		return fmt.Errorf("kill-replay: restart after crashes failed: %w", err)
-	}
-	before, err := ls.cl.Stats()
-	if err != nil {
-		ls.stop()
-		return err
-	}
-	if before.Journal == nil || before.Journal.Records == 0 {
-		ls.stop()
-		return fmt.Errorf("kill-replay: restarted server loaded no journaled runs — the crash passes recorded nothing")
-	}
-	recorded := before.Journal.Records
-
-	servedRuns := filepath.Join(o.outdir, "campaign_"+o.label+"-served.jsonl")
-	w, err := campaign.NewWriter(servedRuns, false)
-	if err != nil {
-		ls.stop()
-		return err
-	}
-	serr := ls.cl.CampaignStream(service.CampaignRequest{Schema: service.Schema, Spec: spec},
-		func(rec campaign.Record) error { return w.Write(rec) })
-	w.Close()
-	after, aerr := ls.cl.Stats()
-	ls.stop()
-	if serr != nil {
-		return fmt.Errorf("kill-replay: resumed campaign failed: %w", serr)
-	}
-	if aerr != nil {
-		return aerr
-	}
-
-	servedAgg, err := campaign.AggregateFiles(spec, o.label, servedRuns)
-	if err != nil {
-		return err
-	}
-	servedPath := filepath.Join(o.outdir, "CAMPAIGN_"+o.label+"-served.json")
-	if err := campaign.WriteAggregate(servedAgg, servedPath); err != nil {
-		return err
-	}
-	da, err := os.ReadFile(directPath)
-	if err != nil {
-		return err
-	}
-	sa, err := os.ReadFile(servedPath)
-	if err != nil {
-		return err
-	}
-	if !bytes.Equal(da, sa) {
-		return fmt.Errorf("kill-replay: %s and %s differ — the resumed campaign is not byte-identical to direct execution", directPath, servedPath)
-	}
-	if after.Journal == nil || after.Journal.Hits != recorded {
-		return fmt.Errorf("kill-replay: %d journaled runs but %v journal hits — recorded runs were not all served from the journal", recorded, after.Journal)
-	}
-	if after.Completed != int64(total)-recorded {
-		return fmt.Errorf("kill-replay: %d runs executed on resume, want %d (total %d - %d recorded) — a recorded run was re-executed", after.Completed, int64(total)-recorded, total, recorded)
-	}
-	verdict, _ := json.Marshal(map[string]any{
-		"schema": service.Schema, "kill_replay": "ok", "kill_points": o.killAt,
-		"total_runs": total, "recorded": recorded, "journal_hits": after.Journal.Hits,
-		"resumed_executed": after.Completed, "snapshots": after.Journal.Snapshots,
-	})
-	fmt.Println(string(verdict))
+	// A machine-readable verdict line for the CI log.
+	line, _ := json.Marshal(verdict)
+	fmt.Println(string(line))
 	return nil
 }

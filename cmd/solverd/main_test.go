@@ -2,7 +2,6 @@ package main
 
 import (
 	"flag"
-	"net/http"
 	"os"
 	"testing"
 
@@ -72,19 +71,5 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 	if ko.killAt != "" || ko.journalDir != "" {
 		t.Errorf("smoke kill-replay defaults drifted: %+v", ko)
-	}
-}
-
-// TestHTTPServerBoundsHeaderReads: the server every mode serves through
-// must time out a connection that stalls before finishing its request
-// headers, and must not put a deadline on responses — campaign and SSE
-// streams run for as long as the solves do.
-func TestHTTPServerBoundsHeaderReads(t *testing.T) {
-	hs := newHTTPServer(":0", http.NotFoundHandler())
-	if readHeaderTimeout <= 0 || hs.ReadHeaderTimeout != readHeaderTimeout {
-		t.Errorf("ReadHeaderTimeout = %v, want the positive constant %v", hs.ReadHeaderTimeout, readHeaderTimeout)
-	}
-	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
-		t.Errorf("streaming responses need no write/read deadline, got write %v read %v", hs.WriteTimeout, hs.ReadTimeout)
 	}
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"repro/internal/machine"
+	"repro/internal/stats"
 )
 
 // Quantiles are nearest-rank order statistics over one cell's
@@ -80,25 +79,10 @@ type Aggregate struct {
 // confidence intervals.
 const bootstrapResamples = 200
 
-// quantile returns the nearest-rank p-quantile (p in (0,1]) of sorted.
-func quantile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-func quantiles(vals []float64) Quantiles {
+func newQuantiles(vals []float64) Quantiles {
 	s := append([]float64(nil), vals...)
 	sort.Float64s(s)
-	return Quantiles{P50: quantile(s, 0.50), P90: quantile(s, 0.90), P99: quantile(s, 0.99)}
+	return Quantiles{P50: stats.Quantile(s, 0.50), P90: stats.Quantile(s, 0.90), P99: stats.Quantile(s, 0.99)}
 }
 
 // expectedTTS computes mean(vtime over reps)/successRate for one
@@ -155,8 +139,8 @@ func summarise(cell Cell, recs []Record, seed uint64) CellSummary {
 	if len(valid) > 0 {
 		cs.SuccessRate = float64(cs.Successes) / float64(len(valid))
 	}
-	cs.Iters = quantiles(iters)
-	cs.VTime = quantiles(vtimes)
+	cs.Iters = newQuantiles(iters)
+	cs.VTime = newQuantiles(vtimes)
 
 	if cs.Successes > 0 {
 		all := make([]int, len(valid))
@@ -181,8 +165,8 @@ func summarise(cell Cell, recs []Record, seed uint64) CellSummary {
 		tts := &TTS{Mean: mean, CILo: mean, CIHi: mean}
 		if len(boots) > 0 {
 			sort.Float64s(boots)
-			tts.CILo = quantile(boots, 0.025)
-			tts.CIHi = quantile(boots, 0.975)
+			tts.CILo = stats.Quantile(boots, 0.025)
+			tts.CIHi = stats.Quantile(boots, 0.975)
 		}
 		cs.ExpectedTTS = tts
 	}
@@ -276,32 +260,10 @@ func ReadShardFile(path string) ([]Record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: shard input %s: %w", path, err)
 	}
-	var (
-		recs                 []Record
-		lines, bad, foreign  int
-		firstForeign, sample string
-	)
-	for _, line := range strings.Split(string(data), "\n") {
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		lines++
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			bad++
-			continue
-		}
-		if rec.Schema != RunSchema {
-			foreign++
-			if firstForeign == "" {
-				firstForeign = rec.Schema
-			}
-			continue
-		}
-		recs = append(recs, rec)
-	}
+	recs, bad, foreign, firstForeign := parseRecords(data)
 	if len(recs) == 0 {
-		switch {
+		var sample string
+		switch lines := bad + foreign; {
 		case lines == 0:
 			sample = "file is empty"
 		case foreign > 0:

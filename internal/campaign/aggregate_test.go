@@ -7,21 +7,21 @@ import (
 )
 
 func TestQuantilesNearestRank(t *testing.T) {
-	q := quantiles([]float64{4, 1, 3, 2, 5})
+	q := newQuantiles([]float64{4, 1, 3, 2, 5})
 	if q.P50 != 3 || q.P90 != 5 || q.P99 != 5 {
 		t.Errorf("quantiles of 1..5: %+v", q)
 	}
-	if q := quantiles([]float64{7}); q.P50 != 7 || q.P99 != 7 {
+	if q := newQuantiles([]float64{7}); q.P50 != 7 || q.P99 != 7 {
 		t.Errorf("singleton quantiles: %+v", q)
 	}
-	if q := quantiles(nil); q.P50 != 0 {
+	if q := newQuantiles(nil); q.P50 != 0 {
 		t.Errorf("empty quantiles: %+v", q)
 	}
 	vals := make([]float64, 100)
 	for i := range vals {
 		vals[i] = float64(i + 1)
 	}
-	q = quantiles(vals)
+	q = newQuantiles(vals)
 	if q.P50 != 50 || q.P90 != 90 || q.P99 != 99 {
 		t.Errorf("quantiles of 1..100: %+v", q)
 	}

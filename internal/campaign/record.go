@@ -1,11 +1,11 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"os"
 	"sync"
+
+	"repro/internal/jsonl"
 )
 
 // Record is one run's result — one line of the campaign's JSONL stream
@@ -59,34 +59,17 @@ type Record struct {
 // relies on.
 type Writer struct {
 	mu sync.Mutex
-	f  *os.File
+	f  *jsonl.File
 }
 
 // NewWriter opens path for appending records. With resume false the
 // file is truncated (a fresh campaign); with resume true existing
-// records are kept and new ones append after them.
+// records are kept and new ones append after them, on their own line
+// even when a kill left the last one torn (see jsonl.Open).
 func NewWriter(path string, resume bool) (*Writer, error) {
-	flags := os.O_CREATE | os.O_RDWR | os.O_APPEND
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	f, _, err := jsonl.Open(path, resume, false)
 	if err != nil {
 		return nil, err
-	}
-	if resume {
-		// Seal a torn trailing line (the append a kill cut short):
-		// without the newline, the first resumed record would be
-		// appended onto the fragment and both lines would be lost.
-		if st, err := f.Stat(); err == nil && st.Size() > 0 {
-			tail := make([]byte, 1)
-			if _, err := f.ReadAt(tail, st.Size()-1); err == nil && tail[0] != '\n' {
-				if _, err := f.Write([]byte("\n")); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-		}
 	}
 	return &Writer{f: f}, nil
 }
@@ -97,47 +80,55 @@ func (w *Writer) Write(rec Record) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, err = w.f.Write(data)
-	return err
+	return w.f.Append(append(data, '\n'))
 }
 
 // Close closes the underlying file.
 func (w *Writer) Close() error { return w.f.Close() }
+
+// parseRecords decodes the repro-campaign/v1 records among data's
+// lines. A shard legitimately carries unparseable lines — the torn tail
+// of a killed campaign, and earlier tears a resume sealed with a bare
+// newline — so those are tallied, never fatal: bad counts the
+// non-blank lines that are not JSON, foreign the ones that parse but
+// carry another schema (firstForeign names the first such tag).
+func parseRecords(data []byte) (recs []Record, bad, foreign int, firstForeign string) {
+	for _, l := range jsonl.Scan(data) {
+		if l.Blank() {
+			continue
+		}
+		var rec Record
+		switch {
+		case json.Unmarshal(l.Bytes, &rec) != nil:
+			bad++
+		case rec.Schema != RunSchema:
+			foreign++
+			if firstForeign == "" {
+				firstForeign = rec.Schema
+			}
+		default:
+			recs = append(recs, rec)
+		}
+	}
+	return recs, bad, foreign, firstForeign
+}
 
 // ReadRecords parses a JSONL file, skipping unparseable lines (the
 // torn tail of a killed campaign) and records from other schemas. A
 // missing file yields no records and no error — resuming into a fresh
 // path is a fresh start.
 func ReadRecords(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal(line, &rec); err != nil || rec.Schema != RunSchema {
-			continue
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return out, nil
+	recs, _, _, _ := parseRecords(data)
+	return recs, nil
 }
 
 // ReadKeys returns the set of run keys already *decided* in the JSONL

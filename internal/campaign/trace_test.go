@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"os"
@@ -139,33 +138,14 @@ func TestEngineTraceDir(t *testing.T) {
 	for _, ref := range spec.ShardRuns(0, 1) {
 		key := ref.Cell.RunKey(ref.Rep)
 		path := filepath.Join(dir, "traces", TraceFileName(key))
-		f, err := os.Open(path)
+		// The strict reader checks the schema tag and that the header's
+		// event count matches the event lines.
+		tr, err := obs.ReadTraceFile(path)
 		if err != nil {
-			t.Fatalf("missing trace for %s: %v", key, err)
+			t.Fatalf("missing or malformed trace for %s: %v", key, err)
 		}
-		sc := bufio.NewScanner(f)
-		if !sc.Scan() {
-			t.Fatalf("%s: empty trace", path)
-		}
-		var hdr struct {
-			Schema string `json:"schema"`
-			Key    string `json:"key"`
-			Seed   uint64 `json:"seed"`
-			Events int    `json:"events"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-			t.Fatalf("%s: bad header: %v", path, err)
-		}
-		if hdr.Schema != obs.TraceSchema || hdr.Key != key || hdr.Events == 0 {
-			t.Fatalf("%s: header %+v", path, hdr)
-		}
-		lines := 0
-		for sc.Scan() {
-			lines++
-		}
-		f.Close()
-		if lines != hdr.Events {
-			t.Fatalf("%s: %d event lines, header promises %d", path, lines, hdr.Events)
+		if tr.Key != key || len(tr.Events) == 0 {
+			t.Fatalf("%s: key %q with %d events", path, tr.Key, len(tr.Events))
 		}
 		chrome := strings.TrimSuffix(path, ".trace.jsonl") + ".chrome.json"
 		cb, err := os.ReadFile(chrome)

@@ -1,0 +1,53 @@
+package obs
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
+
+// TestReadTraceStrictness pins the trace reader's tear handling: a
+// trace is written whole, so unlike a campaign shard or the run journal
+// it forgives nothing — an empty, foreign, short, corrupt or cut file
+// fails, the last two naming the byte offset of the offending line.
+func TestReadTraceStrictness(t *testing.T) {
+	hdr := func(events int) string {
+		return fmt.Sprintf(`{"schema":"repro-trace/v1","key":"k","seed":1,"events":%d}`, events) + "\n"
+	}
+	ev := `{"t":0,"rank":-1,"seq":0,"name":"run_begin","attempt":0}` + "\n"
+	second := fmt.Sprintf("byte %d", len(hdr(2))+len(ev))
+
+	for _, tc := range []struct {
+		name, in string
+		want     []string // substrings of the error; nil = accepted
+	}{
+		{"whole trace", hdr(2) + ev + ev, nil},
+		{"header only", hdr(0), nil},
+		{"empty input", "", []string{"empty trace"}},
+		{"foreign schema", `{"schema":"repro-journal/v1","kind":"accept","id":"a"}` + "\n", []string{"schema", `"repro-journal/v1"`}},
+		{"header is not JSON", "not json\n", []string{"trace header"}},
+		{"header count above event lines", hdr(3) + ev + ev, []string{"header says 3 events, file has 2"}},
+		{"header count below event lines", hdr(1) + ev + ev, []string{"header says 1 events, file has 2"}},
+		{"unparseable event", hdr(2) + ev + "{\"t\":0,\"ra\n", []string{`"k"`, "event 1", second}},
+		{"blank line among events", hdr(2) + ev + "\n" + ev, []string{"event 1", second}},
+		{"cut mid-line", hdr(2) + ev + ev[:20], []string{`"k"`, "cut mid-line", second}},
+		{"cut before the final newline", hdr(2) + ev + strings.TrimSuffix(ev, "\n"), []string{"cut mid-line", second}},
+	} {
+		tr, err := ReadTrace([]byte(tc.in))
+		if tc.want == nil {
+			if err != nil {
+				t.Errorf("%s: rejected: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: accepted with %d events", tc.name, len(tr.Events))
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q lacks %q", tc.name, err, w)
+			}
+		}
+	}
+}

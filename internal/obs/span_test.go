@@ -24,7 +24,7 @@ func TestSpanRoundTrip(t *testing.T) {
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadTrace(&buf)
+	got, err := ReadTrace(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

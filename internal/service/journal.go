@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/campaign"
+	"repro/internal/jsonl"
 )
 
 // JournalSchema is the version tag every run-journal line carries.
@@ -55,83 +56,45 @@ type JournalEntry struct {
 
 // JournalSink is the append target of the run journal. The server
 // writes one full line (newline included) per Append; Sync forces the
-// platform's durability barrier, Rotate truncates the journal after a
+// platform's durability barrier, Truncate empties the journal after a
 // snapshot has captured its state, and Close releases the file.
 // Implementations must tolerate serialized calls from multiple
 // goroutines (the journal layer holds its own lock around every call).
-// The production sink is OpenJournal's file sink; the kill-and-replay
-// harness injects a CrashSink wrapper instead.
+// The production sink is OpenJournal's *jsonl.File; the kill-and-replay
+// harness injects a crashSink wrapper instead.
 type JournalSink interface {
 	Append(line []byte) error
 	Sync() error
-	Rotate() error
+	Truncate() error
 	Close() error
-}
-
-// fileSink is the production JournalSink: O_APPEND writes to
-// journal.jsonl with an optional fsync per append.
-type fileSink struct {
-	f    *os.File
-	sync bool
 }
 
 // OpenJournal opens (creating if missing) the journal file inside dir
 // for appending and returns the production sink. A torn trailing line —
 // the append a crash cut short — is sealed first: a newline closes the
-// fragment and a "seal" entry records the offset, so readers skip the
-// fragment instead of mistaking it for corruption. fsync true makes
-// every append a durability barrier ("always" policy); false leaves
-// flushing to the OS ("off" — faster, and a crash may lose the last
-// few appends but never tears the resume contract, because lost runs
-// simply re-execute).
+// fragment (see jsonl.Open) and a "seal" entry records the offset, so
+// readers skip the fragment instead of mistaking it for corruption.
+// fsync true makes every append a durability barrier ("always"
+// policy); false leaves flushing to the OS ("off" — faster, and a crash
+// may lose the last few appends but never tears the resume contract,
+// because lost runs simply re-execute).
 func OpenJournal(dir string, fsync bool) (JournalSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	path := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	f, sealed, err := jsonl.Open(filepath.Join(dir, journalFile), true, fsync)
 	if err != nil {
 		return nil, err
 	}
-	s := &fileSink{f: f, sync: fsync}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size := st.Size(); size > 0 {
-		tail := make([]byte, 1)
-		if _, err := f.ReadAt(tail, size-1); err == nil && tail[0] != '\n' {
-			seal, _ := json.Marshal(JournalEntry{Schema: JournalSchema, Kind: "seal", Offset: size})
-			if _, err := f.Write(append([]byte("\n"), append(seal, '\n')...)); err != nil {
-				f.Close()
-				return nil, err
-			}
+	if sealed >= 0 {
+		seal, _ := json.Marshal(JournalEntry{Schema: JournalSchema, Kind: "seal", Offset: sealed})
+		if err := f.Append(append(seal, '\n')); err != nil {
+			f.Close()
+			return nil, err
 		}
 	}
-	return s, nil
+	return f, nil
 }
-
-// Append implements JournalSink.
-func (s *fileSink) Append(line []byte) error {
-	if _, err := s.f.Write(line); err != nil {
-		return err
-	}
-	if s.sync {
-		return s.f.Sync()
-	}
-	return nil
-}
-
-// Sync implements JournalSink.
-func (s *fileSink) Sync() error { return s.f.Sync() }
-
-// Rotate implements JournalSink: the snapshot has captured everything,
-// so the journal restarts empty.
-func (s *fileSink) Rotate() error { return s.f.Truncate(0) }
-
-// Close implements JournalSink.
-func (s *fileSink) Close() error { return s.f.Close() }
 
 // JournalRead is the result of reading one journal file: the entries in
 // append order, plus the byte offset of a torn trailing line when the
@@ -171,57 +134,44 @@ func ReadJournal(dir string) (*JournalRead, error) {
 // entry point). name is used in diagnostics only.
 func parseJournal(name string, data []byte) (*JournalRead, error) {
 	jr := &JournalRead{TornOffset: -1}
-	var offset int64
-	// Split keeping track of byte offsets; the final element is torn
-	// when the file does not end in a newline.
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		line := data
-		terminated := nl >= 0
-		if terminated {
-			line = data[:nl]
-			data = data[nl+1:]
-		} else {
-			data = nil
-		}
-		lineStart := offset
-		offset += int64(len(line))
-		if terminated {
-			offset++
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
+	lines := jsonl.Scan(data)
+	last := len(lines) - 1 // the last non-blank line
+	for last >= 0 && lines[last].Blank() {
+		last--
+	}
+	for i := 0; i <= last; i++ {
+		l := lines[i]
+		if l.Blank() {
 			continue
 		}
-		e, perr := parseJournalLine(line)
-		if !terminated {
-			// The append a crash cut short — even if the fragment
-			// happens to parse, the write never completed, so the run
-			// (if any) re-executes on resume.
-			jr.TornOffset = lineStart
+		e, perr := parseJournalLine(l.Bytes)
+		switch {
+		case !l.Terminated, perr != nil && i == last:
+			// The torn tail: the append a crash cut short — even if the
+			// fragment happens to parse, the write never completed, so
+			// the run (if any) re-executes on resume — or an unparseable
+			// final line (the newline made it to disk, the content did
+			// not).
+			jr.TornOffset = l.Offset
 			return jr, nil
-		}
-		if perr != nil {
+		case perr != nil && lines[i+1].Terminated && isSeal(lines[i+1].Bytes):
 			// A sealed tear is forgiven: the reopening writer marked it.
-			if sealed, skip := sealFollows(data); sealed {
-				data = skip
-				continue
-			}
-			if len(bytes.TrimSpace(data)) == 0 {
-				// Unparseable final line (crash after the newline made
-				// it to disk, content did not): torn tail.
-				jr.TornOffset = lineStart
-				return jr, nil
-			}
-			return nil, fmt.Errorf("journal %s: %s at byte %d", name, perr, lineStart)
+			i++
+		case perr != nil:
+			return nil, fmt.Errorf("journal %s: %s at byte %d", name, perr, l.Offset)
+		case e.Kind != "seal":
+			// (A seal with no preceding tear — the tear's bytes never
+			// reached disk — has nothing to forgive and is dropped.)
+			jr.Entries = append(jr.Entries, e)
 		}
-		if e.Kind == "seal" {
-			// A seal with no preceding tear (the tear's bytes never
-			// reached disk): nothing to forgive.
-			continue
-		}
-		jr.Entries = append(jr.Entries, e)
 	}
 	return jr, nil
+}
+
+// isSeal reports whether line is a valid "seal" entry.
+func isSeal(line []byte) bool {
+	e, err := parseJournalLine(line)
+	return err == nil && e.Kind == "seal"
 }
 
 // parseJournalLine decodes and structurally validates one line. The
@@ -253,20 +203,6 @@ func parseJournalLine(line []byte) (JournalEntry, error) {
 		return e, fmt.Errorf("unknown kind %q", e.Kind)
 	}
 	return e, nil
-}
-
-// sealFollows reports whether rest begins with a terminated "seal"
-// entry, returning the remainder after it when so.
-func sealFollows(rest []byte) (bool, []byte) {
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return false, rest
-	}
-	e, err := parseJournalLine(rest[:nl])
-	if err != nil || e.Kind != "seal" {
-		return false, rest
-	}
-	return true, rest[nl+1:]
 }
 
 // runIdentity is the journal's notion of "the same run": the cell run
@@ -550,7 +486,7 @@ func (d *durable) writeSnapshot(snap *Snapshot) {
 		d.snapshotBytes.Store(st.Size())
 	}
 	d.mu.Lock()
-	err = d.sink.Rotate()
+	err = d.sink.Truncate()
 	d.mu.Unlock()
 	if err != nil {
 		d.appendErrors.Add(1)
@@ -591,92 +527,75 @@ func (d *durable) stats() JournalStats {
 	}
 }
 
-// CrashSink is the kill-and-replay harness's injectable journal writer:
-// it forwards to Inner until a seeded crash point, then behaves exactly
-// like a dead process — every subsequent append is refused. TearAtRun
-// cuts the nth "run" append mid-line (the torn-tail signature a restart
-// must seal); DieAfterRun completes the nth "run" append and then dies
-// (the between-runs kill point). Kill crashes immediately from outside
-// (the mid-SSE-stream kill point). OnCrash fires once, from the
-// goroutine that crashed — implementations that stop servers must not
-// block in it.
-type CrashSink struct {
-	// Inner is the real sink; TearAtRun / DieAfterRun are 1-based run-
-	// append ordinals (0 disables); OnCrash observes the crash.
-	Inner       JournalSink
-	TearAtRun   int
-	DieAfterRun int
-	OnCrash     func()
+// crashSink is the kill-and-replay harness's journal writer (see
+// KillReplay): it forwards to inner until a seeded crash point, then
+// behaves exactly like a dead process — every subsequent append is
+// refused. tearAtRun cuts the nth "run" append mid-line (the torn-tail
+// signature a restart must seal); dieAfterRun completes the nth "run"
+// append and then dies (the between-runs kill point); both are 1-based,
+// 0 disables. kill crashes immediately from outside (the mid-stream
+// kill points). onCrash fires once, from the goroutine that crashed —
+// it must not block.
+type crashSink struct {
+	inner       JournalSink
+	tearAtRun   int
+	dieAfterRun int
+	onCrash     func()
 
-	mu      sync.Mutex
-	runs    int
+	runs    atomic.Int64
 	crashed atomic.Bool
 	once    sync.Once
 }
 
-// errCrashed is what a dead CrashSink answers every call with.
+// errCrashed is what a dead crashSink answers every call with.
 var errCrashed = fmt.Errorf("journal sink: simulated crash")
 
-// Kill crashes the sink now — the external trigger for kill points not
-// tied to a journal append (mid-SSE-stream).
-func (c *CrashSink) Kill() {
+// kill crashes the sink now.
+func (c *crashSink) kill() {
 	c.crashed.Store(true)
-	if c.OnCrash != nil {
-		c.once.Do(c.OnCrash)
+	if c.onCrash != nil {
+		c.once.Do(c.onCrash)
 	}
 }
 
-// Crashed reports whether the crash point has fired.
-func (c *CrashSink) Crashed() bool { return c.crashed.Load() }
-
-// RunAppends returns the number of "run" appends observed.
-func (c *CrashSink) RunAppends() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs
-}
-
 // Append implements JournalSink with the seeded crash behaviour.
-func (c *CrashSink) Append(line []byte) error {
+func (c *crashSink) Append(line []byte) error {
 	if c.crashed.Load() {
 		return errCrashed
 	}
 	if !bytes.Contains(line, []byte(`"kind":"run"`)) {
-		return c.Inner.Append(line)
+		return c.inner.Append(line)
 	}
-	c.mu.Lock()
-	c.runs++
-	n := c.runs
-	c.mu.Unlock()
-	if c.TearAtRun > 0 && n == c.TearAtRun {
+	n := int(c.runs.Add(1))
+	if n == c.tearAtRun {
 		// Half a line, no newline: the mid-append tear.
-		c.Inner.Append(line[:len(line)/2])
-		c.Kill()
+		c.inner.Append(line[:len(line)/2])
+		c.kill()
 		return errCrashed
 	}
-	err := c.Inner.Append(line)
-	if c.DieAfterRun > 0 && n == c.DieAfterRun {
-		c.Kill()
+	err := c.inner.Append(line)
+	if n == c.dieAfterRun {
+		c.kill()
 	}
 	return err
 }
 
 // Sync implements JournalSink.
-func (c *CrashSink) Sync() error {
+func (c *crashSink) Sync() error {
 	if c.crashed.Load() {
 		return errCrashed
 	}
-	return c.Inner.Sync()
+	return c.inner.Sync()
 }
 
-// Rotate implements JournalSink.
-func (c *CrashSink) Rotate() error {
+// Truncate implements JournalSink.
+func (c *crashSink) Truncate() error {
 	if c.crashed.Load() {
 		return errCrashed
 	}
-	return c.Inner.Rotate()
+	return c.inner.Truncate()
 }
 
 // Close implements JournalSink. A crashed sink still closes the inner
 // file, so harness passes do not leak descriptors.
-func (c *CrashSink) Close() error { return c.Inner.Close() }
+func (c *crashSink) Close() error { return c.inner.Close() }

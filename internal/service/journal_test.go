@@ -258,7 +258,7 @@ func FuzzJournalReader(f *testing.F) {
 			}
 			return
 		}
-		if string(mustJSONBytes(t, jr)) != string(mustJSONBytes(t, jr2)) {
+		if mustJSON(t, jr) != mustJSON(t, jr2) {
 			t.Error("parse results differ across identical inputs")
 		}
 		if jr.TornOffset >= int64(len(data)) {
@@ -286,14 +286,4 @@ func FuzzJournalReader(f *testing.F) {
 			}
 		}
 	})
-}
-
-// mustJSONBytes marshals or fails the test.
-func mustJSONBytes(t *testing.T, v any) []byte {
-	t.Helper()
-	b, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
 }

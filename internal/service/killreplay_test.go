@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -28,260 +27,112 @@ func killReplaySpec() campaign.Spec {
 	}
 }
 
-// aggregateBytes runs the canonical aggregation over a JSONL record
-// file and returns its deterministic serialisation — the byte-identity
-// currency of the harness.
-func aggregateBytes(t *testing.T, spec campaign.Spec, runsPath string) []byte {
-	t.Helper()
-	agg, err := campaign.AggregateFiles(spec, "killreplay", runsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.MarshalIndent(agg, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// writeRecords persists streamed records as campaign JSONL so they can
-// be aggregated exactly like a direct run's output.
-func writeRecords(t *testing.T, path string, recs []campaign.Record) {
-	t.Helper()
-	w, err := campaign.NewWriter(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	for _, rec := range recs {
-		if err := w.Write(rec); err != nil {
+// midSSEKill is the kill point only a test can seed: one run completes
+// (so the journal is non-empty), then the server dies while streaming
+// the progress events of a second solve — after the nth of them.
+func midSSEKill(t *testing.T, spec campaign.Spec, n int) func(*Client, *crashSink) {
+	return func(cl *Client, cs *crashSink) {
+		jobs := spec.ShardRuns(0, 1)
+		first := NewSolveRequest(&spec, jobs[0].Cell, jobs[0].Rep)
+		if _, err := cl.Solve(first); err != nil {
 			t.Fatal(err)
 		}
+		last := jobs[len(jobs)-1]
+		req := NewSolveRequest(&spec, last.Cell, last.Rep)
+		req.Stream = true
+		body, _ := json.Marshal(req)
+		resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		r := bufio.NewReader(resp.Body)
+		for progress := 0; progress < n; {
+			ev := parseSSEOne(t, r)
+			if ev == nil {
+				t.Fatal("SSE stream ended before the kill point")
+			}
+			if ev.name == "progress" {
+				progress++
+			}
+		}
+		cs.kill()
 	}
 }
 
-// killCase is one seeded crash point of the harness.
-type killCase struct {
-	name string
-	// arm configures the CrashSink before traffic; kill (optional)
-	// drives an external kill after arm-time setup couldn't (mid-SSE).
-	arm  func(cs *CrashSink)
-	kill func(t *testing.T, cl *Client, spec campaign.Spec, cs *CrashSink)
-}
-
-// crashPass runs the campaign into a durable server and crashes it at
-// the case's kill point: the journal sink dies (a dead process
-// journals nothing) and every client connection is severed. The
-// journal directory is left exactly as a real crash would leave it.
-func crashPass(t *testing.T, dir string, spec campaign.Spec, kc killCase) {
-	t.Helper()
-	inner, err := OpenJournal(dir, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := &CrashSink{Inner: inner}
-	kc.arm(cs)
-	srv, err := New(Options{Workers: 4, Queue: 8, JournalDir: dir, JournalSink: cs, SnapshotEvery: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	// The crash fires on whatever goroutine hit the kill point (a pool
-	// worker mid-append, the SSE reader) — sever connections
-	// asynchronously, exactly like a process dying under the handler.
-	cs.OnCrash = func() { go ts.CloseClientConnections() }
-	cl := &Client{Base: ts.URL}
-
-	if kc.kill != nil {
-		kc.kill(t, cl, spec, cs)
-	} else {
-		// Drive the full campaign; the configured sink crash cuts it
-		// short. The stream error is the expected shape of the crash.
-		_ = cl.CampaignStream(CampaignRequest{Schema: Schema, Spec: spec}, func(campaign.Record) error { return nil })
-	}
-	if !cs.Crashed() {
-		t.Fatalf("kill point %s never fired", kc.name)
-	}
-	// Reap the pool: runs completing after the crash hit the dead sink
-	// and are journaled nowhere, like work lost with a real process.
-	srv.Close()
-	ts.Close()
-}
-
-// TestKillReplayDeterminism is the kill-and-replay determinism
-// harness: for each seeded kill point — between runs (die right after
-// a journaled completion), mid-SSE-stream, and mid-journal-append (a
-// torn half-line) — crash the server mid-campaign, restart it over the
-// same journal directory, stream the campaign to completion, and
-// require (1) the resumed aggregate byte-identical to uninterrupted
-// direct execution, (2) every journaled run served as a journal hit,
-// and (3) the executed-run counter proving no recorded run re-executed.
+// TestKillReplayDeterminism runs the kill-and-replay determinism
+// harness (KillReplay, the same code `solverd smoke -kill-at` runs) at
+// each seeded kill point in its own journal directory: between runs
+// (the 5th completed run is journaled whole, then the process dies),
+// mid-journal-append (the 7th run's journal line is torn in half — the
+// restart must seal the tear and treat that run as never recorded) and
+// mid-SSE-stream. KillReplay requires the resumed records and aggregate
+// byte-identical to uninterrupted direct execution, every journaled run
+// served as a journal hit, no recorded run re-executed, and a second
+// restart executing nothing.
 func TestKillReplayDeterminism(t *testing.T) {
 	spec := killReplaySpec()
-	jobs := spec.ShardRuns(0, 1)
-	total := int64(len(jobs))
-
-	// The uninterrupted direct oracle.
-	oracleDir := t.TempDir()
-	directRuns := filepath.Join(oracleDir, "direct.jsonl")
-	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: 4, Out: directRuns}); err != nil {
-		t.Fatal(err)
-	}
-	direct := aggregateBytes(t, spec, directRuns)
-
-	cases := []killCase{
-		{
-			// Between runs: the 5th completed run is journaled whole,
-			// then the process dies before the next append.
-			name: "between-runs",
-			arm:  func(cs *CrashSink) { cs.DieAfterRun = 5 },
-		},
-		{
-			// Mid-journal-append: the 7th run's journal line is torn in
-			// half — the restart must seal the tear and treat that run
-			// as never recorded.
-			name: "mid-journal-append",
-			arm:  func(cs *CrashSink) { cs.TearAtRun = 7 },
-		},
-		{
-			// Mid-SSE-stream: one run completes (so the journal is
-			// non-empty), then the server dies while streaming progress
-			// events of a second, concurrent with campaign traffic.
-			name: "mid-sse-stream",
-			arm:  func(*CrashSink) {},
-			kill: func(t *testing.T, cl *Client, spec campaign.Spec, cs *CrashSink) {
-				jobs := spec.ShardRuns(0, 1)
-				first := NewSolveRequest(&spec, jobs[0].Cell, jobs[0].Rep)
-				if _, err := cl.Solve(first); err != nil {
-					t.Fatal(err)
-				}
-				last := jobs[len(jobs)-1]
-				req := NewSolveRequest(&spec, last.Cell, last.Rep)
-				req.Stream = true
-				body, _ := json.Marshal(req)
-				resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer resp.Body.Close()
-				r := bufio.NewReader(resp.Body)
-				progress := 0
-				for progress < 3 {
-					ev := parseSSEOne(t, r)
-					if ev == nil {
-						t.Fatal("SSE stream ended before the kill point")
-					}
-					if ev.name == "progress" {
-						progress++
-					}
-				}
-				cs.Kill()
-			},
-		},
-	}
-
-	for _, kc := range cases {
-		t.Run(kc.name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kp   KillPoint
+	}{
+		{"between-runs", KillPoint{Mode: "run", N: 5}},
+		{"mid-journal-append", KillPoint{Mode: "journal", N: 7}},
+		{"mid-sse-stream", KillPoint{Mode: "sse", N: 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kp := tc.kp
+			if kp.Mode == "sse" {
+				kp.drive = midSSEKill(t, spec, kp.N)
+			}
 			dir := t.TempDir()
-			crashPass(t, dir, spec, kc)
-
-			// Restart over the crashed journal directory.
-			srv, err := New(Options{Workers: 4, Queue: 8, JournalDir: dir, SnapshotEvery: 5})
-			if err != nil {
-				t.Fatalf("restart after crash: %v", err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			defer func() { ts.Close(); srv.Close() }()
-			cl := &Client{Base: ts.URL}
-
-			before, err := cl.Stats()
+			res, err := KillReplay(spec, "killreplay", dir, filepath.Join(dir, "journal"), 4, []KillPoint{kp})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if before.Journal == nil || before.Journal.Records == 0 {
-				t.Fatalf("restarted server loaded no journaled runs: %+v", before.Journal)
-			}
-			recorded := before.Journal.Records
-			if recorded >= total {
-				t.Fatalf("crash pass recorded all %d runs — the kill point fired too late to test resume", total)
-			}
-			if kc.name == "mid-journal-append" && !before.Journal.SealedTail {
-				t.Error("torn journal tail was not detected and sealed on restart")
-			}
-
-			// Resume: the same campaign to completion.
-			recs, err := cl.Campaign(CampaignRequest{Schema: Schema, Spec: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(recs)) != total {
-				t.Fatalf("resumed campaign streamed %d records, want %d", len(recs), total)
-			}
-			resumedRuns := filepath.Join(t.TempDir(), "resumed.jsonl")
-			writeRecords(t, resumedRuns, recs)
-			resumed := aggregateBytes(t, spec, resumedRuns)
-			if !bytes.Equal(direct, resumed) {
-				t.Errorf("resumed aggregate is not byte-identical to direct execution:\ndirect  %d bytes\nresumed %d bytes", len(direct), len(resumed))
-			}
-
-			after, err := cl.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if after.Journal.Hits != recorded {
-				t.Errorf("journal hits = %d, want one per recorded run (%d)", after.Journal.Hits, recorded)
-			}
-			if after.Completed != total-recorded {
-				t.Errorf("resumed pass executed %d runs, want %d (total %d - recorded %d): a recorded run was re-executed or lost", after.Completed, total-recorded, total, recorded)
-			}
-
-			// A second restart must find the whole campaign recorded
-			// and execute nothing at all.
-			ts.Close()
-			srv.Close()
-			srv2, err := New(Options{Workers: 4, JournalDir: dir, SnapshotEvery: 5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts2 := httptest.NewServer(srv2.Handler())
-			defer func() { ts2.Close(); srv2.Close() }()
-			cl2 := &Client{Base: ts2.URL}
-			recs2, err := cl2.Campaign(CampaignRequest{Schema: Schema, Spec: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
-			st2, err := cl2.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int64(len(recs2)) != total || st2.Completed != 0 || st2.Journal.Hits != total {
-				t.Errorf("fully-recorded campaign: %d records, %d executed, %d hits — want %d, 0, %d",
-					len(recs2), st2.Completed, st2.Journal.Hits, total, total)
-			}
+			t.Logf("%+v", *res)
 		})
 	}
 }
 
-// parseSSEOne reads one Server-Sent Event off the stream (nil on EOF).
-func parseSSEOne(t *testing.T, r *bufio.Reader) *sseEvent {
-	t.Helper()
-	var cur sseEvent
-	for {
-		line, err := r.ReadString('\n')
-		if len(line) > 0 {
-			switch line = line[:len(line)-1]; {
-			case len(line) > 7 && line[:7] == "event: ":
-				cur.name = line[7:]
-			case len(line) > 6 && line[:6] == "data: ":
-				cur.data = line[6:]
-			case line == "":
-				if cur.name != "" {
-					return &cur
-				}
+// TestParseKillPoints pins the -kill-at grammar: mode:N lists with a
+// known mode and a whole number N >= 1, nothing trailing.
+func TestParseKillPoints(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []KillPoint // nil: rejected
+	}{
+		{"run:40", []KillPoint{{Mode: "run", N: 40}}},
+		{"run:40,stream:3,journal:80", []KillPoint{{Mode: "run", N: 40}, {Mode: "stream", N: 3}, {Mode: "journal", N: 80}}},
+		{" journal:1 , run:2", []KillPoint{{Mode: "journal", N: 1}, {Mode: "run", N: 2}}},
+		{"run:0", nil},
+		{"run:-3", nil},
+		{"sse:3", nil},
+		{"run", nil},
+		{"", nil},
+		{"run:40,", nil},
+		{"run:40x", nil},
+		{"journal:8 0", nil},
+	} {
+		got, err := ParseKillPoints(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseKillPoints(%q) accepted as %+v", tc.in, got)
 			}
+			continue
 		}
 		if err != nil {
-			return nil
+			t.Errorf("ParseKillPoints(%q): %v", tc.in, err)
+			continue
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("ParseKillPoints(%q) = %+v, want %+v", tc.in, got, tc.want)
+			continue
+		}
+		for i := range got {
+			if got[i].Mode != tc.want[i].Mode || got[i].N != tc.want[i].N {
+				t.Errorf("ParseKillPoints(%q)[%d] = %s:%d, want %s:%d", tc.in, i, got[i].Mode, got[i].N, tc.want[i].Mode, tc.want[i].N)
+			}
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/campaign"
@@ -14,108 +10,19 @@ import (
 // test: the whole quick campaign (every runnable solver × precond ×
 // problem × ranks × fault cell, 3 replicates) fired as concurrent HTTP
 // requests at an in-process solverd — the campaign engine itself is
-// the load generator, its Exec hook pointed at the server — must
-// produce per-run records byte-identical to direct campaign.Runner
-// execution, an aggregate byte-identical to the locally computed one,
-// and a setup cache reporting hits under the repeated-cell traffic.
+// the load generator, its Exec hook pointed at the server — must pass
+// Smoke: per-run records and aggregate byte-identical to direct
+// execution, both caches hit, /metrics reconciled with /stats and with
+// the all-rank traces. It is `solverd smoke -spec quick` as a test.
 func TestLoadgenQuickCampaignByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loadgen runs the full quick campaign twice; skipped in -short")
 	}
-	spec := campaign.QuickSpec()
-	dir := t.TempDir()
-
-	// Oracle: the campaign executed locally, records and aggregate.
-	directPath := filepath.Join(dir, "direct.jsonl")
-	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: 8, Out: directPath}); err != nil {
-		t.Fatal(err)
-	}
-	directAgg, err := campaign.AggregateFiles(spec, "loadgen", directPath)
+	rep, err := Smoke(campaign.QuickSpec(), "loadgen", t.TempDir(), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Load: the same campaign, every run a POST against the server.
-	srv, err := New(Options{Workers: 8, Queue: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
-	cl := &Client{Base: ts.URL}
-
-	servedPath := filepath.Join(dir, "served.jsonl")
-	st, err := campaign.Run(campaign.Options{Spec: spec, Workers: 8, Out: servedPath, Exec: cl.Exec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errored != 0 {
-		t.Fatalf("%d of %d served runs errored", st.Errored, st.Executed)
-	}
-
-	// Per-run byte identity.
-	direct, err := campaign.ReadRecords(directPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, err := campaign.ReadRecords(servedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(served) != len(direct) {
-		t.Fatalf("served %d records, direct %d", len(served), len(direct))
-	}
-	want := make(map[string]string, len(direct))
-	for _, rec := range direct {
-		b, _ := json.Marshal(rec)
-		want[rec.Key] = string(b)
-	}
-	diffs := 0
-	for _, rec := range served {
-		b, _ := json.Marshal(rec)
-		if want[rec.Key] != string(b) {
-			diffs++
-			if diffs <= 3 {
-				t.Errorf("run %s differs over the wire:\nserved %s\ndirect %s", rec.Key, b, want[rec.Key])
-			}
-		}
-	}
-	if diffs > 0 {
-		t.Fatalf("%d of %d runs are not byte-identical to direct execution", diffs, len(served))
-	}
-
-	// Aggregate byte identity.
-	servedAgg, err := campaign.AggregateFiles(spec, "loadgen", servedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	da, _ := json.MarshalIndent(directAgg, "", "  ")
-	sa, _ := json.MarshalIndent(servedAgg, "", "  ")
-	if !bytes.Equal(da, sa) {
-		t.Error("served aggregate differs from direct aggregate")
-	}
-
-	// Cache effectiveness: 3 replicates per cell — and repeated cells
-	// across solver rows — must hit both caches.
-	stats, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cov := spec.Coverage()
-	if got := stats.Completed; got != int64(cov.Runs) {
-		t.Errorf("server completed %d runs, want %d", got, cov.Runs)
-	}
-	if stats.Cache.SetupHits == 0 {
-		t.Errorf("setup cache reports no hits under repeated-cell traffic: %+v", stats.Cache)
-	}
-	if stats.Cache.ProblemHits == 0 {
-		t.Errorf("problem cache reports no hits: %+v", stats.Cache)
-	}
-	if stats.Cache.SetupHits <= stats.Cache.SetupMisses {
-		t.Logf("note: setup hit rate %d/%d", stats.Cache.SetupHits, stats.Cache.SetupHits+stats.Cache.SetupMisses)
-	}
-	t.Logf("loadgen: %d runs, setup cache %d hits / %d misses, problem cache %d hits / %d misses",
-		stats.Completed, stats.Cache.SetupHits, stats.Cache.SetupMisses,
-		stats.Cache.ProblemHits, stats.Cache.ProblemMisses)
+	c := rep.Stats.Cache
+	t.Logf("loadgen: %d runs, setup cache %d hits / %d misses, problem cache %d hits / %d misses, %d traces",
+		rep.Stats.Completed, c.SetupHits, c.SetupMisses, c.ProblemHits, c.ProblemMisses, rep.Traces)
 }

@@ -4,44 +4,19 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/obs"
 )
 
-// scrape fetches GET /metrics and parses the exposition.
-func scrape(t *testing.T, base string) map[string]float64 {
-	t.Helper()
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q, want text/plain exposition", ct)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	series, err := obs.ParseText(body)
-	if err != nil {
-		t.Fatalf("unparseable /metrics body: %v\n%s", err, body)
-	}
-	return series
-}
-
 // TestMetricsEndpointReconcilesWithStats pins the one property that
 // makes two monitoring surfaces trustworthy: every counter /metrics
 // exposes equals what /stats reports, because both sample the same
-// underlying state at read time.
+// underlying state at read time (ReconcileMetrics, which the smoke
+// harness runs after a whole campaign too).
 func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	_, cl, done := newTestServer(t, Options{Workers: 2})
 	defer done()
@@ -53,70 +28,24 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := cl.Stats()
+	rep, err := ReconcileMetrics(cl, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := scrape(t, cl.Base)
-
-	for name, want := range map[string]int64{
-		"repro_runs_received_total":                   st.Received,
-		"repro_runs_completed_total":                  st.Completed,
-		"repro_runs_errored_total":                    st.Errored,
-		"repro_runs_rejected_total":                   st.Rejected,
-		"repro_problem_cache_hits_total":              st.Cache.ProblemHits,
-		"repro_problem_cache_misses_total":            st.Cache.ProblemMisses,
-		"repro_setup_cache_hits_total":                st.Cache.SetupHits,
-		"repro_setup_cache_misses_total":              st.Cache.SetupMisses,
-		"repro_pool_workers":                          int64(st.Workers),
-		`repro_http_requests_total{endpoint="solve"}`: 3,
-	} {
-		got, ok := series[name]
-		if !ok {
-			t.Errorf("/metrics has no series %s", name)
-			continue
-		}
-		if got != float64(want) {
-			t.Errorf("%s = %g on /metrics, %d on /stats", name, got, want)
-		}
+	if rep.Stats.Completed != 3 {
+		t.Errorf("completed %d runs, want 3", rep.Stats.Completed)
 	}
-	if st.Completed != 3 {
-		t.Errorf("completed %d runs, want 3", st.Completed)
-	}
-
 	// The per-endpoint counters in /stats are the same series.
-	if st.Endpoints["solve"] != 3 {
-		t.Errorf("stats endpoints[solve] = %d, want 3", st.Endpoints["solve"])
-	}
-	for name, v := range st.Endpoints {
-		key := fmt.Sprintf("repro_http_requests_total{endpoint=%q}", name)
-		got, ok := series[key]
-		// /stats itself and /metrics race by exactly the requests made
-		// between the two reads; stats was read first, so the scrape
-		// may see one more stats/metrics hit, never fewer.
-		if !ok || got < float64(v) {
-			t.Errorf("endpoint %s: /stats says %d, /metrics says %g", name, v, got)
-		}
+	if n := rep.Series[`repro_http_requests_total{endpoint="solve"}`]; n != 3 || rep.Stats.Endpoints["solve"] != 3 {
+		t.Errorf("solve requests: /metrics says %g, /stats says %d, want 3", n, rep.Stats.Endpoints["solve"])
 	}
 
-	// The latency histograms saw every run.
-	for _, h := range []string{"repro_run_queue_wait_seconds", "repro_run_execute_seconds"} {
-		if n := series[h+"_count"]; n != 3 {
-			t.Errorf("%s_count = %g, want 3", h, n)
-		}
-		if inf := series[h+`_bucket{le="+Inf"}`]; inf != 3 {
-			t.Errorf("%s +Inf bucket = %g, want 3", h, inf)
-		}
+	// Scraping again with no work submitted moves no run counter.
+	again, err := ReconcileMetrics(cl, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if series["repro_uptime_seconds"] <= 0 {
-		t.Error("uptime gauge not positive")
-	}
-
-	// Two scrapes of identical state are byte-identical modulo the
-	// time-dependent series — spot-check determinism of the format by
-	// scraping twice and comparing the counter lines.
-	again := scrape(t, cl.Base)
-	if again["repro_runs_completed_total"] != series["repro_runs_completed_total"] {
+	if again.Series["repro_runs_completed_total"] != rep.Series["repro_runs_completed_total"] {
 		t.Error("completed counter changed between scrapes with no work submitted")
 	}
 }
@@ -142,25 +71,12 @@ func TestServerTraceDir(t *testing.T) {
 	}
 
 	path := filepath.Join(dir, TraceName(RequestID(&req), cell.RunKey(req.Rep)))
-	f, err := os.Open(path)
+	tr, err := obs.ReadTraceFile(path)
 	if err != nil {
-		t.Fatalf("missing trace file: %v", err)
+		t.Fatalf("missing or malformed trace file: %v", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	if !sc.Scan() {
-		t.Fatal("empty trace file")
-	}
-	var hdr struct {
-		Schema string `json:"schema"`
-		Key    string `json:"key"`
-		Events int    `json:"events"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Schema != obs.TraceSchema || hdr.Key != cell.RunKey(req.Rep) || hdr.Events == 0 {
-		t.Fatalf("trace header %+v", hdr)
+	if tr.Key != cell.RunKey(req.Rep) || len(tr.Events) == 0 {
+		t.Fatalf("trace key %q with %d events", tr.Key, len(tr.Events))
 	}
 }
 

@@ -54,11 +54,11 @@ type Options struct {
 	// CacheMaxEntries bounds the setup cache's resident artifacts
 	// (per-rank slots) with LRU eviction; 0 means unbounded.
 	CacheMaxEntries int
-	// JournalSink overrides the journal's append target (the
-	// kill-and-replay harness injects a CrashSink here). Requires
+	// journalSink overrides the journal's append target (the
+	// kill-and-replay harness injects a crashSink here). Requires
 	// JournalDir, which still locates the snapshot and journal for
 	// state loading.
-	JournalSink JournalSink
+	journalSink JournalSink
 	// Logger receives the server's structured log lines (request
 	// admission, run completion, campaign lifecycle), every one carrying
 	// the req= correlation ID. Nil disables logging — the obs.Logger
@@ -147,7 +147,7 @@ func New(opts Options) (*Server, error) {
 		s.cache.SetMaxEntries(opts.CacheMaxEntries)
 	}
 	if opts.JournalDir != "" {
-		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.SnapshotEvery, opts.JournalSink, s.cache.Index)
+		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.SnapshotEvery, opts.journalSink, s.cache.Index)
 		if err != nil {
 			s.pool.close()
 			return nil, err

@@ -137,9 +137,10 @@ type sseEvent struct {
 	data string
 }
 
-func parseSSE(t *testing.T, r *bufio.Reader) []sseEvent {
+// parseSSEOne reads one Server-Sent Event off the stream (nil once the
+// stream ends).
+func parseSSEOne(t *testing.T, r *bufio.Reader) *sseEvent {
 	t.Helper()
-	var events []sseEvent
 	var cur sseEvent
 	for {
 		line, err := r.ReadString('\n')
@@ -154,15 +155,25 @@ func parseSSE(t *testing.T, r *bufio.Reader) []sseEvent {
 				cur.data = strings.TrimPrefix(line, "data: ")
 			case line == "":
 				if cur.name != "" {
-					events = append(events, cur)
+					return &cur
 				}
 				cur = sseEvent{}
 			}
 		}
 		if err != nil {
-			return events
+			return nil
 		}
 	}
+}
+
+// parseSSE reads every event until the stream ends.
+func parseSSE(t *testing.T, r *bufio.Reader) []sseEvent {
+	t.Helper()
+	var events []sseEvent
+	for ev := parseSSEOne(t, r); ev != nil; ev = parseSSEOne(t, r) {
+		events = append(events, *ev)
+	}
+	return events
 }
 
 // TestSolveStreaming: a stream=true solve emits per-iteration progress
@@ -481,5 +492,19 @@ func TestCloseDrains(t *testing.T) {
 	}
 	if srv.pool.submit(func() {}) {
 		t.Error("pool accepted work after Close")
+	}
+}
+
+// TestHTTPServerBoundsHeaderReads: the server every mode serves through
+// must time out a connection that stalls before finishing its request
+// headers, and must not put a deadline on responses — campaign and SSE
+// streams run for as long as the solves do.
+func TestHTTPServerBoundsHeaderReads(t *testing.T) {
+	hs := NewHTTPServer(":0", http.NotFoundHandler())
+	if readHeaderTimeout <= 0 || hs.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want the positive constant %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("streaming responses need no write/read deadline, got write %v read %v", hs.WriteTimeout, hs.ReadTimeout)
 	}
 }

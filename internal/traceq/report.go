@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
 // Report is the rendered trace-analytics report: cross-run phase
@@ -41,8 +42,8 @@ type dist struct {
 
 func (d *dist) add(v float64)       { d.vals = append(d.vals, v) }
 func (d *dist) sorted() []float64   { sort.Float64s(d.vals); return d.vals }
-func (d *dist) mean() float64       { return mean(d.vals) }
-func (d *dist) q(p float64) float64 { return quantile(d.sorted(), p) }
+func (d *dist) mean() float64       { return stats.Mean(d.vals) }
+func (d *dist) q(p float64) float64 { return stats.Quantile(d.sorted(), p) }
 
 // solverPhases accumulates per-run shares for one (solver, phase).
 type solverPhases struct {

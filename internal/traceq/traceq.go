@@ -456,31 +456,3 @@ func LoadDir(dir string) (*Analysis, error) {
 	}
 	return Analyze(traces), nil
 }
-
-// quantile returns the nearest-rank q-quantile (0 < q <= 1) of sorted
-// (ascending) values; 0 on an empty slice.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q*float64(len(sorted))+0.999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// mean returns the arithmetic mean (0 on empty).
-func mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
-}

@@ -120,24 +120,6 @@ func TestRecoveryAndDiscardExtraction(t *testing.T) {
 	}
 }
 
-// TestQuantileNearestRank pins the nearest-rank definition against
-// hand-computed values.
-func TestQuantileNearestRank(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		q    float64
-		want float64
-	}{{0.50, 5}, {0.90, 9}, {0.99, 10}, {1.0, 10}, {0.05, 1}}
-	for _, c := range cases {
-		if got := quantile(sorted, c.q); got != c.want {
-			t.Errorf("q%.2f: got %g, want %g", c.q, got, c.want)
-		}
-	}
-	if quantile(nil, 0.5) != 0 {
-		t.Error("empty quantile not 0")
-	}
-}
-
 // TestAnalyzeSortsByKey pins that input order does not leak into the
 // analysis.
 func TestAnalyzeSortsByKey(t *testing.T) {
