@@ -2,6 +2,8 @@ package bench
 
 import (
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -158,6 +160,37 @@ func TestCompareGates(t *testing.T) {
 	cur.Quick = false
 	if _, err = Compare(base, cur, th); err == nil {
 		t.Fatal("quick/full comparison should be refused")
+	}
+}
+
+// TestRankKillExperimentsExact pins that the experiments which kill a
+// rank mid-run — F4, C1 and T3, at full scale, where each one's kill
+// really fires — report the same ledger on every rerun and at every
+// GOMAXPROCS: everything but wall-clock in their results is a constant.
+func TestRankKillExperimentsExact(t *testing.T) {
+	reruns := 5
+	if testing.Short() {
+		reruns = 2
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func() []Result {
+		rep, err := RunHarness(HarnessOptions{Experiments: []string{"F4", "C1", "T3"}, Repeat: 1, SkipKernels: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rep.Results {
+			rep.Results[i].NsPerOp = 0
+		}
+		return rep.Results
+	}
+	want := run()
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < reruns; i++ {
+			if got := run(); !slices.Equal(got, want) {
+				t.Fatalf("GOMAXPROCS %d rerun %d:\n got %+v\nwant %+v", procs, i, got, want)
+			}
+		}
 	}
 }
 

@@ -165,45 +165,40 @@ func gmresIterKernel() (func(n int), func()) {
 }
 
 // spmdKernel runs a persistent p-rank world whose ranks execute one
-// collective benchmark body in lock step: body(n) hands every rank the
-// repetition count and waits for all of them, so per-op cost excludes
-// world construction. The rank state (operators, workspaces) is built
-// once by setup.
+// collective benchmark body in lock step: every rank builds its state
+// (operators, workspaces) with setup and parks; body(n) hands the
+// parked ranks the repetition count and drives the world until they
+// have all parked again, so per-op cost excludes world construction.
 func spmdKernel(p int, setup func(c *comm.Comm) func(n int) error) (func(n int), func()) {
 	w := comm.NewWorld(comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 1})
-	iters := make([]chan int, p)
-	acks := make(chan struct{}, p)
+	reps := 0 // what the released ranks run next; negative = exit
 	for r := 0; r < p; r++ {
-		iters[r] = make(chan int)
-		ch := iters[r]
 		w.Spawn(r, 0, func(c *comm.Comm) error {
 			body := setup(c)
-			for n := range ch {
-				if err := body(n); err != nil {
-					// Kernels run the fault-free path; an error here is a
-					// harness bug, and hanging the acks would deadlock.
+			for {
+				if err := c.Park(); err != nil {
+					return err
+				}
+				if reps < 0 {
+					return nil
+				}
+				if err := body(reps); err != nil {
+					// Kernels run the fault-free path; an error here is
+					// a harness bug.
 					panic(fmt.Sprintf("bench kernel rank %d: %v", c.Rank(), err))
 				}
-				acks <- struct{}{}
 			}
-			return nil
 		})
 	}
-	body := func(n int) {
+	step := func(n int) {
+		reps = n
 		for r := 0; r < p; r++ {
-			iters[r] <- n
-		}
-		for r := 0; r < p; r++ {
-			<-acks
-		}
-	}
-	cleanup := func() {
-		for r := 0; r < p; r++ {
-			close(iters[r])
+			w.Release(r)
 		}
 		w.Wait()
 	}
-	return body, cleanup
+	w.Wait() // run every rank's setup up to its first Park
+	return step, func() { step(-1) }
 }
 
 // distCSRApplyKernel measures the full halo-exchange SpMV across a

@@ -60,14 +60,10 @@ func TestRunEventMatrix(t *testing.T) {
 		// reps runs of the cell share one setup cache, so the second
 		// adopts what the first stored.
 		reps int
-		// teeBytes additionally pins trace bytes against a tracer-only
-		// run. Off for the high-restart cell: rank-kill survivor
-		// timings carry the documented scheduling wobble (comm.Die).
-		teeBytes bool
-		want     map[string][]int
+		want map[string][]int
 	}{
 		{
-			name: "ftgmres bj-ilu bitflip with a setup cache", spec: testSpec(), reps: 2, teeBytes: true,
+			name: "ftgmres bj-ilu bitflip with a setup cache", spec: testSpec(), reps: 2,
 			cell: Cell{Solver: SolverFTGMRES, Precond: PrecondBJILU, Problem: ProblemConvDiff,
 				Ranks: 2, Fault: FaultSpec{Model: FaultBitflip, Rate: 5e-2}},
 			want: map[string][]int{
@@ -89,7 +85,7 @@ func TestRunEventMatrix(t *testing.T) {
 			},
 		},
 		{
-			name: "rank-kill beside a tracer", spec: testSpec(), reps: 1, teeBytes: true,
+			name: "rank-kill beside a tracer", spec: testSpec(), reps: 1,
 			cell: Cell{Solver: SolverGMRES, Precond: PrecondJacobi, Problem: ProblemPoisson,
 				Ranks: 2, Fault: FaultSpec{Model: FaultRankKill, MTBF: 60}},
 		},
@@ -104,7 +100,7 @@ func TestRunEventMatrix(t *testing.T) {
 				if last.Err != "" {
 					t.Fatal(last.Err)
 				}
-				if !tc.teeBytes || rep > 0 {
+				if rep > 0 {
 					// Later reps adopt cached setups where a fresh solo
 					// run would factorise: hit/miss labels would differ.
 					continue

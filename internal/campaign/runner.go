@@ -261,8 +261,8 @@ type SetupKey struct {
 // SetupCache shares preconditioner Setup artifacts across runs. Lookup
 // returns the artifact for one rank of a key (nil = miss: the rank runs
 // its own Setup and offers the export back through Store). Lookup and
-// Store are called from the rank goroutines of concurrently executing
-// runs, so implementations must be safe for concurrent use; they are
+// Store are called from the ranks of concurrently executing runs, so
+// implementations must be safe for concurrent use; they are
 // only consulted for precond.Cacheable families, so a cache's hit/miss
 // counters never see the uncacheable ones.
 type SetupCache interface {
@@ -295,11 +295,12 @@ type ExecEnv struct {
 	// docs/OBSERVABILITY.md. T is run-virtual time, monotone across
 	// global-restart attempts; Attempt is stamped; a value JSON cannot
 	// carry (a diverged solve's NaN/Inf residual) is clamped to the -1
-	// sentinel Record.Relres uses. Events arrive live on the goroutine
-	// that caused them — rank goroutines concurrently — so the sink
-	// must be safe for concurrent use and must not block for long: the
-	// solve's virtual time is unaffected, but its wall-clock time
-	// stalls with it. Like the caches, observation never perturbs the
+	// sentinel Record.Relres uses. Events arrive live, one at a time
+	// and in a deterministic order within the run (a world runs one
+	// rank at a time); a sink shared by concurrently executing runs
+	// must still be safe for concurrent use, and none may block for
+	// long: the solve's virtual time is unaffected, but its wall-clock
+	// time stalls with it. Like the caches, observation never perturbs the
 	// solve. An obs.RunTracer's Observe is the recording sink; obs.Tee
 	// composes several.
 	Events func(obs.Event)

@@ -15,11 +15,8 @@ import (
 func TestSteadyStateAllocationFree(t *testing.T) {
 	const p = 4
 	w := NewWorld(Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 1})
-	iters := make([]chan int, p)
-	acks := make(chan error, p)
+	steps := 0 // what the released ranks run next; negative = exit
 	for r := 0; r < p; r++ {
-		iters[r] = make(chan int)
-		ch := iters[r]
 		w.Spawn(r, 0, func(c *Comm) error {
 			buf := []float64{float64(c.Rank())}
 			recv := make([]float64, 1)
@@ -27,50 +24,50 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 			var req Request
 			next := (c.Rank() + 1) % p
 			prev := (c.Rank() + p - 1) % p
-			for n := range ch {
-				var err error
-				for i := 0; i < n && err == nil; i++ {
-					err = func() error {
-						if err := c.Send(next, 7, buf); err != nil {
-							return err
-						}
-						if _, err := c.RecvInto(prev, 7, recv); err != nil {
-							return err
-						}
-						if _, err := c.AllreduceScalar(1, OpSum); err != nil {
-							return err
-						}
-						red[0], red[1] = 1, 2
-						c.StartAllreduce(red, OpSum, &req)
-						if _, err := req.WaitInto(red); err != nil {
-							return err
-						}
-						return nil
-					}()
+			for {
+				if err := c.Park(); err != nil {
+					return err
 				}
-				acks <- err
+				if steps < 0 {
+					return nil
+				}
+				for i := 0; i < steps; i++ {
+					if err := c.Send(next, 7, buf); err != nil {
+						return err
+					}
+					if _, err := c.RecvInto(prev, 7, recv); err != nil {
+						return err
+					}
+					if _, err := c.AllreduceScalar(1, OpSum); err != nil {
+						return err
+					}
+					red[0], red[1] = 1, 2
+					c.StartAllreduce(red, OpSum, &req)
+					if _, err := req.WaitInto(red); err != nil {
+						return err
+					}
+				}
 			}
-			return nil
 		})
 	}
+	// The driver entry itself is part of the contract: Release + Wait is
+	// how a parked world is stepped, so it must not allocate either.
 	round := func(n int) {
-		t.Helper()
+		steps = n
 		for r := 0; r < p; r++ {
-			iters[r] <- n
+			w.Release(r)
 		}
-		for r := 0; r < p; r++ {
-			if err := <-acks; err != nil {
-				t.Fatal(err)
+		for r, err := range w.Wait() {
+			if err != nil {
+				t.Fatalf("rank %d: %v", r, err)
 			}
 		}
 	}
+	w.Wait() // every rank builds its buffers and parks
 	round(3) // warm-up: pools fill
 
 	allocs := testing.AllocsPerRun(5, func() { round(10) })
-	for r := 0; r < p; r++ {
-		close(iters[r])
-	}
-	w.Wait()
+	round(-1)
 	// The whole world does 4 ranks × 10 steps × 4 operations per measured
 	// run; demand strictly zero heap allocations across all of it.
 	if allocs != 0 {

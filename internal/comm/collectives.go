@@ -2,7 +2,7 @@ package comm
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -10,8 +10,8 @@ import (
 // Op is a reduction operator for Allreduce/Reduce.
 type Op int
 
-// Reduction operators. Sum is evaluated in rank order so results are
-// bitwise deterministic regardless of goroutine scheduling.
+// Reduction operators. Sum is evaluated in rank order, so results do not
+// depend on the order ranks posted in.
 const (
 	OpSum Op = iota
 	OpMax
@@ -53,56 +53,49 @@ const (
 	kindAllgather
 )
 
+func (k collKind) String() string {
+	return [...]string{"barrier", "allreduce", "broadcast", "allgather"}[k]
+}
+
 // collSlot is the rendezvous for one collective call instance. All ranks'
 // k-th collective in an epoch lands in the same slot (MPI's ordering
 // rule). Contributions are stored per rank and reduced in rank order on
-// completion, making floating-point results scheduling-independent.
+// completion, making floating-point results independent of post order.
 type collSlot struct {
 	kind     collKind
 	op       Op
 	root     int
-	cond     *sync.Cond
 	contrib  [][]float64 // contrib[r] = rank r's payload (nil until posted)
 	arrived  int
 	maxPost  float64 // latest post (entry) virtual time
 	done     bool
-	aborted  bool
 	complete float64 // virtual completion time
 	result   []float64
 	departed int // ranks that have consumed the result (slot GC)
 }
 
-// enterColl finds or creates the slot for this rank's next collective and
-// posts the rank's contribution. It returns the slot, or an error if the
-// world is in a failed state. Advances seq.
-func (c *Comm) enterColl(kind collKind, op Op, root int, data []float64) (*collSlot, error) {
+// post finds or creates the slot for this rank's next collective, posts
+// the rank's contribution and returns the handle to wait on — carrying
+// the error instead if the world is in a failed state. Advances seq.
+func (c *Comm) post(kind collKind, op Op, root int, data []float64) Request {
 	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := c.checkAliveLocked(); err != nil {
-		return nil, err
+	if err := c.checkAlive(); err != nil {
+		return Request{err: err}
 	}
 	key := collKey{epoch: c.epoch, seq: c.seq}
 	c.seq++
 	s, ok := w.colls[key]
 	if !ok {
-		// Recycle a retired slot when one is available: the cond (bound
-		// to the world mutex, which never changes) and the contrib array
-		// survive reuse, so a steady-state reduction loop allocates
-		// nothing.
+		// Recycle a retired slot when one is available: the contrib
+		// array survives reuse, so a steady-state reduction loop
+		// allocates nothing.
 		if n := len(w.slotPool); n > 0 {
 			s = w.slotPool[n-1]
 			w.slotPool[n-1] = nil
 			w.slotPool = w.slotPool[:n-1]
-			*s = collSlot{kind: kind, op: op, root: root, cond: s.cond, contrib: s.contrib}
+			*s = collSlot{kind: kind, op: op, root: root, contrib: s.contrib}
 		} else {
-			s = &collSlot{
-				kind:    kind,
-				op:      op,
-				root:    root,
-				cond:    sync.NewCond(&w.mu),
-				contrib: make([][]float64, w.n),
-			}
+			s = &collSlot{kind: kind, op: op, root: root, contrib: make([][]float64, w.n)}
 		}
 		w.colls[key] = s
 	} else if s.kind != kind || s.op != op || s.root != root {
@@ -121,14 +114,14 @@ func (c *Comm) enterColl(kind collKind, op Op, root int, data []float64) (*collS
 	}
 	c.stats.Collective++
 	if s.arrived == w.n && !s.done {
-		w.finishCollLocked(s)
+		w.finishColl(s)
 	}
-	return s, nil
+	return Request{c: c, s: s, key: key}
 }
 
-// finishCollLocked computes the collective result and completion time once
-// every rank has posted. Called with w.mu held.
-func (w *World) finishCollLocked(s *collSlot) {
+// finishColl computes the collective result and completion time once
+// every rank has posted, and makes the ranks waiting on the slot runnable.
+func (w *World) finishColl(s *collSlot) {
 	var msgBytes int
 	switch s.kind {
 	case kindBarrier:
@@ -166,7 +159,7 @@ func (w *World) finishCollLocked(s *collSlot) {
 		s.result = total
 	}
 	// The contributions are folded into the result; recycle them now so
-	// a concurrent collective can pick them up without allocating.
+	// the next collective can pick them up without allocating.
 	for r := range s.contrib {
 		w.pool.put(s.contrib[r])
 		s.contrib[r] = nil
@@ -174,30 +167,40 @@ func (w *World) finishCollLocked(s *collSlot) {
 	s.complete = s.maxPost + w.cost.Collective(w.n, msgBytes)
 	s.done = true
 	w.observeClock(s.complete)
-	s.cond.Broadcast()
+	for r := range w.ranks {
+		if rk := &w.ranks[r]; rk.state == rankBlocked && rk.on.slot == s {
+			w.makeReady(r)
+		}
+	}
 }
 
-// awaitCollLocked blocks until the slot completes (or aborts on
-// failure) and synchronises this rank's clock to the completion time.
-// Called with w.mu held.
-func (c *Comm) awaitCollLocked(s *collSlot) error {
-	w := c.world
+// finish blocks until the collective completes (or the world fails
+// under it), synchronises this rank's clock to the completion time and
+// delivers the result: copied into out, or into a fresh slice when
+// fresh. A slot that completed before a failure still delivers — the
+// check order is own death, completion, then revocation. An all-reduce
+// emits its span over the blocked tail, entry to completion: virtual
+// time the rank spent computing between post and wait is attributed to
+// the compute phases it actually ran, which is the point of the overlap.
+func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	c, s, w := r.c, r.s, r.c.world
+	start, mark := c.SpanStart(), c.WaitMark()
 	for {
 		if w.failed[c.rank] {
-			return ErrKilled
+			return nil, ErrKilled
 		}
 		if s.done {
 			break
 		}
 		if w.revoked || c.epoch != w.epoch {
-			s.aborted = true
-			s.cond.Broadcast()
-			return ErrRankFailed
+			return nil, ErrRankFailed
 		}
-		if s.aborted {
-			return ErrRankFailed
+		if err := c.block(rankBlocked, waitFor{slot: s, key: r.key}); err != nil {
+			return nil, err
 		}
-		s.cond.Wait()
 	}
 	// Wait attribution: the gap between this rank's clock and the last
 	// poster's is time spent idle behind the slowest participant. The
@@ -209,96 +212,43 @@ func (c *Comm) awaitCollLocked(s *collSlot) error {
 	}
 	c.clock.SyncTo(s.complete)
 	w.observeClock(c.clock.Now())
-	return nil
-}
-
-// departCollLocked retires this rank from a completed slot; the last
-// rank out recycles the result buffer and the slot itself.
-func (c *Comm) departCollLocked(s *collSlot, key collKey) {
-	w := c.world
-	s.departed++
-	if s.departed != w.n {
-		return
+	switch {
+	case fresh:
+		out = slices.Clone(s.result)
+	case len(out) < len(s.result):
+		panic("comm: collective destination shorter than result")
+	default:
+		out = out[:copy(out, s.result)]
 	}
-	delete(w.colls, key)
-	if s.result != nil {
+	if s.kind == kindAllreduce {
+		c.SpanEndWait(obs.PhaseAllreduce, start, mark)
+	}
+	// The last rank out recycles the result buffer and the slot itself.
+	if s.departed++; s.departed == w.n {
+		delete(w.colls, r.key)
 		w.pool.put(s.result)
 		s.result = nil
+		if len(w.slotPool) < 64 {
+			w.slotPool = append(w.slotPool, s)
+		}
 	}
-	if len(w.slotPool) < 64 {
-		w.slotPool = append(w.slotPool, s)
-	}
-}
-
-// waitColl blocks until the slot completes (or aborts on failure), then
-// synchronises this rank's clock to the completion time and returns a
-// fresh copy of the result. The caller must not hold w.mu.
-func (c *Comm) waitColl(s *collSlot, key collKey) ([]float64, error) {
-	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := c.awaitCollLocked(s); err != nil {
-		return nil, err
-	}
-	var out []float64
-	if s.result != nil {
-		out = make([]float64, len(s.result))
-		copy(out, s.result)
-	}
-	c.departCollLocked(s, key)
 	return out, nil
 }
-
-// waitCollInto is waitColl with a caller-provided destination; it
-// returns the number of values copied. out may alias the buffer the
-// collective was posted with (the contribution was copied at post time).
-func (c *Comm) waitCollInto(s *collSlot, key collKey, out []float64) (int, error) {
-	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := c.awaitCollLocked(s); err != nil {
-		return 0, err
-	}
-	n := 0
-	if s.result != nil {
-		if len(out) < len(s.result) {
-			panic("comm: collective destination shorter than result")
-		}
-		n = copy(out, s.result)
-	}
-	c.departCollLocked(s, key)
-	return n, nil
-}
-
-// key reconstructs the slot key for the collective this rank just
-// entered (seq was already advanced by enterColl).
-func (c *Comm) lastKey() collKey { return collKey{epoch: c.epoch, seq: c.seq - 1} }
 
 // Barrier blocks until every rank arrives; all clocks advance to the
 // common completion time. This is the explicit BSP synchronisation point
 // whose cost the RBSP experiments quantify.
 func (c *Comm) Barrier() error {
-	s, err := c.enterColl(kindBarrier, OpSum, 0, nil)
-	if err != nil {
-		return err
-	}
-	_, err = c.waitColl(s, c.lastKey())
+	r := c.post(kindBarrier, OpSum, 0, nil)
+	_, err := r.finish(nil, true)
 	return err
 }
 
 // Allreduce combines each rank's data elementwise with op and returns the
 // combined vector to every rank. All ranks must pass equal-length slices.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
-	start, mark := c.SpanStart(), c.WaitMark()
-	s, err := c.enterColl(kindAllreduce, op, 0, data)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.waitColl(s, c.lastKey())
-	if err == nil {
-		c.SpanEndWait(obs.PhaseAllreduce, start, mark)
-	}
-	return out, err
+	r := c.post(kindAllreduce, op, 0, data)
+	return r.finish(nil, true)
 }
 
 // AllreduceInto is Allreduce with a caller-provided result buffer (which
@@ -307,16 +257,9 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 // loop fully allocation-free, which is what lets the Krylov hot loops
 // reach 0 allocs/iteration.
 func (c *Comm) AllreduceInto(data []float64, op Op, out []float64) error {
-	start, mark := c.SpanStart(), c.WaitMark()
-	s, err := c.enterColl(kindAllreduce, op, 0, data)
-	if err != nil {
-		return err
-	}
-	if _, err = c.waitCollInto(s, c.lastKey(), out); err != nil {
-		return err
-	}
-	c.SpanEndWait(obs.PhaseAllreduce, start, mark)
-	return nil
+	r := c.post(kindAllreduce, op, 0, data)
+	_, err := r.finish(out, false)
+	return err
 }
 
 // AllreduceScalar is Allreduce for a single value. It is allocation-free.
@@ -331,22 +274,16 @@ func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 // Broadcast distributes root's data to every rank. Non-root ranks may
 // pass nil.
 func (c *Comm) Broadcast(root int, data []float64) ([]float64, error) {
-	s, err := c.enterColl(kindBroadcast, OpSum, root, data)
-	if err != nil {
-		return nil, err
-	}
-	return c.waitColl(s, c.lastKey())
+	r := c.post(kindBroadcast, OpSum, root, data)
+	return r.finish(nil, true)
 }
 
 // Allgather concatenates every rank's contribution in rank order and
 // returns the whole vector to every rank. Contributions may have
 // different lengths.
 func (c *Comm) Allgather(data []float64) ([]float64, error) {
-	s, err := c.enterColl(kindAllgather, OpSum, 0, data)
-	if err != nil {
-		return nil, err
-	}
-	return c.waitColl(s, c.lastKey())
+	r := c.post(kindAllgather, OpSum, 0, data)
+	return r.finish(nil, true)
 }
 
 // Reduce combines data with op and delivers the result to root only;
@@ -354,18 +291,9 @@ func (c *Comm) Allgather(data []float64) ([]float64, error) {
 // (conservatively synchronising all participants — the common MPI
 // implementation behaviour for small messages).
 func (c *Comm) Reduce(root int, data []float64, op Op) ([]float64, error) {
-	start, mark := c.SpanStart(), c.WaitMark()
-	s, err := c.enterColl(kindAllreduce, op, 0, data)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.waitColl(s, c.lastKey())
-	if err != nil {
-		return nil, err
-	}
-	c.SpanEndWait(obs.PhaseAllreduce, start, mark)
+	res, err := c.Allreduce(data, op)
 	if c.rank != root {
-		return nil, nil
+		res = nil
 	}
-	return res, nil
+	return res, err
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // Comm is one rank's handle to the world: its identity, virtual clock,
-// deterministic RNG, and the communication operations. A Comm is used by
-// exactly one goroutine (the rank it belongs to) and is not safe for
-// concurrent use — same as an MPI rank.
+// deterministic RNG, and the communication operations. A Comm is used
+// only by the rank function it was handed to — same as an MPI rank.
 type Comm struct {
 	world  *World
 	rank   int
+	yield  func(struct{}) bool // suspend this rank's coroutine; false once the driver stopped it
+	halted error               // set once the driver unwound this rank; every later operation returns it
 	rng    *machine.RNG
 	epoch  int
 	seq    int // collective sequence number within the current epoch
@@ -129,27 +130,33 @@ func (c *Comm) emitSpan(phase string, start, mark float64) {
 // so survivors observe the failure. It returns ErrKilled, which the
 // rank's main loop is expected to propagate out of its rank function.
 // This is the cooperative form of failure used by deterministic
-// experiments ("rank 5 dies at step 250"); World.Kill is the asynchronous
-// external form.
-//
-// Failure *visibility* is asynchronous, as in ULFM: a survivor's
-// in-flight operation either completes or returns ErrRankFailed
-// depending on whether it reaches the world's state before the
-// revocation — which is OS-scheduling dependent. Scheduled kills are
-// therefore deterministic in every application-visible result (the
-// survivors' arithmetic never depends on where in the window they
-// observed the failure) but NOT in the per-rank operation counters or
-// virtual-time trailing digits, which can differ by up to one
-// operation per survivor per failure. The bound is pinned by
-// lflr's TestHeatKillLedgerSchedulingDependence and documented in
-// docs/BENCHMARKING.md; making visibility deterministic would need
-// either per-peer-only failure checks (which deadlock survivors
-// blocked on peers that unwound early) or a global deadlock detector.
+// experiments ("rank 5 dies at step 250"); World.Kill is the external
+// form.
 func (c *Comm) Die() error {
-	c.world.mu.Lock()
-	c.world.killLocked(c.rank)
-	c.world.mu.Unlock()
+	c.world.Kill(c.rank)
 	return ErrKilled
+}
+
+// Park suspends this rank until the driver (or another rank) calls
+// World.Release on it: the way a rank hands control to a supervisor —
+// Wait returns once every rank has parked or finished — and waits for
+// its verdict. Failures do not wake a parked rank. Park returns nil when
+// released, and the world's halt error if Wait unwound the world
+// (deadlock, or another rank's panic) while the rank was parked.
+func (c *Comm) Park() error { return c.block(rankParked, waitFor{}) }
+
+// block suspends the rank in the given state until something makes it
+// runnable again. A non-nil error means the driver is unwinding the
+// world: the caller must return it.
+func (c *Comm) block(st rankState, on waitFor) error {
+	if c.halted == nil {
+		rk := &c.world.ranks[c.rank]
+		rk.state, rk.on = st, on
+		if !c.yield(struct{}{}) {
+			c.halted = c.world.halt
+		}
+	}
+	return c.halted
 }
 
 // JoinEpoch moves this rank into epoch e (obtained from World.Repair)
@@ -161,20 +168,19 @@ func (c *Comm) JoinEpoch(e int) {
 	c.seq = 0
 }
 
-// checkAliveLocked classifies the rank's ability to communicate. It
-// returns ErrKilled if this rank has failed, ErrRankFailed if some other
-// rank has failed and the world has not been repaired (or if this rank
-// has not yet joined the current epoch after a repair), and nil otherwise.
-// Call with c.world.mu held.
-func (c *Comm) checkAliveLocked() error {
+// checkAlive classifies the rank's ability to communicate. It returns
+// the halt error if the driver has unwound this rank, ErrKilled if this
+// rank has failed, ErrRankFailed if some other rank has failed and the
+// world has not been repaired (or if this rank has not yet joined the
+// current epoch after a repair), and nil otherwise.
+func (c *Comm) checkAlive() error {
 	w := c.world
-	if w.failed[c.rank] {
+	switch {
+	case c.halted != nil:
+		return c.halted
+	case w.failed[c.rank]:
 		return ErrKilled
-	}
-	if w.revoked {
-		return ErrRankFailed
-	}
-	if c.epoch != w.epoch {
+	case w.revoked || c.epoch != w.epoch:
 		return ErrRankFailed
 	}
 	return nil

@@ -196,38 +196,17 @@ func TestDeterminism(t *testing.T) {
 
 // TestFailureSemantics verifies the ULFM-style contract: a dying rank
 // gets ErrKilled, survivors get ErrRankFailed from collectives, and after
-// Repair + JoinEpoch + respawn, communication works again.
+// Repair + JoinEpoch + respawn, communication works again. The test
+// body is the supervisor: Wait hands it the world once the victim has
+// died and every survivor has parked.
 func TestFailureSemantics(t *testing.T) {
 	const P = 4
 	const victim = 2
 	w := NewWorld(testConfig(P))
 
-	recovered := make(chan int, P) // ranks that completed post-repair work
-	parked := make(chan int, P)    // survivors waiting for repair
-	release := make(chan struct{}) // supervisor says: epoch repaired
-	victimErr := make(chan error, 1)
-	var newEpoch int
-
-	rankMain := func(c *Comm) error {
-		// Step 1: a healthy collective.
-		if _, err := c.AllreduceScalar(1, OpSum); err != nil {
-			return err
-		}
-		// Step 2: the victim dies; others hit the failure.
-		if c.Rank() == victim {
-			err := c.Die()
-			victimErr <- err
-			return err
-		}
-		_, err := c.AllreduceScalar(2, OpSum)
-		if !errors.Is(err, ErrRankFailed) {
-			t.Errorf("rank %d: want ErrRankFailed, got %v", c.Rank(), err)
-			return err
-		}
-		parked <- c.Rank()
-		<-release
+	var newEpoch, parked, recovered int
+	postRepair := func(c *Comm) error {
 		c.JoinEpoch(newEpoch)
-		// Step 3: post-repair collective including the respawned rank.
 		s, err := c.AllreduceScalar(1, OpSum)
 		if err != nil {
 			return err
@@ -235,40 +214,56 @@ func TestFailureSemantics(t *testing.T) {
 		if s != P {
 			t.Errorf("rank %d: post-repair sum %v, want %d", c.Rank(), s, P)
 		}
-		recovered <- c.Rank()
+		recovered++
 		return nil
 	}
 	for r := 0; r < P; r++ {
-		w.Spawn(r, 0, rankMain)
+		w.Spawn(r, 0, func(c *Comm) error {
+			// Step 1: a healthy collective.
+			if _, err := c.AllreduceScalar(1, OpSum); err != nil {
+				return err
+			}
+			// Step 2: the victim dies; others hit the failure.
+			if c.Rank() == victim {
+				return c.Die()
+			}
+			_, err := c.AllreduceScalar(2, OpSum)
+			if !errors.Is(err, ErrRankFailed) {
+				t.Errorf("rank %d: want ErrRankFailed, got %v", c.Rank(), err)
+				return err
+			}
+			parked++
+			if err := c.Park(); err != nil {
+				return err
+			}
+			// Step 3: post-repair collective including the respawned rank.
+			return postRepair(c)
+		})
 	}
-	// Supervisor: wait for survivors to park, then repair and respawn.
-	for i := 0; i < P-1; i++ {
-		<-parked
+	errs := w.Wait()
+	if !errors.Is(errs[victim], ErrKilled) {
+		t.Errorf("victim exit err = %v, want ErrKilled", errs[victim])
 	}
-	failed := w.Failed()
-	if len(failed) != 1 || failed[0] != victim {
+	if parked != P-1 {
+		t.Fatalf("%d survivors parked, want %d", parked, P-1)
+	}
+	if failed := w.Failed(); len(failed) != 1 || failed[0] != victim {
 		t.Fatalf("failed set = %v, want [%d]", failed, victim)
 	}
 	newEpoch = w.Repair()
-	w.Spawn(victim, 0, func(c *Comm) error {
-		c.JoinEpoch(newEpoch)
-		s, err := c.AllreduceScalar(1, OpSum)
-		if err != nil {
-			return err
+	w.Spawn(victim, 0, postRepair)
+	for r := 0; r < P; r++ {
+		if r != victim {
+			w.Release(r)
 		}
-		if s != P {
-			t.Errorf("respawn: post-repair sum %v, want %d", s, P)
-		}
-		recovered <- c.Rank()
-		return nil
-	})
-	close(release)
-	w.Wait()
-	if err := <-victimErr; !errors.Is(err, ErrKilled) {
-		t.Errorf("victim exit err = %v, want ErrKilled", err)
 	}
-	if len(recovered) != P {
-		t.Errorf("only %d ranks recovered, want %d", len(recovered), P)
+	for r, err := range w.Wait() {
+		if err != nil {
+			t.Errorf("rank %d after repair: %v", r, err)
+		}
+	}
+	if recovered != P {
+		t.Errorf("only %d ranks recovered, want %d", recovered, P)
 	}
 }
 

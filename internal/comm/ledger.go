@@ -8,8 +8,8 @@ import "sync"
 // short-lived worlds, and reads back machine-wide totals: how many
 // messages and collectives the experiment issued, how many flops it
 // charged, and how far virtual time advanced. A Ledger is safe for
-// concurrent use — ranks of concurrently-running worlds report into it
-// from their own goroutines.
+// concurrent use — concurrently running worlds report into it, each
+// from the goroutine driving it.
 type Ledger struct {
 	mu          sync.Mutex
 	worlds      int
@@ -34,8 +34,8 @@ func (l *Ledger) noteWorld() {
 	l.mu.Unlock()
 }
 
-// noteRankExit records one rank's final counters and clock. Called from
-// the rank's goroutine as it exits.
+// noteRankExit records one rank's final counters and clock, as its
+// function returns.
 func (l *Ledger) noteRankExit(s Stats, clock float64) {
 	l.mu.Lock()
 	l.ranks++

@@ -1,7 +1,5 @@
 package comm
 
-import "repro/internal/obs"
-
 // Request is the handle to an in-flight non-blocking collective, the
 // MPI-3 capability the paper identifies as the enabler of Relaxed
 // Bulk-Synchronous Programming (§II-B). Between posting the operation and
@@ -23,9 +21,8 @@ type Request struct {
 // IAllreduce posts a non-blocking all-reduce of data with op and returns
 // immediately with a Request. The caller must eventually call Wait.
 func (c *Comm) IAllreduce(data []float64, op Op) *Request {
-	req := new(Request)
-	c.StartAllreduce(data, op, req)
-	return req
+	req := c.post(kindAllreduce, op, 0, data)
+	return &req
 }
 
 // StartAllreduce posts a non-blocking all-reduce into a caller-owned
@@ -34,63 +31,32 @@ func (c *Comm) IAllreduce(data []float64, op Op) *Request {
 // immediately (the contribution is copied at post time); complete with
 // WaitInto for a fully allocation-free overlap loop.
 func (c *Comm) StartAllreduce(data []float64, op Op, req *Request) {
-	s, err := c.enterColl(kindAllreduce, op, 0, data)
-	*req = Request{c: c, s: s, key: c.lastKey(), err: err}
+	*req = c.post(kindAllreduce, op, 0, data)
 }
 
 // IBarrier posts a non-blocking barrier.
 func (c *Comm) IBarrier() *Request {
-	s, err := c.enterColl(kindBarrier, OpSum, 0, nil)
-	return &Request{c: c, s: s, key: c.lastKey(), err: err}
+	req := c.post(kindBarrier, OpSum, 0, nil)
+	return &req
 }
 
 // Wait blocks until the collective completes and returns its result
 // (nil for a barrier). It may be called once.
-//
-// The allreduce span Wait emits covers only the blocked tail — entry to
-// completion — not the in-flight window since the post: virtual time the
-// rank spent computing under the overlap is attributed to the compute
-// phases it actually ran, which is the whole point of the overlap.
-func (r *Request) Wait() ([]float64, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Capture the kind before departing: the last rank out recycles the
-	// slot, so reading it after the wait would race a reusing post.
-	isAllreduce := r.s.kind == kindAllreduce
-	start, mark := r.c.SpanStart(), r.c.WaitMark()
-	out, err := r.c.waitColl(r.s, r.key)
-	if err == nil && isAllreduce {
-		r.c.SpanEndWait(obs.PhaseAllreduce, start, mark)
-	}
-	return out, err
-}
+func (r *Request) Wait() ([]float64, error) { return r.finish(nil, true) }
 
 // WaitInto blocks until the collective completes and copies its result
 // into out (which must be at least result-sized), returning the number
 // of values copied. Like Wait it may be called once; unlike Wait it
 // performs no allocation.
 func (r *Request) WaitInto(out []float64) (int, error) {
-	if r.err != nil {
-		return 0, r.err
-	}
-	isAllreduce := r.s.kind == kindAllreduce
-	start, mark := r.c.SpanStart(), r.c.WaitMark()
-	n, err := r.c.waitCollInto(r.s, r.key, out)
-	if err == nil && isAllreduce {
-		r.c.SpanEndWait(obs.PhaseAllreduce, start, mark)
-	}
-	return n, err
+	res, err := r.finish(out, false)
+	return len(res), err
 }
 
-// Test reports whether the collective has already completed (every rank
-// has posted), without blocking or advancing the clock.
+// Test reports whether Wait would return without blocking — every rank
+// has posted, or the world has failed under the collective — without
+// advancing the clock. It does not yield: no other rank runs between
+// two Tests, so poll it between work phases, not in a spin loop.
 func (r *Request) Test() bool {
-	if r.err != nil {
-		return true
-	}
-	w := r.c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return r.s.done || r.s.aborted
+	return r.err != nil || r.s.done || r.c.checkAlive() != nil
 }

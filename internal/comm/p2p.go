@@ -1,41 +1,13 @@
 package comm
 
-import "sync"
-
-// message is one in-flight point-to-point payload.
+// message is one in-flight point-to-point payload, queued in its
+// destination's mailbox (World.queues) until a matching Recv takes it.
 type message struct {
 	src    int
 	tag    int
 	data   []float64
 	arrive float64 // earliest virtual time the receiver can complete the Recv
 	epoch  int
-}
-
-// msgQueue is one rank's inbox. The world's mutex guards msgs; cond
-// shares that mutex so waiters interleave correctly with failure wakeups.
-type msgQueue struct {
-	cond *sync.Cond
-	msgs []message
-}
-
-func (q *msgQueue) init(mu *sync.Mutex) {
-	if q.cond == nil {
-		q.cond = sync.NewCond(mu)
-	}
-}
-
-// wake is called (with the world lock held) when a failure occurs so that
-// blocked receivers re-evaluate their liveness.
-func (q *msgQueue) wake() {
-	if q.cond != nil {
-		q.cond.Broadcast()
-	}
-}
-
-// purge drops all queued messages; called by World.Repair so stale
-// pre-failure traffic cannot leak into the new epoch.
-func (q *msgQueue) purge() {
-	q.msgs = nil
 }
 
 // Send delivers a copy of data to rank dst with the given tag. In this
@@ -45,9 +17,7 @@ func (q *msgQueue) purge() {
 // world's failure state; sending to a failed rank fails immediately.
 func (c *Comm) Send(dst, tag int, data []float64) error {
 	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := c.checkAliveLocked(); err != nil {
+	if err := c.checkAlive(); err != nil {
 		return err
 	}
 	if dst < 0 || dst >= w.n {
@@ -64,12 +34,12 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 	arrive := c.clock.Now() + w.cost.PointToPoint(bytes)
 	cp := w.pool.get(len(data))
 	copy(cp, data)
-	q := &w.queues[dst]
-	q.init(&w.mu)
-	q.msgs = append(q.msgs, message{src: c.rank, tag: tag, data: cp, arrive: arrive, epoch: c.epoch})
+	w.queues[dst] = append(w.queues[dst], message{src: c.rank, tag: tag, data: cp, arrive: arrive, epoch: c.epoch})
 	c.stats.Sends++
 	w.observeClock(c.clock.Now())
-	q.cond.Broadcast()
+	if rk := &w.ranks[dst]; rk.state == rankBlocked && rk.on.slot == nil && rk.on.src == c.rank && rk.on.tag == tag {
+		w.makeReady(dst)
+	}
 	return nil
 }
 
@@ -78,13 +48,7 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 // the message's arrival time plus receive overhead. Recv returns
 // ErrRankFailed if src (or any rank) fails while it waits. The returned
 // slice is owned by the caller; allocation-free receivers use RecvInto.
-func (c *Comm) Recv(src, tag int) ([]float64, error) {
-	m, err := c.recvMessage(src, tag)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
+func (c *Comm) Recv(src, tag int) ([]float64, error) { return c.recvMessage(src, tag) }
 
 // RecvInto is Recv with a caller-provided destination: the payload is
 // copied into dst (which must be at least as long as the message) and
@@ -100,9 +64,7 @@ func (c *Comm) RecvInto(src, tag int, dst []float64) (int, error) {
 		panic("comm: RecvInto destination shorter than message")
 	}
 	n := copy(dst, m)
-	c.world.mu.Lock()
 	c.world.pool.put(m)
-	c.world.mu.Unlock()
 	return n, nil
 }
 
@@ -110,16 +72,13 @@ func (c *Comm) RecvInto(src, tag int, dst []float64) (int, error) {
 // from the queue, advances the clock, and returns its payload buffer.
 func (c *Comm) recvMessage(src, tag int) ([]float64, error) {
 	w := c.world
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	q := &w.queues[c.rank]
-	q.init(&w.mu)
 	for {
-		if err := c.checkAliveLocked(); err != nil {
+		if err := c.checkAlive(); err != nil {
 			return nil, err
 		}
-		for i := range q.msgs {
-			m := &q.msgs[i]
+		q := w.queues[c.rank]
+		for i := range q {
+			m := &q[i]
 			if m.src == src && m.tag == tag && m.epoch == c.epoch {
 				data := m.data
 				// Arriving before the message does is wait time: the
@@ -130,13 +89,15 @@ func (c *Comm) recvMessage(src, tag int) ([]float64, error) {
 				}
 				c.clock.SyncTo(m.arrive)
 				c.clock.Advance(w.cost.Overhead)
-				q.msgs = append(q.msgs[:i], q.msgs[i+1:]...)
+				w.queues[c.rank] = append(q[:i], q[i+1:]...)
 				c.stats.Recvs++
 				w.observeClock(c.clock.Now())
 				return data, nil
 			}
 		}
-		q.cond.Wait()
+		if err := c.block(rankBlocked, waitFor{src: src, tag: tag}); err != nil {
+			return nil, err
+		}
 	}
 }
 

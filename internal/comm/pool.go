@@ -5,8 +5,8 @@ package comm
 // operation used to allocate its payload copy; recycling them through
 // this pool is what makes the steady-state hot paths (halo exchange,
 // scalar all-reduce) allocation-free, which the benchmark harness gates
-// on. All methods must be called with the world mutex held — the pool
-// deliberately has no lock of its own.
+// on. Like the rest of a world it is touched by one rank at a time and
+// needs no lock.
 type bufPool struct {
 	bufs [][]float64
 }

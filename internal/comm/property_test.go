@@ -1,7 +1,9 @@
 package comm
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -59,8 +61,7 @@ func TestAllreduceEqualsSerialReductionProperty(t *testing.T) {
 }
 
 // TestAllreduceBitwiseDeterministicAcrossRuns: the rank-ordered fold must
-// give the identical floating-point result regardless of goroutine
-// scheduling, across repeated runs.
+// give the identical floating-point result across repeated runs.
 func TestAllreduceBitwiseDeterministicAcrossRuns(t *testing.T) {
 	const p = 13
 	run := func() float64 {
@@ -126,38 +127,21 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 
 // TestMismatchedCollectivePanics: rank 0 calling Barrier while rank 1
 // calls Allreduce at the same sequence number must panic loudly, not
-// exchange garbage.
+// exchange garbage. The second arrival is the one that panics, and the
+// panic surfaces from Wait.
 func TestMismatchedCollectivePanics(t *testing.T) {
 	w := NewWorld(testConfig(2))
-	done := make(chan bool, 2)
-	spawnCatch := func(r int, fn func(c *Comm) error) {
-		w.Spawn(r, 0, func(c *Comm) error {
-			defer func() {
-				if recover() != nil {
-					done <- true
-				} else {
-					done <- false
-				}
-			}()
-			return fn(c)
-		})
-	}
-	spawnCatch(0, func(c *Comm) error { return c.Barrier() })
-	spawnCatch(1, func(c *Comm) error {
+	w.Spawn(0, 0, func(c *Comm) error { return c.Barrier() })
+	w.Spawn(1, 0, func(c *Comm) error {
 		_, err := c.AllreduceScalar(1, OpSum)
 		return err
 	})
-	panicked := <-done
-	if !panicked {
-		// The second arrival is the one that panics; check the other.
-		panicked = <-done
-	}
-	if !panicked {
-		t.Error("mismatched collectives should panic")
-	}
-	// Unblock the world so Wait can finish: kill both ranks.
-	w.Kill(0)
-	w.Kill(1)
+	defer func() {
+		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "collective mismatch") {
+			t.Errorf("mismatched collectives should panic out of Wait, recovered %v", p)
+		}
+	}()
+	w.Wait()
 }
 
 // TestSendRecvLargePayload exercises payload copying.

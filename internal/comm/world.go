@@ -1,6 +1,6 @@
-// Package comm is a simulated MPI: a fixed set of ranks, each executing on
-// its own goroutine, exchanging messages and running collectives over a
-// deterministic virtual-time cost model (see internal/machine).
+// Package comm is a simulated MPI: a fixed set of ranks exchanging
+// messages and running collectives over a deterministic virtual-time
+// cost model (see internal/machine).
 //
 // The package provides the two MPI capabilities the paper identifies as
 // resilience enablers:
@@ -18,12 +18,22 @@
 // carries a machine.Clock that advances with modelled compute and
 // communication costs, so scaling experiments over thousands of ranks run
 // deterministically on any host.
+//
+// A world is a run-to-block cooperative simulation: every rank is a
+// coroutine, and World.Wait is the driver that resumes one rank at a
+// time, in FIFO order of becoming runnable, until it blocks in a
+// receive, a collective wait or Park. So a world needs no locks, every
+// interleaving — including which survivor operation first observes a
+// failure — is a pure function of the program, and a world uses one
+// core. Parallelism lives across worlds: any number may run at once,
+// each driven (with its Comms) from one goroutine at a time.
 package comm
 
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"iter"
+	"strings"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -41,6 +51,18 @@ var (
 	// of its subsequent operations. Application main loops treat it as
 	// "this process is dead" and unwind.
 	ErrKilled = errors.New("comm: this rank has been killed")
+
+	// ErrDeadlock is reported by Wait and Run when no rank is runnable
+	// yet some rank is blocked in a receive or collective: nothing left
+	// in the world can complete it. The wrapping message names each
+	// blocked rank and what it waits for; the pending operation of every
+	// suspended rank returns the same error, so the rank functions
+	// unwind and no coroutine outlives Wait.
+	ErrDeadlock = errors.New("comm: deadlock")
+
+	// errAborted is what pending operations return when Wait unwinds
+	// because another rank panicked.
+	errAborted = errors.New("comm: world aborted by a panicking rank")
 )
 
 // Config describes a simulated world.
@@ -55,13 +77,41 @@ type Config struct {
 	// emit through (*Comm).Emit: closed phase spans from the
 	// instrumented operations and whatever point events the layers
 	// holding a *Comm report (solver iterations, fault injections,
-	// discards, rank kills). It is called on the emitting rank's
-	// goroutine, outside all world locks — with more than one rank,
-	// concurrently — so it must be safe for concurrent use and may not
-	// call back into the world. Observation is read-only — it never
-	// advances a clock or touches an RNG — so a world with an observer
-	// computes bit-identical results to one without.
+	// discards, rank kills). It is called on the emitting rank, so one
+	// world's events arrive one at a time in one deterministic order; a
+	// sink shared by several worlds still hears those worlds at once
+	// and keeps its own lock. It may not call back into the world.
+	// Observation is read-only — it never advances a clock or touches
+	// an RNG — so a world with an observer computes bit-identical
+	// results to one without.
 	Observer func(obs.Event)
+}
+
+// rankState is where one rank stands with the driver.
+type rankState uint8
+
+const (
+	rankDone    rankState = iota // never spawned, or its function has returned
+	rankReady                    // queued in the ready ring, or running
+	rankBlocked                  // suspended in a receive or collective wait
+	rankParked                   // suspended in Park until Release
+)
+
+// waitFor is what a blocked rank waits for: the deadlock report prints
+// it, and Send and collective completion match on it so a wake-up is
+// one precise enqueue rather than a broadcast.
+type waitFor struct {
+	slot     *collSlot // collective wait; nil for a receive
+	key      collKey
+	src, tag int // receive wait
+}
+
+// rankSlot is one rank's coroutine and scheduling state.
+type rankSlot struct {
+	resume func() (struct{}, bool) // iter.Pull's next: run the rank until it blocks or returns
+	stop   func()                  // iter.Pull's stop: make the rank's pending block fail
+	state  rankState
+	on     waitFor
 }
 
 // World is a set of simulated ranks plus the shared machinery they
@@ -72,25 +122,26 @@ type World struct {
 	cost  machine.CostModel
 	noise machine.Noise
 
-	mu      sync.Mutex
-	cond    *sync.Cond
 	failed  []bool // failed[r]: rank r is dead
 	revoked bool   // a failure has been noticed and not yet repaired
 	epoch   int    // incremented by Repair; isolates collective matching
-	nFailed int
 
-	queues   []msgQueue // per-destination-rank mailboxes
+	ranks  []rankSlot
+	ready  []int32 // FIFO ring of runnable ranks; a rank is queued at most once
+	head   int
+	nready int
+	halt   error // why stopAll unwound the pending ranks
+
+	queues   [][]message // per-destination-rank mailboxes
 	colls    map[collKey]*collSlot
 	maxClock float64 // latest virtual time observed by any operation
-	pool     bufPool // recycled payload buffers (guarded by mu)
+	pool     bufPool // recycled payload buffers
 	slotPool []*collSlot
 
 	ledger   *Ledger
 	observer func(obs.Event)
 	seedRNG  *machine.RNG
-	wg       sync.WaitGroup
-	errsMu   sync.Mutex
-	errs     map[int]error // exit error per rank (most recent run)
+	errs     []error // exit error per rank (most recent spawn)
 }
 
 type collKey struct {
@@ -111,14 +162,15 @@ func NewWorld(cfg Config) *World {
 		cost:     cfg.Cost,
 		noise:    cfg.Noise,
 		failed:   make([]bool, cfg.Ranks),
-		queues:   make([]msgQueue, cfg.Ranks),
+		ranks:    make([]rankSlot, cfg.Ranks),
+		ready:    make([]int32, cfg.Ranks),
+		queues:   make([][]message, cfg.Ranks),
 		colls:    make(map[collKey]*collSlot),
 		ledger:   cfg.Ledger,
 		observer: cfg.Observer,
 		seedRNG:  machine.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb),
-		errs:     make(map[int]error),
+		errs:     make([]error, cfg.Ranks),
 	}
-	w.cond = sync.NewCond(&w.mu)
 	if w.ledger != nil {
 		w.ledger.noteWorld()
 	}
@@ -132,49 +184,152 @@ func (w *World) Size() int { return w.n }
 // Cost returns the world's cost model.
 func (w *World) Cost() machine.CostModel { return w.cost }
 
-// Spawn starts rank r running fn on a new goroutine. The rank's virtual
-// clock starts at startTime (0 for an initial launch; a respawn passes the
-// failure-repair time). Spawn panics if r is out of range.
+// Spawn registers fn as rank r's coroutine and queues it to run at the
+// next Wait. The rank's virtual clock starts at startTime (0 for an
+// initial launch; a respawn passes the failure-repair time). Spawn
+// panics if r is out of range or rank r's previous function has not
+// returned.
 func (w *World) Spawn(r int, startTime float64, fn func(c *Comm) error) {
 	if r < 0 || r >= w.n {
 		panic(fmt.Sprintf("comm: spawn of rank %d in world of size %d", r, w.n))
 	}
-	w.mu.Lock()
-	epoch := w.epoch
-	rng := w.seedRNG.Split()
-	w.mu.Unlock()
-
-	c := &Comm{
-		world: w,
-		rank:  r,
-		rng:   rng,
-		epoch: epoch,
+	rk := &w.ranks[r]
+	if rk.state != rankDone {
+		panic(fmt.Sprintf("comm: spawn of rank %d, which is still running", r))
 	}
+	c := &Comm{world: w, rank: r, rng: w.seedRNG.Split(), epoch: w.epoch}
 	c.clock.SyncTo(startTime)
-	w.wg.Add(1)
-	go func() {
-		defer w.wg.Done()
+	rk.resume, rk.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
 		err := fn(c)
 		if w.ledger != nil {
 			w.ledger.noteRankExit(c.stats, c.clock.Now())
 		}
-		w.errsMu.Lock()
 		w.errs[r] = err
-		w.errsMu.Unlock()
-	}()
+		rk.state = rankDone
+	})
+	w.errs[r] = nil
+	w.makeReady(r)
 }
 
-// Wait blocks until every spawned rank function has returned, then
-// returns the per-rank exit errors (nil entries for clean exits).
-func (w *World) Wait() map[int]error {
-	w.wg.Wait()
-	w.errsMu.Lock()
-	defer w.errsMu.Unlock()
-	out := make(map[int]error, len(w.errs))
-	for r, e := range w.errs {
-		out[r] = e
+// makeReady appends rank r to the ready ring. Callers guarantee r is not
+// already queued (it is freshly spawned, blocked or parked).
+func (w *World) makeReady(r int) {
+	w.ranks[r].state = rankReady
+	at := w.head + w.nready
+	if at >= w.n {
+		at -= w.n
 	}
-	return out
+	w.ready[at] = int32(r)
+	w.nready++
+}
+
+// wakeBlocked makes every rank suspended in a receive or collective
+// runnable, so it re-evaluates the world's failure state. Parked ranks
+// stay parked: only Release resumes them.
+func (w *World) wakeBlocked() {
+	for r := range w.ranks {
+		if w.ranks[r].state == rankBlocked {
+			w.makeReady(r)
+		}
+	}
+}
+
+// Release makes rank r, suspended in Park, runnable again; it resumes at
+// the next Wait (or, when called by a running rank, once its turn in the
+// ready ring comes). Release panics if r is not parked.
+func (w *World) Release(r int) {
+	if w.ranks[r].state != rankParked {
+		panic(fmt.Sprintf("comm: release of rank %d, which is not parked", r))
+	}
+	w.makeReady(r)
+}
+
+// Wait drives the world: it resumes runnable ranks one at a time, FIFO,
+// each until it blocks or returns, and comes back when none is runnable
+// — every spawned rank has returned or sits in Park. It returns the exit
+// errors indexed by rank (nil for a clean exit, a parked rank or one
+// never spawned); the slice is the world's own, overwritten by later
+// Spawns and Waits. Wait allocates nothing, so a parked world can be
+// stepped (Release, Wait) inside an allocation-gated loop.
+//
+// If the ready ring drains while some rank is still blocked in a
+// receive or collective, nothing can ever wake it: Wait unwinds every
+// suspended rank and each blocked rank's entry reports ErrDeadlock. A
+// panic in a rank function surfaces from Wait, on the driving
+// goroutine, after the other ranks have been unwound the same way.
+func (w *World) Wait() []error {
+	clean := false
+	defer func() {
+		if !clean { // a rank panicked, or exited its goroutine as t.Fatal does
+			w.stopAll(errAborted)
+		}
+	}()
+	for w.nready > 0 {
+		rk := &w.ranks[w.ready[w.head]]
+		if w.head++; w.head == w.n {
+			w.head = 0
+		}
+		w.nready--
+		rk.resume()
+	}
+	for r := range w.ranks {
+		if w.ranks[r].state == rankBlocked {
+			w.stopAll(w.deadlockError())
+			break
+		}
+	}
+	clean = true
+	return w.errs
+}
+
+// deadlockError names every rank stuck in a receive or collective.
+func (w *World) deadlockError() error {
+	const maxNamed = 8 // a 1024-rank world need not name them all
+	var b strings.Builder
+	blocked := 0
+	for r := range w.ranks {
+		rk := &w.ranks[r]
+		if rk.state != rankBlocked {
+			continue
+		}
+		if blocked++; blocked > maxNamed {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString("; ")
+		}
+		if s := rk.on.slot; s != nil {
+			fmt.Fprintf(&b, "rank %d in %s (epoch %d, seq %d, %d of %d arrived)", r, s.kind, rk.on.key.epoch, rk.on.key.seq, s.arrived, w.n)
+		} else {
+			fmt.Fprintf(&b, "rank %d in recv (src %d, tag %d)", r, rk.on.src, rk.on.tag)
+		}
+	}
+	if blocked > maxNamed {
+		fmt.Fprintf(&b, "; and %d more", blocked-maxNamed)
+	}
+	return fmt.Errorf("%w: %s", ErrDeadlock, b.String())
+}
+
+// stopAll unwinds every rank whose function has not returned: its
+// pending block, and every later operation, returns why — also as the
+// exit error of a rank that was blocked (not parked) and reported no
+// other. The world is not usable afterwards.
+func (w *World) stopAll(why error) {
+	w.halt = why
+	for r := range w.ranks {
+		rk := &w.ranks[r]
+		if rk.state == rankDone {
+			continue
+		}
+		wasBlocked := rk.state == rankBlocked
+		rk.stop()
+		rk.state = rankDone
+		if wasBlocked && w.errs[r] == nil {
+			w.errs[r] = why
+		}
+	}
+	w.nready = 0
 }
 
 // Run spawns fn on every rank, waits for all to finish, and returns the
@@ -186,47 +341,30 @@ func Run(cfg Config, fn func(c *Comm) error) error {
 	for r := 0; r < cfg.Ranks; r++ {
 		w.Spawn(r, 0, fn)
 	}
-	errs := w.Wait()
-	for r := 0; r < cfg.Ranks; r++ {
-		if errs[r] != nil {
-			return fmt.Errorf("rank %d: %w", r, errs[r])
+	for r, err := range w.Wait() {
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", r, err)
 		}
 	}
 	return nil
 }
 
-// Kill marks rank r failed from the outside (a fault injector's hammer).
-// All of r's in-progress and future operations return ErrKilled; all other
+// Kill marks rank r failed from the outside (a fault injector's hammer):
+// from the driving goroutine between Waits, or from a running rank. All
+// of r's in-progress and future operations return ErrKilled; all other
 // ranks' operations return ErrRankFailed until Repair. Killing an
 // already-failed rank is a no-op.
 func (w *World) Kill(r int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.killLocked(r)
-}
-
-func (w *World) killLocked(r int) {
 	if w.failed[r] {
 		return
 	}
 	w.failed[r] = true
-	w.nFailed++
 	w.revoked = true
-	// Wake every blocked operation so it can observe the failure:
-	// receivers parked on mailboxes and ranks parked inside collectives.
-	w.cond.Broadcast()
-	for i := range w.queues {
-		w.queues[i].wake()
-	}
-	for _, s := range w.colls {
-		s.cond.Broadcast()
-	}
+	w.wakeBlocked()
 }
 
 // Failed returns the sorted list of currently-failed ranks.
 func (w *World) Failed() []int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	var out []int
 	for r, f := range w.failed {
 		if f {
@@ -242,35 +380,24 @@ func (w *World) Failed() []int {
 // It returns the new epoch number, which respawned and surviving ranks
 // adopt via (*Comm).JoinEpoch.
 func (w *World) Repair() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for r := range w.failed {
-		w.failed[r] = false
-	}
-	w.nFailed = 0
+	clear(w.failed)
 	w.revoked = false
 	w.epoch++
-	for i := range w.queues {
-		w.queues[i].purge()
-	}
+	clear(w.queues)
 	// Collective slots from the old epoch can never complete; drop them.
 	for k := range w.colls {
 		if k.epoch < w.epoch {
 			delete(w.colls, k)
 		}
 	}
-	w.cond.Broadcast()
+	w.wakeBlocked()
 	return w.epoch
 }
 
 // MaxClock returns the largest virtual time reported by any completed
 // operation bookkeeping. It is refreshed by collectives; for precise
 // end-of-run timing prefer reducing clocks inside the rank function.
-func (w *World) MaxClock() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.maxClock
-}
+func (w *World) MaxClock() float64 { return w.maxClock }
 
 func (w *World) observeClock(t float64) {
 	if t > w.maxClock {

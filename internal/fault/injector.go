@@ -112,9 +112,8 @@ type StepKiller struct {
 
 // ShouldDie reports whether the given rank must die at the given step.
 // It fires at most once. Only the victim rank ever touches the used
-// flag, so concurrent queries from other ranks are race-free; the
-// victim's replacement goroutine is ordered after the original by the
-// runtime's respawn channel, so its read of used is ordered too.
+// flag, and the victim's replacement is spawned only after the original
+// has returned, so its read of used is ordered after the write.
 func (k *StepKiller) ShouldDie(rank, step int) bool {
 	if k == nil || rank != k.Rank {
 		return false

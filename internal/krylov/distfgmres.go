@@ -65,7 +65,14 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 	y := make([]float64, m)
 	st.Residuals = makeResidualHistory(opts.MaxIter)
 
+	// A cycle abandoned at its first Arnoldi step adds no iteration, so
+	// MaxIter alone does not bound a solve whose every cycle is corrupt
+	// (a faulty operator can keep the iterate non-finite for good). Such
+	// cycles draw on a budget of MaxIter of their own; every rank sees
+	// the same reduced hj1, so all ranks give up together.
+	stalled := 0
 	for st.Iterations < opts.MaxIter && !st.Converged {
+		before := st.Iterations
 		if err := a.Apply(x, w); err != nil {
 			return x, st, err
 		}
@@ -161,6 +168,12 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 		st.Restarts++
 		if st.FinalResidual <= opts.Tol {
 			st.Converged = true
+		}
+		if st.Iterations == before {
+			if stalled++; stalled == opts.MaxIter {
+				st.FinalResidual = math.Inf(1)
+				break
+			}
 		}
 	}
 	st.VirtualTime = c.Clock()

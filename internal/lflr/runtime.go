@@ -29,23 +29,17 @@ type Ctx struct {
 // again. The application then runs its own recovery protocol (state
 // rollback, log replay) before resuming.
 func (ctx *Ctx) AwaitRepair() {
-	rel := make(chan repairMsg)
-	ctx.rt.parkCh <- parkReq{rank: ctx.Comm.Rank(), clock: ctx.Comm.Clock(), release: rel}
-	msg := <-rel
-	ctx.Comm.JoinEpoch(msg.epoch)
+	rt := ctx.rt
+	rt.parks = append(rt.parks, rankNote{rank: ctx.Comm.Rank(), clock: ctx.Comm.Clock()})
+	// A Park that fails means the world is being unwound; the rank's
+	// next operation returns the same error, which is where callers look.
+	_ = ctx.Comm.Park()
+	ctx.Comm.JoinEpoch(rt.epoch)
 }
 
-type parkReq struct {
-	rank    int
-	clock   float64
-	release chan repairMsg
-}
-
-type repairMsg struct {
-	epoch int
-}
-
-type exitNotice struct {
+// rankNote is what a rank leaves for the supervisor when it parks or
+// exits: who it is and how far its clock got (and, for an exit, why).
+type rankNote struct {
 	rank  int
 	clock float64
 	err   error
@@ -62,19 +56,17 @@ type Runtime struct {
 	// (default 10 ms — process launch, library init).
 	RespawnCost float64
 
-	parkCh chan parkReq
-	exitCh chan exitNotice
+	// The ranks append to these while the world runs and the supervisor
+	// reads them between Waits; one rank runs at a time, so plain
+	// slices do.
+	parks []rankNote // survivors waiting in AwaitRepair
+	exits []rankNote // rank functions that have returned
+	epoch int        // the epoch released survivors join
 }
 
 // NewRuntime wraps a world with LFLR supervision.
 func NewRuntime(world *comm.World, store *Store) *Runtime {
-	return &Runtime{
-		world:       world,
-		store:       store,
-		RespawnCost: 10e-3,
-		parkCh:      make(chan parkReq, world.Size()),
-		exitCh:      make(chan exitNotice, world.Size()),
-	}
+	return &Runtime{world: world, store: store, RespawnCost: 10e-3}
 }
 
 // Execute runs entry on every rank and supervises until all ranks have
@@ -87,7 +79,7 @@ func (rt *Runtime) Execute(entry func(*Ctx) error) (recoveries int, err error) {
 	wrap := func(recovering bool) func(c *comm.Comm) error {
 		return func(c *comm.Comm) error {
 			e := entry(&Ctx{Comm: c, Store: rt.store, Recovering: recovering, rt: rt})
-			rt.exitCh <- exitNotice{rank: c.Rank(), clock: c.Clock(), err: e}
+			rt.exits = append(rt.exits, rankNote{rank: c.Rank(), clock: c.Clock(), err: e})
 			return e
 		}
 	}
@@ -95,56 +87,40 @@ func (rt *Runtime) Execute(entry func(*Ctx) error) (recoveries int, err error) {
 		rt.world.Spawn(r, 0, wrap(false))
 	}
 
-	finished := 0
-	for finished < n {
-		note := <-rt.exitCh
-		switch {
-		case note.err == nil:
-			finished++
-		case errors.Is(note.err, comm.ErrKilled):
-			// Collect the survivors: every remaining rank must either
-			// park, finish, or also die before the world can be repaired.
-			dead := []exitNotice{note}
-			maxClock := note.clock
-			var parks []parkReq
-			abort := error(nil)
-			for len(parks)+len(dead)+finished < n {
-				select {
-				case p := <-rt.parkCh:
-					parks = append(parks, p)
-					if p.clock > maxClock {
-						maxClock = p.clock
-					}
-				case e := <-rt.exitCh:
-					switch {
-					case e.err == nil:
-						finished++
-					case errors.Is(e.err, comm.ErrKilled):
-						dead = append(dead, e)
-						if e.clock > maxClock {
-							maxClock = e.clock
-						}
-					default:
-						abort = e.err
-						finished++ // the rank is gone either way
-					}
-				}
+	for finished := 0; ; {
+		// Wait returns once every rank has finished, died or parked —
+		// the point at which the world can be repaired.
+		rt.world.Wait()
+		var dead []int
+		maxClock := 0.0
+		for _, e := range rt.exits {
+			switch {
+			case e.err == nil:
+				finished++
+			case errors.Is(e.err, comm.ErrKilled):
+				dead = append(dead, e.rank)
+				maxClock = max(maxClock, e.clock)
+			default:
+				return recoveries, fmt.Errorf("lflr: rank %d failed unrecoverably: %w", e.rank, e.err)
 			}
-			if abort != nil {
-				return recoveries, fmt.Errorf("lflr: unrecoverable failure during repair: %w", abort)
-			}
-			epoch := rt.world.Repair()
-			for _, d := range dead {
-				rt.world.Spawn(d.rank, maxClock+rt.RespawnCost, wrap(true))
-				recoveries++
-			}
-			for _, p := range parks {
-				p.release <- repairMsg{epoch: epoch}
-			}
-		default:
-			return recoveries, fmt.Errorf("lflr: rank %d failed unrecoverably: %w", note.rank, note.err)
 		}
+		if finished == n {
+			return recoveries, nil
+		}
+		if len(dead) == 0 {
+			return recoveries, fmt.Errorf("lflr: %d of %d ranks finished and the rest await a repair, but no rank died", finished, n)
+		}
+		for _, p := range rt.parks {
+			maxClock = max(maxClock, p.clock)
+		}
+		rt.epoch = rt.world.Repair()
+		for _, r := range dead {
+			rt.world.Spawn(r, maxClock+rt.RespawnCost, wrap(true))
+			recoveries++
+		}
+		for _, p := range rt.parks {
+			rt.world.Release(p.rank)
+		}
+		rt.parks, rt.exits = rt.parks[:0], rt.exits[:0]
 	}
-	rt.world.Wait()
-	return recoveries, nil
 }

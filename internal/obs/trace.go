@@ -95,7 +95,7 @@ func Tee(sinks ...func(Event)) func(Event) {
 }
 
 // RunTracer is the event sink that records one run's timeline — from
-// the harness, every rank goroutine and the engine's supervisor — and
+// the harness, every rank and the engine's supervisor — and
 // exports it in a deterministic order. The nil *RunTracer is a valid
 // no-op sink: every method returns immediately, with zero allocations,
 // which is how tracing stays free when disabled (pinned by

@@ -73,8 +73,8 @@ type setupEntry struct {
 // space (which multiplies in ranks, precond family, and per-rank
 // slots).
 //
-// Cache is safe for concurrent use from the rank goroutines of
-// concurrently executing runs.
+// Cache is safe for concurrent use from the ranks of concurrently
+// executing runs.
 type Cache struct {
 	mu       sync.Mutex
 	problems map[problemKey]*problemEntry

@@ -155,7 +155,7 @@ func phaseBuckets() []float64 {
 
 // observePhase is the event sink behind repro_phase_vseconds: one
 // histogram sample per phase span, in virtual seconds. Called
-// concurrently from the rank goroutines of every worker's runs;
+// concurrently from the runs of every worker;
 // histograms are atomic, so no extra locking.
 func (s *Server) observePhase(ev obs.Event) {
 	if ev.Name != obs.EventSpan {
