@@ -143,6 +143,10 @@ func Run(opts Options) (RunStats, error) {
 		mu       sync.Mutex
 		wg       sync.WaitGroup
 		writeErr error
+		// Every run of the invocation shares assembled problems and their
+		// layouts. Not the preconditioner setup cache: its hit/miss events
+		// would make a trace depend on which worker got there first.
+		problems ProblemMemo
 	)
 	work := make(chan RunRef)
 	for i := 0; i < opts.Workers; i++ {
@@ -163,7 +167,7 @@ func Run(opts Options) (RunStats, error) {
 				if opts.Exec != nil {
 					rec = opts.Exec(&spec, j.Cell, j.Rep)
 				} else {
-					env := &ExecEnv{Ledger: opts.Ledger}
+					env := &ExecEnv{Ledger: opts.Ledger, Problems: problems.Problem}
 					var tr *obs.RunTracer
 					if opts.TraceDir != "" && TraceSampled(spec.Seed, j.Cell.RunKey(j.Rep), sampleK, sampleN) {
 						tr = NewRunTracer(&spec, j.Cell, j.Rep)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -31,9 +32,13 @@ type Env struct {
 	// are the runner's own business).
 	Op dist.Operator
 	// A is the replicated global matrix, for runners that assemble
-	// their own sub-stacks (ftgmres builds the faulty inner operator
-	// and preconditioner from it).
+	// their own sub-stacks (ftgmres builds the inner preconditioner
+	// from it).
 	A *la.CSR
+	// layout is A partitioned over the world: a runner that needs a
+	// second operator (ftgmres's inner one) binds it rather than
+	// partitioning A again.
+	layout *dist.Layout
 	// M is the preconditioner (nil for none); already fault-wrapped
 	// under the faulty-precond model.
 	M krylov.DistPreconditioner
@@ -80,16 +85,17 @@ type Outcome struct {
 // can apply its global-restart policy.
 type Runner func(env *Env) (Outcome, error)
 
-// Runners returns the Runner for every solver axis value.
-func Runners() map[string]Runner {
-	return map[string]Runner{
-		SolverCG:           runCG,
-		SolverPCG:          runPCG,
-		SolverPipelinedPCG: runPipelinedPCG,
-		SolverGMRES:        runGMRES,
-		SolverFGMRES:       runFGMRES,
-		SolverFTGMRES:      runFTGMRES,
-	}
+// Runners returns the Runner for every solver axis value. The table is
+// shared: callers must not modify it.
+func Runners() map[string]Runner { return runners }
+
+var runners = map[string]Runner{
+	SolverCG:           runCG,
+	SolverPCG:          runPCG,
+	SolverPipelinedPCG: runPipelinedPCG,
+	SolverGMRES:        runGMRES,
+	SolverFGMRES:       runFGMRES,
+	SolverFTGMRES:      runFTGMRES,
 }
 
 func fromStats(st krylov.Stats) Outcome {
@@ -152,7 +158,7 @@ func runFTGMRES(env *Env) (Outcome, error) {
 	case FaultFaultyPrecond:
 		precRate = env.Fault.Rate
 	}
-	var inner dist.Operator = dist.NewCSR(env.C, env.A)
+	var inner dist.Operator = env.layout.Bind(env.C)
 	if env.kill != nil {
 		// The inner solve performs most of the rank's operator
 		// applications; it must tick the same MTBF countdown as the
@@ -195,11 +201,43 @@ func runFTGMRES(env *Env) (Outcome, error) {
 
 // Problem carries one generated workload: the replicated matrix, a
 // manufactured right-hand side, and — for SPD problems — the exact
-// spectral bounds the Chebyshev preconditioner needs.
+// spectral bounds the Chebyshev preconditioner needs. It is shared
+// read-only: by every rank of a run, and through a ProblemMemo by
+// concurrent runs.
 type Problem struct {
 	A          *la.CSR
 	RHS        []float64
 	LMin, LMax float64 // SPD spectral bounds; 0,0 when unavailable
+
+	// layouts memoises A's partition per rank count, so a problem that
+	// outlives one run is partitioned once per P, not once per world.
+	// Copies of the Problem share it; nil (a Problem not from
+	// BuildProblem) partitions on every call.
+	layouts *layoutMemo
+}
+
+// layoutMemo is a Problem's partitions by rank count. Concurrent runs
+// bind the same layouts, hence the mutex; it is held across a first
+// build so that two runs never derive the same partition twice.
+type layoutMemo struct {
+	mu      sync.Mutex
+	byRanks map[int]*dist.Layout
+}
+
+// layout returns p.A partitioned over the given rank count.
+func (p Problem) layout(ranks int) *dist.Layout {
+	m := p.layouts
+	if m == nil {
+		return dist.NewLayout(p.A, ranks)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	l, ok := m.byRanks[ranks]
+	if !ok {
+		l = dist.NewLayout(p.A, ranks)
+		m.byRanks[ranks] = l
+	}
+	return l
 }
 
 // laplaceBounds returns the exact extreme eigenvalues of the
@@ -211,7 +249,7 @@ func laplaceBounds(g int, ex, ey float64) (lmin, lmax float64) {
 
 // BuildProblem generates the named problem on a g×g interior grid.
 func BuildProblem(name string, g int) (Problem, error) {
-	var p Problem
+	p := Problem{layouts: &layoutMemo{byRanks: make(map[int]*dist.Layout)}}
 	switch name {
 	case ProblemPoisson:
 		p.A = problems.Poisson2D(g, g)
@@ -278,9 +316,10 @@ type ExecEnv struct {
 	// Ledger, when non-nil, aggregates communication activity over
 	// every world the run creates.
 	Ledger *comm.Ledger
-	// Problems, when non-nil, resolves problem assembly (a cache
-	// hook); nil falls back to BuildProblem for every run. Returned
-	// problems are shared read-only across runs and ranks.
+	// Problems, when non-nil, resolves problem assembly (a cache hook:
+	// (*ProblemMemo).Problem is the one both the engine and the solve
+	// service use); nil falls back to BuildProblem for every run.
+	// Returned problems are shared read-only across runs and ranks.
 	Problems func(name string, grid int) (Problem, error)
 	// Setups, when non-nil, shares preconditioner Setup artifacts
 	// across runs. Adopting an artifact charges the same virtual cost
@@ -493,9 +532,9 @@ type attemptState struct {
 
 // runRank is the SPMD body of one solve attempt: assemble the env for
 // this rank (fault wiring included) and dispatch the cell's Runner.
-func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *attemptState, setups SetupCache) error {
+func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout, seed uint64, att *attemptState, setups SetupCache) error {
 	assemble := c.SpanStart()
-	trusted := dist.NewCSR(c, p.A)
+	trusted := layout.Bind(c)
 	// Assembly is replicated and communication-free in this model, so the
 	// span is an honest zero-width marker on the timeline.
 	c.SpanEnd(obs.PhaseAssemble, assemble)
@@ -544,12 +583,12 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, seed uint64, att *a
 		m = pc
 	}
 
-	run, ok := Runners()[cell.Solver]
+	run, ok := runners[cell.Solver]
 	if !ok {
 		return fmt.Errorf("campaign: unknown solver %q", cell.Solver)
 	}
 	out, err := run(&Env{
-		C: c, Op: op, A: p.A, M: m, B: trusted.Scatter(p.RHS),
+		C: c, Op: op, A: p.A, layout: layout, M: m, B: trusted.Scatter(p.RHS),
 		Precond: cell.Precond, Fault: cell.Fault, Seed: seed, kill: kill,
 		Tol: spec.Tol, MaxIter: spec.MaxIter,
 		setupKey: key, setups: setups,
@@ -614,6 +653,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		env.observer(0, 0).harness(obs.Event{Name: "run_end", Detail: "error"})
 		return rec
 	}
+	layout := p.layout(cell.Ranks)
 	maxAttempts := 1
 	if cell.Fault.Model == FaultRankKill {
 		maxAttempts = spec.MaxRestarts + 1
@@ -636,7 +676,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 			Noise: noiseModel(cell.Noise), Seed: aseed, Ledger: env.Ledger,
 			Observer: emit,
 		}, func(c *comm.Comm) error {
-			return runRank(c, spec, cell, p, aseed, att, env.Setups)
+			return runRank(c, spec, cell, p, layout, aseed, att, env.Setups)
 		})
 		if err != nil {
 			if isRankFailure(err) && cell.Fault.Model == FaultRankKill {

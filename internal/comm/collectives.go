@@ -82,10 +82,17 @@ func (c *Comm) post(kind collKind, op Op, root int, data []float64) Request {
 	if err := c.checkAlive(); err != nil {
 		return Request{err: err}
 	}
+	// checkAlive has established c.epoch == w.epoch, so the slot is in
+	// w.colls, at or past its base: a slot retires only once every rank,
+	// this one included, has been through it.
 	key := collKey{epoch: c.epoch, seq: c.seq}
 	c.seq++
-	s, ok := w.colls[key]
-	if !ok {
+	at := key.seq - w.collBase
+	for len(w.colls) <= at {
+		w.colls = append(w.colls, nil)
+	}
+	s := w.colls[at]
+	if s == nil {
 		// Recycle a retired slot when one is available: the contrib
 		// array survives reuse, so a steady-state reduction loop
 		// allocates nothing.
@@ -97,7 +104,7 @@ func (c *Comm) post(kind collKind, op Op, root int, data []float64) Request {
 		} else {
 			s = &collSlot{kind: kind, op: op, root: root, contrib: make([][]float64, w.n)}
 		}
-		w.colls[key] = s
+		w.colls[at] = s
 	} else if s.kind != kind || s.op != op || s.root != root {
 		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called kind=%d op=%d root=%d, slot has kind=%d op=%d root=%d",
 			c.epoch, key.seq, c.rank, kind, op, root, s.kind, s.op, s.root))
@@ -225,7 +232,11 @@ func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 	}
 	// The last rank out recycles the result buffer and the slot itself.
 	if s.departed++; s.departed == w.n {
-		delete(w.colls, r.key)
+		// A slot that completed before a failure still delivers after the
+		// Repair that dropped it: only a current-epoch slot is in w.colls.
+		if r.key.epoch == w.epoch {
+			w.retireColl(r.key.seq)
+		}
 		w.pool.put(s.result)
 		s.result = nil
 		if len(w.slotPool) < 64 {
@@ -233,6 +244,24 @@ func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 		}
 	}
 	return out, nil
+}
+
+// retireColl removes the finished slot of sequence number seq from
+// w.colls and advances the base past every leading retired slot.
+func (w *World) retireColl(seq int) {
+	w.colls[seq-w.collBase] = nil
+	n := 0
+	for n < len(w.colls) && w.colls[n] == nil {
+		n++
+	}
+	if n > 0 {
+		// Shift down rather than reslice, so the backing array is reused
+		// forever and a steady-state loop appends without allocating.
+		live := copy(w.colls, w.colls[n:])
+		clear(w.colls[live:])
+		w.colls = w.colls[:live]
+		w.collBase += n
+	}
 }
 
 // Barrier blocks until every rank arrives; all clocks advance to the

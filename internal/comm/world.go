@@ -132,8 +132,13 @@ type World struct {
 	nready int
 	halt   error // why stopAll unwound the pending ranks
 
-	queues   [][]message // per-destination-rank mailboxes
-	colls    map[collKey]*collSlot
+	queues [][]message // per-destination-rank mailboxes
+	// colls holds the current epoch's open collective slots: colls[i] is
+	// the slot of sequence number collBase+i, nil once its last rank has
+	// left. A post always lands in the current epoch, so the epoch needs
+	// no index, and blocking collectives keep at most two slots open.
+	colls    []*collSlot
+	collBase int
 	maxClock float64 // latest virtual time observed by any operation
 	pool     bufPool // recycled payload buffers
 	slotPool []*collSlot
@@ -144,6 +149,8 @@ type World struct {
 	errs     []error // exit error per rank (most recent spawn)
 }
 
+// collKey names one collective call instance: the seq-th collective of
+// an epoch.
 type collKey struct {
 	epoch int
 	seq   int
@@ -165,7 +172,6 @@ func NewWorld(cfg Config) *World {
 		ranks:    make([]rankSlot, cfg.Ranks),
 		ready:    make([]int32, cfg.Ranks),
 		queues:   make([][]message, cfg.Ranks),
-		colls:    make(map[collKey]*collSlot),
 		ledger:   cfg.Ledger,
 		observer: cfg.Observer,
 		seedRNG:  machine.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb),
@@ -385,11 +391,9 @@ func (w *World) Repair() int {
 	w.epoch++
 	clear(w.queues)
 	// Collective slots from the old epoch can never complete; drop them.
-	for k := range w.colls {
-		if k.epoch < w.epoch {
-			delete(w.colls, k)
-		}
-	}
+	// Sequence numbers restart with the epoch.
+	clear(w.colls)
+	w.colls, w.collBase = w.colls[:0], 0
 	w.wakeBlocked()
 	return w.epoch
 }

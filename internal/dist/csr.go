@@ -1,8 +1,6 @@
 package dist
 
 import (
-	"sort"
-
 	"repro/internal/comm"
 	"repro/internal/la"
 	"repro/internal/obs"
@@ -23,136 +21,29 @@ import (
 //
 // Construction is deterministic and communication-free: every rank is
 // given the same replicated global matrix (the SPMD convention of this
-// codebase), so each rank derives both its receive plan and its
-// neighbours' needs by inspecting the global sparsity directly. Two
-// CSRs built from the same matrix therefore use the identical column
-// remap, making their products bitwise comparable.
+// codebase), and everything that follows from (matrix, rank count)
+// alone — slabs, column remap, who ships what to whom — is a Layout,
+// derivable once and shared. Two CSRs over the same matrix therefore
+// use the identical column remap, making their products bitwise
+// comparable.
 type CSR struct {
 	c      *comm.Comm
-	pt     Partition
 	lo, hi int // owned global row range
 	rows   int // global dimension
 
-	// Local slab in CSR form with remapped columns: owned column j
-	// maps to j-lo, ghost columns map past the owned range in
-	// ascending global order.
-	rowPtr []int
-	colIdx []int
-	val    []float64
+	slab // this rank's share of the Layout, read-only
 
 	xbuf    []float64 // operand buffer: [owned | ghosts], persists across Applies
+	pack    []float64 // reusable pack buffer (Send copies the payload)
 	normInf float64   // global infinity norm, precomputed
-
-	sends []haloSend
-	recvs []haloRecv
-}
-
-// haloSend lists the owned entries one neighbour's slab references.
-type haloSend struct {
-	rank int
-	idx  []int     // local owned indices, ascending global order
-	buf  []float64 // reusable pack buffer (Send copies the payload)
-}
-
-// haloRecv lists where one neighbour's shipment lands in xbuf.
-type haloRecv struct {
-	rank int
-	pos  []int     // xbuf positions, ascending global order (matches sender)
-	buf  []float64 // reusable landing buffer (RecvInto copies the payload)
 }
 
 // NewCSR builds rank c.Rank()'s slab of the square global matrix a.
 // Every rank must call it with the same matrix. Panics if a is not
-// square or the world has more ranks than rows.
-func NewCSR(c *comm.Comm, a *la.CSR) *CSR {
-	if a.Rows != a.Cols {
-		panic("dist: NewCSR needs a square matrix")
-	}
-	checkWorld(c, a.Rows, "matrix")
-	m := &CSR{
-		c:    c,
-		pt:   Partition{N: a.Rows, P: c.Size()},
-		rows: a.Rows,
-	}
-	m.lo, m.hi = m.pt.Range(c.Rank())
-	nl := m.hi - m.lo
-
-	// Ghost columns: referenced by my rows, owned elsewhere. Sorted so
-	// the remap is deterministic and the per-owner positions ascend.
-	seen := make(map[int]bool)
-	var ghosts []int
-	for i := m.lo; i < m.hi; i++ {
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			if j := a.ColIdx[q]; (j < m.lo || j >= m.hi) && !seen[j] {
-				seen[j] = true
-				ghosts = append(ghosts, j)
-			}
-		}
-	}
-	sort.Ints(ghosts)
-	ghostPos := make(map[int]int, len(ghosts))
-	for k, j := range ghosts {
-		ghostPos[j] = nl + k
-	}
-
-	// Local slab with remapped columns, preserving in-row entry order.
-	m.rowPtr = make([]int, nl+1)
-	for i := 0; i < nl; i++ {
-		g := m.lo + i
-		for q := a.RowPtr[g]; q < a.RowPtr[g+1]; q++ {
-			j := a.ColIdx[q]
-			if j >= m.lo && j < m.hi {
-				m.colIdx = append(m.colIdx, j-m.lo)
-			} else {
-				m.colIdx = append(m.colIdx, ghostPos[j])
-			}
-			m.val = append(m.val, a.Val[q])
-		}
-		m.rowPtr[i+1] = len(m.colIdx)
-	}
-	m.xbuf = make([]float64, nl+len(ghosts))
-	m.normInf = a.NormInf()
-
-	// Receive plan: my ghosts grouped by owning rank.
-	for k := 0; k < len(ghosts); {
-		owner := m.pt.Owner(ghosts[k])
-		var pos []int
-		for k < len(ghosts) && m.pt.Owner(ghosts[k]) == owner {
-			pos = append(pos, nl+k)
-			k++
-		}
-		m.recvs = append(m.recvs, haloRecv{rank: owner, pos: pos, buf: make([]float64, len(pos))})
-	}
-
-	// Send plan: scan each other rank's rows for references into my
-	// range. The same deterministic derivation runs on the peer's side
-	// for its receive plan, so the shipments line up without any
-	// plan-exchange communication.
-	for r := 0; r < c.Size(); r++ {
-		if r == c.Rank() {
-			continue
-		}
-		rlo, rhi := m.pt.Range(r)
-		need := make(map[int]bool)
-		for i := rlo; i < rhi; i++ {
-			for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-				if j := a.ColIdx[q]; j >= m.lo && j < m.hi {
-					need[j] = true
-				}
-			}
-		}
-		if len(need) == 0 {
-			continue
-		}
-		idx := make([]int, 0, len(need))
-		for j := range need {
-			idx = append(idx, j-m.lo)
-		}
-		sort.Ints(idx)
-		m.sends = append(m.sends, haloSend{rank: r, idx: idx, buf: make([]float64, len(idx))})
-	}
-	return m
-}
+// square or the world has more ranks than rows. Each call derives a
+// whole Layout: code that builds many worlds over one matrix calls
+// NewLayout once and Binds instead.
+func NewCSR(c *comm.Comm, a *la.CSR) *CSR { return NewLayout(a, c.Size()).Bind(c) }
 
 // Apply computes y = A·x for this rank's slab: halo exchange (one
 // message to each neighbour whose slab references owned entries), then
@@ -167,19 +58,17 @@ func (m *CSR) Apply(x, y []float64) error {
 	// Sends are buffered and never block, so posting all sends before
 	// any receive cannot deadlock even when every rank applies at once.
 	for _, s := range m.sends {
+		buf := m.pack[:len(s.idx)]
 		for k, i := range s.idx {
-			s.buf[k] = x[i]
+			buf[k] = x[i]
 		}
-		if err := m.c.Send(s.rank, tagCSRHalo, s.buf); err != nil {
+		if err := m.c.Send(s.rank, tagCSRHalo, buf); err != nil {
 			return err
 		}
 	}
 	for _, rcv := range m.recvs {
-		if _, err := m.c.RecvInto(rcv.rank, tagCSRHalo, rcv.buf); err != nil {
+		if _, err := m.c.RecvInto(rcv.rank, tagCSRHalo, m.xbuf[rcv.at:rcv.at+rcv.n]); err != nil {
 			return err
-		}
-		for k, pos := range rcv.pos {
-			m.xbuf[pos] = rcv.buf[k]
 		}
 	}
 	m.c.SpanEndWait(obs.PhaseHaloExchange, halo, mark)

@@ -32,8 +32,6 @@
 // MPI program.
 package dist
 
-import "repro/internal/comm"
-
 // Point-to-point tag ranges reserved by this package. Applications
 // layered on top of dist (e.g. internal/lflr) use their own ranges.
 const (
@@ -106,11 +104,11 @@ func (pt Partition) Owner(i int) int {
 // items: neighbour-exchange operators identify halo partners by rank
 // adjacency, which requires non-empty slabs (the same constraint the
 // LFLR applications enforce).
-func checkWorld(c *comm.Comm, n int, what string) {
+func checkWorld(p, n int, what string) {
 	if n < 1 {
 		panic("dist: " + what + " needs at least one row")
 	}
-	if c.Size() > n {
+	if p > n {
 		panic("dist: more ranks than " + what + " rows")
 	}
 }

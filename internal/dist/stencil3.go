@@ -29,7 +29,7 @@ type Stencil3 struct {
 // rank must call it with the same arguments. Panics if the world has
 // more ranks than points.
 func NewStencil3(c *comm.Comm, n int, sub, diag, super float64) *Stencil3 {
-	checkWorld(c, n, "chain")
+	checkWorld(c.Size(), n, "chain")
 	s := &Stencil3{c: c, pt: Partition{N: n, P: c.Size()}, n: n, sub: sub, diag: diag, super: super}
 	s.lo, s.hi = s.pt.Range(c.Rank())
 	return s

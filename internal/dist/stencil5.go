@@ -35,7 +35,7 @@ func NewStencil5(c *comm.Comm, nx, ny int, diag, off float64) *Stencil5 {
 	if nx < 1 {
 		panic("dist: Stencil5 needs nx >= 1")
 	}
-	checkWorld(c, ny, "grid")
+	checkWorld(c.Size(), ny, "grid")
 	s := &Stencil5{c: c, pt: Partition{N: ny, P: c.Size()}, nx: nx, ny: ny, diag: diag, off: off}
 	s.jlo, s.jhi = s.pt.Range(c.Rank())
 	s.hbelow = make([]float64, nx)

@@ -123,3 +123,37 @@ func TestCopyInOut(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceVecIsZeroed: Vec hands out zeroed vectors on the first
+// carving pass (fresh regions, not cleared again) and after a Reset
+// (recycled regions, cleared on the way out) — also when the second
+// pass overflows into a region opened after the Reset.
+func TestWorkspaceVecIsZeroed(t *testing.T) {
+	w := NewWorkspace(8)
+	dirty := func(v []float64) {
+		for i := range v {
+			v[i] = 7
+		}
+	}
+	wantZero := func(what string, v []float64) {
+		t.Helper()
+		for i, x := range v {
+			if x != 0 {
+				t.Fatalf("%s: element %d is %v", what, i, x)
+			}
+		}
+	}
+	a, b := w.Vec(6), w.Vec(6) // b opens a second region
+	wantZero("first pass", a)
+	wantZero("first pass, second region", b)
+	dirty(a)
+	dirty(b)
+	w.Reset()
+	c, d, e := w.Vec(8), w.Vec(8), w.Vec(8) // e opens a third
+	wantZero("recycled first region", c)
+	wantZero("recycled second region", d)
+	wantZero("region opened after the reset", e)
+	if &c[0] != &a[0] {
+		t.Error("Reset did not recycle the first region")
+	}
+}

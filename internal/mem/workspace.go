@@ -18,6 +18,10 @@ type Workspace struct {
 	cur     int // index of the region being carved
 	off     int // next free element in regions[cur]
 	slab    int // minimum size of a newly opened region
+	// used counts the regions that existed at the last Reset and so may
+	// hold an earlier pass's values; later ones are still as NewRegion
+	// zeroed them.
+	used int
 }
 
 // NewWorkspace creates a workspace whose first region holds capacity
@@ -39,8 +43,8 @@ func (w *Workspace) Vec(n int) []float64 {
 		if w.off+n <= len(r) {
 			v := r[w.off : w.off+n : w.off+n]
 			w.off += n
-			for i := range v {
-				v[i] = 0
+			if w.cur < w.used {
+				clear(v)
 			}
 			return v
 		}
@@ -73,6 +77,7 @@ func (w *Workspace) Mat(r, c int) [][]float64 {
 func (w *Workspace) Reset() {
 	w.cur = 0
 	w.off = 0
+	w.used = len(w.regions)
 }
 
 // Footprint returns the total number of float64 elements held.

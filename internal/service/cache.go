@@ -28,20 +28,6 @@ type CacheStats struct {
 	SetupEntries   int64 `json:"setup_entries"`
 }
 
-// problemKey identifies one assembled problem.
-type problemKey struct {
-	name string
-	grid int
-}
-
-// problemEntry is one cached assembly; the Once collapses concurrent
-// first requests for the same problem into a single build.
-type problemEntry struct {
-	once sync.Once
-	p    campaign.Problem
-	err  error
-}
-
 // setupEntryKey is one rank's slot of a preconditioner Setup artifact.
 type setupEntryKey struct {
 	campaign.SetupKey
@@ -56,11 +42,13 @@ type setupEntry struct {
 }
 
 // Cache shares solve-setup work across requests: problem assemblies
-// keyed by (problem, grid), and preconditioner Setup artifacts keyed by
-// (problem, grid, ranks, precond, rank). Both are immutable once
-// stored — problems are shared read-only by every rank of every run,
-// and artifacts follow precond.Cacheable's read-only contract — so a
-// hit is a pure wall-clock saving with bitwise-unchanged results.
+// keyed by (problem, grid) — a campaign.ProblemMemo, so each problem's
+// layouts per rank count ride along — and preconditioner Setup
+// artifacts keyed by (problem, grid, ranks, precond, rank). Both are
+// immutable once stored — problems are shared read-only by every rank
+// of every run, and artifacts follow precond.Cacheable's read-only
+// contract — so a hit is a pure wall-clock saving with
+// bitwise-unchanged results.
 //
 // The setup side is bounded: SetMaxEntries caps resident artifacts and
 // evicts least-recently-used beyond the cap. Eviction is safe while a
@@ -76,20 +64,20 @@ type setupEntry struct {
 // Cache is safe for concurrent use from the ranks of concurrently
 // executing runs.
 type Cache struct {
-	mu       sync.Mutex
-	problems map[problemKey]*problemEntry
-	setups   map[setupEntryKey]*list.Element // of *setupEntry
-	lru      *list.List                      // front = most recent
-	max      int                             // 0 = unbounded
-	stats    CacheStats
+	problems campaign.ProblemMemo
+
+	mu     sync.Mutex
+	setups map[setupEntryKey]*list.Element // of *setupEntry
+	lru    *list.List                      // front = most recent
+	max    int                             // 0 = unbounded
+	stats  CacheStats                      // setup counters; the problem ones live in problems
 }
 
 // NewCache returns an empty, unbounded cache.
 func NewCache() *Cache {
 	return &Cache{
-		problems: make(map[problemKey]*problemEntry),
-		setups:   make(map[setupEntryKey]*list.Element),
-		lru:      list.New(),
+		setups: make(map[setupEntryKey]*list.Element),
+		lru:    list.New(),
 	}
 }
 
@@ -122,21 +110,7 @@ func (c *Cache) evictLocked() {
 // on first request. Concurrent first requests build once; everyone
 // shares the result read-only.
 func (c *Cache) Problem(name string, grid int) (campaign.Problem, error) {
-	k := problemKey{name: name, grid: grid}
-	c.mu.Lock()
-	e, ok := c.problems[k]
-	if ok {
-		c.stats.ProblemHits++
-	} else {
-		e = &problemEntry{}
-		c.problems[k] = e
-		c.stats.ProblemMisses++
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.p, e.err = campaign.BuildProblem(name, grid)
-	})
-	return e.p, e.err
+	return c.problems.Problem(name, grid)
 }
 
 // Lookup implements campaign.SetupCache. A hit freshens the entry's
@@ -199,8 +173,9 @@ func (c *Cache) Index() []string {
 // Stats returns a copy of the counters, with SetupEntries sampled.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := c.stats
 	st.SetupEntries = int64(c.lru.Len())
+	c.mu.Unlock()
+	st.ProblemHits, st.ProblemMisses = c.problems.Counts()
 	return st
 }
