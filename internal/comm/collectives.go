@@ -185,10 +185,12 @@ func (w *World) finishColl(s *collSlot) {
 // under it), synchronises this rank's clock to the completion time and
 // delivers the result: copied into out, or into a fresh slice when
 // fresh. A slot that completed before a failure still delivers — the
-// check order is own death, completion, then revocation. An all-reduce
-// emits its span over the blocked tail, entry to completion: virtual
-// time the rank spent computing between post and wait is attributed to
-// the compute phases it actually ran, which is the point of the overlap.
+// check order is own death, completion, then revocation or a Repair
+// since the post (either of which means the slot never will complete).
+// An all-reduce emits its span over the blocked tail, entry to
+// completion: virtual time the rank spent computing between post and
+// wait is attributed to the compute phases it actually ran, which is
+// the point of the overlap.
 func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 	if r.err != nil {
 		return nil, r.err
@@ -202,7 +204,10 @@ func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 		if s.done {
 			break
 		}
-		if w.revoked || c.epoch != w.epoch {
+		// The request's epoch, not the comm's: a survivor may already
+		// have joined the next epoch when it turns to a request it
+		// posted in the failed one, whose slot Repair has dropped.
+		if w.revoked || r.key.epoch != w.epoch {
 			return nil, ErrRankFailed
 		}
 		if err := c.block(rankBlocked, waitFor{slot: s, key: r.key}); err != nil {

@@ -154,3 +154,52 @@ func TestRepairWithOpenSlots(t *testing.T) {
 	}
 	wantNoOpenSlots(t, w, 4)
 }
+
+// TestOldEpochRequestAfterJoin: a survivor that joins the new epoch
+// first and only then turns to a request it posted before the failure
+// must still learn that the request died with the old epoch — Test
+// reports it finished, WaitInto returns ErrRankFailed — rather than
+// wait for posts that can never come (it is the request's epoch that
+// matters, not the comm's). The new epoch's collectives are unaffected.
+func TestOldEpochRequestAfterJoin(t *testing.T) {
+	const P = 3
+	w := NewWorld(testConfig(P))
+	var epoch int
+	for r := 0; r < P; r++ {
+		w.Spawn(r, 0, func(c *Comm) error {
+			var old Request
+			buf := []float64{1}
+			if c.Rank() != 1 {
+				c.StartAllreduce(buf, OpSum, &old) // rank 1 is killed before it posts
+			}
+			if err := c.Park(); err != nil {
+				return err
+			}
+			c.JoinEpoch(epoch)
+			if c.Rank() != 1 {
+				if !old.Test() {
+					t.Errorf("rank %d: Test on a request of the failed epoch says it would block", c.Rank())
+				}
+				if _, err := old.WaitInto(buf); !errors.Is(err, ErrRankFailed) {
+					t.Errorf("rank %d: request of the failed epoch gave %v, want ErrRankFailed", c.Rank(), err)
+				}
+			}
+			if sum, err := c.AllreduceScalar(1, OpSum); err != nil || sum != P {
+				t.Errorf("rank %d: new-epoch collective gave %v, %v; want %d", c.Rank(), sum, err, P)
+			}
+			return nil
+		})
+	}
+	w.Wait() // ranks 0 and 2 have posted; everyone is parked
+	w.Kill(1)
+	epoch = w.Repair()
+	for r := 0; r < P; r++ {
+		w.Release(r)
+	}
+	for r, err := range w.Wait() {
+		if err != nil {
+			t.Errorf("rank %d: %v", r, err)
+		}
+	}
+	wantNoOpenSlots(t, w, 1)
+}

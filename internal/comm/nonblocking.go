@@ -54,9 +54,11 @@ func (r *Request) WaitInto(out []float64) (int, error) {
 }
 
 // Test reports whether Wait would return without blocking — every rank
-// has posted, or the world has failed under the collective — without
-// advancing the clock. It does not yield: no other rank runs between
-// two Tests, so poll it between work phases, not in a spin loop.
+// has posted, or the world has failed under the collective (a Repair
+// since the post included: the request's epoch is gone even if this
+// rank has joined the next) — without advancing the clock. It does not
+// yield: no other rank runs between two Tests, so poll it between work
+// phases, not in a spin loop.
 func (r *Request) Test() bool {
-	return r.err != nil || r.s.done || r.c.checkAlive() != nil
+	return r.err != nil || r.s.done || r.key.epoch != r.c.world.epoch || r.c.checkAlive() != nil
 }

@@ -84,13 +84,7 @@ func (m *CSR) ApplyLocal(y []float64) {
 	start := m.c.SpanStart()
 	nl := m.hi - m.lo
 	la.CheckLen("y", y, nl)
-	for i := 0; i < nl; i++ {
-		s := 0.0
-		for q := m.rowPtr[i]; q < m.rowPtr[i+1]; q++ {
-			s += m.val[q] * m.xbuf[m.colIdx[q]]
-		}
-		y[i] = s
-	}
+	la.SpMVRows(m.rowPtr, m.colIdx, m.val, m.xbuf, y)
 	m.c.Compute(2 * float64(len(m.val)))
 	m.c.SpanEnd(obs.PhaseSpMV, start)
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/la"
 	"repro/internal/mem"
-	"repro/internal/obs"
 )
 
 // DistFGMRES is distributed flexible GMRES(m): right-preconditioned MGS
@@ -109,22 +108,10 @@ func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 
 			if err := a.Apply(zj, w); err != nil {
 				return x, st, err
 			}
-			mgs := c.SpanStart()
-			for i := 0; i <= j; i++ {
-				hij, err := dist.Dot(c, w, v[i])
-				if err != nil {
-					return x, st, err
-				}
-				st.Reductions++
-				h.Set(i, j, hij)
-				dist.Axpy(c, -hij, v[i], w)
-			}
-			hj1, err := dist.Norm2(c, w)
+			hj1, err := mgs(c, v, w, j, h, &st)
 			if err != nil {
 				return x, st, err
 			}
-			st.Reductions++
-			c.SpanEnd(obs.PhaseOrthogonalize, mgs)
 			if math.IsNaN(hj1) || math.IsInf(hj1, 0) {
 				j = 0
 				break

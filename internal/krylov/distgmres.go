@@ -8,7 +8,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/la"
 	"repro/internal/mem"
-	"repro/internal/obs"
 )
 
 // DistGMRESOptions configures the distributed GMRES variants.
@@ -137,24 +136,10 @@ func distGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOpt
 			if err := a.Apply(op, w); err != nil {
 				return x, st, err
 			}
-			// Modified Gram–Schmidt: one blocking reduction per basis
-			// vector — the synchronisation hot spot.
-			mgs := c.SpanStart()
-			for i := 0; i <= j; i++ {
-				hij, err := dist.Dot(c, w, v[i])
-				if err != nil {
-					return x, st, err
-				}
-				st.Reductions++
-				h.Set(i, j, hij)
-				dist.Axpy(c, -hij, v[i], w)
-			}
-			hj1, err := dist.Norm2(c, w) // and one more for the norm
+			hj1, err := mgs(c, v, w, j, h, &st)
 			if err != nil {
 				return x, st, err
 			}
-			st.Reductions++
-			c.SpanEnd(obs.PhaseOrthogonalize, mgs)
 			h.Set(j+1, j, hj1)
 			if hj1 > 0 {
 				copy(v[j+1], w)

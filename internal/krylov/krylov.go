@@ -9,8 +9,11 @@ package krylov
 
 import (
 	"errors"
+	"math"
 
+	"repro/internal/comm"
 	"repro/internal/la"
+	"repro/internal/obs"
 )
 
 // Op is a linear operator y = A·x for serial solvers. Implementations
@@ -135,6 +138,49 @@ func applyDistPrecon(m DistPreconditioner, r, z []float64) error {
 		return nil
 	}
 	return m.ApplyInto(r, z)
+}
+
+// mgs is the modified Gram–Schmidt step of the distributed Arnoldi
+// process, shared by DistGMRES (and through it FT-GMRES's inner solves)
+// and DistFGMRES: it orthogonalises w against v[0..j] in place, stores
+// the projections in column j of h, and returns ‖w‖ — j+2 blocking
+// reductions, the synchronisation hot spot §III-B criticises, under one
+// orthogonalize span.
+//
+// Each subtraction w −= h_ij·v_i shares its pass over w with the next
+// projection's local dot (la.AxpyDot against v[i+1], or against w
+// itself for the closing norm), so a step reads w j+2 times instead of
+// 2j+3. The arithmetic, the charges and their order relative to the
+// reductions are exactly those of the unfused sequence dist.Dot,
+// dist.Axpy, …, dist.Norm2 (kept as the reference in mgs_test.go):
+// results, clocks and ledgers are bit-identical to it.
+func mgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
+	span := c.SpanStart()
+	n := len(w)
+	local := la.Dot(w, v[0])
+	for i := 0; i <= j; i++ {
+		c.Compute(la.FlopsDot(n))
+		hij, err := c.AllreduceScalar(local, comm.OpSum)
+		if err != nil {
+			return 0, err
+		}
+		st.Reductions++
+		h.Set(i, j, hij)
+		next := w // after the last projection: the norm's w·w
+		if i < j {
+			next = v[i+1]
+		}
+		local = la.AxpyDot(-hij, v[i], w, next)
+		c.Compute(la.FlopsAxpy(n))
+	}
+	c.Compute(la.FlopsDot(n))
+	total, err := c.AllreduceScalar(local, comm.OpSum)
+	if err != nil {
+		return 0, err
+	}
+	st.Reductions++
+	c.SpanEnd(obs.PhaseOrthogonalize, span)
+	return math.Sqrt(total), nil
 }
 
 // Stats records a solve's trajectory for the experiment tables.

@@ -103,13 +103,7 @@ func (m *CSR) MatVec(x []float64, y []float64) []float64 {
 	} else {
 		CheckLen("y", y, m.Rows)
 	}
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			s += m.Val[p] * x[m.ColIdx[p]]
-		}
-		y[i] = s
-	}
+	SpMVRows(m.RowPtr[:m.Rows+1], m.ColIdx, m.Val, x, y)
 	return y
 }
 

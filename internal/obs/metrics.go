@@ -107,15 +107,73 @@ type Histogram struct {
 	sum    atomicFloat
 }
 
+// bucketOf returns the index of the le bucket an observation of v lands
+// in: the first bound >= v, or len(bounds) — the +Inf overflow — when
+// there is none (a NaN lands there too). The one bucket rule, shared by
+// Histogram.Observe and Tally.Observe.
+func bucketOf(bounds []float64, v float64) int { return sort.SearchFloat64s(bounds, v) }
+
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	// First bound >= v is exactly the le bucket the observation lands in.
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
+	h.counts[bucketOf(h.bounds, v)].Add(1)
 	h.sum.add(v)
+}
+
+// Tally is a single-goroutine staging area in front of one Histogram:
+// Observe buckets exactly as Histogram.Observe does but with plain
+// adds, and Flush merges what was staged into the histogram — bucket
+// counts exactly, the sum as one addition — and empties the tally. A
+// hot loop that would otherwise hit the histogram's shared cache lines
+// once per observation (the solve service sees every phase span of
+// every rank) touches them once per flush instead. Until the flush the
+// staged observations are invisible to scrapes. The nil *Tally is a
+// valid no-op sink.
+type Tally struct {
+	h      *Histogram
+	counts []uint64
+	sum    float64
+}
+
+// Tally returns an empty staging area for h (nil for the nil
+// histogram). Any number of tallies may feed one histogram; each must
+// stay on one goroutine.
+func (h *Histogram) Tally() *Tally {
+	if h == nil {
+		return nil
+	}
+	return &Tally{h: h, counts: make([]uint64, len(h.counts))}
+}
+
+// Observe stages one value.
+func (t *Tally) Observe(v float64) {
+	if t == nil {
+		return
+	}
+	t.counts[bucketOf(t.h.bounds, v)]++
+	t.sum += v
+}
+
+// Flush merges the staged observations into the histogram and resets
+// the tally for reuse.
+func (t *Tally) Flush() {
+	if t == nil {
+		return
+	}
+	staged := false
+	for i, n := range t.counts {
+		if n != 0 {
+			t.h.counts[i].Add(n)
+			t.counts[i] = 0
+			staged = true
+		}
+	}
+	if staged {
+		t.h.sum.add(t.sum)
+		t.sum = 0
+	}
 }
 
 // Count returns the total number of observations (0 on nil).

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,63 @@ func TestHistogramBucketEdges(t *testing.T) {
 
 // TestExpositionEscaping pins label-value and help escaping: backslash,
 // double quote and newline must be escaped per the text format.
+// TestTallyMatchesDirectObservation: staging observations in tallies —
+// several, flushed in pieces, reused after a flush — lands every one in
+// the bucket Histogram.Observe would have chosen (bounds, values between
+// them, the +Inf overflow and NaN included), and the sums agree up to
+// the regrouping of the additions.
+func TestTallyMatchesDirectObservation(t *testing.T) {
+	bounds := []float64{1e-6, 1e-3, 0.1, 0.5, 1}
+	r := NewRegistry()
+	direct := r.Histogram("repro_direct", "", bounds)
+	staged := r.Histogram("repro_staged", "", bounds)
+	vals := []float64{0, 1e-7, 1e-6, 2e-6, 1e-3, 0.05, 0.1, 0.3, 0.5, 0.7, 1, 2, 1e9}
+	a, b := staged.Tally(), staged.Tally()
+	for round := 0; round < 3; round++ {
+		for i, v := range vals {
+			direct.Observe(v)
+			if (i+round)%2 == 0 {
+				a.Observe(v)
+			} else {
+				b.Observe(v)
+			}
+		}
+		a.Flush()
+		if round == 1 {
+			b.Flush()
+		}
+	}
+	if staged.Count() == direct.Count() {
+		t.Fatal("observations staged in an unflushed tally are already visible")
+	}
+	b.Flush()
+	b.Flush() // empty: a no-op
+	for i := range direct.counts {
+		if got, want := staged.counts[i].Load(), direct.counts[i].Load(); got != want {
+			t.Errorf("bucket %d: %d staged, %d direct", i, got, want)
+		}
+	}
+	if got, want := staged.Sum(), direct.Sum(); math.Abs(got-want) > 1e-9*want {
+		t.Errorf("sum %v staged, %v direct", got, want)
+	}
+
+	// NaN lands in the overflow bucket on both paths (sums go NaN, as
+	// they always did).
+	direct.Observe(math.NaN())
+	a.Observe(math.NaN())
+	a.Flush()
+	if last := len(bounds); staged.counts[last].Load() != direct.counts[last].Load() {
+		t.Errorf("NaN: overflow bucket %d staged, %d direct", staged.counts[last].Load(), direct.counts[last].Load())
+	}
+
+	none := (*Histogram)(nil).Tally()
+	none.Observe(1)
+	none.Flush()
+	if n := testing.AllocsPerRun(100, func() { a.Observe(0.2); a.Flush() }); n != 0 {
+		t.Errorf("Tally Observe+Flush allocates %v times", n)
+	}
+}
+
 func TestExpositionEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("repro_esc_total", "help with \\ and\nnewline",

@@ -83,26 +83,39 @@ func (ch *Chebyshev) ApplyInto(r, z []float64) error {
 	}
 	ch.c.Compute(float64(n))
 
+	la.Axpy(1, d, z) // step 0's z += d; later steps' ride in the fused loop
 	for step := 0; step < ch.k; step++ {
-		la.Axpy(1, d, z)
 		ch.c.Compute(la.FlopsAxpy(n))
 		if err := ch.a.Apply(d, ch.ad); err != nil {
 			return err
 		}
-		la.Axpy(-1, ch.ad, res)
-		ch.c.Compute(la.FlopsAxpy(n))
-
 		rhoNew := 1 / (2*sigma1 - rho)
-		coefD := rhoNew * rho
-		coefR := 2 * rhoNew / delta
-		for i := range d {
-			d[i] = coefD*d[i] + coefR*res[i]
-		}
+		chebyshevStep(ch.ad, res, d, z, rhoNew*rho, 2*rhoNew/delta, step+1 < ch.k)
+		ch.c.Compute(la.FlopsAxpy(n))
 		ch.c.Compute(3 * float64(n))
 		rho = rhoNew
 	}
 	ch.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
+}
+
+// chebyshevStep is one semi-iteration's vector work in a single trip:
+// res −= A·d (ad holds the product), d = coefD·d + coefR·res over the
+// updated residual and, when another step follows, that step's z += d.
+// Each element sees the operations of the three separate loops in their
+// order, so the result is bitwise theirs; ApplyInto still charges each
+// loop on its own (a charge draws from the noise stream).
+func chebyshevStep(ad, res, d, z []float64, coefD, coefR float64, more bool) {
+	ad, res, z = ad[:len(d)], res[:len(d)], z[:len(d)]
+	for i, di := range d {
+		ri := res[i] - ad[i]
+		res[i] = ri
+		di = coefD*di + coefR*ri
+		d[i] = di
+		if more {
+			z[i] += di
+		}
+	}
 }
 
 // Flops implements Preconditioner: the vector-recurrence work charged

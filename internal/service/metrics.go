@@ -28,8 +28,9 @@ func (s *Server) initMetrics() {
 		"Run traces that could not be persisted to the trace directory.")
 
 	// Per-phase virtual-duration histograms, fed from each run's event
-	// stream (see observePhase): every rank's spans of every executed
-	// run, in virtual seconds, whether or not tracing is on.
+	// stream (see phaseTallies): every rank's spans of every executed
+	// run, in virtual seconds, whether or not tracing is on, merged in
+	// when the run completes.
 	// Restart-recovery is excluded — it re-labels lost work rather than
 	// timing a phase.
 	s.phaseSec = make(map[string]*obs.Histogram)
@@ -153,16 +154,34 @@ func phaseBuckets() []float64 {
 	return []float64{1e-7, 1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
-// observePhase is the event sink behind repro_phase_vseconds: one
-// histogram sample per phase span, in virtual seconds. Called
-// concurrently from the runs of every worker;
-// histograms are atomic, so no extra locking.
-func (s *Server) observePhase(ev obs.Event) {
-	if ev.Name != obs.EventSpan {
-		return
+// phaseTallies stages one run's samples for repro_phase_vseconds: a
+// run emits a span per phase per rank per iteration, and two workers
+// observing each one straight into the shared histograms spend their
+// time trading cache lines. A run's tallies live on the worker that
+// executes it and reach the histograms in one flush when it completes.
+type phaseTallies map[string]*obs.Tally
+
+// newPhaseTallies returns an empty tally per phase histogram.
+func (s *Server) newPhaseTallies() phaseTallies {
+	t := make(phaseTallies, len(s.phaseSec))
+	for p, h := range s.phaseSec {
+		t[p] = h.Tally()
 	}
-	if h := s.phaseSec[ev.Detail]; h != nil {
-		h.Observe(ev.Dur)
+	return t
+}
+
+// observe is the run's event sink: one staged sample per phase span,
+// in virtual seconds.
+func (t phaseTallies) observe(ev obs.Event) {
+	if ev.Name == obs.EventSpan {
+		t[ev.Detail].Observe(ev.Dur)
+	}
+}
+
+// flush merges the run's samples into the server's histograms.
+func (t phaseTallies) flush() {
+	for _, tally := range t {
+		tally.Flush()
 	}
 }
 

@@ -304,9 +304,10 @@ func (s *Server) Stats() StatsResponse {
 
 // execute runs one request's solve on the calling goroutine (a pool
 // worker) and updates the counters. The run's event stream is tee'd to
-// events (the SSE feeder; nil for none), the per-phase histograms on
-// /metrics — every run, traced or not — and, when the server has a
-// trace directory and the run is sampled, a tracer whose timeline is
+// events (the SSE feeder; nil for none), the run's tallies for the
+// per-phase histograms on /metrics — every run, traced or not, merged
+// in when the run completes — and, when the server has a trace
+// directory and the run is sampled, a tracer whose timeline is
 // persisted alongside.
 func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Record {
 	reqID := RequestID(req)
@@ -316,10 +317,16 @@ func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Rec
 		tr = campaign.NewRunTracer(&spec, cell, req.Rep)
 		tr.AllRanks = s.traceAll
 	}
+	var trace func(obs.Event) // nil, not a bound nil method: Tee drops it
+	if tr != nil {
+		trace = tr.Observe
+	}
+	phases := s.newPhaseTallies()
 	rec := campaign.ExecuteRunEnv(&spec, cell, req.Rep, &campaign.ExecEnv{
 		Problems: s.cache.Problem, Setups: s.cache,
-		Events: obs.Tee(events, s.observePhase, tr.Observe),
+		Events: obs.Tee(events, phases.observe, trace),
 	})
+	phases.flush()
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
 	if _, err := campaign.WriteRunTraceAs(s.traceDir, tr,
