@@ -24,7 +24,8 @@ type Thresholds struct {
 	VirtualTime float64
 }
 
-// DefaultThresholds returns the gates CI runs with.
+// DefaultThresholds returns benchdiff compare's default gates; CI
+// tightens VirtualTime to zero growth (-vt 0).
 func DefaultThresholds() Thresholds {
 	return Thresholds{NsPerOp: 0.25, AllocsPerOp: 0.01, VirtualTime: 0.10}
 }

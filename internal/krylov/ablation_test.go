@@ -7,61 +7,103 @@ import (
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/la"
+	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/problems"
 )
 
 // TestCGSGMRESMatchesMGS verifies the one-reduce variant solves the same
-// system to the same answer with far fewer reductions.
+// system to the same answer with far fewer reductions — bare and behind
+// a Jacobi preconditioner, which it must apply like its MGS sibling —
+// and reports one iteration event per iteration.
 func TestCGSGMRESMatchesMGS(t *testing.T) {
 	const p = 4
 	a := problems.ConvDiff2D(16, 16, 20, 10)
 	bGlob, xstar := problems.ManufacturedRHS(a)
+	type solver func(*comm.Comm, dist.Operator, []float64, []float64, DistGMRESOptions) ([]float64, Stats, error)
 
-	var xCGS []float64
-	var stCGS, stMGS Stats
-	err := comm.Run(distConfig(p), func(c *comm.Comm) error {
+	for _, jacobi := range []bool{false, true} {
+		// solve returns rank 0's view: the gathered solution, the stats,
+		// and how often the preconditioner ran and an iteration was
+		// reported there.
+		solve := func(run solver) (full []float64, st Stats, applied, reported int) {
+			cfg := distConfig(p)
+			cfg.Observer = func(ev obs.Event) {
+				if ev.Rank == 0 && ev.Name == obs.EventIteration {
+					reported++
+				}
+			}
+			err := comm.Run(cfg, func(c *comm.Comm) error {
+				op := dist.NewCSR(c, a)
+				opts := DistGMRESOptions{Restart: 40, Tol: 1e-9, MaxIter: 300}
+				m := &diagPrecon{c: c, d: op.Scatter(a.Diag()), rng: machine.NewRNG(1)}
+				if jacobi {
+					opts.Precon = m
+				}
+				x, s, err := run(c, op, op.Scatter(bGlob), nil, opts)
+				if err != nil {
+					return err
+				}
+				g, err := op.Gather(x)
+				if c.Rank() == 0 {
+					full, st, applied = g, s, m.calls
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		xCGS, stCGS, applied, reported := solve(DistCGSGMRES)
+		xMGS, stMGS, _, _ := solve(DistGMRES)
+
+		if !stCGS.Converged {
+			t.Fatalf("jacobi=%v: CGS GMRES did not converge: %g", jacobi, stCGS.FinalResidual)
+		}
+		if e := la.NrmInf(la.Sub(xCGS, xstar)); e > 1e-5 {
+			t.Errorf("jacobi=%v: CGS GMRES error %g", jacobi, e)
+		}
+		if e := la.NrmInf(la.Sub(xCGS, xMGS)); e > 1e-5 {
+			t.Errorf("jacobi=%v: CGS and MGS GMRES differ by %g", jacobi, e)
+		}
+		if stCGS.Reductions >= stMGS.Reductions/3 {
+			t.Errorf("jacobi=%v: CGS should slash reductions: cgs=%d mgs=%d", jacobi, stCGS.Reductions, stMGS.Reductions)
+		}
+		if (applied > 0) != jacobi {
+			t.Errorf("jacobi=%v: CGS GMRES applied its preconditioner %d times", jacobi, applied)
+		}
+		if reported != stCGS.Iterations {
+			t.Errorf("jacobi=%v: CGS GMRES reported %d iterations of %d", jacobi, reported, stCGS.Iterations)
+		}
+	}
+}
+
+// TestCGSGMRESAllocsIndependentOfSteps: the engine allocates a solve's
+// footprint up front, so how many Arnoldi steps a CGS solve takes does
+// not change how often it allocates.
+func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
+	a := problems.ConvDiff2D(12, 12, 20, 10)
+	rhs, _ := problems.ManufacturedRHS(a)
+	err := comm.Run(distConfig(1), func(c *comm.Comm) error {
 		op := dist.NewCSR(c, a)
-		local := op.Scatter(bGlob)
-		x, st, err := DistCGSGMRES(c, op, local, nil, DistGMRESOptions{Restart: 40, Tol: 1e-9, MaxIter: 300})
-		if err != nil {
-			return err
+		allocs := func(maxIter int) float64 {
+			solve := func() {
+				_, st, err := DistCGSGMRES(c, op, rhs, nil, DistGMRESOptions{Restart: 40, Tol: 1e-30, MaxIter: maxIter})
+				if err != nil || st.Iterations != maxIter {
+					t.Errorf("MaxIter %d: %d iterations, err %v", maxIter, st.Iterations, err)
+				}
+			}
+			solve() // warm-up: the world's collective pools fill
+			return testing.AllocsPerRun(5, solve)
 		}
-		full, err := op.Gather(x)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			xCGS, stCGS = full, st
+		if short, long := allocs(10), allocs(40); short != long {
+			t.Errorf("a 10-step solve allocates %v times, a 40-step solve %v", short, long)
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	err = comm.Run(distConfig(p), func(c *comm.Comm) error {
-		op := dist.NewCSR(c, a)
-		local := op.Scatter(bGlob)
-		_, st, err := DistGMRES(c, op, local, nil, DistGMRESOptions{Restart: 40, Tol: 1e-9, MaxIter: 300})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			stMGS = st
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !stCGS.Converged {
-		t.Fatalf("CGS GMRES did not converge: %g", stCGS.FinalResidual)
-	}
-	if e := la.NrmInf(la.Sub(xCGS, xstar)); e > 1e-5 {
-		t.Errorf("CGS GMRES error %g", e)
-	}
-	if stCGS.Reductions >= stMGS.Reductions/3 {
-		t.Errorf("CGS should slash reductions: cgs=%d mgs=%d", stCGS.Reductions, stMGS.Reductions)
 	}
 }
 

@@ -1,0 +1,284 @@
+package krylov
+
+import (
+	"math"
+
+	"repro/internal/comm"
+	"repro/internal/dist"
+	"repro/internal/la"
+	"repro/internal/mem"
+)
+
+// arnoldiKind says which member of the restarted-GMRES family one
+// arnoldi call is. It is not an option: the four exported entry points
+// (DistGMRES, DistGMRESInner, DistFGMRES, DistCGSGMRES) each construct
+// exactly one value, and nothing else does.
+type arnoldiKind struct {
+	// m is the right preconditioner; nil means none.
+	m DistPreconditioner
+	// flexible keeps every M⁻¹·v_j, so m may change from step to step
+	// (FGMRES). Otherwise m must be fixed: one scratch vector serves
+	// every step and the update is x += M⁻¹·(V·y), one extra application
+	// per cycle.
+	flexible bool
+	// cgs orthogonalises with one merged reduction per step (cgs) where
+	// the default makes j+2 (mgs). Its Pythagorean norm can cancel, so a
+	// cgs solve trusts no Givens estimate: convergence is declared only
+	// on the true residual at the top of a cycle, and two cycles that
+	// fail to lower it end the solve.
+	cgs bool
+	// guard abandons a cycle whose new basis vector has a non-finite
+	// norm, restarting from the iterate the cycle began with, and gives
+	// up under the abandoned-cycle budget (see arnoldi). Without it a
+	// corrupted operator runs NaN to MaxIter, which is what the pinned
+	// gmres × bitflip campaign cells record.
+	guard bool
+	// quiet suppresses the iteration events.
+	quiet bool
+}
+
+// arnoldi is the one restarted GMRES(m) loop over a distributed
+// operator: a true residual opens each cycle, an Arnoldi step applies
+// the (preconditioned) operator and orthogonalises with mgs or cgs, lsq
+// carries the Givens-rotated least-squares problem, and the cycle's
+// correction is added to x. The whole footprint — basis, preconditioned
+// directions, scratch, least-squares system and residual history — is
+// allocated before the first cycle; cycles and steps allocate nothing
+// (the halo exchange and reductions recycle buffers world-side too).
+func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions, kind arnoldiKind) ([]float64, Stats, error) {
+	opts.defaults()
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
+		return x, st, err
+	}
+	n, m := len(x), opts.Restart
+	zRows := 0 // M⁻¹·v_j slots: none, one scratch, or one per step
+	switch {
+	case kind.m != nil && kind.flexible:
+		zRows = m
+	case kind.m != nil:
+		zRows = 1
+	}
+	ws := mem.NewWorkspace((m + 3 + zRows) * n)
+	v := ws.Mat(m+1, n)
+	z := ws.Mat(zRows, n)
+	w := ws.Vec(n)
+	r := ws.Vec(n)
+	q := newLSQ(m)
+	var dots []float64
+	if kind.cgs {
+		dots = make([]float64, m+2)
+	}
+	st.Residuals = makeResidualHistory(opts.MaxIter)
+
+	// The abandoned-cycle budget. A cycle abandoned at its first step
+	// adds no iteration, so MaxIter alone does not bound a solve whose
+	// every cycle is corrupt (a faulty operator can keep the iterate
+	// non-finite for good). Such cycles draw on a budget of MaxIter of
+	// their own, after which the solve gives up, unconverged, with an
+	// infinite residual. Every rank sees the same reduced norm, so all
+	// ranks give up together. Serial GMRESInto applies the same budget.
+	abandoned := 0
+	bestRes, stalls := math.Inf(1), 0 // cgs: best true residual, cycles since
+	for st.Iterations < opts.MaxIter && !st.Converged {
+		before := st.Iterations
+		beta, err := trueResidual(c, a, b, x, w, r, &st)
+		if err != nil {
+			return x, st, err
+		}
+		rel := beta / bnorm
+		if rel <= opts.Tol {
+			st.Converged, st.FinalResidual = true, rel
+			break
+		}
+		if kind.cgs {
+			st.FinalResidual = rel
+			if rel < bestRes {
+				bestRes, stalls = rel, 0
+			} else if stalls++; stalls >= 2 {
+				break
+			}
+		}
+		copy(v[0], r)
+		dist.Scal(c, 1/beta, v[0])
+		q.reset(beta)
+
+		j := 0
+		for ; j < m && st.Iterations < opts.MaxIter; j++ {
+			dir := v[j]
+			if kind.m != nil {
+				dir = z[0]
+				if kind.flexible {
+					dir = z[j]
+				}
+				if err := kind.m.ApplyInto(v[j], dir); err != nil {
+					return x, st, err
+				}
+			}
+			if err := a.Apply(dir, w); err != nil {
+				return x, st, err
+			}
+			var hj1 float64
+			if kind.cgs {
+				hj1, err = cgs(c, v, w, j, q.h, dots, &st)
+			} else {
+				hj1, err = mgs(c, v, w, j, q.h, &st)
+			}
+			if err != nil {
+				return x, st, err
+			}
+			if kind.guard && (math.IsNaN(hj1) || math.IsInf(hj1, 0)) {
+				j = 0
+				break
+			}
+			q.h.Set(j+1, j, hj1)
+			if hj1 > 0 {
+				copy(v[j+1], w)
+				dist.Scal(c, 1/hj1, v[j+1])
+			}
+			st.Iterations++
+			relres := q.push(j) / bnorm
+			st.Residuals = append(st.Residuals, relres)
+			st.FinalResidual = relres
+			if !kind.quiet {
+				emitIteration(c, st.Iterations, relres)
+			}
+			// hj1 == 0 is happy breakdown: the column is complete and
+			// the update below uses it.
+			if relres <= opts.Tol || hj1 == 0 {
+				j++
+				break
+			}
+		}
+		if j > 0 {
+			y := q.solve(j)
+			if kind.m != nil && !kind.flexible {
+				// Fixed M: x += M⁻¹·(V·y), one application per cycle.
+				clear(w)
+				for i := 0; i < j; i++ {
+					dist.Axpy(c, y[i], v[i], w)
+				}
+				if err := kind.m.ApplyInto(w, z[0]); err != nil {
+					return x, st, err
+				}
+				dist.Axpy(c, 1, z[0], x)
+			} else {
+				dirs := v
+				if kind.m != nil {
+					dirs = z
+				}
+				for i := 0; i < j; i++ {
+					dist.Axpy(c, y[i], dirs[i], x)
+				}
+			}
+		}
+		st.Restarts++
+		if !kind.cgs && st.FinalResidual <= opts.Tol {
+			st.Converged = true
+		}
+		if kind.guard && st.Iterations == before {
+			if abandoned++; abandoned == opts.MaxIter {
+				st.FinalResidual = math.Inf(1)
+				break
+			}
+		}
+	}
+	st.VirtualTime = c.Clock()
+	return x, st, nil
+}
+
+// start opens a distributed solve the way all ten solvers do: it checks
+// b and the warm start x0 (nil for zero) against the rank's slab, copies
+// x0 into a fresh iterate, and reduces ‖b‖. A zero right-hand side
+// counts as solved by the iterate as it stands: st.Converged is set and
+// the caller returns.
+func start(c *comm.Comm, a dist.Operator, b, x0 []float64) (x []float64, bnorm float64, st Stats, err error) {
+	n := a.LocalLen()
+	la.CheckLen("b", b, n)
+	x = make([]float64, n)
+	if x0 != nil {
+		la.CheckLen("x0", x0, n)
+		copy(x, x0)
+	}
+	if bnorm, err = dist.Norm2(c, b); err != nil {
+		return x, 0, st, err
+	}
+	st.Reductions++
+	st.Converged = bnorm == 0
+	return x, bnorm, st, nil
+}
+
+// trueResidual computes r = b − A·x through the scratch vector w (which
+// r may alias) and returns the reduced ‖r‖: one operator application,
+// one n-flop charge, one reduction.
+func trueResidual(c *comm.Comm, a dist.Operator, b, x, w, r []float64, st *Stats) (float64, error) {
+	if err := a.Apply(x, w); err != nil {
+		return 0, err
+	}
+	for i := range r {
+		r[i] = b[i] - w[i]
+	}
+	c.Compute(float64(len(r)))
+	beta, err := dist.Norm2(c, r)
+	if err != nil {
+		return 0, err
+	}
+	st.Reductions++
+	return beta, nil
+}
+
+// lsq is the small least-squares problem min ‖β·e₁ − H·y‖ of one GMRES
+// cycle, kept triangular by Givens rotations as the Arnoldi process adds
+// columns. Every GMRES in the package — serial, the arnoldi engine and
+// the pipelined p1Cycle — writes column j of h (rows 0..j+1) and calls
+// push(j); none rotates by hand.
+type lsq struct {
+	h   *la.Dense   // (m+1)×m Hessenberg matrix, rotated in place
+	g   []float64   // rotated right-hand side, length m+1
+	rot []la.Givens // rotation j annihilates h(j+1, j)
+	y   []float64   // solve's result storage, length m
+}
+
+func newLSQ(m int) lsq {
+	return lsq{h: la.NewDense(m+1, m), g: make([]float64, m+1), rot: make([]la.Givens, m), y: make([]float64, m)}
+}
+
+// reset starts a cycle whose initial residual norm is beta.
+func (q *lsq) reset(beta float64) {
+	clear(q.g)
+	q.g[0] = beta
+}
+
+// push applies the earlier rotations to the freshly written column j,
+// creates the rotation annihilating its subdiagonal, rotates the
+// right-hand side, and returns the residual norm estimate |g[j+1]|.
+func (q *lsq) push(j int) float64 {
+	// Locals: reading the three through the receiver inside the loop
+	// measurably slows the serial GMRES iteration kernel.
+	h, g, rot := q.h, q.g, q.rot
+	for i := 0; i < j; i++ {
+		a, b := rot[i].Apply(h.At(i, j), h.At(i+1, j))
+		h.Set(i, j, a)
+		h.Set(i+1, j, b)
+	}
+	gv, rr := la.MakeGivens(h.At(j, j), h.At(j+1, j))
+	rot[j] = gv
+	h.Set(j, j, rr)
+	h.Set(j+1, j, 0)
+	g[j], g[j+1] = gv.Apply(g[j], g[j+1])
+	return math.Abs(g[j+1])
+}
+
+// solve back-substitutes the rotated leading j×j triangle against the
+// right-hand side and returns y (length j, valid until the next solve).
+func (q *lsq) solve(j int) []float64 {
+	h, g, y := q.h, q.g, q.y[:j]
+	for i := j - 1; i >= 0; i-- {
+		s := g[i]
+		for k := i + 1; k < j; k++ {
+			s -= h.At(i, k) * y[k]
+		}
+		y[i] = s / h.At(i, i)
+	}
+	return y
+}

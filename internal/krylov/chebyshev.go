@@ -41,23 +41,11 @@ func DistChebyshev(c *comm.Comm, a dist.Operator, b, x0 []float64, opts Chebyshe
 	if opts.LambdaMin <= 0 || opts.LambdaMax <= opts.LambdaMin {
 		panic("krylov: Chebyshev needs 0 < LambdaMin < LambdaMax")
 	}
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm, err := dist.Norm2(c, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
+	n := len(x)
 
 	theta := (opts.LambdaMax + opts.LambdaMin) / 2
 	delta := (opts.LambdaMax - opts.LambdaMin) / 2

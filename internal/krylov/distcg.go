@@ -37,25 +37,11 @@ func (o *DistOptions) defaults() {
 // the paper warns about. It is the baseline of experiments F2/F3.
 func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
 	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		la.CheckLen("x0", x0, n)
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm2, err := dist.Dot(c, b, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	bnorm := math.Sqrt(bnorm2)
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
+	n := len(x)
 
 	r := make([]float64, n)
 	if err := a.Apply(x, r); err != nil {
@@ -123,25 +109,11 @@ func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([
 // work. Residuals match classic CG to rounding.
 func DistPipelinedCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
 	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		la.CheckLen("x0", x0, n)
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm2, err := dist.Dot(c, b, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	bnorm := math.Sqrt(bnorm2)
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
+	n := len(x)
 
 	// r = b − A·x; w = A·r.
 	r := make([]float64, n)

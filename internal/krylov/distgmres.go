@@ -46,7 +46,7 @@ func (o *DistGMRESOptions) defaults() {
 // for p1-GMRES in experiments F2/F3. With opts.Precon set it runs
 // right-preconditioned (see DistGMRESOptions.Precon).
 func DistGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
-	return distGMRES(c, a, b, x0, opts, false)
+	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: opts.Precon})
 }
 
 // DistGMRESInner is DistGMRES run as a preconditioner inside another
@@ -54,148 +54,39 @@ func DistGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOpt
 // iteration events — a run's progress stream reports the outer solver's
 // iterations only.
 func DistGMRESInner(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
-	return distGMRES(c, a, b, x0, opts, true)
+	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: opts.Precon, quiet: true})
 }
 
-func distGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions, quiet bool) ([]float64, Stats, error) {
-	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
+// DistFGMRES is distributed flexible GMRES(m): right-preconditioned MGS
+// Arnoldi where the preconditioner may change every iteration — which is
+// how a whole (possibly unreliable) inner solve serves as M, making this
+// the reliable outer solver of the distributed FT-GMRES in internal/srp.
+// Being the reliable one, it abandons a cycle whose new basis vector is
+// not finite rather than carry NaN into the iterate, and gives up,
+// unconverged with an infinite residual, after MaxIter such cycles.
+//
+// precon is any DistPreconditioner (internal/precond implementations,
+// srp.DistInner, …); each iteration's application is stored, so unlike
+// DistGMRES's fixed-M mode nothing requires the applications to be
+// consistent with each other. nil falls back to opts.Precon, and if that
+// is nil too the solve is plain DistGMRES mathematics.
+func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+	if precon == nil {
+		precon = opts.Precon
 	}
-	var st Stats
+	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: precon, flexible: true, guard: true})
+}
 
-	bnorm, err := dist.Norm2(c, b)
-	if err != nil {
-		return x, st, err
-	}
-	st.Reductions++
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
-	// The whole solve footprint — basis, Hessenberg system, scratch and
-	// residual history — is allocated here; the restart cycles and the
-	// Arnoldi iterations inside them then allocate nothing (the halo
-	// exchange and reductions recycle buffers world-side too).
-	m := opts.Restart
-	extra := 0
-	if opts.Precon != nil {
-		extra = 1 // the M⁻¹ scratch vector
-	}
-	ws := mem.NewWorkspace((m + 3 + extra) * n)
-	v := ws.Mat(m+1, n)
-	w := ws.Vec(n)
-	r := ws.Vec(n)
-	var z []float64
-	if opts.Precon != nil {
-		z = ws.Vec(n)
-	}
-	h := la.NewDense(m+1, m)
-	g := make([]float64, m+1)
-	rot := make([]la.Givens, m)
-	y := make([]float64, m)
-	st.Residuals = makeResidualHistory(opts.MaxIter)
-
-	for st.Iterations < opts.MaxIter && !st.Converged {
-		if err := a.Apply(x, w); err != nil {
-			return x, st, err
-		}
-		for i := range r {
-			r[i] = b[i] - w[i]
-		}
-		c.Compute(float64(n))
-		beta, err := dist.Norm2(c, r)
-		if err != nil {
-			return x, st, err
-		}
-		st.Reductions++
-		if beta/bnorm <= opts.Tol {
-			st.Converged = true
-			st.FinalResidual = beta / bnorm
-			break
-		}
-		copy(v[0], r)
-		dist.Scal(c, 1/beta, v[0])
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
-
-		j := 0
-		for ; j < m && st.Iterations < opts.MaxIter; j++ {
-			op := v[j]
-			if opts.Precon != nil {
-				if err := opts.Precon.ApplyInto(v[j], z); err != nil {
-					return x, st, err
-				}
-				op = z
-			}
-			if err := a.Apply(op, w); err != nil {
-				return x, st, err
-			}
-			hj1, err := mgs(c, v, w, j, h, &st)
-			if err != nil {
-				return x, st, err
-			}
-			h.Set(j+1, j, hj1)
-			if hj1 > 0 {
-				copy(v[j+1], w)
-				dist.Scal(c, 1/hj1, v[j+1])
-			}
-			for i := 0; i < j; i++ {
-				a2, b2 := rot[i].Apply(h.At(i, j), h.At(i+1, j))
-				h.Set(i, j, a2)
-				h.Set(i+1, j, b2)
-			}
-			gv, rr := la.MakeGivens(h.At(j, j), h.At(j+1, j))
-			rot[j] = gv
-			h.Set(j, j, rr)
-			h.Set(j+1, j, 0)
-			g[j], g[j+1] = gv.Apply(g[j], g[j+1])
-
-			st.Iterations++
-			relres := math.Abs(g[j+1]) / bnorm
-			st.Residuals = append(st.Residuals, relres)
-			st.FinalResidual = relres
-			if !quiet {
-				emitIteration(c, st.Iterations, relres)
-			}
-			if relres <= opts.Tol || hj1 == 0 {
-				j++
-				break
-			}
-		}
-		if j > 0 {
-			solveHessenbergInto(h, g, j, y[:j])
-			if opts.Precon == nil {
-				for i := 0; i < j; i++ {
-					dist.Axpy(c, y[i], v[i], x)
-				}
-			} else {
-				// Right preconditioning with fixed M: x += M⁻¹·(V·y),
-				// one preconditioner application per restart cycle.
-				for i := range w {
-					w[i] = 0
-				}
-				for i := 0; i < j; i++ {
-					dist.Axpy(c, y[i], v[i], w)
-				}
-				if err := opts.Precon.ApplyInto(w, z); err != nil {
-					return x, st, err
-				}
-				dist.Axpy(c, 1, z, x)
-			}
-		}
-		st.Restarts++
-		if st.FinalResidual <= opts.Tol {
-			st.Converged = true
-		}
-	}
-	st.VirtualTime = c.Clock()
-	return x, st, nil
+// DistCGSGMRES is the one-reduction GMRES: classical Gram–Schmidt with
+// the Pythagorean normalisation trick, so Arnoldi step j posts exactly
+// one *blocking* merged reduction ([Vᵀw, ‖w‖²]) instead of MGS's j+2.
+// It is the ablation midpoint between DistGMRES and DistP1GMRES —
+// comparing the three separates the benefit of merging reductions from
+// the benefit of overlapping them (experiment A1). The merged norm can
+// misestimate under cancellation (see DistP1GMRES), so convergence is
+// only ever declared on the true residual at the top of a cycle.
+func DistCGSGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: opts.Precon, cgs: true})
 }
 
 // DistP1GMRES is pipelined GMRES at depth one, after Ghysels, Ashby,
@@ -219,24 +110,10 @@ func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESO
 		return nil, Stats{}, errors.New("krylov: DistP1GMRES does not support preconditioning; use DistGMRES or DistFGMRES")
 	}
 	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm, err := dist.Norm2(c, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
-	m := opts.Restart
 
 	// The Pythagorean normalisation can silently commit a bad column when
 	// cancellation makes ‖z‖² − Σh² ≤ 0 without the Krylov space actually
@@ -244,29 +121,20 @@ func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESO
 	// that point. The safeguard is cycle-level: verify the claimed
 	// residual against a true one, keep the best iterate seen, and stop
 	// if restarts stop making progress.
-	ws := newP1Workspace(n, m, opts.MaxIter)
+	ws := newP1Workspace(len(x), opts.Restart, opts.MaxIter)
 	st.Residuals = ws.residuals[:0]
-	w := make([]float64, n)
 	bestX := la.Copy(x)
 	bestRes := math.Inf(1)
 	stalls := 0
 	for st.Iterations < opts.MaxIter && !st.Converged {
-		if _, err := p1Cycle(c, a, b, x, bnorm, m, opts, &st, ws); err != nil {
+		if _, err := p1Cycle(c, a, b, x, bnorm, opts.Restart, opts, &st, ws); err != nil {
 			return x, st, err
 		}
 		st.Restarts++
-		if err := a.Apply(x, w); err != nil {
-			return x, st, err
-		}
-		for i := range w {
-			w[i] = b[i] - w[i]
-		}
-		c.Compute(float64(n))
-		trueRes, err := dist.Norm2(c, w)
+		trueRes, err := trueResidual(c, a, b, x, ws.w, ws.r, &st)
 		if err != nil {
 			return x, st, err
 		}
-		st.Reductions++
 		rel := trueRes / bnorm
 		st.FinalResidual = rel
 		if rel < bestRes {
@@ -293,19 +161,16 @@ func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESO
 }
 
 // p1Workspace holds one DistP1GMRES solve's scratch: the two bases, the
-// Hessenberg system, the merged-reduction buffers and the residual
+// least-squares system, the merged-reduction buffers and the residual
 // history, allocated once so restart cycles and iterations are
 // allocation-free (together with the recycled world-side collective
 // buffers).
 type p1Workspace struct {
 	v, z      [][]float64
-	h         *la.Dense
-	g         []float64
-	rot       []la.Givens
+	ls        lsq
 	q, w, r   []float64
 	locals    []float64 // posted local dots, length ≤ m+2
 	red       []float64 // completed reduction landing buffer
-	y         []float64
 	req       comm.Request
 	residuals []float64
 }
@@ -315,15 +180,12 @@ func newP1Workspace(n, m, maxIter int) *p1Workspace {
 	return &p1Workspace{
 		v:         arena.Mat(m+1, n),
 		z:         arena.Mat(m+2, n),
-		h:         la.NewDense(m+1, m),
-		g:         make([]float64, m+1),
-		rot:       make([]la.Givens, m),
+		ls:        newLSQ(m),
 		q:         arena.Vec(n),
 		w:         arena.Vec(n),
 		r:         arena.Vec(n),
 		locals:    make([]float64, m+2),
 		red:       make([]float64, m+2),
-		y:         make([]float64, m),
 		residuals: makeResidualHistory(maxIter),
 	}
 }
@@ -331,20 +193,11 @@ func newP1Workspace(n, m, maxIter int) *p1Workspace {
 // p1Cycle runs one restart cycle of p1-GMRES, updating x in place.
 func p1Cycle(c *comm.Comm, a dist.Operator, b, x []float64, bnorm float64, m int, opts DistGMRESOptions, st *Stats, ws *p1Workspace) (bool, error) {
 	n := a.LocalLen()
-	w := ws.w
-	if err := a.Apply(x, w); err != nil {
-		return false, err
-	}
 	r := ws.r
-	for i := range r {
-		r[i] = b[i] - w[i]
-	}
-	c.Compute(float64(n))
-	beta, err := dist.Norm2(c, r)
+	beta, err := trueResidual(c, a, b, x, ws.w, r, st)
 	if err != nil {
 		return false, err
 	}
-	st.Reductions++
 	if beta/bnorm <= opts.Tol {
 		st.FinalResidual = beta / bnorm
 		return true, nil
@@ -352,13 +205,8 @@ func p1Cycle(c *comm.Comm, a dist.Operator, b, x []float64, bnorm float64, m int
 
 	v := ws.v // orthonormal basis (lags by one)
 	z := ws.z // shifted basis, z[j+1] = A·v[j]
-	h := ws.h
-	g := ws.g
-	rot := ws.rot
-	for i := range g {
-		g[i] = 0
-	}
-	g[0] = beta
+	h := ws.ls.h
+	ws.ls.reset(beta)
 	copy(v[0], r)
 	dist.Scal(c, 1/beta, v[0])
 	copy(z[0], v[0])
@@ -419,20 +267,9 @@ func p1Cycle(c *comm.Comm, a dist.Operator, b, x []float64, bnorm float64, m int
 			// h_ii = 0) is still recorded so the least-squares update
 			// uses everything learned — discarding it could stall
 			// forever on degenerate operators.
-			col := i - 1
-			for j2 := 0; j2 < col; j2++ {
-				a2, b2 := rot[j2].Apply(h.At(j2, col), h.At(j2+1, col))
-				h.Set(j2, col, a2)
-				h.Set(j2+1, col, b2)
-			}
-			gv, rr := la.MakeGivens(h.At(col, col), h.At(col+1, col))
-			rot[col] = gv
-			h.Set(col, col, rr)
-			h.Set(col+1, col, 0)
-			g[col], g[col+1] = gv.Apply(g[col], g[col+1])
+			relres := ws.ls.push(i-1) / bnorm
 			cols = i
 			st.Iterations++
-			relres := math.Abs(g[col+1]) / bnorm
 			st.Residuals = append(st.Residuals, relres)
 			st.FinalResidual = relres
 			emitIteration(c, st.Iterations, relres)
@@ -464,8 +301,7 @@ func p1Cycle(c *comm.Comm, a dist.Operator, b, x []float64, bnorm float64, m int
 	}
 
 	if cols > 0 {
-		y := ws.y[:cols]
-		solveHessenbergInto(h, g, cols, y)
+		y := ws.ls.solve(cols)
 		for i := 0; i < cols; i++ {
 			dist.Axpy(c, y[i], v[i], x)
 		}

@@ -17,25 +17,11 @@ import (
 // flops to the cost model.
 func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
 	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		la.CheckLen("x0", x0, n)
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm2, err := dist.Dot(c, b, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	bnorm := math.Sqrt(bnorm2)
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
+	n := len(x)
 
 	r := make([]float64, n)
 	if err := a.Apply(x, r); err != nil {
@@ -125,25 +111,11 @@ func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float6
 // preconditioner would serialise against it.
 func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
 	opts.defaults()
-	n := a.LocalLen()
-	la.CheckLen("b", b, n)
-	x := make([]float64, n)
-	if x0 != nil {
-		la.CheckLen("x0", x0, n)
-		copy(x, x0)
-	}
-	var st Stats
-
-	bnorm2, err := dist.Dot(c, b, b)
-	if err != nil {
+	x, bnorm, st, err := start(c, a, b, x0)
+	if err != nil || st.Converged {
 		return x, st, err
 	}
-	st.Reductions++
-	bnorm := math.Sqrt(bnorm2)
-	if bnorm == 0 {
-		st.Converged = true
-		return x, st, nil
-	}
+	n := len(x)
 
 	r := make([]float64, n)
 	if err := a.Apply(x, r); err != nil {

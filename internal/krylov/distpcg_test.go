@@ -185,32 +185,13 @@ func TestUnpreconditionedPCGMatchesCG(t *testing.T) {
 	}
 }
 
-// TestDistCGFamilyRejectsShortWarmStart: every CG-family dist solver
-// must refuse a warm start whose length is not the rank's slab —
-// copy would otherwise truncate it silently and solve from a
-// half-zero guess.
-func TestDistCGFamilyRejectsShortWarmStart(t *testing.T) {
+// TestDistFamilyRejectsShortWarmStart: every distributed solver must
+// refuse a warm start whose length is not the rank's slab — copy would
+// otherwise truncate it silently and solve from a half-zero guess.
+func TestDistFamilyRejectsShortWarmStart(t *testing.T) {
 	a := problems.Poisson2D(6, 6)
 	rhs, _ := problems.ManufacturedRHS(a)
-	type solve func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error
-	for name, run := range map[string]solve{
-		"DistCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
-			_, _, err := DistCG(c, op, b, x0, DistOptions{})
-			return err
-		},
-		"DistPipelinedCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
-			_, _, err := DistPipelinedCG(c, op, b, x0, DistOptions{})
-			return err
-		},
-		"DistPCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
-			_, _, err := DistPCG(c, op, nil, b, x0, DistOptions{})
-			return err
-		},
-		"DistPipelinedPCG": func(c *comm.Comm, op *dist.CSR, b, x0 []float64) error {
-			_, _, err := DistPipelinedPCG(c, op, nil, b, x0, DistOptions{})
-			return err
-		},
-	} {
+	for _, s := range familySolvers {
 		err := comm.Run(comm.Config{Ranks: 1, Cost: machine.DefaultCostModel()}, func(c *comm.Comm) (err error) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -219,10 +200,11 @@ func TestDistCGFamilyRejectsShortWarmStart(t *testing.T) {
 			}()
 			op := dist.NewCSR(c, a)
 			b := op.Scatter(rhs)
-			return run(c, op, b, make([]float64, len(b)-1))
+			_, _, err = s.run(c, op, nil, b, make([]float64, len(b)-1), 30, 50)
+			return err
 		})
 		if err == nil || !strings.Contains(err.Error(), "x0 has length") {
-			t.Errorf("%s accepted a short x0 (err %v)", name, err)
+			t.Errorf("%s accepted a short x0 (err %v)", s.name, err)
 		}
 	}
 }

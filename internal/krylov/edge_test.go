@@ -3,7 +3,9 @@ package krylov
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/la"
 	"repro/internal/problems"
@@ -17,6 +19,30 @@ func TestGMRESZeroRHS(t *testing.T) {
 	}
 	if la.Nrm2(x) != 0 {
 		t.Error("zero rhs must give zero solution")
+	}
+}
+
+// TestSerialGMRESAbandonedCyclesAreBounded: on this operator A·v₀
+// overflows, so every cycle is abandoned at its first step and none adds
+// an iteration. The abandoned-cycle budget must end the solve; the
+// deadline turns a build without one into a failure, not a hung binary.
+func TestSerialGMRESAbandonedCyclesAreBounded(t *testing.T) {
+	a := la.NewCOO(2, 2)
+	a.Add(0, 0, 1.5e308)
+	a.Add(0, 1, 1.5e308)
+	a.Add(1, 1, 1)
+	done := make(chan Stats, 1)
+	go func() {
+		_, st, _ := GMRES(NewCSROp(a.ToCSR()), []float64{1, 1}, nil, GMRESOptions{MaxIter: 20})
+		done <- st
+	}()
+	select {
+	case st := <-done:
+		if st.Converged || st.Iterations != 0 || !math.IsInf(st.FinalResidual, 1) {
+			t.Errorf("want an unconverged, iteration-free solve with an infinite residual, got %+v", st)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("GMRES is still abandoning cycles after 3 s")
 	}
 }
 

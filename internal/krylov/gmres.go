@@ -61,9 +61,7 @@ type GMRESWorkspace struct {
 	zstore [][]float64 // m preconditioned-direction slots (FGMRES only)
 	v      [][]float64 // active basis views; v[j] nil until committed
 	z      [][]float64
-	h      *la.Dense
-	g, y   []float64
-	rot    []la.Givens
+	ls     lsq
 	w, r   []float64
 	res    []float64 // residual-history backing array (cap bounded, see makeResidualHistory)
 }
@@ -82,10 +80,7 @@ func NewGMRESWorkspace(n int, opts GMRESOptions) *GMRESWorkspace {
 		n: n, m: m, maxIter: opts.MaxIter,
 		vstore: arena.Mat(m+1, n),
 		v:      make([][]float64, m+1),
-		h:      la.NewDense(m+1, m),
-		g:      make([]float64, m+1),
-		y:      make([]float64, m),
-		rot:    make([]la.Givens, m),
+		ls:     newLSQ(m),
 		w:      arena.Vec(n),
 		r:      arena.Vec(n),
 		res:    makeResidualHistory(opts.MaxIter),
@@ -140,9 +135,13 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 		return st, nil
 	}
 	m := opts.Restart
-	v, h, g, rot := ws.v, ws.h, ws.g, ws.rot
+	v, h := ws.v, ws.ls.h
 
+	// A cycle abandoned at its first step adds no iteration; such cycles
+	// draw on the abandoned-cycle budget stated in arnoldi.
+	abandoned := 0
 	for st.Iterations < opts.MaxIter {
+		before := st.Iterations
 		// Residual for this cycle.
 		applyOp(a, x, ws.w)
 		r := ws.r
@@ -171,10 +170,7 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 		copy(ws.vstore[0], r)
 		la.Scal(1/beta, ws.vstore[0])
 		v[0] = ws.vstore[0]
-		for i := range g {
-			g[i] = 0
-		}
-		g[0] = beta
+		ws.ls.reset(beta)
 
 		j := 0
 		for ; j < m && st.Iterations < opts.MaxIter; j++ {
@@ -215,21 +211,8 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 				v[j+1] = ws.vstore[j+1]
 			}
 
-			// Apply previous rotations to the new column, then create the
-			// rotation annihilating the subdiagonal.
-			for i := 0; i < j; i++ {
-				a2, b2 := rot[i].Apply(h.At(i, j), h.At(i+1, j))
-				h.Set(i, j, a2)
-				h.Set(i+1, j, b2)
-			}
-			gv, rr := la.MakeGivens(h.At(j, j), h.At(j+1, j))
-			rot[j] = gv
-			h.Set(j, j, rr)
-			h.Set(j+1, j, 0)
-			g[j], g[j+1] = gv.Apply(g[j], g[j+1])
-
 			st.Iterations++
-			relres = math.Abs(g[j+1]) / bnorm
+			relres = ws.ls.push(j) / bnorm
 			st.Residuals = append(st.Residuals, relres)
 			st.FinalResidual = relres
 			if opts.ArnoldiHook != nil {
@@ -258,8 +241,7 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 
 		// Solve the j×j triangular system and update x.
 		if j > 0 {
-			y := ws.y[:j]
-			solveHessenbergInto(h, g, j, y)
+			y := ws.ls.solve(j)
 			for i := 0; i < j; i++ {
 				if opts.Precon != nil {
 					la.Axpy(y[i], ws.z[i], x)
@@ -269,6 +251,12 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 			}
 		}
 		st.Restarts++
+		if st.Iterations == before {
+			if abandoned++; abandoned == opts.MaxIter {
+				st.FinalResidual = math.Inf(1)
+				return st, nil
+			}
+		}
 		if st.FinalResidual <= opts.Tol {
 			// Confirm with a true residual (protects against a corrupted
 			// Givens recurrence claiming false convergence).
@@ -285,23 +273,4 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 		}
 	}
 	return st, nil
-}
-
-// solveHessenbergInto back-substitutes the rotated leading j×j triangle
-// of h against g into y (length j).
-func solveHessenbergInto(h *la.Dense, g []float64, j int, y []float64) {
-	for i := j - 1; i >= 0; i-- {
-		s := g[i]
-		for k := i + 1; k < j; k++ {
-			s -= h.At(i, k) * y[k]
-		}
-		y[i] = s / h.At(i, i)
-	}
-}
-
-// solveHessenberg is solveHessenbergInto with a fresh result slice.
-func solveHessenberg(h *la.Dense, g []float64, j int) []float64 {
-	y := make([]float64, j)
-	solveHessenbergInto(h, g, j, y)
-	return y
 }

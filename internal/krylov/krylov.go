@@ -140,9 +140,9 @@ func applyDistPrecon(m DistPreconditioner, r, z []float64) error {
 	return m.ApplyInto(r, z)
 }
 
-// mgs is the modified Gram–Schmidt step of the distributed Arnoldi
-// process, shared by DistGMRES (and through it FT-GMRES's inner solves)
-// and DistFGMRES: it orthogonalises w against v[0..j] in place, stores
+// mgs is the modified Gram–Schmidt step of the arnoldi engine (DistGMRES,
+// through DistGMRESInner FT-GMRES's inner solves, and DistFGMRES): it
+// orthogonalises w against v[0..j] in place, stores
 // the projections in column j of h, and returns ‖w‖ — j+2 blocking
 // reductions, the synchronisation hot spot §III-B criticises, under one
 // orthogonalize span.
@@ -181,6 +181,46 @@ func mgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats
 	st.Reductions++
 	c.SpanEnd(obs.PhaseOrthogonalize, span)
 	return math.Sqrt(total), nil
+}
+
+// cgs is the classical Gram–Schmidt step with the Pythagorean norm: all
+// j+1 projections of w and ‖w‖² travel in one merged blocking reduction
+// (through dots, scratch of length ≥ j+2), where mgs makes j+2. It
+// orthogonalises w against v[0..j] in place, stores the projections in
+// column j of h and returns the new vector's norm sqrt(‖w‖² − Σh²).
+//
+// A non-positive (or NaN) difference returns 0, which callers treat as
+// happy breakdown — the Krylov space is exhausted, or cancellation ate
+// the significand. Either way the column itself is valid with
+// h_{j+1,j} = 0: the caller records it, updates x from the completed
+// least-squares system and restarts from the improved iterate.
+// Discarding the column instead could loop forever on degenerate
+// operators (A ≈ I).
+func cgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, dots []float64, st *Stats) (float64, error) {
+	n := len(w)
+	dots = dots[:j+2]
+	for i := 0; i <= j; i++ {
+		dots[i] = la.Dot(w, v[i])
+	}
+	dots[j+1] = la.Dot(w, w)
+	c.Compute(la.FlopsDot(n) * float64(j+2))
+	if err := c.AllreduceInto(dots, comm.OpSum, dots); err != nil {
+		return 0, err
+	}
+	st.Reductions++
+	ss := dots[j+1]
+	for i := 0; i <= j; i++ {
+		h.Set(i, j, dots[i])
+		ss -= dots[i] * dots[i]
+	}
+	for i := 0; i <= j; i++ {
+		la.Axpy(-dots[i], v[i], w)
+	}
+	c.Compute(la.FlopsAxpy(n) * float64(j+1))
+	if ss > 0 {
+		return math.Sqrt(ss), nil
+	}
+	return 0, nil
 }
 
 // Stats records a solve's trajectory for the experiment tables.
