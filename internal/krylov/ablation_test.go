@@ -79,7 +79,7 @@ func TestCGSGMRESMatchesMGS(t *testing.T) {
 	}
 }
 
-// TestCGSGMRESAllocsIndependentOfSteps: the engine allocates a solve's
+// TestCGSGMRESAllocsIndependentOfSteps: the engine borrows a solve's
 // footprint up front, so how many Arnoldi steps a CGS solve takes does
 // not change how often it allocates.
 func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
@@ -94,8 +94,15 @@ func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
 					t.Errorf("MaxIter %d: %d iterations, err %v", maxIter, st.Iterations, err)
 				}
 			}
-			solve() // warm-up: the world's collective pools fill
-			return testing.AllocsPerRun(5, solve)
+			// The cheapest of several readings: a collection (and, under
+			// the race detector, the pool itself) may drop the recycled
+			// workspace, and that solve pays for a fresh one — the
+			// comparison is between solves that found theirs.
+			best := math.Inf(1)
+			for i := 0; i < 10; i++ {
+				best = min(best, testing.AllocsPerRun(1, solve))
+			}
+			return best
 		}
 		if short, long := allocs(10), allocs(40); short != long {
 			t.Errorf("a 10-step solve allocates %v times, a 40-step solve %v", short, long)

@@ -43,12 +43,13 @@ type arnoldiKind struct {
 // carries the Givens-rotated least-squares problem, and the cycle's
 // correction is added to x. The whole footprint — basis, preconditioned
 // directions, scratch, least-squares system and residual history — is
-// allocated before the first cycle; cycles and steps allocate nothing
-// (the halo exchange and reductions recycle buffers world-side too).
-func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions, kind arnoldiKind) ([]float64, Stats, error) {
+// borrowed in one piece before the first cycle and returned when the
+// solve ends (see borrow); cycles and steps allocate nothing (the halo
+// exchange and reductions recycle buffers world-side too).
+func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions, kind arnoldiKind) (x []float64, st Stats, err error) {
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n, m := len(x), opts.Restart
@@ -59,17 +60,18 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	case kind.m != nil:
 		zRows = 1
 	}
-	ws := mem.NewWorkspace((m + 3 + zRows) * n)
+	nDots := 0 // cgs: the merged reduction's buffer
+	if kind.cgs {
+		nDots = m + 2
+	}
+	ws := borrow(&st, (m+3+zRows)*n+lsqLen(m)+nDots, opts.MaxIter)
+	defer release(ws, &st)
 	v := ws.Mat(m+1, n)
 	z := ws.Mat(zRows, n)
 	w := ws.Vec(n)
 	r := ws.Vec(n)
-	q := newLSQ(m)
-	var dots []float64
-	if kind.cgs {
-		dots = make([]float64, m+2)
-	}
-	st.Residuals = makeResidualHistory(opts.MaxIter)
+	q := carveLSQ(ws, m)
+	dots := ws.Vec(nDots)
 
 	// The abandoned-cycle budget. A cycle abandoned at its first step
 	// adds no iteration, so MaxIter alone does not bound a solve whose
@@ -187,6 +189,29 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	return x, st, nil
 }
 
+// borrow takes a distributed solve's whole scratch in one piece: a
+// recycled mem.Workspace with room for elems elements and the residual
+// history, which it carves first — min(maxIter, residualPrealloc)
+// entries, so the iteration loop appends without allocating for every
+// realistic solve and an "effectively unbounded" maxIter commits
+// nothing large (beyond the bound the history grows by normal appends,
+// off the workspace). The solver carves the rest and defers release.
+func borrow(st *Stats, elems, maxIter int) *mem.Workspace {
+	hist := min(maxIter, residualPrealloc)
+	ws := mem.Borrow(elems + hist)
+	st.Residuals = ws.Vec(hist)[:0]
+	return ws
+}
+
+// release ends a borrowed solve on every return path: the residual
+// history leaves the workspace as a right-sized copy — the one piece of
+// scratch a caller keeps — and the workspace goes back for the next
+// solve. The solution never lived there (start allocates it).
+func release(ws *mem.Workspace, st *Stats) {
+	st.Residuals = la.Copy(st.Residuals)
+	ws.Return()
+}
+
 // start opens a distributed solve the way all ten solvers do: it checks
 // b and the warm start x0 (nil for zero) against the rank's slab, copies
 // x0 into a fresh iterate, and reduces ‖b‖. A zero right-hand side
@@ -239,8 +264,18 @@ type lsq struct {
 	y   []float64   // solve's result storage, length m
 }
 
-func newLSQ(m int) lsq {
-	return lsq{h: la.NewDense(m+1, m), g: make([]float64, m+1), rot: make([]la.Givens, m), y: make([]float64, m)}
+// lsqLen is the number of workspace elements carveLSQ(ws, m) takes.
+func lsqLen(m int) int { return (m+1)*m + (m + 1) + m }
+
+// carveLSQ carves the system for cycles of up to m steps from ws; only
+// the rotations, which are not float64 storage, are allocated.
+func carveLSQ(ws *mem.Workspace, m int) lsq {
+	return lsq{
+		h:   &la.Dense{Rows: m + 1, Cols: m, Data: ws.Vec((m + 1) * m)},
+		g:   ws.Vec(m + 1),
+		rot: make([]la.Givens, m),
+		y:   ws.Vec(m),
+	}
 }
 
 // reset starts a cycle whose initial residual norm is beta.

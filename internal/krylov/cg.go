@@ -51,7 +51,7 @@ func CG(a Op, b []float64, x0 []float64, opts CGOptions) ([]float64, Stats, erro
 	p := la.Copy(r)
 	q := make([]float64, n)
 	rho := la.Dot(r, r)
-	st.Residuals = makeResidualHistory(opts.MaxIter)
+	st.Residuals = make([]float64, 0, min(opts.MaxIter, residualPrealloc))
 
 	for st.Iterations < opts.MaxIter {
 		relres := math.Sqrt(rho) / bnorm

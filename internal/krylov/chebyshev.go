@@ -36,22 +36,25 @@ func (o *ChebyshevOptions) defaults() {
 // convergence checks — making it the zero-synchronisation extreme of the
 // latency-tolerance spectrum in experiment A1. The price is needing
 // spectral bounds and a convergence rate tied to their quality.
-func DistChebyshev(c *comm.Comm, a dist.Operator, b, x0 []float64, opts ChebyshevOptions) ([]float64, Stats, error) {
+func DistChebyshev(c *comm.Comm, a dist.Operator, b, x0 []float64, opts ChebyshevOptions) (x []float64, st Stats, err error) {
 	opts.defaults()
 	if opts.LambdaMin <= 0 || opts.LambdaMax <= opts.LambdaMin {
 		panic("krylov: Chebyshev needs 0 < LambdaMin < LambdaMax")
 	}
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n := len(x)
+	// One history entry per convergence check, not per iteration.
+	ws := borrow(&st, 3*n, opts.MaxIter/opts.CheckEvery+1)
+	defer release(ws, &st)
 
 	theta := (opts.LambdaMax + opts.LambdaMin) / 2
 	delta := (opts.LambdaMax - opts.LambdaMin) / 2
 	sigma1 := theta / delta
 
-	r := make([]float64, n)
+	r := ws.Vec(n)
 	if err := a.Apply(x, r); err != nil {
 		return x, st, err
 	}
@@ -61,12 +64,12 @@ func DistChebyshev(c *comm.Comm, a dist.Operator, b, x0 []float64, opts Chebyshe
 	c.Compute(float64(n))
 
 	rho := 1 / sigma1
-	d := make([]float64, n)
+	d := ws.Vec(n)
 	for i := range d {
 		d[i] = r[i] / theta
 	}
 	c.Compute(float64(n))
-	ad := make([]float64, n)
+	ad := ws.Vec(n)
 
 	for st.Iterations < opts.MaxIter {
 		la.Axpy(1, d, x)

@@ -10,6 +10,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/comm"
@@ -329,4 +331,94 @@ func TestDistFamilyGolden(t *testing.T) {
 			t.Errorf("record differs from the committed one\n got %s\nwant %s", line, want[i])
 		}
 	}
+}
+
+// TestDistFamilyResultsSurviveNextSolve is the escape check for borrowed
+// scratch: every entry point's working storage goes back to mem's pool
+// when it returns, and the next solve on the same rank is handed it
+// again. What a caller keeps — the solution and Stats.Residuals — must
+// therefore own its storage: solving again, with other right-hand
+// sides, may not move a bit of the first call's results.
+func TestDistFamilyResultsSurviveNextSolve(t *testing.T) {
+	a := problems.Poisson2D(11, 11)
+	rhs, _ := problems.ManufacturedRHS(a)
+	sameBits := func(got, want []float64) bool {
+		return slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for _, s := range familySolvers {
+		err := comm.Run(comm.Config{Ranks: 3, Cost: machine.DefaultCostModel(), Seed: 5}, func(c *comm.Comm) error {
+			csr := dist.NewCSR(c, a)
+			b := csr.Scatter(rhs)
+			var m DistPreconditioner
+			if s.precon {
+				m = &diagPrecon{c: c, d: csr.Scatter(a.Diag()), rng: machine.NewRNG(1)}
+			}
+			x, st, err := s.run(c, csr, m, b, nil, 8, 40)
+			if err != nil {
+				return err
+			}
+			if len(st.Residuals) == 0 || cap(st.Residuals) != len(st.Residuals) {
+				t.Errorf("%s rank %d: residual history len %d cap %d, want a non-empty right-sized copy",
+					s.name, c.Rank(), len(st.Residuals), cap(st.Residuals))
+			}
+			keepX, keepRes := slices.Clone(x), slices.Clone(st.Residuals)
+			for k := 1; k <= 3; k++ {
+				b2 := make([]float64, len(b))
+				for i := range b2 {
+					b2[i] = float64(k+1) * b[len(b)-1-i]
+				}
+				if _, _, err := s.run(c, csr, m, b2, x, 8, 40); err != nil {
+					return err
+				}
+				if !sameBits(x, keepX) || !sameBits(st.Residuals, keepRes) {
+					t.Errorf("%s rank %d: solve %d after it changed the first solve's results", s.name, c.Rank(), k)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+	}
+}
+
+// TestTwoWorldsBorrowConcurrently runs two worlds on two goroutines,
+// both borrowing from and returning to the one process-wide pool, and
+// requires each to reproduce the record it produces alone — for the race
+// detector, and against one world's scratch reaching the other.
+func TestTwoWorldsBorrowConcurrently(t *testing.T) {
+	scs := familyScenarios()
+	type job struct {
+		solver int
+		sc     familyScenario
+	}
+	jobs := []job{{2, scs[3]}, {4, scs[0]}, {8, scs[4]}, {0, scs[40]}} // DistFGMRES, DistP1GMRES, DistPipelinedPCG, DistGMRES
+	want := make([]familyLine, len(jobs))
+	for i, j := range jobs {
+		rec, err := runFamily(familySolvers[j.solver].name, familySolvers[j.solver].run, j.sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rec
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				i := (g + round) % len(jobs)
+				j := jobs[i]
+				got, err := runFamily(familySolvers[j.solver].name, familySolvers[j.solver].run, j.sc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != want[i] {
+					t.Errorf("concurrent %s %s\n got %+v\nwant %+v", got.Solver, got.Scenario, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

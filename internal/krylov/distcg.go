@@ -35,15 +35,17 @@ func (o *DistOptions) defaults() {
 // performs one SpMV and two *blocking* scalar all-reduces — the
 // bulk-synchronous communication pattern whose scaling Section II-B of
 // the paper warns about. It is the baseline of experiments F2/F3.
-func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
+func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) (x []float64, st Stats, err error) {
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n := len(x)
+	ws := borrow(&st, 3*n, opts.MaxIter)
+	defer release(ws, &st)
 
-	r := make([]float64, n)
+	r := ws.Vec(n)
 	if err := a.Apply(x, r); err != nil {
 		return x, st, err
 	}
@@ -51,14 +53,14 @@ func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([
 		r[i] = b[i] - r[i]
 	}
 	c.Compute(float64(n))
-	p := la.Copy(r)
-	q := make([]float64, n)
+	p := ws.Vec(n)
+	copy(p, r)
+	q := ws.Vec(n)
 	rho, err := dist.Dot(c, r, r)
 	if err != nil {
 		return x, st, err
 	}
 	st.Reductions++
-	st.Residuals = makeResidualHistory(opts.MaxIter)
 
 	for st.Iterations < opts.MaxIter {
 		relres := math.Sqrt(rho) / bnorm
@@ -107,16 +109,18 @@ func DistCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([
 // recurrences cost three more axpys per iteration; the payoff is that
 // collective latency and noise-induced straggling hide behind useful
 // work. Residuals match classic CG to rounding.
-func DistPipelinedCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
+func DistPipelinedCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions) (x []float64, st Stats, err error) {
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n := len(x)
+	ws := borrow(&st, 6*n+2, opts.MaxIter)
+	defer release(ws, &st)
 
 	// r = b − A·x; w = A·r.
-	r := make([]float64, n)
+	r := ws.Vec(n)
 	if err := a.Apply(x, r); err != nil {
 		return x, st, err
 	}
@@ -124,23 +128,22 @@ func DistPipelinedCG(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOp
 		r[i] = b[i] - r[i]
 	}
 	c.Compute(float64(n))
-	w := make([]float64, n)
+	w := ws.Vec(n)
 	if err := a.Apply(r, w); err != nil {
 		return x, st, err
 	}
 
 	var (
-		z = make([]float64, n) // z_i = A·w recurrence
-		q = make([]float64, n) // A·p recurrence (s in the paper)
-		p = make([]float64, n)
-		m = make([]float64, n) // n_i = A·w_i result buffer
+		z = ws.Vec(n) // z_i = A·w recurrence
+		q = ws.Vec(n) // A·p recurrence (s in the paper)
+		p = ws.Vec(n)
+		m = ws.Vec(n) // n_i = A·w_i result buffer
 	)
 	var alpha, gammaOld float64
 	// One reusable request and reduction buffer: with the world-side
 	// buffer recycling, the overlap loop allocates nothing per iteration.
 	var req comm.Request
-	red := make([]float64, 2)
-	st.Residuals = makeResidualHistory(opts.MaxIter)
+	red := ws.Vec(2)
 
 	for st.Iterations < opts.MaxIter {
 		// Merged local dots, posted as one non-blocking reduction.

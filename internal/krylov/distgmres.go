@@ -105,15 +105,19 @@ func DistCGSGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRES
 // root can lose accuracy when ‖z‖² ≈ Σh² (classical-Gram–Schmidt-style
 // cancellation); the solver detects a non-positive value and signals a
 // restart, the standard p(l)-GMRES safeguard.
-func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) (x []float64, st Stats, err error) {
 	if opts.Precon != nil {
 		return nil, Stats{}, errors.New("krylov: DistP1GMRES does not support preconditioning; use DistGMRES or DistFGMRES")
 	}
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
+	n, m := len(x), opts.Restart
+	arena := borrow(&st, (2*m+7)*n+lsqLen(m)+2*(m+2), opts.MaxIter)
+	defer release(arena, &st)
+	ws := carveP1Workspace(arena, n, m)
 
 	// The Pythagorean normalisation can silently commit a bad column when
 	// cancellation makes ‖z‖² − Σh² ≤ 0 without the Krylov space actually
@@ -121,9 +125,8 @@ func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESO
 	// that point. The safeguard is cycle-level: verify the claimed
 	// residual against a true one, keep the best iterate seen, and stop
 	// if restarts stop making progress.
-	ws := newP1Workspace(len(x), opts.Restart, opts.MaxIter)
-	st.Residuals = ws.residuals[:0]
-	bestX := la.Copy(x)
+	bestX := arena.Vec(n)
+	copy(bestX, x)
 	bestRes := math.Inf(1)
 	stalls := 0
 	for st.Iterations < opts.MaxIter && !st.Converged {
@@ -161,32 +164,29 @@ func DistP1GMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESO
 }
 
 // p1Workspace holds one DistP1GMRES solve's scratch: the two bases, the
-// least-squares system, the merged-reduction buffers and the residual
-// history, allocated once so restart cycles and iterations are
+// least-squares system and the merged-reduction buffers, carved once
+// from the solve's borrowed arena so restart cycles and iterations are
 // allocation-free (together with the recycled world-side collective
 // buffers).
 type p1Workspace struct {
-	v, z      [][]float64
-	ls        lsq
-	q, w, r   []float64
-	locals    []float64 // posted local dots, length ≤ m+2
-	red       []float64 // completed reduction landing buffer
-	req       comm.Request
-	residuals []float64
+	v, z    [][]float64
+	ls      lsq
+	q, w, r []float64
+	locals  []float64 // posted local dots, length ≤ m+2
+	red     []float64 // completed reduction landing buffer
+	req     comm.Request
 }
 
-func newP1Workspace(n, m, maxIter int) *p1Workspace {
-	arena := mem.NewWorkspace((2*m + 6) * n)
+func carveP1Workspace(arena *mem.Workspace, n, m int) *p1Workspace {
 	return &p1Workspace{
-		v:         arena.Mat(m+1, n),
-		z:         arena.Mat(m+2, n),
-		ls:        newLSQ(m),
-		q:         arena.Vec(n),
-		w:         arena.Vec(n),
-		r:         arena.Vec(n),
-		locals:    make([]float64, m+2),
-		red:       make([]float64, m+2),
-		residuals: makeResidualHistory(maxIter),
+		v:      arena.Mat(m+1, n),
+		z:      arena.Mat(m+2, n),
+		ls:     carveLSQ(arena, m),
+		q:      arena.Vec(n),
+		w:      arena.Vec(n),
+		r:      arena.Vec(n),
+		locals: arena.Vec(m + 2),
+		red:    arena.Vec(m + 2),
 	}
 }
 

@@ -15,15 +15,17 @@ import (
 // Chebyshev; nil for plain CG); for CG theory to hold it must be
 // symmetric positive definite, and implementations charge their own
 // flops to the cost model.
-func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
+func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) (x []float64, st Stats, err error) {
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n := len(x)
+	ws := borrow(&st, 4*n, opts.MaxIter)
+	defer release(ws, &st)
 
-	r := make([]float64, n)
+	r := ws.Vec(n)
 	if err := a.Apply(x, r); err != nil {
 		return x, st, err
 	}
@@ -31,18 +33,18 @@ func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float6
 		r[i] = b[i] - r[i]
 	}
 	c.Compute(float64(n))
-	z := make([]float64, n)
+	z := ws.Vec(n)
 	if err := applyDistPrecon(m, r, z); err != nil {
 		return x, st, err
 	}
-	p := la.Copy(z)
-	q := make([]float64, n)
+	p := ws.Vec(n)
+	copy(p, z)
+	q := ws.Vec(n)
 	rho, err := dist.Dot(c, r, z) // (r, M⁻¹r)
 	if err != nil {
 		return x, st, err
 	}
 	st.Reductions++
-	st.Residuals = makeResidualHistory(opts.MaxIter)
 
 	for st.Iterations < opts.MaxIter {
 		rr, err := dist.Dot(c, r, r)
@@ -109,15 +111,17 @@ func DistPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float6
 // communication-free preconditioners (Jacobi, BlockJacobi) may be
 // overlapped with the in-flight reduction; a halo-exchanging
 // preconditioner would serialise against it.
-func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) ([]float64, Stats, error) {
+func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, opts DistOptions) (x []float64, st Stats, err error) {
 	opts.defaults()
-	x, bnorm, st, err := start(c, a, b, x0)
-	if err != nil || st.Converged {
+	var bnorm float64
+	if x, bnorm, st, err = start(c, a, b, x0); err != nil || st.Converged {
 		return x, st, err
 	}
 	n := len(x)
+	ws := borrow(&st, 9*n+3, opts.MaxIter)
+	defer release(ws, &st)
 
-	r := make([]float64, n)
+	r := ws.Vec(n)
 	if err := a.Apply(x, r); err != nil {
 		return x, st, err
 	}
@@ -125,27 +129,26 @@ func DistPipelinedPCG(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0
 		r[i] = b[i] - r[i]
 	}
 	c.Compute(float64(n))
-	u := make([]float64, n)
+	u := ws.Vec(n)
 	if err := applyDistPrecon(m, r, u); err != nil {
 		return x, st, err
 	}
-	w := make([]float64, n)
+	w := ws.Vec(n)
 	if err := a.Apply(u, w); err != nil {
 		return x, st, err
 	}
 
 	var (
-		z  = make([]float64, n)
-		q  = make([]float64, n)
-		s  = make([]float64, n)
-		p  = make([]float64, n)
-		mm = make([]float64, n) // m_i = M⁻¹ w_i
-		nn = make([]float64, n) // n_i = A m_i
+		z  = ws.Vec(n)
+		q  = ws.Vec(n)
+		s  = ws.Vec(n)
+		p  = ws.Vec(n)
+		mm = ws.Vec(n) // m_i = M⁻¹ w_i
+		nn = ws.Vec(n) // n_i = A m_i
 	)
 	var alpha, gammaOld float64
 	var req comm.Request
-	red := make([]float64, 3)
-	st.Residuals = makeResidualHistory(opts.MaxIter)
+	red := ws.Vec(3)
 
 	for st.Iterations < opts.MaxIter {
 		red[0] = la.Dot(r, u)

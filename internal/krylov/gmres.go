@@ -63,7 +63,7 @@ type GMRESWorkspace struct {
 	z      [][]float64
 	ls     lsq
 	w, r   []float64
-	res    []float64 // residual-history backing array (cap bounded, see makeResidualHistory)
+	res    []float64 // residual-history backing array (cap bounded, see residualPrealloc)
 }
 
 // NewGMRESWorkspace sizes a workspace for n-dimensional solves under
@@ -71,7 +71,7 @@ type GMRESWorkspace struct {
 func NewGMRESWorkspace(n int, opts GMRESOptions) *GMRESWorkspace {
 	opts.defaults()
 	m := opts.Restart
-	elems := (m+1)*n + 2*n // basis + w + r
+	elems := (m+1)*n + 2*n + lsqLen(m) // basis + w + r + least-squares system
 	if opts.Precon != nil {
 		elems += m * n
 	}
@@ -80,10 +80,10 @@ func NewGMRESWorkspace(n int, opts GMRESOptions) *GMRESWorkspace {
 		n: n, m: m, maxIter: opts.MaxIter,
 		vstore: arena.Mat(m+1, n),
 		v:      make([][]float64, m+1),
-		ls:     newLSQ(m),
+		ls:     carveLSQ(arena, m),
 		w:      arena.Vec(n),
 		r:      arena.Vec(n),
-		res:    makeResidualHistory(opts.MaxIter),
+		res:    make([]float64, 0, min(opts.MaxIter, residualPrealloc)),
 	}
 	if opts.Precon != nil {
 		ws.zstore = arena.Mat(m, n)

@@ -59,12 +59,6 @@ func applyOp(a Op, x, y []float64) { ApplyOpInto(a, x, y) }
 // iteration — beyond the bound the history grows by normal appends.
 const residualPrealloc = 4096
 
-// makeResidualHistory returns the preallocated residual history for a
-// solve capped at maxIter iterations.
-func makeResidualHistory(maxIter int) []float64 {
-	return make([]float64, 0, min(maxIter, residualPrealloc))
-}
-
 // CSROp adapts a la.CSR to Op.
 type CSROp struct {
 	A *la.CSR

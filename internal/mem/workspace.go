@@ -1,5 +1,7 @@
 package mem
 
+import "sync"
+
 // Workspace is a bump allocator over Reliable regions: solvers carve
 // their work vectors from it once, up front, and the hot loops then run
 // with zero per-iteration allocations. It is the storage-model face of
@@ -13,6 +15,13 @@ package mem
 // the Workspace's lifetime. Reset recycles all regions for a fresh
 // carving pass (previously returned slices then alias new vectors and
 // must no longer be used).
+//
+// A solve that needs its scratch for one call only takes a recycled
+// workspace with Borrow and hands it back with Return. The ownership
+// rule: nothing carved from a borrowed workspace may be reachable after
+// Return — whatever outlives the call (a solution, a residual history)
+// is copied out first. The next borrower, possibly on another
+// goroutine, is handed the same storage.
 type Workspace struct {
 	regions []*Region
 	cur     int // index of the region being carved
@@ -33,6 +42,41 @@ func NewWorkspace(capacity int) *Workspace {
 	return &Workspace{
 		regions: []*Region{NewRegion(capacity, Reliable, 0, nil)},
 		slab:    capacity,
+	}
+}
+
+// maxPooled is the largest footprint, in elements (256 KiB), that
+// Return keeps for the next Borrow. Scratch of a few thousand elements
+// is what short solves allocate over and over, and recycling it is what
+// lowers their collection frequency; a workspace of hundreds of
+// thousands of elements is carved by a solve long enough to amortise
+// it, and parking it between solves would only raise resident memory.
+const maxPooled = 32 << 10
+
+// pool holds the returned workspaces. A sync.Pool trims itself under
+// collection, so idle scratch is not held for good.
+var pool sync.Pool
+
+// Borrow returns a workspace with room for capacity elements, recycled
+// when one is at hand: every Vec it hands out is zeroed, exactly as a
+// new workspace's is. A recycled workspace too small for capacity is
+// dropped for a new one of exactly capacity, so no workspace ever holds
+// more than the largest request it has served. Pair every Borrow with a
+// Return.
+func Borrow(capacity int) *Workspace {
+	if w, _ := pool.Get().(*Workspace); w != nil && w.regions[0].Len() >= capacity {
+		w.Reset()
+		return w
+	}
+	return NewWorkspace(capacity)
+}
+
+// Return gives a workspace back for the next Borrow; the caller must
+// hold nothing carved from it (see the ownership rule on Workspace).
+// One whose footprint exceeds maxPooled is dropped instead.
+func (w *Workspace) Return() {
+	if w.Footprint() <= maxPooled {
+		pool.Put(w)
 	}
 }
 

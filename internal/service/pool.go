@@ -43,6 +43,10 @@ func (p *pool) work() {
 			return
 		}
 		job := p.queue[0]
+		// Clear the slot: the backing array outlives the pop, and a
+		// closure left in it keeps its request, response channel and
+		// record reachable until append happens to reallocate.
+		p.queue[0] = nil
 		p.queue = p.queue[1:]
 		p.inFlight++
 		p.cond.Broadcast() // a queue slot freed: wake submitWait waiters
