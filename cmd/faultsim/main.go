@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/comm"
@@ -70,6 +71,20 @@ func newFlags() (*flag.FlagSet, *options) {
 	return fs, o
 }
 
+// check rejects values the run would otherwise ignore in silence: a bit
+// outside the word flips nothing, a victim outside the world never fires.
+func (o *options) check() error {
+	switch {
+	case o.sdcBit < -1 || o.sdcBit > 63:
+		return fmt.Errorf("-sdc-bit %d: want -1 (none) or an IEEE-754 bit 0..63", o.sdcBit)
+	case o.killRank >= o.ranks:
+		return fmt.Errorf("-kill-rank %d: the world has ranks 0..%d", o.killRank, o.ranks-1)
+	case o.sdcBit >= 0 && (o.sdcRank < 0 || o.sdcRank >= o.ranks):
+		return fmt.Errorf("-sdc-rank %d: the world has ranks 0..%d", o.sdcRank, o.ranks-1)
+	}
+	return nil
+}
+
 func main() {
 	fs, o := newFlags()
 	fs.SetOutput(os.Stderr)
@@ -79,14 +94,10 @@ func main() {
 		}
 		os.Exit(2)
 	}
-
-	cfg := comm.Config{Ranks: o.ranks, Cost: machine.DefaultCostModel(), Seed: o.seed}
-
-	if o.implicit {
-		runImplicit(cfg, o.nx, o.ny, o.steps, o.coarsen, o.killRank, o.killStep)
-		return
+	if err := o.check(); err != nil {
+		fmt.Fprintln(os.Stderr, "faultsim:", err)
+		os.Exit(2)
 	}
-
 	var killer lflr.Killer
 	if o.killRank >= 0 {
 		killer = &fault.StepKiller{Rank: o.killRank, Step: o.killStep}
@@ -95,21 +106,46 @@ func main() {
 	if o.sdcBit >= 0 {
 		sdc = &lflr.SDCEvent{Rank: o.sdcRank, Step: o.sdcStep, Index: 7, Bit: o.sdcBit}
 	}
-	base := lflr.HeatConfig{Nx: o.nx, Ny: o.ny, Nu: 0.25, Steps: o.steps, PersistEvery: o.persist, EnergyGuard: o.guard}
-	clean, err := lflr.RunHeat(comm.NewWorld(cfg), lflr.NewStore(), base)
+
+	// One path for both solvers over what their results share — the
+	// field and the clock; each keeps its full result for its own lines.
+	var heat lflr.HeatResult
+	var impl lflr.ImplicitResult
+	run := func(k lflr.Killer, sdc *lflr.SDCEvent) (u []float64, clock float64, err error) {
+		w := comm.NewWorld(comm.Config{Ranks: o.ranks, Cost: machine.DefaultCostModel(), Seed: o.seed})
+		if o.implicit {
+			impl, err = lflr.RunImplicitHeat(w, lflr.NewStore(), lflr.ImplicitConfig{
+				Nx: o.nx, Ny: o.ny, Nu: 1.0, Steps: o.steps, Coarsen: o.coarsen, Killer: k})
+			return impl.U, impl.FinalClock, err
+		}
+		heat, err = lflr.RunHeat(w, lflr.NewStore(), lflr.HeatConfig{
+			Nx: o.nx, Ny: o.ny, Nu: 0.25, Steps: o.steps, PersistEvery: o.persist, EnergyGuard: o.guard, Killer: k, SDC: sdc})
+		return heat.U, heat.FinalClock, err
+	}
+	cleanU, cleanClock, err := run(nil, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clean run:", err)
 		os.Exit(1)
 	}
-	faultyCfg := base
-	faultyCfg.Killer = killer
-	faultyCfg.SDC = sdc
-	res, err := lflr.RunHeat(comm.NewWorld(cfg), lflr.NewStore(), faultyCfg)
+	u, clock, err := run(killer, sdc)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faulty run:", err)
 		os.Exit(1)
 	}
+	exact, maxDiff := true, 0.0
+	for i := range u {
+		exact = exact && u[i] == cleanU[i]
+		maxDiff = max(maxDiff, math.Abs(u[i]-cleanU[i]))
+	}
 
+	if o.implicit {
+		fmt.Printf("implicit (BE) heat %dx%d, %d steps, coarsen %d\n", o.nx, o.ny, o.steps, o.coarsen)
+		fmt.Printf("recoveries:     %d\n", impl.Recoveries)
+		fmt.Printf("replica floats: %d per rank\n", impl.ReplicaFloats)
+		fmt.Printf("max |u - u_clean| after recovery: %.3e\n", maxDiff)
+		fmt.Printf("virtual time: %.6g s (fault-free %.6g s)\n", clock, cleanClock)
+		return
+	}
 	fmt.Printf("explicit heat %dx%d, %d steps on %d ranks, persist every %d\n",
 		o.nx, o.ny, o.steps, o.ranks, o.persist)
 	if o.killRank >= 0 {
@@ -117,54 +153,12 @@ func main() {
 	}
 	if sdc != nil {
 		fmt.Printf("sdc: bit %d of rank %d's field at step %d (guard %v)\n", o.sdcBit, o.sdcRank, o.sdcStep, o.guard)
-		fmt.Printf("sdc detections:        %d (rollback of %d steps)\n", res.SDCDetections, res.RollbackSteps)
+		fmt.Printf("sdc detections:        %d (rollback of %d steps)\n", heat.SDCDetections, heat.RollbackSteps)
 	}
-	fmt.Printf("recoveries:            %d\n", res.Recoveries)
-	fmt.Printf("replayed steps:        %d\n", res.ReplaySteps)
-	exact := true
-	for i := range res.U {
-		if res.U[i] != clean.U[i] {
-			exact = false
-			break
-		}
-	}
+	fmt.Printf("recoveries:            %d\n", heat.Recoveries)
+	fmt.Printf("replayed steps:        %d\n", heat.ReplaySteps)
 	fmt.Printf("bitwise == fault-free: %v\n", exact)
-	fmt.Printf("final energy:          %.9g\n", res.Energy)
+	fmt.Printf("final energy:          %.9g\n", heat.Energy)
 	fmt.Printf("virtual time:          %.6g s (fault-free %.6g s, recovery cost %.3g s)\n",
-		res.FinalClock, clean.FinalClock, res.FinalClock-clean.FinalClock)
-}
-
-func runImplicit(cfg comm.Config, nx, ny, steps, coarsen, killRank, killStep int) {
-	var killer lflr.Killer
-	if killRank >= 0 {
-		killer = &fault.StepKiller{Rank: killRank, Step: killStep}
-	}
-	base := lflr.ImplicitConfig{Nx: nx, Ny: ny, Nu: 1.0, Steps: steps, Coarsen: coarsen}
-	clean, err := lflr.RunImplicitHeat(comm.NewWorld(cfg), lflr.NewStore(), base)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "clean run:", err)
-		os.Exit(1)
-	}
-	cfgK := base
-	cfgK.Killer = killer
-	res, err := lflr.RunImplicitHeat(comm.NewWorld(cfg), lflr.NewStore(), cfgK)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "faulty run:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("implicit (BE) heat %dx%d, %d steps, coarsen %d\n", nx, ny, steps, coarsen)
-	fmt.Printf("recoveries:     %d\n", res.Recoveries)
-	fmt.Printf("replica floats: %d per rank\n", res.ReplicaFloats)
-	maxDiff := 0.0
-	for i := range res.U {
-		d := res.U[i] - clean.U[i]
-		if d < 0 {
-			d = -d
-		}
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Printf("max |u - u_clean| after recovery: %.3e\n", maxDiff)
-	fmt.Printf("virtual time: %.6g s (fault-free %.6g s)\n", res.FinalClock, clean.FinalClock)
+		clock, cleanClock, clock-cleanClock)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"flag"
 	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"repro/internal/usagecheck"
@@ -44,5 +46,44 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 	if o.ranks != 8 || o.steps != 400 || o.killRank != 3 || o.killStep != 237 || o.persist != 20 {
 		t.Errorf("defaults drifted: %+v", o)
+	}
+}
+
+// TestRejectsIgnoredInputs runs main in a child process: a flip bit
+// outside the word and a victim rank outside the world used to be
+// ignored in silence (the run printed "sdc: bit 64" and flipped nothing);
+// each is now a usage error, exit status 2, naming the flag.
+func TestRejectsIgnoredInputs(t *testing.T) {
+	if args := os.Getenv("FAULTSIM_CHILD_ARGS"); args != "" {
+		os.Args = append([]string{"faultsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	small := "-nx 4 -ny 8 -steps 6 -kill-step 3 -persist 2 "
+	for _, tc := range []struct {
+		args, want string
+		code       int
+	}{
+		{small + "-sdc-bit 64", "-sdc-bit 64", 2},
+		{small + "-sdc-bit -2", "-sdc-bit -2", 2},
+		{small + "-kill-rank 8", "-kill-rank 8", 2},
+		{small + "-ranks 4 -sdc-bit 3 -sdc-rank 4", "-sdc-rank 4", 2},
+		{small + "-ranks 4 -sdc-bit 3 -sdc-rank -1", "-sdc-rank -1", 2},
+		// The default -sdc-rank 2 is outside this world, but no flip is asked for.
+		{small + "-ranks 2 -kill-rank 1", "recoveries:            1", 0},
+		{small + "-implicit -ranks 9", "lflr: 9 ranks exceed 8 grid rows", 1},
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRejectsIgnoredInputs$")
+		cmd.Env = append(os.Environ(), "FAULTSIM_CHILD_ARGS="+tc.args)
+		out, err := cmd.CombinedOutput()
+		code := 0
+		if ee, ok := err.(*exec.ExitError); ok {
+			code = ee.ExitCode()
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if code != tc.code || !strings.Contains(string(out), tc.want) {
+			t.Errorf("faultsim %s: exit %d, want %d with %q in:\n%s", tc.args, code, tc.code, tc.want, out)
+		}
 	}
 }

@@ -56,5 +56,5 @@ func main() {
 	if !exact || res.Recoveries != 1 {
 		log.Fatal("LFLR demo failed")
 	}
-	fmt.Println("one rank died; 17 steps were recomputed on its replacement; nobody else rolled back")
+	fmt.Printf("one rank died; %d steps were recomputed on its replacement; nobody else rolled back\n", res.ReplaySteps)
 }

@@ -20,7 +20,11 @@ type Thresholds struct {
 	AllocsPerOp float64
 	// VirtualTime is the allowed relative growth of an experiment's peak
 	// virtual time (default 0.10). Virtual time is deterministic, so this
-	// gate is machine-independent.
+	// gate is machine-independent. At exactly 0 — CI's "nothing moved" —
+	// growth alone is not enough: a refactor that drops a send, a
+	// collective or a charge gets faster, so any change, in either
+	// direction, of an experiment's integer ledger fields (rows, worlds,
+	// sends, recvs, collectives, flops) is a regression too.
 	VirtualTime float64
 }
 
@@ -79,6 +83,23 @@ func Compare(base, cur *Report, th Thresholds) ([]Regression, error) {
 				limit := old.VirtualTime * (1 + th.VirtualTime)
 				if now.VirtualTime > limit {
 					regs = append(regs, Regression{Name: old.Name, Metric: "virtual-time", Old: old.VirtualTime, New: now.VirtualTime, Limit: limit})
+				}
+			}
+			if th.VirtualTime == 0 {
+				for _, f := range []struct {
+					metric   string
+					old, now float64
+				}{
+					{"rows", float64(old.Rows), float64(now.Rows)},
+					{"worlds", float64(old.Worlds), float64(now.Worlds)},
+					{"sends", float64(old.Sends), float64(now.Sends)},
+					{"recvs", float64(old.Recvs), float64(now.Recvs)},
+					{"collectives", float64(old.Collectives), float64(now.Collectives)},
+					{"flops", old.Flops, now.Flops},
+				} {
+					if f.now != f.old {
+						regs = append(regs, Regression{Name: old.Name, Metric: f.metric, Old: f.old, New: f.now, Limit: f.old})
+					}
 				}
 			}
 		}

@@ -98,7 +98,7 @@ func TestCompareGates(t *testing.T) {
 	base := &Report{
 		Schema: SchemaVersion, Label: "base", Quick: true,
 		Results: []Result{
-			{Name: "exp/F8", Kind: "experiment", NsPerOp: 5e8, VirtualTime: 0.02, Rows: 4},
+			{Name: "exp/F8", Kind: "experiment", NsPerOp: 5e8, VirtualTime: 0.02, Rows: 4, Worlds: 3, Sends: 40, Recvs: 40, Collectives: 12, Flops: 600},
 			{Name: "kernel/dot-65536", Kind: "kernel", NsPerOp: 50000, AllocsPerOp: 0},
 		},
 	}
@@ -153,6 +153,32 @@ func TestCompareGates(t *testing.T) {
 	cur.Results[0].VirtualTime = 0.02 * 1.05
 	if regs, err = Compare(base, cur, th); err != nil || len(regs) != 0 {
 		t.Fatalf("within-threshold drift should pass, got %v %v", regs, err)
+	}
+
+	// At a zero virtual-time threshold any moved ledger count fails, in
+	// either direction: a dropped send makes an experiment faster.
+	exact := th
+	exact.VirtualTime = 0
+	if regs, err = Compare(base, clone(), exact); err != nil || len(regs) != 0 {
+		t.Fatalf("identical reports should pass the exact gate, got %v %v", regs, err)
+	}
+	for metric, move := range map[string]func(*Result){
+		"rows":        func(r *Result) { r.Rows++ },
+		"worlds":      func(r *Result) { r.Worlds-- },
+		"sends":       func(r *Result) { r.Sends-- },
+		"recvs":       func(r *Result) { r.Recvs++ },
+		"collectives": func(r *Result) { r.Collectives-- },
+		"flops":       func(r *Result) { r.Flops -= 6 },
+	} {
+		cur = clone()
+		move(&cur.Results[0])
+		regs, err = Compare(base, cur, exact)
+		if err != nil || len(regs) != 1 || regs[0].Metric != metric {
+			t.Errorf("exact gate: a moved %s count gave %v %v, want one %q regression", metric, regs, err, metric)
+		}
+		if regs, err = Compare(base, cur, th); err != nil || len(regs) != 0 {
+			t.Errorf("default thresholds: a moved %s count gave %v %v, want a pass", metric, regs, err)
+		}
 	}
 
 	// Quick/full reports are incomparable.

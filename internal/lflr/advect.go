@@ -1,8 +1,6 @@
 package lflr
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/comm"
@@ -37,183 +35,86 @@ type AdvectResult struct {
 	RollbackSteps int
 }
 
-type advectRank struct {
-	ctx      *Ctx
-	cfg      AdvectConfig
-	pt       dist.Partition
-	lo, hi   int
-	u, uPrev []float64
-	updates  int
-
-	// Sender log: step -> the boundary cell sent to the right neighbour.
-	logRight map[int]float64
-
-	replaySteps   int
-	mass0         float64
-	massValid     bool
-	sdcDetections int
-	rollbackSteps int
-}
-
 const tagAdvect = 5000
-const tagAdvectRecover = 5100
 
 // RunAdvection executes the configured scenario, returning rank 0's view.
 func RunAdvection(world *comm.World, store *Store, cfg AdvectConfig) (AdvectResult, error) {
-	if cfg.PersistEvery <= 0 {
-		cfg.PersistEvery = 1
+	sp := spec{
+		steps: cfg.Steps, persistEvery: cfg.PersistEvery, killer: cfg.Killer, sdc: cfg.SDC,
+		cells: cfg.N, unit: "cells", nx: 1,
 	}
-	if world.Size() > cfg.N {
-		// The periodic ring requires every rank to own at least one cell.
-		return AdvectResult{}, fmt.Errorf("lflr: %d ranks exceed %d cells", world.Size(), cfg.N)
-	}
-	rt := NewRuntime(world, store)
-	resCh := make(chan AdvectResult, 1)
-
-	recoveries, err := rt.Execute(func(ctx *Ctx) error {
-		ar := &advectRank{ctx: ctx, cfg: cfg, logRight: make(map[int]float64)}
-		ar.pt = dist.Partition{N: cfg.N, P: ctx.Comm.Size()}
-		ar.lo, ar.hi = ar.pt.Range(ctx.Comm.Rank())
-
-		if ctx.Recovering {
-			if err := ar.restore(); err != nil {
-				return err
-			}
-			if err := ar.recoverProtocol(); err != nil {
-				return err
-			}
-			ctx.Recovering = false
-		} else {
-			ar.init()
+	res, err := run(world, store, sp, func(c *comm.Comm) app {
+		a := &advectApp{n: cfg.N, cfl: cfg.C}
+		a.lo, a.hi = dist.Partition{N: cfg.N, P: c.Size()}.Range(c.Rank())
+		// Ring halo: the last cell goes right, the ghost comes from the
+		// left (periodic, so every rank has both neighbours). The upwind
+		// stencil needs the LEFT neighbour's boundary value only, so the
+		// rank to a replacement's left ships its log.
+		right := (c.Rank() + 1) % c.Size()
+		left := (c.Rank() + c.Size() - 1) % c.Size()
+		n := a.hi - a.lo
+		ap := app{
+			key: "u", lost: "persisted advection state", logged: "advection log", summary: la.Sum,
+			initial: a.initial, step: a.step, update: a.update,
+			out: []outHalo{{to: right, tag: tagAdvect, lo: n - 1, hi: n, log: haloLog{}}},
+			in:  []inHalo{{from: left, tag: tagAdvect, slot: 0}},
 		}
-		if err := ar.mainLoop(); err != nil {
-			return err
+		if cfg.MassGuard {
+			// The reference is the starting mass, a baseline a replacement
+			// never saw: every rank re-takes it after a recovery.
+			ap.violated = massViolated
 		}
-
-		full, err := ctx.Comm.Allgather(ar.u)
-		if err != nil {
-			return err
-		}
-		mass, err := ctx.Comm.AllreduceScalar(la.Sum(ar.u), comm.OpSum)
-		if err != nil {
-			return err
-		}
-		clock, err := ctx.Comm.AllreduceScalar(ctx.Comm.Clock(), comm.OpMax)
-		if err != nil {
-			return err
-		}
-		replayed, err := ctx.Comm.AllreduceScalar(float64(ar.replaySteps), comm.OpSum)
-		if err != nil {
-			return err
-		}
-		if ctx.Comm.Rank() == 0 {
-			resCh <- AdvectResult{
-				U: full, Mass: mass, FinalClock: clock, ReplaySteps: int(replayed),
-				SDCDetections: ar.sdcDetections, RollbackSteps: ar.rollbackSteps,
-			}
-		}
-		return nil
+		return ap
 	})
-	if err != nil {
-		return AdvectResult{}, err
-	}
-	res := <-resCh
-	res.Recoveries = recoveries
-	return res, nil
+	return AdvectResult{
+		U: res.u, Mass: res.summary, FinalClock: res.clock, Recoveries: res.recoveries, ReplaySteps: res.replaySteps,
+		SDCDetections: res.sdcDetections, RollbackSteps: res.rollbackSteps,
+	}, err
 }
 
-func (a *advectRank) init() {
-	n := a.hi - a.lo
-	a.u = make([]float64, n)
-	a.uPrev = make([]float64, n)
-	for i := 0; i < n; i++ {
-		x := float64(a.lo+i) / float64(a.cfg.N)
+// advectApp is the upwind stencil on one rank's cells [lo, hi) of the ring.
+type advectApp struct {
+	n      int
+	cfl    float64
+	lo, hi int
+}
+
+func (a *advectApp) initial() []float64 {
+	u := make([]float64, a.hi-a.lo)
+	for i := range u {
+		x := float64(a.lo+i) / float64(a.n)
 		s := math.Sin(2 * math.Pi * x)
-		a.u[i] = 1 + s*s
+		u[i] = 1 + s*s
 	}
+	return u
 }
 
-func (a *advectRank) mainLoop() error {
-	for a.updates < a.cfg.Steps {
-		err := a.doStep()
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, comm.ErrRankFailed):
-			a.ctx.AwaitRepair()
-			if err := a.recoverProtocol(); err != nil {
-				return err
-			}
-		default:
-			return err
-		}
+func (a *advectApp) step(r *rank) (float64, error) {
+	if err := r.haloStep(); err != nil {
+		return 0, err
 	}
-	return nil
-}
-
-func (a *advectRank) doStep() error {
-	c := a.ctx.Comm
-	s := a.updates
-
-	if a.cfg.Killer != nil && a.cfg.Killer.ShouldDie(c.Rank(), s) {
-		return c.Die()
-	}
-	if s%a.cfg.PersistEvery == 0 {
-		a.persist(s)
-	}
-	if a.cfg.SDC.fire(c.Rank(), s) && a.cfg.SDC.Index < len(a.u) {
-		a.u[a.cfg.SDC.Index] = flipBit(a.u[a.cfg.SDC.Index], a.cfg.SDC.Bit)
-	}
-
-	// Ring halo: send the last cell right, receive the ghost from the
-	// left (periodic, so every rank has both neighbours).
-	n := a.hi - a.lo
-	right := (c.Rank() + 1) % c.Size()
-	left := (c.Rank() + c.Size() - 1) % c.Size()
-	val := a.u[n-1]
-	a.logRight[s] = val
-	ghost, err := c.Sendrecv(right, tagAdvect, []float64{val}, left, tagAdvect)
-	if err != nil {
-		return err
-	}
-
-	// Upwind update, same arithmetic as problems.Advection1D.
-	v := a.uPrev
-	for i := 0; i < n; i++ {
-		lv := ghost[0]
-		if i > 0 {
-			lv = a.u[i-1]
-		}
-		v[i] = a.u[i] - a.cfg.C*(a.u[i]-lv)
-	}
-	a.u, a.uPrev = v, a.u
-	a.updates++
-	c.Compute(3 * float64(n))
-
 	// Step-boundary mass reduction: failure detector + two-sided
 	// conservation check.
-	mass, err := c.AllreduceScalar(la.Sum(a.u), comm.OpSum)
+	c := r.ctx.Comm
+	mass, err := c.AllreduceScalar(la.Sum(r.u), comm.OpSum)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	c.Compute(float64(n))
-	if a.cfg.MassGuard {
-		if !a.massValid {
-			// First step after init/rollback: accept and remember.
-			a.mass0 = mass
-			a.massValid = true
-		} else if massViolated(a.mass0, mass) {
-			a.sdcDetections++
-			before := a.updates
-			if err := a.restore(); err != nil {
-				return err
-			}
-			a.rollbackSteps += before - a.updates
-			a.massValid = false
-			return nil
+	c.Compute(float64(len(r.u)))
+	return mass, nil
+}
+
+// update is the upwind update, same arithmetic as problems.Advection1D;
+// halos[0] is the ghost cell from the left.
+func (a *advectApp) update(c *comm.Comm, u, v []float64, halos [2][]float64) {
+	for i := range u {
+		lv := halos[0][0]
+		if i > 0 {
+			lv = u[i-1]
 		}
+		v[i] = u[i] - a.cfl*(u[i]-lv)
 	}
-	return nil
+	c.Compute(3 * float64(len(u)))
 }
 
 // massViolated is the two-sided conservation detector: upwind advection
@@ -224,116 +125,4 @@ func massViolated(mass0, mass float64) bool {
 		return true
 	}
 	return math.Abs(mass-mass0) > 1e-9*(1+math.Abs(mass0))
-}
-
-func (a *advectRank) persist(step int) {
-	a.ctx.Store.Save(a.ctx.Comm, "u", a.u)
-	a.ctx.Store.SaveScalar(a.ctx.Comm, "step", float64(step))
-	keep := step - a.cfg.PersistEvery
-	for s := range a.logRight {
-		if s < keep {
-			delete(a.logRight, s)
-		}
-	}
-}
-
-func (a *advectRank) restore() error {
-	u, ok := a.ctx.Store.Restore(a.ctx.Comm, "u")
-	if !ok {
-		return fmt.Errorf("lflr: rank %d has no persisted advection state", a.ctx.Comm.Rank())
-	}
-	sv, _ := a.ctx.Store.RestoreScalar(a.ctx.Comm, "step")
-	a.u = u
-	a.uPrev = make([]float64, len(u))
-	a.updates = int(sv)
-	return nil
-}
-
-// recoverProtocol mirrors the heat app's: consensus on the target step,
-// survivor rollback, log shipment (left neighbour only — upwind flow),
-// and local replay on the replacement.
-func (a *advectRank) recoverProtocol() error {
-	c := a.ctx.Comm
-	rec := 0.0
-	if a.ctx.Recovering {
-		rec = 1
-	}
-	info, err := c.Allgather([]float64{float64(a.updates), rec})
-	if err != nil {
-		return err
-	}
-	target := math.MaxInt32
-	recovering := make(map[int]bool)
-	restored := make(map[int]int)
-	for r := 0; r < c.Size(); r++ {
-		up, isRec := int(info[2*r]), info[2*r+1] == 1
-		if isRec {
-			recovering[r] = true
-			restored[r] = up
-			continue
-		}
-		if up < target {
-			target = up
-		}
-	}
-	if len(recovering) == 0 {
-		return nil
-	}
-	if !a.ctx.Recovering && a.updates > target {
-		a.u, a.uPrev = a.uPrev, a.u
-		a.updates--
-		if a.updates != target {
-			return fmt.Errorf("lflr: advection rollback gap on rank %d", c.Rank())
-		}
-	}
-	a.massValid = false // re-baseline after any recovery
-
-	// Assist: the upwind stencil needs the LEFT neighbour's boundary
-	// value, so the rank to the replacement's left ships its log.
-	if !a.ctx.Recovering {
-		rightNbr := (c.Rank() + 1) % c.Size()
-		if recovering[rightNbr] {
-			first := restored[rightNbr]
-			payload := []float64{float64(first), float64(target - first)}
-			for s := first; s < target; s++ {
-				v, ok := a.logRight[s]
-				if !ok {
-					return fmt.Errorf("lflr: rank %d missing advection log for step %d", c.Rank(), s)
-				}
-				payload = append(payload, v)
-			}
-			if err := c.Send(rightNbr, tagAdvectRecover, payload); err != nil {
-				return err
-			}
-		}
-	}
-	if a.ctx.Recovering {
-		left := (c.Rank() + c.Size() - 1) % c.Size()
-		msg, err := c.Recv(left, tagAdvectRecover)
-		if err != nil {
-			return err
-		}
-		first := int(msg[0])
-		if a.updates != first {
-			return fmt.Errorf("lflr: advection restored step %d vs log start %d", a.updates, first)
-		}
-		ghosts := msg[2:]
-		n := a.hi - a.lo
-		for a.updates < target {
-			k := a.updates - first
-			v := a.uPrev
-			for i := 0; i < n; i++ {
-				lv := ghosts[k]
-				if i > 0 {
-					lv = a.u[i-1]
-				}
-				v[i] = a.u[i] - a.cfg.C*(a.u[i]-lv)
-			}
-			a.u, a.uPrev = v, a.u
-			a.updates++
-			a.replaySteps++
-			a.ctx.Comm.Compute(3 * float64(n))
-		}
-	}
-	return nil
 }

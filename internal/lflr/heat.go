@@ -1,8 +1,6 @@
 package lflr
 
 import (
-	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/comm"
@@ -37,35 +35,6 @@ type HeatConfig struct {
 	EnergyGuard bool
 }
 
-// SDCEvent schedules one silent bit flip: at the top of the given step,
-// the given rank flips the given bit of its local field element Index.
-// It fires at most once (the flip is transient, so re-executed steps
-// after a rollback run clean). Only the victim rank touches the used
-// flag, so concurrent queries are race-free.
-type SDCEvent struct {
-	Rank, Step int
-	Index      int // local index within the rank's strip
-	Bit        int // IEEE-754 bit position to flip
-	used       bool
-}
-
-func (e *SDCEvent) fire(rank, step int) bool {
-	if e == nil || rank != e.Rank {
-		return false
-	}
-	if e.used || step != e.Step {
-		return false
-	}
-	e.used = true
-	return true
-}
-
-// Killer schedules process deaths; *fault.StepKiller and *fault.Schedule
-// both satisfy it.
-type Killer interface {
-	ShouldDie(rank, step int) bool
-}
-
 // HeatResult is what one run reports.
 type HeatResult struct {
 	U           []float64 // final global field (rank-order concatenation)
@@ -78,256 +47,108 @@ type HeatResult struct {
 	RollbackSteps int // steps re-executed after SDC rollbacks
 }
 
-// heatRank is the per-rank state of the explicit solver.
-type heatRank struct {
-	ctx      *Ctx
-	cfg      HeatConfig
-	st       *dist.Stencil5 // layout + halo exchange (Diag/Off unused here)
-	nx       int
-	jlo, jhi int
-	u, uPrev []float64
-	updates  int // number of updates applied to u ("state version")
-
-	// Sender-side message logs since the last persist: step -> row sent.
-	logDown map[int][]float64 // rows sent to rank-1
-	logUp   map[int][]float64 // rows sent to rank+1
-
-	replaySteps int
-
-	// Skeptical conservation state: the last accepted global energy
-	// (identical on every rank, so rollback decisions need no extra
-	// agreement round), and SDC accounting.
-	prevEnergy    float64
-	energyValid   bool
-	sdcDetections int
-	rollbackSteps int
-}
-
 const (
-	tagRecoverDown = 4100 // log bundle to a recovering lower neighbour
-	tagRecoverUp   = 4101 // log bundle to a recovering upper neighbour
+	tagHeatDown = 3000 // a strip's last row, to rank+1
+	tagHeatUp   = 3001 // a strip's first row, to rank-1
 )
 
 // RunHeat executes the configured scenario over an existing world and
 // returns the result observed by rank 0 (global field gathered at the
 // end). The store must be fresh per run.
 func RunHeat(world *comm.World, store *Store, cfg HeatConfig) (HeatResult, error) {
-	if cfg.PersistEvery <= 0 {
-		cfg.PersistEvery = 1
+	sp := spec{
+		steps: cfg.Steps, persistEvery: cfg.PersistEvery, killer: cfg.Killer, sdc: cfg.SDC,
+		cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx,
 	}
-	if world.Size() > cfg.Ny {
-		// The recovery protocol identifies neighbours by rank adjacency,
-		// which requires every rank to own at least one grid row.
-		return HeatResult{}, fmt.Errorf("lflr: %d ranks exceed %d grid rows", world.Size(), cfg.Ny)
-	}
-	rt := NewRuntime(world, store)
-	var result HeatResult
-	resCh := make(chan HeatResult, 1)
-
-	recoveries, err := rt.Execute(func(ctx *Ctx) error {
-		hr := &heatRank{ctx: ctx, cfg: cfg}
-		hr.st = dist.NewStencil5(ctx.Comm, cfg.Nx, cfg.Ny, 0, 0)
-		hr.nx = cfg.Nx
-		hr.jlo, hr.jhi = hr.st.Rows()
-		hr.logDown = make(map[int][]float64)
-		hr.logUp = make(map[int][]float64)
-
-		if ctx.Recovering {
-			if err := hr.restoreFromStore(); err != nil {
-				return err
-			}
-			if err := hr.recoverProtocol(); err != nil {
-				return err
-			}
-			// From here on this rank is an ordinary survivor.
-			ctx.Recovering = false
-		} else {
-			hr.initState()
+	res, err := run(world, store, sp, func(c *comm.Comm) app {
+		h := &heatApp{strip: newStrip(c, cfg.Nx, cfg.Ny), nu: cfg.Nu}
+		n := h.rows() * h.nx
+		ap := app{
+			key: "u", lost: "persisted state", logged: "logged halo", summary: func(u []float64) float64 { return la.Dot(u, u) },
+			initial: h.initial, step: h.step, update: h.update,
 		}
-
-		if err := hr.mainLoop(); err != nil {
-			return err
+		// Both strip neighbours read a row of this rank and assist its
+		// replacement: the lower one first, as the exchange orders them.
+		if down := c.Rank() - 1; down >= 0 {
+			ap.out = append(ap.out, outHalo{to: down, tag: tagHeatUp, lo: 0, hi: h.nx, log: haloLog{}})
+			ap.in = append(ap.in, inHalo{from: down, tag: tagHeatDown, slot: 0})
 		}
-
-		// Gather the global field for verification.
-		full, err := ctx.Comm.Allgather(hr.u)
-		if err != nil {
-			return err
+		if up := c.Rank() + 1; up < c.Size() {
+			ap.out = append(ap.out, outHalo{to: up, tag: tagHeatDown, lo: n - h.nx, hi: n, log: haloLog{}})
+			ap.in = append(ap.in, inHalo{from: up, tag: tagHeatUp, slot: 1})
 		}
-		energy, err := ctx.Comm.AllreduceScalar(la.Dot(hr.u, hr.u), comm.OpSum)
-		if err != nil {
-			return err
+		if cfg.EnergyGuard {
+			// The reference is the previous step's energy, which a replacement
+			// re-acquires in one accepted step: a recovery leaves it alone.
+			ap.violated, ap.perStep = violatesDecay, true
 		}
-		clock, err := ctx.Comm.AllreduceScalar(ctx.Comm.Clock(), comm.OpMax)
-		if err != nil {
-			return err
-		}
-		// Replay happens on recovered ranks; aggregate so rank 0 reports it.
-		replayed, err := ctx.Comm.AllreduceScalar(float64(hr.replaySteps), comm.OpSum)
-		if err != nil {
-			return err
-		}
-		if ctx.Comm.Rank() == 0 {
-			resCh <- HeatResult{
-				U: full, Energy: energy, FinalClock: clock, ReplaySteps: int(replayed),
-				SDCDetections: hr.sdcDetections, RollbackSteps: hr.rollbackSteps,
-			}
-		}
-		return nil
+		return ap
 	})
-	if err != nil {
-		return result, err
-	}
-	result = <-resCh
-	result.Recoveries = recoveries
-	return result, nil
+	return HeatResult{
+		U: res.u, Energy: res.summary, FinalClock: res.clock, Recoveries: res.recoveries, ReplaySteps: res.replaySteps,
+		SDCDetections: res.sdcDetections, RollbackSteps: res.rollbackSteps,
+	}, err
 }
 
-// initState samples the same initial condition as problems.NewHeatGrid on
+// strip is one rank's row slab [jlo, jhi) of the Nx×Ny heat grid, shared
+// by the explicit and the implicit app.
+type strip struct {
+	nx, ny   int
+	jlo, jhi int
+}
+
+func newStrip(c *comm.Comm, nx, ny int) strip {
+	jlo, jhi := dist.Partition{N: ny, P: c.Size()}.Range(c.Rank())
+	return strip{nx: nx, ny: ny, jlo: jlo, jhi: jhi}
+}
+
+func (g strip) rows() int { return g.jhi - g.jlo }
+
+// initial samples the same initial condition as problems.NewHeatGrid on
 // this rank's strip.
-func (h *heatRank) initState() {
-	nRows := h.jhi - h.jlo
-	h.u = make([]float64, nRows*h.nx)
-	h.uPrev = make([]float64, nRows*h.nx)
-	for j := 0; j < nRows; j++ {
-		gj := h.jlo + j
-		for i := 0; i < h.nx; i++ {
-			x := float64(i+1) / float64(h.cfg.Nx+1)
-			y := float64(gj+1) / float64(h.cfg.Ny+1)
-			h.u[j*h.nx+i] = math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
+func (g strip) initial() []float64 {
+	u := make([]float64, g.rows()*g.nx)
+	for j := 0; j < g.rows(); j++ {
+		gj := g.jlo + j
+		for i := 0; i < g.nx; i++ {
+			x := float64(i+1) / float64(g.nx+1)
+			y := float64(gj+1) / float64(g.ny+1)
+			u[j*g.nx+i] = math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
 		}
 	}
-	h.updates = 0
+	return u
 }
 
-// mainLoop advances to cfg.Steps updates, handling failure events.
-func (h *heatRank) mainLoop() error {
-	for h.updates < h.cfg.Steps {
-		err := h.doStep()
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, comm.ErrRankFailed):
-			h.ctx.AwaitRepair()
-			if err := h.recoverProtocol(); err != nil {
-				return err
-			}
-		default:
-			return err // includes ErrKilled on this rank
-		}
-	}
-	return nil
+// reduceEnergy is the heat apps' step-boundary reduction: the global
+// energy is non-increasing for ν ≤ 1/4 (the skeptical conservation
+// check), and the collective guarantees every rank observes a failure
+// within one step.
+func reduceEnergy(c *comm.Comm, u []float64) (float64, error) {
+	localE := la.Dot(u, u)
+	c.Compute(la.FlopsDot(len(u)))
+	return c.AllreduceScalar(localE, comm.OpSum)
 }
 
-// doStep executes one time step: optional kill, persistence, halo
-// exchange with logging, the FTCS update, and the step-boundary energy
-// all-reduce that doubles as global failure detection and a skeptical
-// conservation check.
-func (h *heatRank) doStep() error {
-	c := h.ctx.Comm
-	s := h.updates
-
-	if h.cfg.Killer != nil && h.cfg.Killer.ShouldDie(c.Rank(), s) {
-		return c.Die()
-	}
-	if s%h.cfg.PersistEvery == 0 {
-		h.persist(s)
-	}
-	if h.cfg.SDC.fire(c.Rank(), s) && h.cfg.SDC.Index < len(h.u) {
-		// Silent data corruption strikes the field.
-		h.u[h.cfg.SDC.Index] = flipBit(h.u[h.cfg.SDC.Index], h.cfg.SDC.Bit)
-	}
-
-	below, above, err := h.exchangeAndLog(s, h.u)
-	if err != nil {
-		return err
-	}
-	h.applyUpdate(below, above)
-
-	// Step-boundary reduction: energy is non-increasing for ν ≤ 1/4
-	// (skeptical conservation check), and the collective guarantees every
-	// rank observes a failure within one step.
-	localE := la.Dot(h.u, h.u)
-	c.Compute(la.FlopsDot(len(h.u)))
-	energy, err := c.AllreduceScalar(localE, comm.OpSum)
-	if err != nil {
-		return err
-	}
-	if h.cfg.EnergyGuard && h.energyValid && violatesDecay(h.prevEnergy, energy) {
-		// Corruption detected somewhere in the world. Every rank holds
-		// the identical (reduced) energy, so all take the same branch:
-		// restore the last persisted state locally and re-execute.
-		h.sdcDetections++
-		before := h.updates
-		if err := h.restoreFromStore(); err != nil {
-			return err
-		}
-		h.rollbackSteps += before - h.updates
-		h.energyValid = false
-		return nil
-	}
-	h.prevEnergy = energy
-	h.energyValid = true
-	return nil
+// heatApp is the explicit FTCS stencil on a strip.
+type heatApp struct {
+	strip
+	nu float64
 }
 
-// violatesDecay is the conservation detector: for the explicit scheme the
-// energy must not increase (a hair of slack absorbs rounding), and must
-// stay finite.
-func violatesDecay(prev, cur float64) bool {
-	if math.IsNaN(cur) || math.IsInf(cur, 0) {
-		return true
+func (h *heatApp) step(r *rank) (float64, error) {
+	if err := r.haloStep(); err != nil {
+		return 0, err
 	}
-	return cur > prev*(1+1e-12)
+	return reduceEnergy(r.ctx.Comm, r.u)
 }
 
-// flipBit mirrors fault.FlipBit locally to keep the import graph flat.
-func flipBit(x float64, bit int) float64 {
-	return math.Float64frombits(math.Float64bits(x) ^ (1 << uint(bit)))
-}
-
-// exchangeAndLog sends boundary rows to strip neighbours, recording each
-// sent row in the sender-side log keyed by step.
-func (h *heatRank) exchangeAndLog(step int, u []float64) (below, above []float64, err error) {
-	c := h.ctx.Comm
-	nRows := h.jhi - h.jlo
-	if c.Rank() > 0 && nRows > 0 {
-		row := la.Copy(u[:h.nx])
-		h.logDown[step] = row
-		if err := c.Send(c.Rank()-1, 3000+1, row); err != nil {
-			return nil, nil, err
-		}
-	}
-	if c.Rank() < c.Size()-1 && nRows > 0 {
-		row := la.Copy(u[(nRows-1)*h.nx:])
-		h.logUp[step] = row
-		if err := c.Send(c.Rank()+1, 3000+0, row); err != nil {
-			return nil, nil, err
-		}
-	}
-	if c.Rank() > 0 {
-		below, err = c.Recv(c.Rank()-1, 3000+0)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	if c.Rank() < c.Size()-1 {
-		above, err = c.Recv(c.Rank()+1, 3000+1)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	return below, above, nil
-}
-
-// applyUpdate performs the FTCS update with the exact arithmetic of the
+// update performs the FTCS update with the exact arithmetic of the
 // serial reference (problems.HeatGrid.Step), so recovered runs match the
-// fault-free trajectory bitwise.
-func (h *heatRank) applyUpdate(below, above []float64) {
-	nx := h.nx
-	nRows := h.jhi - h.jlo
-	nu := h.cfg.Nu
-	u := h.u
+// fault-free trajectory bitwise. halos are the rows below and above the
+// strip, nil beyond the grid.
+func (h *heatApp) update(c *comm.Comm, u, v []float64, halos [2][]float64) {
+	nx, nRows, nu := h.nx, h.rows(), h.nu
+	below, above := halos[0], halos[1]
 	at := func(i, j int) float64 {
 		if i < 0 || i >= nx {
 			return 0
@@ -347,176 +168,21 @@ func (h *heatRank) applyUpdate(below, above []float64) {
 			return u[j*nx+i]
 		}
 	}
-	v := h.uPrev // reuse as the write buffer
 	for j := 0; j < nRows; j++ {
 		for i := 0; i < nx; i++ {
 			cv := u[j*nx+i]
 			v[j*nx+i] = cv + nu*(at(i-1, j)+at(i+1, j)+at(i, j-1)+at(i, j+1)-4*cv)
 		}
 	}
-	h.u, h.uPrev = v, u
-	h.updates++
-	h.ctx.Comm.Compute(6 * float64(nRows*nx))
+	c.Compute(6 * float64(nRows*nx))
 }
 
-// persist writes the current state to the LFLR store and truncates the
-// message logs. One extra persist window is retained: a rank can die
-// *before* persisting step s while its neighbours persist *at* s, in
-// which case the replacement restores step s−k and needs logs back to it.
-func (h *heatRank) persist(step int) {
-	h.ctx.Store.Save(h.ctx.Comm, "u", h.u)
-	h.ctx.Store.SaveScalar(h.ctx.Comm, "step", float64(step))
-	keep := step - h.cfg.PersistEvery
-	for s := range h.logDown {
-		if s < keep {
-			delete(h.logDown, s)
-		}
+// violatesDecay is the conservation detector: for the explicit scheme the
+// energy must not increase (a hair of slack absorbs rounding), and must
+// stay finite.
+func violatesDecay(prev, cur float64) bool {
+	if math.IsNaN(cur) || math.IsInf(cur, 0) {
+		return true
 	}
-	for s := range h.logUp {
-		if s < keep {
-			delete(h.logUp, s)
-		}
-	}
-}
-
-// restoreFromStore initialises a respawned rank from its persistent data:
-// the paper's recovery-function contract.
-func (h *heatRank) restoreFromStore() error {
-	u, ok := h.ctx.Store.Restore(h.ctx.Comm, "u")
-	if !ok {
-		return fmt.Errorf("lflr: rank %d has no persisted state", h.ctx.Comm.Rank())
-	}
-	sv, _ := h.ctx.Store.RestoreScalar(h.ctx.Comm, "step")
-	h.u = u
-	h.uPrev = make([]float64, len(u))
-	h.updates = int(sv)
-	return nil
-}
-
-// recoverProtocol is the post-repair consensus every rank (survivor or
-// replacement) runs:
-//
-//  1. all-gather (updates, recovering) pairs;
-//  2. target = min updates over survivors — survivors one step ahead roll
-//     back via uPrev (they kept the previous state for exactly this);
-//  3. neighbours of each recovering rank send their logged halo rows for
-//     the steps the replacement must replay;
-//  4. the replacement replays locally up to target.
-//
-// Afterwards every rank holds the state of step `target` and the main
-// loop resumes; the redone collective ordering is identical on all ranks.
-func (h *heatRank) recoverProtocol() error {
-	c := h.ctx.Comm
-	rec := 0.0
-	if h.ctx.Recovering {
-		rec = 1
-	}
-	info, err := c.Allgather([]float64{float64(h.updates), rec})
-	if err != nil {
-		return err
-	}
-	target := math.MaxInt32
-	recovering := make(map[int]bool)
-	restored := make(map[int]int) // recovering rank -> its restored step
-	for r := 0; r < c.Size(); r++ {
-		up, isRec := int(info[2*r]), info[2*r+1] == 1
-		if isRec {
-			recovering[r] = true
-			restored[r] = up
-			continue
-		}
-		if up < target {
-			target = up
-		}
-	}
-	if len(recovering) == 0 {
-		return nil // spurious wakeup; nothing to do
-	}
-
-	// Survivors ahead of the consensus roll back one step.
-	if !h.ctx.Recovering && h.updates > target {
-		h.u, h.uPrev = h.uPrev, h.u
-		h.updates--
-		if h.updates != target {
-			return fmt.Errorf("lflr: rank %d cannot roll back from %d to %d", c.Rank(), h.updates+1, target)
-		}
-	}
-
-	// Assist: ship halo logs to recovering neighbours, starting from the
-	// step each replacement actually restored.
-	if !h.ctx.Recovering {
-		if down := c.Rank() - 1; down >= 0 && recovering[down] {
-			if err := h.sendLog(down, h.logDown, tagRecoverUp, restored[down], target); err != nil {
-				return err
-			}
-		}
-		if up := c.Rank() + 1; up < c.Size() && recovering[up] {
-			if err := h.sendLog(up, h.logUp, tagRecoverDown, restored[up], target); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Replay: the replacement recomputes from its persisted step to the
-	// consensus step using the neighbours' logged rows.
-	if h.ctx.Recovering {
-		if err := h.replay(target); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sendLog packages rows for steps [first, target) to a recovering
-// neighbour. Layout: [firstStep, count, rows...].
-func (h *heatRank) sendLog(dst int, log map[int][]float64, tag, first, target int) error {
-	payload := []float64{float64(first), float64(target - first)}
-	for s := first; s < target; s++ {
-		row, ok := log[s]
-		if !ok {
-			return fmt.Errorf("lflr: rank %d missing logged halo for step %d", h.ctx.Comm.Rank(), s)
-		}
-		payload = append(payload, row...)
-	}
-	return h.ctx.Comm.Send(dst, tag, payload)
-}
-
-// replay advances the restored state to the target step using logged
-// halos from both neighbours.
-func (h *heatRank) replay(target int) error {
-	c := h.ctx.Comm
-	var belowLog, aboveLog []float64
-	var first int
-	if c.Rank() > 0 {
-		msg, err := c.Recv(c.Rank()-1, tagRecoverDown)
-		if err != nil {
-			return err
-		}
-		first = int(msg[0])
-		belowLog = msg[2:]
-	}
-	if c.Rank() < c.Size()-1 {
-		msg, err := c.Recv(c.Rank()+1, tagRecoverUp)
-		if err != nil {
-			return err
-		}
-		first = int(msg[0])
-		aboveLog = msg[2:]
-	}
-	if h.updates != first && (belowLog != nil || aboveLog != nil) {
-		return fmt.Errorf("lflr: restored step %d does not match log start %d", h.updates, first)
-	}
-	for h.updates < target {
-		k := h.updates - first
-		var below, above []float64
-		if belowLog != nil {
-			below = belowLog[k*h.nx : (k+1)*h.nx]
-		}
-		if aboveLog != nil {
-			above = aboveLog[k*h.nx : (k+1)*h.nx]
-		}
-		h.applyUpdate(below, above)
-		h.replaySteps++
-	}
-	return nil
+	return cur > prev*(1+1e-12)
 }

@@ -1,14 +1,11 @@
 package lflr
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
 	"repro/internal/krylov"
-	"repro/internal/la"
 )
 
 // ImplicitConfig describes the backward-Euler LFLR heat run of experiment
@@ -38,18 +35,6 @@ type ImplicitResult struct {
 	ReplicaFloats int   // per-rank replica size actually persisted
 }
 
-type implicitRank struct {
-	ctx      *Ctx
-	cfg      ImplicitConfig
-	op       *dist.Stencil5
-	nx       int
-	jlo, jhi int
-	u, uPrev []float64
-	updates  int
-	cgIters  []int
-	replicaN int
-}
-
 // RunImplicitHeat executes the scenario and returns rank 0's view.
 func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (ImplicitResult, error) {
 	if cfg.Coarsen <= 0 {
@@ -61,193 +46,80 @@ func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (Impli
 	if cfg.CGMaxIter <= 0 {
 		cfg.CGMaxIter = 500
 	}
-	rt := NewRuntime(world, store)
-	resCh := make(chan ImplicitResult, 1)
-
-	recoveries, err := rt.Execute(func(ctx *Ctx) error {
-		ir := &implicitRank{ctx: ctx, cfg: cfg, nx: cfg.Nx}
-		ir.op = dist.NewStencil5(ctx.Comm, cfg.Nx, cfg.Ny, 1+4*cfg.Nu, -cfg.Nu)
-		ir.jlo, ir.jhi = ir.op.Rows()
-
-		if ctx.Recovering {
-			if err := ir.restoreCoarse(); err != nil {
-				return err
-			}
-			if err := ir.recoverProtocol(); err != nil {
-				return err
-			}
-			// From here on this rank is an ordinary survivor.
-			ctx.Recovering = false
-		} else {
-			ir.initState()
+	// No halo is declared: nobody can assist a CG solve's replacement, so
+	// it persists every step and must restore to the agreed step itself.
+	sp := spec{steps: cfg.Steps, persistEvery: 1, killer: cfg.Killer, cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx}
+	var root *implicitApp // rank 0's current incarnation
+	res, err := run(world, store, sp, func(c *comm.Comm) app {
+		a := &implicitApp{strip: newStrip(c, cfg.Nx, cfg.Ny), cfg: cfg}
+		a.op = dist.NewStencil5(c, cfg.Nx, cfg.Ny, 1+4*cfg.Nu, -cfg.Nu)
+		a.si, a.sj = sampleIdx(a.nx, cfg.Coarsen), sampleIdx(a.rows(), cfg.Coarsen)
+		if c.Rank() == 0 {
+			root = a
 		}
-		if err := ir.mainLoop(); err != nil {
-			return err
+		return app{
+			key: "coarse", lost: "coarse replica",
+			initial: a.initial, step: a.step, replica: a.replica, rebuild: a.rebuild,
 		}
-
-		full, err := ctx.Comm.Allgather(ir.u)
-		if err != nil {
-			return err
-		}
-		clock, err := ctx.Comm.AllreduceScalar(ctx.Comm.Clock(), comm.OpMax)
-		if err != nil {
-			return err
-		}
-		if ctx.Comm.Rank() == 0 {
-			resCh <- ImplicitResult{U: full, FinalClock: clock, CGIters: ir.cgIters, ReplicaFloats: ir.replicaN}
-		}
-		return nil
 	})
 	if err != nil {
 		return ImplicitResult{}, err
 	}
-	res := <-resCh
-	res.Recoveries = recoveries
-	return res, nil
+	return ImplicitResult{
+		U: res.u, FinalClock: res.clock, Recoveries: res.recoveries,
+		CGIters: root.cgIters, ReplicaFloats: root.replicaN,
+	}, nil
 }
 
-func (r *implicitRank) initState() {
-	nRows := r.jhi - r.jlo
-	r.u = make([]float64, nRows*r.nx)
-	r.uPrev = make([]float64, nRows*r.nx)
-	for j := 0; j < nRows; j++ {
-		gj := r.jlo + j
-		for i := 0; i < r.nx; i++ {
-			x := float64(i+1) / float64(r.cfg.Nx+1)
-			y := float64(gj+1) / float64(r.cfg.Ny+1)
-			r.u[j*r.nx+i] = math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
-		}
-	}
+// implicitApp is the backward-Euler step on a strip, persisted as a
+// coarsened replica.
+type implicitApp struct {
+	strip
+	cfg      ImplicitConfig
+	op       *dist.Stencil5
+	si, sj   []int // the coarse grid's columns and rows within the strip
+	cgIters  []int
+	replicaN int
 }
 
-func (r *implicitRank) mainLoop() error {
-	for r.updates < r.cfg.Steps {
-		err := r.doStep()
-		switch {
-		case err == nil:
-			continue
-		case errors.Is(err, comm.ErrRankFailed):
-			r.ctx.AwaitRepair()
-			if err := r.recoverProtocol(); err != nil {
-				return err
-			}
-		default:
-			return err
-		}
-	}
-	return nil
-}
-
-func (r *implicitRank) doStep() error {
+func (a *implicitApp) step(r *rank) (float64, error) {
 	c := r.ctx.Comm
-	s := r.updates
-
-	// Persist the coarse replica *before* the kill check so the replica
-	// matches the survivors' pre-step state exactly and the recovery
-	// error isolates the coarsening effect.
-	r.persistCoarse(s)
-	if r.cfg.Killer != nil && r.cfg.Killer.ShouldDie(c.Rank(), s) {
-		return c.Die()
-	}
-
 	copy(r.uPrev, r.u)
-	x, st, err := krylov.DistCG(c, r.op, r.u, r.u, krylov.DistOptions{Tol: r.cfg.CGTol, MaxIter: r.cfg.CGMaxIter})
+	x, st, err := krylov.DistCG(c, a.op, r.u, r.u, krylov.DistOptions{Tol: a.cfg.CGTol, MaxIter: a.cfg.CGMaxIter})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	r.u = x
 	r.updates++
-	r.cgIters = append(r.cgIters, st.Iterations)
-
-	localE := la.Dot(r.u, r.u)
-	c.Compute(la.FlopsDot(len(r.u)))
-	_, err = c.AllreduceScalar(localE, comm.OpSum)
-	return err
+	a.cgIters = append(a.cgIters, st.Iterations)
+	return reduceEnergy(c, r.u)
 }
 
-// persistCoarse saves the sampled strip and step number.
-func (r *implicitRank) persistCoarse(step int) {
-	cs := r.cfg.Coarsen
-	si := sampleIdx(r.nx, cs)
-	sj := sampleIdx(r.jhi-r.jlo, cs)
-	coarse := make([]float64, 0, len(si)*len(sj))
-	for _, j := range sj {
-		for _, i := range si {
-			coarse = append(coarse, r.u[j*r.nx+i])
+// replica samples the strip on the coarse grid.
+func (a *implicitApp) replica(u []float64) []float64 {
+	coarse := make([]float64, 0, len(a.si)*len(a.sj))
+	for _, j := range a.sj {
+		for _, i := range a.si {
+			coarse = append(coarse, u[j*a.nx+i])
 		}
 	}
-	r.replicaN = len(coarse)
-	r.ctx.Store.Save(r.ctx.Comm, "coarse", coarse)
-	r.ctx.Store.SaveScalar(r.ctx.Comm, "step", float64(step))
+	a.replicaN = len(coarse)
+	return coarse
 }
 
-// restoreCoarse rebuilds the fine strip by bilinear interpolation of the
+// rebuild recreates the fine strip by bilinear interpolation of the
 // persisted coarse replica — the bootstrap state of §III-C.
-func (r *implicitRank) restoreCoarse() error {
-	coarse, ok := r.ctx.Store.Restore(r.ctx.Comm, "coarse")
-	if !ok {
-		return fmt.Errorf("lflr: rank %d has no coarse replica", r.ctx.Comm.Rank())
+func (a *implicitApp) rebuild(coarse []float64) ([]float64, error) {
+	if len(coarse) != len(a.si)*len(a.sj) {
+		return nil, fmt.Errorf("lflr: coarse replica has %d values, want %d", len(coarse), len(a.si)*len(a.sj))
 	}
-	sv, _ := r.ctx.Store.RestoreScalar(r.ctx.Comm, "step")
-	nRows := r.jhi - r.jlo
-	cs := r.cfg.Coarsen
-	si := sampleIdx(r.nx, cs)
-	sj := sampleIdx(nRows, cs)
-	if len(coarse) != len(si)*len(sj) {
-		return fmt.Errorf("lflr: coarse replica has %d values, want %d", len(coarse), len(si)*len(sj))
-	}
-	r.u = make([]float64, nRows*r.nx)
-	r.uPrev = make([]float64, nRows*r.nx)
-	for j := 0; j < nRows; j++ {
-		for i := 0; i < r.nx; i++ {
-			r.u[j*r.nx+i] = bilinear(coarse, si, sj, i, j)
+	u := make([]float64, a.rows()*a.nx)
+	for j := 0; j < a.rows(); j++ {
+		for i := 0; i < a.nx; i++ {
+			u[j*a.nx+i] = bilinear(coarse, a.si, a.sj, i, j)
 		}
 	}
-	r.updates = int(sv)
-	r.cgIters = nil
-	return nil
-}
-
-// recoverProtocol for the implicit solver: consensus on the target step,
-// survivor rollback via uPrev, and the recovering rank accepting the
-// (interpolated, approximate) bootstrap state.
-func (r *implicitRank) recoverProtocol() error {
-	c := r.ctx.Comm
-	rec := 0.0
-	if r.ctx.Recovering {
-		rec = 1
-	}
-	info, err := c.Allgather([]float64{float64(r.updates), rec})
-	if err != nil {
-		return err
-	}
-	target := math.MaxInt32
-	anyRecovering := false
-	for rr := 0; rr < c.Size(); rr++ {
-		if info[2*rr+1] == 1 {
-			anyRecovering = true
-			continue
-		}
-		if up := int(info[2*rr]); up < target {
-			target = up
-		}
-	}
-	if !anyRecovering {
-		return nil
-	}
-	if !r.ctx.Recovering && r.updates > target {
-		r.u, r.uPrev = r.uPrev, r.u
-		r.updates--
-		if r.updates != target {
-			return fmt.Errorf("lflr: implicit rollback gap on rank %d", c.Rank())
-		}
-	}
-	if r.ctx.Recovering && r.updates != target {
-		// The replica always corresponds to the pre-step state of the
-		// kill step, which is the consensus target by construction.
-		return fmt.Errorf("lflr: coarse replica step %d does not match target %d", r.updates, target)
-	}
-	return nil
+	return u, nil
 }
 
 // sampleIdx returns 0, c, 2c, … plus the last index (so interpolation has

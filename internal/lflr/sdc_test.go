@@ -1,6 +1,7 @@
 package lflr
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -112,4 +113,27 @@ func (k *stepKillerAt) ShouldDie(rank, step int) bool {
 	}
 	k.used = true
 	return true
+}
+
+// TestSDCConfigIsReusable: a config holding an SDCEvent describes any
+// number of runs — the fired-once state belongs to the run, not to the
+// caller's event, so the same value run twice injects the flip twice.
+func TestSDCConfigIsReusable(t *testing.T) {
+	heat := HeatConfig{Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, EnergyGuard: true,
+		SDC: &SDCEvent{Rank: 2, Step: 47, Index: 5, Bit: 62}}
+	h1, h2 := runScenario(t, 5, heat), runScenario(t, 5, heat)
+	if h1.SDCDetections != 1 || h1.RollbackSteps != 8 {
+		t.Errorf("first heat run: %d detections, %d rollback steps, want 1 and 8", h1.SDCDetections, h1.RollbackSteps)
+	}
+	if !reflect.DeepEqual(h1, h2) {
+		t.Errorf("second heat run of one config differs: detections %d then %d, rollback %d then %d",
+			h1.SDCDetections, h2.SDCDetections, h1.RollbackSteps, h2.RollbackSteps)
+	}
+
+	adv := AdvectConfig{N: 200, C: 0.5, Steps: 120, PersistEvery: 20, MassGuard: true,
+		SDC: &SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: 54}}
+	a1, a2 := runAdvect(t, 4, adv), runAdvect(t, 4, adv)
+	if a1.SDCDetections != 1 || !reflect.DeepEqual(a1, a2) {
+		t.Errorf("advection runs of one config: detections %d then %d, want 1 and 1", a1.SDCDetections, a2.SDCDetections)
+	}
 }

@@ -7,10 +7,17 @@
 // hold valid state are not restarted — only the failed rank recovers,
 // with neighbours assisting (here: by replaying logged halo messages).
 //
-// On top of the model the package provides two complete applications:
-// the explicit heat equation with sender-side message logging (the "easy"
-// case of §III-C, recovering bitwise-exactly), and the implicit
-// backward-Euler heat equation bootstrapped from a coarsened redundant
+// Three layers. The model is Store and Runtime: the persistent data, and
+// the supervisor that respawns a failed rank and releases the parked
+// survivors. The skeleton (skeleton.go) is the one time-stepping loop
+// around it: step, agree on a rollback target after a repair, persist
+// and restore, ship and replay sender-side halo logs, roll back when a
+// skeptical invariant fires, gather the result. The applications are
+// three values of its app type, holding only a stencil, a halo topology,
+// a replica transform and an invariant (docs/ARCHITECTURE.md tabulates
+// them): explicit heat (the "easy" case of §III-C, recovering bitwise),
+// upwind advection (the same, under a two-sided mass invariant), and
+// implicit backward-Euler heat bootstrapped from a coarsened redundant
 // replica (§III-C's "redundant storage of coarse model" bullet).
 package lflr
 
