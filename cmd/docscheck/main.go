@@ -4,9 +4,9 @@
 // that once left package docs citing design notes nobody wrote); and
 // exported identifiers in the godoc-gated packages (internal/precond,
 // internal/campaign, internal/service, internal/obs, internal/traceq,
-// internal/jsonl, internal/stats) that lack doc comments. It
-// takes the repository root as an optional argument (default ".") and
-// exits non-zero with one line per problem.
+// internal/jsonl, internal/stats, internal/fault) that lack doc
+// comments. It takes the repository root as an optional argument
+// (default ".") and exits non-zero with one line per problem.
 //
 //	go run ./cmd/docscheck
 package main
@@ -53,6 +53,7 @@ var godocGated = []string{
 	filepath.Join("internal", "traceq"),
 	filepath.Join("internal", "jsonl"),
 	filepath.Join("internal", "stats"),
+	filepath.Join("internal", "fault"),
 }
 
 // run performs all checks and returns the sorted problem list.

@@ -98,36 +98,35 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		os.Exit(2)
 	}
-	var killer lflr.Killer
+	var faults fault.Plan
 	if o.killRank >= 0 {
-		killer = &fault.StepKiller{Rank: o.killRank, Step: o.killStep}
+		faults.Entries = append(faults.Entries, fault.StepKill(o.killRank, o.killStep))
 	}
-	var sdc *lflr.SDCEvent
 	if o.sdcBit >= 0 {
-		sdc = &lflr.SDCEvent{Rank: o.sdcRank, Step: o.sdcStep, Index: 7, Bit: o.sdcBit}
+		faults.Entries = append(faults.Entries, fault.StepFlip(o.sdcRank, o.sdcStep, 7, o.sdcBit))
 	}
 
 	// One path for both solvers over what their results share — the
 	// field and the clock; each keeps its full result for its own lines.
 	var heat lflr.HeatResult
 	var impl lflr.ImplicitResult
-	run := func(k lflr.Killer, sdc *lflr.SDCEvent) (u []float64, clock float64, err error) {
+	run := func(faults fault.Plan) (u []float64, clock float64, err error) {
 		w := comm.NewWorld(comm.Config{Ranks: o.ranks, Cost: machine.DefaultCostModel(), Seed: o.seed})
 		if o.implicit {
 			impl, err = lflr.RunImplicitHeat(w, lflr.NewStore(), lflr.ImplicitConfig{
-				Nx: o.nx, Ny: o.ny, Nu: 1.0, Steps: o.steps, Coarsen: o.coarsen, Killer: k})
+				Nx: o.nx, Ny: o.ny, Nu: 1.0, Steps: o.steps, Coarsen: o.coarsen, Faults: faults})
 			return impl.U, impl.FinalClock, err
 		}
 		heat, err = lflr.RunHeat(w, lflr.NewStore(), lflr.HeatConfig{
-			Nx: o.nx, Ny: o.ny, Nu: 0.25, Steps: o.steps, PersistEvery: o.persist, EnergyGuard: o.guard, Killer: k, SDC: sdc})
+			Nx: o.nx, Ny: o.ny, Nu: 0.25, Steps: o.steps, PersistEvery: o.persist, EnergyGuard: o.guard, Faults: faults})
 		return heat.U, heat.FinalClock, err
 	}
-	cleanU, cleanClock, err := run(nil, nil)
+	cleanU, cleanClock, err := run(fault.Plan{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clean run:", err)
 		os.Exit(1)
 	}
-	u, clock, err := run(killer, sdc)
+	u, clock, err := run(faults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faulty run:", err)
 		os.Exit(1)
@@ -151,7 +150,7 @@ func main() {
 	if o.killRank >= 0 {
 		fmt.Printf("kill: rank %d at step %d\n", o.killRank, o.killStep)
 	}
-	if sdc != nil {
+	if o.sdcBit >= 0 {
 		fmt.Printf("sdc: bit %d of rank %d's field at step %d (guard %v)\n", o.sdcBit, o.sdcRank, o.sdcStep, o.guard)
 		fmt.Printf("sdc detections:        %d (rollback of %d steps)\n", heat.SDCDetections, heat.RollbackSteps)
 	}

@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	cfg.Killer = &fault.StepKiller{Rank: 3, Step: 237}
+	cfg.Faults = fault.Plan{Entries: []fault.Entry{fault.StepKill(3, 237)}}
 	fmt.Printf("running %dx%d heat on %d ranks for %d steps; killing rank 3 at step 237...\n",
 		cfg.Nx, cfg.Ny, ranks, cfg.Steps)
 	res, err := lflr.RunHeat(world(), lflr.NewStore(), cfg)

@@ -25,8 +25,10 @@ func main() {
 
 	// Pretend the machine is unreliable: one silent exponent-class bit
 	// flip will strike the SpMV at iteration 12.
-	inj := fault.NewVectorInjector(2024).OneShot(12, fault.Exponent)
-	unreliable := krylov.NewFaultyOp(op, inj)
+	unreliable, err := krylov.NewFaultyOp(op, fault.Plan{Seed: 2024, Entries: []fault.Entry{fault.OneShot(fault.SiteApply, 12, fault.Exponent)}})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Solve skeptically: every SpMV is validated (non-finite, norm
 	// bound, ABFT checksum); detected faults are corrected by recompute.
@@ -41,7 +43,7 @@ func main() {
 
 	errNorm := la.NrmInf(la.Sub(res.X, xstar))
 	fmt.Printf("converged:        %v in %d iterations\n", res.Stats.Converged, res.Stats.Iterations)
-	fmt.Printf("faults injected:  %d\n", len(inj.Events()))
+	fmt.Printf("faults injected:  %d\n", unreliable.Faults.Run().Flips())
 	fmt.Printf("faults detected:  %d (corrected %d)\n",
 		res.KernelStats.Detections, res.KernelStats.Corrections)
 	fmt.Printf("solution error:   %.3g\n", errNorm)

@@ -1,0 +1,61 @@
+package bench
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// faultExpGolden pins the rendered rows of every experiment that injects
+// faults. The serial ones (F1, T1, F6) open no world, so the -vt 0
+// ledger gate cannot see a moved flip; this file can. It was recorded by
+// running this file in a clone of the commit before the faults became
+// one plan, and a later build must reproduce every line. To re-record
+// after a deliberate change, delete the file and run the test: it
+// writes the file and fails.
+const faultExpGolden = "testdata/fault_experiments.golden.txt"
+
+// faultExps are the fault-injecting experiments, run at seed 1 in quick
+// mode.
+var faultExps = []string{"F1", "T1", "F6", "F4", "T3", "F9", "F10", "P3"}
+
+func TestFaultExperimentsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs eight experiments")
+	}
+	var got bytes.Buffer
+	for _, id := range faultExps {
+		e, ok := Registry()[id]
+		if !ok {
+			t.Fatalf("no experiment %s", id)
+		}
+		for _, row := range e.Run(RunCtx{Seed: 1, Quick: true}).Rows {
+			got.WriteString(id + "\t" + strings.Join(row, "\t") + "\n")
+		}
+	}
+
+	want, err := os.ReadFile(faultExpGolden)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(faultExpGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(faultExpGolden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing: recorded it from this build; review and commit it", faultExpGolden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if len(gl) != len(wl) {
+		t.Fatalf("%d rendered lines, %s holds %d", len(gl), faultExpGolden, len(wl))
+	}
+	for i := range gl {
+		if gl[i] != wl[i] {
+			t.Errorf("row differs from the committed one\n got %s\nwant %s", gl[i], wl[i])
+		}
+	}
+}

@@ -89,14 +89,18 @@ func dotKernel() (func(n int), func()) {
 }
 
 func bitflipKernel() (func(n int), func()) {
-	inj := fault.NewVectorInjector(1).WithRate(1e-3)
 	v := make([]float64, 4096)
+	inj, err := fault.Serial(fault.Plan{Seed: 1, Entries: []fault.Entry{fault.Sustained(fault.SiteApply, 1e-3)}}, len(v))
+	if err != nil {
+		panic(err)
+	}
 	for i := range v {
 		v[i] = float64(i)
 	}
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			inj.Pass(v)
+			_ = inj.Enter(fault.SiteApply, -1) // a serial plan holds no kill
+			inj.Corrupt(fault.SiteApply, v)
 		}
 	}, func() {}
 }

@@ -47,7 +47,7 @@ func F4(rc RunCtx) *Table {
 		}
 
 		kill := cfg
-		kill.Killer = &fault.StepKiller{Rank: 3, Step: 237}
+		kill.Faults = fault.Plan{Entries: []fault.Entry{fault.StepKill(3, 237)}}
 		rec, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), kill)
 		if err != nil {
 			t.AddRow(fmt.Sprint(k), "ERR", "", "", "")
@@ -139,7 +139,7 @@ func T3(rc RunCtx) *Table {
 	for _, c := range []int{1, 2, 4, 8} {
 		cfg := base
 		cfg.Coarsen = c
-		cfg.Killer = &fault.StepKiller{Rank: 1, Step: 8}
+		cfg.Faults = fault.Plan{Entries: []fault.Entry{fault.StepKill(1, 8)}}
 		res, err := lflr.RunImplicitHeat(lflrWorld(rc, p), lflr.NewStore(), cfg)
 		if err != nil {
 			t.AddRow(fmt.Sprint(c), "ERR", err.Error(), "", "")
@@ -209,7 +209,7 @@ func F9(rc RunCtx) *Table {
 		for _, guard := range []bool{true, false} {
 			cfg := base
 			cfg.EnergyGuard = guard
-			cfg.SDC = &lflr.SDCEvent{Rank: 3, Step: 237, Index: 7, Bit: bit}
+			cfg.Faults = fault.Plan{Entries: []fault.Entry{fault.StepFlip(3, 237, 7, bit)}}
 			res, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), cfg)
 			if err != nil {
 				t.AddRow(fmt.Sprint(bit), onOff(guard), "ERR", "", err.Error())
@@ -257,7 +257,7 @@ func F10(rc RunCtx) *Table {
 	} {
 		// Heat: energy-decay guard.
 		hc := heatBase
-		hc.SDC = &lflr.SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: tc.bit}
+		hc.Faults = fault.Plan{Entries: []fault.Entry{fault.StepFlip(1, 63, 4, tc.bit)}}
 		hres, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), hc)
 		heatDet := "ERR"
 		if err == nil {
@@ -265,7 +265,7 @@ func F10(rc RunCtx) *Table {
 		}
 		// Advection: mass-equality guard.
 		ac := advBase
-		ac.SDC = &lflr.SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: tc.bit}
+		ac.Faults = hc.Faults
 		ares, err := lflr.RunAdvection(lflrWorld(rc, p), lflr.NewStore(), ac)
 		advDet, field := "ERR", ""
 		if err == nil {

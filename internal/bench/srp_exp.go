@@ -27,22 +27,22 @@ func F6(rc RunCtx) *Table {
 	bnorm := la.Nrm2(b)
 
 	for _, rate := range []float64{0, 1e-4, 1e-3, 1e-2} {
-		// FT-GMRES.
-		inj := fault.NewVectorInjector(seed).WithRate(rate)
-		res, err := srp.FTGMRES(op, inj, b, srp.Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
-		if err == nil {
-			trueRes := la.Nrm2(la.Sub(b, op.Apply(res.X))) / bnorm
-			t.AddRow(f(rate), "FT-GMRES", yesNo(res.Stats.Converged),
-				fmt.Sprint(res.Stats.Iterations), fmt.Sprint(res.FaultsInjected),
-				fmt.Sprint(res.InnerDiscards), f(trueRes), f(la.NrmInf(la.Sub(res.X, xstar))))
+		// FT-GMRES, then plain GMRES with everything on the faulty
+		// substrate, each on its own run of one plan.
+		faults := fault.Plan{Seed: seed, Entries: []fault.Entry{fault.Sustained(fault.SiteApply, rate)}}
+		ft, ftErr := srp.FTGMRES(op, faults, b, srp.Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
+		plain, plainErr := srp.UnreliableGMRES(op, faults, b, 40, 40*30, 1e-8)
+		for _, v := range []struct {
+			name, discards string
+			res            srp.Result
+			err            error
+		}{{"FT-GMRES", fmt.Sprint(ft.InnerDiscards), ft, ftErr}, {"plain GMRES", "n/a", plain, plainErr}} {
+			if v.err == nil {
+				t.AddRow(f(rate), v.name, yesNo(v.res.Stats.Converged), fmt.Sprint(v.res.Stats.Iterations),
+					fmt.Sprint(v.res.FaultsInjected), v.discards,
+					f(la.Nrm2(la.Sub(b, op.Apply(v.res.X)))/bnorm), f(la.NrmInf(la.Sub(v.res.X, xstar))))
+			}
 		}
-		// Plain GMRES with everything on the faulty substrate.
-		injP := fault.NewVectorInjector(seed).WithRate(rate)
-		st, x := srp.UnreliableGMRES(op, injP, b, 40, 40*30, 1e-8)
-		trueRes := la.Nrm2(la.Sub(b, op.Apply(x))) / bnorm
-		t.AddRow(f(rate), "plain GMRES", yesNo(st.Converged),
-			fmt.Sprint(st.Iterations), fmt.Sprint(len(injP.Events())),
-			"n/a", f(trueRes), f(la.NrmInf(la.Sub(x, xstar))))
 	}
 	t.Notes = append(t.Notes,
 		"rate = per-element bit-flip probability per SpMV inside the unreliable region",

@@ -39,6 +39,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/fault"
 )
 
 // Schema versions of the two on-disk artifacts.
@@ -159,6 +161,27 @@ func (f FaultSpec) String() string {
 	default:
 		return f.Model
 	}
+}
+
+// plan compiles the fault axis value into one attempt's fault plan:
+// bitflip and faulty-precond are sustained flips at every rank's
+// operator or preconditioner applies; rankkill is one kill at an
+// operator apply, its victim and strike drawn from the seed — a single
+// victim keeps the death clock, and with it the recorded lost work,
+// deterministic under any scheduling. none compiles to no entry.
+func (f FaultSpec) plan(seed uint64) fault.Plan {
+	var e fault.Entry
+	switch f.Model {
+	case FaultBitflip:
+		e = fault.Sustained(fault.SiteApply, f.Rate)
+	case FaultFaultyPrecond:
+		e = fault.Sustained(fault.SitePrecond, f.Rate)
+	case FaultRankKill:
+		e = fault.Entry{Kind: fault.Kill, Rank: fault.Drawn, Site: fault.SiteApply, MTBF: f.MTBF}
+	default:
+		return fault.Plan{}
+	}
+	return fault.Plan{Seed: seed, Entries: []fault.Entry{e}}
 }
 
 func (f FaultSpec) validate() error {

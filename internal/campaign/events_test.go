@@ -148,6 +148,7 @@ func TestRunEventMatrix(t *testing.T) {
 					t.Fatalf("%d rank_kill and %d restart events for %d restarts", len(kills), len(restarts), last.Restarts)
 				}
 				slices.SortFunc(kills, func(a, b obs.Event) int { return a.Attempt - b.Attempt })
+				const killSalt = 0x4b494c4c52414e4b // the fault plan's drawn-kill stream: "KILLRANK"
 				for a, k := range kills {
 					victim := machine.NewRNG(attemptSeed(last.Seed, a) ^ killSalt).Intn(tc.cell.Ranks)
 					if k.Attempt != a || k.Rank != victim || k.T != restarts[a].T {

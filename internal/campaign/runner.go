@@ -19,52 +19,30 @@ import (
 )
 
 // Env is the per-rank solve environment the engine assembles for a
-// Runner: the operator (already fault-wrapped according to the cell),
+// Runner: the operator (consulting the cell's fault plan),
 // the preconditioner, this rank's right-hand-side slab, and the solve
 // parameters. Runners are SPMD functions — every rank of the world
 // calls the same Runner with its own Env.
 type Env struct {
 	C *comm.Comm
-	// Op is the operator the solver iterates on. For the bitflip model
-	// it is the fault-injected operator; for rank-kill the victim
-	// rank's copy self-destructs after its scheduled Apply count. For
-	// ftgmres it is the *trusted outer* operator (inner-phase faults
-	// are the runner's own business).
+	// Op is the operator the solver iterates on, consulting the rank's
+	// fault injector under any fault model. For ftgmres it is the
+	// reliable outer operator: a rank can die in its applies, but flips
+	// land only in the inner operator the runner builds.
 	Op dist.Operator
-	// A is the replicated global matrix, for runners that assemble
-	// their own sub-stacks (ftgmres builds the inner preconditioner
-	// from it).
-	A *la.CSR
-	// layout is A partitioned over the world: a runner that needs a
-	// second operator (ftgmres's inner one) binds it rather than
-	// partitioning A again.
-	layout *dist.Layout
-	// M is the preconditioner (nil for none); already fault-wrapped
-	// under the faulty-precond model.
+	// M is the preconditioner (nil for none), consulting the rank's
+	// fault injector under any fault model. For ftgmres it
+	// preconditions the unreliable inner solve.
 	M krylov.DistPreconditioner
 	// B is this rank's slab of the right-hand side.
-	B []float64
-	// Precond and Fault describe the cell, for runners whose wiring
-	// depends on them (ftgmres).
-	Precond string
-	Fault   FaultSpec
-	// kill is the victim rank's shared kill schedule under the
-	// rank-kill model (nil elsewhere): a runner that builds additional
-	// operators (ftgmres's inner stack) must wrap them with it too, so
-	// MTBF counts *every* operator application the rank performs, not
-	// just the outer ones.
-	kill *killSchedule
-	// Seed is the attempt seed; runners deriving their own injector
-	// streams must offset it by rank.
-	Seed    uint64
+	B       []float64
 	Tol     float64
 	MaxIter int
-	// setupKey and setups thread the run's setup-cache identity and
-	// cache to runners that build their own sub-stacks: ftgmres's inner
-	// ILU factorisation is keyed identically to the plain bj-ilu one,
-	// so it must consult the same cache buildPrecond does.
-	setupKey SetupKey
-	setups   SetupCache
+	// layout and faults (nil for a fault-free cell) let a runner bind a
+	// second operator on the same partition and plan (ftgmres's inner
+	// one): the rank-kill model's MTBF counts its applies as well.
+	layout *dist.Layout
+	faults *fault.Injector
 }
 
 // Outcome is what a Runner reports from rank 0 (the SPMD convention:
@@ -140,58 +118,22 @@ func runFGMRES(env *Env) (Outcome, error) {
 // paper's fixed-budget unreliable phase (§III-D).
 const ftgmresInnerIters = 10
 
-// runFTGMRES runs the distributed FT-GMRES stack: env.Op is the trusted
-// outer operator (possibly rank-kill wrapped); the unreliable inner
-// stack is built here with the cell's fault rate landing at the same
-// injection point as for the plain solvers — bitflip corrupts the
-// inner operator's SpMV outputs, faulty-precond only the inner
-// preconditioner's outputs. Either way the faults stay *inside* the
+// runFTGMRES runs the distributed FT-GMRES stack: env.Op is the
+// reliable outer operator and env.M the inner preconditioner; the
+// unreliable inner operator is bound here on the same injector, so the
+// cell's faults land at the same sites as for the plain solvers —
+// bitflip corrupts the inner operator's SpMV outputs, faulty-precond
+// only the inner preconditioner's outputs, and a rank kill counts inner
+// and outer applies alike. Either way the flips stay *inside* the
 // low-reliability phase, which is exactly the configuration the paper
-// argues survives them. Injector seeding mirrors srp.NewFaultyStack
-// (seed+rank for the operator, a disjoint offset for the
-// preconditioner) so the two injection points never share a stream.
+// argues survives them.
 func runFTGMRES(env *Env) (Outcome, error) {
-	opRate, precRate := 0.0, 0.0
-	switch env.Fault.Model {
-	case FaultBitflip:
-		opRate = env.Fault.Rate
-	case FaultFaultyPrecond:
-		precRate = env.Fault.Rate
-	}
-	var inner dist.Operator = env.layout.Bind(env.C)
-	if env.kill != nil {
-		// The inner solve performs most of the rank's operator
-		// applications; it must tick the same MTBF countdown as the
-		// outer operator or ftgmres would look spuriously immune to
-		// rank kills.
-		inner = &killOp{inner: inner, sched: env.kill}
-	}
-	faulty := &srp.FaultyDistOp{
-		Inner:    inner,
-		Injector: fault.NewVectorInjector(env.Seed + uint64(env.C.Rank())).WithRate(opRate),
-		OnInject: emitInjections(env.C, "bitflip"),
-	}
-	var innerM krylov.DistPreconditioner
-	if env.Precond == PrecondBJILU {
-		// Set up the raw ILU through the shared setup cache (same
-		// artifact identity as a plain bj-ilu cell), then wrap: the
-		// factorisation itself runs reliably either way, only
-		// applications are corrupted.
-		bj := precond.NewBlockJacobiILU(env.C, env.A)
-		if err := setupWithCache(env.C, bj, env.setups, env.setupKey); err != nil {
-			return Outcome{}, err
-		}
-		innerM = &precond.Faulty{
-			Inner:    bj,
-			Injector: fault.NewVectorInjector(env.Seed + seedOffPrecond + uint64(env.C.Rank())).WithRate(precRate),
-			OnInject: emitInjections(env.C, "precond"),
-		}
-	}
+	faulty := &dist.Faulty{Inner: env.layout.Bind(env.C), Faults: env.faults}
 	maxOuter := env.MaxIter / ftgmresInnerIters
 	if maxOuter < 10 {
 		maxOuter = 10
 	}
-	res, err := srp.DistFTGMRESPreconditioned(env.C, env.Op, faulty, innerM, env.B, srp.Options{
+	res, err := srp.DistFTGMRESPreconditioned(env.C, env.Op, faulty, env.M, env.B, srp.Options{
 		InnerIters: ftgmresInnerIters, Tol: env.Tol, MaxOuter: maxOuter, OuterRestart: 30,
 	})
 	out := fromStats(res.Stats)
@@ -392,21 +334,13 @@ func (e emitter) harness(ev obs.Event) {
 	}
 }
 
-// emitInjections is the OnInject callback of all four fault-wrapper
-// sites: each corrupting pass becomes a fault_inject event on the rank
-// whose injector fired, carrying the flip count and the injection site.
-func emitInjections(c *comm.Comm, site string) func(faults int) {
-	return func(faults int) {
-		c.Emit(obs.Event{Name: "fault_inject", Value: float64(faults), Detail: site})
-	}
-}
-
 // buildPrecond constructs the named preconditioner over the trusted
 // operator. Chebyshev applies the *clean* operator internally — faults
 // target the solver's operator or the preconditioner output, never
-// both through one wrapper. Cacheable families consult the setup
-// cache: a hit adopts the shared artifact (same virtual cost, no real
-// factorisation work), a miss runs Setup and offers the export back.
+// both through one wrapper. Setup runs under one precond-setup span;
+// cacheable families consult the setup cache (nil for none): a hit
+// adopts the shared artifact (same virtual cost, no real factorisation
+// work), a miss runs Setup and offers the export back.
 func buildPrecond(c *comm.Comm, name string, p Problem, trusted dist.Operator, cache SetupCache, key SetupKey) (precond.Preconditioner, error) {
 	var m precond.Preconditioner
 	switch name {
@@ -419,23 +353,12 @@ func buildPrecond(c *comm.Comm, name string, p Problem, trusted dist.Operator, c
 	default:
 		return nil, fmt.Errorf("campaign: unknown preconditioner %q", name)
 	}
-	return m, setupWithCache(c, m, cache, key)
-}
-
-// setupWithCache runs m's Setup under one precond-setup span,
-// consulting the setup cache (nil for none) for cacheable families: a
-// hit adopts the shared artifact (same virtual cost, no real
-// factorisation work), a miss runs Setup and offers the export back.
-// Both buildPrecond and ftgmres's inner stack go through here, so every
-// factorisation of one (problem, grid, ranks, precond) identity shares
-// one cache entry.
-func setupWithCache(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key SetupKey) error {
 	start := c.SpanStart()
 	if err := setupOrAdopt(c, m, cache, key); err != nil {
-		return err
+		return nil, err
 	}
 	c.SpanEnd(obs.PhasePrecondSetup, start)
-	return nil
+	return m, nil
 }
 
 func setupOrAdopt(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key SetupKey) error {
@@ -459,126 +382,41 @@ func setupOrAdopt(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key 
 	return nil
 }
 
-// Per-run injector stream offsets: the solver-operator and
-// preconditioner injectors of one rank must be independent.
-const (
-	seedOffOp      = 0
-	seedOffPrecond = 1 << 16
-	killSalt       = 0x4b494c4c52414e4b // "KILLRANK"
-)
-
-// killSchedule is the victim rank's death countdown under the
-// rank-kill model: one counter over every operator application the
-// rank performs, shared by all killOp wrappers of the attempt so a
-// solver that splits work across operators (ftgmres's outer/inner
-// stack) sees the same fault exposure per application as one that
-// doesn't. A rank runs on a single goroutine, so the counter needs no
-// locking. The death clock is the rank's virtual time at the strike,
-// recorded into the attempt state for the engine's lost-work
-// accounting.
-type killSchedule struct {
-	c       *comm.Comm
-	att     *attemptState
-	applies int
-	killAt  int
-}
-
-// tick counts one operator application; on the scheduled one it
-// records the death clock, reports the kill — before the failure
-// becomes visible, so the event carries death-time state — and kills
-// the rank.
-func (k *killSchedule) tick() error {
-	k.applies++
-	if k.applies == k.killAt {
-		k.att.death = k.c.Clock()
-		k.c.Emit(obs.Event{Name: "rank_kill", Detail: "mtbf strike"})
-		return k.c.Die()
-	}
-	return nil
-}
-
-// killOp wraps one of the victim rank's operators with the shared
-// schedule. Only the victim rank wraps; all other ranks apply clean
-// operators.
-type killOp struct {
-	inner dist.Operator
-	sched *killSchedule
-}
-
-// Apply implements dist.Operator.
-func (k *killOp) Apply(x, y []float64) error {
-	if err := k.sched.tick(); err != nil {
-		return err
-	}
-	return k.inner.Apply(x, y)
-}
-
-// LocalLen implements dist.Operator.
-func (k *killOp) LocalLen() int { return k.inner.LocalLen() }
-
-// GlobalLen implements dist.Operator.
-func (k *killOp) GlobalLen() int { return k.inner.GlobalLen() }
-
-// NormInf implements dist.Operator.
-func (k *killOp) NormInf() float64 { return k.inner.NormInf() }
-
-// attemptState is the cross-rank blackboard of one solve attempt. Each
-// field has exactly one writer (death: the victim rank; out: rank 0),
-// and the supervisor reads after World.Wait, so no locking is needed.
+// attemptState is the cross-rank blackboard of one solve attempt: the
+// run of its fault plan (nil for a fault-free cell), which records the
+// victim's death clock, and the outcome, written by rank 0. The
+// supervisor reads both after World.Wait, so no locking is needed.
 type attemptState struct {
-	death float64 // victim's virtual clock at death; <0 if none died
-	out   Outcome
+	faults *fault.Run
+	out    Outcome
 }
 
 // runRank is the SPMD body of one solve attempt: assemble the env for
 // this rank (fault wiring included) and dispatch the cell's Runner.
-func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout, seed uint64, att *attemptState, setups SetupCache) error {
+func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout, att *attemptState, setups SetupCache) error {
 	assemble := c.SpanStart()
 	trusted := layout.Bind(c)
 	// Assembly is replicated and communication-free in this model, so the
 	// span is an honest zero-width marker on the timeline.
 	c.SpanEnd(obs.PhaseAssemble, assemble)
 	var op dist.Operator = trusted
-	var kill *killSchedule
-
-	switch cell.Fault.Model {
-	case FaultBitflip:
-		// ftgmres routes the flips into its own inner stack; wrapping
-		// the outer operator too would corrupt the reliable phase.
-		if cell.Solver != SolverFTGMRES {
-			op = &srp.FaultyDistOp{
-				Inner:    trusted,
-				Injector: fault.NewVectorInjector(seed + seedOffOp + uint64(c.Rank())).WithRate(cell.Fault.Rate),
-				OnInject: emitInjections(c, "bitflip"),
-			}
-		}
-	case FaultRankKill:
-		// Every rank draws the same (victim, killAt) pair from the
-		// attempt seed; only the victim wraps its operator. A single
-		// victim per attempt keeps the death clock — and with it the
-		// recorded lost work — deterministic under any scheduling.
-		krng := machine.NewRNG(seed ^ killSalt)
-		victim := krng.Intn(c.Size())
-		killAt := 1 + int(krng.ExpFloat64()*cell.Fault.MTBF)
-		if c.Rank() == victim {
-			kill = &killSchedule{c: c, att: att, killAt: killAt}
-			op = &killOp{inner: trusted, sched: kill}
-		}
+	var faults *fault.Injector
+	if att.faults != nil {
+		faults = att.faults.Rank(c)
+		// ftgmres's outer iteration is its reliable phase: its flips
+		// land in the inner stack the runner builds.
+		op = &dist.Faulty{Inner: trusted, Faults: faults, Reliable: cell.Solver == SolverFTGMRES}
 	}
 
 	key := SetupKey{Problem: cell.Problem, Grid: spec.Grid, Ranks: cell.Ranks, Precond: cell.Precond}
 	var m krylov.DistPreconditioner
-	if cell.Solver != SolverFTGMRES && cell.Precond != PrecondNone {
+	if cell.Precond != PrecondNone {
 		pc, err := buildPrecond(c, cell.Precond, p, trusted, setups, key)
 		if err != nil {
 			return err
 		}
-		if cell.Fault.Model == FaultFaultyPrecond {
-			pc = &precond.Faulty{
-				Inner:    pc,
-				Injector: fault.NewVectorInjector(seed + seedOffPrecond + uint64(c.Rank())).WithRate(cell.Fault.Rate),
-				OnInject: emitInjections(c, "precond"),
-			}
+		if faults != nil {
+			pc = &precond.Faulty{Inner: pc, Faults: faults}
 		}
 		m = pc
 	}
@@ -588,10 +426,8 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout
 		return fmt.Errorf("campaign: unknown solver %q", cell.Solver)
 	}
 	out, err := run(&Env{
-		C: c, Op: op, A: p.A, layout: layout, M: m, B: trusted.Scatter(p.RHS),
-		Precond: cell.Precond, Fault: cell.Fault, Seed: seed, kill: kill,
-		Tol: spec.Tol, MaxIter: spec.MaxIter,
-		setupKey: key, setups: setups,
+		C: c, Op: op, M: m, B: trusted.Scatter(p.RHS), Tol: spec.Tol, MaxIter: spec.MaxIter,
+		layout: layout, faults: faults,
 	})
 	if err != nil {
 		return err
@@ -663,7 +499,13 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		lastAttempt = attempt
 		aseed := attemptSeed(rec.Seed, attempt)
-		att := &attemptState{death: -1}
+		att := &attemptState{}
+		if plan := cell.Fault.plan(aseed); len(plan.Entries) > 0 {
+			if att.faults, err = fault.NewRun(plan, cell.Ranks, dist.Partition{N: p.A.Rows, P: cell.Ranks}.Len); err != nil {
+				rec.Err = err.Error()
+				break
+			}
+		}
 		emit := env.observer(vtime, attempt)
 		if attempt > 0 {
 			// The previous attempt's restart has taken effect: a fresh
@@ -676,13 +518,15 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 			Noise: noiseModel(cell.Noise), Seed: aseed, Ledger: env.Ledger,
 			Observer: emit,
 		}, func(c *comm.Comm) error {
-			return runRank(c, spec, cell, p, layout, aseed, att, env.Setups)
+			return runRank(c, spec, cell, p, layout, att, env.Setups)
 		})
 		if err != nil {
 			if isRankFailure(err) && cell.Fault.Model == FaultRankKill {
-				lost := att.death
-				if lost < 0 {
-					lost = 0
+				lost := 0.0 // the victim's clock at its strike
+				for _, s := range att.faults.Strikes() {
+					if s.Kind == fault.Kill {
+						lost = s.Clock
+					}
 				}
 				emit.harness(obs.Event{T: lost, Name: "attempt_end", Detail: "rank-failure"})
 				emit.harness(obs.Event{T: lost, Name: "restart", Detail: "global restart"})
@@ -690,9 +534,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 				// the harness stream: analytics read it as the
 				// fault-to-recovery latency the restart policy charged.
 				emit.harness(obs.Event{Name: obs.EventSpan, Dur: lost, Detail: obs.PhaseRestartRecovery})
-				if att.death > 0 {
-					vtime += att.death // work lost to the failure
-				}
+				vtime += lost // work lost to the failure
 				rec.Restarts++
 				continue
 			}

@@ -45,9 +45,10 @@ const (
 // Operator is a distributed matrix: y = A·x where x and y are this
 // rank's slabs of block-row distributed vectors. Apply is a collective
 // operation (it may exchange halos) and returns comm.ErrRankFailed /
-// comm.ErrKilled under the world's failure semantics. Implementations
-// outside this package wrap a base operator to inject or detect faults
-// (skp.DistCheckedOp, srp.FaultyDistOp).
+// comm.ErrKilled under the world's failure semantics. Wrappers add
+// behaviour around a base operator: Faulty fires a fault plan's kills
+// and flips at every apply, skp.DistCheckedOp detects and corrects
+// flips.
 type Operator interface {
 	// Apply computes y = A·x for this rank's slab. len(x) and len(y)
 	// must equal LocalLen.

@@ -1,9 +1,12 @@
-// Package fault provides deterministic fault injection: single-event
-// upsets (bit flips) in IEEE-754 float64 data, scheduled process kills,
-// and per-operation fault-rate injectors. Every injector draws from a
-// seeded machine.RNG, so a given seed reproduces the identical fault
-// pattern — the property that makes the paper's "silent data corruption"
-// experiments (§III-A) repeatable.
+// Package fault is the reproduction's one fault model. The paper's two
+// kinds of fault — soft (a flipped bit in IEEE-754 float64 data) and
+// hard (a dead process) — are entries of a Plan: what × rank × site ×
+// occurrence. A Run fires a plan over one world, and each rank consults
+// it through its Injector where a site's work happens (dist.Faulty,
+// precond.Faulty, krylov.FaultyOp and the LFLR time stepper). Every draw
+// comes from a stream seeded by the plan, so a given seed reproduces the
+// identical fault pattern — the property that makes the paper's "silent
+// data corruption" experiments (§III-A) repeatable.
 package fault
 
 import (
@@ -78,11 +81,20 @@ func FlipBit(x float64, bit int) float64 {
 	return math.Float64frombits(math.Float64bits(x) ^ (1 << uint(bit)))
 }
 
-// Event records one injected fault, for experiment logs and for verifying
-// detector attribution.
-type Event struct {
-	Iteration int     // solver iteration / time step when injected
-	Index     int     // element index within the corrupted vector
-	Bit       int     // which bit was flipped
-	Old, New  float64 // value before and after
+// PoissonProcess generates failure inter-arrival times with the given
+// mean (MTBF), for checkpoint/restart simulations (experiment F5).
+type PoissonProcess struct {
+	MTBF float64
+	rng  *machine.RNG
+}
+
+// NewPoissonProcess returns a process with the given mean time between
+// failures, seeded deterministically.
+func NewPoissonProcess(mtbf float64, seed uint64) *PoissonProcess {
+	return &PoissonProcess{MTBF: mtbf, rng: machine.NewRNG(seed)}
+}
+
+// Next returns the time until the next failure.
+func (p *PoissonProcess) Next() float64 {
+	return p.MTBF * p.rng.ExpFloat64()
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/la"
 )
 
@@ -19,8 +20,7 @@ type AdvectConfig struct {
 	C            float64 // CFL number, 0 < C ≤ 1
 	Steps        int
 	PersistEvery int
-	Killer       Killer
-	SDC          *SDCEvent
+	Faults       fault.Plan // as in HeatConfig; indices within a rank's cells
 	MassGuard    bool
 }
 
@@ -40,7 +40,7 @@ const tagAdvect = 5000
 // RunAdvection executes the configured scenario, returning rank 0's view.
 func RunAdvection(world *comm.World, store *Store, cfg AdvectConfig) (AdvectResult, error) {
 	sp := spec{
-		steps: cfg.Steps, persistEvery: cfg.PersistEvery, killer: cfg.Killer, sdc: cfg.SDC,
+		steps: cfg.Steps, persistEvery: cfg.PersistEvery, faults: cfg.Faults,
 		cells: cfg.N, unit: "cells", nx: 1,
 	}
 	res, err := run(world, store, sp, func(c *comm.Comm) app {

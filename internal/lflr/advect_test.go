@@ -63,7 +63,7 @@ func TestAdvectionKillRecoversBitwise(t *testing.T) {
 		{3, 119},
 	} {
 		cfg := base
-		cfg.Killer = &fault.StepKiller{Rank: kill.rank, Step: kill.step}
+		cfg.Faults = plan(fault.StepKill(kill.rank, kill.step))
 		res := runAdvect(t, 4, cfg)
 		if res.Recoveries != 1 {
 			t.Errorf("kill %v: recoveries = %d", kill, res.Recoveries)
@@ -97,7 +97,7 @@ func TestAdvectionMassGuardIsTwoSided(t *testing.T) {
 		{"downward", 54},
 	} {
 		cfg := base
-		cfg.SDC = &SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: tc.bit}
+		cfg.Faults = plan(fault.StepFlip(1, 63, 4, tc.bit))
 		res := runAdvect(t, 4, cfg)
 		if res.SDCDetections != 1 {
 			t.Errorf("%s flip (bit %d): detections = %d, want 1", tc.name, tc.bit, res.SDCDetections)
@@ -119,7 +119,7 @@ func TestAdvectionGuardOffCorrupts(t *testing.T) {
 	base := AdvectConfig{N: n, C: 0.5, Steps: steps, PersistEvery: 20}
 	clean := runAdvect(t, 4, base)
 	cfg := base
-	cfg.SDC = &SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: 54}
+	cfg.Faults = plan(fault.StepFlip(1, 63, 4, 54))
 	res := runAdvect(t, 4, cfg)
 	same := true
 	for i := range res.U {

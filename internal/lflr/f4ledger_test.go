@@ -19,8 +19,7 @@ func runHeatLedger(t *testing.T, kill bool) (ledgerTuple, HeatResult) {
 	t.Helper()
 	cfg := HeatConfig{Nx: 48, Ny: 64, Nu: 0.25, Steps: 400, PersistEvery: 20}
 	if kill {
-		// A fresh killer per run: StepKiller fires once per instance.
-		cfg.Killer = &fault.StepKiller{Rank: 3, Step: 237}
+		cfg.Faults = plan(fault.StepKill(3, 237))
 	}
 	led := &comm.Ledger{}
 	w := comm.NewWorld(comm.Config{Ranks: 8, Cost: machine.DefaultCostModel(), Seed: 1, Ledger: led})

@@ -35,8 +35,8 @@ type familyScenario struct {
 	p         int
 	persist   int
 	coarsen   int
-	kills     []fault.StepKiller
-	sdc       *SDCEvent // copied per run: at the parent an event value fires once, ever
+	kills     []fault.Entry
+	sdc       *fault.Entry
 	guard     bool
 }
 
@@ -64,7 +64,11 @@ func familyScenarios() []familyScenario {
 		sc.name = fmt.Sprintf(format, args...)
 		out = append(out, sc)
 	}
-	kill := func(rank, step int) fault.StepKiller { return fault.StepKiller{Rank: rank, Step: step} }
+	kill := fault.StepKill
+	flip := func(rank, step, index, bit int) *fault.Entry {
+		e := fault.StepFlip(rank, step, index, bit)
+		return &e
+	}
 
 	for _, app := range []string{"heat", "advect"} {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -78,15 +82,15 @@ func familyScenarios() []familyScenario {
 				for _, v := range familyVictims(p) {
 					for _, s := range []int{ks, ks + 1, ks - 1, familySteps - 1} {
 						sc := base
-						sc.kills = []fault.StepKiller{kill(v, s)}
+						sc.kills = []fault.Entry{kill(v, s)}
 						add(sc, "p%d/k%d/kill-r%d-s%d", p, k, v, s)
 					}
 				}
 				if p > 1 {
 					sc := base
-					sc.kills = []fault.StepKiller{kill(p/2, 10), kill(p/2, 30)}
+					sc.kills = []fault.Entry{kill(p/2, 10), kill(p/2, 30)}
 					add(sc, "p%d/k%d/kill-twice-same", p, k)
-					sc.kills = []fault.StepKiller{kill(0, 10), kill(p-1, 30)}
+					sc.kills = []fault.Entry{kill(0, 10), kill(p-1, 30)}
 					add(sc, "p%d/k%d/kill-twice-different", p, k)
 				}
 
@@ -99,7 +103,7 @@ func familyScenarios() []familyScenario {
 					guard bool
 				}{{"up-guard", 62, true}, {"down-guard", 54, true}, {"up-noguard", 62, false}} {
 					sc := base
-					sc.sdc = &SDCEvent{Rank: p / 2, Step: 23, Index: 3, Bit: v.bit}
+					sc.sdc = flip(p/2, 23, 3, v.bit)
 					sc.guard = v.guard
 					add(sc, "p%d/k%d/sdc-%s", p, k, v.name)
 				}
@@ -111,13 +115,13 @@ func familyScenarios() []familyScenario {
 					for _, guard := range []bool{true, false} {
 						sc := base
 						sc.guard = guard
-						sc.sdc = &SDCEvent{Rank: 0, Step: 13, Index: 3, Bit: 62}
-						sc.kills = []fault.StepKiller{kill(p-1, 31)}
+						sc.sdc = flip(0, 13, 3, 62)
+						sc.kills = []fault.Entry{kill(p-1, 31)}
 						add(sc, "p%d/k%d/sdc-and-kill/guard-%v", p, k, guard)
-						sc.sdc = &SDCEvent{Rank: p / 2, Step: 23, Index: 3, Bit: 62}
-						sc.kills = []fault.StepKiller{kill(p/2, 25)}
+						sc.sdc = flip(p/2, 23, 3, 62)
+						sc.kills = []fault.Entry{kill(p/2, 25)}
 						add(sc, "p%d/k%d/sdc-then-kill-victim/guard-%v", p, k, guard)
-						sc.kills = []fault.StepKiller{kill(p/2, 10)}
+						sc.kills = []fault.Entry{kill(p/2, 10)}
 						add(sc, "p%d/k%d/kill-then-sdc-victim/guard-%v", p, k, guard)
 					}
 				}
@@ -127,8 +131,8 @@ func familyScenarios() []familyScenario {
 		// first persist leaves nothing to restore, and a replacement does
 		// not re-log what it replays, so its neighbour dying inside the
 		// same persist window finds the log short.
-		add(familyScenario{app: app, p: 4, persist: 7, kills: []fault.StepKiller{kill(1, 0)}}, "p4/k7/kill-before-first-persist")
-		add(familyScenario{app: app, p: 4, persist: 20, kills: []fault.StepKiller{kill(1, 10), kill(2, 15)}}, "p4/k20/kill-adjacent-in-window")
+		add(familyScenario{app: app, p: 4, persist: 7, kills: []fault.Entry{kill(1, 0)}}, "p4/k7/kill-before-first-persist")
+		add(familyScenario{app: app, p: 4, persist: 20, kills: []fault.Entry{kill(1, 10), kill(2, 15)}}, "p4/k20/kill-adjacent-in-window")
 	}
 
 	for _, p := range []int{1, 2, 4, 8} {
@@ -138,15 +142,15 @@ func familyScenarios() []familyScenario {
 			for _, v := range familyVictims(p) {
 				for _, s := range []int{0, 6, familyImplicitSteps - 1} {
 					sc := base
-					sc.kills = []fault.StepKiller{kill(v, s)}
+					sc.kills = []fault.Entry{kill(v, s)}
 					add(sc, "p%d/c%d/kill-r%d-s%d", p, cs, v, s)
 				}
 			}
 			if p > 1 {
 				sc := base
-				sc.kills = []fault.StepKiller{kill(p/2, 3), kill(p/2, 8)}
+				sc.kills = []fault.Entry{kill(p/2, 3), kill(p/2, 8)}
 				add(sc, "p%d/c%d/kill-twice-same", p, cs)
-				sc.kills = []fault.StepKiller{kill(0, 3), kill(p-1, 8)}
+				sc.kills = []fault.Entry{kill(0, 3), kill(p-1, 8)}
 				add(sc, "p%d/c%d/kill-twice-different", p, cs)
 			}
 		}
@@ -176,13 +180,9 @@ func runFamily(sc familyScenario) familyLine {
 		Ranks: sc.p, Cost: machine.DefaultCostModel(), Seed: 7,
 		Noise: machine.UniformJitter{Frac: 0.25}, Ledger: led,
 	})
-	var killer Killer
-	if len(sc.kills) > 0 {
-		killer = &fault.Schedule{Kills: slices.Clone(sc.kills)}
-	}
-	var sdc *SDCEvent
+	plan := fault.Plan{Entries: slices.Clone(sc.kills)}
 	if sc.sdc != nil {
-		sdc = &SDCEvent{Rank: sc.sdc.Rank, Step: sc.sdc.Step, Index: sc.sdc.Index, Bit: sc.sdc.Bit}
+		plan.Entries = append(plan.Entries, *sc.sdc)
 	}
 	line := familyLine{App: sc.app, Scenario: sc.name}
 
@@ -199,7 +199,7 @@ func runFamily(sc familyScenario) familyLine {
 		var r HeatResult
 		r, err = RunHeat(w, NewStore(), HeatConfig{
 			Nx: 7, Ny: 20, Nu: 0.25, Steps: familySteps, PersistEvery: sc.persist,
-			Killer: killer, SDC: sdc, EnergyGuard: sc.guard,
+			Faults: plan, EnergyGuard: sc.guard,
 		})
 		u, summary, clock = r.U, r.Energy, r.FinalClock
 		line.Recoveries, line.Replay, line.Detections, line.Rollback = r.Recoveries, r.ReplaySteps, r.SDCDetections, r.RollbackSteps
@@ -207,14 +207,14 @@ func runFamily(sc familyScenario) familyLine {
 		var r AdvectResult
 		r, err = RunAdvection(w, NewStore(), AdvectConfig{
 			N: 67, C: 0.5, Steps: familySteps, PersistEvery: sc.persist,
-			Killer: killer, SDC: sdc, MassGuard: sc.guard,
+			Faults: plan, MassGuard: sc.guard,
 		})
 		u, summary, clock = r.U, r.Mass, r.FinalClock
 		line.Recoveries, line.Replay, line.Detections, line.Rollback = r.Recoveries, r.ReplaySteps, r.SDCDetections, r.RollbackSteps
 	case "implicit":
 		var r ImplicitResult
 		r, err = RunImplicitHeat(w, NewStore(), ImplicitConfig{
-			Nx: 7, Ny: 20, Nu: 1, Steps: familyImplicitSteps, Coarsen: sc.coarsen, Killer: killer,
+			Nx: 7, Ny: 20, Nu: 1, Steps: familyImplicitSteps, Coarsen: sc.coarsen, Faults: plan,
 		})
 		u, clock, cgIters, replica = r.U, r.FinalClock, r.CGIters, r.ReplicaFloats
 		line.Recoveries = r.Recoveries

@@ -5,24 +5,22 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/la"
 )
 
 // HeatConfig describes the explicit LFLR heat-equation run of experiment
 // F4: a 2D FTCS heat equation on an Nx×Ny interior grid, row-strip
 // partitioned, with uncoordinated per-rank persistence every PersistEvery
-// steps, sender-side halo logging in between, and (optionally) one
-// scheduled process kill.
+// steps, sender-side halo logging in between, and the faults of a plan.
 type HeatConfig struct {
 	Nx, Ny       int     // global interior grid
 	Nu           float64 // dt/h², ≤ 0.25 for stability
 	Steps        int
 	PersistEvery int
-	Killer       Killer // nil for a fault-free run
-
-	// SDC, when non-nil, silently corrupts one value of the field —
-	// the soft-error counterpart of Killer's hard failure.
-	SDC *SDCEvent
+	// Faults strikes at time steps (fault.SiteStep): a Kill is a process
+	// failure, a Flip silently corrupts a value of a rank's strip.
+	Faults fault.Plan
 	// EnergyGuard arms the skeptical conservation detector: the global
 	// energy Σu² of the explicit scheme is non-increasing for ν ≤ 1/4,
 	// so an energy increase (or a non-finite energy) proves corruption.
@@ -57,7 +55,7 @@ const (
 // end). The store must be fresh per run.
 func RunHeat(world *comm.World, store *Store, cfg HeatConfig) (HeatResult, error) {
 	sp := spec{
-		steps: cfg.Steps, persistEvery: cfg.PersistEvery, killer: cfg.Killer, sdc: cfg.SDC,
+		steps: cfg.Steps, persistEvery: cfg.PersistEvery, faults: cfg.Faults,
 		cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx,
 	}
 	res, err := run(world, store, sp, func(c *comm.Comm) app {

@@ -64,7 +64,7 @@ func TestHeatRecoversBitwise(t *testing.T) {
 		{3, 99, 19}, // last step: restored 80
 	} {
 		cfg := base
-		cfg.Killer = &fault.StepKiller{Rank: kill.rank, Step: kill.step}
+		cfg.Faults = plan(fault.StepKill(kill.rank, kill.step))
 		res := runScenario(t, 5, cfg)
 		if res.Recoveries != 1 {
 			t.Errorf("kill %v: recoveries = %d, want 1", kill, res.Recoveries)
@@ -94,10 +94,7 @@ func TestHeatTwoSequentialFailures(t *testing.T) {
 	clean := runScenario(t, 5, base)
 
 	cfg := base
-	cfg.Killer = &fault.Schedule{Kills: []fault.StepKiller{
-		{Rank: 1, Step: 25},
-		{Rank: 3, Step: 55},
-	}}
+	cfg.Faults = plan(fault.StepKill(1, 25), fault.StepKill(3, 55))
 	res := runScenario(t, 5, cfg)
 	if res.Recoveries != 2 {
 		t.Errorf("recoveries = %d, want 2", res.Recoveries)
@@ -116,7 +113,7 @@ func TestHeatPersistEveryStep(t *testing.T) {
 	base := HeatConfig{Nx: nx, Ny: ny, Nu: 0.25, Steps: steps, PersistEvery: 1}
 	clean := runScenario(t, 3, base)
 	cfg := base
-	cfg.Killer = &fault.StepKiller{Rank: 1, Step: 15}
+	cfg.Faults = plan(fault.StepKill(1, 15))
 	res := runScenario(t, 3, cfg)
 	for i := range res.U {
 		if res.U[i] != clean.U[i] {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/krylov"
 )
 
@@ -20,8 +21,8 @@ type ImplicitConfig struct {
 	Nx, Ny    int
 	Nu        float64 // implicit diffusion number (any positive value is stable)
 	Steps     int
-	Coarsen   int // replica coarsening factor (1 = exact replica)
-	Killer    Killer
+	Coarsen   int        // replica coarsening factor (1 = exact replica)
+	Faults    fault.Plan // as in HeatConfig
 	CGTol     float64
 	CGMaxIter int
 }
@@ -48,7 +49,7 @@ func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (Impli
 	}
 	// No halo is declared: nobody can assist a CG solve's replacement, so
 	// it persists every step and must restore to the agreed step itself.
-	sp := spec{steps: cfg.Steps, persistEvery: 1, killer: cfg.Killer, cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx}
+	sp := spec{steps: cfg.Steps, persistEvery: 1, faults: cfg.Faults, cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx}
 	var root *implicitApp // rank 0's current incarnation
 	res, err := run(world, store, sp, func(c *comm.Comm) app {
 		a := &implicitApp{strip: newStrip(c, cfg.Nx, cfg.Ny), cfg: cfg}

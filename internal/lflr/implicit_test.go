@@ -50,7 +50,7 @@ func TestImplicitCoarseRecovery(t *testing.T) {
 	errFor := func(coarsen int) float64 {
 		cfg := base
 		cfg.Coarsen = coarsen
-		cfg.Killer = &fault.StepKiller{Rank: 1, Step: 6}
+		cfg.Faults = plan(fault.StepKill(1, 6))
 		res := runImplicit(t, 3, cfg)
 		if res.Recoveries != 1 {
 			t.Fatalf("coarsen %d: recoveries = %d", coarsen, res.Recoveries)

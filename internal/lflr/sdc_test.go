@@ -3,6 +3,8 @@ package lflr
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/fault"
 )
 
 // TestSDCRollbackRecoversExactly: an upward exponent flip in the field is
@@ -17,7 +19,7 @@ func TestSDCRollbackRecoversExactly(t *testing.T) {
 
 	cfg := base
 	// Bit 62 on an O(0.1) value is a huge upward flip: energy explodes.
-	cfg.SDC = &SDCEvent{Rank: 2, Step: 47, Index: 5, Bit: 62}
+	cfg.Faults = plan(fault.StepFlip(2, 47, 5, 62))
 	res := runScenario(t, 5, cfg)
 	if res.SDCDetections != 1 {
 		t.Fatalf("detections = %d, want 1", res.SDCDetections)
@@ -42,7 +44,7 @@ func TestSDCUndetectedWithoutGuard(t *testing.T) {
 	clean := runScenario(t, 5, base)
 
 	cfg := base
-	cfg.SDC = &SDCEvent{Rank: 2, Step: 47, Index: 5, Bit: 62}
+	cfg.Faults = plan(fault.StepFlip(2, 47, 5, 62))
 	res := runScenario(t, 5, cfg)
 	if res.SDCDetections != 0 {
 		t.Fatalf("guard disabled but detections = %d", res.SDCDetections)
@@ -66,7 +68,7 @@ func TestSDCDownwardFlipEvadesGuard(t *testing.T) {
 	base := HeatConfig{Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, EnergyGuard: true}
 	cfg := base
 	// Bit 52 flip of a value with that bit set: halves-ish the value.
-	cfg.SDC = &SDCEvent{Rank: 1, Step: 30, Index: 3, Bit: 52}
+	cfg.Faults = plan(fault.StepFlip(1, 30, 3, 52))
 	res := runScenario(t, 5, cfg)
 	if res.SDCDetections != 0 {
 		t.Skip("this particular flip happened to raise energy; asymmetry not exercised")
@@ -84,8 +86,7 @@ func TestSDCAndProcessFailureTogether(t *testing.T) {
 	clean := runScenario(t, 5, base)
 
 	cfg := base
-	cfg.SDC = &SDCEvent{Rank: 0, Step: 33, Index: 2, Bit: 62}
-	cfg.Killer = &stepKillerAt{rank: 3, step: 71}
+	cfg.Faults = plan(fault.StepFlip(0, 33, 2, 62), fault.StepKill(3, 71))
 	res := runScenario(t, 5, cfg)
 	if res.SDCDetections != 1 || res.Recoveries != 1 {
 		t.Fatalf("detections=%d recoveries=%d, want 1/1", res.SDCDetections, res.Recoveries)
@@ -97,30 +98,15 @@ func TestSDCAndProcessFailureTogether(t *testing.T) {
 	}
 }
 
-// stepKillerAt avoids importing fault in this file (lflr tests already
-// use fault elsewhere; this keeps the combined test self-contained).
-type stepKillerAt struct {
-	rank, step int
-	used       bool
-}
+// plan is the plan of the given step-keyed entries.
+func plan(entries ...fault.Entry) fault.Plan { return fault.Plan{Entries: entries} }
 
-func (k *stepKillerAt) ShouldDie(rank, step int) bool {
-	if k == nil || rank != k.rank {
-		return false
-	}
-	if k.used || step != k.step {
-		return false
-	}
-	k.used = true
-	return true
-}
-
-// TestSDCConfigIsReusable: a config holding an SDCEvent describes any
+// TestSDCConfigIsReusable: a config holding a flip describes any
 // number of runs — the fired-once state belongs to the run, not to the
-// caller's event, so the same value run twice injects the flip twice.
+// caller's plan, so the same value run twice injects the flip twice.
 func TestSDCConfigIsReusable(t *testing.T) {
 	heat := HeatConfig{Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, EnergyGuard: true,
-		SDC: &SDCEvent{Rank: 2, Step: 47, Index: 5, Bit: 62}}
+		Faults: plan(fault.StepFlip(2, 47, 5, 62))}
 	h1, h2 := runScenario(t, 5, heat), runScenario(t, 5, heat)
 	if h1.SDCDetections != 1 || h1.RollbackSteps != 8 {
 		t.Errorf("first heat run: %d detections, %d rollback steps, want 1 and 8", h1.SDCDetections, h1.RollbackSteps)
@@ -131,7 +117,7 @@ func TestSDCConfigIsReusable(t *testing.T) {
 	}
 
 	adv := AdvectConfig{N: 200, C: 0.5, Steps: 120, PersistEvery: 20, MassGuard: true,
-		SDC: &SDCEvent{Rank: 1, Step: 63, Index: 4, Bit: 54}}
+		Faults: plan(fault.StepFlip(1, 63, 4, 54))}
 	a1, a2 := runAdvect(t, 4, adv), runAdvect(t, 4, adv)
 	if a1.SDCDetections != 1 || !reflect.DeepEqual(a1, a2) {
 		t.Errorf("advection runs of one config: detections %d then %d, want 1 and 1", a1.SDCDetections, a2.SDCDetections)

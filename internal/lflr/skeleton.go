@@ -6,31 +6,10 @@ import (
 	"math"
 
 	"repro/internal/comm"
+	"repro/internal/dist"
+	"repro/internal/fault"
 	"repro/internal/la"
 )
-
-// Killer schedules process deaths; *fault.StepKiller and *fault.Schedule
-// both satisfy it.
-type Killer interface {
-	ShouldDie(rank, step int) bool
-}
-
-// SDCEvent schedules one silent bit flip: at the top of the given step,
-// the given rank flips the given bit of its local field element Index.
-// It fires at most once per run (the flip is transient, so steps
-// re-executed after a rollback, or by the victim's replacement, run
-// clean). The event itself is read-only: the fired-once state belongs to
-// the run, so one config value describes any number of runs.
-type SDCEvent struct {
-	Rank, Step int
-	Index      int // local index within the rank's strip
-	Bit        int // IEEE-754 bit position to flip
-}
-
-// flipBit mirrors fault.FlipBit locally to keep the import graph flat.
-func flipBit(x float64, bit int) float64 {
-	return math.Float64frombits(math.Float64bits(x) ^ (1 << uint(bit)))
-}
 
 // app is what one LFLR application declares about one rank; the loop,
 // the agreement, persistence, log shipping, replay, the guard's rollback
@@ -74,8 +53,7 @@ type app struct {
 // spec is the part of an app's Config the skeleton reads.
 type spec struct {
 	steps, persistEvery int
-	killer              Killer
-	sdc                 *SDCEvent
+	faults              fault.Plan
 	cells               int    // what the ranks partition…
 	unit                string // …and its name: "grid rows", "cells"
 	nx                  int    // row width; 1 for a 1D app
@@ -127,7 +105,7 @@ type rank struct {
 	ctx *Ctx
 	spec
 	app
-	flipped *bool // the run's SDC event has fired
+	faults *fault.Injector
 
 	u, uPrev []float64
 	updates  int // number of updates applied to u ("state version")
@@ -157,12 +135,19 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 	case sp.steps < 0:
 		return result{}, fmt.Errorf("lflr: %d steps, want at least 0", sp.steps)
 	}
+	// The plan's steps are time steps and its vectors the ranks' fields;
+	// its run is shared by a victim and its replacements, so a fired
+	// fault stays fired.
+	pt := dist.Partition{N: sp.cells, P: world.Size()}
+	faults, err := fault.NewRun(sp.faults, world.Size(), func(q int) int { return pt.Len(q) * sp.nx })
+	if err != nil {
+		return result{}, err
+	}
 	resCh := make(chan result, 1)
-	flipped := false // touched only by the SDC victim and its replacements, one at a time
 
 	recoveries, err := NewRuntime(world, store).Execute(func(ctx *Ctx) error {
 		c := ctx.Comm
-		r := &rank{ctx: ctx, spec: sp, app: bind(c), flipped: &flipped}
+		r := &rank{ctx: ctx, spec: sp, app: bind(c), faults: faults.Rank(c)}
 
 		if ctx.Recovering {
 			if err := r.restore(); err != nil {
@@ -237,10 +222,10 @@ func (r *rank) mainLoop() error {
 	return nil
 }
 
-// doStep executes one time step: scheduled kill, persistence, scheduled
-// flip, the app's step, and the skeptical check of what it reduced.
+// doStep executes one time step — the plan's fault.SiteStep occurrence
+// s: its kills, persistence, its flips into the field, the app's step,
+// and the skeptical check of what it reduced.
 func (r *rank) doStep() error {
-	c := r.ctx.Comm
 	s := r.updates
 
 	// An app that cannot replay persists *before* the kill check, so the
@@ -249,19 +234,14 @@ func (r *rank) doStep() error {
 	if s%r.persistEvery == 0 && r.update == nil {
 		r.persist(s)
 	}
-	if r.killer != nil && r.killer.ShouldDie(c.Rank(), s) {
-		return c.Die()
+	if err := r.faults.Enter(fault.SiteStep, s); err != nil {
+		return err
 	}
 	if s%r.persistEvery == 0 && r.update != nil {
 		r.persist(s)
 	}
-	if e := r.sdc; e != nil && !*r.flipped && c.Rank() == e.Rank && s == e.Step {
-		// Silent data corruption strikes the field.
-		*r.flipped = true
-		if e.Index < len(r.u) {
-			r.u[e.Index] = flipBit(r.u[e.Index], e.Bit)
-		}
-	}
+	// Silent data corruption strikes the field.
+	r.faults.Corrupt(fault.SiteStep, r.u)
 
 	val, err := r.app.step(r)
 	if err != nil || r.violated == nil {

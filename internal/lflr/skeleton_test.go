@@ -1,6 +1,7 @@
 package lflr
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -57,9 +58,33 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 // agreement, not a replay towards a step nobody named.
 func TestLoneRankCannotRecover(t *testing.T) {
 	_, err := RunHeat(heatWorld(1), NewStore(), HeatConfig{
-		Nx: 4, Ny: 6, Nu: 0.25, Steps: 20, PersistEvery: 5, Killer: &fault.StepKiller{Rank: 0, Step: 7},
+		Nx: 4, Ny: 6, Nu: 0.25, Steps: 20, PersistEvery: 5, Faults: plan(fault.StepKill(0, 7)),
 	})
 	if err == nil || !strings.Contains(err.Error(), "no survivor") {
 		t.Fatalf("error %v, want the agreement's no-survivor error", err)
+	}
+}
+
+// TestKillConfigIsReusable: a config holding a plan describes any number
+// of runs — the kills' fired-once state belongs to the run — so one
+// config value run twice gives identical results, recoveries included,
+// for each of the three apps.
+func TestKillConfigIsReusable(t *testing.T) {
+	heat := HeatConfig{Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, Faults: plan(fault.StepKill(2, 47))}
+	if h1, h2 := runScenario(t, 5, heat), runScenario(t, 5, heat); h1.Recoveries != 1 || !reflect.DeepEqual(h1, h2) {
+		t.Errorf("heat: recoveries %d then %d, want 1 and identical results", h1.Recoveries, h2.Recoveries)
+	}
+	two := plan(fault.StepKill(1, 25), fault.StepKill(3, 55))
+	heat.Faults = two
+	if h1, h2 := runScenario(t, 5, heat), runScenario(t, 5, heat); h1.Recoveries != 2 || !reflect.DeepEqual(h1, h2) {
+		t.Errorf("heat, two kills: recoveries %d then %d, want 2 and identical results", h1.Recoveries, h2.Recoveries)
+	}
+	adv := AdvectConfig{N: 200, C: 0.5, Steps: 120, PersistEvery: 20, Faults: two}
+	if a1, a2 := runAdvect(t, 5, adv), runAdvect(t, 5, adv); a1.Recoveries != 2 || !reflect.DeepEqual(a1, a2) {
+		t.Errorf("advection: recoveries %d then %d, want 2 and identical results", a1.Recoveries, a2.Recoveries)
+	}
+	imp := ImplicitConfig{Nx: 16, Ny: 24, Nu: 1, Steps: 12, Coarsen: 2, Faults: plan(fault.StepKill(2, 6))}
+	if i1, i2 := runImplicit(t, 4, imp), runImplicit(t, 4, imp); i1.Recoveries != 1 || !reflect.DeepEqual(i1, i2) {
+		t.Errorf("implicit heat: recoveries %d then %d, want 1 and identical results", i1.Recoveries, i2.Recoveries)
 	}
 }

@@ -23,8 +23,8 @@
 //     spirit of the paper's Relaxed Bulk-Synchronous argument (§II-B).
 //
 // Reliability is a first-class axis, matching the paper's Selective
-// Reliability argument (§II-D, §III-D): Faulty wraps any preconditioner
-// with a per-rank fault injector, so a whole preconditioner application
+// Reliability argument (§II-D, §III-D): Faulty exposes any
+// preconditioner's applications to a fault plan, so a whole application
 // can run as the low-reliability inner phase of srp.DistFTGMRES while
 // the thin outer iteration stays reliable. The solvers never need to
 // know — a preconditioner is just something with ApplyInto.

@@ -2,24 +2,17 @@ package precond
 
 import "repro/internal/fault"
 
-// Faulty wraps any preconditioner so every application's output passes
-// through a per-rank fault injector — a preconditioner running on
-// unreliable hardware. This is the package's hook into the paper's
-// Selective Reliability architecture (§III-D): srp.DistFTGMRES can use
-// a Faulty preconditioner (or an inner solve preconditioned by one) as
-// its low-reliability inner phase, with the reliable outer iteration
+// Faulty is the fault adapter on Preconditioner: every application is
+// an occurrence of fault.SitePrecond on the rank's injector, which may
+// kill the rank before it and flip bits of its output after — a
+// preconditioner running on unreliable hardware. This is the package's
+// hook into the paper's Selective Reliability architecture (§III-D):
+// srp.DistFTGMRES can run a Faulty preconditioner as part of its
+// low-reliability inner phase, with the reliable outer iteration
 // sanitising whatever comes back.
-//
-// Each rank must own a distinct injector (seed it from the rank id) so
-// fault patterns are independent across ranks yet reproducible.
 type Faulty struct {
-	Inner    Preconditioner
-	Injector *fault.VectorInjector
-
-	// OnInject, when non-nil, fires after each application that actually
-	// corrupted the output, with the number of flips delivered in that
-	// pass — the trace hook for preconditioner-side fault injection.
-	OnInject func(faults int)
+	Inner  Preconditioner
+	Faults *fault.Injector
 }
 
 // Setup implements Preconditioner: the factorisation itself is assumed
@@ -30,15 +23,15 @@ func (f *Faulty) Setup() error { return f.Inner.Setup() }
 // Apply implements Preconditioner.
 func (f *Faulty) Apply(r []float64) ([]float64, error) { return applyViaInto(f, r) }
 
-// ApplyInto implements Preconditioner: the clean application followed
-// by the injector's pass over the result.
+// ApplyInto implements Preconditioner.
 func (f *Faulty) ApplyInto(r, z []float64) error {
+	if err := f.Faults.Enter(fault.SitePrecond, -1); err != nil {
+		return err
+	}
 	if err := f.Inner.ApplyInto(r, z); err != nil {
 		return err
 	}
-	if n := f.Injector.Pass(z); n > 0 && f.OnInject != nil {
-		f.OnInject(n)
-	}
+	f.Faults.Corrupt(fault.SitePrecond, z)
 	return nil
 }
 

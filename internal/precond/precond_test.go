@@ -197,10 +197,13 @@ func TestFaultyWrapperInjectsAndDelegates(t *testing.T) {
 	b := problems.OnesRHS(a.Rows)
 	runSerial(t, func(c *comm.Comm) error {
 		clean := NewBlockJacobiILU(c, a)
-		f := &Faulty{
-			Inner:    NewBlockJacobiILU(c, a),
-			Injector: fault.NewVectorInjector(3).WithRate(1), // corrupt every element pass
+		// Corrupt every element of every application.
+		run, err := fault.NewRun(fault.Plan{Seed: 3, Entries: []fault.Entry{fault.Sustained(fault.SitePrecond, 1)}}, 1,
+			func(int) int { return a.Rows })
+		if err != nil {
+			return err
 		}
+		f := &Faulty{Inner: NewBlockJacobiILU(c, a), Faults: run.Rank(c)}
 		if err := clean.Setup(); err != nil {
 			return err
 		}
@@ -221,7 +224,7 @@ func TestFaultyWrapperInjectsAndDelegates(t *testing.T) {
 		if la.NrmInf(la.Sub(zc, zf)) == 0 {
 			t.Error("rate-1 injector left the application untouched")
 		}
-		if len(f.Injector.Events()) == 0 {
+		if run.Flips() == 0 {
 			t.Error("no fault events recorded")
 		}
 		return nil

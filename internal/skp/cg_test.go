@@ -28,8 +28,7 @@ func TestSkepticalCG(t *testing.T) {
 
 	protected := 0
 	for seed := uint64(0); seed < 10; seed++ {
-		inj := fault.NewVectorInjector(seed).OneShot(15, fault.Exponent)
-		co := NewCheckedOp(krylov.NewFaultyOp(op, inj), op, Correct)
+		co := NewCheckedOp(exponentFlip(t, op, seed, 15), op, Correct)
 		co.Checks = append(co.Checks, Checksum{ColSums: a.ColSums()})
 		x, st, err := krylov.CG(co, b, nil, krylov.CGOptions{Tol: 1e-10, MaxIter: 600})
 		if err != nil {
@@ -70,12 +69,12 @@ func TestUncheckedCGDerailed(t *testing.T) {
 	derailed := 0
 	upward := 0
 	for seed := uint64(0); seed < 10; seed++ {
-		inj := fault.NewVectorInjector(seed).OneShot(15, fault.Exponent)
-		x, st, err := krylov.CG(krylov.NewFaultyOp(op, inj), b, nil, krylov.CGOptions{Tol: 1e-10, MaxIter: 600})
+		faulty := exponentFlip(t, op, seed, 15)
+		x, st, err := krylov.CG(faulty, b, nil, krylov.CGOptions{Tol: 1e-10, MaxIter: 600})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev := inj.Events()
+		ev := faulty.Faults.Run().Strikes()
 		if len(ev) == 1 && isUpward(ev[0]) {
 			upward++
 			e := la.NrmInf(la.Sub(x, xstar))
@@ -89,7 +88,7 @@ func TestUncheckedCGDerailed(t *testing.T) {
 	}
 }
 
-func isUpward(e fault.Event) bool {
+func isUpward(e fault.Strike) bool {
 	old, new := e.Old, e.New
 	if old < 0 {
 		old = -old

@@ -134,11 +134,19 @@ func TestDistCheckedDetectsAndCorrectsLocally(t *testing.T) {
 func TestDistCheckedGMRES(t *testing.T) {
 	a := problems.ConvDiff2D(16, 16, 20, 10)
 	rhs, xstar := problems.ManufacturedRHS(a)
-	err := comm.Run(distCfg(4), func(c *comm.Comm) error {
+	run, err := fault.NewRun(fault.Plan{Seed: 300, Entries: []fault.Entry{fault.Sustained(fault.SiteApply, 5e-4)}},
+		4, dist.Partition{N: a.Rows, P: 4}.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.Run(distCfg(4), func(c *comm.Comm) error {
 		inner := dist.NewCSR(c, a)
 		co := NewDistCheckedOp(inner)
-		inj := fault.NewVectorInjector(uint64(300 + c.Rank())).WithRate(5e-4)
-		co.Corrupt = func(y []float64) { inj.Pass(y) }
+		faults := run.Rank(c)
+		co.Corrupt = func(y []float64) {
+			_ = faults.Enter(fault.SiteApply, -1)
+			faults.Corrupt(fault.SiteApply, y)
+		}
 
 		local := inner.Scatter(rhs)
 		x, st, err := krylov.DistGMRES(c, co, local, nil, krylov.DistGMRESOptions{

@@ -105,8 +105,7 @@ func TestCheckedOpDetectionAndCorrection(t *testing.T) {
 	detected := 0
 	const trials = 40
 	for trial := 0; trial < trials; trial++ {
-		inj := fault.NewVectorInjector(uint64(100+trial)).OneShot(0, fault.Exponent)
-		co := NewCheckedOp(krylov.NewFaultyOp(op, inj), op, Correct)
+		co := NewCheckedOp(exponentFlip(t, op, uint64(100+trial), 0), op, Correct)
 		got := co.Apply(x)
 		if co.Stats.Detections > 0 {
 			detected++
@@ -156,9 +155,7 @@ func TestSkepticalGMRESMatchesCleanUnderDetectedFlips(t *testing.T) {
 
 	detectedSeeds := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		inj := fault.NewVectorInjector(seed).OneShot(10, fault.Exponent)
-		faulty := krylov.NewFaultyOp(op, inj)
-		res, err := GMRES(faulty, op, b, GMRESConfig{
+		res, err := GMRES(exponentFlip(t, op, seed, 10), op, b, GMRESConfig{
 			Restart: 150, Tol: 1e-9, MaxIter: 600, Policy: Correct, OrthoEvery: 4,
 		})
 		if err != nil {
@@ -200,15 +197,15 @@ func TestUncheckedGMRESSuffersInLongCycles(t *testing.T) {
 	hurt := 0
 	detectable := 0
 	for seed := uint64(0); seed < 20; seed++ {
-		inj := fault.NewVectorInjector(seed).OneShot(10, fault.Exponent)
-		_, st, err := krylov.GMRES(krylov.NewFaultyOp(op, inj), b, nil,
+		faulty := exponentFlip(t, op, seed, 10)
+		_, st, err := krylov.GMRES(faulty, b, nil,
 			krylov.GMRESOptions{Restart: 150, Tol: 1e-9, MaxIter: 600})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Classify the flip after the fact: an "upward" flip inflates the
 		// struck value by orders of magnitude (or makes it non-finite).
-		ev := inj.Events()
+		ev := faulty.Faults.Run().Strikes()
 		if len(ev) == 1 && (math.Abs(ev[0].New) > 1e3*math.Abs(ev[0].Old) || math.IsNaN(ev[0].New) || math.IsInf(ev[0].New, 0)) {
 			detectable++
 			if !st.Converged || st.Iterations > clean.Iterations+30 {
@@ -240,8 +237,7 @@ func TestCheckEveryAmortisation(t *testing.T) {
 
 	// Fault on the 3rd apply; checks run on applies 4, 8, ... only.
 	count := 0
-	inj := fault.NewVectorInjector(11).OneShot(2, fault.Exponent)
-	faulty := krylov.NewFaultyOp(op, inj)
+	faulty := exponentFlip(t, op, 11, 2)
 	co := NewCheckedOp(faulty, op, Correct)
 	co.CheckEvery = 4
 	var thirdOutput []float64
@@ -254,7 +250,7 @@ func TestCheckEveryAmortisation(t *testing.T) {
 	}
 	// The corrupted 3rd apply was unchecked: if the flip was material,
 	// the output differs from the truth and Detections stays 0 for it.
-	if inj.Fired() {
+	if len(faulty.Faults.Run().Strikes()) > 0 {
 		differs := false
 		for i := range want {
 			if thirdOutput[i] != want[i] {
@@ -273,8 +269,7 @@ func TestCheckEveryAmortisation(t *testing.T) {
 	}
 
 	// Fault scheduled ON a checked apply (the 4th): must be corrected.
-	inj2 := fault.NewVectorInjector(11).OneShot(3, fault.Exponent)
-	co2 := NewCheckedOp(krylov.NewFaultyOp(op, inj2), op, Correct)
+	co2 := NewCheckedOp(exponentFlip(t, op, 11, 3), op, Correct)
 	co2.CheckEvery = 4
 	var fourth []float64
 	for i := 0; i < 4; i++ {
@@ -302,4 +297,16 @@ func TestOrthoCheckCatchesCorruptBasis(t *testing.T) {
 	if err := orthoCheck(0, notNormal, 1e-8); err == nil {
 		t.Error("missed unnormalised vector")
 	}
+}
+
+// exponentFlip returns op behind a serial plan that flips one
+// exponent-class bit of a drawn element of its k-th product (counting
+// from 0), drawing from seed's stream.
+func exponentFlip(t *testing.T, op krylov.Op, seed uint64, k int) *krylov.FaultyOp {
+	t.Helper()
+	f, err := krylov.NewFaultyOp(op, fault.Plan{Seed: seed, Entries: []fault.Entry{fault.OneShot(fault.SiteApply, k, fault.Exponent)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }

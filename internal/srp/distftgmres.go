@@ -10,42 +10,6 @@ import (
 	"repro/internal/precond"
 )
 
-// FaultyDistOp wraps a distributed operator so each rank's local Apply
-// result passes through its own fault injector — sustained silent
-// corruption on a distributed machine. Each rank must own a distinct
-// injector (seed it from the rank id) so fault patterns are independent
-// across ranks yet reproducible.
-type FaultyDistOp struct {
-	Inner    dist.Operator
-	Injector *fault.VectorInjector
-
-	// OnInject, when non-nil, fires after each Apply that actually
-	// corrupted the output, with the number of flips delivered in that
-	// pass. It runs on the rank whose injector fired (fault patterns are
-	// per-rank), which is how run traces attribute injections to ranks.
-	OnInject func(faults int)
-}
-
-// Apply implements dist.Operator.
-func (f *FaultyDistOp) Apply(x, y []float64) error {
-	if err := f.Inner.Apply(x, y); err != nil {
-		return err
-	}
-	if n := f.Injector.Pass(y); n > 0 && f.OnInject != nil {
-		f.OnInject(n)
-	}
-	return nil
-}
-
-// LocalLen implements dist.Operator.
-func (f *FaultyDistOp) LocalLen() int { return f.Inner.LocalLen() }
-
-// GlobalLen implements dist.Operator.
-func (f *FaultyDistOp) GlobalLen() int { return f.Inner.GlobalLen() }
-
-// NormInf implements dist.Operator (the intended operator's bound).
-func (f *FaultyDistOp) NormInf() float64 { return f.Inner.NormInf() }
-
 // DistInner is the unreliable distributed inner solver used as the
 // DistFGMRES preconditioner: a fixed-budget distributed GMRES on the
 // faulty operator — itself optionally preconditioned by Precon
@@ -110,26 +74,26 @@ func (s *DistInner) ApplyInto(r, z []float64) error {
 }
 
 // NewFaultyStack assembles the standard low-reliability inner phase for
-// the replicated global matrix a: the operator wrapped with a per-rank
-// fault injector, and — when precondition is true — a block-Jacobi
-// ILU(0) preconditioner whose outputs are corrupted at the same rate.
-// Injectors are seeded from seed plus the rank (operator) and a
-// disjoint offset (preconditioner), so fault patterns are independent
-// across ranks and across the two injection points yet reproducible.
-// Every experiment, example and test that runs FT-GMRES on a corrupted
-// stack builds it here, so the wiring cannot drift between them.
+// the replicated global matrix a: the operator, and — when precondition
+// is true — a block-Jacobi ILU(0) preconditioner, each flipping every
+// element of its output with probability rate from its own per-rank
+// stream of seed. Nothing in that plan fires once, so each rank runs it
+// on its own. Every experiment, example and test that runs FT-GMRES on
+// a corrupted stack builds it here, so the wiring cannot drift.
 func NewFaultyStack(c *comm.Comm, a *la.CSR, rate float64, seed uint64, precondition bool) (dist.Operator, krylov.DistPreconditioner, error) {
-	faulty := &FaultyDistOp{
-		Inner:    dist.NewCSR(c, a),
-		Injector: fault.NewVectorInjector(seed + uint64(c.Rank())).WithRate(rate),
+	plan := fault.Plan{Seed: seed, Entries: []fault.Entry{
+		fault.Sustained(fault.SiteApply, rate), fault.Sustained(fault.SitePrecond, rate),
+	}}
+	run, err := fault.NewRun(plan, c.Size(), dist.Partition{N: a.Rows, P: c.Size()}.Len)
+	if err != nil {
+		return nil, nil, err
 	}
+	faults := run.Rank(c)
+	faulty := &dist.Faulty{Inner: dist.NewCSR(c, a), Faults: faults}
 	if !precondition {
 		return faulty, nil, nil
 	}
-	fm := &precond.Faulty{
-		Inner:    precond.NewBlockJacobiILU(c, a),
-		Injector: fault.NewVectorInjector(seed + 1<<16 + uint64(c.Rank())).WithRate(rate),
-	}
+	fm := &precond.Faulty{Inner: precond.NewBlockJacobiILU(c, a), Faults: faults}
 	if err := fm.Setup(); err != nil {
 		return nil, nil, err
 	}
@@ -147,8 +111,8 @@ type DistFTGMRESResult struct {
 // DistFTGMRES is FT-GMRES at scale: a reliable distributed FGMRES outer
 // iteration whose preconditioner is a fault-injected distributed GMRES —
 // the paper's §III-D architecture on the simulated parallel machine.
-// trusted is the clean operator; faulty is the same operator wrapped with
-// per-rank injectors (see FaultyDistOp).
+// trusted is the clean operator; faulty is the same operator consulting
+// each rank's fault injector (see dist.Faulty).
 func DistFTGMRES(c *comm.Comm, trusted, faulty dist.Operator, b []float64, opts Options) (DistFTGMRESResult, error) {
 	return DistFTGMRESPreconditioned(c, trusted, faulty, nil, b, opts)
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/fault"
 	"repro/internal/krylov"
 	"repro/internal/la"
 	"repro/internal/machine"
@@ -30,9 +29,9 @@ func TestDistFTGMRESConvergesUnderFaults(t *testing.T) {
 	var discards int
 	err := comm.Run(cfg, func(c *comm.Comm) error {
 		trusted := dist.NewCSR(c, a)
-		faulty := &FaultyDistOp{
-			Inner:    dist.NewCSR(c, a),
-			Injector: fault.NewVectorInjector(uint64(1000 + c.Rank())).WithRate(rate),
+		faulty, _, err := NewFaultyStack(c, a, rate, 1000, false)
+		if err != nil {
+			return err
 		}
 		local := trusted.Scatter(bGlob)
 		res, err := DistFTGMRES(c, trusted, faulty, local, Options{
@@ -66,9 +65,9 @@ func TestDistFTGMRESConvergesUnderFaults(t *testing.T) {
 	var plainErr float64
 	var plainConv bool
 	err = comm.Run(cfg, func(c *comm.Comm) error {
-		faulty := &FaultyDistOp{
-			Inner:    dist.NewCSR(c, a),
-			Injector: fault.NewVectorInjector(uint64(1000 + c.Rank())).WithRate(rate),
+		faulty, _, err := NewFaultyStack(c, a, rate, 1000, false)
+		if err != nil {
+			return err
 		}
 		trusted := dist.NewCSR(c, a)
 		local := trusted.Scatter(bGlob)
@@ -149,34 +148,6 @@ func TestDistFTGMRESWithFaultyPreconditionedInner(t *testing.T) {
 	}
 }
 
-// TestFaultyDistOpPreservesMetadata checks the wrapper's pass-throughs.
-func TestFaultyDistOpPreservesMetadata(t *testing.T) {
-	a := problems.Poisson1D(40)
-	cfg := comm.Config{Ranks: 2, Cost: machine.DefaultCostModel(), Seed: 5}
-	err := comm.Run(cfg, func(c *comm.Comm) error {
-		inner := dist.NewCSR(c, a)
-		f := &FaultyDistOp{Inner: inner, Injector: fault.NewVectorInjector(1)}
-		if f.LocalLen() != inner.LocalLen() || f.GlobalLen() != 40 {
-			t.Error("length pass-through broken")
-		}
-		if f.NormInf() != inner.NormInf() {
-			t.Error("NormInf pass-through broken")
-		}
-		x := make([]float64, f.LocalLen())
-		y := make([]float64, f.LocalLen())
-		for i := range x {
-			x[i] = 1
-		}
-		if err := f.Apply(x, y); err != nil {
-			return err
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestDistFTGMRESHooks pins what a distributed FT-GMRES solve reports
 // on its world's event stream: iteration events for the *outer*
 // iterations only — consecutive numbers on every rank, so the inner
@@ -208,9 +179,9 @@ func TestDistFTGMRESHooks(t *testing.T) {
 		trusted := dist.NewCSR(c, a)
 		// An absurd fault rate guarantees sanitisation rejects some inner
 		// results, so the discard path is exercised deterministically.
-		faulty := &FaultyDistOp{
-			Inner:    dist.NewCSR(c, a),
-			Injector: fault.NewVectorInjector(uint64(7000 + c.Rank())).WithRate(0.05),
+		faulty, _, err := NewFaultyStack(c, a, 0.05, 7000, false)
+		if err != nil {
+			return err
 		}
 		res, err := DistFTGMRES(c, trusted, faulty, trusted.Scatter(bGlob), Options{
 			InnerIters: 10, Tol: 1e-8, MaxOuter: 25, OuterRestart: 25,

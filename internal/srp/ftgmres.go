@@ -99,15 +99,18 @@ func (o *Options) defaults() {
 }
 
 // FTGMRES solves A·x = b with the fault-tolerant outer/inner scheme:
-// trusted is the reliable operator (used by the outer iteration),
-// injector corrupts the inner operator's SpMV outputs at its configured
-// rate. Most flops happen inside the inner solves, i.e. unreliably —
-// exactly the paper's "most computation and data are in low-reliability
-// mode".
-func FTGMRES(trusted krylov.Op, injector *fault.VectorInjector, b []float64, opts Options) (Result, error) {
+// trusted is the reliable operator (used by the outer iteration), and
+// faults strikes the inner operator's SpMV outputs (krylov.NewFaultyOp).
+// Most flops happen inside the inner solves, i.e. unreliably — exactly
+// the paper's "most computation and data are in low-reliability mode".
+func FTGMRES(trusted krylov.Op, faults fault.Plan, b []float64, opts Options) (Result, error) {
 	opts.defaults()
+	faulty, err := krylov.NewFaultyOp(trusted, faults)
+	if err != nil {
+		return Result{}, err
+	}
 	inner := &InnerSolver{
-		Faulty:  krylov.NewFaultyOp(trusted, injector),
+		Faulty:  faulty,
 		Iters:   opts.InnerIters,
 		Restart: opts.InnerIters,
 	}
@@ -122,20 +125,25 @@ func FTGMRES(trusted krylov.Op, injector *fault.VectorInjector, b []float64, opt
 		Stats:          st,
 		InnerSolves:    inner.Solves,
 		InnerDiscards:  inner.Discards,
-		FaultsInjected: len(injector.Events()),
+		FaultsInjected: faulty.Faults.Run().Flips(),
 	}, err
 }
 
 // UnreliableGMRES is the no-SRP baseline: plain GMRES run entirely on the
-// faulty operator, the configuration the paper predicts will stagnate or
-// silently err as fault rates rise.
-func UnreliableGMRES(trusted krylov.Op, injector *fault.VectorInjector, b []float64, restart, maxIter int, tol float64) (krylov.Stats, []float64) {
-	x, st, _ := krylov.GMRES(krylov.NewFaultyOp(trusted, injector), b, nil, krylov.GMRESOptions{
+// operator faults strikes, the configuration the paper predicts will
+// stagnate or silently err as fault rates rise. The error is the plan's
+// (krylov.NewFaultyOp); the solver's own are part of the outcome.
+func UnreliableGMRES(trusted krylov.Op, faults fault.Plan, b []float64, restart, maxIter int, tol float64) (Result, error) {
+	faulty, err := krylov.NewFaultyOp(trusted, faults)
+	if err != nil {
+		return Result{}, err
+	}
+	x, st, _ := krylov.GMRES(faulty, b, nil, krylov.GMRESOptions{
 		Restart: restart,
 		MaxIter: maxIter,
 		Tol:     tol,
 	})
-	return st, x
+	return Result{X: x, Stats: st, FaultsInjected: faulty.Faults.Run().Flips()}, nil
 }
 
 // RegionDot is a dot product evaluated through mem.Region loads, so SRP

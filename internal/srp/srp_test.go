@@ -17,12 +17,17 @@ func testProblem() (krylov.Op, []float64, []float64) {
 	return krylov.NewCSROp(a), b, xstar
 }
 
+// flipRate is the serial plan that flips each element of every product
+// with probability rate, drawing from seed's stream.
+func flipRate(seed uint64, rate float64) fault.Plan {
+	return fault.Plan{Seed: seed, Entries: []fault.Entry{fault.Sustained(fault.SiteApply, rate)}}
+}
+
 // TestFTGMRESFaultFree: with no faults FT-GMRES is just FGMRES with an
 // inner GMRES preconditioner and must converge fast.
 func TestFTGMRESFaultFree(t *testing.T) {
 	op, b, xstar := testProblem()
-	inj := fault.NewVectorInjector(1) // rate 0: inert
-	res, err := FTGMRES(op, inj, b, Options{InnerIters: 20, Tol: 1e-9, MaxOuter: 40})
+	res, err := FTGMRES(op, fault.Plan{}, b, Options{InnerIters: 20, Tol: 1e-9, MaxOuter: 40})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +47,7 @@ func TestFTGMRESFaultFree(t *testing.T) {
 func TestFTGMRESConvergesUnderFaults(t *testing.T) {
 	for _, rate := range []float64{1e-4, 1e-3} {
 		op, b, xstar := testProblem()
-		inj := fault.NewVectorInjector(42).WithRate(rate)
-		res, err := FTGMRES(op, inj, b, Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
+		res, err := FTGMRES(op, flipRate(42, rate), b, Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,11 +71,13 @@ func TestFTGMRESBeatsUnreliable(t *testing.T) {
 	const rate = 1e-3
 	op, b, xstar := testProblem()
 
-	stPlain, xPlain := UnreliableGMRES(op, fault.NewVectorInjector(9).WithRate(rate), b, 40, 400, 1e-8)
-	plainErr := la.NrmInf(la.Sub(xPlain, xstar))
+	plain, err := UnreliableGMRES(op, flipRate(9, rate), b, 40, 400, 1e-8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainErr := la.NrmInf(la.Sub(plain.X, xstar))
 
-	inj := fault.NewVectorInjector(9).WithRate(rate)
-	res, err := FTGMRES(op, inj, b, Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
+	res, err := FTGMRES(op, flipRate(9, rate), b, Options{InnerIters: 20, Tol: 1e-8, MaxOuter: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +88,16 @@ func TestFTGMRESBeatsUnreliable(t *testing.T) {
 	}
 	// The unreliable baseline must be visibly worse: either it claims
 	// non-convergence or its answer is further from the truth.
-	if stPlain.Converged && plainErr <= 10*ftErr {
+	if plain.Stats.Converged && plainErr <= 10*ftErr {
 		t.Errorf("unreliable GMRES unexpectedly fine: conv=%v err=%g vs ft=%g",
-			stPlain.Converged, plainErr, ftErr)
+			plain.Stats.Converged, plainErr, ftErr)
 	}
 }
 
 func TestInnerSanitisationDiscardsGarbage(t *testing.T) {
 	op, b, _ := testProblem()
 	// Exponent flips every pass: inner results will frequently be junk.
-	inj := fault.NewVectorInjector(3).WithRate(5e-2)
-	res, err := FTGMRES(op, inj, b, Options{InnerIters: 10, Tol: 1e-6, MaxOuter: 60})
+	res, err := FTGMRES(op, flipRate(3, 5e-2), b, Options{InnerIters: 10, Tol: 1e-6, MaxOuter: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
