@@ -388,8 +388,8 @@ func obsEnabledKernel() (func(n int), func()) {
 // allreduceKernel measures one blocking scalar all-reduce across a
 // p-rank world — the synchronisation primitive every Krylov reduction
 // pays for, at two world sizes so a rendezvous-cost regression that
-// scales with rank count stays visible. Zero allocs/op with the pooled
-// collective slots.
+// scales with rank count stays visible. Zero allocs/op: the collective
+// slots, storage included, are recycled.
 func allreduceKernel(p int) (func(n int), func()) {
 	return spmdKernel(p, func(c *comm.Comm) func(n int) error {
 		return func(n int) error {

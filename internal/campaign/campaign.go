@@ -245,9 +245,9 @@ var spdProblems = map[string]bool{
 	ProblemPoisson: true, ProblemAniso: true, ProblemHeat: true,
 }
 
-// Validate checks the spec for structural errors: unknown axis values,
-// empty axes, impossible rank counts. It does not prune incompatible
-// cells — that is Cells' job.
+// Validate checks the spec for structural errors: unknown or repeated
+// axis values, empty axes, impossible rank counts. It does not prune
+// incompatible cells — that is Cells' job.
 func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("campaign: spec needs a name")
@@ -283,20 +283,23 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
-	seenNoise := map[string]bool{}
 	for _, nz := range s.Noises {
 		if err := nz.validate(); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
-		// The zero value and explicit "none" render identically; two
-		// axis entries with one rendering would expand to distinct
-		// cells with colliding run keys, which execute fine but can
-		// never aggregate — reject the spec instead.
-		k := nz.String()
-		if seenNoise[k] {
-			return fmt.Errorf("campaign: duplicate noise axis value %q", k)
+	}
+	same := func(v string) string { return v }
+	for _, err := range []error{
+		distinct("solver", s.Solvers, same),
+		distinct("precond", s.Preconds, same),
+		distinct("problem", s.Problems, same),
+		distinct("rank", s.Ranks, func(p int) string { return fmt.Sprintf("p%d", p) }),
+		distinct("fault", s.Faults, FaultSpec.String),
+		distinct("noise", s.Noises, NoiseSpec.String),
+	} {
+		if err != nil {
+			return err
 		}
-		seenNoise[k] = true
 	}
 	if s.Replicates < 1 {
 		return fmt.Errorf("campaign: replicates %d < 1", s.Replicates)
@@ -306,6 +309,23 @@ func (s Spec) Validate() error {
 	}
 	if s.MaxRestarts < 0 {
 		return fmt.Errorf("campaign: max_restarts %d < 0", s.MaxRestarts)
+	}
+	return nil
+}
+
+// distinct rejects an axis that lists one value twice, as the value
+// renders in cell keys: two entries with one rendering (a repeated
+// solver, or the zero noise value beside an explicit "none") would
+// expand to distinct cells with colliding run keys, which execute fine
+// but can never aggregate.
+func distinct[T any](axis string, vals []T, render func(T) string) error {
+	seen := make(map[string]bool, len(vals))
+	for _, v := range vals {
+		k := render(v)
+		if seen[k] {
+			return fmt.Errorf("campaign: duplicate %s axis value %q", axis, k)
+		}
+		seen[k] = true
 	}
 	return nil
 }

@@ -40,6 +40,35 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsRepeatedAxisValues: a value listed twice on any axis —
+// as it renders in cell keys — expands to cells whose run keys collide,
+// which execute but can never aggregate, so Validate refuses the spec.
+func TestSpecRejectsRepeatedAxisValues(t *testing.T) {
+	cases := []struct {
+		axis string
+		mut  func(*Spec)
+		want string
+	}{
+		{"solver", func(s *Spec) { s.Solvers = []string{SolverGMRES, SolverGMRES} }, `duplicate solver axis value "gmres"`},
+		{"precond", func(s *Spec) { s.Preconds = []string{PrecondNone, PrecondJacobi, PrecondNone} }, `duplicate precond axis value "none"`},
+		{"problem", func(s *Spec) { s.Problems = []string{ProblemHeat, ProblemHeat} }, `duplicate problem axis value "heat"`},
+		{"rank", func(s *Spec) { s.Ranks = []int{2, 2} }, `duplicate rank axis value "p2"`},
+		// An MTBF on a bitflip model renders nowhere, so both entries are
+		// the one key segment "bitflip@0.001".
+		{"fault", func(s *Spec) {
+			s.Faults = []FaultSpec{{Model: FaultBitflip, Rate: 1e-3}, {Model: FaultBitflip, Rate: 1e-3, MTBF: 50}}
+		}, `duplicate fault axis value "bitflip@0.001"`},
+		{"noise", func(s *Spec) { s.Noises = []NoiseSpec{{}, {Model: NoiseNone}} }, `duplicate noise axis value "none"`},
+	}
+	for _, tc := range cases {
+		s := QuickSpec()
+		tc.mut(&s)
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s axis: got %v, want an error containing %s", tc.axis, err, tc.want)
+		}
+	}
+}
+
 func TestCellsIndicesAreDense(t *testing.T) {
 	cells := QuickSpec().Cells()
 	if len(cells) == 0 {

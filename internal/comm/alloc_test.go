@@ -6,71 +6,157 @@ import (
 	"repro/internal/machine"
 )
 
-// TestSteadyStateAllocationFree pins the zero-allocation contract of the
-// hot communication paths: after a warm-up round fills the world's
-// buffer and slot pools, Send/RecvInto exchanges, blocking scalar
-// all-reduces and the Start/WaitInto non-blocking pair must allocate
-// nothing. The Krylov solvers' 0 allocs/iteration depends on exactly
-// this property, and the benchdiff CI gate watches it end to end.
-func TestSteadyStateAllocationFree(t *testing.T) {
-	const p = 4
+// parkedWorld spawns p ranks that each build their state with setup and
+// park. step(n) releases them to run their body n times and drives the
+// world until every rank has parked again, so a measurement of step
+// excludes world construction; stop makes the ranks return. Both fail t
+// on any rank error.
+func parkedWorld(tb testing.TB, p int, setup func(c *Comm) func(n int) error) (step func(n int), stop func()) {
 	w := NewWorld(Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 1})
-	steps := 0 // what the released ranks run next; negative = exit
+	reps := 0 // what the released ranks run next; negative = exit
 	for r := 0; r < p; r++ {
 		w.Spawn(r, 0, func(c *Comm) error {
-			buf := []float64{float64(c.Rank())}
-			recv := make([]float64, 1)
-			red := make([]float64, 2)
-			var req Request
-			next := (c.Rank() + 1) % p
-			prev := (c.Rank() + p - 1) % p
+			body := setup(c)
 			for {
 				if err := c.Park(); err != nil {
 					return err
 				}
-				if steps < 0 {
+				if reps < 0 {
 					return nil
 				}
-				for i := 0; i < steps; i++ {
-					if err := c.Send(next, 7, buf); err != nil {
-						return err
-					}
-					if _, err := c.RecvInto(prev, 7, recv); err != nil {
-						return err
-					}
-					if _, err := c.AllreduceScalar(1, OpSum); err != nil {
-						return err
-					}
-					red[0], red[1] = 1, 2
-					c.StartAllreduce(red, OpSum, &req)
-					if _, err := req.WaitInto(red); err != nil {
-						return err
-					}
+				if err := body(reps); err != nil {
+					return err
 				}
 			}
 		})
 	}
-	// The driver entry itself is part of the contract: Release + Wait is
-	// how a parked world is stepped, so it must not allocate either.
-	round := func(n int) {
-		steps = n
+	// The driver entry itself is part of what is measured: Release + Wait
+	// is how a parked world is stepped, so it must not allocate either.
+	step = func(n int) {
+		reps = n
 		for r := 0; r < p; r++ {
 			w.Release(r)
 		}
 		for r, err := range w.Wait() {
 			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
+				tb.Fatalf("rank %d: %v", r, err)
 			}
 		}
 	}
 	w.Wait() // every rank builds its buffers and parks
-	round(3) // warm-up: pools fill
+	return step, func() { step(-1) }
+}
 
-	allocs := testing.AllocsPerRun(5, func() { round(10) })
-	round(-1)
-	// The whole world does 4 ranks × 10 steps × 4 operations per measured
+// TestSteadyStateAllocationFree pins the zero-allocation contract of the
+// hot communication paths: after a warm-up round has filled the world's
+// message pool and collective slots, Send/RecvInto exchanges, blocking
+// scalar and vector all-reduces, barriers and the Start/WaitInto
+// non-blocking pair must allocate nothing. The Krylov solvers' 0
+// allocs/iteration depends on exactly this property, and the benchdiff
+// CI gate watches it end to end.
+func TestSteadyStateAllocationFree(t *testing.T) {
+	const p = 4
+	step, stop := parkedWorld(t, p, func(c *Comm) func(n int) error {
+		buf := []float64{float64(c.Rank())}
+		recv := make([]float64, 1)
+		red := make([]float64, 2)
+		vec := make([]float64, 3)
+		var req Request
+		next := (c.Rank() + 1) % p
+		prev := (c.Rank() + p - 1) % p
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := c.Send(next, 7, buf); err != nil {
+					return err
+				}
+				if _, err := c.RecvInto(prev, 7, recv); err != nil {
+					return err
+				}
+				if _, err := c.AllreduceScalar(1, OpSum); err != nil {
+					return err
+				}
+				red[0], red[1] = 1, 2
+				c.StartAllreduce(red, OpSum, &req)
+				if _, err := req.WaitInto(red); err != nil {
+					return err
+				}
+				if err := c.Barrier(); err != nil {
+					return err
+				}
+				vec[0], vec[1], vec[2] = 1, 2, 3
+				if err := c.AllreduceInto(vec, OpMax, vec); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	})
+	step(3) // warm-up: pools fill
+
+	allocs := testing.AllocsPerRun(5, func() { step(10) })
+	stop()
+	// The whole world does 4 ranks × 10 steps × 6 operations per measured
 	// run; demand strictly zero heap allocations across all of it.
 	if allocs != 0 {
 		t.Errorf("steady-state comm allocated %.1f times per round, want 0", allocs)
 	}
+}
+
+// BenchmarkAllreduceScalar: one op is one blocking one-word all-reduce
+// over every rank of the world — what modified Gram–Schmidt, dist.Dot
+// and dist.Norm2 pay per reduction.
+func BenchmarkAllreduceScalar(b *testing.B) {
+	for _, p := range []int{4, 64} {
+		b.Run(map[int]string{4: "p4", 64: "p64"}[p], func(b *testing.B) {
+			step, stop := parkedWorld(b, p, func(c *Comm) func(n int) error {
+				return func(n int) error {
+					for i := 0; i < n; i++ {
+						if _, err := c.AllreduceScalar(1, OpSum); err != nil {
+							return err
+						}
+					}
+					return nil
+				}
+			})
+			defer stop()
+			step(16)
+			b.ReportAllocs()
+			b.ResetTimer()
+			step(b.N)
+		})
+	}
+}
+
+// BenchmarkHaloExchange: one op is one exchange of a 24-word halo with
+// both ring neighbours on every rank of a 64-rank world — the
+// point-to-point half of a distributed SpMV on the solve_wide grid.
+func BenchmarkHaloExchange(b *testing.B) {
+	const p, halo = 64, 24
+	step, stop := parkedWorld(b, p, func(c *Comm) func(n int) error {
+		out := make([]float64, halo)
+		left, right := make([]float64, halo), make([]float64, halo)
+		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := c.Send(next, 1, out); err != nil {
+					return err
+				}
+				if err := c.Send(prev, 2, out); err != nil {
+					return err
+				}
+				if _, err := c.RecvInto(prev, 1, left); err != nil {
+					return err
+				}
+				if _, err := c.RecvInto(next, 2, right); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	})
+	defer stop()
+	step(16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	step(b.N)
 }

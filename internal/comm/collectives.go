@@ -57,122 +57,113 @@ func (k collKind) String() string {
 	return [...]string{"barrier", "allreduce", "broadcast", "allgather"}[k]
 }
 
-// collSlot is the rendezvous for one collective call instance. All ranks'
-// k-th collective in an epoch lands in the same slot (MPI's ordering
-// rule). Contributions are stored per rank and reduced in rank order on
-// completion, making floating-point results independent of post order.
+// slotKeepWords bounds the storage a recycled slot keeps: a slot that
+// served a larger collective drops its buffers on retirement, so one
+// large gather cannot pin memory for the rest of a long simulation.
+const slotKeepWords = 1 << 15
+
+// collSlot is the rendezvous for one collective call instance: the
+// seq-th collective of an epoch, which every rank's seq-th collective
+// in that epoch lands in (MPI's ordering rule). Every entry point —
+// blocking or not, scalar or vector — meets the others here through
+// one protocol: arrive (write the contribution, count it), complete
+// (the last arrival folds in rank order, so results do not depend on
+// post order), await, depart (the last rank out recycles the slot).
 type collSlot struct {
-	kind     collKind
-	op       Op
-	root     int
-	contrib  [][]float64 // contrib[r] = rank r's payload (nil until posted)
-	arrived  int
-	maxPost  float64 // latest post (entry) virtual time
-	done     bool
-	complete float64 // virtual completion time
-	result   []float64
-	departed int // ranks that have consumed the result (slot GC)
+	kind       collKind
+	op         Op
+	root       int
+	epoch, seq int
+	arrived    int     // ranks that have posted; all of them = complete
+	maxPost    float64 // latest post (entry) virtual time
+	complete   float64 // virtual completion time
+	departed   int     // ranks that have consumed the result
+
+	// The slot's own storage, kept across reuse: the contributions in
+	// arrival order (rank r's is vals[parts[r][0]:parts[r][1]]), then
+	// the result, built behind them on completion.
+	vals   []float64
+	parts  [][2]int
+	result []float64
 }
 
-// post finds or creates the slot for this rank's next collective, posts
-// the rank's contribution and returns the handle to wait on — carrying
-// the error instead if the world is in a failed state. Advances seq.
-func (c *Comm) post(kind collKind, op Op, root int, data []float64) Request {
+func (s *collSlot) part(r int) []float64 { return s.vals[s.parts[r][0]:s.parts[r][1]] }
+
+// arrive finds or opens the slot of this rank's next collective, copies
+// the rank's contribution into it (the caller may reuse data at once)
+// and counts the arrival; the last rank to arrive completes the slot.
+// It advances seq, or fails with nothing posted when the world is in a
+// failed state.
+func (c *Comm) arrive(kind collKind, op Op, root int, data []float64) (*collSlot, error) {
 	w := c.world
 	if err := c.checkAlive(); err != nil {
-		return Request{err: err}
+		return nil, err
 	}
 	// checkAlive has established c.epoch == w.epoch, so the slot is in
 	// w.colls, at or past its base: a slot retires only once every rank,
 	// this one included, has been through it.
-	key := collKey{epoch: c.epoch, seq: c.seq}
+	seq := c.seq
 	c.seq++
-	at := key.seq - w.collBase
+	at := seq - w.collBase
 	for len(w.colls) <= at {
 		w.colls = append(w.colls, nil)
 	}
 	s := w.colls[at]
 	if s == nil {
-		// Recycle a retired slot when one is available: the contrib
-		// array survives reuse, so a steady-state reduction loop
-		// allocates nothing.
+		// Recycle a retired slot when one is available: its storage
+		// survives reuse, so a steady-state loop allocates nothing.
 		if n := len(w.slotPool); n > 0 {
 			s = w.slotPool[n-1]
-			w.slotPool[n-1] = nil
 			w.slotPool = w.slotPool[:n-1]
-			*s = collSlot{kind: kind, op: op, root: root, contrib: s.contrib}
 		} else {
-			s = &collSlot{kind: kind, op: op, root: root, contrib: make([][]float64, w.n)}
+			s = &collSlot{parts: make([][2]int, w.n), vals: make([]float64, 0, (w.n+1)*len(data))}
 		}
+		s.kind, s.op, s.root, s.epoch, s.seq = kind, op, root, c.epoch, seq
 		w.colls[at] = s
 	} else if s.kind != kind || s.op != op || s.root != root {
 		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called kind=%d op=%d root=%d, slot has kind=%d op=%d root=%d",
-			c.epoch, key.seq, c.rank, kind, op, root, s.kind, s.op, s.root))
+			c.epoch, seq, c.rank, kind, op, root, s.kind, s.op, s.root))
 	}
-	// Copy the payload so the caller can reuse its buffer immediately.
-	// A Barrier's nil payload becomes a non-nil empty slice, which is what
-	// marks this rank as arrived in contrib.
-	cp := w.pool.get(len(data))
-	copy(cp, data)
-	s.contrib[c.rank] = cp
+	s.parts[c.rank] = [2]int{len(s.vals), len(s.vals) + len(data)}
+	s.vals = append(s.vals, data...)
 	s.arrived++
 	if t := c.clock.Now(); t > s.maxPost {
 		s.maxPost = t
 	}
 	c.stats.Collective++
-	if s.arrived == w.n && !s.done {
-		w.finishColl(s)
+	if s.arrived == w.n {
+		w.completeColl(s)
 	}
-	return Request{c: c, s: s, key: key}
+	return s, nil
 }
 
-// finishColl computes the collective result and completion time once
-// every rank has posted, and makes the ranks waiting on the slot runnable.
-func (w *World) finishColl(s *collSlot) {
-	var msgBytes int
+// completeColl builds the result in rank order once every rank has
+// arrived, fixes the completion time and makes the ranks waiting on the
+// slot runnable.
+func (w *World) completeColl(s *collSlot) {
+	at := len(s.vals)
 	switch s.kind {
-	case kindBarrier:
-		msgBytes = 8
-		s.result = nil
 	case kindAllreduce:
-		n := len(s.contrib[0])
-		msgBytes = 8 * n
-		res := w.pool.get(n)
-		copy(res, s.contrib[0])
+		s.vals = append(s.vals, s.part(0)...)
 		for r := 1; r < w.n; r++ {
-			if len(s.contrib[r]) != n {
+			if len(s.part(r)) != len(s.vals)-at {
 				panic("comm: Allreduce length mismatch across ranks")
 			}
-			s.op.apply(res, s.contrib[r])
+			s.op.apply(s.vals[at:], s.part(r))
 		}
-		s.result = res
 	case kindBroadcast:
-		src := s.contrib[s.root]
-		msgBytes = 8 * len(src)
-		res := w.pool.get(len(src))
-		copy(res, src)
-		s.result = res
+		s.vals = append(s.vals, s.part(s.root)...)
 	case kindAllgather:
-		n := 0
 		for r := 0; r < w.n; r++ {
-			n += len(s.contrib[r])
+			s.vals = append(s.vals, s.part(r)...)
 		}
-		msgBytes = 8 * n
-		total := w.pool.get(n)
-		at := 0
-		for r := 0; r < w.n; r++ {
-			at += copy(total[at:], s.contrib[r])
-		}
-		s.result = total
 	}
-	// The contributions are folded into the result; recycle them now so
-	// the next collective can pick them up without allocating.
-	for r := range s.contrib {
-		w.pool.put(s.contrib[r])
-		s.contrib[r] = nil
+	s.result = s.vals[at:]
+	msgBytes := 8 * len(s.result)
+	if s.kind == kindBarrier {
+		msgBytes = 8
 	}
 	s.complete = s.maxPost + w.cost.Collective(w.n, msgBytes)
-	s.done = true
 	w.observeClock(s.complete)
 	for r := range w.ranks {
 		if rk := &w.ranks[r]; rk.state == rankBlocked && rk.on.slot == s {
@@ -181,37 +172,33 @@ func (w *World) finishColl(s *collSlot) {
 	}
 }
 
-// finish blocks until the collective completes (or the world fails
-// under it), synchronises this rank's clock to the completion time and
-// delivers the result: copied into out, or into a fresh slice when
-// fresh. A slot that completed before a failure still delivers — the
-// check order is own death, completion, then revocation or a Repair
-// since the post (either of which means the slot never will complete).
-// An all-reduce emits its span over the blocked tail, entry to
-// completion: virtual time the rank spent computing between post and
-// wait is attributed to the compute phases it actually ran, which is
-// the point of the overlap.
-func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
-	if r.err != nil {
-		return nil, r.err
-	}
-	c, s, w := r.c, r.s, r.c.world
-	start, mark := c.SpanStart(), c.WaitMark()
+// await blocks until slot s completes, or the world fails under it, and
+// then brings this rank's clock to the completion time. A slot that
+// completed before a failure still delivers — the check order is own
+// death, completion, then revocation or a Repair since the post (the
+// slot's epoch, not the comm's: a survivor may already have joined the
+// next epoch when it turns to a request it posted in the failed one).
+func (c *Comm) await(s *collSlot) error {
+	w := c.world
 	for {
 		if w.failed[c.rank] {
-			return nil, ErrKilled
+			return ErrKilled
 		}
-		if s.done {
+		if s.arrived == w.n {
 			break
 		}
-		// The request's epoch, not the comm's: a survivor may already
-		// have joined the next epoch when it turns to a request it
-		// posted in the failed one, whose slot Repair has dropped.
-		if w.revoked || r.key.epoch != w.epoch {
-			return nil, ErrRankFailed
+		if w.revoked || s.epoch != w.epoch {
+			return ErrRankFailed
 		}
-		if err := c.block(rankBlocked, waitFor{slot: s, key: r.key}); err != nil {
-			return nil, err
+		if c.halted == nil { // block, inline: one frame fewer to switch
+			rk := &w.ranks[c.rank]
+			rk.state, rk.on = rankBlocked, waitFor{slot: s}
+			if !c.yield(struct{}{}) {
+				c.halted = w.halt
+			}
+		}
+		if c.halted != nil {
+			return c.halted
 		}
 	}
 	// Wait attribution: the gap between this rank's clock and the last
@@ -224,6 +211,40 @@ func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 	}
 	c.clock.SyncTo(s.complete)
 	w.observeClock(c.clock.Now())
+	return nil
+}
+
+// depart records that this rank has taken slot s's result. The last rank
+// out retires the slot and recycles it with its storage.
+func (w *World) depart(s *collSlot) {
+	if s.departed++; s.departed < w.n {
+		return
+	}
+	// A slot that completed before a failure still delivers after the
+	// Repair that dropped it: only a current-epoch slot is in w.colls.
+	if s.epoch == w.epoch {
+		w.retireColl(s.seq)
+	}
+	if len(w.slotPool) < 64 {
+		vals := s.vals[:0]
+		if cap(vals) > slotKeepWords {
+			vals = nil
+		}
+		*s = collSlot{parts: s.parts, vals: vals}
+		w.slotPool = append(w.slotPool, s)
+	}
+}
+
+// finish waits on slot s and delivers its result: copied into out, or
+// into a fresh slice when fresh. An all-reduce emits its span over the
+// blocked tail, entry to completion: virtual time the rank spent
+// computing between post and wait is attributed to the compute phases
+// it actually ran, which is the point of the overlap.
+func (c *Comm) finish(s *collSlot, out []float64, fresh bool) ([]float64, error) {
+	start, mark := c.SpanStart(), c.WaitMark()
+	if err := c.await(s); err != nil {
+		return nil, err
+	}
 	switch {
 	case fresh:
 		out = slices.Clone(s.result)
@@ -235,20 +256,17 @@ func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
 	if s.kind == kindAllreduce {
 		c.SpanEndWait(obs.PhaseAllreduce, start, mark)
 	}
-	// The last rank out recycles the result buffer and the slot itself.
-	if s.departed++; s.departed == w.n {
-		// A slot that completed before a failure still delivers after the
-		// Repair that dropped it: only a current-epoch slot is in w.colls.
-		if r.key.epoch == w.epoch {
-			w.retireColl(r.key.seq)
-		}
-		w.pool.put(s.result)
-		s.result = nil
-		if len(w.slotPool) < 64 {
-			w.slotPool = append(w.slotPool, s)
-		}
-	}
+	c.world.depart(s)
 	return out, nil
+}
+
+// collective is a blocking collective: arrive, then finish.
+func (c *Comm) collective(kind collKind, op Op, root int, data, out []float64, fresh bool) ([]float64, error) {
+	s, err := c.arrive(kind, op, root, data)
+	if err != nil {
+		return nil, err
+	}
+	return c.finish(s, out, fresh)
 }
 
 // retireColl removes the finished slot of sequence number seq from
@@ -273,51 +291,56 @@ func (w *World) retireColl(seq int) {
 // common completion time. This is the explicit BSP synchronisation point
 // whose cost the RBSP experiments quantify.
 func (c *Comm) Barrier() error {
-	r := c.post(kindBarrier, OpSum, 0, nil)
-	_, err := r.finish(nil, true)
+	_, err := c.collective(kindBarrier, OpSum, 0, nil, nil, false)
 	return err
 }
 
 // Allreduce combines each rank's data elementwise with op and returns the
 // combined vector to every rank. All ranks must pass equal-length slices.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
-	r := c.post(kindAllreduce, op, 0, data)
-	return r.finish(nil, true)
+	return c.collective(kindAllreduce, op, 0, data, nil, true)
 }
 
 // AllreduceInto is Allreduce with a caller-provided result buffer (which
 // may alias data — the contribution is copied at post time). With the
-// world's buffer and slot recycling this makes a steady-state reduction
-// loop fully allocation-free, which is what lets the Krylov hot loops
-// reach 0 allocs/iteration.
+// slots' recycled storage this makes a steady-state reduction loop
+// fully allocation-free, which is what lets the Krylov hot loops reach
+// 0 allocs/iteration.
 func (c *Comm) AllreduceInto(data []float64, op Op, out []float64) error {
-	r := c.post(kindAllreduce, op, 0, data)
-	_, err := r.finish(out, false)
+	_, err := c.collective(kindAllreduce, op, 0, data, out, false)
 	return err
 }
 
-// AllreduceScalar is Allreduce for a single value. It is allocation-free.
+// AllreduceScalar is Allreduce for a single value. It is allocation-free
+// and the reduction the solvers post most often, so it meets the slot
+// directly: one write, one arrival, one wait.
 func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 	c.sbuf[0] = x
-	if err := c.AllreduceInto(c.sbuf[:], op, c.sbuf[:]); err != nil {
+	s, err := c.arrive(kindAllreduce, op, 0, c.sbuf[:])
+	if err != nil {
 		return 0, err
 	}
-	return c.sbuf[0], nil
+	start, mark := c.SpanStart(), c.WaitMark()
+	if err := c.await(s); err != nil {
+		return 0, err
+	}
+	x = s.result[0]
+	c.SpanEndWait(obs.PhaseAllreduce, start, mark)
+	c.world.depart(s)
+	return x, nil
 }
 
 // Broadcast distributes root's data to every rank. Non-root ranks may
 // pass nil.
 func (c *Comm) Broadcast(root int, data []float64) ([]float64, error) {
-	r := c.post(kindBroadcast, OpSum, root, data)
-	return r.finish(nil, true)
+	return c.collective(kindBroadcast, OpSum, root, data, nil, true)
 }
 
 // Allgather concatenates every rank's contribution in rank order and
 // returns the whole vector to every rank. Contributions may have
 // different lengths.
 func (c *Comm) Allgather(data []float64) ([]float64, error) {
-	r := c.post(kindAllgather, OpSum, 0, data)
-	return r.finish(nil, true)
+	return c.collective(kindAllgather, OpSum, 0, data, nil, true)
 }
 
 // Reduce combines data with op and delivers the result to root only;

@@ -14,15 +14,15 @@ package comm
 type Request struct {
 	c   *Comm
 	s   *collSlot
-	key collKey
-	err error
+	err error // set instead of s when the post failed
 }
 
 // IAllreduce posts a non-blocking all-reduce of data with op and returns
 // immediately with a Request. The caller must eventually call Wait.
 func (c *Comm) IAllreduce(data []float64, op Op) *Request {
-	req := c.post(kindAllreduce, op, 0, data)
-	return &req
+	req := new(Request)
+	c.StartAllreduce(data, op, req)
+	return req
 }
 
 // StartAllreduce posts a non-blocking all-reduce into a caller-owned
@@ -31,13 +31,14 @@ func (c *Comm) IAllreduce(data []float64, op Op) *Request {
 // immediately (the contribution is copied at post time); complete with
 // WaitInto for a fully allocation-free overlap loop.
 func (c *Comm) StartAllreduce(data []float64, op Op, req *Request) {
-	*req = c.post(kindAllreduce, op, 0, data)
+	s, err := c.arrive(kindAllreduce, op, 0, data)
+	*req = Request{c: c, s: s, err: err}
 }
 
 // IBarrier posts a non-blocking barrier.
 func (c *Comm) IBarrier() *Request {
-	req := c.post(kindBarrier, OpSum, 0, nil)
-	return &req
+	s, err := c.arrive(kindBarrier, OpSum, 0, nil)
+	return &Request{c: c, s: s, err: err}
 }
 
 // Wait blocks until the collective completes and returns its result
@@ -53,6 +54,13 @@ func (r *Request) WaitInto(out []float64) (int, error) {
 	return len(res), err
 }
 
+func (r *Request) finish(out []float64, fresh bool) ([]float64, error) {
+	if r.err != nil {
+		return nil, r.err
+	}
+	return r.c.finish(r.s, out, fresh)
+}
+
 // Test reports whether Wait would return without blocking — every rank
 // has posted, or the world has failed under the collective (a Repair
 // since the post included: the request's epoch is gone even if this
@@ -60,5 +68,5 @@ func (r *Request) WaitInto(out []float64) (int, error) {
 // yield: no other rank runs between two Tests, so poll it between work
 // phases, not in a spin loop.
 func (r *Request) Test() bool {
-	return r.err != nil || r.s.done || r.key.epoch != r.c.world.epoch || r.c.checkAlive() != nil
+	return r.err != nil || r.s.arrived == r.c.world.n || r.s.epoch != r.c.world.epoch || r.c.checkAlive() != nil
 }

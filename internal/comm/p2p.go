@@ -27,7 +27,7 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 		return ErrRankFailed
 	}
 	// Sender pays its overhead, then the message flies. The payload copy
-	// comes from the world's buffer pool: RecvInto returns it there, so
+	// comes from the world's message pool: RecvInto returns it there, so
 	// steady-state exchanges allocate nothing.
 	c.clock.Advance(w.cost.Overhead)
 	bytes := 8 * len(data)

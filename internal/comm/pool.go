@@ -1,12 +1,12 @@
 package comm
 
-// bufPool is a free list of float64 slices shared by one world's message
-// payloads and collective contributions/results. Every communication
-// operation used to allocate its payload copy; recycling them through
-// this pool is what makes the steady-state hot paths (halo exchange,
-// scalar all-reduce) allocation-free, which the benchmark harness gates
-// on. Like the rest of a world it is touched by one rank at a time and
-// needs no lock.
+// bufPool is a free list of float64 slices for one world's
+// point-to-point message payloads: Send takes the payload copy from it
+// and RecvInto returns it, which is what makes a steady-state halo
+// exchange allocation-free, as the benchmark harness gates. (Collectives
+// keep their contributions and results in their slots' own storage.)
+// Like the rest of a world it is touched by one rank at a time and needs
+// no lock.
 type bufPool struct {
 	bufs [][]float64
 }
@@ -20,8 +20,8 @@ const poolMaxBufs = 256
 // overwrites [0, n).
 func (p *bufPool) get(n int) []float64 {
 	if n == 0 {
-		// Zero-length marker (barrier contributions): a zero-size make
-		// never heap-allocates, and taking a real buffer would waste it.
+		// An empty message: a zero-size make never heap-allocates, and
+		// taking a real buffer would waste it.
 		return make([]float64, 0)
 	}
 	// Scan newest-first: workloads reuse a handful of fixed sizes, so
@@ -38,8 +38,8 @@ func (p *bufPool) get(n int) []float64 {
 	return make([]float64, n)
 }
 
-// put returns a buffer to the pool. Zero-capacity buffers (barrier
-// markers) and overflow beyond the cap are dropped for the GC.
+// put returns a buffer to the pool. Zero-capacity buffers (empty
+// messages) and overflow beyond the cap are dropped for the GC.
 func (p *bufPool) put(b []float64) {
 	if cap(b) == 0 || len(p.bufs) >= poolMaxBufs {
 		return

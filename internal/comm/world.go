@@ -102,8 +102,7 @@ const (
 // one precise enqueue rather than a broadcast.
 type waitFor struct {
 	slot     *collSlot // collective wait; nil for a receive
-	key      collKey
-	src, tag int // receive wait
+	src, tag int       // receive wait
 }
 
 // rankSlot is one rank's coroutine and scheduling state.
@@ -133,27 +132,21 @@ type World struct {
 	halt   error // why stopAll unwound the pending ranks
 
 	queues [][]message // per-destination-rank mailboxes
+	pool   bufPool     // recycled point-to-point payloads
 	// colls holds the current epoch's open collective slots: colls[i] is
 	// the slot of sequence number collBase+i, nil once its last rank has
 	// left. A post always lands in the current epoch, so the epoch needs
 	// no index, and blocking collectives keep at most two slots open.
+	// Retired slots wait in slotPool, with their storage, for reuse.
 	colls    []*collSlot
 	collBase int
-	maxClock float64 // latest virtual time observed by any operation
-	pool     bufPool // recycled payload buffers
 	slotPool []*collSlot
+	maxClock float64 // latest virtual time observed by any operation
 
 	ledger   *Ledger
 	observer func(obs.Event)
 	seedRNG  *machine.RNG
 	errs     []error // exit error per rank (most recent spawn)
-}
-
-// collKey names one collective call instance: the seq-th collective of
-// an epoch.
-type collKey struct {
-	epoch int
-	seq   int
 }
 
 // NewWorld creates a world of cfg.Ranks ranks. It panics if Ranks < 1.
@@ -306,7 +299,7 @@ func (w *World) deadlockError() error {
 			b.WriteString("; ")
 		}
 		if s := rk.on.slot; s != nil {
-			fmt.Fprintf(&b, "rank %d in %s (epoch %d, seq %d, %d of %d arrived)", r, s.kind, rk.on.key.epoch, rk.on.key.seq, s.arrived, w.n)
+			fmt.Fprintf(&b, "rank %d in %s (epoch %d, seq %d, %d of %d arrived)", r, s.kind, s.epoch, s.seq, s.arrived, w.n)
 		} else {
 			fmt.Fprintf(&b, "rank %d in recv (src %d, tag %d)", r, rk.on.src, rk.on.tag)
 		}

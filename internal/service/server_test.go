@@ -412,6 +412,30 @@ func TestCampaignRunBoundRejectsHugeSpecs(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsRepeatedAxisValues: a spec listing one solver twice
+// would run cells whose run keys collide and could never aggregate;
+// /v1/campaign refuses it with 400 through the spec validator.
+func TestCampaignRejectsRepeatedAxisValues(t *testing.T) {
+	_, cl, done := newTestServer(t, Options{Workers: 1})
+	defer done()
+
+	spec := campaign.QuickSpec()
+	spec.Solvers = []string{campaign.SolverGMRES, campaign.SolverGMRES}
+	body, _ := json.Marshal(CampaignRequest{Schema: Schema, Spec: spec})
+	resp, err := http.Post(cl.Base+"/v1/campaign", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "duplicate solver axis value") {
+		t.Errorf("status %d, error %q; want 400 naming the duplicate solver", resp.StatusCode, e.Error)
+	}
+}
+
 // TestSubmitWaitLeavesHeadroom: a bulk feeder using submitWait with a
 // half-queue limit never fills the queue past it, so fail-fast submit
 // (interactive solves) still finds slots while a campaign streams.
