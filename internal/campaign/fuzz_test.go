@@ -1,7 +1,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -55,6 +58,68 @@ func FuzzSpec(f *testing.F) {
 				}
 				seen[k] = true
 			}
+		}
+	})
+}
+
+// FuzzShardRecords feeds arbitrary bytes to the shard reader every
+// aggregation, resume and merge goes through. It must never panic, it
+// must account for every non-blank line as a record, a bad line or a
+// foreign one, and every record it accepts must survive the round trip
+// a resumed campaign makes: written back through Writer and read again,
+// it is the same record.
+func FuzzShardRecords(f *testing.F) {
+	rec := Record{Schema: RunSchema, Key: "gmres/none/poisson/p2/none/r0", Seed: 7, Solver: "gmres",
+		Precond: "none", Problem: "poisson", Ranks: 2, Fault: "none", Noise: "uniform@0.2",
+		Converged: true, Iters: 12, VTime: 1.25e-3, Relres: 3.5e-9}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	failed := rec
+	failed.Converged, failed.Relres, failed.Err, failed.Transient, failed.Restarts, failed.Discards = false, -1, "comm: rank 1 failed", true, 2, 3
+	failedLine, err := json.Marshal(failed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(append(append(line, '\n'), failedLine...))
+	f.Add(append(append([]byte("\n  \n"), line...), "\n"+`{"schema":"repro-bench/v1","key":"x"}`+"\nnot json\n"+`{"schema":"repro-campaign/v1","key":"torn`...))
+	f.Add([]byte("null\n[]\ntrue\n{}\r\n\t\n"))
+	f.Add([]byte(`{"schema":"repro-campaign/v1","key":"k","vtime":-0,"relres":1e308,"solver":"` + "\xff\u2028<>" + `"}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		recs, bad, foreign, _ := parseRecords(data)
+		lines := 0
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSpace(l)) > 0 {
+				lines++
+			}
+		}
+		if got := bad + foreign + len(recs); got != lines {
+			t.Fatalf("%d bad + %d foreign + %d records from %d non-blank lines", bad, foreign, len(recs), lines)
+		}
+		if len(recs) == 0 {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "shard.jsonl")
+		w, err := NewWriter(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Write(r); err != nil {
+				t.Fatalf("an accepted record does not encode: %v", err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadRecords(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatalf("records changed on the round trip:\n%+v\n%+v", recs, again)
 		}
 	})
 }

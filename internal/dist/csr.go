@@ -84,7 +84,7 @@ func (m *CSR) ApplyLocal(y []float64) {
 	start := m.c.SpanStart()
 	nl := m.hi - m.lo
 	la.CheckLen("y", y, nl)
-	la.SpMVRows(m.rowPtr, m.colIdx, m.val, m.xbuf, y)
+	la.SpMVRuns(m.runs, m.rowPtr, m.colIdx, m.val, m.xbuf, y)
 	m.c.Compute(2 * float64(len(m.val)))
 	m.c.SpanEnd(obs.PhaseSpMV, start)
 }

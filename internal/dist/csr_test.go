@@ -194,3 +194,97 @@ func TestCSRDeterministicAcrossInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCSRStencilRowsFormRuns: on 5-point stencils a slab's pattern
+// splits into about three row runs per grid row — the interior stretch
+// and its two edge rows — ghost columns included, because the remap
+// places each neighbour's ghosts in ascending order and so keeps their
+// offsets constant along a grid row. The product over those runs is the
+// serial one, bit for bit.
+func TestCSRStencilRowsFormRuns(t *testing.T) {
+	const g = 24
+	for name, a := range map[string]*la.CSR{
+		"poisson":  problems.Poisson2D(g, g),
+		"aniso":    problems.AnisoPoisson2D(g, g, 25, 1),
+		"convdiff": problems.ConvDiffRot2D(g, g, 40),
+	} {
+		xg := testVector(a.Rows)
+		want := a.MatVec(xg, nil)
+		for _, p := range []int{1, 2, 3, 4, 64} {
+			l := NewLayout(a, p)
+			for r := range l.slabs {
+				s := &l.slabs[r]
+				lo, hi := l.pt.Range(r)
+				gridRows := (hi-1)/g - lo/g + 1
+				if len(s.runs) > 3*gridRows {
+					t.Errorf("%s p=%d rank %d: %d runs over %d grid rows", name, p, r, len(s.runs), gridRows)
+				}
+				at := 0
+				for _, run := range s.runs {
+					if run.Lo != at || run.Hi <= run.Lo {
+						t.Fatalf("%s p=%d rank %d: run [%d,%d) after row %d", name, p, r, run.Lo, run.Hi, at)
+					}
+					at = run.Hi
+				}
+				if at != hi-lo {
+					t.Errorf("%s p=%d rank %d: runs cover %d of %d rows", name, p, r, at, hi-lo)
+				}
+			}
+			err := comm.Run(testCfg(p), func(c *comm.Comm) error {
+				op := l.Bind(c)
+				y := make([]float64, op.LocalLen())
+				if err := op.Apply(op.Scatter(xg), y); err != nil {
+					return err
+				}
+				for i := range y {
+					if math.Float64bits(y[i]) != math.Float64bits(want[op.Lo()+i]) {
+						t.Errorf("%s p=%d rank %d: row %d is %v, serial %v", name, p, c.Rank(), op.Lo()+i, y[i], want[op.Lo()+i])
+						break
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+		}
+	}
+}
+
+// BenchmarkCSRApplyLocal: one op is one rank's local product over the
+// operand buffer of its last Apply — the row-run kernel alone, no
+// exchange — on three 5-point slabs: rank 1 of grid 96 over 2 ranks
+// (solve_deep's), rank 1 of grid 12 over 4, and rank 0 of grid 24 over
+// 64, an edge rank whose rows have three and four entries.
+func BenchmarkCSRApplyLocal(b *testing.B) {
+	for _, bc := range []struct {
+		name          string
+		grid, p, rank int
+	}{
+		{"g96-p2", 96, 2, 1},
+		{"g12-p4", 12, 4, 1},
+		{"g24-p64-edge", 24, 64, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			a := problems.Poisson2D(bc.grid, bc.grid)
+			l, xg := NewLayout(a, bc.p), testVector(a.Rows)
+			err := comm.Run(testCfg(bc.p), func(c *comm.Comm) error {
+				op := l.Bind(c)
+				y := make([]float64, op.LocalLen())
+				if err := op.Apply(op.Scatter(xg), y); err != nil || c.Rank() != bc.rank {
+					return err
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					op.ApplyLocal(y)
+				}
+				b.StopTimer()
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -23,11 +23,13 @@ type Layout struct {
 
 // slab is one rank's share of a Layout: its rows in CSR form with
 // remapped columns — owned column j maps to j-lo, ghost columns map past
-// the owned range in ascending global order — and its halo plan.
+// the owned range in ascending global order — the row runs of that
+// pattern, and its halo plan.
 type slab struct {
 	rowPtr []int
 	colIdx []int
 	val    []float64
+	runs   []la.RowRun
 
 	ghosts  int // operand-buffer entries past the owned range
 	maxSend int // length of the longest send
@@ -113,6 +115,7 @@ func NewLayout(a *la.CSR, p int) *Layout {
 				s.colIdx[q] = pos[j]
 			}
 		}
+		s.runs = la.RowRuns(s.rowPtr, s.colIdx)
 
 		// Halo plan: r's ghosts grouped by owning rank are its receives
 		// and, shifted into the owner's local indices, the owner's sends.

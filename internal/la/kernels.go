@@ -1,7 +1,8 @@
 package la
 
 // The rank-local arithmetic kernels every solver's hot path runs on:
-// the one CSR row loop, and the fused axpy+dot modified Gram–Schmidt is
+// the one CSR row loop (and, in runs.go, the fixed-width loops over row
+// runs in front of it), and the fused axpy+dot modified Gram–Schmidt is
 // built from. They are written for the compiler (slice headers hoisted
 // out of the loops, sub-slices ranged over so bounds checks fall away)
 // and for the cache (one trip over a vector where the callers used to
@@ -18,9 +19,10 @@ package la
 
 // SpMVRows computes y = A·x for the CSR triple (rowPtr, colIdx, val):
 // y[i] = Σ val[q]·x[colIdx[q]] over rowPtr[i] ≤ q < rowPtr[i+1], summed
-// in storage order. It is the single CSR row loop of this repository —
-// (*CSR).MatVec and the distributed dist.CSR both call it. rowPtr must
-// have len(y)+1 entries; x and y must not alias.
+// in storage order. It is the single generic CSR row loop of this
+// repository — (*CSR).MatVec calls it, and SpMVRuns, the distributed
+// dist.CSR's kernel, hands it every run it has no fixed-width loop for.
+// rowPtr must have len(y)+1 entries; x and y must not alias.
 func SpMVRows(rowPtr, colIdx []int, val, x, y []float64) {
 	if len(rowPtr) != len(y)+1 {
 		panic("la: SpMVRows rowPtr/y length mismatch")

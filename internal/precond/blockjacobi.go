@@ -28,9 +28,10 @@ type BlockJacobi struct {
 	// Local diagonal block in CSR with columns remapped to [0, n).
 	rowPtr  []int
 	colIdx  []int
-	orig    []float64 // assembled block values (kept so Setup can re-run)
-	val     []float64 // after Setup: strict lower = L (unit diag), rest = U
-	diagPtr []int     // position of the diagonal entry in each row
+	orig    []float64   // assembled block values (kept so Setup can re-run)
+	val     []float64   // after Setup: strict lower = L (unit diag), rest = U
+	diagPtr []int       // position of the diagonal entry in each row
+	runs    []la.RowRun // the block pattern's row runs, which the sweeps walk
 
 	y          []float64 // forward-substitution scratch
 	setup      bool
@@ -69,6 +70,7 @@ func NewBlockJacobiILU(c *comm.Comm, a *la.CSR) *BlockJacobi {
 		}
 		b.rowPtr[i+1] = len(b.colIdx)
 	}
+	b.runs = la.RowRuns(b.rowPtr, b.colIdx)
 	return b
 }
 
@@ -130,7 +132,8 @@ func (b *BlockJacobi) Setup() error {
 func (b *BlockJacobi) Apply(r []float64) ([]float64, error) { return applyViaInto(b, r) }
 
 // ApplyInto implements Preconditioner: solves L·y = r (unit lower
-// triangle) then U·z = y over the factored block. Purely local.
+// triangle) then U·z = y over the factored block, run by run. Purely
+// local.
 func (b *BlockJacobi) ApplyInto(r, z []float64) error {
 	if !b.setup {
 		return ErrNotSetup
@@ -138,24 +141,83 @@ func (b *BlockJacobi) ApplyInto(r, z []float64) error {
 	start := b.c.SpanStart()
 	la.CheckLen("r", r, b.n)
 	la.CheckLen("z", z, b.n)
-	y := b.y
-	for i := 0; i < b.n; i++ {
-		s := r[i]
-		for q := b.rowPtr[i]; q < b.diagPtr[i]; q++ {
-			s -= b.val[q] * y[b.colIdx[q]]
-		}
-		y[i] = s
+	for _, run := range b.runs {
+		b.forward(run, r, b.y)
 	}
-	for i := b.n - 1; i >= 0; i-- {
-		s := y[i]
-		for q := b.diagPtr[i] + 1; q < b.rowPtr[i+1]; q++ {
-			s -= b.val[q] * z[b.colIdx[q]]
-		}
-		z[i] = s / b.val[b.diagPtr[i]]
+	for k := len(b.runs) - 1; k >= 0; k-- {
+		b.backward(b.runs[k], b.y, z)
 	}
 	b.c.Compute(b.Flops())
 	b.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
+}
+
+// forward runs the L·y = r sweep over one row run: row i computes
+// y[i] = r[i] − Σ val[q]·y[colIdx[q]] over the entries stored before
+// its diagonal, in storage order, reading y at the run's offsets. The
+// interior rows of a 5-point stencil — a far neighbour, then the −1
+// neighbour — take a loop of their own that keeps the −1 neighbour's
+// value, the previous row's result, in a register (prev) instead of
+// storing it and loading it back.
+func (b *BlockJacobi) forward(run la.RowRun, r, y []float64) {
+	lo, hi, w := run.Lo, run.Hi, len(run.Off)
+	d := b.diagPtr[lo] - b.rowPtr[lo]
+	v := b.val[b.rowPtr[lo]:b.rowPtr[hi]]
+	ys, rs := y[lo:hi], r[lo:hi]
+	lower := run.Off[:d]
+	if d == 2 && lower[1] == -1 {
+		yf, prev := y[lo+lower[0]:][:len(ys)], y[lo-1]
+		for k := range ys {
+			row := v[k*w : k*w+2]
+			s := rs[k]
+			s -= row[0] * yf[k]
+			s -= row[1] * prev
+			ys[k] = s
+			prev = s
+		}
+		return
+	}
+	for k := range ys {
+		row := v[k*w : k*w+d]
+		s := rs[k]
+		for m, o := range lower {
+			s -= row[m] * y[lo+k+o]
+		}
+		ys[k] = s
+	}
+}
+
+// backward runs the U·z = y sweep over one row run, last row first: row
+// i computes z[i] = (y[i] − Σ val[q]·z[colIdx[q]]) / val[diag] over the
+// entries stored after its diagonal, in storage order. The 5-point
+// interior rows — the +1 neighbour, then a far one — keep the +1
+// neighbour's value, the row just solved, in a register (next).
+func (b *BlockJacobi) backward(run la.RowRun, y, z []float64) {
+	lo, hi, w := run.Lo, run.Hi, len(run.Off)
+	d := b.diagPtr[lo] - b.rowPtr[lo]
+	v := b.val[b.rowPtr[lo]:b.rowPtr[hi]]
+	zs, ys := z[lo:hi], y[lo:hi]
+	upper := run.Off[d+1:]
+	if len(upper) == 2 && upper[0] == 1 {
+		zf, next := z[lo+upper[1]:][:len(zs)], z[hi]
+		for k := len(zs) - 1; k >= 0; k-- {
+			row := v[k*w+d : k*w+d+3]
+			s := ys[k]
+			s -= row[1] * next
+			s -= row[2] * zf[k]
+			next = s / row[0]
+			zs[k] = next
+		}
+		return
+	}
+	for k := len(zs) - 1; k >= 0; k-- {
+		row := v[k*w+d : k*w+w]
+		s := ys[k]
+		for m, o := range upper {
+			s -= row[1+m] * z[lo+k+o]
+		}
+		zs[k] = s / row[0]
+	}
 }
 
 // Flops implements Preconditioner: two substitution sweeps touch every
