@@ -4,8 +4,8 @@
 // that once left package docs citing design notes nobody wrote); and
 // exported identifiers in the godoc-gated packages (internal/precond,
 // internal/campaign, internal/service, internal/obs, internal/traceq,
-// internal/jsonl, internal/stats, internal/fault) that lack doc
-// comments. It takes the repository root as an optional argument
+// internal/jsonl, internal/stats, internal/fault, internal/krylov,
+// internal/skp, internal/srp) that lack doc comments. It takes the repository root as an optional argument
 // (default ".") and exits non-zero with one line per problem.
 //
 //	go run ./cmd/docscheck
@@ -54,6 +54,9 @@ var godocGated = []string{
 	filepath.Join("internal", "jsonl"),
 	filepath.Join("internal", "stats"),
 	filepath.Join("internal", "fault"),
+	filepath.Join("internal", "krylov"),
+	filepath.Join("internal", "skp"),
+	filepath.Join("internal", "srp"),
 }
 
 // run performs all checks and returns the sorted problem list.

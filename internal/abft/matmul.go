@@ -130,23 +130,3 @@ func Verify(cf *la.Dense, m, n int, tol float64) (*la.Dense, Report) {
 	}
 	return out, rep
 }
-
-// CheckedSpMV computes y = A·x with a checksum test: eᵀy must equal
-// (eᵀA)·x. colSums is the precomputed eᵀA (see la.CSR.ColSums). It
-// returns y, whether the checksum held, and the relative discrepancy.
-// Detection-only (a single checksum cannot locate), matching how
-// iterative solvers use it: detect, then recompute the cheap kernel.
-func CheckedSpMV(a *la.CSR, x, colSums []float64, tol float64) (y []float64, ok bool, rel float64) {
-	y = a.MatVec(x, nil)
-	lhs := la.Sum(y)
-	rhs := la.Dot(colSums, x)
-	scale := math.Max(math.Abs(lhs), math.Abs(rhs))
-	if scale == 0 {
-		return y, true, 0
-	}
-	if tol <= 0 {
-		tol = 1e-10 * float64(a.Rows)
-	}
-	rel = math.Abs(lhs-rhs) / scale
-	return y, rel <= tol, rel
-}

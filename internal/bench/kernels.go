@@ -113,7 +113,7 @@ func checkSuiteKernel() (func(n int), func()) {
 	for i := range x {
 		x[i] = 1 + float64(i%5)
 	}
-	y := op.Apply(x)
+	y := a.MatVec(x, nil)
 	checks := []skp.Check{skp.NonFinite{}, skp.NormBound{ANormInf: op.NormInf()}, skp.Checksum{ColSums: cs}}
 	return func(n int) {
 		for i := 0; i < n; i++ {
@@ -138,7 +138,7 @@ func checkedApplyKernel() (func(n int), func()) {
 	y := make([]float64, op.Size())
 	return func(n int) {
 		for i := 0; i < n; i++ {
-			co.ApplyInto(x, y)
+			co.Apply(x, y)
 		}
 	}, func() {}
 }

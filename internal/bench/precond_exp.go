@@ -164,7 +164,9 @@ func P2(rc RunCtx) *Table {
 			return s, err
 		}, true)
 		run("FGMRES+bj-ilu", func(c *comm.Comm, op *dist.CSR, m *precond.BlockJacobi) (krylov.Stats, error) {
-			_, s, err := krylov.DistFGMRES(c, op, m, op.Scatter(rhs), nil, opts)
+			o := opts
+			o.Precon = m
+			_, s, err := krylov.DistFGMRES(c, op, op.Scatter(rhs), nil, o)
 			return s, err
 		}, true)
 	}
@@ -296,14 +298,14 @@ func P4(rc RunCtx) *Table {
 		var st krylov.Stats
 		err := comm.Run(rc.cfg(v.p, nil), func(c *comm.Comm) error {
 			op := dist.NewCSR(c, a)
-			var m krylov.DistPreconditioner
+			o := opts
 			if v.mk != nil {
 				var err error
-				if m, err = v.mk(c, op); err != nil {
+				if o.Precon, err = v.mk(c, op); err != nil {
 					return err
 				}
 			}
-			_, s, err := krylov.DistFGMRES(c, op, m, op.Scatter(rhs), nil, opts)
+			_, s, err := krylov.DistFGMRES(c, op, op.Scatter(rhs), nil, o)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -120,6 +121,30 @@ func FuzzShardRecords(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, recs) {
 			t.Fatalf("records changed on the round trip:\n%+v\n%+v", recs, again)
+		}
+	})
+}
+
+// FuzzTraceSample feeds arbitrary strings to the -trace-sample parser:
+// it must never panic, every pair it accepts must be a sample TraceSampled
+// can draw (0 <= k <= n, n >= 1), and the pair written back as "k/n" must
+// parse to itself.
+func FuzzTraceSample(f *testing.F) {
+	for _, s := range []string{"", "1/1", "1/2", "0/5", "3/2", "-1/4", "1/0", "+2/007", "1/", "/", "x/y", "1/2/3", " 1/2", "99999999999999999999/1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		k, n, err := ParseTraceSample(s)
+		if err != nil {
+			return
+		}
+		if k < 0 || k > n || n < 1 {
+			t.Fatalf("%q accepted as k=%d n=%d", s, k, n)
+		}
+		again := fmt.Sprintf("%d/%d", k, n)
+		k2, n2, err := ParseTraceSample(again)
+		if err != nil || k2 != k || n2 != n {
+			t.Fatalf("%q → %d/%d re-parses as %d/%d (%v)", s, k, n, k2, n2, err)
 		}
 	})
 }

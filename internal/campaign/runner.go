@@ -63,10 +63,6 @@ type Outcome struct {
 // can apply its global-restart policy.
 type Runner func(env *Env) (Outcome, error)
 
-// Runners returns the Runner for every solver axis value. The table is
-// shared: callers must not modify it.
-func Runners() map[string]Runner { return runners }
-
 var runners = map[string]Runner{
 	SolverCG:           runCG,
 	SolverPCG:          runPCG,
@@ -108,8 +104,8 @@ func runGMRES(env *Env) (Outcome, error) {
 }
 
 func runFGMRES(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistFGMRES(env.C, env.Op, env.M, env.B, nil, krylov.DistGMRESOptions{
-		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter,
+	_, st, err := krylov.DistFGMRES(env.C, env.Op, env.B, nil, krylov.DistGMRESOptions{
+		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Precon: env.M,
 	})
 	return fromStats(st), err
 }

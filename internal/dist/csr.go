@@ -90,15 +90,16 @@ func (m *CSR) ApplyLocal(y []float64) {
 }
 
 // XBuffer returns the live operand buffer [owned | ghosts] of the last
-// Apply. Checksum validators read it to reproduce exactly what the
-// local kernel consumed.
+// Apply, including one made through a wrapper such as Faulty. Checksum
+// validators (skp.DistCheckedOp) read it to reproduce exactly what the
+// local kernel consumed, and ApplyLocal recomputes from it.
 func (m *CSR) XBuffer() []float64 { return m.xbuf }
 
 // LocalColSums returns the column sums eᵀA of the local slab in operand
 // -buffer coordinates (length len(XBuffer())). Because block-row
 // checksums decompose over ranks, dot(LocalColSums, XBuffer) equals
 // sum(y) for a clean local product — the zero-communication ABFT
-// identity skp.DistCheckedOp validates.
+// identity skp.DistCheckedOp validates after every product.
 func (m *CSR) LocalColSums() []float64 {
 	cs := make([]float64, len(m.xbuf))
 	for q, j := range m.colIdx {

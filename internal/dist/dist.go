@@ -47,8 +47,9 @@ const (
 // operation (it may exchange halos) and returns comm.ErrRankFailed /
 // comm.ErrKilled under the world's failure semantics. Wrappers add
 // behaviour around a base operator: Faulty fires a fault plan's kills
-// and flips at every apply, skp.DistCheckedOp detects and corrects
-// flips.
+// and flips at every apply, and skp.DistCheckedOp validates a product
+// computed through a CSR (bare or behind a Faulty) against that CSR's
+// checksums, recomputing the local rows when the check fails.
 type Operator interface {
 	// Apply computes y = A·x for this rank's slab. len(x) and len(y)
 	// must equal LocalLen.

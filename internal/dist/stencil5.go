@@ -15,9 +15,7 @@ import (
 // The grid is partitioned into row slabs (rank r owns grid rows
 // Partition{ny, P}.Range(r)); a local vector is the row-major slab with
 // index j·nx + i. Each Apply exchanges one boundary row with each slab
-// neighbour. The LFLR heat applications also use a Stencil5 purely for
-// its layout and halo geometry (diag = off = 0), which is why Rows is
-// part of the exported surface.
+// neighbour.
 type Stencil5 struct {
 	c         *comm.Comm
 	pt        Partition

@@ -49,9 +49,7 @@ var familySolvers = []struct {
 }{
 	{"DistGMRES", true, gmresRun(DistGMRES)},
 	{"DistGMRESInner", true, gmresRun(DistGMRESInner)},
-	{"DistFGMRES", true, func(c *comm.Comm, a dist.Operator, m DistPreconditioner, b, x0 []float64, restart, maxIter int) ([]float64, Stats, error) {
-		return DistFGMRES(c, a, m, b, x0, DistGMRESOptions{Restart: restart, Tol: 1e-9, MaxIter: maxIter})
-	}},
+	{"DistFGMRES", true, gmresRun(DistFGMRES)},
 	{"DistCGSGMRES", false, gmresRun(DistCGSGMRES)},
 	{"DistP1GMRES", false, gmresRun(DistP1GMRES)},
 	{"DistCG", false, func(c *comm.Comm, a dist.Operator, _ DistPreconditioner, b, x0 []float64, _, maxIter int) ([]float64, Stats, error) {

@@ -65,16 +65,13 @@ func DistGMRESInner(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMR
 // not finite rather than carry NaN into the iterate, and gives up,
 // unconverged with an infinite residual, after MaxIter such cycles.
 //
-// precon is any DistPreconditioner (internal/precond implementations,
-// srp.DistInner, …); each iteration's application is stored, so unlike
-// DistGMRES's fixed-M mode nothing requires the applications to be
-// consistent with each other. nil falls back to opts.Precon, and if that
-// is nil too the solve is plain DistGMRES mathematics.
-func DistFGMRES(c *comm.Comm, a dist.Operator, precon DistPreconditioner, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
-	if precon == nil {
-		precon = opts.Precon
-	}
-	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: precon, flexible: true, guard: true})
+// opts.Precon is any DistPreconditioner (internal/precond
+// implementations, srp.DistInner, …); each iteration's application is
+// stored, so unlike DistGMRES's fixed-M mode nothing requires the
+// applications to be consistent with each other. A nil Precon makes the
+// solve plain DistGMRES mathematics.
+func DistFGMRES(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptions) ([]float64, Stats, error) {
+	return arnoldi(c, a, b, x0, opts, arnoldiKind{m: opts.Precon, flexible: true, guard: true})
 }
 
 // DistCGSGMRES is the one-reduction GMRES: classical Gram–Schmidt with

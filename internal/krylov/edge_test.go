@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
+	"repro/internal/dist"
 	"repro/internal/la"
 	"repro/internal/problems"
 )
@@ -58,26 +60,44 @@ func TestGMRESWarmStartAtSolution(t *testing.T) {
 	}
 }
 
+// cgOneRank runs DistCG on a one-rank world — the serial case — over
+// the assembled operator a.
+func cgOneRank(t *testing.T, a *la.CSR, b, x0 []float64, opts DistOptions) ([]float64, Stats) {
+	t.Helper()
+	var x []float64
+	var st Stats
+	err := comm.Run(distConfig(1), func(c *comm.Comm) error {
+		var err error
+		x, st, err = DistCG(c, dist.NewCSR(c, a), b, x0, opts)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x, st
+}
+
 func TestCGZeroRHSAndWarmStart(t *testing.T) {
 	a := problems.Poisson1D(30)
-	_, st, err := CG(NewCSROp(a), make([]float64, 30), nil, CGOptions{})
-	if err != nil || !st.Converged {
-		t.Fatalf("zero rhs: %v %+v", err, st)
+	if _, st := cgOneRank(t, a, make([]float64, 30), nil, DistOptions{}); !st.Converged {
+		t.Fatalf("zero rhs: %+v", st)
 	}
 	b, xstar := problems.ManufacturedRHS(a)
-	_, st, err = CG(NewCSROp(a), b, xstar, CGOptions{Tol: 1e-8})
-	if err != nil || st.Iterations != 0 {
-		t.Fatalf("warm start: %v %+v", err, st)
+	if _, st := cgOneRank(t, a, b, xstar, DistOptions{Tol: 1e-8}); st.Iterations != 0 {
+		t.Fatalf("warm start: %+v", st)
 	}
 }
 
+// TestHookAbortsWithCustomError: an ArnoldiHook error other than
+// ErrRestartCycle ends the solve with that error, after the step that
+// raised it.
 func TestHookAbortsWithCustomError(t *testing.T) {
 	a := problems.Poisson2D(8, 8)
 	b, _ := problems.ManufacturedRHS(a)
 	sentinel := errors.New("stop now")
 	_, st, err := GMRES(NewCSROp(a), b, nil, GMRESOptions{
-		Hook: func(iter int, relres float64) error {
-			if iter >= 3 {
+		ArnoldiHook: func(j int, v [][]float64, h *la.Dense) error {
+			if j >= 2 {
 				return sentinel
 			}
 			return nil
@@ -91,50 +111,28 @@ func TestHookAbortsWithCustomError(t *testing.T) {
 	}
 }
 
-func TestCGHookAborts(t *testing.T) {
-	a := problems.Poisson2D(8, 8)
-	b, _ := problems.ManufacturedRHS(a)
-	sentinel := errors.New("halt")
-	_, _, err := CG(NewCSROp(a), b, nil, CGOptions{
-		Hook: func(iter int, relres float64) error {
-			if iter >= 2 {
-				return sentinel
-			}
-			return nil
-		},
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("want sentinel, got %v", err)
-	}
-}
-
 // TestCGGracefulOnIndefinite: CG on a negative-definite operator must
 // stop (sigma ≤ 0 guard) rather than diverge or panic.
 func TestCGGracefulOnIndefinite(t *testing.T) {
-	a := problems.Poisson1D(20)
-	neg := &scaledOp{inner: NewCSROp(a), s: -1}
-	b := problems.OnesRHS(20)
-	_, st, err := CG(neg, b, nil, CGOptions{MaxIter: 50})
+	const n = 20
+	b := problems.OnesRHS(n)
+	err := comm.Run(distConfig(2), func(c *comm.Comm) error {
+		neg := dist.NewStencil3(c, n, 1, -2, 1)
+		pt := dist.Partition{N: n, P: c.Size()}
+		lo, hi := pt.Range(c.Rank())
+		_, st, err := DistCG(c, neg, b[lo:hi], nil, DistOptions{MaxIter: 50})
+		if err != nil {
+			return err
+		}
+		if st.Converged {
+			t.Error("cannot converge on a negative-definite system")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Converged {
-		t.Error("cannot converge on a negative-definite system")
-	}
 }
-
-type scaledOp struct {
-	inner Op
-	s     float64
-}
-
-func (o *scaledOp) Apply(x []float64) []float64 {
-	y := o.inner.Apply(x)
-	la.Scal(o.s, y)
-	return y
-}
-func (o *scaledOp) Size() int        { return o.inner.Size() }
-func (o *scaledOp) NormInf() float64 { return o.inner.NormInf() }
 
 // TestGMRESResidualMonotoneWithinCycle: the Givens residual estimate is
 // non-increasing within an Arnoldi cycle — the invariant the skeptical
@@ -179,11 +177,6 @@ func TestOptionDefaults(t *testing.T) {
 	if g.Restart != 30 || g.Tol != 1e-8 || g.MaxIter != 1000 {
 		t.Errorf("GMRES defaults: %+v", g)
 	}
-	var c CGOptions
-	c.defaults()
-	if c.Tol != 1e-8 || c.MaxIter != 1000 {
-		t.Errorf("CG defaults: %+v", c)
-	}
 	var d DistOptions
 	d.defaults()
 	if d.Tol != 1e-8 || d.MaxIter != 500 {
@@ -222,9 +215,8 @@ type varyingPrecon struct {
 	calls int
 }
 
-func (p *varyingPrecon) Solve(r []float64) []float64 {
+func (p *varyingPrecon) Solve(r, z []float64) {
 	p.calls++
-	z := make([]float64, len(r))
 	// Alternate between Jacobi and damped Jacobi: a different operator
 	// every call, which plain right-preconditioned GMRES cannot absorb
 	// but FGMRES can.
@@ -235,7 +227,6 @@ func (p *varyingPrecon) Solve(r []float64) []float64 {
 	for i := range r {
 		z[i] = damp * r[i] / p.d[i]
 	}
-	return z
 }
 
 func ExampleGMRES() {

@@ -23,18 +23,11 @@ func NewFaultyOp(inner Op, p fault.Plan) (*FaultyOp, error) {
 	return &FaultyOp{Inner: inner, Faults: in}, nil
 }
 
-// Apply implements Op: the clean product, then injected corruption.
-func (f *FaultyOp) Apply(x []float64) []float64 {
-	y := make([]float64, f.Size())
-	f.ApplyInto(x, y)
-	return y
-}
-
-// ApplyInto implements InPlaceOp. A serial plan holds no kill, so
-// entering the site cannot fail.
-func (f *FaultyOp) ApplyInto(x, y []float64) {
+// Apply implements Op: the clean product, then injected corruption. A
+// serial plan holds no kill, so entering the site cannot fail.
+func (f *FaultyOp) Apply(x, y []float64) {
 	_ = f.Faults.Enter(fault.SiteApply, -1)
-	applyOp(f.Inner, x, y)
+	f.Inner.Apply(x, y)
 	f.Faults.Corrupt(fault.SiteApply, y)
 }
 

@@ -13,7 +13,6 @@ type GMRESOptions struct {
 	Restart int     // m: restart length (default 30)
 	Tol     float64 // relative residual target (default 1e-8)
 	MaxIter int     // total iteration cap (default 1000)
-	Hook    IterationHook
 	// ArnoldiHook, when non-nil, observes the Arnoldi state after each
 	// step: the basis v[0..j+1] and the Hessenberg column j. The
 	// skeptical layer uses it for orthogonality and Hessenberg-sanity
@@ -60,7 +59,6 @@ type GMRESWorkspace struct {
 	vstore [][]float64 // m+1 basis slots (stable storage)
 	zstore [][]float64 // m preconditioned-direction slots (FGMRES only)
 	v      [][]float64 // active basis views; v[j] nil until committed
-	z      [][]float64
 	ls     lsq
 	w, r   []float64
 	res    []float64 // residual-history backing array (cap bounded, see residualPrealloc)
@@ -87,7 +85,6 @@ func NewGMRESWorkspace(n int, opts GMRESOptions) *GMRESWorkspace {
 	}
 	if opts.Precon != nil {
 		ws.zstore = arena.Mat(m, n)
-		ws.z = make([][]float64, m)
 	}
 	return ws
 }
@@ -112,9 +109,8 @@ func GMRES(a Op, b []float64, x0 []float64, opts GMRESOptions) ([]float64, Stats
 
 // GMRESInto is GMRES over caller-owned storage: x holds the initial
 // guess on entry and the solution on return, and ws supplies every
-// scratch vector, so a warmed-up solve performs zero allocations when
-// the operator implements InPlaceOp. ws must have been built by
-// NewGMRESWorkspace with the same n and opts.
+// scratch vector, so a warmed-up solve performs zero allocations. ws
+// must have been built by NewGMRESWorkspace with the same n and opts.
 func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Stats, error) {
 	opts.defaults()
 	n := a.Size()
@@ -143,7 +139,7 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 	for st.Iterations < opts.MaxIter {
 		before := st.Iterations
 		// Residual for this cycle.
-		applyOp(a, x, ws.w)
+		a.Apply(x, ws.w)
 		r := ws.r
 		for i := range r {
 			r[i] = b[i] - ws.w[i]
@@ -174,22 +170,13 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 
 		j := 0
 		for ; j < m && st.Iterations < opts.MaxIter; j++ {
-			var dir []float64
+			dir := v[j]
 			if opts.Precon != nil {
-				var zj []float64
-				if ip, ok := opts.Precon.(InPlacePreconditioner); ok {
-					zj = ws.zstore[j]
-					ip.SolveInto(v[j], zj)
-				} else {
-					zj = opts.Precon.Solve(v[j])
-				}
-				ws.z[j] = zj
-				dir = zj
-			} else {
-				dir = v[j]
+				dir = ws.zstore[j]
+				opts.Precon.Solve(v[j], dir)
 			}
 			w := ws.w
-			applyOp(a, dir, w)
+			a.Apply(dir, w)
 			// Modified Gram–Schmidt.
 			for i := 0; i <= j; i++ {
 				hij := la.Dot(w, v[i])
@@ -228,11 +215,6 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 					return st, err
 				}
 			}
-			if opts.Hook != nil {
-				if err := opts.Hook(st.Iterations, relres); err != nil {
-					return st, err
-				}
-			}
 			if relres <= opts.Tol || hj1 == 0 {
 				j++
 				break
@@ -244,7 +226,7 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 			y := ws.ls.solve(j)
 			for i := 0; i < j; i++ {
 				if opts.Precon != nil {
-					la.Axpy(y[i], ws.z[i], x)
+					la.Axpy(y[i], ws.zstore[i], x)
 				} else {
 					la.Axpy(y[i], v[i], x)
 				}
@@ -260,7 +242,7 @@ func GMRESInto(a Op, b, x []float64, ws *GMRESWorkspace, opts GMRESOptions) (Sta
 		if st.FinalResidual <= opts.Tol {
 			// Confirm with a true residual (protects against a corrupted
 			// Givens recurrence claiming false convergence).
-			applyOp(a, x, ws.w)
+			a.Apply(x, ws.w)
 			for i := range ws.r {
 				ws.r[i] = b[i] - ws.w[i]
 			}

@@ -1,10 +1,12 @@
 // Package krylov implements the iterative solvers the paper's algorithm
-// sections are built around: serial and distributed CG and GMRES(m), the
-// flexible variant FGMRES (the reliable outer solver of FT-GMRES, §III-D),
-// and the latency-tolerant variants of §III-B — Ghysels–Vanroose pipelined
-// CG and depth-1 pipelined GMRES (p1-GMRES, the paper's reference [11]) —
-// which overlap global reductions with matrix-vector products using the
-// non-blocking collectives of internal/comm.
+// sections are built around: distributed CG and GMRES(m), the flexible
+// variant FGMRES (the reliable outer solver of FT-GMRES, §III-D), and the
+// latency-tolerant variants of §III-B — Ghysels–Vanroose pipelined CG and
+// depth-1 pipelined GMRES (p1-GMRES, the paper's reference [11]) — which
+// overlap global reductions with matrix-vector products using the
+// non-blocking collectives of internal/comm. The serial stack is GMRES(m)
+// and its flexible form FGMRES only: the substrate of the serial
+// skeptical GMRES (internal/skp) and FT-GMRES (internal/srp).
 package krylov
 
 import (
@@ -20,37 +22,15 @@ import (
 // may be exact (CSROp), fault-injected (FaultyOp), or checked/corrected
 // (the skeptical wrappers in internal/skp).
 type Op interface {
-	// Apply returns A·x in a fresh slice.
-	Apply(x []float64) []float64
+	// Apply computes y = A·x into the caller-provided y, allocation-free,
+	// which is what lets a warmed-up GMRES iteration run at 0 allocs/op.
+	// Implementations must not retain x or y.
+	Apply(x, y []float64)
 	// Size returns the dimension.
 	Size() int
 	// NormInf returns an upper bound on ‖A‖∞ for skeptical bounds checks.
 	NormInf() float64
 }
-
-// InPlaceOp is the optional allocation-free extension of Op: ApplyInto
-// computes y = A·x into a caller-provided buffer. Solvers detect it and
-// route every product through reusable workspace vectors, which is what
-// lets a warmed-up GMRES iteration run at 0 allocs/op. Implementations
-// must not retain x or y.
-type InPlaceOp interface {
-	ApplyInto(x, y []float64)
-}
-
-// ApplyOpInto computes y = A·x through ApplyInto when the operator
-// supports it, falling back to a copy of the allocating Apply. Operator
-// wrappers in other packages (skp.CheckedOp) share this dispatch so the
-// fallback contract has one home.
-func ApplyOpInto(a Op, x, y []float64) {
-	if ip, ok := a.(InPlaceOp); ok {
-		ip.ApplyInto(x, y)
-		return
-	}
-	copy(y, a.Apply(x))
-}
-
-// applyOp is the package-internal shorthand for ApplyOpInto.
-func applyOp(a Op, x, y []float64) { ApplyOpInto(a, x, y) }
 
 // residualPrealloc bounds the upfront capacity of a Stats.Residuals
 // history: solvers preallocate min(MaxIter, this) so the iteration loop
@@ -71,10 +51,7 @@ type CSROp struct {
 func NewCSROp(a *la.CSR) *CSROp { return &CSROp{A: a} }
 
 // Apply implements Op.
-func (o *CSROp) Apply(x []float64) []float64 { return o.A.MatVec(x, nil) }
-
-// ApplyInto implements InPlaceOp.
-func (o *CSROp) ApplyInto(x, y []float64) { o.A.MatVec(x, y) }
+func (o *CSROp) Apply(x, y []float64) { o.A.MatVec(x, y) }
 
 // Size implements Op.
 func (o *CSROp) Size() int { return o.A.Rows }
@@ -92,24 +69,10 @@ func (o *CSROp) NormInf() float64 {
 // between iterations, which is how FT-GMRES runs a whole unreliable inner
 // solve per outer step.
 type Preconditioner interface {
-	// Solve returns z ≈ M⁻¹·r in a fresh slice.
-	Solve(r []float64) []float64
+	// Solve computes z ≈ M⁻¹·r into the caller-provided z. r and z must
+	// not alias.
+	Solve(r, z []float64)
 }
-
-// InPlacePreconditioner is the optional allocation-free extension of
-// Preconditioner, mirroring InPlaceOp.
-type InPlacePreconditioner interface {
-	SolveInto(r, z []float64)
-}
-
-// IdentityPrecon is the no-op preconditioner.
-type IdentityPrecon struct{}
-
-// Solve returns a copy of r.
-func (IdentityPrecon) Solve(r []float64) []float64 { return la.Copy(r) }
-
-// SolveInto implements InPlacePreconditioner.
-func (IdentityPrecon) SolveInto(r, z []float64) { copy(z, r) }
 
 // DistPreconditioner is the distributed preconditioner contract the
 // distributed solvers accept: ApplyInto computes z ≈ M⁻¹·r over this
@@ -232,8 +195,3 @@ type Stats struct {
 // ErrDetectedFault is returned by solvers whose hooks report an invariant
 // violation under a detect-only (no correction) policy.
 var ErrDetectedFault = errors.New("krylov: skeptical check detected an invariant violation")
-
-// IterationHook observes solver internals once per iteration; returning a
-// non-nil error aborts the solve with that error. The skeptical layer
-// uses hooks for orthogonality and residual-monotonicity checks.
-type IterationHook func(iter int, relres float64) error

@@ -19,10 +19,7 @@ func residual(a *la.CSR, x, b []float64) float64 {
 func TestCGPoisson1D(t *testing.T) {
 	a := problems.Poisson1D(200)
 	b, xstar := problems.ManufacturedRHS(a)
-	x, st, err := CG(NewCSROp(a), b, nil, CGOptions{Tol: 1e-10, MaxIter: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
+	x, st := cgOneRank(t, a, b, nil, DistOptions{Tol: 1e-10, MaxIter: 500})
 	if !st.Converged {
 		t.Fatalf("CG did not converge: %+v", st)
 	}
@@ -81,12 +78,10 @@ func TestFGMRESWithJacobi(t *testing.T) {
 
 type jacobi struct{ d []float64 }
 
-func (j jacobi) Solve(r []float64) []float64 {
-	z := make([]float64, len(r))
+func (j jacobi) Solve(r, z []float64) {
 	for i := range r {
 		z[i] = r[i] / j.d[i]
 	}
-	return z
 }
 
 func distConfig(p int) comm.Config {

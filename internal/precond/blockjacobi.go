@@ -128,9 +128,6 @@ func (b *BlockJacobi) Setup() error {
 	return nil
 }
 
-// Apply implements Preconditioner.
-func (b *BlockJacobi) Apply(r []float64) ([]float64, error) { return applyViaInto(b, r) }
-
 // ApplyInto implements Preconditioner: solves L·y = r (unit lower
 // triangle) then U·z = y over the factored block, run by run. Purely
 // local.

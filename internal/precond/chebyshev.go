@@ -53,9 +53,6 @@ func (ch *Chebyshev) Setup() error {
 	return nil
 }
 
-// Apply implements Preconditioner.
-func (ch *Chebyshev) Apply(r []float64) ([]float64, error) { return applyViaInto(ch, r) }
-
 // ApplyInto implements Preconditioner: z = p_k(A)·r via k steps of the
 // Chebyshev semi-iteration on A·z = r from z = 0 (Saad, Iterative
 // Methods, alg. 12.1, without convergence checks — the degree is the

@@ -69,7 +69,9 @@ func TestBlockJacobiSpeedsUpGMRESAndFGMRESOnConvDiff(t *testing.T) {
 		if err := m.Setup(); err != nil {
 			return nil, krylov.Stats{}, err
 		}
-		return krylov.DistFGMRES(c, op, m, op.Scatter(rhs), nil, opts)
+		o := opts
+		o.Precon = m
+		return krylov.DistFGMRES(c, op, op.Scatter(rhs), nil, o)
 	}, a)
 
 	if !plainConv || !gmresConv || !fgmresConv {
@@ -148,7 +150,7 @@ func TestBlockJacobiAgreesAcrossRankCounts(t *testing.T) {
 			}
 			pt := dist.Partition{N: a.Rows, P: c.Size()}
 			lo, hi := pt.Range(c.Rank())
-			z, err := m.Apply(rhs[lo:hi])
+			z, err := apply(m, rhs[lo:hi])
 			if err != nil {
 				return err
 			}

@@ -20,9 +20,6 @@ type Faulty struct {
 // terms); only applications are corrupted.
 func (f *Faulty) Setup() error { return f.Inner.Setup() }
 
-// Apply implements Preconditioner.
-func (f *Faulty) Apply(r []float64) ([]float64, error) { return applyViaInto(f, r) }
-
 // ApplyInto implements Preconditioner.
 func (f *Faulty) ApplyInto(r, z []float64) error {
 	if err := f.Faults.Enter(fault.SitePrecond, -1); err != nil {

@@ -51,9 +51,6 @@ func (j *Jacobi) Setup() error {
 	return nil
 }
 
-// Apply implements Preconditioner.
-func (j *Jacobi) Apply(r []float64) ([]float64, error) { return applyViaInto(j, r) }
-
 // ApplyInto implements Preconditioner: z = D⁻¹·r, purely local.
 func (j *Jacobi) ApplyInto(r, z []float64) error {
 	if j.inv == nil {

@@ -16,10 +16,6 @@ type Preconditioner interface {
 	// reported as an error, never a panic.
 	Setup() error
 
-	// Apply returns z ≈ M⁻¹·r in a fresh slice — the convenience form
-	// for tests and cold paths.
-	Apply(r []float64) ([]float64, error)
-
 	// ApplyInto computes z ≈ M⁻¹·r into the caller-provided z, with
 	// zero heap allocations in steady state. r and z must not alias.
 	// Communication errors (comm.ErrRankFailed, comm.ErrKilled)
@@ -35,36 +31,3 @@ type Preconditioner interface {
 // ErrNotSetup is returned by ApplyInto when Setup has not run (or has
 // not run since construction).
 var ErrNotSetup = errors.New("precond: Setup must be called before ApplyInto")
-
-// Identity is the no-op preconditioner M = I; useful as an experiment
-// baseline where the code path should stay "preconditioned" but the
-// mathematics should not change.
-type Identity struct{}
-
-// Setup implements Preconditioner.
-func (Identity) Setup() error { return nil }
-
-// Apply implements Preconditioner.
-func (Identity) Apply(r []float64) ([]float64, error) {
-	z := make([]float64, len(r))
-	copy(z, r)
-	return z, nil
-}
-
-// ApplyInto implements Preconditioner.
-func (Identity) ApplyInto(r, z []float64) error {
-	copy(z, r)
-	return nil
-}
-
-// Flops implements Preconditioner.
-func (Identity) Flops() float64 { return 0 }
-
-// applyViaInto is the shared Apply-in-terms-of-ApplyInto helper.
-func applyViaInto(p Preconditioner, r []float64) ([]float64, error) {
-	z := make([]float64, len(r))
-	if err := p.ApplyInto(r, z); err != nil {
-		return nil, err
-	}
-	return z, nil
-}

@@ -3,6 +3,8 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -40,6 +42,39 @@ func FuzzSolveRequest(f *testing.F) {
 		}
 		if RequestID(&back) != RequestID(&req) {
 			t.Fatalf("request identity changed across its own encoding: %s → %s\n%s", RequestID(&req), RequestID(&back), again)
+		}
+	})
+}
+
+// FuzzParseKillPoints feeds arbitrary strings to the -kill-at parser of
+// the kill-and-replay smoke: it must never panic, every point it accepts
+// must name a crash the harness can stage (mode run, journal or stream,
+// N >= 1), and the points joined back as "mode:N" must parse to the same
+// list.
+func FuzzParseKillPoints(f *testing.F) {
+	for _, s := range []string{"run:40,stream:3,journal:80", "run:1", " journal:2 , stream:9 ", "", "run:0", "run:-1", "run", "walk:3", "run:+4", "run:40,", ",", "stream:99999999999999999999"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		kps, err := ParseKillPoints(s)
+		if err != nil {
+			return
+		}
+		parts := make([]string, len(kps))
+		for i, kp := range kps {
+			if (kp.Mode != "run" && kp.Mode != "journal" && kp.Mode != "stream") || kp.N < 1 {
+				t.Fatalf("%q accepted point %+v", s, kp)
+			}
+			parts[i] = fmt.Sprintf("%s:%d", kp.Mode, kp.N)
+		}
+		again, err := ParseKillPoints(strings.Join(parts, ","))
+		if err != nil || len(again) != len(kps) {
+			t.Fatalf("%q re-joined does not re-parse: %v %+v", s, err, again)
+		}
+		for i := range kps {
+			if again[i].Mode != kps[i].Mode || again[i].N != kps[i].N {
+				t.Fatalf("%q point %d re-parses as %+v, was %+v", s, i, again[i], kps[i])
+			}
 		}
 	})
 }

@@ -145,9 +145,10 @@ func (s *Server) streamCampaign(ctx context.Context, w http.ResponseWriter, spec
 	// campaign (digest of spec + shard) and each answered run advances
 	// it, so a restarted server reports where every in-flight campaign
 	// stopped. The request ID is the same digest under the "c-" prefix.
-	digest := campaignDigest(spec, shard, shards)
-	reqID := "c-" + digest
+	reqID := CampaignRequestID(spec, shard, shards)
+	var digest string
 	if s.durable != nil {
+		digest = campaignDigest(spec, shard, shards)
 		s.durable.campaignBegin(digest, len(jobs))
 	}
 	s.log.Info("campaign admitted", "req", reqID, "cells", cellCount,

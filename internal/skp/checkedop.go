@@ -1,8 +1,6 @@
 package skp
 
-import (
-	"repro/internal/krylov"
-)
+import "repro/internal/krylov"
 
 // Policy selects what CheckedOp does when a check fires.
 type Policy int
@@ -60,21 +58,14 @@ func NewCheckedOp(suspect, trusted krylov.Op, policy Policy) *CheckedOp {
 	}
 }
 
-// Apply implements krylov.Op with validation and optional correction.
-func (o *CheckedOp) Apply(x []float64) []float64 {
-	y := make([]float64, o.Suspect.Size())
-	o.ApplyInto(x, y)
-	return y
-}
-
-// ApplyInto implements krylov.InPlaceOp: the suspect product lands in y,
-// is validated, and under the Correct policy a detection recomputes y
+// Apply implements krylov.Op: the suspect product lands in y, is
+// validated, and under the Correct policy a detection recomputes y
 // through the trusted path. The skeptical wrapper therefore adds zero
 // allocations to a clean apply — the checks themselves are pure
 // reductions over x and y.
-func (o *CheckedOp) ApplyInto(x, y []float64) {
+func (o *CheckedOp) Apply(x, y []float64) {
 	o.Stats.Applies++
-	krylov.ApplyOpInto(o.Suspect, x, y)
+	o.Suspect.Apply(x, y)
 	if o.CheckEvery > 1 && o.Stats.Applies%o.CheckEvery != 0 {
 		return
 	}
@@ -86,7 +77,7 @@ func (o *CheckedOp) ApplyInto(x, y []float64) {
 			}
 			if o.Policy == Correct {
 				o.Stats.Corrections++
-				krylov.ApplyOpInto(o.Trusted, x, y)
+				o.Trusted.Apply(x, y)
 			}
 			return
 		}

@@ -13,13 +13,15 @@ import (
 // validation needs *zero extra communication* — skeptical programming at
 // scale costs one local dot product per apply. A detected fault is
 // corrected by recomputing the local SpMV (the halo values are still in
-// the operator's buffer, so even the recompute stays communication-free).
+// the trusted slab's buffer, so even the recompute stays
+// communication-free).
 type DistCheckedOp struct {
-	Inner *dist.CSR
-	// Corrupt, when non-nil, is called on the local result after the
-	// clean product — the injection hook for experiments (it stands in
-	// for hardware SDC in the local kernel).
-	Corrupt func(y []float64)
+	// Suspect computes the product that gets validated: Trusted itself,
+	// or a dist.Faulty over it, whose flips stand in for hardware SDC in
+	// the local kernel. Either way its halo exchange fills Trusted's
+	// buffer, which the checksum and the recompute read.
+	Suspect dist.Operator
+	Trusted *dist.CSR
 	// Tol is the relative checksum tolerance (default scales with size).
 	Tol float64
 
@@ -27,11 +29,13 @@ type DistCheckedOp struct {
 	Stats   CheckStats
 }
 
-// NewDistCheckedOp builds the wrapper, precomputing the slab checksums.
-func NewDistCheckedOp(inner *dist.CSR) *DistCheckedOp {
+// NewDistCheckedOp builds the wrapper, precomputing the slab checksums
+// of trusted; suspect must apply through trusted (see Suspect).
+func NewDistCheckedOp(suspect dist.Operator, trusted *dist.CSR) *DistCheckedOp {
 	return &DistCheckedOp{
-		Inner:   inner,
-		colSums: inner.LocalColSums(),
+		Suspect: suspect,
+		Trusted: trusted,
+		colSums: trusted.LocalColSums(),
 		Stats:   CheckStats{PerCheck: make(map[string]int)},
 	}
 }
@@ -39,11 +43,8 @@ func NewDistCheckedOp(inner *dist.CSR) *DistCheckedOp {
 // Apply implements dist.Operator with local validation and correction.
 func (o *DistCheckedOp) Apply(x, y []float64) error {
 	o.Stats.Applies++
-	if err := o.Inner.Apply(x, y); err != nil {
+	if err := o.Suspect.Apply(x, y); err != nil {
 		return err
-	}
-	if o.Corrupt != nil {
-		o.Corrupt(y)
 	}
 	if o.validate(y) {
 		return nil
@@ -53,7 +54,7 @@ func (o *DistCheckedOp) Apply(x, y []float64) error {
 	// owned + ghost values, so no re-communication is needed.
 	o.Stats.Detections++
 	o.Stats.PerCheck["checksum"]++
-	o.Inner.ApplyLocal(y)
+	o.Trusted.ApplyLocal(y)
 	if o.validate(y) {
 		o.Stats.Corrections++
 		return nil
@@ -65,7 +66,7 @@ func (o *DistCheckedOp) Apply(x, y []float64) error {
 
 // validate checks the local block-row checksum identity.
 func (o *DistCheckedOp) validate(y []float64) bool {
-	xb := o.Inner.XBuffer()
+	xb := o.Trusted.XBuffer()
 	lhs := la.Sum(y)
 	rhs := la.Dot(o.colSums, xb)
 	scale := math.Max(math.Abs(lhs), math.Abs(rhs))
@@ -83,10 +84,10 @@ func (o *DistCheckedOp) validate(y []float64) bool {
 }
 
 // LocalLen implements dist.Operator.
-func (o *DistCheckedOp) LocalLen() int { return o.Inner.LocalLen() }
+func (o *DistCheckedOp) LocalLen() int { return o.Trusted.LocalLen() }
 
 // GlobalLen implements dist.Operator.
-func (o *DistCheckedOp) GlobalLen() int { return o.Inner.GlobalLen() }
+func (o *DistCheckedOp) GlobalLen() int { return o.Trusted.GlobalLen() }
 
 // NormInf implements dist.Operator.
-func (o *DistCheckedOp) NormInf() float64 { return o.Inner.NormInf() }
+func (o *DistCheckedOp) NormInf() float64 { return o.Trusted.NormInf() }

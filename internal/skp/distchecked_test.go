@@ -27,7 +27,7 @@ func TestDistCheckedCleanPassThrough(t *testing.T) {
 	want := a.MatVec(xg, nil)
 	err := comm.Run(distCfg(3), func(c *comm.Comm) error {
 		inner := dist.NewCSR(c, a)
-		co := NewDistCheckedOp(inner)
+		co := NewDistCheckedOp(inner, inner)
 		x := inner.Scatter(xg)
 		y := make([]float64, co.LocalLen())
 		for rep := 0; rep < 20; rep++ {
@@ -66,7 +66,15 @@ func TestDistCheckedDetectsAndCorrectsLocally(t *testing.T) {
 	for i := range xg {
 		xg[i] = 1 + float64(i%5)
 	}
-	err := comm.Run(distCfg(3), func(c *comm.Comm) error {
+	// Only rank 1's kernel faults: its first product flips bit 62 of
+	// element 2.
+	run, err := fault.NewRun(fault.Plan{Entries: []fault.Entry{
+		{Kind: fault.Flip, Rank: 1, Site: fault.SiteApply, At: 0, Index: 2, Bit: 62},
+	}}, 3, dist.Partition{N: a.Rows, P: 3}.Len)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = comm.Run(distCfg(3), func(c *comm.Comm) error {
 		// Reference: the clean distributed product (same column remap,
 		// hence bitwise comparable; the serial product can differ by an
 		// ulp because the slab sums columns in compiled order).
@@ -81,14 +89,7 @@ func TestDistCheckedDetectsAndCorrectsLocally(t *testing.T) {
 		}
 
 		inner := dist.NewCSR(c, a)
-		co := NewDistCheckedOp(inner)
-		armed := c.Rank() == 1 // only rank 1's kernel faults
-		co.Corrupt = func(y []float64) {
-			if armed {
-				y[2] = fault.FlipBit(y[2], 62)
-				armed = false
-			}
-		}
+		co := NewDistCheckedOp(&dist.Faulty{Inner: inner, Faults: run.Rank(c)}, inner)
 		x := inner.Scatter(xg)
 		y := make([]float64, co.LocalLen())
 
@@ -141,12 +142,7 @@ func TestDistCheckedGMRES(t *testing.T) {
 	}
 	err = comm.Run(distCfg(4), func(c *comm.Comm) error {
 		inner := dist.NewCSR(c, a)
-		co := NewDistCheckedOp(inner)
-		faults := run.Rank(c)
-		co.Corrupt = func(y []float64) {
-			_ = faults.Enter(fault.SiteApply, -1)
-			faults.Corrupt(fault.SiteApply, y)
-		}
+		co := NewDistCheckedOp(&dist.Faulty{Inner: inner, Faults: run.Rank(c)}, inner)
 
 		local := inner.Scatter(rhs)
 		x, st, err := krylov.DistGMRES(c, co, local, nil, krylov.DistGMRESOptions{

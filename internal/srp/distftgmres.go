@@ -130,10 +130,11 @@ func DistFTGMRESPreconditioned(c *comm.Comm, trusted, faulty dist.Operator, inne
 		C: c, Faulty: faulty, Iters: opts.InnerIters, Restart: opts.InnerIters,
 		Precon: innerM,
 	}
-	x, st, err := krylov.DistFGMRES(c, trusted, inner, b, nil, krylov.DistGMRESOptions{
+	x, st, err := krylov.DistFGMRES(c, trusted, b, nil, krylov.DistGMRESOptions{
 		Restart: opts.OuterRestart,
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxOuter,
+		Precon:  inner,
 	})
 	return DistFTGMRESResult{X: x, Stats: st, InnerSolves: inner.Solves, InnerDiscards: inner.Discards}, err
 }

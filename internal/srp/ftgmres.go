@@ -35,13 +35,13 @@ type InnerSolver struct {
 }
 
 // Solve implements krylov.Preconditioner.
-func (s *InnerSolver) Solve(r []float64) []float64 {
+func (s *InnerSolver) Solve(r, z []float64) {
 	s.Solves++
 	restart := s.Restart
 	if restart <= 0 {
 		restart = s.Iters
 	}
-	z, _, err := krylov.GMRES(s.Faulty, r, nil, krylov.GMRESOptions{
+	out, _, err := krylov.GMRES(s.Faulty, r, nil, krylov.GMRESOptions{
 		Restart: restart,
 		MaxIter: s.Iters,
 		Tol:     1e-13, // run the full budget; outer handles accuracy
@@ -51,16 +51,18 @@ func (s *InnerSolver) Solve(r []float64) []float64 {
 	// discarded in favour of the identity application (z = r), which
 	// keeps the outer iteration valid — merely unpreconditioned for one
 	// step.
-	if err != nil || la.HasNonFinite(z) {
+	if err != nil || la.HasNonFinite(out) {
 		s.Discards++
-		return la.Copy(r)
+		copy(z, r)
+		return
 	}
-	zn, rn := la.Nrm2(z), la.Nrm2(r)
+	zn, rn := la.Nrm2(out), la.Nrm2(r)
 	if rn > 0 && (zn == 0 || zn > 1e8*rn) {
 		s.Discards++
-		return la.Copy(r)
+		copy(z, r)
+		return
 	}
-	return z
+	copy(z, out)
 }
 
 // Result carries the FT-GMRES outcome and reliability accounting.
