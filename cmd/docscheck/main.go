@@ -1,12 +1,12 @@
 // Command docscheck is the CI docs gate. It fails on: broken relative
 // links in the repository's markdown files; references to *.md files
 // inside Go comments that point at files which do not exist (the drift
-// that once left package docs citing design notes nobody wrote); and
-// exported identifiers in the godoc-gated packages (internal/precond,
-// internal/campaign, internal/service, internal/obs, internal/traceq,
-// internal/jsonl, internal/stats, internal/fault, internal/krylov,
-// internal/skp, internal/srp) that lack doc comments. It takes the repository root as an optional argument
-// (default ".") and exits non-zero with one line per problem.
+// that once left package docs citing design notes nobody wrote);
+// exported identifiers in any package under internal/ that lack doc
+// comments; and exported identifiers under internal/ that no non-test
+// code mentions, unless a commented allowlist (exports.go) says why they
+// stay. It takes the repository root as an optional argument (default
+// ".") and exits non-zero with one line per problem.
 //
 //	go run ./cmd/docscheck
 package main
@@ -43,22 +43,6 @@ func main() {
 	}
 }
 
-// godocGated lists the packages whose exported identifiers must all
-// carry doc comments. New subsystems join this list as they land.
-var godocGated = []string{
-	filepath.Join("internal", "precond"),
-	filepath.Join("internal", "campaign"),
-	filepath.Join("internal", "service"),
-	filepath.Join("internal", "obs"),
-	filepath.Join("internal", "traceq"),
-	filepath.Join("internal", "jsonl"),
-	filepath.Join("internal", "stats"),
-	filepath.Join("internal", "fault"),
-	filepath.Join("internal", "krylov"),
-	filepath.Join("internal", "skp"),
-	filepath.Join("internal", "srp"),
-}
-
 // run performs all checks and returns the sorted problem list.
 func run(root string) ([]string, error) {
 	var problems []string
@@ -72,13 +56,25 @@ func run(root string) ([]string, error) {
 		return nil, err
 	}
 	problems = append(problems, refs...)
-	for _, pkg := range godocGated {
-		docs, err := checkExportedDocs(filepath.Join(root, pkg))
-		if err != nil {
-			return nil, err
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
+		if d.Name() == "testdata" {
+			return filepath.SkipDir
+		}
+		docs, err := checkExportedDocs(path)
 		problems = append(problems, docs...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
+	unused, err := checkUnusedExports(root, exportAllowlist)
+	if err != nil {
+		return nil, err
+	}
+	problems = append(problems, unused...)
 	sort.Strings(problems)
 	return problems, nil
 }

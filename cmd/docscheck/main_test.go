@@ -8,8 +8,8 @@ import (
 )
 
 // TestRepositoryIsClean makes the docs gate part of the tier-1 suite:
-// the repository's own markdown links and internal/precond doc comments
-// must pass the same checks CI runs.
+// the repository's own markdown links, doc comments and exports must
+// pass the same checks CI runs.
 func TestRepositoryIsClean(t *testing.T) {
 	problems, err := run("../..")
 	if err != nil {
@@ -92,5 +92,66 @@ type Bare struct{}
 	}
 	if len(problems) != 2 {
 		t.Errorf("want 2 problems (Naked, Bare), got %v", problems)
+	}
+}
+
+// TestUnusedExportIsCaught exercises the unused-export checker on a
+// synthetic module: an export only a test calls is flagged, and so is a
+// type whose one mention is its method's receiver; an allowlisted
+// export passes, keeps what it mentions, and makes no other entry
+// stale; an entry for a name that is gone or has a production caller is
+// flagged as stale.
+func TestUnusedExportIsCaught(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"internal/p/p.go": `package p
+
+// Used has a production caller.
+func Used() {}
+
+// TestOnly is called by p_test.go alone.
+func TestOnly() {}
+
+// Kept has no caller but is allowlisted.
+func Kept() *Ref { return &Ref{h: Helper{}} }
+
+// Ref is allowlisted, and mentioned only by Kept.
+type Ref struct{ h Helper }
+
+// Helper is mentioned only by allowlisted code, which keeps it.
+type Helper struct{}
+
+// Orphan is mentioned only by its method's receiver.
+type Orphan struct{}
+
+// Used shares its name with the function main calls.
+func (Orphan) Used() {}
+`,
+		"internal/p/p_test.go": "package p\n\nfunc use() { TestOnly(); Kept() }\n",
+		"cmd/x/main.go":        "package main\n\nimport \"m/internal/p\"\n\nfunc main() { p.Used() }\n",
+	}
+	for name, src := range files {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	problems, err := checkUnusedExports(dir, map[string]string{
+		"p.Kept": "reason", "p.Ref": "reason", "p.Gone": "reason", "p.Used": "reason",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"cmd/docscheck: allowlisted p.Gone is not declared",
+		"internal/p/p.go:19: exported p.Orphan has no production caller",
+		"internal/p/p.go:4: allowlisted p.Used has a production caller",
+		"internal/p/p.go:7: exported p.TestOnly has no production caller",
+	}
+	if strings.Join(problems, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(problems, "\n"), strings.Join(want, "\n"))
 	}
 }

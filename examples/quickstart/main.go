@@ -34,7 +34,6 @@ func main() {
 	// bound, ABFT checksum); detected faults are corrected by recompute.
 	res, err := skp.GMRES(unreliable, op, rhs, skp.GMRESConfig{
 		Restart: 60, Tol: 1e-9, MaxIter: 400,
-		Policy:  skp.Correct,
 		ColSums: a.ColSums(),
 	})
 	if err != nil {

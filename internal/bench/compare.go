@@ -43,6 +43,7 @@ type Regression struct {
 	Limit  float64 // the value the gate allowed
 }
 
+// String renders the regression as one aligned report line.
 func (r Regression) String() string {
 	return fmt.Sprintf("%-28s %-12s %12.4g -> %-12.4g (limit %.4g)", r.Name, r.Metric, r.Old, r.New, r.Limit)
 }

@@ -129,7 +129,7 @@ func checkSuiteKernel() (func(n int), func()) {
 func checkedApplyKernel() (func(n int), func()) {
 	a := problems.ConvDiff2D(64, 64, 20, 10)
 	op := krylov.NewCSROp(a)
-	co := skp.NewCheckedOp(op, op, skp.Correct)
+	co := skp.NewCheckedOp(op, op)
 	co.Checks = append(co.Checks, skp.Checksum{ColSums: a.ColSums()})
 	x := make([]float64, op.Size())
 	for i := range x {

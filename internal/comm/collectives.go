@@ -53,6 +53,7 @@ const (
 	kindAllgather
 )
 
+// String names the collective family in mismatch panics.
 func (k collKind) String() string {
 	return [...]string{"barrier", "allreduce", "broadcast", "allgather"}[k]
 }

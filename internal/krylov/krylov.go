@@ -10,7 +10,6 @@
 package krylov
 
 import (
-	"errors"
 	"math"
 
 	"repro/internal/comm"
@@ -191,7 +190,3 @@ type Stats struct {
 	VirtualTime   float64   // end-of-solve virtual clock (distributed only)
 	Reductions    int       // number of global reductions (distributed only)
 }
-
-// ErrDetectedFault is returned by solvers whose hooks report an invariant
-// violation under a detect-only (no correction) policy.
-var ErrDetectedFault = errors.New("krylov: skeptical check detected an invariant violation")

@@ -165,17 +165,3 @@ func (m *CSR) ColSums() []float64 {
 	}
 	return c
 }
-
-// ToDense expands to dense form (tests only; beware of size).
-func (m *CSR) ToDense() *Dense {
-	d := NewDense(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-			d.Add(i, m.ColIdx[p], m.Val[p])
-		}
-	}
-	return d
-}
-
-// FlopsSpMV returns the flop count of one SpMV with this matrix.
-func (m *CSR) FlopsSpMV() float64 { return 2 * float64(m.NNZ()) }

@@ -71,17 +71,6 @@ func (a *Dense) MatMul(b *Dense) *Dense {
 	return c
 }
 
-// Transpose returns Aᵀ.
-func (a *Dense) Transpose() *Dense {
-	t := NewDense(a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			t.Set(j, i, a.At(i, j))
-		}
-	}
-	return t
-}
-
 // NormInf returns the infinity (max row-sum) norm.
 func (a *Dense) NormInf() float64 {
 	max := 0.0
@@ -106,15 +95,6 @@ func (a *Dense) Equal(b *Dense, tol float64) bool {
 	return true
 }
 
-// Eye returns the n×n identity.
-func Eye(n int) *Dense {
-	a := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	return a
-}
-
 // RandomDense fills a matrix with uniform values in [-1, 1) drawn from
 // next (a machine.RNG's Float64, passed as a closure to keep la free of
 // that dependency).
@@ -124,28 +104,4 @@ func RandomDense(rows, cols int, next func() float64) *Dense {
 		a.Data[i] = 2*next() - 1
 	}
 	return a
-}
-
-// SolveUpperTriangular solves R·x = b for x, where R is upper triangular
-// (only the upper triangle of R is referenced). It panics on a zero
-// diagonal entry.
-func SolveUpperTriangular(r *Dense, b []float64) []float64 {
-	n := r.Rows
-	if r.Cols < n {
-		panic("la: SolveUpperTriangular needs Cols >= Rows")
-	}
-	CheckLen("b", b, n)
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= r.At(i, j) * x[j]
-		}
-		d := r.At(i, i)
-		if d == 0 {
-			panic("la: singular triangular system")
-		}
-		x[i] = s / d
-	}
-	return x
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/la"
+	"repro/internal/problems"
 )
 
 // AdvectConfig describes the LFLR advection run (experiment F10): a 1D
@@ -79,15 +80,7 @@ type advectApp struct {
 	lo, hi int
 }
 
-func (a *advectApp) initial() []float64 {
-	u := make([]float64, a.hi-a.lo)
-	for i := range u {
-		x := float64(a.lo+i) / float64(a.n)
-		s := math.Sin(2 * math.Pi * x)
-		u[i] = 1 + s*s
-	}
-	return u
-}
+func (a *advectApp) initial() []float64 { return problems.AdvectionInitial(a.n, a.lo, a.hi) }
 
 func (a *advectApp) step(r *rank) (float64, error) {
 	if err := r.haloStep(); err != nil {

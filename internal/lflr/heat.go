@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/fault"
 	"repro/internal/la"
+	"repro/internal/problems"
 )
 
 // HeatConfig describes the explicit LFLR heat-equation run of experiment
@@ -102,20 +103,8 @@ func newStrip(c *comm.Comm, nx, ny int) strip {
 
 func (g strip) rows() int { return g.jhi - g.jlo }
 
-// initial samples the same initial condition as problems.NewHeatGrid on
-// this rank's strip.
-func (g strip) initial() []float64 {
-	u := make([]float64, g.rows()*g.nx)
-	for j := 0; j < g.rows(); j++ {
-		gj := g.jlo + j
-		for i := 0; i < g.nx; i++ {
-			x := float64(i+1) / float64(g.nx+1)
-			y := float64(gj+1) / float64(g.ny+1)
-			u[j*g.nx+i] = math.Sin(math.Pi*x) * math.Sin(math.Pi*y)
-		}
-	}
-	return u
-}
+// initial is the heat initial condition on this rank's strip.
+func (g strip) initial() []float64 { return problems.HeatInitial(g.nx, g.ny, g.jlo, g.jhi) }
 
 // reduceEnergy is the heat apps' step-boundary reduction: the global
 // energy is non-increasing for ν ≤ 1/4 (the skeptical conservation

@@ -91,22 +91,6 @@ func (s *Store) RestoreScalar(c *comm.Comm, key string) (float64, bool) {
 	return v[0], true
 }
 
-// Peek reads rank r's persisted data without charging anyone (harness
-// and test use only).
-func (s *Store) Peek(rank int, key string) ([]float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.vals[rank]
-	if m == nil {
-		return nil, false
-	}
-	v, ok := m[key]
-	if !ok {
-		return nil, false
-	}
-	return la.Copy(v), true
-}
-
 // chargeModel prices one store transfer of n float64s: a point-to-point
 // message to the replica partner plus CPU overhead on both ends.
 func chargeModel(c *comm.Comm, n int) float64 {

@@ -144,7 +144,7 @@ func TestNoiseModels(t *testing.T) {
 	if d := never.Draw(rng, 2); d != 0 {
 		t.Errorf("impossible spike drew %v", d)
 	}
-	jitter := LognormalJitter{Sigma: 0.5}
+	jitter := UniformJitter{Frac: 0.5}
 	neg := 0
 	for i := 0; i < 1000; i++ {
 		if jitter.Draw(rng, 1) < 0 {

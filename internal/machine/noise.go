@@ -115,27 +115,3 @@ func (n UniformJitter) Draw(rng *RNG, d float64) float64 {
 
 // Name implements Noise.
 func (n UniformJitter) Name() string { return "uniform" }
-
-// LognormalJitter models continuous small-scale variability: every compute
-// phase is stretched by a lognormal factor with location Mu and scale
-// Sigma (of the underlying normal). Mu=0, Sigma=0 reproduces NoNoise.
-type LognormalJitter struct {
-	Mu    float64
-	Sigma float64
-}
-
-// Draw implements Noise.
-func (n LognormalJitter) Draw(rng *RNG, d float64) float64 {
-	if n.Sigma == 0 && n.Mu == 0 {
-		return 0
-	}
-	z := rng.NormFloat64()
-	factor := math.Exp(n.Mu + n.Sigma*z)
-	if factor <= 1 {
-		return 0
-	}
-	return (factor - 1) * d
-}
-
-// Name implements Noise.
-func (n LognormalJitter) Name() string { return "lognormal" }

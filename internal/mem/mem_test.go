@@ -1,128 +1,10 @@
 package mem
 
 import (
-	"math"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/fault"
 	"repro/internal/machine"
 )
-
-func TestReliableNeverCorrupts(t *testing.T) {
-	r := NewRegion(100, Reliable, 0.5, nil)
-	for i := 0; i < 100; i++ {
-		r.Store(i, float64(i))
-	}
-	for pass := 0; pass < 10; pass++ {
-		for i := 0; i < 100; i++ {
-			if r.Load(i) != float64(i) {
-				t.Fatal("reliable region corrupted")
-			}
-		}
-	}
-}
-
-func TestUnreliableCorruptsAtRate(t *testing.T) {
-	rng := machine.NewRNG(2)
-	r := NewRegion(10000, Unreliable, 0.1, rng)
-	for i := 0; i < r.Len(); i++ {
-		r.Store(i, 1.0)
-	}
-	for i := 0; i < r.Len(); i++ {
-		r.Load(i)
-	}
-	seen := r.Stats().FaultsSeen
-	if seen < 800 || seen > 1200 {
-		t.Errorf("rate 0.1 over 10000 loads corrupted %d times", seen)
-	}
-}
-
-// TestTMRVoteCorrectsSingleFlip is the TMR voter property: for any value
-// and any single-copy single-bit corruption, the vote returns the
-// original.
-func TestTMRVoteCorrectsSingleFlip(t *testing.T) {
-	f := func(x float64, bitRaw uint8, whichRaw uint8) bool {
-		bit := int(bitRaw % 64)
-		a, b, c := x, x, x
-		switch whichRaw % 3 {
-		case 0:
-			a = fault.FlipBit(a, bit)
-		case 1:
-			b = fault.FlipBit(b, bit)
-		default:
-			c = fault.FlipBit(c, bit)
-		}
-		v := vote(a, b, c)
-		return v == x || (math.IsNaN(x) && math.IsNaN(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTMRMasksFaults(t *testing.T) {
-	rng := machine.NewRNG(3)
-	r := NewRegion(2000, TMR, 0.05, rng)
-	for i := 0; i < r.Len(); i++ {
-		r.Store(i, 2.5)
-	}
-	bad := 0
-	for pass := 0; pass < 5; pass++ {
-		for i := 0; i < r.Len(); i++ {
-			if r.Load(i) != 2.5 {
-				bad++
-			}
-		}
-	}
-	// P(2+ copies corrupt in one load) ≈ 3·0.05² ≈ 0.75%; with scrubbing
-	// the corrupt state does not accumulate. Allow some slack.
-	total := 5 * r.Len()
-	if float64(bad)/float64(total) > 0.02 {
-		t.Errorf("TMR leaked %d/%d corrupted reads", bad, total)
-	}
-	if r.Stats().FaultsMask == 0 {
-		t.Error("expected masked faults at rate 0.05")
-	}
-}
-
-func TestAccessCostAccounting(t *testing.T) {
-	rng := machine.NewRNG(4)
-	rel := NewRegion(10, Reliable, 0, nil)
-	unrel := NewRegion(10, Unreliable, 0, rng)
-	tmr := NewRegion(10, TMR, 0, rng)
-	for i := 0; i < 10; i++ {
-		rel.Store(i, 1)
-		unrel.Store(i, 1)
-		tmr.Store(i, 1)
-		rel.Load(i)
-		unrel.Load(i)
-		tmr.Load(i)
-	}
-	if got := rel.Stats().AccessCost; got != 20*CostReliable {
-		t.Errorf("reliable cost %g", got)
-	}
-	if got := unrel.Stats().AccessCost; got != 20 {
-		t.Errorf("unreliable cost %g", got)
-	}
-	if got := tmr.Stats().AccessCost; got != 60 {
-		t.Errorf("tmr cost %g", got)
-	}
-}
-
-func TestCopyInOut(t *testing.T) {
-	rng := machine.NewRNG(5)
-	r := NewRegion(5, Unreliable, 0, rng)
-	src := []float64{1, 2, 3, 4, 5}
-	r.CopyIn(src)
-	dst := make([]float64, 5)
-	r.CopyOut(dst)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("roundtrip failed at %d", i)
-		}
-	}
-}
 
 // TestWorkspaceVecIsZeroed: Vec hands out zeroed vectors on the first
 // carving pass (fresh regions, not cleared again) and after a Reset

@@ -1,18 +1,18 @@
+// Package mem holds solver scratch storage: a bump allocator over plain
+// float64 slabs, carved once per solve so the hot loops run with zero
+// per-iteration allocations, and a process-wide pool that recycles it
+// between short solves.
 package mem
 
 import "sync"
 
-// Workspace is a bump allocator over Reliable regions: solvers carve
-// their work vectors from it once, up front, and the hot loops then run
-// with zero per-iteration allocations. It is the storage-model face of
-// the paper's SRP argument applied to scratch data — a solver's
-// workspace is exactly the "critical data" §II-D says belongs in
-// reliable storage, and Region.Raw is the contract that reliable data
-// needs no per-access instrumentation.
+// Workspace is a bump allocator over float64 slabs: solvers carve their
+// work vectors from it once, up front, and the hot loops then run with
+// zero per-iteration allocations.
 //
-// Vec never moves previously returned slices: when the current region is
+// Vec never moves previously returned slices: when the current slab is
 // exhausted a new one is opened, so every carved vector stays valid for
-// the Workspace's lifetime. Reset recycles all regions for a fresh
+// the Workspace's lifetime. Reset recycles all slabs for a fresh
 // carving pass (previously returned slices then alias new vectors and
 // must no longer be used).
 //
@@ -23,26 +23,23 @@ import "sync"
 // is copied out first. The next borrower, possibly on another
 // goroutine, is handed the same storage.
 type Workspace struct {
-	regions []*Region
-	cur     int // index of the region being carved
-	off     int // next free element in regions[cur]
-	slab    int // minimum size of a newly opened region
-	// used counts the regions that existed at the last Reset and so may
-	// hold an earlier pass's values; later ones are still as NewRegion
+	slabs [][]float64
+	cur   int // index of the slab being carved
+	off   int // next free element in slabs[cur]
+	slab  int // minimum size of a newly opened slab
+	// used counts the slabs that existed at the last Reset and so may
+	// hold an earlier pass's values; later ones are still as make
 	// zeroed them.
 	used int
 }
 
-// NewWorkspace creates a workspace whose first region holds capacity
+// NewWorkspace creates a workspace whose first slab holds capacity
 // elements (minimum 1).
 func NewWorkspace(capacity int) *Workspace {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Workspace{
-		regions: []*Region{NewRegion(capacity, Reliable, 0, nil)},
-		slab:    capacity,
-	}
+	return &Workspace{slabs: [][]float64{make([]float64, capacity)}, slab: capacity}
 }
 
 // maxPooled is the largest footprint, in elements (256 KiB), that
@@ -64,7 +61,7 @@ var pool sync.Pool
 // more than the largest request it has served. Pair every Borrow with a
 // Return.
 func Borrow(capacity int) *Workspace {
-	if w, _ := pool.Get().(*Workspace); w != nil && w.regions[0].Len() >= capacity {
+	if w, _ := pool.Get().(*Workspace); w != nil && len(w.slabs[0]) >= capacity {
 		w.Reset()
 		return w
 	}
@@ -80,35 +77,31 @@ func (w *Workspace) Return() {
 	}
 }
 
-// Vec returns a zeroed length-n slice carved from reliable storage.
+// Vec returns a zeroed length-n slice.
 func (w *Workspace) Vec(n int) []float64 {
 	for {
-		r := w.regions[w.cur].Raw()
-		if w.off+n <= len(r) {
-			v := r[w.off : w.off+n : w.off+n]
+		s := w.slabs[w.cur]
+		if w.off+n <= len(s) {
+			v := s[w.off : w.off+n : w.off+n]
 			w.off += n
 			if w.cur < w.used {
 				clear(v)
 			}
 			return v
 		}
-		if w.cur+1 < len(w.regions) && n <= w.regions[w.cur+1].Len() {
+		if w.cur+1 < len(w.slabs) && n <= len(w.slabs[w.cur+1]) {
 			w.cur++
 			w.off = 0
 			continue
 		}
-		size := w.slab
-		if n > size {
-			size = n
-		}
-		w.regions = append(w.regions, NewRegion(size, Reliable, 0, nil))
-		w.cur = len(w.regions) - 1
+		w.slabs = append(w.slabs, make([]float64, max(w.slab, n)))
+		w.cur = len(w.slabs) - 1
 		w.off = 0
 	}
 }
 
 // Mat returns an r×c matrix of carved row slices (a convenience for
-// basis storage: one contiguous region, r stable row views).
+// basis storage: r stable row views).
 func (w *Workspace) Mat(r, c int) [][]float64 {
 	rows := make([][]float64, r)
 	for i := range rows {
@@ -121,14 +114,14 @@ func (w *Workspace) Mat(r, c int) [][]float64 {
 func (w *Workspace) Reset() {
 	w.cur = 0
 	w.off = 0
-	w.used = len(w.regions)
+	w.used = len(w.slabs)
 }
 
 // Footprint returns the total number of float64 elements held.
 func (w *Workspace) Footprint() int {
 	n := 0
-	for _, r := range w.regions {
-		n += r.Len()
+	for _, s := range w.slabs {
+		n += len(s)
 	}
 	return n
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode"
 )
 
 // Level orders log severities.
@@ -46,14 +47,13 @@ func (l Level) String() string {
 // stable enough to assert against in tests. The nil *Logger is a valid
 // no-op sink (every method returns immediately), mirroring the package's
 // nil-receiver convention, so "logging disabled" needs no conditionals
-// at call sites. A Logger is safe for concurrent use; With-derived
-// children share the parent's writer and lock.
+// at call sites. A Logger is safe for concurrent use; a WithClock copy
+// shares the parent's writer and lock.
 type Logger struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	min    Level
-	now    func() time.Time
-	prefix string // pre-rendered bound fields, leading space included
+	mu  *sync.Mutex
+	w   io.Writer
+	min Level
+	now func() time.Time
 }
 
 // NewLogger returns a logger writing records at or above min to w.
@@ -69,21 +69,6 @@ func (l *Logger) WithClock(now func() time.Time) *Logger {
 	}
 	cp := *l
 	cp.now = now
-	return &cp
-}
-
-// With returns a child logger whose records all carry the given
-// key/value fields (rendered once, after msg, before per-record
-// fields). It is how a request ID binds to every line of a request's
-// lifecycle. Nil-safe: the child of a nil logger is nil.
-func (l *Logger) With(keyvals ...any) *Logger {
-	if l == nil {
-		return nil
-	}
-	var b bytes.Buffer
-	appendFields(&b, keyvals)
-	cp := *l
-	cp.prefix = l.prefix + b.String()
 	return &cp
 }
 
@@ -110,7 +95,6 @@ func (l *Logger) log(lv Level, msg string, keyvals []any) {
 	b.WriteString(lv.String())
 	b.WriteString(" msg=")
 	b.WriteString(quote(msg))
-	b.WriteString(l.prefix)
 	appendFields(&b, keyvals)
 	b.WriteByte('\n')
 	l.mu.Lock()
@@ -158,11 +142,14 @@ func fieldString(v any) string {
 	}
 }
 
-// quote wraps s in double quotes when it contains whitespace, '=', '"'
-// or is empty — the cases where an unquoted value would break the
-// key=value grammar.
+// quote wraps s in double quotes when it is empty or contains '=', '"',
+// whitespace or a control character — the cases where an unquoted value
+// would break the key=value grammar or the one-line-per-record contract
+// (strconv.Quote escapes a newline or carriage return).
 func quote(s string) string {
-	if s == "" || strings.ContainsAny(s, " \t\"=") {
+	if s == "" || strings.ContainsFunc(s, func(r rune) bool {
+		return r == '=' || r == '"' || unicode.IsSpace(r) || unicode.IsControl(r)
+	}) {
 		return strconv.Quote(s)
 	}
 	return s

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,29 +47,17 @@ func TestLoggerLevels(t *testing.T) {
 	}
 }
 
-// TestLoggerWith: bound fields render once, sit between msg and the
-// per-record fields, and accumulate across derivations.
-func TestLoggerWith(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo).WithClock(fixed).With("req", "r-1")
-	l.With("cell", "gmres/none").Info("run completed", "iters", 42)
-	want := `ts=2026-08-08T12:00:00Z level=info msg="run completed" req=r-1 cell=gmres/none iters=42` + "\n"
-	if got := buf.String(); got != want {
-		t.Errorf("bound fields\n got %q\nwant %q", got, want)
-	}
-}
-
 // TestLoggerNilSafe: every method of the nil logger is a no-op, and
-// With/WithClock of nil stay nil — "logging disabled" needs no
-// conditionals at call sites.
+// WithClock of nil stays nil — "logging disabled" needs no conditionals
+// at call sites.
 func TestLoggerNilSafe(t *testing.T) {
 	var l *Logger
 	l.Debug("x")
 	l.Info("x", "k", "v")
 	l.Warn("x")
 	l.Error("x", "odd")
-	if l.With("k", "v") != nil || l.WithClock(fixed) != nil {
-		t.Error("derivations of the nil logger are not nil")
+	if l.WithClock(fixed) != nil {
+		t.Error("WithClock of the nil logger is not nil")
 	}
 }
 
@@ -79,6 +68,27 @@ func TestLoggerOddKeyvals(t *testing.T) {
 	NewLogger(&buf, LevelInfo).WithClock(fixed).Info("m", "orphan")
 	if !strings.Contains(buf.String(), "orphan=(missing)") {
 		t.Errorf("trailing key not marked: %q", buf.String())
+	}
+}
+
+// TestLoggerOneLinePerRecord: a message or value holding a newline or a
+// carriage return is quoted, so the record stays one line and
+// strconv.Unquote gives the text back.
+func TestLoggerOneLinePerRecord(t *testing.T) {
+	for _, v := range []string{"one\ntwo", "one\rtwo"} {
+		var buf bytes.Buffer
+		NewLogger(&buf, LevelInfo).WithClock(fixed).Info(v, "err", errors.New(v))
+		line, ok := strings.CutSuffix(buf.String(), "\n")
+		if !ok || strings.ContainsAny(line, "\n\r") {
+			t.Fatalf("record for %q is not one line: %q", v, buf.String())
+		}
+		rest, ok := strings.CutPrefix(line, "ts=2026-08-08T12:00:00Z level=info msg=")
+		msg, val, _ := strings.Cut(rest, " err=")
+		for what, quoted := range map[string]string{"msg": msg, "err": val} {
+			if got, err := strconv.Unquote(quoted); !ok || err != nil || got != v {
+				t.Errorf("%s=%s does not unquote to %q (got %q, %v)", what, quoted, v, got, err)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,14 @@
 package obs
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonl"
 )
 
 // TestReadTraceStrictness pins the trace reader's tear handling: a
@@ -50,4 +55,47 @@ func TestReadTraceStrictness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadTrace: the strict trace reader never panics; a trace it
+// accepts holds exactly the header's event count and came from input
+// ending in a newline; and the same bytes give the same result twice.
+// The corpus is a real RunTracer output and its torn and foreign
+// variants.
+func FuzzReadTrace(f *testing.F) {
+	tr := NewRunTracer("gmres/none/poisson/p2/bitflip/r0", 11)
+	tr.Observe(Event{Rank: -1, Name: "run_begin"})
+	tr.Observe(Event{T: 0.5, Name: EventIteration, Iter: 1, Value: 0.25})
+	tr.Observe(Event{T: 0.75, Rank: 1, Name: "fault_inject", Value: 2, Detail: "bitflip"})
+	tr.Observe(Event{T: 1, Rank: -1, Name: "run_end", Detail: "converged"})
+	var b bytes.Buffer
+	if err := tr.WriteJSONL(&b); err != nil {
+		f.Fatal(err)
+	}
+	real := b.Bytes()
+	f.Add(real)
+	f.Add(real[:len(real)-1])
+	f.Add(real[:len(real)/2])
+	f.Add(bytes.Replace(real, []byte(`"events":4`), []byte(`"events":5`), 1))
+	f.Add(append(append([]byte{}, real...), "{\"t\":\n"...))
+	f.Add([]byte(""))
+	f.Add([]byte("garbage\n\x00\xff"))
+	f.Add([]byte(`{"schema":"repro-journal/v1","kind":"accept","id":"a"}` + "\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadTrace(data)
+		tr2, err2 := ReadTrace(data)
+		if fmt.Sprint(err) != fmt.Sprint(err2) || !reflect.DeepEqual(tr, tr2) {
+			t.Fatalf("two reads differ: %v / %v", err, err2)
+		}
+		if err != nil {
+			return
+		}
+		if data[len(data)-1] != '\n' {
+			t.Fatalf("accepted a trace not ending in a newline: %q", data)
+		}
+		var hdr traceHeader
+		if err := json.Unmarshal(jsonl.Scan(data)[0].Bytes, &hdr); err != nil || hdr.Events != len(tr.Events) {
+			t.Fatalf("accepted %d events under header %+v (%v)", len(tr.Events), hdr, err)
+		}
+	})
 }

@@ -25,9 +25,10 @@
 // Reliability is a first-class axis, matching the paper's Selective
 // Reliability argument (§II-D, §III-D): Faulty exposes any
 // preconditioner's applications to a fault plan, so a whole application
-// can run as the low-reliability inner phase of srp.DistFTGMRES while
-// the thin outer iteration stays reliable. The solvers never need to
-// know — a preconditioner is just something with ApplyInto.
+// can run as the low-reliability inner phase of srp's distributed
+// FT-GMRES while the thin outer iteration stays reliable. The solvers
+// never need to know — a preconditioner is just something with
+// ApplyInto.
 //
 // All implementations are flop-counted (they charge the machine cost
 // model through (*comm.Comm).Compute, so virtual-time results and the

@@ -7,8 +7,8 @@ import "repro/internal/fault"
 // kill the rank before it and flip bits of its output after — a
 // preconditioner running on unreliable hardware. This is the package's
 // hook into the paper's Selective Reliability architecture (§III-D):
-// srp.DistFTGMRES can run a Faulty preconditioner as part of its
-// low-reliability inner phase, with the reliable outer iteration
+// srp's distributed FT-GMRES can run a Faulty preconditioner as part of
+// its low-reliability inner phase, with the reliable outer iteration
 // sanitising whatever comes back.
 type Faulty struct {
 	Inner  Preconditioner

@@ -18,17 +18,23 @@ type Advection1D struct {
 	scratch []float64
 }
 
-// NewAdvection1D initialises a smooth pulse u(x) = 1 + sin²(2πx) on the
-// periodic domain (strictly positive so relative mass drift is well
-// scaled).
+// NewAdvection1D allocates a ring holding AdvectionInitial on every cell.
 func NewAdvection1D(n int, c float64) *Advection1D {
-	a := &Advection1D{N: n, C: c, U: make([]float64, n), scratch: make([]float64, n)}
-	for i := range a.U {
-		x := float64(i) / float64(n)
+	return &Advection1D{N: n, C: c, U: AdvectionInitial(n, 0, n), scratch: make([]float64, n)}
+}
+
+// AdvectionInitial samples the smooth pulse u(x) = 1 + sin²(2πx) at
+// cells [lo, hi) of a periodic ring of n (strictly positive so relative
+// mass drift is well scaled). The LFLR advection app starts each rank's
+// segment from it, so it and NewAdvection1D start from the same bits.
+func AdvectionInitial(n, lo, hi int) []float64 {
+	u := make([]float64, hi-lo)
+	for i := range u {
+		x := float64(lo+i) / float64(n)
 		s := math.Sin(2 * math.Pi * x)
-		a.U[i] = 1 + s*s
+		u[i] = 1 + s*s
 	}
-	return a
+	return u
 }
 
 // Step advances one upwind step.

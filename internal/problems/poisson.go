@@ -1,9 +1,9 @@
 // Package problems generates the model PDE workloads the experiments run
-// on: Poisson operators in 1/2/3 dimensions (symmetric positive definite,
-// for CG), a 2D convection–diffusion operator (nonsymmetric, for GMRES),
-// and an explicit/implicit heat-equation stepper on a 1D-partitioned 2D
-// grid (for the LFLR experiments). These are the canonical problems of
-// the papers this position paper cites.
+// on: Poisson operators (symmetric positive definite, for CG), a 2D
+// convection–diffusion operator (nonsymmetric, for GMRES), and the
+// serial heat and advection steppers the LFLR apps are checked against,
+// with the initial conditions both sides start from. These are the
+// canonical problems of the papers this position paper cites.
 package problems
 
 import (
@@ -49,41 +49,6 @@ func Poisson2D(nx, ny int) *la.CSR {
 			}
 			if j < ny-1 {
 				b.Add(r, id(i, j+1), -1)
-			}
-		}
-	}
-	return b.ToCSR()
-}
-
-// Poisson3D returns the 7-point Laplacian on an nx×ny×nz grid with
-// Dirichlet boundaries.
-func Poisson3D(nx, ny, nz int) *la.CSR {
-	n := nx * ny * nz
-	b := la.NewCOO(n, n)
-	id := func(i, j, k int) int { return (k*ny+j)*nx + i }
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			for i := 0; i < nx; i++ {
-				r := id(i, j, k)
-				b.Add(r, r, 6)
-				if i > 0 {
-					b.Add(r, id(i-1, j, k), -1)
-				}
-				if i < nx-1 {
-					b.Add(r, id(i+1, j, k), -1)
-				}
-				if j > 0 {
-					b.Add(r, id(i, j-1, k), -1)
-				}
-				if j < ny-1 {
-					b.Add(r, id(i, j+1, k), -1)
-				}
-				if k > 0 {
-					b.Add(r, id(i, j, k-1), -1)
-				}
-				if k < nz-1 {
-					b.Add(r, id(i, j, k+1), -1)
-				}
 			}
 		}
 	}

@@ -47,26 +47,24 @@ func TestPoisson2DRowSums(t *testing.T) {
 
 func TestPoisson2DSymmetric(t *testing.T) {
 	a := Poisson2D(6, 4)
-	d := a.ToDense()
-	if !d.Equal(d.Transpose(), 0) {
-		t.Error("Poisson2D not symmetric")
-	}
-}
-
-func TestPoisson3DDimensions(t *testing.T) {
-	a := Poisson3D(3, 4, 5)
-	if a.Rows != 60 || a.Cols != 60 {
-		t.Fatalf("shape %dx%d", a.Rows, a.Cols)
-	}
-	if a.At(0, 0) != 6 {
-		t.Errorf("diag %g", a.At(0, 0))
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			if a.At(i, j) != a.At(j, i) {
+				t.Fatalf("Poisson2D not symmetric at (%d, %d)", i, j)
+			}
+		}
 	}
 }
 
 func TestConvDiffNonsymmetric(t *testing.T) {
 	a := ConvDiff2D(6, 6, 10, 5)
-	d := a.ToDense()
-	if d.Equal(d.Transpose(), 1e-12) {
+	nonsym := false
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			nonsym = nonsym || math.Abs(a.At(i, j)-a.At(j, i)) > 1e-12
+		}
+	}
+	if !nonsym {
 		t.Error("convection–diffusion should be nonsymmetric")
 	}
 	// Row-diagonal dominance (upwinding guarantees it): |diag| >= off sum.

@@ -109,28 +109,3 @@ func (ck Checksum) Validate(x, y []float64) error {
 	}
 	return nil
 }
-
-// Conservation checks that a quantity conserved (or non-increasing) by
-// the true update is not violated: Sum(y) must stay within Slack of
-// Sum(x) scaled by Factor. The explicit heat stepper uses it with
-// Factor < 1 (energy decays); mass-conservative schemes use Factor = 1.
-type Conservation struct {
-	Factor float64 // expected ratio Sum(y)/Sum(x) upper bound
-	Slack  float64 // absolute tolerance (default 1e-8 when zero)
-}
-
-// Name implements Check.
-func (Conservation) Name() string { return "conservation" }
-
-// Validate implements Check.
-func (cv Conservation) Validate(x, y []float64) error {
-	slack := cv.Slack
-	if slack == 0 {
-		slack = 1e-8
-	}
-	sx, sy := la.Sum(x), la.Sum(y)
-	if sy > cv.Factor*sx+slack {
-		return fmt.Errorf("skp: conservation violated: sum %g -> %g (factor %g)", sx, sy, cv.Factor)
-	}
-	return nil
-}

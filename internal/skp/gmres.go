@@ -25,7 +25,6 @@ type GMRESConfig struct {
 	Restart int
 	Tol     float64
 	MaxIter int
-	Policy  Policy
 	// OrthoEvery spot-checks basis orthogonality every k Arnoldi steps
 	// (0 disables; 1 checks every step). Checking occasionally keeps the
 	// overhead "very low", per the paper.
@@ -34,26 +33,22 @@ type GMRESConfig struct {
 	// la.CSR.ColSums): one extra dot product per SpMV that catches
 	// corruption in both directions.
 	ColSums []float64
-	// OrthoTol is the orthogonality violation threshold. Default 1e-3:
-	// modified Gram–Schmidt drifts to ~1e-5 legitimately on moderately
-	// conditioned problems, while corruption of a stored basis vector
-	// (the fault this check targets — an SpMV fault is orthogonalised
-	// away by MGS and caught by the kernel checks instead) produces
-	// violations many orders of magnitude larger.
-	OrthoTol float64
 }
+
+// orthoTol is the orthogonality violation threshold: modified
+// Gram–Schmidt drifts to ~1e-5 legitimately on moderately conditioned
+// problems, while corruption of a stored basis vector (the fault this
+// check targets — an SpMV fault is orthogonalised away by MGS and caught
+// by the kernel checks instead) produces violations many orders of
+// magnitude larger.
+const orthoTol = 1e-3
 
 // GMRES runs GMRES over the suspect operator with the skeptical suite
 // armed: kernel checks on every SpMV (via CheckedOp) and an Arnoldi-level
-// orthogonality spot check. Under the Correct policy, kernel detections
-// recompute through trusted, and solver detections roll the cycle back;
-// under DetectOnly the solve aborts with krylov.ErrDetectedFault on a
-// solver-level hit so the caller can see exactly when detection happened.
+// orthogonality spot check. Kernel detections recompute through trusted,
+// and solver detections roll the cycle back.
 func GMRES(suspect, trusted krylov.Op, b []float64, cfg GMRESConfig) (GMRESResult, error) {
-	if cfg.OrthoTol == 0 {
-		cfg.OrthoTol = 1e-3
-	}
-	co := NewCheckedOp(suspect, trusted, cfg.Policy)
+	co := NewCheckedOp(suspect, trusted)
 	if cfg.ColSums != nil {
 		co.Checks = append(co.Checks, Checksum{ColSums: cfg.ColSums})
 	}
@@ -62,11 +57,8 @@ func GMRES(suspect, trusted krylov.Op, b []float64, cfg GMRESConfig) (GMRESResul
 		if cfg.OrthoEvery <= 0 || (j+1)%cfg.OrthoEvery != 0 {
 			return nil
 		}
-		if err := orthoCheck(j, v, cfg.OrthoTol); err != nil {
-			if cfg.Policy == Correct {
-				return krylov.ErrRestartCycle
-			}
-			return fmt.Errorf("%w: %v", krylov.ErrDetectedFault, err)
+		if orthoCheck(j, v, orthoTol) != nil {
+			return krylov.ErrRestartCycle
 		}
 		return nil
 	}

@@ -108,22 +108,17 @@ type DistFTGMRESResult struct {
 	InnerDiscards int
 }
 
-// DistFTGMRES is FT-GMRES at scale: a reliable distributed FGMRES outer
-// iteration whose preconditioner is a fault-injected distributed GMRES —
-// the paper's §III-D architecture on the simulated parallel machine.
-// trusted is the clean operator; faulty is the same operator consulting
-// each rank's fault injector (see dist.Faulty).
-func DistFTGMRES(c *comm.Comm, trusted, faulty dist.Operator, b []float64, opts Options) (DistFTGMRESResult, error) {
-	return DistFTGMRESPreconditioned(c, trusted, faulty, nil, b, opts)
-}
-
-// DistFTGMRESPreconditioned is DistFTGMRES with a preconditioned inner
-// phase: innerM right-preconditions the unreliable inner GMRES solves.
-// Pass a precond.Faulty-wrapped preconditioner to keep the whole inner
-// phase — solve and preconditioner alike — in low-reliability mode; the
-// outer iteration's sanitisation consensus is unchanged, so a corrupted
-// preconditioner costs discards and extra outer iterations, never
-// correctness.
+// DistFTGMRESPreconditioned is FT-GMRES at scale: a reliable
+// distributed FGMRES outer iteration whose preconditioner is a
+// fault-injected distributed GMRES — the paper's §III-D architecture on
+// the simulated parallel machine. trusted is the clean operator; faulty
+// is the same operator consulting each rank's fault injector (see
+// dist.Faulty). innerM right-preconditions the unreliable inner GMRES
+// solves (nil for none). Pass a precond.Faulty-wrapped preconditioner to
+// keep the whole inner phase — solve and preconditioner alike — in
+// low-reliability mode; the outer iteration's sanitisation consensus is
+// unchanged, so a corrupted preconditioner costs discards and extra
+// outer iterations, never correctness.
 func DistFTGMRESPreconditioned(c *comm.Comm, trusted, faulty dist.Operator, innerM krylov.DistPreconditioner, b []float64, opts Options) (DistFTGMRESResult, error) {
 	opts.defaults()
 	inner := &DistInner{

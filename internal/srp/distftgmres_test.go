@@ -34,7 +34,7 @@ func TestDistFTGMRESConvergesUnderFaults(t *testing.T) {
 			return err
 		}
 		local := trusted.Scatter(bGlob)
-		res, err := DistFTGMRES(c, trusted, faulty, local, Options{
+		res, err := DistFTGMRESPreconditioned(c, trusted, faulty, nil, local, Options{
 			InnerIters: 15, Tol: 1e-8, MaxOuter: 60, OuterRestart: 30,
 		})
 		if err != nil {
@@ -183,7 +183,7 @@ func TestDistFTGMRESHooks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		res, err := DistFTGMRES(c, trusted, faulty, trusted.Scatter(bGlob), Options{
+		res, err := DistFTGMRESPreconditioned(c, trusted, faulty, nil, trusted.Scatter(bGlob), Options{
 			InnerIters: 10, Tol: 1e-8, MaxOuter: 25, OuterRestart: 25,
 		})
 		if err != nil {

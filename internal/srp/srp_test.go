@@ -6,8 +6,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/krylov"
 	"repro/internal/la"
-	"repro/internal/machine"
-	"repro/internal/mem"
 	"repro/internal/problems"
 )
 
@@ -124,36 +122,4 @@ func TestExpectedTimesShapes(t *testing.T) {
 	if srp >= rel || srp >= tmr {
 		t.Errorf("SRP mix (%g) should beat all-reliable (%g) and TMR (%g)", srp, rel, tmr)
 	}
-}
-
-func TestVerifiedRunRestartsOnFaults(t *testing.T) {
-	rng := machine.NewRNG(8)
-	// With rate*work = 5, almost every attempt fails: expect restarts.
-	time, restarts := VerifiedRun(1e5, 5e-5, rng, 1000)
-	if restarts == 0 {
-		t.Error("expected restarts at high fault rate")
-	}
-	if time < 1e5 {
-		t.Error("time cannot be below one clean pass")
-	}
-	rng2 := machine.NewRNG(8)
-	time2, restarts2 := VerifiedRun(1e5, 0, rng2, 1000)
-	if restarts2 != 0 || time2 != 1e5 {
-		t.Errorf("fault-free run should be one pass: %g, %d", time2, restarts2)
-	}
-}
-
-func TestRegionDotThroughRegions(t *testing.T) {
-	rng := machine.NewRNG(12)
-	a := regionFrom([]float64{1, 2, 3}, rng)
-	b := regionFrom([]float64{4, 5, 6}, rng)
-	if got := RegionDot(a, b); got != 32 {
-		t.Errorf("RegionDot = %g, want 32", got)
-	}
-}
-
-func regionFrom(v []float64, rng *machine.RNG) *mem.Region {
-	r := mem.NewRegion(len(v), mem.Reliable, 0, rng)
-	r.CopyIn(v)
-	return r
 }
