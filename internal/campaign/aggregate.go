@@ -293,15 +293,25 @@ func ReadAggregate(path string) (*Aggregate, error) {
 	if err != nil {
 		return nil, err
 	}
+	agg, err := parseAggregate(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return agg, nil
+}
+
+// parseAggregate decodes an aggregate file's bytes, refusing an empty
+// file, corrupt JSON and a foreign schema.
+func parseAggregate(data []byte) (*Aggregate, error) {
 	if len(bytes.TrimSpace(data)) == 0 {
-		return nil, fmt.Errorf("%s: empty file, not a %s aggregate", path, AggSchema)
+		return nil, fmt.Errorf("empty file, not a %s aggregate", AggSchema)
 	}
 	var agg Aggregate
 	if err := json.Unmarshal(data, &agg); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, err
 	}
 	if agg.Schema != AggSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, agg.Schema, AggSchema)
+		return nil, fmt.Errorf("schema %q, want %q", agg.Schema, AggSchema)
 	}
 	return &agg, nil
 }

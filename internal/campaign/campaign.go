@@ -115,7 +115,7 @@ func (n NoiseSpec) String() string {
 	if !n.Enabled() {
 		return NoiseNone
 	}
-	return fmt.Sprintf("%s@%g", n.Model, n.Frac)
+	return n.Model + "@" + strconv.FormatFloat(n.Frac, 'g', -1, 64)
 }
 
 func (n NoiseSpec) validate() error {
@@ -155,9 +155,9 @@ type FaultSpec struct {
 func (f FaultSpec) String() string {
 	switch f.Model {
 	case FaultBitflip, FaultFaultyPrecond:
-		return fmt.Sprintf("%s@%g", f.Model, f.Rate)
+		return f.Model + "@" + strconv.FormatFloat(f.Rate, 'g', -1, 64)
 	case FaultRankKill:
-		return fmt.Sprintf("%s@%g", f.Model, f.MTBF)
+		return f.Model + "@" + strconv.FormatFloat(f.MTBF, 'g', -1, 64)
 	default:
 		return f.Model
 	}
@@ -350,7 +350,7 @@ type Cell struct {
 // e.g. "pcg/jacobi/poisson/p4/bitflip@0.001" — with a trailing noise
 // segment ("…/uniform@0.2") only when the cell carries noise.
 func (c Cell) Key() string {
-	k := fmt.Sprintf("%s/%s/%s/p%d/%s", c.Solver, c.Precond, c.Problem, c.Ranks, c.Fault)
+	k := c.Solver + "/" + c.Precond + "/" + c.Problem + "/p" + strconv.Itoa(c.Ranks) + "/" + c.Fault.String()
 	if c.Noise.Enabled() {
 		k += "/" + c.Noise.String()
 	}
@@ -360,7 +360,7 @@ func (c Cell) Key() string {
 // RunKey returns the identifier of one replicate of this cell — the
 // key resume matching and aggregation dedup with.
 func (c Cell) RunKey(rep int) string {
-	return fmt.Sprintf("%s/r%d", c.Key(), rep)
+	return c.Key() + "/r" + strconv.Itoa(rep)
 }
 
 // Record returns the identity-only record of one (cell, replicate):

@@ -133,12 +133,6 @@ func Run(opts Options) (RunStats, error) {
 	}
 	defer w.Close()
 
-	progress := func(format string, args ...any) {
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, format+"\n", args...)
-		}
-	}
-
 	var (
 		mu       sync.Mutex
 		wg       sync.WaitGroup
@@ -192,8 +186,10 @@ func Run(opts Options) (RunStats, error) {
 					writeErr = err
 				}
 				mu.Unlock()
-				progress("run %-44s conv=%-5v iters=%-4d vt=%.3gs restarts=%d",
-					rec.Key, rec.Converged, rec.Iters, rec.VTime, rec.Restarts)
+				if opts.Progress != nil {
+					fmt.Fprintf(opts.Progress, "run %-44s conv=%-5v iters=%-4d vt=%.3gs restarts=%d\n",
+						rec.Key, rec.Converged, rec.Iters, rec.VTime, rec.Restarts)
+				}
 			}
 		}()
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -145,6 +147,64 @@ func FuzzTraceSample(f *testing.F) {
 		k2, n2, err := ParseTraceSample(again)
 		if err != nil || k2 != k || n2 != n {
 			t.Fatalf("%q → %d/%d re-parses as %d/%d (%v)", s, k, n, k2, n2, err)
+		}
+	})
+}
+
+// FuzzReadAggregate feeds arbitrary bytes to the aggregate reader that
+// campaign compare, campaign report and the perf harness load
+// CAMPAIGN_*.json files through. It must never panic; an aggregate it
+// accepts has the aggregate schema, re-encodes to bytes it accepts
+// again unchanged, renders a report, and compared with itself matches
+// every cell (where cell keys are unique) with nothing added or
+// removed.
+func FuzzReadAggregate(f *testing.F) {
+	// A few of the committed baseline's cells: a real aggregate, small
+	// enough for the mutator to work on.
+	if b, err := os.ReadFile(filepath.Join("..", "..", "CAMPAIGN_baseline.json")); err == nil {
+		var agg Aggregate
+		if err := json.Unmarshal(b, &agg); err != nil {
+			f.Fatal(err)
+		}
+		agg.Cells = agg.Cells[:min(len(agg.Cells), 4)]
+		if b, err = json.Marshal(&agg); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"schema":"` + AggSchema + `","label":"x","spec":{},"runs":1,"successes":1,` +
+		`"cells":[{"key":"a","success_rate":1,"expected_tts":{"mean":1,"ci_lo":2,"ci_hi":1}},{"key":"a"}]}`))
+	f.Add([]byte(`{"schema":"` + AggSchema + `","cells":null}`))
+	f.Add([]byte(`{"schema":"other"}`))
+	f.Add([]byte(" \n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		agg, err := parseAggregate(data)
+		if err != nil {
+			return
+		}
+		if agg.Schema != AggSchema {
+			t.Fatalf("accepted schema %q", agg.Schema)
+		}
+		enc, err := json.Marshal(agg)
+		if err != nil {
+			t.Fatalf("accepted aggregate does not re-encode: %v", err)
+		}
+		again, err := parseAggregate(enc)
+		if err != nil {
+			t.Fatalf("re-encoded aggregate refused: %v\n%s", err, enc)
+		}
+		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip moved bytes:\n%s\n%s", enc, enc2)
+		}
+		BuildReport(agg)
+		cmp := Compare(agg, agg, DefaultCompareThresholds())
+		cmp.Render(io.Discard)
+		keys := make(map[string]bool, len(agg.Cells))
+		for _, c := range agg.Cells {
+			keys[c.Key] = true
+		}
+		if len(keys) == len(agg.Cells) && (len(cmp.Cells) != len(agg.Cells) || len(cmp.Added) > 0 || len(cmp.Removed) > 0) {
+			t.Fatalf("self-comparison of %d cells matched %d, added %v, removed %v", len(agg.Cells), len(cmp.Cells), cmp.Added, cmp.Removed)
 		}
 	})
 }

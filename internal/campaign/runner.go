@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"repro/internal/comm"
@@ -474,7 +475,10 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		env = &ExecEnv{}
 	}
 	rec := cell.Record(spec, rep)
-	env.observer(0, 0).harness(obs.Event{Name: "run_begin", Detail: cell.Key()})
+	if emit := env.observer(0, 0); emit != nil {
+		// The cell key is the run key without its replicate.
+		emit.harness(obs.Event{Name: "run_begin", Detail: rec.Key[:strings.LastIndexByte(rec.Key, '/')]})
+	}
 	build := BuildProblem
 	if env.Problems != nil {
 		build = env.Problems

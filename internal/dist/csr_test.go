@@ -1,7 +1,10 @@
 package dist
 
 import (
+	"cmp"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -15,15 +18,15 @@ import (
 // rather than just chain neighbours — the general exchange path.
 func randomSparse(n int, seed uint64) *la.CSR {
 	rng := machine.NewRNG(seed)
-	b := la.NewCOO(n, n)
+	b := triplets{}
 	for k := 0; k < 6*n; k++ {
 		i, j := rng.Intn(n), rng.Intn(n)
-		b.Add(i, j, 2*rng.Float64()-1)
+		b.add(i, j, 2*rng.Float64()-1)
 	}
 	for i := 0; i < n; i++ {
-		b.Add(i, i, 4)
+		b.add(i, i, 4)
 	}
-	return b.ToCSR()
+	return b.csr(n, n)
 }
 
 // TestCSRMatchesSerial: the distributed product agrees with the serial
@@ -287,4 +290,27 @@ func BenchmarkCSRApplyLocal(b *testing.B) {
 			}
 		})
 	}
+}
+
+// triplets is the tests' builder for scattered patterns: add sums
+// duplicate (i, j) entries in insertion order from +0, and csr stores
+// each row's entries in ascending column order.
+type triplets map[[2]int]float64
+
+func (t triplets) add(i, j int, v float64) { t[[2]int{i, j}] += v }
+
+func (t triplets) csr(rows, cols int) *la.CSR {
+	keys := slices.SortedFunc(maps.Keys(t), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	m := &la.CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for _, k := range keys {
+		m.ColIdx = append(m.ColIdx, k[1])
+		m.Val = append(m.Val, t[k])
+		m.RowPtr[k[0]+1]++
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }

@@ -10,42 +10,42 @@ import (
 
 // tridiag assembles the serial reference of a Stencil3.
 func tridiag(n int, sub, diag, super float64) *la.CSR {
-	b := la.NewCOO(n, n)
+	b := triplets{}
 	for i := 0; i < n; i++ {
 		if i > 0 {
-			b.Add(i, i-1, sub)
+			b.add(i, i-1, sub)
 		}
-		b.Add(i, i, diag)
+		b.add(i, i, diag)
 		if i < n-1 {
-			b.Add(i, i+1, super)
+			b.add(i, i+1, super)
 		}
 	}
-	return b.ToCSR()
+	return b.csr(n, n)
 }
 
 // fivePoint assembles the serial reference of a Stencil5 (row-major
 // index j*nx + i, zero Dirichlet).
 func fivePoint(nx, ny int, diag, off float64) *la.CSR {
-	b := la.NewCOO(nx*ny, nx*ny)
+	b := triplets{}
 	id := func(i, j int) int { return j*nx + i }
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
-			b.Add(id(i, j), id(i, j), diag)
+			b.add(id(i, j), id(i, j), diag)
 			if i > 0 {
-				b.Add(id(i, j), id(i-1, j), off)
+				b.add(id(i, j), id(i-1, j), off)
 			}
 			if i < nx-1 {
-				b.Add(id(i, j), id(i+1, j), off)
+				b.add(id(i, j), id(i+1, j), off)
 			}
 			if j > 0 {
-				b.Add(id(i, j), id(i, j-1), off)
+				b.add(id(i, j), id(i, j-1), off)
 			}
 			if j < ny-1 {
-				b.Add(id(i, j), id(i, j+1), off)
+				b.add(id(i, j), id(i, j+1), off)
 			}
 		}
 	}
-	return b.ToCSR()
+	return b.csr(nx*ny, nx*ny)
 }
 
 // TestStencil3MatchesAssembled: the matrix-free chain operator agrees

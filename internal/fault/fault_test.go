@@ -335,3 +335,39 @@ func TestPoissonProcessMean(t *testing.T) {
 		t.Errorf("MTBF mean %v, want ~100", mean)
 	}
 }
+
+// TestFlipRateMatchesFloat64Draws: flipRate's integer threshold and
+// register-held stream strike exactly the elements, at exactly the
+// bits, that a Float64() < rate draw per element through the stream
+// itself does (the loop Corrupt ran before, kept here verbatim), and
+// leave the stream in the same state — at rates whose threshold
+// rate·2⁵³ is an integer, just off one, subnormal, 0 and 1.
+func TestFlipRateMatchesFloat64Draws(t *testing.T) {
+	rates := []float64{0, 1, 0.5, 0.25, 1e-4, 0.3, 5e-324, 0x1p-53, 0x1p-52, math.Nextafter(0x1p-53, 1), math.Nextafter(0x1p-53, 0), math.Nextafter(1, 0)}
+	for k, rate := range rates {
+		for seed := uint64(0); seed < 8; seed++ {
+			want := make([]float64, 257)
+			for i := range want {
+				want[i] = float64(i) - 100.5
+			}
+			got := append([]float64(nil), want...)
+			ref, rng := machine.NewRNG(seed), machine.NewRNG(seed)
+			wantN := 0
+			for j := range want {
+				if ref.Float64() < rate {
+					want[j] = FlipBit(want[j], AnyBit.PickBit(ref))
+					wantN++
+				}
+			}
+			gotN := flipRate(rng, rate, got)
+			if gotN != wantN || *rng != *ref {
+				t.Fatalf("rate %d (%g), seed %d: %d flips, stream %v; want %d, %v", k, rate, seed, gotN, *rng, wantN, *ref)
+			}
+			for j := range want {
+				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("rate %d (%g), seed %d: element %d is %v, want %v", k, rate, seed, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}

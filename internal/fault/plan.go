@@ -3,6 +3,7 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/comm"
@@ -275,19 +276,36 @@ func (in *Injector) Corrupt(site string, v []float64) {
 			in.run.strikes = append(in.run.strikes, Strike{Entry: i, Kind: Flip, Rank: in.rank, At: k, Index: e.Index, Bit: e.Bit, Old: old, New: v[e.Index]})
 			n++
 		case e.Kind == FlipRate && e.Rate > 0 && in.addressed(e, site):
-			rng := in.stream(s)
-			for j := range v {
-				if rng.Float64() < e.Rate {
-					v[j] = FlipBit(v[j], AnyBit.PickBit(rng))
-					n++
-				}
-			}
+			n += flipRate(in.stream(s), e.Rate, v)
 		}
 	}
 	in.run.flips += n
 	if n > 0 && in.c != nil {
 		in.c.Emit(obs.Event{Name: "fault_inject", Value: float64(n), Detail: sites[s%len(sites)].label})
 	}
+}
+
+// flipRate flips each element of v with probability rate, each struck
+// element at a bit drawn from AnyBit, and returns the count. It draws
+// exactly as rng.Float64() < rate per element would: Float64 is
+// (u>>11)/2⁵³, so that test is u>>11 < ⌈rate·2⁵³⌉ on integers. The loop
+// draws from a local copy of the stream, synced back around each
+// PickBit and at the end, so the state stays in a register instead of
+// round-tripping through memory per element.
+func flipRate(rng *machine.RNG, rate float64, v []float64) int {
+	cut := uint64(math.Ceil(min(rate, 1) * (1 << 53)))
+	r, n := *rng, 0
+	for j := range v {
+		var u uint64
+		if u, r = r.Next(); u>>11 < cut {
+			*rng = r
+			v[j] = FlipBit(v[j], AnyBit.PickBit(rng))
+			r = *rng
+			n++
+		}
+	}
+	*rng = r
+	return n
 }
 
 // siteIndex returns the index of name in sites, or -1.

@@ -101,8 +101,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 				break
 			}
 		}
-		copy(v[0], r)
-		dist.Scal(c, 1/beta, v[0])
+		scaleInto(c, 1/beta, r, v[0])
 		q.reset(beta)
 
 		j := 0
@@ -135,8 +134,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 			}
 			q.h.Set(j+1, j, hj1)
 			if hj1 > 0 {
-				copy(v[j+1], w)
-				dist.Scal(c, 1/hj1, v[j+1])
+				scaleInto(c, 1/hj1, w, v[j+1])
 			}
 			st.Iterations++
 			relres := q.push(j) / bnorm
@@ -157,9 +155,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 			if kind.m != nil && !kind.flexible {
 				// Fixed M: x += M⁻¹·(V·y), one application per cycle.
 				clear(w)
-				for i := 0; i < j; i++ {
-					dist.Axpy(c, y[i], v[i], w)
-				}
+				combine(c, y[:j], v, w)
 				if err := kind.m.ApplyInto(w, z[0]); err != nil {
 					return x, st, err
 				}
@@ -169,9 +165,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 				if kind.m != nil {
 					dirs = z
 				}
-				for i := 0; i < j; i++ {
-					dist.Axpy(c, y[i], dirs[i], x)
-				}
+				combine(c, y[:j], dirs, x)
 			}
 		}
 		st.Restarts++
@@ -187,6 +181,52 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	}
 	st.VirtualTime = c.Clock()
 	return x, st, nil
+}
+
+// scaleInto sets dst = alpha·src on the local slabs in one pass and
+// charges what copy + dist.Scal charge: the same product per element,
+// one n-flop charge.
+func scaleInto(c *comm.Comm, alpha float64, src, dst []float64) {
+	dst = dst[:len(src)]
+	for i, s := range src {
+		dst[i] = s * alpha
+	}
+	c.Compute(float64(len(src)))
+}
+
+// combine adds Σ y[i]·d[i] to x on the local slabs in one pass: each
+// element takes its terms in order i = 0, 1, …, exactly as len(y)
+// successive dist.Axpy calls would, and each term keeps its Axpy's
+// charge. Four elements advance at a time, so the per-element chains
+// of dependent adds overlap.
+func combine(c *comm.Comm, y []float64, d [][]float64, x []float64) {
+	d = d[:len(y)]
+	for _, di := range d {
+		la.CheckLen("d", di, len(x))
+	}
+	n := len(x) &^ 3
+	for k := 0; k < n; k += 4 {
+		xs := x[k : k+4 : k+4]
+		s0, s1, s2, s3 := xs[0], xs[1], xs[2], xs[3]
+		for i, a := range y {
+			ds := d[i][k : k+4 : k+4]
+			s0 += a * ds[0]
+			s1 += a * ds[1]
+			s2 += a * ds[2]
+			s3 += a * ds[3]
+		}
+		xs[0], xs[1], xs[2], xs[3] = s0, s1, s2, s3
+	}
+	for k := n; k < len(x); k++ {
+		s := x[k]
+		for i, a := range y {
+			s += a * d[i][k]
+		}
+		x[k] = s
+	}
+	for range y {
+		c.Compute(la.FlopsAxpy(len(x)))
+	}
 }
 
 // borrow takes a distributed solve's whole scratch in one piece: a

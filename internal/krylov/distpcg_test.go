@@ -23,14 +23,14 @@ func variableDiagProblem() (*la.CSR, []float64, []float64) {
 	for i := range d {
 		d[i] = 1 + 2*float64(i)/float64(n)
 	}
-	b := la.NewCOO(n, n)
+	b := triplets{}
 	for i := 0; i < n; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.ColIdx[p]
-			b.Add(i, j, d[i]*a.Val[p]*d[j])
+			b.add(i, j, d[i]*a.Val[p]*d[j])
 		}
 	}
-	scaled := b.ToCSR()
+	scaled := b.csr(n, n)
 	rhs, xstar := problems.ManufacturedRHS(scaled)
 	return scaled, rhs, xstar
 }

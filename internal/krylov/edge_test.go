@@ -29,13 +29,13 @@ func TestGMRESZeroRHS(t *testing.T) {
 // an iteration. The abandoned-cycle budget must end the solve; the
 // deadline turns a build without one into a failure, not a hung binary.
 func TestSerialGMRESAbandonedCyclesAreBounded(t *testing.T) {
-	a := la.NewCOO(2, 2)
-	a.Add(0, 0, 1.5e308)
-	a.Add(0, 1, 1.5e308)
-	a.Add(1, 1, 1)
+	a := triplets{}
+	a.add(0, 0, 1.5e308)
+	a.add(0, 1, 1.5e308)
+	a.add(1, 1, 1)
 	done := make(chan Stats, 1)
 	go func() {
-		_, st, _ := GMRES(NewCSROp(a.ToCSR()), []float64{1, 1}, nil, GMRESOptions{MaxIter: 20})
+		_, st, _ := GMRES(NewCSROp(a.csr(2, 2)), []float64{1, 1}, nil, GMRESOptions{MaxIter: 20})
 		done <- st
 	}()
 	select {

@@ -1,6 +1,9 @@
 package krylov
 
 import (
+	"cmp"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -20,7 +23,7 @@ func TestP1EquivalentToMGSOnRandomSystems(t *testing.T) {
 		n := 40 + rng.Intn(80)
 		p := 2 + rng.Intn(4)
 		// Random sparse diagonally dominant matrix: diag = rowsum + 1.
-		b := la.NewCOO(n, n)
+		b := triplets{}
 		rowAbs := make([]float64, n)
 		for k := 0; k < 4*n; k++ {
 			i, j := rng.Intn(n), rng.Intn(n)
@@ -28,13 +31,13 @@ func TestP1EquivalentToMGSOnRandomSystems(t *testing.T) {
 				continue
 			}
 			v := 2*rng.Float64() - 1
-			b.Add(i, j, v)
+			b.add(i, j, v)
 			rowAbs[i] += absf(v)
 		}
 		for i := 0; i < n; i++ {
-			b.Add(i, i, rowAbs[i]+1)
+			b.add(i, i, rowAbs[i]+1)
 		}
-		a := b.ToCSR()
+		a := b.csr(n, n)
 		rhs := make([]float64, n)
 		for i := range rhs {
 			rhs[i] = 2*rng.Float64() - 1
@@ -135,4 +138,27 @@ func TestSolversAgreeOnPoisson2D(t *testing.T) {
 			t.Errorf("%s: error %g vs manufactured solution", name, e)
 		}
 	}
+}
+
+// triplets is the tests' builder for scattered patterns: add sums
+// duplicate (i, j) entries in insertion order from +0, and csr stores
+// each row's entries in ascending column order.
+type triplets map[[2]int]float64
+
+func (t triplets) add(i, j int, v float64) { t[[2]int{i, j}] += v }
+
+func (t triplets) csr(rows, cols int) *la.CSR {
+	keys := slices.SortedFunc(maps.Keys(t), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	m := &la.CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for _, k := range keys {
+		m.ColIdx = append(m.ColIdx, k[1])
+		m.Val = append(m.Val, t[k])
+		m.RowPtr[k[0]+1]++
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }

@@ -1,7 +1,10 @@
 package la
 
 import (
+	"cmp"
+	"maps"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -110,16 +113,16 @@ func TestCSRMatchesDenseProperty(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rows := 1 + rng.Intn(20)
 		cols := 1 + rng.Intn(20)
-		b := NewCOO(rows, cols)
+		b := triplets{}
 		d := NewDense(rows, cols)
 		nnz := rng.Intn(rows * cols * 2)
 		for k := 0; k < nnz; k++ {
 			i, j := rng.Intn(rows), rng.Intn(cols)
 			v := 2*rng.Float64() - 1
-			b.Add(i, j, v) // duplicates must sum
+			b.add(i, j, v) // duplicates must sum
 			d.Add(i, j, v)
 		}
-		m := b.ToCSR()
+		m := b.csr(rows, cols)
 		x := make([]float64, cols)
 		for i := range x {
 			x[i] = 2*rng.Float64() - 1
@@ -154,12 +157,12 @@ func TestCSRMatchesDenseProperty(t *testing.T) {
 }
 
 func TestCSRColSumsAndNormInf(t *testing.T) {
-	b := NewCOO(3, 3)
-	b.Add(0, 0, 2)
-	b.Add(0, 2, -3)
-	b.Add(1, 1, 5)
-	b.Add(2, 0, 1)
-	m := b.ToCSR()
+	b := triplets{}
+	b.add(0, 0, 2)
+	b.add(0, 2, -3)
+	b.add(1, 1, 5)
+	b.add(2, 0, 1)
+	m := b.csr(3, 3)
 	cs := m.ColSums()
 	want := []float64{3, 5, -3}
 	for i := range want {
@@ -197,4 +200,27 @@ func TestHasNonFinite(t *testing.T) {
 	if !HasNonFinite([]float64{math.Inf(-1)}) {
 		t.Error("missed -Inf")
 	}
+}
+
+// triplets is the tests' builder for scattered patterns: add sums
+// duplicate (i, j) entries in insertion order from +0, and csr stores
+// each row's entries in ascending column order.
+type triplets map[[2]int]float64
+
+func (t triplets) add(i, j int, v float64) { t[[2]int{i, j}] += v }
+
+func (t triplets) csr(rows, cols int) *CSR {
+	keys := slices.SortedFunc(maps.Keys(t), func(a, b [2]int) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	m := &CSR{Rows: rows, Cols: cols, RowPtr: make([]int, rows+1)}
+	for _, k := range keys {
+		m.ColIdx = append(m.ColIdx, k[1])
+		m.Val = append(m.Val, t[k])
+		m.RowPtr[k[0]+1]++
+	}
+	for i := 0; i < rows; i++ {
+		m.RowPtr[i+1] += m.RowPtr[i]
+	}
+	return m
 }

@@ -35,11 +35,20 @@ func (r *RNG) Split() *RNG {
 
 // Uint64 returns the next value in the stream.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	u, next := r.Next()
+	*r = next
+	return u
+}
+
+// Next is Uint64 on a value: it returns the stream's next value and the
+// generator advanced past it, so a loop that draws from a local copy
+// keeps the state in a register instead of storing it per draw.
+func (r RNG) Next() (uint64, RNG) {
+	s := r.state + 0x9e3779b97f4a7c15
+	z := s
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z ^ (z >> 31), RNG{state: s}
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -42,13 +42,16 @@ func NewWorkspace(capacity int) *Workspace {
 	return &Workspace{slabs: [][]float64{make([]float64, capacity)}, slab: capacity}
 }
 
-// maxPooled is the largest footprint, in elements (256 KiB), that
-// Return keeps for the next Borrow. Scratch of a few thousand elements
-// is what short solves allocate over and over, and recycling it is what
-// lowers their collection frequency; a workspace of hundreds of
-// thousands of elements is carved by a solve long enough to amortise
-// it, and parking it between solves would only raise resident memory.
-const maxPooled = 32 << 10
+// maxPooled is the largest footprint, in elements (4 MiB), that Return
+// keeps for the next Borrow. Recycling is what spares a solve zeroing
+// and page-faulting fresh scratch, and that cost grows with the
+// footprint instead of amortising: a 2-rank FGMRES(30) solve on a
+// grid-96 problem borrows about 290 Ki elements per rank, an FT-GMRES
+// inner solve about 60 Ki, and allocating them fresh every time cost
+// several per cent of such a campaign's CPU. The bound keeps a solve
+// far larger than that from parking its scratch in the pool between
+// solves.
+const maxPooled = 512 << 10
 
 // pool holds the returned workspaces. A sync.Pool trims itself under
 // collection, so idle scratch is not held for good.

@@ -31,7 +31,8 @@ type BlockJacobi struct {
 	orig    []float64   // assembled block values (kept so Setup can re-run)
 	val     []float64   // after Setup: strict lower = L (unit diag), rest = U
 	diagPtr []int       // position of the diagonal entry in each row
-	runs    []la.RowRun // the block pattern's row runs, which the sweeps walk
+	fwd     []sweepStep // the forward sweep's schedule (see schedules)
+	bwd     []sweepStep // the backward sweep's schedule
 
 	y          []float64 // forward-substitution scratch
 	setup      bool
@@ -70,7 +71,7 @@ func NewBlockJacobiILU(c *comm.Comm, a *la.CSR) *BlockJacobi {
 		}
 		b.rowPtr[i+1] = len(b.colIdx)
 	}
-	b.runs = la.RowRuns(b.rowPtr, b.colIdx)
+	b.fwd, b.bwd = b.schedules(la.RowRuns(b.rowPtr, b.colIdx))
 	return b
 }
 
@@ -129,8 +130,8 @@ func (b *BlockJacobi) Setup() error {
 }
 
 // ApplyInto implements Preconditioner: solves L·y = r (unit lower
-// triangle) then U·z = y over the factored block, run by run. Purely
-// local.
+// triangle) then U·z = y over the factored block, step by step of the
+// sweep schedules. Purely local.
 func (b *BlockJacobi) ApplyInto(r, z []float64) error {
 	if !b.setup {
 		return ErrNotSetup
@@ -138,42 +139,62 @@ func (b *BlockJacobi) ApplyInto(r, z []float64) error {
 	start := b.c.SpanStart()
 	la.CheckLen("r", r, b.n)
 	la.CheckLen("z", z, b.n)
-	for _, run := range b.runs {
-		b.forward(run, r, b.y)
+	for i := range b.fwd {
+		b.forward(&b.fwd[i], r, b.y)
 	}
-	for k := len(b.runs) - 1; k >= 0; k-- {
-		b.backward(b.runs[k], b.y, z)
+	for i := range b.bwd {
+		b.backward(&b.bwd[i], b.y, z)
 	}
 	b.c.Compute(b.Flops())
 	b.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
 }
 
-// forward runs the L·y = r sweep over one row run: row i computes
+// forward runs the L·y = r sweep over one schedule step: row i computes
 // y[i] = r[i] − Σ val[q]·y[colIdx[q]] over the entries stored before
-// its diagonal, in storage order, reading y at the run's offsets. The
+// its diagonal, in storage order, reading y at the step's offsets. The
 // interior rows of a 5-point stencil — a far neighbour, then the −1
-// neighbour — take a loop of their own that keeps the −1 neighbour's
-// value, the previous row's result, in a register (prev) instead of
+// neighbour — take loops of their own that keep the −1 neighbour's
+// value, the lane's previous result, in a register (p) instead of
 // storing it and loading it back.
-func (b *BlockJacobi) forward(run la.RowRun, r, y []float64) {
-	lo, hi, w := run.Lo, run.Hi, len(run.Off)
-	d := b.diagPtr[lo] - b.rowPtr[lo]
-	v := b.val[b.rowPtr[lo]:b.rowPtr[hi]]
-	ys, rs := y[lo:hi], r[lo:hi]
-	lower := run.Off[:d]
-	if d == 2 && lower[1] == -1 {
-		yf, prev := y[lo+lower[0]:][:len(ys)], y[lo-1]
-		for k := range ys {
-			row := v[k*w : k*w+2]
-			s := rs[k]
-			s -= row[0] * yf[k]
-			s -= row[1] * prev
-			ys[k] = s
-			prev = s
+func (b *BlockJacobi) forward(st *sweepStep, r, y []float64) {
+	off, d, w, n := st.off, st.d, len(st.off), st.n
+	switch {
+	case st.lanes == maxLanes:
+		y0, r0, f0, v0, p0 := b.fwdLane(st, 0, r, y)
+		y1, r1, f1, v1, p1 := b.fwdLane(st, 1, r, y)
+		y2, r2, f2, v2, p2 := b.fwdLane(st, 2, r, y)
+		y3, r3, f3, v3, p3 := b.fwdLane(st, 3, r, y)
+		for k := 0; k < n; k++ {
+			q := k * w
+			u0 := v0[q : q+2 : q+2]
+			p0 = r0[k] - u0[0]*f0[k] - u0[1]*p0
+			y0[k] = p0
+			u1 := v1[q : q+2 : q+2]
+			p1 = r1[k] - u1[0]*f1[k] - u1[1]*p1
+			y1[k] = p1
+			u2 := v2[q : q+2 : q+2]
+			p2 = r2[k] - u2[0]*f2[k] - u2[1]*p2
+			y2[k] = p2
+			u3 := v3[q : q+2 : q+2]
+			p3 = r3[k] - u3[0]*f3[k] - u3[1]*p3
+			y3[k] = p3
+		}
+		return
+	case carries(off, d, true):
+		y0, r0, f0, v0, p0 := b.fwdLane(st, 0, r, y)
+		for k := 0; k < n; k++ {
+			q := k * w
+			u0 := v0[q : q+2 : q+2]
+			p0 = r0[k] - u0[0]*f0[k] - u0[1]*p0
+			y0[k] = p0
 		}
 		return
 	}
+	lo := st.lo[0]
+	v := b.val[b.rowPtr[lo]:b.rowPtr[lo+n]]
+	ys, rs := y[lo:lo+n], r[lo:lo+n]
+	lower := off[:d]
 	for k := range ys {
 		row := v[k*w : k*w+d]
 		s := rs[k]
@@ -184,29 +205,58 @@ func (b *BlockJacobi) forward(run la.RowRun, r, y []float64) {
 	}
 }
 
-// backward runs the U·z = y sweep over one row run, last row first: row
-// i computes z[i] = (y[i] − Σ val[q]·z[colIdx[q]]) / val[diag] over the
-// entries stored after its diagonal, in storage order. The 5-point
-// interior rows — the +1 neighbour, then a far one — keep the +1
-// neighbour's value, the row just solved, in a register (next).
-func (b *BlockJacobi) backward(run la.RowRun, y, z []float64) {
-	lo, hi, w := run.Lo, run.Hi, len(run.Off)
-	d := b.diagPtr[lo] - b.rowPtr[lo]
-	v := b.val[b.rowPtr[lo]:b.rowPtr[hi]]
-	zs, ys := z[lo:hi], y[lo:hi]
-	upper := run.Off[d+1:]
-	if len(upper) == 2 && upper[0] == 1 {
-		zf, next := z[lo+upper[1]:][:len(zs)], z[hi]
-		for k := len(zs) - 1; k >= 0; k-- {
-			row := v[k*w+d : k*w+d+3]
-			s := ys[k]
-			s -= row[1] * next
-			s -= row[2] * zf[k]
-			next = s / row[0]
-			zs[k] = next
+// fwdLane slices lane l of a forward step that carries the −1
+// neighbour: its rows of y and r, its far neighbours' y, its values and
+// the −1 neighbour of its first row.
+func (b *BlockJacobi) fwdLane(st *sweepStep, l int, r, y []float64) (ys, rs, fs, v []float64, prev float64) {
+	lo, n := st.lo[l], st.n
+	return y[lo : lo+n], r[lo : lo+n], y[lo+st.off[0]:][:n], b.val[b.rowPtr[lo]:b.rowPtr[lo+n]], y[lo-1]
+}
+
+// backward runs the U·z = y sweep over one schedule step, last row of
+// each lane first: row i computes z[i] = (y[i] − Σ val[q]·z[colIdx[q]])
+// / val[diag] over the entries stored after its diagonal, in storage
+// order. The 5-point interior rows — the +1 neighbour, then a far one —
+// keep the +1 neighbour's value, the lane's row just solved, in a
+// register (p).
+func (b *BlockJacobi) backward(st *sweepStep, y, z []float64) {
+	off, d, w, n := st.off, st.d, len(st.off), st.n
+	switch {
+	case st.lanes == maxLanes:
+		z0, y0, f0, v0, p0 := b.bwdLane(st, 0, d, y, z)
+		z1, y1, f1, v1, p1 := b.bwdLane(st, 1, d, y, z)
+		z2, y2, f2, v2, p2 := b.bwdLane(st, 2, d, y, z)
+		z3, y3, f3, v3, p3 := b.bwdLane(st, 3, d, y, z)
+		for k := n - 1; k >= 0; k-- {
+			q := k * w
+			u0 := v0[q : q+3 : q+3]
+			p0 = (y0[k] - u0[1]*p0 - u0[2]*f0[k]) / u0[0]
+			z0[k] = p0
+			u1 := v1[q : q+3 : q+3]
+			p1 = (y1[k] - u1[1]*p1 - u1[2]*f1[k]) / u1[0]
+			z1[k] = p1
+			u2 := v2[q : q+3 : q+3]
+			p2 = (y2[k] - u2[1]*p2 - u2[2]*f2[k]) / u2[0]
+			z2[k] = p2
+			u3 := v3[q : q+3 : q+3]
+			p3 = (y3[k] - u3[1]*p3 - u3[2]*f3[k]) / u3[0]
+			z3[k] = p3
+		}
+		return
+	case carries(off, d, false):
+		z0, y0, f0, v0, p0 := b.bwdLane(st, 0, d, y, z)
+		for k := n - 1; k >= 0; k-- {
+			q := k * w
+			u0 := v0[q : q+3 : q+3]
+			p0 = (y0[k] - u0[1]*p0 - u0[2]*f0[k]) / u0[0]
+			z0[k] = p0
 		}
 		return
 	}
+	lo := st.lo[0]
+	v := b.val[b.rowPtr[lo]:b.rowPtr[lo+n]]
+	zs, ys := z[lo:lo+n], y[lo:lo+n]
+	upper := off[d+1:]
 	for k := len(zs) - 1; k >= 0; k-- {
 		row := v[k*w+d : k*w+w]
 		s := ys[k]
@@ -215,6 +265,14 @@ func (b *BlockJacobi) backward(run la.RowRun, y, z []float64) {
 		}
 		zs[k] = s / row[0]
 	}
+}
+
+// bwdLane slices lane l of a backward step that carries the +1
+// neighbour: its rows of z and y, its far neighbours' z, its values
+// from the diagonal on and the +1 neighbour of its last row.
+func (b *BlockJacobi) bwdLane(st *sweepStep, l, d int, y, z []float64) (zs, ys, fs, v []float64, next float64) {
+	lo, n := st.lo[l], st.n
+	return z[lo : lo+n], y[lo : lo+n], z[lo+st.off[d+2]:][:n], b.val[b.rowPtr[lo]+d : b.rowPtr[lo+n]], z[lo+n]
 }
 
 // Flops implements Preconditioner: two substitution sweeps touch every

@@ -14,28 +14,9 @@ func AnisoPoisson2D(nx, ny int, epsX, epsY float64) *la.CSR {
 	if epsX <= 0 || epsY <= 0 {
 		panic("problems: AnisoPoisson2D needs positive diffusion coefficients")
 	}
-	n := nx * ny
-	b := la.NewCOO(n, n)
-	id := func(i, j int) int { return j*nx + i }
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			r := id(i, j)
-			b.Add(r, r, 2*epsX+2*epsY)
-			if i > 0 {
-				b.Add(r, id(i-1, j), -epsX)
-			}
-			if i < nx-1 {
-				b.Add(r, id(i+1, j), -epsX)
-			}
-			if j > 0 {
-				b.Add(r, id(i, j-1), -epsY)
-			}
-			if j < ny-1 {
-				b.Add(r, id(i, j+1), -epsY)
-			}
-		}
-	}
-	return b.ToCSR()
+	return stencil5(nx, ny, func(i, j int) (c, w, e, s, n float64) {
+		return 2*epsX + 2*epsY, -epsX, -epsX, -epsY, -epsY
+	})
 }
 
 // ConvDiffRot2D returns a convection–diffusion operator with a
@@ -48,53 +29,34 @@ func AnisoPoisson2D(nx, ny int, epsX, epsY float64) *la.CSR {
 // by h² (h = 1/(nx+1)); rows remain weakly diagonally dominant, so the
 // matrix is an M-matrix and ILU(0) exists.
 func ConvDiffRot2D(nx, ny int, strength float64) *la.CSR {
-	n := nx * ny
 	h := 1.0 / float64(nx+1)
 	k := 1.0 / float64(ny+1)
-	b := la.NewCOO(n, n)
-	id := func(i, j int) int { return j*nx + i }
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			r := id(i, j)
-			x := float64(i+1) * h
-			y := float64(j+1) * k
-			wx := strength * (y - 0.5)
-			wy := strength * (0.5 - x)
-			// Upwinding: the convection coefficient joins the diagonal
-			// and the neighbour the flow comes *from*.
-			cx := wx * h // already h²-scaled: (w ∂u/∂x)·h² / h
-			cy := wy * k
-			diag := 4.0
-			west, east := -1.0, -1.0
-			south, north := -1.0, -1.0
-			if cx >= 0 {
-				diag += cx
-				west -= cx
-			} else {
-				diag -= cx
-				east += cx
-			}
-			if cy >= 0 {
-				diag += cy
-				south -= cy
-			} else {
-				diag -= cy
-				north += cy
-			}
-			b.Add(r, r, diag)
-			if i > 0 {
-				b.Add(r, id(i-1, j), west)
-			}
-			if i < nx-1 {
-				b.Add(r, id(i+1, j), east)
-			}
-			if j > 0 {
-				b.Add(r, id(i, j-1), south)
-			}
-			if j < ny-1 {
-				b.Add(r, id(i, j+1), north)
-			}
+	return stencil5(nx, ny, func(i, j int) (c, w, e, s, n float64) {
+		x := float64(i+1) * h
+		y := float64(j+1) * k
+		wx := strength * (y - 0.5)
+		wy := strength * (0.5 - x)
+		// Upwinding: the convection coefficient joins the diagonal
+		// and the neighbour the flow comes *from*.
+		cx := wx * h // already h²-scaled: (w ∂u/∂x)·h² / h
+		cy := wy * k
+		diag := 4.0
+		west, east := -1.0, -1.0
+		south, north := -1.0, -1.0
+		if cx >= 0 {
+			diag += cx
+			west -= cx
+		} else {
+			diag -= cx
+			east += cx
 		}
-	}
-	return b.ToCSR()
+		if cy >= 0 {
+			diag += cy
+			south -= cy
+		} else {
+			diag -= cy
+			north += cy
+		}
+		return diag, west, east, south, north
+	})
 }

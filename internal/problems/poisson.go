@@ -15,44 +15,13 @@ import (
 // Poisson1D returns the n×n tridiagonal [-1, 2, -1] operator (Dirichlet
 // boundaries, unit grid spacing).
 func Poisson1D(n int) *la.CSR {
-	b := la.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		b.Add(i, i, 2)
-		if i > 0 {
-			b.Add(i, i-1, -1)
-		}
-		if i < n-1 {
-			b.Add(i, i+1, -1)
-		}
-	}
-	return b.ToCSR()
+	return stencil5(n, 1, func(i, j int) (c, w, e, s, n float64) { return 2, -1, -1, 0, 0 })
 }
 
 // Poisson2D returns the 5-point Laplacian on an nx×ny grid with Dirichlet
 // boundaries (matrix dimension nx*ny).
 func Poisson2D(nx, ny int) *la.CSR {
-	n := nx * ny
-	b := la.NewCOO(n, n)
-	id := func(i, j int) int { return j*nx + i }
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			r := id(i, j)
-			b.Add(r, r, 4)
-			if i > 0 {
-				b.Add(r, id(i-1, j), -1)
-			}
-			if i < nx-1 {
-				b.Add(r, id(i+1, j), -1)
-			}
-			if j > 0 {
-				b.Add(r, id(i, j-1), -1)
-			}
-			if j < ny-1 {
-				b.Add(r, id(i, j+1), -1)
-			}
-		}
-	}
-	return b.ToCSR()
+	return stencil5(nx, ny, func(i, j int) (c, w, e, s, n float64) { return 4, -1, -1, -1, -1 })
 }
 
 // ConvDiff2D returns a 2D convection–diffusion operator
@@ -60,31 +29,52 @@ func Poisson2D(nx, ny int) *la.CSR {
 // and first-order upwind for convection on an nx×ny grid (h = 1/(nx+1)).
 // The matrix is nonsymmetric — the standard GMRES test problem.
 func ConvDiff2D(nx, ny int, wx, wy float64) *la.CSR {
-	n := nx * ny
 	h := 1.0 / float64(nx+1)
-	b := la.NewCOO(n, n)
-	id := func(i, j int) int { return j*nx + i }
 	// Upwind convection coefficients (assume wx, wy >= 0 upwinds west/south).
 	cx, cy := wx*h, wy*h
+	return stencil5(nx, ny, func(i, j int) (c, w, e, s, n float64) {
+		return 4 + cx + cy, -1 - cx, -1, -1 - cy, -1
+	})
+}
+
+// stencil5 assembles a 5-point operator on an nx×ny grid with Dirichlet
+// boundaries straight into CSR: row j*nx+i holds node (i, j), and coef
+// returns its centre, west, east, south and north coefficients. Rows
+// are appended in order, each row's entries in ascending column order
+// — south, west, centre, east, north — keeping the neighbours inside
+// the grid. A value is stored as 0.0 + v, the sum a duplicate-summing
+// assembly starts from +0, so a −0 coefficient lands as +0.
+func stencil5(nx, ny int, coef func(i, j int) (c, w, e, s, n float64)) *la.CSR {
+	rows := nx * ny
+	nnz := max(0, 5*rows-2*nx-2*ny)
+	ptr, col, val := make([]int, rows+1), make([]int, nnz), make([]float64, nnz)
+	q := 0
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
-			r := id(i, j)
-			b.Add(r, r, 4+cx+cy)
-			if i > 0 {
-				b.Add(r, id(i-1, j), -1-cx)
-			}
-			if i < nx-1 {
-				b.Add(r, id(i+1, j), -1)
-			}
+			r := j*nx + i
+			c, w, e, s, n := coef(i, j)
 			if j > 0 {
-				b.Add(r, id(i, j-1), -1-cy)
+				col[q], val[q] = r-nx, 0.0+s
+				q++
+			}
+			if i > 0 {
+				col[q], val[q] = r-1, 0.0+w
+				q++
+			}
+			col[q], val[q] = r, 0.0+c
+			q++
+			if i < nx-1 {
+				col[q], val[q] = r+1, 0.0+e
+				q++
 			}
 			if j < ny-1 {
-				b.Add(r, id(i, j+1), -1)
+				col[q], val[q] = r+nx, 0.0+n
+				q++
 			}
+			ptr[r+1] = q
 		}
 	}
-	return b.ToCSR()
+	return &la.CSR{Rows: rows, Cols: rows, RowPtr: ptr, ColIdx: col, Val: val}
 }
 
 // ManufacturedRHS returns b = A·x* for the smooth manufactured solution

@@ -136,3 +136,25 @@ func TestOnesRHS(t *testing.T) {
 		}
 	}
 }
+
+// TestStencilStoresPositiveZero: a −0 coefficient is stored as +0, as
+// the duplicate-summing COO assembly the generators once went through
+// stored it (its merge summed every entry from +0).
+func TestStencilStoresPositiveZero(t *testing.T) {
+	nz := math.Copysign(0, -1)
+	m := stencil5(3, 2, func(i, j int) (c, w, e, s, n float64) { return nz, nz, nz, nz, nz })
+	for q, v := range m.Val {
+		if math.Signbit(v) {
+			t.Fatalf("entry %d (column %d) stored as -0", q, m.ColIdx[q])
+		}
+	}
+}
+
+// BenchmarkPoisson2D: one op assembles the grid-96 Laplacian,
+// solve_deep's operator (9216 rows, 45 696 entries).
+func BenchmarkPoisson2D(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		Poisson2D(96, 96)
+	}
+}

@@ -87,12 +87,22 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 		}
 		return nil, err
 	}
+	snap, err := parseSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot %s: %w", path, err)
+	}
+	return snap, nil
+}
+
+// parseSnapshot decodes a snapshot file's bytes, refusing corrupt JSON
+// and a foreign schema.
+func parseSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("snapshot %s: corrupt: %w", path, err)
+		return nil, fmt.Errorf("corrupt: %w", err)
 	}
 	if snap.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("snapshot %s: foreign schema %q (want %q)", path, snap.Schema, SnapshotSchema)
+		return nil, fmt.Errorf("foreign schema %q (want %q)", snap.Schema, SnapshotSchema)
 	}
 	return &snap, nil
 }
