@@ -1,13 +1,14 @@
-// Package repro's root benchmark suite: one testing.B benchmark per
-// experiment in the registry's index (F1–F10, T1–T4, A1–A2 — see
-// docs/BENCHMARKING.md), plus the kernel micro-benchmarks. The kernels
-// come from the same registry cmd/benchdiff measures (bench.Kernels),
-// so `go test -bench` and the perf harness always agree on what they
-// time; the experiment benchmarks attach virtual-time and
-// communication metrics from the comm.Ledger so the simulated cost
-// model is visible next to the wall-clock. The rendered experiment
-// tables themselves come from cmd/resilient-bench (the layer map in
-// docs/ARCHITECTURE.md shows where each experiment's stack lives).
+// Package repro's root benchmark suite: one testing.B sub-benchmark per
+// experiment in the registry's index (F1–F10, T1–T4, A1–A2, P1–P4 and
+// C1 — see docs/BENCHMARKING.md), plus the kernel micro-benchmarks.
+// The kernels come from the same registry cmd/benchdiff measures
+// (bench.Kernels), so `go test -bench` and the perf harness always
+// agree on what they time; the experiment benchmarks attach
+// virtual-time and communication metrics from the comm.Ledger so the
+// simulated cost model is visible next to the wall-clock. The rendered
+// experiment tables themselves come from `benchdiff tables` (the layer
+// map in docs/ARCHITECTURE.md shows where each experiment's stack
+// lives).
 package repro
 
 import (
@@ -17,50 +18,37 @@ import (
 	"repro/internal/comm"
 )
 
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	if testing.Short() && bench.Registry()[id].Slow {
-		b.Skipf("%s is a scaling sweep; skipped in -short mode", id)
+// BenchmarkExperiments runs every experiment of the registry (bench.IDs)
+// as one sub-benchmark, skipping the Slow scaling sweeps in -short mode.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range bench.IDs() {
+		b.Run(id, func(b *testing.B) {
+			if testing.Short() && bench.Registry()[id].Slow {
+				b.Skipf("%s is a scaling sweep; skipped in -short mode", id)
+			}
+			var snap comm.LedgerSnapshot
+			for i := 0; i < b.N; i++ {
+				led := &comm.Ledger{}
+				table, err := bench.RunMetered(id, bench.RunCtx{Seed: 1, Ledger: led})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(table.Rows) == 0 {
+					b.Fatalf("%s produced no rows", id)
+				}
+				snap = led.Snapshot()
+			}
+			// The harness (cmd/benchdiff) records the same metrics into
+			// BENCH_*.json; reporting them here keeps `go test -bench` and
+			// the perf gate telling one story. All are deterministic per
+			// seed.
+			b.ReportMetric(snap.MaxClock, "vsec/op")
+			b.ReportMetric(float64(snap.Stats.Collective), "colls/op")
+			b.ReportMetric(float64(snap.Stats.Sends+snap.Stats.Recvs), "msgs/op")
+			b.ReportMetric(snap.Stats.Flops, "flops/op")
+		})
 	}
-	var snap comm.LedgerSnapshot
-	for i := 0; i < b.N; i++ {
-		led := &comm.Ledger{}
-		table, err := bench.RunMetered(id, bench.RunCtx{Seed: 1, Ledger: led})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(table.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
-		snap = led.Snapshot()
-	}
-	// The harness (cmd/benchdiff) records the same metrics into
-	// BENCH_*.json; reporting them here keeps `go test -bench` and the
-	// perf gate telling one story. All are deterministic per seed.
-	b.ReportMetric(snap.MaxClock, "vsec/op")
-	b.ReportMetric(float64(snap.Stats.Collective), "colls/op")
-	b.ReportMetric(float64(snap.Stats.Sends+snap.Stats.Recvs), "msgs/op")
-	b.ReportMetric(snap.Stats.Flops, "flops/op")
 }
-
-// --- One benchmark per table/figure of the experiment registry ---
-
-func BenchmarkF1SkepticalGMRES(b *testing.B)     { runExperiment(b, "F1") }
-func BenchmarkT1DetectionMatrix(b *testing.B)    { runExperiment(b, "T1") }
-func BenchmarkF2LatencyScaling(b *testing.B)     { runExperiment(b, "F2") }
-func BenchmarkF3NoiseAmplification(b *testing.B) { runExperiment(b, "F3") }
-func BenchmarkT2Crossover(b *testing.B)          { runExperiment(b, "T2") }
-func BenchmarkF4LFLRHeat(b *testing.B)           { runExperiment(b, "F4") }
-func BenchmarkF5CPRvsLFLR(b *testing.B)          { runExperiment(b, "F5") }
-func BenchmarkT3CoarseRecovery(b *testing.B)     { runExperiment(b, "T3") }
-func BenchmarkF6FTGMRES(b *testing.B)            { runExperiment(b, "F6") }
-func BenchmarkT4SRPCost(b *testing.B)            { runExperiment(b, "T4") }
-func BenchmarkF7ABFT(b *testing.B)               { runExperiment(b, "F7") }
-func BenchmarkF8IAllreduce(b *testing.B)         { runExperiment(b, "F8") }
-func BenchmarkF9SDCRollback(b *testing.B)        { runExperiment(b, "F9") }
-func BenchmarkF10InvariantChoice(b *testing.B)   { runExperiment(b, "F10") }
-func BenchmarkA1ReductionAblation(b *testing.B)  { runExperiment(b, "A1") }
-func BenchmarkA2SyncSpectrum(b *testing.B)       { runExperiment(b, "A2") }
 
 // --- Kernel micro-benchmarks (real wall-clock, -benchmem) ---
 //

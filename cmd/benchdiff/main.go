@@ -1,5 +1,5 @@
-// Command benchdiff is the perf harness and regression gate of this
-// reproduction. It has two modes:
+// Command benchdiff is the perf harness, regression gate and table
+// printer of this reproduction. It has three modes:
 //
 //	benchdiff run -label nightly -out BENCH_nightly.json
 //	    runs every registered experiment (concurrently, one isolated
@@ -13,11 +13,24 @@
 //	    allocs/op (any growth), experiment virtual time (+10% default,
 //	    fully deterministic).
 //
+//	benchdiff tables -exp F1,F6,T4
+//	    prints the experiment tables themselves: each experiment
+//	    instantiates one claim of Heroux, "Toward Resilient Algorithms
+//	    and Applications" (HPDC 2013); the registry is documented in
+//	    docs/BENCHMARKING.md. -exp takes a comma-separated list, 'fast'
+//	    (the default: everything except the scaling sweeps) or 'all'
+//	    (minutes); `benchdiff tables -list` shows the index.
+//
 // Quick mode (-quick) trims the scaling sweeps to their smallest scales
 // and shortens kernel timing; CI runs it on every push against the
 // committed BENCH_baseline.json. Refresh the baseline with:
 //
 //	go run ./cmd/benchdiff run -quick -label baseline -out BENCH_baseline.json
+//
+// Every mode's flags come from one constructor (newRunFlags,
+// newCompareFlags, newTablesFlags), and a test pins every documented
+// invocation in this comment, the README, docs/BENCHMARKING.md and the
+// CI workflow against them.
 package main
 
 import (
@@ -40,6 +53,8 @@ func main() {
 		runCmd(os.Args[2:])
 	case "compare":
 		compareCmd(os.Args[2:])
+	case "tables":
+		tablesCmd(os.Args[2:])
 	default:
 		usage()
 		os.Exit(2)
@@ -50,39 +65,72 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   benchdiff run [-label L] [-out FILE] [-quick] [-repeat N] [-workers N]
                 [-benchtime D] [-seed S] [-exp F1,F2] [-kernels-only] [-exps-only] [-q]
-  benchdiff compare [-ns F] [-allocs F] [-vt F] BASELINE.json CURRENT.json`)
+  benchdiff compare [-ns F] [-allocs F] [-vt F] BASELINE.json CURRENT.json
+  benchdiff tables [-exp F1,F2|fast|all] [-seed S] [-list]`)
+}
+
+// parse parses a mode's flags, exiting the way flag.ExitOnError does:
+// 0 after -h, 2 on a bad flag.
+func parse(fs *flag.FlagSet, args []string) {
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			os.Exit(0)
+		}
+		os.Exit(2)
+	}
+}
+
+// fail reports err and exits 1.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "benchdiff:", err)
+	os.Exit(1)
+}
+
+// runOptions carries every flag of the run mode.
+type runOptions struct {
+	label, out, exps                string
+	quick, kernelsOnly, expsOnly, q bool
+	repeat, workers                 int
+	benchtime                       time.Duration
+	seed                            uint64
+}
+
+func newRunFlags() (*flag.FlagSet, *runOptions) {
+	o := &runOptions{}
+	fs := flag.NewFlagSet("benchdiff run", flag.ContinueOnError)
+	fs.StringVar(&o.label, "label", "dev", "report label")
+	fs.StringVar(&o.out, "out", "", "output path (default BENCH_<label>.json)")
+	fs.BoolVar(&o.quick, "quick", false, "smallest experiment scales, short kernel timing")
+	fs.IntVar(&o.repeat, "repeat", 0, "experiment repetitions (default 3, quick 1)")
+	fs.IntVar(&o.workers, "workers", 0, "experiment worker pool size (default GOMAXPROCS)")
+	fs.DurationVar(&o.benchtime, "benchtime", 0, "per-kernel time target (default 1s, quick 100ms)")
+	fs.Uint64Var(&o.seed, "seed", 1, "experiment master seed")
+	fs.StringVar(&o.exps, "exp", "", "comma-separated experiment IDs (default all)")
+	fs.BoolVar(&o.kernelsOnly, "kernels-only", false, "skip experiments")
+	fs.BoolVar(&o.expsOnly, "exps-only", false, "skip kernel micro-benchmarks")
+	fs.BoolVar(&o.q, "q", false, "suppress progress output")
+	return fs, o
 }
 
 func runCmd(args []string) {
-	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	label := fs.String("label", "dev", "report label")
-	out := fs.String("out", "", "output path (default BENCH_<label>.json)")
-	quick := fs.Bool("quick", false, "smallest experiment scales, short kernel timing")
-	repeat := fs.Int("repeat", 0, "experiment repetitions (default 3, quick 1)")
-	workers := fs.Int("workers", 0, "experiment worker pool size (default GOMAXPROCS)")
-	benchtime := fs.Duration("benchtime", 0, "per-kernel time target (default 1s, quick 100ms)")
-	seed := fs.Uint64("seed", 1, "experiment master seed")
-	exps := fs.String("exp", "", "comma-separated experiment IDs (default all)")
-	kernelsOnly := fs.Bool("kernels-only", false, "skip experiments")
-	expsOnly := fs.Bool("exps-only", false, "skip kernel micro-benchmarks")
-	quiet := fs.Bool("q", false, "suppress progress output")
-	fs.Parse(args)
+	fs, o := newRunFlags()
+	parse(fs, args)
 
 	opts := bench.HarnessOptions{
-		Label:       *label,
-		Seed:        *seed,
-		Quick:       *quick,
-		Repeat:      *repeat,
-		Workers:     *workers,
-		BenchTime:   *benchtime,
-		SkipKernels: *expsOnly,
-		SkipExps:    *kernelsOnly,
+		Label:       o.label,
+		Seed:        o.seed,
+		Quick:       o.quick,
+		Repeat:      o.repeat,
+		Workers:     o.workers,
+		BenchTime:   o.benchtime,
+		SkipKernels: o.expsOnly,
+		SkipExps:    o.kernelsOnly,
 	}
-	if !*quiet {
+	if !o.q {
 		opts.Progress = os.Stderr
 	}
-	if *exps != "" {
-		for _, id := range strings.Split(*exps, ",") {
+	if o.exps != "" {
+		for _, id := range strings.Split(o.exps, ",") {
 			opts.Experiments = append(opts.Experiments, strings.TrimSpace(id))
 		}
 	}
@@ -90,49 +138,110 @@ func runCmd(args []string) {
 	start := time.Now()
 	rep, err := bench.RunHarness(opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	path := *out
+	path := o.out
 	if path == "" {
-		path = "BENCH_" + *label + ".json"
+		path = "BENCH_" + o.label + ".json"
 	}
 	if err := bench.WriteReport(rep, path); err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	fmt.Printf("wrote %s: %d results in %.1fs (quick=%v, go=%s)\n",
 		path, len(rep.Results), time.Since(start).Seconds(), rep.Quick, rep.GoVersion)
 }
 
+func newCompareFlags() (*flag.FlagSet, *bench.Thresholds) {
+	th := bench.DefaultThresholds()
+	fs := flag.NewFlagSet("benchdiff compare", flag.ContinueOnError)
+	fs.Float64Var(&th.NsPerOp, "ns", th.NsPerOp, "allowed relative kernel ns/op growth (<0 disables)")
+	fs.Float64Var(&th.AllocsPerOp, "allocs", th.AllocsPerOp, "allowed absolute kernel allocs/op growth (<0 disables)")
+	fs.Float64Var(&th.VirtualTime, "vt", th.VirtualTime, "allowed relative experiment virtual-time growth (<0 disables)")
+	return fs, &th
+}
+
 func compareCmd(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	def := bench.DefaultThresholds()
-	ns := fs.Float64("ns", def.NsPerOp, "allowed relative kernel ns/op growth (<0 disables)")
-	allocs := fs.Float64("allocs", def.AllocsPerOp, "allowed absolute kernel allocs/op growth (<0 disables)")
-	vt := fs.Float64("vt", def.VirtualTime, "allowed relative experiment virtual-time growth (<0 disables)")
-	fs.Parse(args)
+	fs, th := newCompareFlags()
+	parse(fs, args)
 	if fs.NArg() != 2 {
 		usage()
 		os.Exit(2)
 	}
 	base, err := bench.ReadReport(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	cur, err := bench.ReadReport(fs.Arg(1))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
-	regs, err := bench.Compare(base, cur, bench.Thresholds{NsPerOp: *ns, AllocsPerOp: *allocs, VirtualTime: *vt})
+	regs, err := bench.Compare(base, cur, *th)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(1)
+		fail(err)
 	}
 	bench.RenderComparison(os.Stdout, base, cur, regs)
 	if len(regs) > 0 {
 		os.Exit(1)
 	}
+}
+
+// tablesOptions carries every flag of the tables mode.
+type tablesOptions struct {
+	exp  string
+	seed uint64
+	list bool
+}
+
+func newTablesFlags() (*flag.FlagSet, *tablesOptions) {
+	o := &tablesOptions{}
+	fs := flag.NewFlagSet("benchdiff tables", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "fast", "experiment ID(s): comma-separated, 'all', or 'fast'")
+	fs.Uint64Var(&o.seed, "seed", 1, "master seed for fault injection and noise")
+	fs.BoolVar(&o.list, "list", false, "list experiments and exit")
+	return fs, o
+}
+
+func tablesCmd(args []string) {
+	fs, o := newTablesFlags()
+	parse(fs, args)
+
+	reg := bench.Registry()
+	if o.list {
+		for _, id := range bench.IDs() {
+			slow := ""
+			if reg[id].Slow {
+				slow = " (slow)"
+			}
+			fmt.Printf("  %s%s\n", id, slow)
+		}
+		return
+	}
+	for _, id := range selectIDs(o.exp, reg) {
+		table, err := bench.RunMetered(id, bench.RunCtx{Seed: o.seed})
+		if err != nil {
+			fail(err)
+		}
+		table.Render(os.Stdout)
+	}
+}
+
+// selectIDs resolves the -exp value to experiment IDs: "all", "fast"
+// (everything not marked Slow), or a comma-separated list.
+func selectIDs(exp string, reg map[string]bench.Experiment) []string {
+	var ids []string
+	switch exp {
+	case "all":
+		ids = bench.IDs()
+	case "fast":
+		for _, id := range bench.IDs() {
+			if !reg[id].Slow {
+				ids = append(ids, id)
+			}
+		}
+	default:
+		for _, id := range strings.Split(exp, ",") {
+			ids = append(ids, strings.TrimSpace(id))
+		}
+	}
+	return ids
 }

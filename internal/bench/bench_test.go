@@ -14,7 +14,7 @@ func TestFastExperimentsProduceTables(t *testing.T) {
 		if e.Slow {
 			continue
 		}
-		table, err := Run(id, 1)
+		table, err := RunMetered(id, RunCtx{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -119,7 +119,7 @@ func TestRegistryAndRender(t *testing.T) {
 	if ids[0] != "F1" {
 		t.Errorf("first ID %s", ids[0])
 	}
-	if _, err := Run("nope", 1); err == nil {
+	if _, err := RunMetered("nope", RunCtx{Seed: 1}); err == nil {
 		t.Error("unknown ID should error")
 	}
 	table := T4(RunCtx{Seed: 1})

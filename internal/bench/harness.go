@@ -38,7 +38,6 @@ type HarnessOptions struct {
 	// numbers are not perturbed by pool concurrency.
 	BenchTime   time.Duration
 	Experiments []string  // subset of experiment IDs; nil = all
-	KernelNames []string  // subset of kernel names; nil = all
 	SkipKernels bool      // experiments only
 	SkipExps    bool      // kernels only
 	Progress    io.Writer // optional per-item progress log
@@ -165,19 +164,7 @@ func RunHarness(opts HarnessOptions) (*Report, error) {
 	}
 
 	if !opts.SkipKernels {
-		kernels := Kernels()
-		if opts.KernelNames != nil {
-			var sel []Kernel
-			for _, name := range opts.KernelNames {
-				k, ok := KernelByName(name)
-				if !ok {
-					return nil, fmt.Errorf("unknown kernel %q", name)
-				}
-				sel = append(sel, k)
-			}
-			kernels = sel
-		}
-		for _, k := range kernels {
+		for _, k := range Kernels() {
 			res := measureKernel(k, opts.BenchTime)
 			progress("kernel %-28s %12.1f ns/op  %6.3f allocs/op", k.Name, res.NsPerOp, res.AllocsPerOp)
 			rep.Results = append(rep.Results, res)

@@ -48,12 +48,16 @@ func TestHarnessRunAndRoundTrip(t *testing.T) {
 		Quick:       true,
 		Repeat:      1,
 		Experiments: []string{"F8"},
-		KernelNames: []string{"kernel/dot-65536"},
-		BenchTime:   10 * time.Millisecond,
+		SkipKernels: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dot, ok := kernelByName("kernel/dot-65536")
+	if !ok {
+		t.Fatal("kernel/dot-65536 not registered")
+	}
+	rep.Results = append(rep.Results, measureKernel(dot, 10*time.Millisecond))
 	if len(rep.Results) != 2 {
 		t.Fatalf("expected 2 results, got %d: %+v", len(rep.Results), rep.Results)
 	}
@@ -226,21 +230,12 @@ func TestRankKillExperimentsExact(t *testing.T) {
 // both be allocation-free, so wiring obs through the hot paths cannot
 // regress the repo's 0 allocs/op kernels.
 func TestObsKernelsAllocationFree(t *testing.T) {
-	rep, err := RunHarness(HarnessOptions{
-		Label:       "obs",
-		Quick:       true,
-		Repeat:      1,
-		KernelNames: []string{"kernel/obs-disabled-telemetry", "kernel/obs-disabled-span", "kernel/comm-disabled-span-p4", "kernel/obs-enabled-metrics"},
-		BenchTime:   10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"kernel/obs-disabled-telemetry", "kernel/obs-disabled-span", "kernel/comm-disabled-span-p4", "kernel/obs-enabled-metrics"} {
-		k, ok := rep.Lookup(name)
+		kern, ok := kernelByName(name)
 		if !ok {
-			t.Fatalf("missing %s result", name)
+			t.Fatalf("%s not registered", name)
 		}
+		k := measureKernel(kern, 10*time.Millisecond)
 		if k.AllocsPerOp != 0 {
 			t.Errorf("%s: %g allocs/op, want 0", name, k.AllocsPerOp)
 		}
@@ -265,10 +260,20 @@ func TestKernelsRegistry(t *testing.T) {
 			t.Errorf("kernel %q has no setup", k.Name)
 		}
 	}
-	if _, ok := KernelByName("kernel/dist-csr-apply-p4"); !ok {
+	if _, ok := kernelByName("kernel/dist-csr-apply-p4"); !ok {
 		t.Error("halo-exchange kernel missing from registry")
 	}
-	if _, ok := KernelByName("nope"); ok {
-		t.Error("KernelByName should miss unknown names")
+	if _, ok := kernelByName("nope"); ok {
+		t.Error("kernelByName should miss unknown names")
 	}
+}
+
+// kernelByName finds a kernel in the registry.
+func kernelByName(name string) (Kernel, bool) {
+	for _, k := range Kernels() {
+		if k.Name == name {
+			return k, true
+		}
+	}
+	return Kernel{}, false
 }

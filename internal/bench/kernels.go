@@ -49,16 +49,6 @@ func Kernels() []Kernel {
 	}
 }
 
-// KernelByName finds a kernel in the registry.
-func KernelByName(name string) (Kernel, bool) {
-	for _, k := range Kernels() {
-		if k.Name == name {
-			return k, true
-		}
-	}
-	return Kernel{}, false
-}
-
 func spmvKernel() (func(n int), func()) {
 	a := problems.Poisson2D(256, 256)
 	x := make([]float64, a.Cols)

@@ -124,7 +124,7 @@ func T3(rc RunCtx) *Table {
 		Columns: []string{"coarsen", "replica size", "final error vs clean", "CG iters (recovery step)", "CG iters (steady)"},
 	}
 	const p = 4
-	base := lflr.ImplicitConfig{Nx: 32, Ny: 48, Nu: 1.0, Steps: 16, CGTol: 1e-10}
+	base := lflr.ImplicitConfig{Nx: 32, Ny: 48, Nu: 1.0, Steps: 16}
 	clean, err := lflr.RunImplicitHeat(lflrWorld(rc, p), lflr.NewStore(), base)
 	if err != nil {
 		t.Notes = append(t.Notes, "clean run failed: "+err.Error())

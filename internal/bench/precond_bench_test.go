@@ -17,7 +17,7 @@ func TestPrecondKernelsAllocationFree(t *testing.T) {
 	} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			k, ok := KernelByName(name)
+			k, ok := kernelByName(name)
 			if !ok {
 				t.Fatalf("kernel %q not registered", name)
 			}

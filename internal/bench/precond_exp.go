@@ -210,7 +210,7 @@ func P3(rc RunCtx) *Table {
 					return err
 				}
 				r, err := srp.DistFTGMRESPreconditioned(c, trusted, faulty, innerM, trusted.Scatter(rhs), srp.Options{
-					InnerIters: 10, Tol: 1e-8, MaxOuter: 60, OuterRestart: 30,
+					InnerIters: 10, Tol: 1e-8, MaxOuter: 60,
 				})
 				if err != nil {
 					return err

@@ -101,11 +101,6 @@ func IDs() []string {
 	return ids
 }
 
-// Run executes one experiment by ID at full scale.
-func Run(id string, seed uint64) (*Table, error) {
-	return RunMetered(id, RunCtx{Seed: seed})
-}
-
 // RunMetered executes one experiment by ID under the given context —
 // the harness entry point (quick scaling, ledger attachment).
 func RunMetered(id string, rc RunCtx) (*Table, error) {

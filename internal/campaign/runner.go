@@ -131,7 +131,7 @@ func runFTGMRES(env *Env) (Outcome, error) {
 		maxOuter = 10
 	}
 	res, err := srp.DistFTGMRESPreconditioned(env.C, env.Op, faulty, env.M, env.B, srp.Options{
-		InnerIters: ftgmresInnerIters, Tol: env.Tol, MaxOuter: maxOuter, OuterRestart: 30,
+		InnerIters: ftgmresInnerIters, Tol: env.Tol, MaxOuter: maxOuter,
 	})
 	out := fromStats(res.Stats)
 	out.Discards = res.InnerDiscards

@@ -158,7 +158,7 @@ func TestVirtualTimeOverlap(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	run := func() (sum, clock float64) {
 		cfg := testConfig(8)
-		cfg.Noise = machine.BernoulliSpike{P: 0.1, Magnitude: 10}
+		cfg.Noise = machine.UniformJitter{Frac: 1}
 		err := Run(cfg, func(c *Comm) error {
 			acc := 0.0
 			for i := 0; i < 20; i++ {

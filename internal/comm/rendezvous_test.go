@@ -32,7 +32,7 @@ func runAllreduceEntries(t *testing.T, p int, op Op, entry func(r int) int) rend
 	const rounds = 6
 	out := rendezvousRun{results: make([][]uint64, p), clocks: make([]float64, p), stats: make([]Stats, p)}
 	cfg := testConfig(p)
-	cfg.Noise = machine.BernoulliSpike{P: 0.3, Magnitude: 5}
+	cfg.Noise = machine.UniformJitter{Frac: 0.5}
 	cfg.Observer = func(ev obs.Event) { out.events = append(out.events, ev) }
 	err := Run(cfg, func(c *Comm) error {
 		for i := 0; i < rounds; i++ {

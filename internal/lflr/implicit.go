@@ -18,14 +18,19 @@ import (
 // which is approximate: the experiment measures how the approximation
 // error and the post-recovery solver effort scale with Coarsen.
 type ImplicitConfig struct {
-	Nx, Ny    int
-	Nu        float64 // implicit diffusion number (any positive value is stable)
-	Steps     int
-	Coarsen   int        // replica coarsening factor (1 = exact replica)
-	Faults    fault.Plan // as in HeatConfig
-	CGTol     float64
-	CGMaxIter int
+	Nx, Ny  int
+	Nu      float64 // implicit diffusion number (any positive value is stable)
+	Steps   int
+	Coarsen int        // replica coarsening factor (1 = exact replica)
+	Faults  fault.Plan // as in HeatConfig
 }
+
+// Each implicit step's CG solve stops at this relative residual or
+// iteration cap.
+const (
+	implicitCGTol     = 1e-10
+	implicitCGMaxIter = 500
+)
 
 // ImplicitResult reports one implicit run.
 type ImplicitResult struct {
@@ -40,12 +45,6 @@ type ImplicitResult struct {
 func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (ImplicitResult, error) {
 	if cfg.Coarsen <= 0 {
 		cfg.Coarsen = 1
-	}
-	if cfg.CGTol <= 0 {
-		cfg.CGTol = 1e-10
-	}
-	if cfg.CGMaxIter <= 0 {
-		cfg.CGMaxIter = 500
 	}
 	// No halo is declared: nobody can assist a CG solve's replacement, so
 	// it persists every step and must restore to the agreed step itself.
@@ -86,7 +85,7 @@ type implicitApp struct {
 func (a *implicitApp) step(r *rank) (float64, error) {
 	c := r.ctx.Comm
 	copy(r.uPrev, r.u)
-	x, st, err := krylov.DistCG(c, a.op, r.u, r.u, krylov.DistOptions{Tol: a.cfg.CGTol, MaxIter: a.cfg.CGMaxIter})
+	x, st, err := krylov.DistCG(c, a.op, r.u, r.u, krylov.DistOptions{Tol: implicitCGTol, MaxIter: implicitCGMaxIter})
 	if err != nil {
 		return 0, err
 	}

@@ -45,6 +45,10 @@ type rankNote struct {
 	err   error
 }
 
+// respawnCost is the virtual time to boot a replacement process: 10 ms
+// of process launch and library init.
+const respawnCost = 10e-3
+
 // Runtime is the LFLR supervisor: it launches the world, watches for rank
 // deaths, respawns replacements into the failed slots (with Recovering
 // set), repairs the communication epoch, and releases parked survivors.
@@ -52,9 +56,6 @@ type rankNote struct {
 type Runtime struct {
 	world *comm.World
 	store *Store
-	// RespawnCost is the virtual time to boot a replacement process
-	// (default 10 ms — process launch, library init).
-	RespawnCost float64
 
 	// The ranks append to these while the world runs and the supervisor
 	// reads them between Waits; one rank runs at a time, so plain
@@ -66,7 +67,7 @@ type Runtime struct {
 
 // NewRuntime wraps a world with LFLR supervision.
 func NewRuntime(world *comm.World, store *Store) *Runtime {
-	return &Runtime{world: world, store: store, RespawnCost: 10e-3}
+	return &Runtime{world: world, store: store}
 }
 
 // Execute runs entry on every rank and supervises until all ranks have
@@ -115,7 +116,7 @@ func (rt *Runtime) Execute(entry func(*Ctx) error) (recoveries int, err error) {
 		}
 		rt.epoch = rt.world.Repair()
 		for _, r := range dead {
-			rt.world.Spawn(r, maxClock+rt.RespawnCost, wrap(true))
+			rt.world.Spawn(r, maxClock+respawnCost, wrap(true))
 			recoveries++
 		}
 		for _, p := range rt.parks {

@@ -136,14 +136,6 @@ func TestNoiseModels(t *testing.T) {
 	if d := (NoNoise{}).Draw(rng, 1); d != 0 {
 		t.Errorf("NoNoise drew %v", d)
 	}
-	spike := BernoulliSpike{P: 1, Magnitude: 5}
-	if d := spike.Draw(rng, 2); d != 10 {
-		t.Errorf("certain spike drew %v, want 10", d)
-	}
-	never := BernoulliSpike{P: 0, Magnitude: 5}
-	if d := never.Draw(rng, 2); d != 0 {
-		t.Errorf("impossible spike drew %v", d)
-	}
 	jitter := UniformJitter{Frac: 0.5}
 	neg := 0
 	for i := 0; i < 1000; i++ {

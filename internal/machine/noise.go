@@ -27,30 +27,10 @@ func (NoNoise) Draw(*RNG, float64) float64 { return 0 }
 // Name implements Noise.
 func (NoNoise) Name() string { return "none" }
 
-// BernoulliSpike models infrequent, large detours — e.g. an ECC scrub,
-// page migration, or OS daemon — the canonical "noise" in the noise
-// amplification literature. With probability P per compute phase the
-// phase is extended by Magnitude times its nominal duration.
-type BernoulliSpike struct {
-	P         float64 // probability a compute phase is hit
-	Magnitude float64 // spike length as a multiple of the phase duration
-}
-
-// Draw implements Noise.
-func (n BernoulliSpike) Draw(rng *RNG, d float64) float64 {
-	if rng.Float64() < n.P {
-		return n.Magnitude * d
-	}
-	return 0
-}
-
-// Name implements Noise.
-func (n BernoulliSpike) Name() string { return "bernoulli" }
-
 // FixedSpike models OS/system-service noise the way the noise literature
 // does: interruptions of *fixed* duration (a daemon runs for 25 µs no
 // matter what it interrupted) arriving as a Poisson process in compute
-// time with the given rate. Unlike BernoulliSpike — whose cost scales
+// time with the given rate. Unlike a per-phase spike — whose cost scales
 // with the interrupted phase and therefore penalises fused kernels — this
 // model is invariant to how a solver slices its computation, which makes
 // it the right choice for comparing synchronisation structures (F3/T2).

@@ -126,7 +126,7 @@ func DistFTGMRESPreconditioned(c *comm.Comm, trusted, faulty dist.Operator, inne
 		Precon: innerM,
 	}
 	x, st, err := krylov.DistFGMRES(c, trusted, b, nil, krylov.DistGMRESOptions{
-		Restart: opts.OuterRestart,
+		Restart: outerRestart,
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxOuter,
 		Precon:  inner,

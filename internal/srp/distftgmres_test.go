@@ -35,7 +35,7 @@ func TestDistFTGMRESConvergesUnderFaults(t *testing.T) {
 		}
 		local := trusted.Scatter(bGlob)
 		res, err := DistFTGMRESPreconditioned(c, trusted, faulty, nil, local, Options{
-			InnerIters: 15, Tol: 1e-8, MaxOuter: 60, OuterRestart: 30,
+			InnerIters: 15, Tol: 1e-8, MaxOuter: 60,
 		})
 		if err != nil {
 			return err
@@ -118,7 +118,7 @@ func TestDistFTGMRESWithFaultyPreconditionedInner(t *testing.T) {
 		}
 		local := trusted.Scatter(bGlob)
 		res, err := DistFTGMRESPreconditioned(c, trusted, faulty, innerM, local, Options{
-			InnerIters: 10, Tol: 1e-8, MaxOuter: 60, OuterRestart: 30,
+			InnerIters: 10, Tol: 1e-8, MaxOuter: 60,
 		})
 		if err != nil {
 			return err
@@ -184,7 +184,7 @@ func TestDistFTGMRESHooks(t *testing.T) {
 			return err
 		}
 		res, err := DistFTGMRESPreconditioned(c, trusted, faulty, nil, trusted.Scatter(bGlob), Options{
-			InnerIters: 10, Tol: 1e-8, MaxOuter: 25, OuterRestart: 25,
+			InnerIters: 10, Tol: 1e-8, MaxOuter: 25,
 		})
 		if err != nil {
 			return err

@@ -75,18 +75,17 @@ type Result struct {
 	FaultsInjected int
 }
 
+// outerRestart is the outer FGMRES restart length.
+const outerRestart = 30
+
 // Options configures FTGMRES.
 type Options struct {
-	OuterRestart int     // outer FGMRES restart length (default 30)
-	InnerIters   int     // inner GMRES iterations per outer step (default 20)
-	Tol          float64 // outer relative residual target (default 1e-8)
-	MaxOuter     int     // outer iteration cap (default 60)
+	InnerIters int     // inner GMRES iterations per outer step (default 20)
+	Tol        float64 // outer relative residual target (default 1e-8)
+	MaxOuter   int     // outer iteration cap (default 60)
 }
 
 func (o *Options) defaults() {
-	if o.OuterRestart <= 0 {
-		o.OuterRestart = 30
-	}
 	if o.InnerIters <= 0 {
 		o.InnerIters = 20
 	}
@@ -115,7 +114,7 @@ func FTGMRES(trusted krylov.Op, faults fault.Plan, b []float64, opts Options) (R
 		Restart: opts.InnerIters,
 	}
 	x, st, err := krylov.GMRES(trusted, b, nil, krylov.GMRESOptions{
-		Restart: opts.OuterRestart,
+		Restart: outerRestart,
 		Tol:     opts.Tol,
 		MaxIter: opts.MaxOuter,
 		Precon:  inner,
