@@ -40,6 +40,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -131,21 +133,21 @@ func newServeFlags() (*flag.FlagSet, *serveOptions) {
 	return fs, o
 }
 
-// parseLogLevel maps the -log-level flag to a stderr logger; "off"
-// returns nil, which every obs.Logger method treats as disabled.
-func parseLogLevel(name string) (*obs.Logger, error) {
-	levels := map[string]obs.Level{
-		"debug": obs.LevelDebug, "info": obs.LevelInfo,
-		"warn": obs.LevelWarn, "error": obs.LevelError,
+// parseLogLevel maps the -log-level flag to a logger writing to w;
+// "off" discards every record.
+func parseLogLevel(w io.Writer, name string) (*slog.Logger, error) {
+	levels := map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo,
+		"warn": slog.LevelWarn, "error": slog.LevelError,
 	}
 	if name == "off" {
-		return nil, nil
+		return slog.New(slog.DiscardHandler), nil
 	}
 	lv, ok := levels[name]
 	if !ok {
 		return nil, fmt.Errorf("-log-level must be debug, info, warn, error or off, not %q", name)
 	}
-	return obs.NewLogger(os.Stderr, lv), nil
+	return obs.NewLogger(w, lv), nil
 }
 
 // parseFsync maps the -journal-fsync policy name to the boolean the
@@ -185,7 +187,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	logger, err := parseLogLevel(o.logLevel)
+	logger, err := parseLogLevel(os.Stderr, o.logLevel)
 	if err != nil {
 		return err
 	}

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/usagecheck"
@@ -71,5 +73,49 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 	if ko.killAt != "" || ko.journalDir != "" {
 		t.Errorf("smoke kill-replay defaults drifted: %+v", ko)
+	}
+}
+
+// TestParseLogLevel: each documented -log-level value keeps the records
+// at or above its level, "off" writes nothing, and any other value is
+// rejected.
+func TestParseLogLevel(t *testing.T) {
+	all := "level=debug msg=d\nlevel=info msg=i\nlevel=warn msg=w\nlevel=error msg=e\n"
+	for _, tc := range []struct {
+		name, want string
+		bad        bool
+	}{
+		{name: "debug", want: all},
+		{name: "info", want: all[strings.Index(all, "level=info"):]},
+		{name: "warn", want: all[strings.Index(all, "level=warn"):]},
+		{name: "error", want: all[strings.Index(all, "level=error"):]},
+		{name: "off", want: ""},
+		{name: "verbose", bad: true},
+	} {
+		var buf bytes.Buffer
+		l, err := parseLogLevel(&buf, tc.name)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("-log-level %s accepted", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("-log-level %s: %v", tc.name, err)
+		}
+		l.Debug("d")
+		l.Info("i")
+		l.Warn("w")
+		l.Error("e")
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(buf.String(), "\n") {
+			// Drop the ts= field: the clock is not under test here.
+			if _, rest, ok := strings.Cut(line, " "); ok {
+				got.WriteString(rest)
+			}
+		}
+		if got.String() != tc.want {
+			t.Errorf("-log-level %s wrote\n%s\nwant\n%s", tc.name, got.String(), tc.want)
+		}
 	}
 }

@@ -46,7 +46,7 @@ func main() {
 	fmt.Printf("faults detected:  %d (corrected %d)\n",
 		res.KernelStats.Detections, res.KernelStats.Corrections)
 	fmt.Printf("solution error:   %.3g\n", errNorm)
-	if !res.Stats.Converged || errNorm > 1e-6 {
+	if !res.Stats.Converged || !(errNorm <= 1e-6) { // a NaN error fails too
 		log.Fatal("quickstart failed: solve did not survive the bit flip")
 	}
 	fmt.Println("the bit flip was detected, corrected, and the solve stayed on course")

@@ -14,7 +14,7 @@ import (
 // returns the record, the trace bytes and the exported events.
 func allRankTraceRun(t *testing.T, spec *Spec, cell Cell, rep int) (Record, []byte, []obs.Event) {
 	t.Helper()
-	tr := NewRunTracer(spec, cell, rep)
+	tr := newRunTracer(spec, cell, rep)
 	tr.AllRanks = true
 	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Events: tr.Observe})
 	var b bytes.Buffer
@@ -162,13 +162,13 @@ func TestTraceSampled(t *testing.T) {
 	for i := 0; i < n; i++ {
 		key := Cell{Solver: SolverGMRES, Precond: PrecondNone, Problem: ProblemPoisson,
 			Ranks: 2, Fault: FaultSpec{Model: FaultNone}}.RunKey(i)
-		if TraceSampled(7, key, 1, 4) != TraceSampled(7, key, 1, 4) {
-			t.Fatal("TraceSampled is not deterministic")
+		if traceSampled(7, key, 1, 4) != traceSampled(7, key, 1, 4) {
+			t.Fatal("traceSampled is not deterministic")
 		}
-		if TraceSampled(7, key, 1, 4) {
+		if traceSampled(7, key, 1, 4) {
 			hits++
 		}
-		if !TraceSampled(7, key, 1, 1) || TraceSampled(7, key, 0, 4) {
+		if !traceSampled(7, key, 1, 1) || traceSampled(7, key, 0, 4) {
 			t.Fatal("k/n edge cases broken")
 		}
 	}
@@ -177,26 +177,60 @@ func TestTraceSampled(t *testing.T) {
 	if hits < n/8 || hits > n/2 {
 		t.Errorf("1/4 sampling hit %d of %d keys", hits, n)
 	}
-	if k, nn, err := ParseTraceSample(""); err != nil || k != 1 || nn != 1 {
-		t.Errorf("ParseTraceSample(\"\") = %d/%d, %v", k, nn, err)
+	if k, nn, err := parseTraceSample(""); err != nil || k != 1 || nn != 1 {
+		t.Errorf("parseTraceSample(\"\") = %d/%d, %v", k, nn, err)
 	}
-	if k, nn, err := ParseTraceSample("3/8"); err != nil || k != 3 || nn != 8 {
-		t.Errorf("ParseTraceSample(3/8) = %d/%d, %v", k, nn, err)
+	if k, nn, err := parseTraceSample("3/8"); err != nil || k != 3 || nn != 8 {
+		t.Errorf("parseTraceSample(3/8) = %d/%d, %v", k, nn, err)
 	}
 	for _, bad := range []string{"x", "2/1/3", "-1/4", "5/4", "1/0", "a/b"} {
-		if _, _, err := ParseTraceSample(bad); err == nil {
-			t.Errorf("ParseTraceSample(%q) accepted", bad)
+		if _, _, err := parseTraceSample(bad); err == nil {
+			t.Errorf("parseTraceSample(%q) accepted", bad)
 		}
 	}
-	if all, err := ParseTraceRanks("all"); err != nil || !all {
-		t.Errorf("ParseTraceRanks(all) = %v, %v", all, err)
+	if all, err := parseTraceRanks("all"); err != nil || !all {
+		t.Errorf("parseTraceRanks(all) = %v, %v", all, err)
 	}
 	for _, s := range []string{"", "0"} {
-		if all, err := ParseTraceRanks(s); err != nil || all {
-			t.Errorf("ParseTraceRanks(%q) = %v, %v", s, all, err)
+		if all, err := parseTraceRanks(s); err != nil || all {
+			t.Errorf("parseTraceRanks(%q) = %v, %v", s, all, err)
 		}
 	}
-	if _, err := ParseTraceRanks("2"); err == nil {
-		t.Error("ParseTraceRanks(2) accepted")
+	if _, err := parseTraceRanks("2"); err == nil {
+		t.Error("parseTraceRanks(2) accepted")
+	}
+}
+
+// TestTraceSelection: the engine rejects bad trace settings and rank or
+// sample settings without a directory, and a selection hands out a
+// tracer only for sampled runs, with the rank filter lifted by "all".
+func TestTraceSelection(t *testing.T) {
+	spec := testSpec()
+	for _, bad := range [][3]string{{"", "all", ""}, {"", "", "1/2"}, {"d", "2", ""}, {"d", "", "3/2"}} {
+		if _, err := Run(Options{
+			Spec: spec, Out: filepath.Join(t.TempDir(), "runs.jsonl"),
+			TraceDir: bad[0], TraceRanks: bad[1], TraceSample: bad[2],
+		}); err == nil {
+			t.Errorf("engine accepted trace dir/ranks/sample %q", bad)
+		}
+	}
+	cell := spec.ShardRuns(0, 1)[0].Cell
+	for _, tc := range []struct {
+		dir, ranks, sample string
+		traced, all        bool
+	}{
+		{"", "", "", false, false},
+		{"d", "", "", true, false},
+		{"d", "all", "1/1", true, true},
+		{"d", "0", "0/4", false, false},
+	} {
+		sel, err := NewTraceSelection(tc.dir, tc.ranks, tc.sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := sel.Tracer(&spec, cell, 1)
+		if (tr != nil) != tc.traced || (tr != nil && (tr.AllRanks != tc.all || tr.Key() != cell.RunKey(1))) {
+			t.Errorf("selection %q/%q/%q gave tracer %+v", tc.dir, tc.ranks, tc.sample, tr)
+		}
 	}
 }

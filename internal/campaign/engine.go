@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/comm"
-	"repro/internal/obs"
 )
 
 // Options configures one engine invocation.
@@ -46,9 +45,9 @@ type Options struct {
 	TraceRanks string
 	// TraceSample deterministically samples which runs are traced:
 	// "k/n" traces the runs whose seeded run-key hash falls in k of n
-	// residue classes ("" or "1/1" traces every run — see TraceSampled).
-	// The sampled set is identical across reruns, shards and worker
-	// counts. Requires TraceDir.
+	// residue classes ("" or "1/1" traces every run — see
+	// NewTraceSelection). The sampled set is identical across reruns,
+	// shards and worker counts. Requires TraceDir.
 	TraceSample string
 	// Exec, when non-nil, replaces local ExecuteRun for every run —
 	// the remote-execution hook: cmd/solverd's submit mode sets it to
@@ -95,16 +94,9 @@ func Run(opts Options) (RunStats, error) {
 	if opts.TraceDir != "" && opts.Exec != nil {
 		return st, fmt.Errorf("campaign: tracing requires local execution (TraceDir is incompatible with Exec)")
 	}
-	traceAll, err := ParseTraceRanks(opts.TraceRanks)
+	trace, err := NewTraceSelection(opts.TraceDir, opts.TraceRanks, opts.TraceSample)
 	if err != nil {
 		return st, err
-	}
-	sampleK, sampleN, err := ParseTraceSample(opts.TraceSample)
-	if err != nil {
-		return st, err
-	}
-	if opts.TraceDir == "" && (traceAll || sampleN > 1) {
-		return st, fmt.Errorf("campaign: trace ranks/sampling need a trace directory (TraceDir)")
 	}
 
 	var done map[string]bool
@@ -162,14 +154,12 @@ func Run(opts Options) (RunStats, error) {
 					rec = opts.Exec(&spec, j.Cell, j.Rep)
 				} else {
 					env := &ExecEnv{Ledger: opts.Ledger, Problems: problems.Problem}
-					var tr *obs.RunTracer
-					if opts.TraceDir != "" && TraceSampled(spec.Seed, j.Cell.RunKey(j.Rep), sampleK, sampleN) {
-						tr = NewRunTracer(&spec, j.Cell, j.Rep)
-						tr.AllRanks = traceAll
+					tr := trace.Tracer(&spec, j.Cell, j.Rep)
+					if tr != nil {
 						env.Events = tr.Observe
 					}
 					rec = ExecuteRunEnv(&spec, j.Cell, j.Rep, env)
-					if _, err := WriteRunTrace(opts.TraceDir, tr, opts.TraceChrome); err != nil {
+					if _, err := WriteRunTrace(trace.Dir, tr, opts.TraceChrome); err != nil {
 						mu.Lock()
 						if writeErr == nil {
 							writeErr = err

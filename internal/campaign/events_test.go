@@ -95,7 +95,7 @@ func TestRunEventMatrix(t *testing.T) {
 			cache := newMapCache()
 			var last Record
 			for rep := 0; rep < tc.reps; rep++ {
-				tr := NewRunTracer(&tc.spec, tc.cell, rep)
+				tr := newRunTracer(&tc.spec, tc.cell, rep)
 				last = ExecuteRunEnv(&tc.spec, tc.cell, rep, &ExecEnv{Setups: cache, Events: obs.Tee(rec.observe, tr.Observe)})
 				if last.Err != "" {
 					t.Fatal(last.Err)
@@ -109,7 +109,7 @@ func TestRunEventMatrix(t *testing.T) {
 				if err := tr.WriteJSONL(&teed); err != nil {
 					t.Fatal(err)
 				}
-				solo := NewRunTracer(&tc.spec, tc.cell, rep)
+				solo := newRunTracer(&tc.spec, tc.cell, rep)
 				ExecuteRunEnv(&tc.spec, tc.cell, rep, &ExecEnv{Setups: newMapCache(), Events: solo.Observe})
 				var alone bytes.Buffer
 				if err := solo.WriteJSONL(&alone); err != nil {

@@ -128,7 +128,7 @@ func FuzzShardRecords(f *testing.F) {
 }
 
 // FuzzTraceSample feeds arbitrary strings to the -trace-sample parser:
-// it must never panic, every pair it accepts must be a sample TraceSampled
+// it must never panic, every pair it accepts must be a sample traceSampled
 // can draw (0 <= k <= n, n >= 1), and the pair written back as "k/n" must
 // parse to itself.
 func FuzzTraceSample(f *testing.F) {
@@ -136,7 +136,7 @@ func FuzzTraceSample(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		k, n, err := ParseTraceSample(s)
+		k, n, err := parseTraceSample(s)
 		if err != nil {
 			return
 		}
@@ -144,7 +144,7 @@ func FuzzTraceSample(f *testing.F) {
 			t.Fatalf("%q accepted as k=%d n=%d", s, k, n)
 		}
 		again := fmt.Sprintf("%d/%d", k, n)
-		k2, n2, err := ParseTraceSample(again)
+		k2, n2, err := parseTraceSample(again)
 		if err != nil || k2 != k || n2 != n {
 			t.Fatalf("%q → %d/%d re-parses as %d/%d (%v)", s, k, n, k2, n2, err)
 		}

@@ -62,10 +62,3 @@ func WriteRunTraceAs(dir string, tr *obs.RunTracer, chrome bool, name string) (s
 	}
 	return path, nil
 }
-
-// NewRunTracer builds the tracer for one (spec, cell, rep) run, keyed
-// and seeded exactly as the run itself, so a trace file is
-// self-identifying.
-func NewRunTracer(spec *Spec, cell Cell, rep int) *obs.RunTracer {
-	return obs.NewRunTracer(cell.RunKey(rep), RunSeed(spec.Seed, cell.Index, rep))
-}

@@ -15,7 +15,7 @@ import (
 // bytes and the exported events.
 func traceRun(t *testing.T, spec *Spec, cell Cell, rep int) (Record, []byte, []obs.Event) {
 	t.Helper()
-	tr := NewRunTracer(spec, cell, rep)
+	tr := newRunTracer(spec, cell, rep)
 	rec := ExecuteRunEnv(spec, cell, rep, &ExecEnv{Events: tr.Observe})
 	var b bytes.Buffer
 	if err := tr.WriteJSONL(&b); err != nil {

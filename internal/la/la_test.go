@@ -202,6 +202,19 @@ func TestHasNonFinite(t *testing.T) {
 	}
 }
 
+// TestNrmInfNaN: a NaN anywhere makes the norm NaN, where skipping it
+// would report an all-NaN vector as norm 0.
+func TestNrmInfNaN(t *testing.T) {
+	if got := NrmInf([]float64{-3, 2, math.Inf(1)}); got != math.Inf(1) {
+		t.Errorf("NrmInf with +Inf = %v", got)
+	}
+	for _, x := range [][]float64{{math.NaN()}, {math.NaN(), math.NaN()}, {1, math.NaN(), 5}, {5, math.Inf(-1), math.NaN()}} {
+		if got := NrmInf(x); !math.IsNaN(got) {
+			t.Errorf("NrmInf(%v) = %v, want NaN", x, got)
+		}
+	}
+}
+
 // triplets is the tests' builder for scattered patterns: add sums
 // duplicate (i, j) entries in insertion order from +0, and csr stores
 // each row's entries in ascending column order.

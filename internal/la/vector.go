@@ -53,10 +53,15 @@ func Nrm1(x []float64) float64 {
 	return s
 }
 
-// NrmInf returns the infinity norm of x.
+// NrmInf returns the infinity norm of x, or NaN if any element is NaN:
+// a comparison with NaN is false, so skipping the element would report
+// an all-NaN vector as norm 0.
 func NrmInf(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
+		if math.IsNaN(v) {
+			return v
+		}
 		if a := math.Abs(v); a > s {
 			s = a
 		}

@@ -4,11 +4,12 @@
 // stamped with *virtual* time — the simulated clock of internal/machine —
 // so traces of a seeded run are byte-identical across reruns and across
 // hosts, exactly like every other artifact this repository produces, and
-// a leveled key=value line Logger for the long-running service.
+// NewLogger, the log/slog text handler behind the long-running service's
+// leveled key=value log lines.
 //
-// All of it is built so the disabled path costs nothing on hot kernels:
-// every method is a no-op on a nil receiver, so code under measurement
-// threads a possibly-nil *Counter, *Histogram, *RunTracer or *Logger
+// The metrics and the tracer are built so the disabled path costs nothing
+// on hot kernels: every method is a no-op on a nil receiver, so code under
+// measurement threads a possibly-nil *Counter, *Histogram or *RunTracer
 // straight through its inner loops without branching on a config struct.
 // The zero-allocation contract is pinned by the kernel micro-benchmarks
 // (kernel/obs-disabled-telemetry and kernel/obs-disabled-span in

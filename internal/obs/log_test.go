@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"errors"
+	"log/slog"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,7 +19,7 @@ func fixed() time.Time { return time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC) }
 // needs it.
 func TestLoggerFormat(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelDebug).WithClock(fixed)
+	l := newLogger(&buf, slog.LevelDebug, fixed)
 	l.Info("campaign accepted", "req", "r-4f1d22ab09c3e857", "runs", 936,
 		"label", "two words", "err", errors.New("boom: x=1"),
 		"share", 0.25, "ok", true, "wait", 1500*time.Millisecond)
@@ -33,7 +34,7 @@ func TestLoggerFormat(t *testing.T) {
 // pass, and the level name lands on the line.
 func TestLoggerLevels(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelWarn).WithClock(fixed)
+	l := newLogger(&buf, slog.LevelWarn, fixed)
 	l.Debug("d")
 	l.Info("i")
 	l.Warn("w")
@@ -47,37 +48,13 @@ func TestLoggerLevels(t *testing.T) {
 	}
 }
 
-// TestLoggerNilSafe: every method of the nil logger is a no-op, and
-// WithClock of nil stays nil — "logging disabled" needs no conditionals
-// at call sites.
-func TestLoggerNilSafe(t *testing.T) {
-	var l *Logger
-	l.Debug("x")
-	l.Info("x", "k", "v")
-	l.Warn("x")
-	l.Error("x", "odd")
-	if l.WithClock(fixed) != nil {
-		t.Error("WithClock of the nil logger is not nil")
-	}
-}
-
-// TestLoggerOddKeyvals: a trailing key without a value logs as
-// k=(missing) instead of disappearing.
-func TestLoggerOddKeyvals(t *testing.T) {
-	var buf bytes.Buffer
-	NewLogger(&buf, LevelInfo).WithClock(fixed).Info("m", "orphan")
-	if !strings.Contains(buf.String(), "orphan=(missing)") {
-		t.Errorf("trailing key not marked: %q", buf.String())
-	}
-}
-
 // TestLoggerOneLinePerRecord: a message or value holding a newline or a
 // carriage return is quoted, so the record stays one line and
 // strconv.Unquote gives the text back.
 func TestLoggerOneLinePerRecord(t *testing.T) {
 	for _, v := range []string{"one\ntwo", "one\rtwo"} {
 		var buf bytes.Buffer
-		NewLogger(&buf, LevelInfo).WithClock(fixed).Info(v, "err", errors.New(v))
+		newLogger(&buf, slog.LevelInfo, fixed).Info(v, "err", errors.New(v))
 		line, ok := strings.CutSuffix(buf.String(), "\n")
 		if !ok || strings.ContainsAny(line, "\n\r") {
 			t.Fatalf("record for %q is not one line: %q", v, buf.String())
@@ -96,7 +73,7 @@ func TestLoggerOneLinePerRecord(t *testing.T) {
 // line (each line still parses as one record).
 func TestLoggerConcurrent(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo).WithClock(fixed)
+	l := newLogger(&buf, slog.LevelInfo, fixed)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

@@ -4,13 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -49,8 +49,7 @@ func TestRequestCorrelationAcrossSurfaces(t *testing.T) {
 	traceDir := t.TempDir()
 	journalDir := t.TempDir()
 	var logBuf bytes.Buffer
-	logger := obs.NewLogger(&logBuf, obs.LevelDebug).
-		WithClock(func() time.Time { return time.Unix(0, 0).UTC() })
+	logger := obs.NewLogger(&logBuf, slog.LevelDebug)
 	_, cl, done := newTestServer(t, Options{
 		Workers: 1, TraceDir: traceDir, JournalDir: journalDir, Logger: logger,
 	})

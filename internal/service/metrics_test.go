@@ -50,6 +50,22 @@ func TestMetricsEndpointReconcilesWithStats(t *testing.T) {
 	}
 }
 
+// TestNewRejectsTraceSettings: New refuses the trace settings the
+// campaign engine refuses, including rank or sample settings without a
+// trace directory.
+func TestNewRejectsTraceSettings(t *testing.T) {
+	dir := t.TempDir()
+	for _, opts := range []Options{
+		{TraceRanks: "all"}, {TraceSample: "1/2"},
+		{TraceDir: dir, TraceRanks: "2"}, {TraceDir: dir, TraceSample: "3/2"},
+	} {
+		if srv, err := New(opts); err == nil {
+			srv.Close()
+			t.Errorf("New accepted trace settings %+v", opts)
+		}
+	}
+}
+
 // TestServerTraceDir: a server with a trace directory persists one
 // repro-trace/v1 file per executed run, named by the request
 // correlation ID plus the run key, and the traced record stays

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sync"
@@ -27,14 +28,15 @@ type Options struct {
 	// file — runs are deterministic, so the bytes are identical anyway.
 	TraceDir string
 	// TraceRanks selects which ranks' phase spans land in the traces:
-	// "" or "0" keep the rank-0 filter, "all" captures every rank (see
-	// campaign.ParseTraceRanks). Requires TraceDir.
+	// "" or "0" keep the rank-0 filter, "all" captures every rank.
+	// Requires TraceDir.
 	TraceRanks string
 	// TraceSample deterministically samples which runs get traced:
 	// "k/n" traces run keys whose seeded hash falls in k of n residue
-	// classes, "" or "1/1" traces every run (see campaign.TraceSampled).
-	// Identical across restarts and client concurrency. Requires
-	// TraceDir.
+	// classes, "" or "1/1" traces every run. Identical across restarts
+	// and client concurrency. Requires TraceDir. The three trace
+	// settings mean what they mean to the campaign engine (see
+	// campaign.NewTraceSelection).
 	TraceSample string
 	// JournalDir, when non-empty, enables durability: an append-only
 	// repro-journal/v1 run journal plus periodic repro-snapshot/v1
@@ -61,27 +63,24 @@ type Options struct {
 	journalSink JournalSink
 	// Logger receives the server's structured log lines (request
 	// admission, run completion, campaign lifecycle), every one carrying
-	// the req= correlation ID. Nil disables logging — the obs.Logger
-	// no-ops on nil, so the server never checks.
-	Logger *obs.Logger
+	// the req= correlation ID (see obs.NewLogger). Nil disables
+	// logging: New substitutes a logger that discards every record.
+	Logger *slog.Logger
 }
 
 // Server is the solve service: an http.Handler exposing the
 // repro-solve/v1 endpoints over a shared worker pool and setup cache.
 // Create one with New, mount Handler somewhere, and Close it to drain.
 type Server struct {
-	workers  int
-	queue    int
-	traceDir string
-	traceAll bool
-	sampleK  int
-	sampleN  int
-	pool     *pool
-	cache    *Cache
-	durable  *durable
-	mux      *http.ServeMux
-	start    time.Time
-	log      *obs.Logger
+	workers int
+	queue   int
+	trace   campaign.TraceSelection
+	pool    *pool
+	cache   *Cache
+	durable *durable
+	mux     *http.ServeMux
+	start   time.Time
+	log     *slog.Logger
 
 	// draining flips /readyz to 503 while the server finishes queued
 	// work; /healthz keeps answering 200 (the process is alive).
@@ -117,24 +116,17 @@ func New(opts Options) (*Server, error) {
 	if opts.Queue <= 0 {
 		opts.Queue = 4 * opts.Workers
 	}
-	traceAll, err := campaign.ParseTraceRanks(opts.TraceRanks)
+	trace, err := campaign.NewTraceSelection(opts.TraceDir, opts.TraceRanks, opts.TraceSample)
 	if err != nil {
 		return nil, err
 	}
-	sampleK, sampleN, err := campaign.ParseTraceSample(opts.TraceSample)
-	if err != nil {
-		return nil, err
-	}
-	if opts.TraceDir == "" && (traceAll || sampleN > 1) {
-		return nil, fmt.Errorf("service: trace ranks/sampling need a trace directory (TraceDir)")
+	if opts.Logger == nil {
+		opts.Logger = slog.New(slog.DiscardHandler)
 	}
 	s := &Server{
 		workers:   opts.Workers,
 		queue:     opts.Queue,
-		traceDir:  opts.TraceDir,
-		traceAll:  traceAll,
-		sampleK:   sampleK,
-		sampleN:   sampleN,
+		trace:     trace,
 		pool:      newPool(opts.Workers, opts.Queue),
 		cache:     NewCache(),
 		mux:       http.NewServeMux(),
@@ -312,12 +304,8 @@ func (s *Server) Stats() StatsResponse {
 func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Record {
 	reqID := RequestID(req)
 	spec, cell := req.SpecCell()
-	var tr *obs.RunTracer // nil (a no-op sink) when the run is not traced
-	if s.traceDir != "" && campaign.TraceSampled(spec.Seed, cell.RunKey(req.Rep), s.sampleK, s.sampleN) {
-		tr = campaign.NewRunTracer(&spec, cell, req.Rep)
-		tr.AllRanks = s.traceAll
-	}
-	var trace func(obs.Event) // nil, not a bound nil method: Tee drops it
+	tr := s.trace.Tracer(&spec, cell, req.Rep) // nil when the run is not traced
+	var trace func(obs.Event)                  // nil, not a bound nil method: Tee drops it
 	if tr != nil {
 		trace = tr.Observe
 	}
@@ -329,7 +317,7 @@ func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Rec
 	phases.flush()
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
-	if _, err := campaign.WriteRunTraceAs(s.traceDir, tr,
+	if _, err := campaign.WriteRunTraceAs(s.trace.Dir, tr,
 		false, TraceName(reqID, cell.RunKey(req.Rep))); err != nil {
 		// A failed trace write must not fail the solve: the record is
 		// sound. It is counted, so a scrape surfaces the data loss.

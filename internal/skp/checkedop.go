@@ -16,11 +16,8 @@ type CheckedOp struct {
 
 // CheckStats counts what the skeptical layer saw.
 type CheckStats struct {
-	Applies     int
 	Detections  int
 	Corrections int
-	// PerCheck counts detections by check name.
-	PerCheck map[string]int
 }
 
 // NewCheckedOp builds a checked operator with the standard kernel suite
@@ -33,7 +30,6 @@ func NewCheckedOp(suspect, trusted krylov.Op) *CheckedOp {
 			NonFinite{},
 			NormBound{ANormInf: trusted.NormInf()},
 		},
-		Stats: CheckStats{PerCheck: make(map[string]int)},
 	}
 }
 
@@ -42,14 +38,10 @@ func NewCheckedOp(suspect, trusted krylov.Op) *CheckedOp {
 // skeptical wrapper therefore adds zero allocations to a clean apply —
 // the checks themselves are pure reductions over x and y.
 func (o *CheckedOp) Apply(x, y []float64) {
-	o.Stats.Applies++
 	o.Suspect.Apply(x, y)
 	for _, chk := range o.Checks {
 		if err := chk.Validate(x, y); err != nil {
 			o.Stats.Detections++
-			if o.Stats.PerCheck != nil {
-				o.Stats.PerCheck[chk.Name()]++
-			}
 			o.Stats.Corrections++
 			o.Trusted.Apply(x, y)
 			return

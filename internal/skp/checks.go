@@ -25,8 +25,6 @@ import (
 
 // Check is one invariant on an operator application y = A·x.
 type Check interface {
-	// Name identifies the check in experiment tables.
-	Name() string
 	// Validate returns a non-nil error describing the violation, or nil
 	// if the invariant holds.
 	Validate(x, y []float64) error
@@ -35,9 +33,6 @@ type Check interface {
 // NonFinite flags NaNs and infinities in the output — the cheapest
 // possible skeptical check (one pass, no arithmetic).
 type NonFinite struct{}
-
-// Name implements Check.
-func (NonFinite) Name() string { return "non-finite" }
 
 // Validate implements Check.
 func (NonFinite) Validate(_, y []float64) error {
@@ -58,9 +53,6 @@ type NormBound struct {
 	ANormInf float64
 	Slack    float64
 }
-
-// Name implements Check.
-func (NormBound) Name() string { return "norm-bound" }
 
 // Validate implements Check.
 func (nb NormBound) Validate(x, y []float64) error {
@@ -85,9 +77,6 @@ type Checksum struct {
 	ColSums []float64 // eᵀA, from la.CSR.ColSums
 	Tol     float64   // relative tolerance; default scales with len(x)
 }
-
-// Name implements Check.
-func (Checksum) Name() string { return "checksum" }
 
 // Validate implements Check.
 func (ck Checksum) Validate(x, y []float64) error {

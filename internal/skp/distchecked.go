@@ -36,13 +36,11 @@ func NewDistCheckedOp(suspect dist.Operator, trusted *dist.CSR) *DistCheckedOp {
 		Suspect: suspect,
 		Trusted: trusted,
 		colSums: trusted.LocalColSums(),
-		Stats:   CheckStats{PerCheck: make(map[string]int)},
 	}
 }
 
 // Apply implements dist.Operator with local validation and correction.
 func (o *DistCheckedOp) Apply(x, y []float64) error {
-	o.Stats.Applies++
 	if err := o.Suspect.Apply(x, y); err != nil {
 		return err
 	}
@@ -53,7 +51,6 @@ func (o *DistCheckedOp) Apply(x, y []float64) error {
 	// from the (still valid) operand buffer repairs it. The buffer holds
 	// owned + ghost values, so no re-communication is needed.
 	o.Stats.Detections++
-	o.Stats.PerCheck["checksum"]++
 	o.Trusted.ApplyLocal(y)
 	if o.validate(y) {
 		o.Stats.Corrections++
