@@ -307,7 +307,7 @@ func run(fs *flag.FlagSet, o *options) error {
 	fmt.Printf("simulated: %d worlds, %d rank executions, %.3g virtual rank-seconds\n",
 		snap.Worlds, snap.Ranks, snap.RankSeconds)
 	if o.trace != "" {
-		fmt.Printf("traced %d runs -> %s\n", st.Executed, o.trace)
+		fmt.Printf("traced %d runs -> %s\n", st.Traced, o.trace)
 	}
 
 	if o.noAgg {

@@ -28,7 +28,6 @@ var exportAllowlist = map[string]string{
 	"problems.Poisson1D":      "shared test fixture",
 	"problems.OnesRHS":        "shared test fixture",
 	"la.CSR.Diag":             "shared test fixture: the dist_family golden's diagPrecon",
-	"service.Client.Campaign": "test seam: the service tests' collecting CampaignStream",
 	"skp.NewDistCheckedOp":    "protection row of the planned bit-flip coverage table (ROADMAP)",
 }
 

@@ -1,9 +1,9 @@
 // Command solverd runs the repro-solve/v1 service and its clients: a
-// long-running HTTP server that schedules solve and campaign requests
-// on a bounded worker pool with cross-request setup caching (serve), a
-// campaign submitter that uses the engine as a load generator against
-// a running server (submit), and a self-contained end-to-end check
-// that byte-diffs served against direct execution (smoke). Run
+// long-running HTTP server that schedules solve requests on a bounded
+// worker pool with cross-request setup caching (serve), a campaign
+// submitter that uses the engine as a load generator against a running
+// server (submit), and a self-contained end-to-end check that
+// byte-diffs served against direct execution (smoke). Run
 // `solverd <mode> -h` for each flag set — a test pins every usage
 // snippet in this comment, the README and docs/SERVICE.md against the
 // flags the program actually parses.
@@ -27,12 +27,11 @@
 // campaign formats.
 //
 // The server logs structured key=value lines to stderr, each carrying
-// the deterministic request correlation ID (req=r-... / req=c-...)
-// that also names trace files, stamps journal entries and rides SSE
-// id: lines — see docs/OBSERVABILITY.md. GET /healthz is pure
-// liveness; GET /readyz flips to 503 the moment a shutdown signal
-// starts the drain, so load balancers stop routing before the
-// listener closes.
+// the deterministic request correlation ID (req=r-...) that also names
+// trace files, stamps journal entries and rides SSE id: lines — see
+// docs/OBSERVABILITY.md. GET /healthz is pure liveness; GET /readyz
+// flips to 503 the moment a shutdown signal starts the drain, so load
+// balancers stop routing before the listener closes.
 package main
 
 import (
@@ -120,7 +119,7 @@ func newServeFlags() (*flag.FlagSet, *serveOptions) {
 	fs.StringVar(&o.addr, "addr", ":8077", "listen address")
 	fs.IntVar(&o.workers, "workers", 0, "solve pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&o.queue, "queue", 0, "pending-solve queue depth (0 = 4x workers)")
-	fs.DurationVar(&o.drain, "drain", 30*time.Second, "shutdown drain deadline; in-flight requests past it are cut (size to your longest campaign request)")
+	fs.DurationVar(&o.drain, "drain", 30*time.Second, "shutdown drain deadline; in-flight requests past it are cut (size to your longest solve)")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (opt-in; exposes goroutine and heap internals)")
 	fs.StringVar(&o.traceDir, "trace-dir", "", "write one repro-trace/v1 event timeline per executed run into this directory")
 	fs.StringVar(&o.traceRanks, "trace-ranks", "0", "spans kept per trace: 0 (rank 0 only) or all (every rank, enables imbalance/critical-path analytics)")
@@ -370,7 +369,7 @@ func newSmokeFlags() (*flag.FlagSet, *smokeOptions) {
 	fs.StringVar(&o.label, "label", "smoke", "label; names the output aggregates")
 	fs.StringVar(&o.outdir, "outdir", "", "directory for the JSONL and aggregate outputs (default cwd; created if missing)")
 	fs.IntVar(&o.workers, "workers", 0, "pool size and submit concurrency (0 = GOMAXPROCS)")
-	fs.StringVar(&o.killAt, "kill-at", "", "kill-and-replay mode: comma-separated crash points (run:N = die after the Nth journaled run, journal:N = tear the Nth run append mid-line, stream:N = die after N streamed records), each crashing and restarting the server before a final resumed pass is byte-diffed against direct execution")
+	fs.StringVar(&o.killAt, "kill-at", "", "kill-and-replay mode: comma-separated crash points (run:N = die after the Nth journaled run, journal:N = tear the Nth run append mid-line, stream:N = die once the clients have received N answers, journal hits included), each crashing and restarting the server before a final resumed pass is byte-diffed against direct execution")
 	fs.StringVar(&o.journalDir, "journal-dir", "", "journal directory for -kill-at (default <outdir>/journal-<label>)")
 	return fs, o
 }

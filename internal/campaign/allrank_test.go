@@ -120,16 +120,18 @@ func TestAllRankTracesWorkerInvariant(t *testing.T) {
 // TestTraceSamplingDeterministic pins the -trace-sample contract: the
 // sampled subset is a pure function of campaign seed and run key, so it
 // is identical across reruns and worker counts, and it is a subset of
-// the full trace set.
+// the full trace set. RunStats.Traced, what `campaign -trace` reports
+// as "traced N runs", counts exactly the sampled runs.
 func TestTraceSamplingDeterministic(t *testing.T) {
 	spec := testSpec()
 	sampled := func(workers int) []string {
 		dir := t.TempDir()
-		if _, err := Run(Options{
+		st, err := Run(Options{
 			Spec: spec, Workers: workers,
 			Out:      filepath.Join(dir, "runs.jsonl"),
 			TraceDir: filepath.Join(dir, "traces"), TraceSample: "1/2",
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		var names []string
@@ -137,6 +139,9 @@ func TestTraceSamplingDeterministic(t *testing.T) {
 			names = append(names, name)
 		}
 		sort.Strings(names)
+		if st.Traced != len(names) {
+			t.Errorf("RunStats.Traced = %d, but %d trace files were written", st.Traced, len(names))
+		}
 		return names
 	}
 	one, four := sampled(1), sampled(4)

@@ -546,10 +546,7 @@ type RunRef struct {
 
 // ShardRuns expands every (cell, replicate) of the spec's grid owned
 // by shard k of n (cells with Index % n == k), in deterministic
-// cell-major order. It is the single expansion the local engine and
-// the solve service's campaign endpoint both schedule from, so shard
-// semantics cannot drift between the two paths. shards < 1 means the
-// whole grid.
+// cell-major order. shards < 1 means the whole grid.
 func (s Spec) ShardRuns(shard, shards int) []RunRef {
 	if shards < 1 {
 		shard, shards = 0, 1
@@ -564,21 +561,6 @@ func (s Spec) ShardRuns(shard, shards int) []RunRef {
 		}
 	}
 	return out
-}
-
-// CountShardCells returns the number of distinct cells among refs.
-// ShardRuns emits cell-major order, so the engine's RunStats.Cells and
-// the solve service's campaign-stream summary both count through this
-// one helper and cannot drift.
-func CountShardCells(refs []RunRef) int {
-	cells, last := 0, -1
-	for _, ref := range refs {
-		if ref.Cell.Index != last {
-			cells++
-			last = ref.Cell.Index
-		}
-	}
-	return cells
 }
 
 // ParseShard parses a "k/n" shard selector into (k, n). Both parts

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"repro/internal/comm"
+	"repro/internal/obs"
 )
 
 // Options configures one engine invocation.
@@ -67,6 +68,7 @@ type RunStats struct {
 	Resumed  int // runs skipped because already recorded
 	Executed int // runs executed now
 	Errored  int // executed runs that recorded an Err
+	Traced   int // executed runs the trace selection traced
 }
 
 // Run executes the spec's shard on a bounded worker pool, streaming
@@ -107,11 +109,14 @@ func Run(opts Options) (RunStats, error) {
 		}
 	}
 
-	shardRuns := spec.ShardRuns(opts.Shard, opts.Shards)
-	st.Cells = CountShardCells(shardRuns)
 	var jobs []RunRef
-	for _, ref := range shardRuns {
+	lastCell := -1
+	for _, ref := range spec.ShardRuns(opts.Shard, opts.Shards) {
 		st.Planned++
+		if ref.Cell.Index != lastCell { // ShardRuns is cell-major
+			st.Cells++
+			lastCell = ref.Cell.Index
+		}
 		if done[ref.Cell.RunKey(ref.Rep)] {
 			st.Resumed++
 			continue
@@ -150,11 +155,12 @@ func Run(opts Options) (RunStats, error) {
 					continue
 				}
 				var rec Record
+				var tr *obs.RunTracer
 				if opts.Exec != nil {
 					rec = opts.Exec(&spec, j.Cell, j.Rep)
 				} else {
 					env := &ExecEnv{Ledger: opts.Ledger, Problems: problems.Problem}
-					tr := trace.Tracer(&spec, j.Cell, j.Rep)
+					tr = trace.Tracer(&spec, j.Cell, j.Rep)
 					if tr != nil {
 						env.Events = tr.Observe
 					}
@@ -171,6 +177,9 @@ func Run(opts Options) (RunStats, error) {
 				st.Executed++
 				if rec.Err != "" {
 					st.Errored++
+				}
+				if tr != nil {
+					st.Traced++
 				}
 				if err := w.Write(rec); err != nil && writeErr == nil {
 					writeErr = err

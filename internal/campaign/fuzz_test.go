@@ -12,12 +12,12 @@ import (
 )
 
 // FuzzSpec feeds arbitrary bytes to the campaign spec decoder and
-// validator — what LoadSpec and the solve service's /v1/campaign do with
-// a client's file or body. For every spec Validate accepts whose axes
-// are small enough to expand here, expansion must terminate without a
-// panic, yield at most the product of the axis lengths, number its cells
-// densely, and give every run a key of its own: a repeated key is a run
-// that executes but can never aggregate.
+// validator — what LoadSpec does with a client's spec file. For every
+// spec Validate accepts whose axes are small enough to expand here,
+// expansion must terminate without a panic, yield at most the product
+// of the axis lengths, number its cells densely, and give every run a
+// key of its own: a repeated key is a run that executes but can never
+// aggregate.
 func FuzzSpec(f *testing.F) {
 	for _, s := range []Spec{QuickSpec(), FullSpec()} {
 		b, err := json.Marshal(s)

@@ -25,18 +25,8 @@ func (a *Dense) At(i, j int) float64 { return a.Data[i*a.Cols+j] }
 // Set assigns A(i, j) = v.
 func (a *Dense) Set(i, j int, v float64) { a.Data[i*a.Cols+j] = v }
 
-// Add increments A(i, j) by v.
-func (a *Dense) Add(i, j int, v float64) { a.Data[i*a.Cols+j] += v }
-
 // Row returns a view (not a copy) of row i.
 func (a *Dense) Row(i int) []float64 { return a.Data[i*a.Cols : (i+1)*a.Cols] }
-
-// Clone returns a deep copy.
-func (a *Dense) Clone() *Dense {
-	b := NewDense(a.Rows, a.Cols)
-	copy(b.Data, a.Data)
-	return b
-}
 
 // MatVec computes y = A·x into a fresh slice.
 func (a *Dense) MatVec(x []float64) []float64 {
@@ -69,17 +59,6 @@ func (a *Dense) MatMul(b *Dense) *Dense {
 		}
 	}
 	return c
-}
-
-// NormInf returns the infinity (max row-sum) norm.
-func (a *Dense) NormInf() float64 {
-	max := 0.0
-	for i := 0; i < a.Rows; i++ {
-		if s := Nrm1(a.Row(i)); s > max {
-			max = s
-		}
-	}
-	return max
 }
 
 // Equal reports elementwise equality within tol (absolute).

@@ -120,7 +120,7 @@ func TestCSRMatchesDenseProperty(t *testing.T) {
 			i, j := rng.Intn(rows), rng.Intn(cols)
 			v := 2*rng.Float64() - 1
 			b.add(i, j, v) // duplicates must sum
-			d.Add(i, j, v)
+			d.Set(i, j, d.At(i, j)+v)
 		}
 		m := b.csr(rows, cols)
 		x := make([]float64, cols)

@@ -44,15 +44,6 @@ func Nrm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Nrm1 returns the 1-norm of x.
-func Nrm1(x []float64) float64 {
-	s := 0.0
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
 // NrmInf returns the infinity norm of x, or NaN if any element is NaN:
 // a comparison with NaN is false, so skipping the element would report
 // an all-NaN vector as norm 0.

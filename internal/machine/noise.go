@@ -14,8 +14,6 @@ type Noise interface {
 	// Draw returns extra delay (>= 0) for a compute phase of nominal
 	// duration d, using the per-rank rng.
 	Draw(rng *RNG, d float64) float64
-	// Name identifies the model in experiment tables.
-	Name() string
 }
 
 // NoNoise is the ideal machine: equal work takes equal time.
@@ -23,9 +21,6 @@ type NoNoise struct{}
 
 // Draw always returns 0.
 func (NoNoise) Draw(*RNG, float64) float64 { return 0 }
-
-// Name implements Noise.
-func (NoNoise) Name() string { return "none" }
 
 // FixedSpike models OS/system-service noise the way the noise literature
 // does: interruptions of *fixed* duration (a daemon runs for 25 µs no
@@ -72,9 +67,6 @@ func (n FixedSpike) Draw(rng *RNG, d float64) float64 {
 	return float64(k) * n.Duration
 }
 
-// Name implements Noise.
-func (n FixedSpike) Name() string { return "fixed-spike" }
-
 // UniformJitter models bounded per-phase slowdown: every compute phase
 // is extended by a uniform draw in [0, Frac·d]. It is the simplest
 // noise family with a hard worst case — the model the campaign engine's
@@ -92,6 +84,3 @@ func (n UniformJitter) Draw(rng *RNG, d float64) float64 {
 	}
 	return n.Frac * d * rng.Float64()
 }
-
-// Name implements Noise.
-func (n UniformJitter) Name() string { return "uniform" }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -120,65 +119,6 @@ func (cl *Client) Exec(spec *campaign.Spec, cell campaign.Cell, rep int) campaig
 	// Only a genuinely transient failure (retry budget exhausted) is
 	// worth a -resume retry; a permanent rejection is a decided outcome.
 	return errorRecord(spec, cell, rep, err.Error(), errors.Is(err, errTransient))
-}
-
-// Campaign submits a whole spec for server-side execution and returns
-// the streamed records (summary line excluded).
-func (cl *Client) Campaign(req CampaignRequest) ([]campaign.Record, error) {
-	var recs []campaign.Record
-	err := cl.CampaignStream(req, func(rec campaign.Record) error {
-		recs = append(recs, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recs, nil
-}
-
-// CampaignStream submits a whole spec for server-side execution and
-// invokes fn for each record as it arrives off the NDJSON stream
-// (summary and foreign lines skipped, exactly like campaign's own
-// readers). It buffers nothing, so a caller watching a long campaign —
-// or one whose server dies mid-stream, as in the kill-and-replay
-// harness — sees every record the server managed to deliver before the
-// transport error is returned. fn returning an error stops the stream.
-func (cl *Client) CampaignStream(req CampaignRequest, fn func(campaign.Record) error) error {
-	data, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := cl.http().Post(cl.Base+"/v1/campaign", "application/json", bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("%w: %w", errTransient, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
-			return fmt.Errorf("service: %s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("service: %s", resp.Status)
-	}
-	dec := json.NewDecoder(resp.Body)
-	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			// A stream cut mid-campaign (server crash) is transient:
-			// resubmitting resumes from the journal.
-			return fmt.Errorf("%w: reading campaign stream: %w", errTransient, err)
-		}
-		var rec campaign.Record
-		if err := json.Unmarshal(raw, &rec); err != nil || rec.Schema != campaign.RunSchema {
-			continue // the summary line, or a foreign line — skip like ReadRecords does
-		}
-		if err := fn(rec); err != nil {
-			return err
-		}
-	}
 }
 
 // Healthz checks the server's health endpoint.

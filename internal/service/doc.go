@@ -1,8 +1,11 @@
 // Package service is the long-running solve service behind cmd/solverd:
-// an HTTP/JSON server that accepts single-solve and whole-campaign
-// requests, schedules them on a bounded worker pool, streams per-
-// iteration progress, and caches the expensive setup work — problem
-// assembly and preconditioner factorisation — across requests.
+// an HTTP/JSON server that accepts single-solve requests, schedules
+// them on a bounded worker pool, streams per-iteration progress, and
+// caches the expensive setup work — problem assembly and
+// preconditioner factorisation — across requests. A whole campaign
+// goes through the service as the campaign engine posting each run
+// (Client.Exec as campaign.Options.Exec), which is what `solverd
+// submit`, Smoke and KillReplay all do.
 //
 // This is the ROADMAP's "heavy traffic" north-star made concrete: the
 // same resilient solver stack that internal/campaign sweeps offline is
@@ -34,9 +37,7 @@
 //   - Streaming (stream.go): a solve request with "stream": true
 //     receives Server-Sent Events — one "progress" event per solver
 //     iteration (attempt, iteration, relative residual, fed from the
-//     run's event stream) and a final "result" event. Campaign requests
-//     stream one NDJSON record line per completed run plus a trailing
-//     summary line.
+//     run's event stream) and a final "result" event.
 //
 //   - Graceful shutdown: the HTTP layer stops accepting, in-flight
 //     solves drain to completion, and only then does the pool stop

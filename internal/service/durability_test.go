@@ -15,6 +15,17 @@ import (
 	"repro/internal/precond"
 )
 
+// runCampaign drives spec through the server the way `solverd submit`
+// does — the campaign engine with Exec over /v1/solve — and reads back
+// the records it wrote.
+func runCampaign(t *testing.T, cl *Client, spec campaign.Spec) ([]campaign.Record, error) {
+	out := filepath.Join(t.TempDir(), "runs.jsonl")
+	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: 4, Out: out, Exec: cl.Exec}); err != nil {
+		return nil, err
+	}
+	return campaign.ReadShardFile(out)
+}
+
 // TestCleanRestartResumesFromSnapshot: a cleanly closed durable server
 // leaves a final snapshot with a rotated (empty) journal, and a
 // restarted server answers the whole campaign from it without
@@ -25,7 +36,7 @@ func TestCleanRestartResumesFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 
 	srv, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 4})
-	if _, err := cl.Campaign(CampaignRequest{Schema: Schema, Spec: spec}); err != nil {
+	if _, err := runCampaign(t, cl, spec); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cl.Stats()
@@ -59,7 +70,7 @@ func TestCleanRestartResumesFromSnapshot(t *testing.T) {
 	// Restart: everything is a hit, nothing executes.
 	_, cl2, done2 := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 4})
 	defer done2()
-	recs, err := cl2.Campaign(CampaignRequest{Schema: Schema, Spec: spec})
+	recs, err := runCampaign(t, cl2, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,6 +81,66 @@ func TestCleanRestartResumesFromSnapshot(t *testing.T) {
 	if int64(len(recs)) != total || st2.Completed != 0 || st2.Journal.Hits != total {
 		t.Errorf("snapshot resume: %d records, %d executed, %d hits — want %d, 0, %d",
 			len(recs), st2.Completed, st2.Journal.Hits, total, total)
+	}
+}
+
+// TestOlderJournalDirLoads: a journal directory written by a server
+// that still had the /v1/campaign endpoint — a "campaign" line in the
+// journal, a "campaigns" cursor map in the snapshot — loads, and every
+// run it recorded (half in the snapshot, half in the journal) is
+// answered from it: all journal hits, nothing executed, records
+// identical to local execution.
+func TestOlderJournalDirLoads(t *testing.T) {
+	spec := killReplaySpec()
+	jobs := spec.ShardRuns(0, 1)
+	dir := t.TempDir()
+
+	want := make(map[string]string)
+	inSnap := make(map[string]campaign.Record)
+	journal := `{"schema":"repro-journal/v1","kind":"campaign","digest":"0123456789abcdef","runs":16}` + "\n"
+	for i, j := range jobs {
+		req := NewSolveRequest(&spec, j.Cell, j.Rep)
+		rec := campaign.ExecuteRun(&spec, j.Cell, j.Rep, nil)
+		b, _ := json.Marshal(rec)
+		want[rec.Key] = string(b)
+		id, reqID := runIdentity(&req), RequestID(&req)
+		if i%2 == 0 {
+			inSnap[id] = rec
+			continue
+		}
+		journal += journalLine(t, JournalEntry{Kind: "accept", ID: id, Req: reqID})
+		journal += journalLine(t, JournalEntry{Kind: "run", ID: id, Req: reqID, Record: &rec})
+	}
+	snap, err := json.Marshal(map[string]any{
+		"schema": SnapshotSchema, "records": inSnap,
+		"campaigns": map[string]any{"0123456789abcdef": map[string]int{"runs": 16, "done": 8}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	writeJournalFile(t, dir, journal)
+
+	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir})
+	defer done()
+	recs, err := runCampaign(t, cl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(jobs) || st.Completed != 0 || st.Journal.Hits != int64(len(jobs)) {
+		t.Errorf("older journal: %d records, %d executed, %d hits — want %d, 0, %d",
+			len(recs), st.Completed, st.Journal.Hits, len(jobs), len(jobs))
+	}
+	for _, rec := range recs {
+		if b, _ := json.Marshal(rec); want[rec.Key] != string(b) {
+			t.Errorf("record %s differs from local execution", rec.Key)
+		}
 	}
 }
 
@@ -317,10 +388,11 @@ func TestEvictionWhileAdoptRace(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentCampaignFeedersJournal: two identical campaigns
-// streamed concurrently through one durable server — journal appends
-// race across both feeders, and both streams must come back complete
-// with records matching local execution. Run under -race in CI.
+// TestConcurrentCampaignFeedersJournal: two identical campaigns driven
+// concurrently through one durable server, each an engine posting its
+// runs to /v1/solve — journal appends race across both feeders, and
+// both must come back complete with records matching local execution.
+// Run under -race in CI.
 func TestConcurrentCampaignFeedersJournal(t *testing.T) {
 	spec := killReplaySpec()
 	total := len(spec.ShardRuns(0, 1))
@@ -343,7 +415,7 @@ func TestConcurrentCampaignFeedersJournal(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			recs, err := cl.Campaign(CampaignRequest{Schema: Schema, Spec: spec})
+			recs, err := runCampaign(t, cl, spec)
 			if err != nil {
 				t.Error(err)
 				return

@@ -87,10 +87,9 @@ func FuzzParseKillPoints(f *testing.F) {
 // writes it, to bytes it accepts again unchanged.
 func FuzzReadSnapshot(f *testing.F) {
 	good, err := json.Marshal(&Snapshot{
-		Schema:    SnapshotSchema,
-		Records:   map[string]campaign.Record{"gmres/none/poisson/p2/none/r0|0000000000000001|g12|t1e-08|i200|r3": {Schema: campaign.RunSchema, Key: "gmres/none/poisson/p2/none/r0", Converged: true, Iters: 7}},
-		Pending:   []string{"a", "b"},
-		Campaigns: map[string]CampaignCursor{"0123456789abcdef": {}},
+		Schema:  SnapshotSchema,
+		Records: map[string]campaign.Record{"gmres/none/poisson/p2/none/r0|0000000000000001|g12|t1e-08|i200|r3": {Schema: campaign.RunSchema, Key: "gmres/none/poisson/p2/none/r0", Converged: true, Iters: 7}},
+		Pending: []string{"a", "b"},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -99,6 +98,8 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":null}`))
 	f.Add([]byte(`{"schema":"repro-snapshot/v0"}`))
 	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{"k":{"iters":-1}}`))
+	// Older servers also wrote per-campaign cursors; the key is ignored.
+	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{},"campaigns":{"0123456789abcdef":{"runs":16,"done":3}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := parseSnapshot(data)
 		if err != nil {

@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/campaign"
@@ -20,9 +23,9 @@ import (
 // readHeaderTimeout bounds how long a connection may take to send its
 // request headers, so a client that opens a socket and stalls cannot
 // hold a connection (and its goroutine) forever. Request bodies are
-// small and bounded separately (maxRequestBytes); responses stream for
-// as long as a campaign runs, so no write or whole-request deadline is
-// set.
+// small and bounded separately (maxRequestBytes); an SSE response
+// streams for as long as its solve runs, so no write or whole-request
+// deadline is set.
 const readHeaderTimeout = 10 * time.Second
 
 // NewHTTPServer builds the http.Server the service is served through,
@@ -282,12 +285,12 @@ func (rep *MetricsReport) reconcilePhases(traceDir string) error {
 
 // KillPoint is one seeded crash of the kill-and-replay harness: Mode
 // "run" dies right after the Nth journaled completion, "journal" tears
-// the Nth run's journal line in half, "stream" dies after N streamed
-// campaign records.
+// the Nth run's journal line in half, "stream" dies once the clients
+// have received N answers (journal hits included).
 type KillPoint struct {
 	Mode string
 	N    int
-	// drive, when set, replaces the crash pass's campaign traffic and
+	// drive, when set, replaces the crash pass's solve traffic and
 	// fires the crash itself (the tests' mid-SSE kill point).
 	drive func(cl *Client, cs *crashSink)
 }
@@ -307,8 +310,8 @@ func ParseKillPoints(s string) ([]KillPoint, error) {
 	return kps, nil
 }
 
-// crashPass drives the campaign into a durable server and crashes it at
-// the seeded kill point: the journal sink goes dead (a dead process
+// crashPass posts the campaign's runs to a durable server and crashes it
+// at the seeded kill point: the journal sink goes dead (a dead process
 // journals nothing) and the listener and every connection are severed
 // mid-whatever-was-happening. The journal directory is left exactly as
 // a real crash would leave it — possibly with a torn trailing line.
@@ -337,15 +340,33 @@ func crashPass(spec campaign.Spec, dir string, workers, snapshotEvery int, kp Ki
 	if kp.drive != nil {
 		kp.drive(ls.cl, cs)
 	} else {
-		streamed := 0
-		// The severed stream is the expected outcome of a crash.
-		_ = ls.cl.CampaignStream(CampaignRequest{Schema: Schema, Spec: spec}, func(campaign.Record) error {
-			streamed++
-			if kp.Mode == "stream" && streamed == kp.N {
-				cs.kill()
-			}
-			return nil
-		})
+		// workers clients post the grid's runs in order and all stop at
+		// the first error: the severed connection is the expected
+		// outcome of the crash.
+		jobs := spec.ShardRuns(0, 1)
+		var next, answered atomic.Int64
+		var failed atomic.Bool
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !failed.Load() {
+					i := next.Add(1) - 1
+					if i >= int64(len(jobs)) {
+						return
+					}
+					if _, err := ls.cl.Solve(NewSolveRequest(&spec, jobs[i].Cell, jobs[i].Rep)); err != nil {
+						failed.Store(true)
+						return
+					}
+					if kp.Mode == "stream" && answered.Add(1) == int64(kp.N) {
+						cs.kill()
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 	// Reap the pool. Runs completing after the crash hit the dead sink
 	// and are journaled nowhere, exactly like work lost with a process.
@@ -356,10 +377,11 @@ func crashPass(spec campaign.Spec, dir string, workers, snapshotEvery int, kp Ki
 	return nil
 }
 
-// resumePass restarts a production-sink server over dir, streams the
-// whole campaign through fn, and returns the stats it booted with and
+// resumePass restarts a production-sink server over dir, runs the whole
+// campaign through it with the engine (Exec over /v1/solve) writing the
+// records to out, and returns the stats the server booted with and
 // ended with.
-func resumePass(spec campaign.Spec, dir string, workers, snapshotEvery int, fn func(campaign.Record) error) (before, after StatsResponse, err error) {
+func resumePass(spec campaign.Spec, dir, out string, workers, snapshotEvery int) (before, after StatsResponse, err error) {
 	ls, err := startServer(Options{Workers: workers, JournalDir: dir, SnapshotEvery: snapshotEvery})
 	if err != nil {
 		return before, after, fmt.Errorf("kill-replay: restart failed: %w", err)
@@ -371,8 +393,12 @@ func resumePass(spec campaign.Spec, dir string, workers, snapshotEvery int, fn f
 	if before.Journal == nil || before.Journal.Records == 0 {
 		return before, after, fmt.Errorf("kill-replay: restarted server loaded no journaled runs — the crash passes recorded nothing")
 	}
-	if err = ls.cl.CampaignStream(CampaignRequest{Schema: Schema, Spec: spec}, fn); err != nil {
+	st, err := campaign.Run(campaign.Options{Spec: spec, Workers: workers, Out: out, Exec: ls.cl.Exec})
+	if err != nil {
 		return before, after, fmt.Errorf("kill-replay: resumed campaign failed: %w", err)
+	}
+	if st.Errored > 0 {
+		return before, after, fmt.Errorf("kill-replay: %d of %d resumed runs errored", st.Errored, st.Executed)
 	}
 	after, err = ls.cl.Stats()
 	return before, after, err
@@ -391,12 +417,15 @@ type KillReplayResult struct {
 // `solverd smoke -kill-at` in CI and by this package's tests: execute
 // the campaign directly (the oracle), crash a durable server at each
 // kill point in turn over the shared journal directory, then restart
-// and stream the full campaign to completion. The resumed records and
-// aggregate must be byte-identical to direct execution, every journaled
-// run served as a journal hit, no recorded run re-executed, and a
-// further restart must execute nothing at all. Outputs land in outdir,
-// named by label.
+// and run the full campaign to completion through the engine, as
+// `solverd submit` does. The resumed records and aggregate must be
+// byte-identical to direct execution, every journaled run served as a
+// journal hit, no recorded run re-executed, and a further restart must
+// execute nothing at all. Outputs land in outdir, named by label.
 func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers int, kills []KillPoint) (*KillReplayResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0) // the crash pass's client count
+	}
 	if _, err := campaign.Run(campaign.Options{Spec: spec, Workers: workers, Out: runsPath(outdir, label, "direct")}); err != nil {
 		return nil, err
 	}
@@ -410,14 +439,8 @@ func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers in
 		}
 	}
 
-	w, err := campaign.NewWriter(runsPath(outdir, label, "served"), false)
-	if err != nil {
-		return nil, err
-	}
-	before, after, err := resumePass(spec, journalDir, workers, snapshotEvery, w.Write)
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
+	served := runsPath(outdir, label, "served")
+	before, after, err := resumePass(spec, journalDir, served, workers, snapshotEvery)
 	if err != nil {
 		return nil, err
 	}
@@ -438,13 +461,15 @@ func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers in
 		return nil, fmt.Errorf("kill-replay: %d runs executed on resume, want %d (total %d - %d recorded) — a recorded run was re-executed or lost", after.Completed, total-recorded, total, recorded)
 	}
 
-	var again int64
-	_, full, err := resumePass(spec, journalDir, workers, snapshotEvery, func(campaign.Record) error { again++; return nil })
+	_, full, err := resumePass(spec, journalDir, served, workers, snapshotEvery)
 	if err != nil {
 		return nil, err
 	}
-	if again != total || full.Completed != 0 || full.Journal.Hits != total {
-		return nil, fmt.Errorf("kill-replay: fully-recorded campaign streamed %d records, executed %d, hit %d — want %d, 0, %d", again, full.Completed, full.Journal.Hits, total, total)
+	if full.Completed != 0 || full.Journal.Hits != total {
+		return nil, fmt.Errorf("kill-replay: fully-recorded campaign executed %d, hit %d — want 0, %d", full.Completed, full.Journal.Hits, total)
+	}
+	if err := diffAgainstDirect(spec, label, outdir); err != nil {
+		return nil, fmt.Errorf("kill-replay: %w — the journal-only replay is not byte-identical to direct execution", err)
 	}
 	return &KillReplayResult{Total: total, Recorded: recorded, Hits: after.Journal.Hits, Executed: after.Completed, Snapshots: after.Journal.Snapshots}, nil
 }

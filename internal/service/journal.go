@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,16 +23,17 @@ const JournalSchema = "repro-journal/v1"
 // journal directory (next to snapshotFile).
 const journalFile = "journal.jsonl"
 
-// JournalEntry is one line of the repro-journal/v1 stream. Three kinds
-// record the server's durable history — "accept" (a run was scheduled),
-// "run" (a run completed, Record carried inline), "campaign" (a
-// campaign request was admitted) — and "seal" marks the spot where a
-// reopening writer sealed a torn trailing line left by a crash, so a
-// reader can tell a sealed tear from mid-file corruption.
+// JournalEntry is one line of the repro-journal/v1 stream. Two kinds
+// record the server's durable history — "accept" (a run was scheduled)
+// and "run" (a run completed, Record carried inline) — and "seal" marks
+// the spot where a reopening writer sealed a torn trailing line left by
+// a crash, so a reader can tell a sealed tear from mid-file corruption.
+// Journals written by servers that had a /v1/campaign endpoint also
+// hold "campaign" lines; readers accept and ignore them.
 type JournalEntry struct {
 	// Schema is "repro-journal/v1".
 	Schema string `json:"schema"`
-	// Kind is "accept", "run", "campaign" or "seal".
+	// Kind is "accept", "run" or "seal" ("campaign" in older journals).
 	Kind string `json:"kind"`
 	// ID is the run identity (accept/run): the run key, derived seed
 	// and solve parameters that make two requests the same run.
@@ -44,11 +44,6 @@ type JournalEntry struct {
 	Req string `json:"req,omitempty"`
 	// Record is the completed run's result (kind "run").
 	Record *campaign.Record `json:"record,omitempty"`
-	// Digest identifies an admitted campaign (kind "campaign"): a hash
-	// of its spec and shard selector.
-	Digest string `json:"digest,omitempty"`
-	// Runs is the campaign's planned run count (kind "campaign").
-	Runs int `json:"runs,omitempty"`
 	// Offset is the byte offset at which a torn tail was sealed
 	// (kind "seal").
 	Offset int64 `json:"offset,omitempty"`
@@ -194,11 +189,7 @@ func parseJournalLine(line []byte) (JournalEntry, error) {
 		if e.ID == "" || e.Record == nil {
 			return e, fmt.Errorf("run entry missing id or record")
 		}
-	case "campaign":
-		if e.Digest == "" {
-			return e, fmt.Errorf("campaign entry missing digest")
-		}
-	case "seal":
+	case "seal", "campaign":
 	default:
 		return e, fmt.Errorf("unknown kind %q", e.Kind)
 	}
@@ -215,16 +206,6 @@ func runIdentity(req *SolveRequest) string {
 	return fmt.Sprintf("%s|%016x|g%d|t%g|i%d|r%d",
 		cell.RunKey(req.Rep), campaign.RunSeed(req.Seed, req.Cell, req.Rep),
 		req.Grid, req.Tol, req.MaxIter, req.MaxRestarts)
-}
-
-// campaignDigest identifies one admitted campaign request: a hash of
-// its canonical spec JSON and shard selector.
-func campaignDigest(spec *campaign.Spec, shard, shards int) string {
-	b, _ := json.Marshal(spec)
-	h := fnv.New64a()
-	h.Write(b)
-	fmt.Fprintf(h, "|%d/%d", shard, shards)
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // JournalStats are the durability counters exposed through GET /stats
@@ -262,20 +243,9 @@ type JournalStats struct {
 	SealedTail bool `json:"sealed_tail,omitempty"`
 }
 
-// CampaignCursor is the durable progress of one admitted campaign:
-// planned runs and runs already answered (journal hits included). A
-// snapshot persists the cursors so a restarted server reports where
-// every in-flight campaign stopped.
-type CampaignCursor struct {
-	// Runs is the campaign's planned run count; Done counts runs
-	// already answered for it.
-	Runs int `json:"runs"`
-	Done int `json:"done"`
-}
-
 // durable is the server's durability state: the journal sink, the
 // identity-indexed record of every completed run, the pending (accepted
-// but unfinished) set, campaign cursors, and the snapshot machinery.
+// but unfinished) set, and the snapshot machinery.
 // All methods are safe for concurrent use.
 type durable struct {
 	mu            sync.Mutex
@@ -284,7 +254,6 @@ type durable struct {
 	snapshotEvery int
 	records       map[string]campaign.Record
 	pending       map[string]bool
-	campaigns     map[string]*CampaignCursor
 	sinceSnap     int
 	sealedTail    bool
 	cacheIndex    func() []string
@@ -303,7 +272,6 @@ func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cac
 		snapshotEvery: snapshotEvery,
 		records:       make(map[string]campaign.Record),
 		pending:       make(map[string]bool),
-		campaigns:     make(map[string]*CampaignCursor),
 		cacheIndex:    cacheIndex,
 	}
 	if d.snapshotEvery <= 0 {
@@ -320,10 +288,6 @@ func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cac
 		for _, id := range snap.Pending {
 			d.pending[id] = true
 		}
-		for digest, cur := range snap.Campaigns {
-			c := cur
-			d.campaigns[digest] = &c
-		}
 	}
 	jr, err := ReadJournal(dir)
 	if err != nil {
@@ -339,10 +303,6 @@ func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cac
 		case "run":
 			d.records[e.ID] = *e.Record
 			delete(d.pending, e.ID)
-		case "campaign":
-			if _, ok := d.campaigns[e.Digest]; !ok {
-				d.campaigns[e.Digest] = &CampaignCursor{Runs: e.Runs}
-			}
 		}
 	}
 	if sink == nil {
@@ -423,29 +383,11 @@ func (d *durable) record(id, req string, rec campaign.Record) {
 	}
 }
 
-// campaignBegin journals one admitted campaign and opens its cursor.
-func (d *durable) campaignBegin(digest string, runs int) {
-	d.mu.Lock()
-	d.campaigns[digest] = &CampaignCursor{Runs: runs}
-	d.mu.Unlock()
-	d.append(JournalEntry{Kind: "campaign", Digest: digest, Runs: runs})
-}
-
-// campaignTick advances one campaign's cursor by one answered run.
-func (d *durable) campaignTick(digest string) {
-	d.mu.Lock()
-	if cur, ok := d.campaigns[digest]; ok {
-		cur.Done++
-	}
-	d.mu.Unlock()
-}
-
 // snapshotLocked assembles the snapshot under d.mu (cheap copies only).
 func (d *durable) snapshotLocked() *Snapshot {
 	snap := &Snapshot{
-		Schema:    SnapshotSchema,
-		Records:   make(map[string]campaign.Record, len(d.records)),
-		Campaigns: make(map[string]CampaignCursor, len(d.campaigns)),
+		Schema:  SnapshotSchema,
+		Records: make(map[string]campaign.Record, len(d.records)),
 	}
 	for id, rec := range d.records {
 		snap.Records[id] = rec
@@ -454,9 +396,6 @@ func (d *durable) snapshotLocked() *Snapshot {
 		snap.Pending = append(snap.Pending, id)
 	}
 	sort.Strings(snap.Pending)
-	for digest, cur := range d.campaigns {
-		snap.Campaigns[digest] = *cur
-	}
 	if d.cacheIndex != nil {
 		snap.CacheIndex = d.cacheIndex()
 	}

@@ -65,8 +65,9 @@ func midSSEKill(t *testing.T, spec campaign.Spec, n int) func(*Client, *crashSin
 // each seeded kill point in its own journal directory: between runs
 // (the 5th completed run is journaled whole, then the process dies),
 // mid-journal-append (the 7th run's journal line is torn in half — the
-// restart must seal the tear and treat that run as never recorded) and
-// mid-SSE-stream. KillReplay requires the resumed records and aggregate
+// restart must seal the tear and treat that run as never recorded),
+// after the clients hold 6 answers (runs still in flight are lost with
+// the process) and mid-SSE-stream. KillReplay requires the resumed records and aggregate
 // byte-identical to uninterrupted direct execution, every journaled run
 // served as a journal hit, no recorded run re-executed, and a second
 // restart executing nothing.
@@ -78,6 +79,7 @@ func TestKillReplayDeterminism(t *testing.T) {
 	}{
 		{"between-runs", KillPoint{Mode: "run", N: 5}},
 		{"mid-journal-append", KillPoint{Mode: "journal", N: 7}},
+		{"after-client-answers", KillPoint{Mode: "stream", N: 6}},
 		{"mid-sse-stream", KillPoint{Mode: "sse", N: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

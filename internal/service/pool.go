@@ -4,11 +4,8 @@ import "sync"
 
 // pool is the bounded scheduler every solve runs on: a fixed number of
 // workers draining a fixed-depth queue. Bounding both is what makes the
-// service safe to point heavy traffic at — excess load either fails
-// fast (submit returns false → HTTP 503) or waits its turn
-// (submitWait, used by the campaign endpoint so a big grid trickles
-// through the same pool single solves use, instead of monopolising an
-// unbounded queue).
+// service safe to point heavy traffic at — excess load fails fast
+// (submit returns false → HTTP 503) and the client backs off.
 type pool struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -49,7 +46,6 @@ func (p *pool) work() {
 		p.queue[0] = nil
 		p.queue = p.queue[1:]
 		p.inFlight++
-		p.cond.Broadcast() // a queue slot freed: wake submitWait waiters
 		p.mu.Unlock()
 
 		job()
@@ -70,33 +66,7 @@ func (p *pool) submit(job func()) bool {
 		return false
 	}
 	p.queue = append(p.queue, job)
-	p.cond.Broadcast()
-	return true
-}
-
-// submitWait enqueues one job, blocking until the queue depth falls
-// below limit (clamped to [1, cap]). Bulk feeders pass less than the
-// full capacity so their parked goroutine — which would otherwise
-// refill the queue the instant a worker frees a slot — leaves headroom
-// for fail-fast interactive submits. It returns false only when the
-// pool starts draining before a slot opens.
-func (p *pool) submitWait(job func(), limit int) bool {
-	if limit < 1 {
-		limit = 1
-	}
-	if limit > p.cap {
-		limit = p.cap
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.queue) >= limit && !p.closed {
-		p.cond.Wait()
-	}
-	if p.closed {
-		return false
-	}
-	p.queue = append(p.queue, job)
-	p.cond.Broadcast()
+	p.cond.Signal() // only idle workers wait, and one job needs one
 	return true
 }
 

@@ -28,11 +28,3 @@ func RequestID(req *SolveRequest) string {
 func TraceName(reqID, runKey string) string {
 	return reqID + "_" + campaign.TraceFileName(runKey)
 }
-
-// CampaignRequestID derives the correlation ID of one campaign
-// request: "c-" plus the digest of its spec and shard selector — the
-// same digest the journal's campaign cursor uses, so the NDJSON
-// summary, the journal and the logs all name the campaign identically.
-func CampaignRequestID(spec *campaign.Spec, shard, shards int) string {
-	return "c-" + campaignDigest(spec, shard, shards)
-}

@@ -14,12 +14,6 @@ import (
 // silently misreading v1 traffic.
 const Schema = "repro-solve/v1"
 
-// SummarySchema tags the trailing summary line of a campaign stream
-// (the run records themselves carry campaign.RunSchema, so a reader
-// that only wants records can filter by schema exactly like
-// campaign.ReadRecords does).
-const SummarySchema = "repro-solve/v1-campaign-summary"
-
 // SolveRequest is the body of POST /v1/solve: one (cell, replicate) of
 // a campaign grid, self-contained. The identity fields (Seed, Cell,
 // Rep) feed campaign.RunSeed exactly as local execution would, which is
@@ -153,33 +147,6 @@ type DiscardEvent struct {
 	// Solve is the ordinal of the discarded inner solve (1-based, as
 	// counted by the inner preconditioner across the attempt).
 	Solve int `json:"solve"`
-}
-
-// CampaignRequest is the body of POST /v1/campaign: a whole campaign
-// spec to execute server-side. The response streams one NDJSON
-// campaign.Record line per completed run (completion order — arbitrary)
-// followed by a CampaignSummary line.
-type CampaignRequest struct {
-	// Schema must be "repro-solve/v1".
-	Schema string `json:"schema"`
-	// Spec is the campaign to run, validated exactly like a local one.
-	Spec campaign.Spec `json:"spec"`
-	// Shard optionally selects a "k/n" slice of the grid.
-	Shard string `json:"shard,omitempty"`
-}
-
-// CampaignSummary is the trailing line of a campaign stream.
-type CampaignSummary struct {
-	// Schema is "repro-solve/v1-campaign-summary".
-	Schema string `json:"schema"`
-	// RequestID is the campaign's correlation ID ("c-" + the spec/shard
-	// digest the journal's campaign cursor uses).
-	RequestID string `json:"req,omitempty"`
-	// Cells and Runs count the shard's grid; Errored counts records
-	// that carried a harness error.
-	Cells   int `json:"cells"`
-	Runs    int `json:"runs"`
-	Errored int `json:"errored"`
 }
 
 // ErrorResponse is the body of every non-2xx JSON reply.

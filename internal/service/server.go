@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -62,7 +61,7 @@ type Options struct {
 	// state loading.
 	journalSink JournalSink
 	// Logger receives the server's structured log lines (request
-	// admission, run completion, campaign lifecycle), every one carrying
+	// admission, run completion, journal hits), every one carrying
 	// the req= correlation ID (see obs.NewLogger). Nil disables
 	// logging: New substitutes a logger that discards every record.
 	Logger *slog.Logger
@@ -73,7 +72,6 @@ type Options struct {
 // Create one with New, mount Handler somewhere, and Close it to drain.
 type Server struct {
 	workers int
-	queue   int
 	trace   campaign.TraceSelection
 	pool    *pool
 	cache   *Cache
@@ -125,7 +123,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s := &Server{
 		workers:   opts.Workers,
-		queue:     opts.Queue,
 		trace:     trace,
 		pool:      newPool(opts.Workers, opts.Queue),
 		cache:     NewCache(),
@@ -152,7 +149,6 @@ func New(opts Options) (*Server, error) {
 	s.route("GET /stats", "stats", s.handleStats)
 	s.route("GET /metrics", "metrics", s.handleMetrics)
 	s.route("POST /v1/solve", "solve", s.handleSolve)
-	s.route("POST /v1/campaign", "campaign", s.handleCampaign)
 	return s, nil
 }
 
@@ -373,17 +369,6 @@ func (s *Server) schedule(req *SolveRequest, events func(obs.Event)) (<-chan cam
 	return done, true
 }
 
-// scheduleWait is schedule's blocking variant for campaign feeders: it
-// waits for queue headroom — only half the queue, so bulk traffic
-// always leaves slots for fail-fast interactive solves — and keeps the
-// same received/rejected accounting as schedule, so /stats never
-// undercounts refusals.
-func (s *Server) scheduleWait(req *SolveRequest, deliver chan<- campaign.Record) bool {
-	accepted := s.pool.submitWait(s.job(req, nil, deliver), s.queue/2)
-	s.account(req, accepted)
-	return accepted
-}
-
 // account records one scheduling outcome, journaling the acceptance so
 // a snapshot can persist the queue's durable shadow.
 func (s *Server) account(req *SolveRequest, accepted bool) {
@@ -411,31 +396,10 @@ func (s *Server) journalHit(req *SolveRequest) (campaign.Record, bool) {
 	return s.durable.lookup(runIdentity(req))
 }
 
-// maxRequestBytes caps a request body: axis lists in a campaign spec
-// (and everything else in a v1 request) comfortably fit, while a
-// memory-exhaustion body is refused at the transport.
+// maxRequestBytes caps a request body: every field of a v1 solve
+// request comfortably fits, while a memory-exhaustion body is refused
+// at the transport.
 const maxRequestBytes = 1 << 20
-
-// maxCampaignRuns bounds the grid one /v1/campaign request may expand.
-// The campaign stream materialises its job list and result buffer up
-// front, so an unbounded spec would be a one-request OOM rather than
-// pool backpressure; bigger campaigns are sharded across requests.
-const maxCampaignRuns = 1 << 20
-
-// campaignRunBound over-approximates a spec's total runs (the full
-// axis product times replicates — pruning only shrinks it) without
-// expanding anything, in float64 so huge specs cannot overflow the
-// check they are being tested against.
-func campaignRunBound(spec *campaign.Spec) float64 {
-	f := float64(spec.Replicates)
-	for _, n := range []int{len(spec.Solvers), len(spec.Preconds), len(spec.Problems), len(spec.Ranks), len(spec.Faults)} {
-		f *= float64(n)
-	}
-	if len(spec.Noises) > 0 {
-		f *= float64(len(spec.Noises))
-	}
-	return f
-}
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
@@ -472,34 +436,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	rec := <-done
 	writeJSON(w, http.StatusOK, SolveResponse{Schema: Schema, RequestID: reqID, Record: rec})
-}
-
-func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBytes)
-	var req CampaignRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if req.Schema != Schema {
-		writeError(w, http.StatusBadRequest, "schema "+req.Schema+" is not "+Schema)
-		return
-	}
-	if err := req.Spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if bound := campaignRunBound(&req.Spec); bound > maxCampaignRuns {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("campaign expands to up to %.3g runs; this server accepts at most %d per request — shard it", bound, maxCampaignRuns))
-		return
-	}
-	shard, shards, err := campaign.ParseShard(req.Shard)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.streamCampaign(r.Context(), w, &req.Spec, shard, shards)
 }
 
 // writeJSON writes one JSON body with the given status.

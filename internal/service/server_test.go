@@ -295,47 +295,6 @@ func TestStreamedProgressSurvivesDivergence(t *testing.T) {
 	}
 }
 
-// TestCampaignEndpoint: a small spec executed server-side streams
-// records that match local engine execution record-for-record.
-func TestCampaignEndpoint(t *testing.T) {
-	_, cl, done := newTestServer(t, Options{Workers: 4, Queue: 2})
-	defer done()
-
-	spec := campaign.Spec{
-		Name: "ndjson-test", Seed: 9,
-		Solvers:    []string{campaign.SolverPCG, campaign.SolverGMRES},
-		Preconds:   []string{campaign.PrecondNone, campaign.PrecondJacobi},
-		Problems:   []string{campaign.ProblemPoisson},
-		Ranks:      []int{2},
-		Faults:     []campaign.FaultSpec{{Model: campaign.FaultNone}},
-		Noises:     []campaign.NoiseSpec{{Model: campaign.NoiseNone}, {Model: campaign.NoiseUniform, Frac: 0.1}},
-		Replicates: 2, Grid: 8, Tol: 1e-6, MaxIter: 200,
-	}
-	// The tiny queue (2) forces the feeder through submitWait
-	// backpressure: more runs than queue slots must still all complete.
-	recs, err := cl.Campaign(CampaignRequest{Schema: Schema, Spec: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[string]string)
-	for _, cell := range spec.Cells() {
-		for rep := 0; rep < spec.Replicates; rep++ {
-			rec := campaign.ExecuteRun(&spec, cell, rep, nil)
-			b, _ := json.Marshal(rec)
-			want[rec.Key] = string(b)
-		}
-	}
-	if len(recs) != len(want) {
-		t.Fatalf("streamed %d records, want %d", len(recs), len(want))
-	}
-	for _, rec := range recs {
-		b, _ := json.Marshal(rec)
-		if want[rec.Key] != string(b) {
-			t.Errorf("record %s differs from local execution:\nserved %s\nlocal  %s", rec.Key, b, want[rec.Key])
-		}
-	}
-}
-
 // TestQueueFullRejects: with the single worker wedged and the
 // one-slot queue full, a non-streaming solve is rejected with 503 and
 // counted, instead of queueing without bound.
@@ -372,112 +331,21 @@ func TestQueueFullRejects(t *testing.T) {
 	}
 }
 
-// TestCampaignRunBoundRejectsHugeSpecs: a single /v1/campaign request
-// whose grid would expand past the per-request cap is refused with 400
-// before any allocation happens — one request must not be able to OOM
-// the server past the pool's backpressure.
-func TestCampaignRunBoundRejectsHugeSpecs(t *testing.T) {
+// TestOversizedBodyRejected: a body past maxRequestBytes is refused
+// with 400 at the transport, before decoding.
+func TestOversizedBodyRejected(t *testing.T) {
 	_, cl, done := newTestServer(t, Options{Workers: 1})
 	defer done()
 
-	spec := campaign.QuickSpec()
-	spec.Replicates = 100_000_000
-	body, _ := json.Marshal(CampaignRequest{Schema: Schema, Spec: spec})
-	resp, err := http.Post(cl.Base+"/v1/campaign", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(e.Error, "shard it") {
-		t.Errorf("error %q does not point at sharding", e.Error)
-	}
-
-	// An oversized body is refused at the transport, before decoding.
 	huge := append([]byte(`{"schema":"x","pad":"`), bytes.Repeat([]byte("a"), maxRequestBytes+1024)...)
 	huge = append(huge, []byte(`"}`)...)
-	resp2, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(huge))
+	resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Errorf("oversized body: status %d, want 400", resp2.StatusCode)
-	}
-}
-
-// TestCampaignRejectsRepeatedAxisValues: a spec listing one solver twice
-// would run cells whose run keys collide and could never aggregate;
-// /v1/campaign refuses it with 400 through the spec validator.
-func TestCampaignRejectsRepeatedAxisValues(t *testing.T) {
-	_, cl, done := newTestServer(t, Options{Workers: 1})
-	defer done()
-
-	spec := campaign.QuickSpec()
-	spec.Solvers = []string{campaign.SolverGMRES, campaign.SolverGMRES}
-	body, _ := json.Marshal(CampaignRequest{Schema: Schema, Spec: spec})
-	resp, err := http.Post(cl.Base+"/v1/campaign", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var e ErrorResponse
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, "duplicate solver axis value") {
-		t.Errorf("status %d, error %q; want 400 naming the duplicate solver", resp.StatusCode, e.Error)
-	}
-}
-
-// TestSubmitWaitLeavesHeadroom: a bulk feeder using submitWait with a
-// half-queue limit never fills the queue past it, so fail-fast submit
-// (interactive solves) still finds slots while a campaign streams.
-func TestSubmitWaitLeavesHeadroom(t *testing.T) {
-	p := newPool(1, 4)
-	defer p.close()
-	block := make(chan struct{})
-	started := make(chan struct{})
-	if !p.submit(func() { close(started); <-block }) {
-		t.Fatal("could not wedge the worker")
-	}
-	<-started
-
-	// Feeder fills up to its limit (2 of 4 slots)...
-	for i := 0; i < 2; i++ {
-		ok := make(chan bool, 1)
-		go func() { ok <- p.submitWait(func() {}, 2) }()
-		select {
-		case v := <-ok:
-			if !v {
-				t.Fatal("submitWait refused with slots free")
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("submitWait %d blocked below its limit", i)
-		}
-	}
-	// ...then blocks, leaving the remaining slots to fail-fast submits.
-	blocked := make(chan bool, 1)
-	go func() { blocked <- p.submitWait(func() {}, 2) }()
-	select {
-	case <-blocked:
-		t.Fatal("submitWait exceeded its headroom limit")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if !p.submit(func() {}) {
-		t.Error("interactive submit found no slot despite the feeder's headroom limit")
-	}
-	close(block)
-	select {
-	case <-blocked:
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked feeder never released after the queue drained")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("oversized body: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -521,8 +389,8 @@ func TestCloseDrains(t *testing.T) {
 
 // TestHTTPServerBoundsHeaderReads: the server every mode serves through
 // must time out a connection that stalls before finishing its request
-// headers, and must not put a deadline on responses — campaign and SSE
-// streams run for as long as the solves do.
+// headers, and must not put a deadline on responses — SSE streams run
+// for as long as the solves do.
 func TestHTTPServerBoundsHeaderReads(t *testing.T) {
 	hs := NewHTTPServer(":0", http.NotFoundHandler())
 	if readHeaderTimeout <= 0 || hs.ReadHeaderTimeout != readHeaderTimeout {

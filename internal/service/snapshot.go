@@ -33,8 +33,6 @@ type Snapshot struct {
 	// Pending lists run identities accepted but not yet completed at
 	// snapshot time (the pool queue's durable shadow), sorted.
 	Pending []string `json:"pending,omitempty"`
-	// Campaigns maps campaign digest to its progress cursor.
-	Campaigns map[string]CampaignCursor `json:"campaigns,omitempty"`
 	// CacheIndex lists the setup-cache keys resident at snapshot time,
 	// sorted — operator-visible cache state, not replayed into the
 	// cache (setups are recomputed on demand, and Adopt re-charges the
@@ -95,7 +93,8 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 }
 
 // parseSnapshot decodes a snapshot file's bytes, refusing corrupt JSON
-// and a foreign schema.
+// and a foreign schema. Unknown keys are ignored, such as the
+// "campaigns" cursors that servers with a /v1/campaign endpoint wrote.
 func parseSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {

@@ -120,91 +120,8 @@ func (s *Server) streamRecorded(w http.ResponseWriter, reqID string, rec campaig
 	writeSSE(w, fl, reqID, "result", SolveResponse{Schema: Schema, RequestID: reqID, Record: rec})
 }
 
-// streamCampaign executes one campaign shard over the shared pool and
-// streams each completed run as one NDJSON campaign.Record line
-// (completion order — arbitrary, exactly like a local engine's JSONL),
-// followed by a CampaignSummary line. Record lines carry the
-// repro-campaign/v1 schema tag, so campaign.ReadRecords-style readers
-// can consume the stream unchanged and skip the summary. A client
-// that disconnects mid-stream stops the feeder at the next run: work
-// already queued completes, the rest is never scheduled — abandoned
-// campaigns must not monopolise the pool against live traffic.
-func (s *Server) streamCampaign(ctx context.Context, w http.ResponseWriter, spec *campaign.Spec, shard, shards int) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
-		return
-	}
-	// One expansion and one cell count shared with the local engine
-	// (Spec.ShardRuns, CountShardCells), so the served and direct paths
-	// cannot drift on shard semantics.
-	jobs := spec.ShardRuns(shard, shards)
-	cellCount := campaign.CountShardCells(jobs)
-
-	// Durable campaign cursor: the journal records the admitted
-	// campaign (digest of spec + shard) and each answered run advances
-	// it, so a restarted server reports where every in-flight campaign
-	// stopped. The request ID is the same digest under the "c-" prefix.
-	reqID := CampaignRequestID(spec, shard, shards)
-	var digest string
-	if s.durable != nil {
-		digest = campaignDigest(spec, shard, shards)
-		s.durable.campaignBegin(digest, len(jobs))
-	}
-	s.log.Info("campaign admitted", "req", reqID, "cells", cellCount,
-		"runs", len(jobs), "shard", fmt.Sprintf("%d/%d", shard, shards))
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	// A small fixed buffer: the writer loop drains continuously, so a
-	// worker briefly blocking on delivery is harmless, and the request
-	// never reserves memory proportional to the grid.
-	results := make(chan campaign.Record, s.workers)
-	// Feed through scheduleWait so a big grid trickles through the
-	// shared bounded pool with headroom left for interactive solves;
-	// runs refused because the server started draining become
-	// harness-error records, keeping the stream complete. Runs the
-	// journal already holds are delivered straight from it — a resumed
-	// campaign re-executes only what the crash left unrecorded.
-	go func() {
-		for _, j := range jobs {
-			if ctx.Err() != nil {
-				results <- errorRecord(spec, j.Cell, j.Rep, "service: client disconnected, run not executed", true)
-				continue
-			}
-			req := NewSolveRequest(spec, j.Cell, j.Rep)
-			if rec, ok := s.journalHit(&req); ok {
-				results <- rec
-				continue
-			}
-			if !s.scheduleWait(&req, results) {
-				results <- errorRecord(spec, j.Cell, j.Rep, "service: server draining, run not executed", true)
-			}
-		}
-	}()
-
-	enc := json.NewEncoder(w)
-	summary := CampaignSummary{Schema: SummarySchema, RequestID: reqID, Cells: cellCount, Runs: len(jobs)}
-	for i := 0; i < len(jobs); i++ {
-		rec := <-results
-		if rec.Err != "" {
-			summary.Errored++
-		}
-		if s.durable != nil {
-			s.durable.campaignTick(digest)
-		}
-		enc.Encode(rec)
-		fl.Flush()
-	}
-	enc.Encode(summary)
-	fl.Flush()
-	s.log.Info("campaign finished", "req", reqID, "runs", len(jobs), "errored", summary.Errored)
-}
-
 // errorRecord is the harness-error record for a run that could not
-// execute (pool draining, transport failure, abandoned request). It
+// execute (a rejection, or transport failures past Exec's retries). It
 // carries the identity fields a real record would — via the one
 // constructor campaign itself uses — so aggregation sees an errored
 // replicate rather than a missing one. transient marks retryable
@@ -219,9 +136,9 @@ func errorRecord(spec *campaign.Spec, cell campaign.Cell, rep int, msg string, t
 }
 
 // NewSolveRequest builds the repro-solve/v1 request for one (cell,
-// replicate) of a campaign spec — the bridge both the remote-execution
-// client and the server-side campaign endpoint go through, so the two
-// paths cannot drift.
+// replicate) of a campaign spec — the bridge from the campaign engine's
+// cells to the wire, used by Client.Exec and the kill-and-replay
+// harness alike.
 func NewSolveRequest(spec *campaign.Spec, cell campaign.Cell, rep int) SolveRequest {
 	return SolveRequest{
 		Schema: Schema, Solver: cell.Solver, Precond: cell.Precond,
