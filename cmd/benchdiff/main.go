@@ -18,8 +18,10 @@
 //	    instantiates one claim of Heroux, "Toward Resilient Algorithms
 //	    and Applications" (HPDC 2013); the registry is documented in
 //	    docs/BENCHMARKING.md. -exp takes a comma-separated list, 'fast'
-//	    (the default: everything except the scaling sweeps) or 'all'
-//	    (minutes); `benchdiff tables -list` shows the index.
+//	    (the default: everything except the scaling sweeps, and the
+//	    set that completes) or 'all' (does not finish on an 8 GB box:
+//	    T2's full-scale sweep is OOM-killed, see ROADMAP item 17
+//	    step 4); `benchdiff tables -list` shows the index.
 //
 // Quick mode (-quick) trims the scaling sweeps to their smallest scales
 // and shortens kernel timing; CI runs it on every push against the

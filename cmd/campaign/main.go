@@ -1,10 +1,12 @@
 // Command campaign runs a fault-campaign sweep and gates its claims:
 // it expands a scenario spec into its solver × preconditioner ×
 // problem × ranks × fault-model grid, executes every replicate on a
-// worker pool, streams results to a crash-safe JSONL file, folds them
-// into the canonical CAMPAIGN_<label>.json aggregate, and — with the
-// compare and report modes — regression-gates an aggregate against a
-// committed baseline and renders the paper's cross-cell comparisons.
+// worker pool (locally, or with -server as repro-solve/v1 requests to
+// a running solverd), streams results to a crash-safe JSONL file,
+// folds them into the canonical CAMPAIGN_<label>.json aggregate, and
+// — with the compare and report modes — regression-gates an aggregate
+// against a committed baseline and renders the paper's cross-cell
+// comparisons.
 // Run `campaign -h` for the full flag set — a test pins every usage
 // snippet in this comment, the README and docs/CAMPAIGNS.md against
 // the flags the program actually parses.
@@ -16,6 +18,7 @@
 //	campaign -cells -spec quick                                      # list the grid
 //	campaign -spec quick -shard 0/2 -runs shard0.jsonl -no-agg       # CI fan-out, half 1
 //	campaign -spec quick -shard 1/2 -runs shard1.jsonl -no-agg       # CI fan-out, half 2
+//	campaign -server http://localhost:8077 -spec quick -label dev    # run through a solve service
 //	campaign -aggregate-only -spec quick -label ci shard0.jsonl shard1.jsonl
 //	campaign -spec quick -label dev -trace traces -trace-chrome      # per-run event timelines
 //	campaign -spec quick -label dev -trace traces -trace-ranks all   # keep every rank's spans (imbalance / critical path)
@@ -36,6 +39,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/comm"
+	"repro/internal/service"
 )
 
 // options carries every run-mode flag; newFlags is the single source
@@ -49,6 +53,7 @@ type options struct {
 	out     string
 	resume  bool
 	workers int
+	server  string
 	cells   bool
 	aggOnly bool
 	noAgg   bool
@@ -72,7 +77,8 @@ func newFlags() (*flag.FlagSet, *options) {
 	fs.StringVar(&o.runs, "runs", "", "JSONL run-record path (default campaign_<label>.jsonl)")
 	fs.StringVar(&o.out, "out", "", "aggregate output path (default CAMPAIGN_<label>.json)")
 	fs.BoolVar(&o.resume, "resume", false, "keep existing records in -runs and execute only missing runs")
-	fs.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "worker pool size, or concurrent requests with -server (0 = GOMAXPROCS)")
+	fs.StringVar(&o.server, "server", "", "execute every run on the solverd at this base URL (e.g. http://localhost:8077) instead of locally; excludes -trace")
 	fs.BoolVar(&o.cells, "cells", false, "list the spec's runnable grid cells and exit")
 	fs.BoolVar(&o.aggOnly, "aggregate-only", false, "skip running; aggregate the JSONL files given as arguments")
 	fs.BoolVar(&o.noAgg, "no-agg", false, "skip aggregation after the run (sharded CI jobs)")
@@ -287,12 +293,24 @@ func run(fs *flag.FlagSet, o *options) error {
 	if runsPath == "" {
 		runsPath = "campaign_" + o.label + ".jsonl"
 	}
-	led := &comm.Ledger{}
 	opts := campaign.Options{
 		Spec: spec, Shard: shard, Shards: shards, Workers: o.workers,
-		Out: runsPath, Resume: o.resume, Ledger: led,
+		Out: runsPath, Resume: o.resume,
 		TraceDir: o.trace, TraceChrome: o.chrome,
 		TraceRanks: o.tranks, TraceSample: o.tsample,
+	}
+	// A served run simulates in the server's process, so the local
+	// ledger would count nothing: -server reports the server's caches
+	// instead.
+	var cl *service.Client
+	if o.server != "" {
+		cl = &service.Client{Base: o.server}
+		if err := cl.Healthz(); err != nil {
+			return fmt.Errorf("server %s is not healthy: %w", o.server, err)
+		}
+		opts.Exec = cl.Exec
+	} else {
+		opts.Ledger = &comm.Ledger{}
 	}
 	if !o.quiet {
 		opts.Progress = os.Stderr
@@ -301,11 +319,17 @@ func run(fs *flag.FlagSet, o *options) error {
 	if err != nil {
 		return err
 	}
-	snap := led.Snapshot()
 	fmt.Printf("shard %d/%d: %d cells, %d runs (%d resumed, %d executed, %d errored) -> %s\n",
 		shard, shards, st.Cells, st.Planned, st.Resumed, st.Executed, st.Errored, runsPath)
-	fmt.Printf("simulated: %d worlds, %d rank executions, %.3g virtual rank-seconds\n",
-		snap.Worlds, snap.Ranks, snap.RankSeconds)
+	if cl == nil {
+		snap := opts.Ledger.Snapshot()
+		fmt.Printf("simulated: %d worlds, %d rank executions, %.3g virtual rank-seconds\n",
+			snap.Worlds, snap.Ranks, snap.RankSeconds)
+	} else if stats, err := cl.Stats(); err == nil {
+		fmt.Printf("server %s: %d completed, setup cache %d hits / %d misses, problem cache %d hits / %d misses\n",
+			o.server, stats.Completed, stats.Cache.SetupHits, stats.Cache.SetupMisses,
+			stats.Cache.ProblemHits, stats.Cache.ProblemMisses)
+	}
 	if o.trace != "" {
 		fmt.Printf("traced %d runs -> %s\n", st.Traced, o.trace)
 	}

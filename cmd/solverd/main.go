@@ -1,9 +1,9 @@
-// Command solverd runs the repro-solve/v1 service and its clients: a
-// long-running HTTP server that schedules solve requests on a bounded
-// worker pool with cross-request setup caching (serve), a campaign
-// submitter that uses the engine as a load generator against a running
-// server (submit), and a self-contained end-to-end check that
-// byte-diffs served against direct execution (smoke). Run
+// Command solverd runs the repro-solve/v1 service: a long-running HTTP
+// server that schedules solve requests on a bounded worker pool with
+// cross-request setup caching (serve), and a self-contained end-to-end
+// check that byte-diffs served against direct execution (smoke). A
+// whole campaign runs through a live server with `campaign -server
+// URL`, the campaign engine posting each run as one solve. Run
 // `solverd <mode> -h` for each flag set — a test pins every usage
 // snippet in this comment, the README and docs/SERVICE.md against the
 // flags the program actually parses.
@@ -17,8 +17,6 @@
 //	solverd serve -addr :8077 -journal-dir journal -journal-fsync off  # durable: journal + snapshots + hot resume
 //	solverd serve -addr :8077 -journal-dir journal -snapshot-every 128 -cache-max-entries 512
 //	solverd serve -addr :8077 -log-level debug                         # structured key=value logs on stderr
-//	solverd submit -addr http://localhost:8077 -spec quick -label dev  # campaign through the service
-//	solverd submit -addr http://localhost:8077 -spec quick -shard 0/2 -runs shard0.jsonl -no-agg
 //	solverd smoke -spec quick -label ci                                # in-process served-vs-direct diff
 //	solverd smoke -spec quick -label kr -outdir out -journal-dir out/journal -kill-at run:40,stream:3,journal:80
 //
@@ -65,8 +63,6 @@ func main() {
 	switch os.Args[1] {
 	case "serve":
 		err = runServe(os.Args[2:])
-	case "submit":
-		err = runSubmit(os.Args[2:])
 	case "smoke":
 		err = runSmoke(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -90,8 +86,7 @@ func usage(w *os.File) {
 	fmt.Fprintf(w, "usage: solverd <mode> [flags]\n\n")
 	fmt.Fprintf(w, "modes:\n")
 	fmt.Fprintf(w, "  serve    run the solve service (HTTP, repro-solve/v1)\n")
-	fmt.Fprintf(w, "  submit   run a campaign against a live server (engine as load generator)\n")
-	fmt.Fprintf(w, "  smoke    start an in-process server, submit a campaign, byte-diff vs direct\n")
+	fmt.Fprintf(w, "  smoke    start an in-process server, run a campaign through it, byte-diff vs direct\n")
 }
 
 // serveOptions carries the serve-mode flags.
@@ -258,99 +253,6 @@ func runServe(args []string) error {
 	return nil
 }
 
-// submitOptions carries the submit-mode flags.
-type submitOptions struct {
-	addr    string
-	spec    string
-	label   string
-	seed    uint64
-	shard   string
-	runs    string
-	resume  bool
-	workers int
-	noAgg   bool
-	quiet   bool
-}
-
-// newSubmitFlags builds the submit flag set (see newServeFlags).
-func newSubmitFlags() (*flag.FlagSet, *submitOptions) {
-	o := &submitOptions{}
-	fs := flag.NewFlagSet("solverd submit", flag.ContinueOnError)
-	fs.StringVar(&o.addr, "addr", "http://localhost:8077", "server base URL")
-	fs.StringVar(&o.spec, "spec", "quick", "campaign spec: quick, full, or a JSON file path")
-	fs.StringVar(&o.label, "label", "dev", "label; names the default output files")
-	fs.Uint64Var(&o.seed, "seed", 0, "override the spec's campaign seed (0 keeps it)")
-	fs.StringVar(&o.shard, "shard", "0/1", "submit only cells with index%n == k, as k/n")
-	fs.StringVar(&o.runs, "runs", "", "JSONL run-record path (default campaign_<label>.jsonl)")
-	fs.BoolVar(&o.resume, "resume", false, "keep existing records in -runs and submit only missing runs")
-	fs.IntVar(&o.workers, "workers", 0, "concurrent in-flight requests (0 = GOMAXPROCS)")
-	fs.BoolVar(&o.noAgg, "no-agg", false, "skip aggregation after the run (sharded jobs)")
-	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress lines")
-	return fs, o
-}
-
-func runSubmit(args []string) error {
-	fs, o := newSubmitFlags()
-	fs.SetOutput(os.Stderr)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	spec, err := campaign.LoadSpec(o.spec)
-	if err != nil {
-		return err
-	}
-	if o.seed != 0 {
-		spec.Seed = o.seed
-	}
-	shard, shards, err := campaign.ParseShard(o.shard)
-	if err != nil {
-		return err
-	}
-	cl := &service.Client{Base: o.addr}
-	if err := cl.Healthz(); err != nil {
-		return fmt.Errorf("server %s is not healthy: %w", o.addr, err)
-	}
-	runsPath := o.runs
-	if runsPath == "" {
-		runsPath = "campaign_" + o.label + ".jsonl"
-	}
-	opts := campaign.Options{
-		Spec: spec, Shard: shard, Shards: shards, Workers: o.workers,
-		Out: runsPath, Resume: o.resume, Exec: cl.Exec,
-	}
-	if !o.quiet {
-		opts.Progress = os.Stderr
-	}
-	st, err := campaign.Run(opts)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("shard %d/%d via %s: %d cells, %d runs (%d resumed, %d executed, %d errored) -> %s\n",
-		shard, shards, o.addr, st.Cells, st.Planned, st.Resumed, st.Executed, st.Errored, runsPath)
-	if stats, err := cl.Stats(); err == nil {
-		fmt.Printf("server: %d completed, setup cache %d hits / %d misses, problem cache %d hits / %d misses\n",
-			stats.Completed, stats.Cache.SetupHits, stats.Cache.SetupMisses,
-			stats.Cache.ProblemHits, stats.Cache.ProblemMisses)
-	}
-	if o.noAgg {
-		return nil
-	}
-	if shards != 1 {
-		return fmt.Errorf("a single shard is incomplete; aggregate all shards with campaign -aggregate-only (or pass -no-agg)")
-	}
-	agg, err := campaign.AggregateFiles(spec, o.label, runsPath)
-	if err != nil {
-		return err
-	}
-	aggPath := "CAMPAIGN_" + o.label + ".json"
-	if err := campaign.WriteAggregate(agg, aggPath); err != nil {
-		return err
-	}
-	fmt.Printf("aggregated %d runs (%d successes) over %d cells -> %s\n",
-		agg.Runs, agg.Successes, len(agg.Cells), aggPath)
-	return nil
-}
-
 // smokeOptions carries the smoke-mode flags.
 type smokeOptions struct {
 	spec       string
@@ -368,7 +270,7 @@ func newSmokeFlags() (*flag.FlagSet, *smokeOptions) {
 	fs.StringVar(&o.spec, "spec", "quick", "campaign spec: quick, full, or a JSON file path")
 	fs.StringVar(&o.label, "label", "smoke", "label; names the output aggregates")
 	fs.StringVar(&o.outdir, "outdir", "", "directory for the JSONL and aggregate outputs (default cwd; created if missing)")
-	fs.IntVar(&o.workers, "workers", 0, "pool size and submit concurrency (0 = GOMAXPROCS)")
+	fs.IntVar(&o.workers, "workers", 0, "pool size and client concurrency (0 = GOMAXPROCS)")
 	fs.StringVar(&o.killAt, "kill-at", "", "kill-and-replay mode: comma-separated crash points (run:N = die after the Nth journaled run, journal:N = tear the Nth run append mid-line, stream:N = die once the clients have received N answers, journal hits included), each crashing and restarting the server before a final resumed pass is byte-diffed against direct execution")
 	fs.StringVar(&o.journalDir, "journal-dir", "", "journal directory for -kill-at (default <outdir>/journal-<label>)")
 	return fs, o

@@ -14,13 +14,12 @@ import (
 // command's doc comment, the README and docs/SERVICE.md against the
 // real per-mode flag sets, so the usage text cannot drift from the
 // flags main parses. Snippets are matched by mode name ("serve",
-// "submit", "smoke") because usagecheck keys on the token immediately
-// before the first flag.
+// "smoke") because usagecheck keys on the token immediately before the
+// first flag.
 func TestDocumentedInvocationsParse(t *testing.T) {
 	modes := map[string]func() *flag.FlagSet{
-		"serve":  func() *flag.FlagSet { fs, _ := newServeFlags(); return fs },
-		"submit": func() *flag.FlagSet { fs, _ := newSubmitFlags(); return fs },
-		"smoke":  func() *flag.FlagSet { fs, _ := newSmokeFlags(); return fs },
+		"serve": func() *flag.FlagSet { fs, _ := newServeFlags(); return fs },
+		"smoke": func() *flag.FlagSet { fs, _ := newSmokeFlags(); return fs },
 	}
 	sources := []string{"main.go", "../../README.md", "../../docs/SERVICE.md", "../../docs/ARCHITECTURE.md", "../../docs/OBSERVABILITY.md"}
 	seen := 0
@@ -56,13 +55,6 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 	if so.journalDir != "" || so.journalFsync != "always" || so.snapshotEvery != 256 || so.cacheMax != 0 {
 		t.Errorf("serve durability defaults drifted: %+v", so)
-	}
-	ufs, uo := newSubmitFlags()
-	if err := ufs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if uo.addr != "http://localhost:8077" || uo.spec != "quick" || uo.label != "dev" || uo.shard != "0/1" || uo.resume || uo.noAgg {
-		t.Errorf("submit defaults drifted: %+v", uo)
 	}
 	kfs, ko := newSmokeFlags()
 	if err := kfs.Parse(nil); err != nil {

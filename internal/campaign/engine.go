@@ -51,8 +51,8 @@ type Options struct {
 	// shards and worker counts. Requires TraceDir.
 	TraceSample string
 	// Exec, when non-nil, replaces local ExecuteRun for every run —
-	// the remote-execution hook: cmd/solverd's submit mode sets it to
-	// POST each run to a solve service, turning this engine into a
+	// the remote-execution hook: `campaign -server` sets it to POST
+	// each run to a solve service, turning this engine into a
 	// distributed load generator whose JSONL and aggregate outputs
 	// stay byte-identical to local execution (runs are deterministic
 	// functions of (spec, cell, rep), wherever they execute). The

@@ -88,15 +88,15 @@ const (
 	execBackoffCap = 5 * time.Second
 )
 
-// Exec is the campaign.Options.Exec adapter: it ships one (cell,
-// replicate) to the server and returns the record — byte-identical to
-// local execution when the transport succeeds. Transient failures (the
-// server's 503 backpressure, connection errors during a restart) are
-// retried with exponential backoff: a load generator outrunning the
-// bounded pool must back off, not record permanent harness errors that
-// a -resume would then skip forever. Only a permanent rejection or an
-// exhausted retry budget produces a harness-error record (aggregation
-// counts it under Errors).
+// Exec is the campaign.Options.Exec adapter `campaign -server` installs:
+// it ships one (cell, replicate) to the server and returns the record —
+// byte-identical to local execution when the transport succeeds.
+// Transient failures (the server's 503 backpressure, connection errors
+// during a restart) are retried with exponential backoff: a load
+// generator outrunning the bounded pool must back off, not record
+// permanent harness errors that a -resume would then skip forever. Only
+// a permanent rejection or an exhausted retry budget produces a
+// harness-error record (aggregation counts it under Errors).
 func (cl *Client) Exec(spec *campaign.Spec, cell campaign.Cell, rep int) campaign.Record {
 	req := NewSolveRequest(spec, cell, rep)
 	var err error

@@ -4,8 +4,8 @@
 // caches the expensive setup work — problem assembly and
 // preconditioner factorisation — across requests. A whole campaign
 // goes through the service as the campaign engine posting each run
-// (Client.Exec as campaign.Options.Exec), which is what `solverd
-// submit`, Smoke and KillReplay all do.
+// (Client.Exec as campaign.Options.Exec), which is what
+// `campaign -server`, Smoke and KillReplay all do.
 //
 // This is the ROADMAP's "heavy traffic" north-star made concrete: the
 // same resilient solver stack that internal/campaign sweeps offline is

@@ -15,7 +15,7 @@ import (
 	"repro/internal/precond"
 )
 
-// runCampaign drives spec through the server the way `solverd submit`
+// runCampaign drives spec through the server the way `campaign -server`
 // does — the campaign engine with Exec over /v1/solve — and reads back
 // the records it wrote.
 func runCampaign(t *testing.T, cl *Client, spec campaign.Spec) ([]campaign.Record, error) {

@@ -418,7 +418,7 @@ type KillReplayResult struct {
 // the campaign directly (the oracle), crash a durable server at each
 // kill point in turn over the shared journal directory, then restart
 // and run the full campaign to completion through the engine, as
-// `solverd submit` does. The resumed records and aggregate must be
+// `campaign -server` does. The resumed records and aggregate must be
 // byte-identical to direct execution, every journaled run served as a
 // journal hit, no recorded run re-executed, and a further restart must
 // execute nothing at all. Outputs land in outdir, named by label.
