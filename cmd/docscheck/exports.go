@@ -6,9 +6,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -34,10 +36,11 @@ var exportAllowlist = map[string]string{
 // topDecl is one top-level declaration: the keys of the names it
 // declares and the parts of it that may mention other names.
 type topDecl struct {
-	keys  []string // "pkg.Name" or "pkg.Type.Method"
-	names []string
-	pos   string
-	parts []ast.Node
+	keys    []string // "pkg.Name" or "pkg.Type.Method"
+	names   []string
+	pos     string
+	parts   []ast.Node
+	foreign map[string]bool // the file's names for packages outside internal/
 }
 
 // checkUnusedExports reports every exported top-level function, method
@@ -45,8 +48,10 @@ type topDecl struct {
 // non-test file under root/internal that no non-test file under root
 // mentions outside its own declaration, unless allow lists it; and
 // every allow entry that is stale. The scan is by name, so a mention of
-// Apply anywhere keeps every method named Apply. A method's receiver
-// does not mention its type. What an allowlisted declaration mentions is
+// Apply anywhere keeps every method named Apply — except a name
+// qualified by a package that is no internal/ package (bytes.Contains
+// keeps no method named Contains). A method's receiver does not
+// mention its type. What an allowlisted declaration mentions is
 // kept (NewHeatGrid keeps HeatGrid), but such a mention is no production
 // caller: it cannot make another allowlist entry stale.
 func checkUnusedExports(root string, allow map[string]string) ([]string, error) {
@@ -72,6 +77,7 @@ func checkUnusedExports(root string, allow map[string]string) ([]string, error) 
 		rel, _ := filepath.Rel(root, path)
 		rel = filepath.ToSlash(rel)
 		pkg := filepath.Base(filepath.Dir(rel))
+		foreign := foreignImports(f)
 		for _, dc := range f.Decls {
 			switch d := dc.(type) {
 			case *ast.FuncDecl:
@@ -80,7 +86,7 @@ func checkUnusedExports(root string, allow map[string]string) ([]string, error) 
 					key = pkg + "." + recv + "." + d.Name.Name
 				}
 				td := topDecl{keys: []string{key}, names: []string{d.Name.Name},
-					pos: position(fset, rel, d.Name), parts: []ast.Node{d.Type}}
+					pos: position(fset, rel, d.Name), parts: []ast.Node{d.Type}, foreign: foreign}
 				if d.Body != nil {
 					td.parts = append(td.parts, d.Body)
 				}
@@ -90,13 +96,13 @@ func checkUnusedExports(root string, allow map[string]string) ([]string, error) 
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						td := topDecl{keys: []string{pkg + "." + s.Name.Name}, names: []string{s.Name.Name},
-							pos: position(fset, rel, s.Name), parts: []ast.Node{s.Type}}
+							pos: position(fset, rel, s.Name), parts: []ast.Node{s.Type}, foreign: foreign}
 						if s.TypeParams != nil {
 							td.parts = append(td.parts, s.TypeParams)
 						}
 						decls = append(decls, td)
 					case *ast.ValueSpec:
-						td := topDecl{pos: position(fset, rel, s.Names[0])}
+						td := topDecl{pos: position(fset, rel, s.Names[0]), foreign: foreign}
 						if s.Type != nil {
 							td.parts = append(td.parts, s.Type)
 						}
@@ -138,8 +144,15 @@ func checkUnusedExports(root string, allow map[string]string) ([]string, error) 
 		}
 		for _, part := range d.parts {
 			ast.Inspect(part, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !slices.Contains(d.names, id.Name) {
-					mentioned[id.Name] = true
+				switch x := n.(type) {
+				case *ast.SelectorExpr:
+					if pkg, ok := x.X.(*ast.Ident); ok && d.foreign[pkg.Name] {
+						return false
+					}
+				case *ast.Ident:
+					if !slices.Contains(d.names, x.Name) {
+						mentioned[x.Name] = true
+					}
 				}
 				return true
 			})
@@ -162,6 +175,28 @@ func checkUnusedExports(root string, allow map[string]string) ([]string, error) 
 	}
 	sort.Strings(problems)
 	return problems, nil
+}
+
+// foreignImports returns the names f imports packages under, except
+// internal/ packages: only those can declare a candidate, and Go lets a
+// module import no internal/ package but its own.
+func foreignImports(f *ast.File) map[string]bool {
+	names := map[string]bool{}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		if slices.Contains(strings.Split(p, "/"), "internal") {
+			continue
+		}
+		if v := path.Base(p); len(v) > 1 && v[0] == 'v' && strings.Trim(v[1:], "0123456789") == "" {
+			p = path.Dir(p) // math/rand/v2 is package rand
+		}
+		name := path.Base(p)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		names[name] = true
+	}
+	return names
 }
 
 // recvName returns the base type name of a method's receiver, or "" for

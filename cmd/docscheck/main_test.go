@@ -97,7 +97,8 @@ type Bare struct{}
 
 // TestUnusedExportIsCaught exercises the unused-export checker on a
 // synthetic module: an export only a test calls is flagged, and so is a
-// type whose one mention is its method's receiver; an allowlisted
+// type whose one mention is its method's receiver, and a function whose
+// name is mentioned only as a standard-library function's; an allowlisted
 // export passes, keeps what it mentions, and makes no other entry
 // stale; an entry for a name that is gone or has a production caller is
 // flagged as stale.
@@ -126,9 +127,21 @@ type Orphan struct{}
 
 // Used shares its name with the function main calls.
 func (Orphan) Used() {}
+
+// Contains shares its name with the strings function main calls.
+func Contains() {}
 `,
 		"internal/p/p_test.go": "package p\n\nfunc use() { TestOnly(); Kept() }\n",
-		"cmd/x/main.go":        "package main\n\nimport \"m/internal/p\"\n\nfunc main() { p.Used() }\n",
+		"cmd/x/main.go": `package main
+
+import (
+	"strings"
+
+	"m/internal/p"
+)
+
+func main() { p.Used(); _ = strings.Contains("ab", "b") }
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
@@ -148,6 +161,7 @@ func (Orphan) Used() {}
 	want := []string{
 		"cmd/docscheck: allowlisted p.Gone is not declared",
 		"internal/p/p.go:19: exported p.Orphan has no production caller",
+		"internal/p/p.go:25: exported p.Contains has no production caller",
 		"internal/p/p.go:4: allowlisted p.Used has a production caller",
 		"internal/p/p.go:7: exported p.TestOnly has no production caller",
 	}

@@ -198,8 +198,7 @@ func runServe(args []string) error {
 	if o.journalDir != "" {
 		if stats := srv.Stats(); stats.Journal != nil {
 			logger.Info("journal restored", "dir", o.journalDir,
-				"records", stats.Journal.Records, "pending", stats.Journal.Pending,
-				"sealed_tail", stats.Journal.SealedTail)
+				"records", stats.Journal.Records, "sealed_tail", stats.Journal.SealedTail)
 		}
 	}
 	handler := http.Handler(srv.Handler())

@@ -176,18 +176,6 @@ func (t *Tally) Flush() {
 	}
 }
 
-// Count returns the total number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the sum of all observed values (0 on nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {

@@ -2,8 +2,6 @@ package service
 
 import (
 	"container/list"
-	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/campaign"
@@ -145,29 +143,6 @@ func (c *Cache) Store(k campaign.SetupKey, rank int, a *precond.Artifact) {
 	}
 	c.setups[ek] = c.lru.PushFront(&setupEntry{key: ek, a: a})
 	c.evictLocked()
-}
-
-// Contains reports whether the key's artifact is resident, without
-// touching counters or LRU order (test and snapshot introspection).
-func (c *Cache) Contains(k campaign.SetupKey, rank int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.setups[setupEntryKey{SetupKey: k, rank: rank}]
-	return ok
-}
-
-// Index returns the resident setup keys as sorted "key#rank" strings —
-// the snapshot's operator-visible cache inventory. It does not touch
-// counters or LRU order.
-func (c *Cache) Index() []string {
-	c.mu.Lock()
-	keys := make([]string, 0, len(c.setups))
-	for ek := range c.setups {
-		keys = append(keys, fmt.Sprintf("%s/g%d/p%d/%s#%d", ek.Problem, ek.Grid, ek.Ranks, ek.Precond, ek.rank))
-	}
-	c.mu.Unlock()
-	sort.Strings(keys)
-	return keys
 }
 
 // Stats returns a copy of the counters, with SetupEntries sampled.

@@ -89,7 +89,6 @@ func FuzzReadSnapshot(f *testing.F) {
 	good, err := json.Marshal(&Snapshot{
 		Schema:  SnapshotSchema,
 		Records: map[string]campaign.Record{"gmres/none/poisson/p2/none/r0|0000000000000001|g12|t1e-08|i200|r3": {Schema: campaign.RunSchema, Key: "gmres/none/poisson/p2/none/r0", Converged: true, Iters: 7}},
-		Pending: []string{"a", "b"},
 	})
 	if err != nil {
 		f.Fatal(err)
@@ -98,8 +97,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":null}`))
 	f.Add([]byte(`{"schema":"repro-snapshot/v0"}`))
 	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{"k":{"iters":-1}}`))
-	// Older servers also wrote per-campaign cursors; the key is ignored.
+	// Older servers also wrote per-campaign cursors, pending run
+	// identities and the setup-cache index; the keys are ignored.
 	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{},"campaigns":{"0123456789abcdef":{"runs":16,"done":3}}}`))
+	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{},"pending":["a","b"],"cache_index":["poisson/g12/p2/jacobi#0"]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := parseSnapshot(data)
 		if err != nil {

@@ -1,12 +1,11 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,24 +22,25 @@ const JournalSchema = "repro-journal/v1"
 // journal directory (next to snapshotFile).
 const journalFile = "journal.jsonl"
 
-// JournalEntry is one line of the repro-journal/v1 stream. Two kinds
-// record the server's durable history — "accept" (a run was scheduled)
-// and "run" (a run completed, Record carried inline) — and "seal" marks
-// the spot where a reopening writer sealed a torn trailing line left by
-// a crash, so a reader can tell a sealed tear from mid-file corruption.
-// Journals written by servers that had a /v1/campaign endpoint also
-// hold "campaign" lines; readers accept and ignore them.
+// JournalEntry is one line of the repro-journal/v1 stream. A "run"
+// line records one completed run, Record carried inline — the only
+// history a restart reads back — and "seal" marks the spot where a
+// reopening writer sealed a torn trailing line left by a crash, so a
+// reader can tell a sealed tear from mid-file corruption. Journals
+// written by older servers also hold "accept" lines (a run was
+// scheduled) and "campaign" lines; readers accept and ignore them.
 type JournalEntry struct {
 	// Schema is "repro-journal/v1".
 	Schema string `json:"schema"`
-	// Kind is "accept", "run" or "seal" ("campaign" in older journals).
+	// Kind is "run" or "seal" ("accept" or "campaign" in older
+	// journals).
 	Kind string `json:"kind"`
-	// ID is the run identity (accept/run): the run key, derived seed
-	// and solve parameters that make two requests the same run.
+	// ID is the run identity: the run key, derived seed and solve
+	// parameters that make two requests the same run.
 	ID string `json:"id,omitempty"`
-	// Req is the request correlation ID (accept/run) — the same
-	// RequestID the SSE frames, trace files and log lines carry, so a
-	// journal line joins against every other signal of its run.
+	// Req is the request correlation ID — the same RequestID the SSE
+	// frames, trace files and log lines carry, so a journal line joins
+	// against every other signal of its run.
 	Req string `json:"req,omitempty"`
 	// Record is the completed run's result (kind "run").
 	Record *campaign.Record `json:"record,omitempty"`
@@ -181,15 +181,11 @@ func parseJournalLine(line []byte) (JournalEntry, error) {
 		return e, fmt.Errorf("foreign schema %q (want %q)", e.Schema, JournalSchema)
 	}
 	switch e.Kind {
-	case "accept":
-		if e.ID == "" {
-			return e, fmt.Errorf("accept entry missing id")
-		}
 	case "run":
 		if e.ID == "" || e.Record == nil {
 			return e, fmt.Errorf("run entry missing id or record")
 		}
-	case "seal", "campaign":
+	case "seal", "accept", "campaign":
 	default:
 		return e, fmt.Errorf("unknown kind %q", e.Kind)
 	}
@@ -214,9 +210,6 @@ type JournalStats struct {
 	// Records counts run identities with a journaled result — the runs
 	// a restarted server serves without re-executing.
 	Records int64 `json:"records"`
-	// Pending counts runs accepted but not yet recorded — the pool
-	// queue a snapshot persists and a restart reports as unfinished.
-	Pending int64 `json:"pending"`
 	// Hits counts requests answered from the journal instead of
 	// executing.
 	Hits int64 `json:"hits"`
@@ -225,16 +218,14 @@ type JournalStats struct {
 	// restart — data loss worth alerting on, never a failed request).
 	Appends      int64 `json:"appends"`
 	AppendErrors int64 `json:"append_errors"`
-	// Snapshots counts state snapshots written.
+	// Snapshots counts state snapshots written, each of which rotates
+	// (truncates) the journal it captured.
 	Snapshots int64 `json:"snapshots"`
 	// Bytes is the journal's current size: bytes appended since the
-	// last rotation. Together with Rotations it is the compaction
+	// last rotation. Together with Snapshots it is the compaction
 	// signal — a journal that only ever grows is one that never
 	// snapshots.
 	Bytes int64 `json:"bytes"`
-	// Rotations counts journal truncations (one per snapshot that
-	// sealed the journal it captured).
-	Rotations int64 `json:"rotations"`
 	// SnapshotBytes is the size of the last snapshot written this
 	// process lifetime (0 before the first).
 	SnapshotBytes int64 `json:"snapshot_bytes"`
@@ -244,35 +235,29 @@ type JournalStats struct {
 }
 
 // durable is the server's durability state: the journal sink, the
-// identity-indexed record of every completed run, the pending (accepted
-// but unfinished) set, and the snapshot machinery.
-// All methods are safe for concurrent use.
+// identity-indexed record of every completed run, and the snapshot
+// machinery. All methods are safe for concurrent use.
 type durable struct {
 	mu            sync.Mutex
 	sink          JournalSink
 	dir           string
 	snapshotEvery int
 	records       map[string]campaign.Record
-	pending       map[string]bool
 	sinceSnap     int
 	sealedTail    bool
-	cacheIndex    func() []string
 
-	hits, appends, appendErrors, snapshots atomic.Int64
-	bytes, rotations, snapshotBytes        atomic.Int64
+	hits, appends, appendErrors, snapshots, bytes, snapshotBytes atomic.Int64
 }
 
 // newDurable restores state from dir (snapshot first, then journal
 // replay — the union is idempotent because rotation only truncates
 // after a snapshot has captured everything) and opens the sink. sink
 // nil uses the production file sink.
-func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cacheIndex func() []string) (*durable, error) {
+func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink) (*durable, error) {
 	d := &durable{
 		dir:           dir,
 		snapshotEvery: snapshotEvery,
 		records:       make(map[string]campaign.Record),
-		pending:       make(map[string]bool),
-		cacheIndex:    cacheIndex,
 	}
 	if d.snapshotEvery <= 0 {
 		d.snapshotEvery = 256
@@ -282,12 +267,7 @@ func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cac
 		return nil, err
 	}
 	if snap != nil {
-		for id, rec := range snap.Records {
-			d.records[id] = rec
-		}
-		for _, id := range snap.Pending {
-			d.pending[id] = true
-		}
+		maps.Copy(d.records, snap.Records)
 	}
 	jr, err := ReadJournal(dir)
 	if err != nil {
@@ -295,14 +275,8 @@ func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink, cac
 	}
 	d.sealedTail = jr.TornOffset >= 0
 	for _, e := range jr.Entries {
-		switch e.Kind {
-		case "accept":
-			if _, done := d.records[e.ID]; !done {
-				d.pending[e.ID] = true
-			}
-		case "run":
+		if e.Kind == "run" {
 			d.records[e.ID] = *e.Record
-			delete(d.pending, e.ID)
 		}
 	}
 	if sink == nil {
@@ -356,14 +330,6 @@ func (d *durable) lookup(id string) (campaign.Record, bool) {
 	return rec, ok
 }
 
-// accept journals one scheduled run under its correlation ID.
-func (d *durable) accept(id, req string) {
-	d.mu.Lock()
-	d.pending[id] = true
-	d.mu.Unlock()
-	d.append(JournalEntry{Kind: "accept", ID: id, Req: req})
-}
-
 // record journals one completed run and triggers the periodic
 // snapshot.
 func (d *durable) record(id, req string, rec campaign.Record) {
@@ -371,7 +337,6 @@ func (d *durable) record(id, req string, rec campaign.Record) {
 	var snap *Snapshot
 	d.mu.Lock()
 	d.records[id] = rec
-	delete(d.pending, id)
 	d.sinceSnap++
 	if d.sinceSnap >= d.snapshotEvery {
 		d.sinceSnap = 0
@@ -385,21 +350,7 @@ func (d *durable) record(id, req string, rec campaign.Record) {
 
 // snapshotLocked assembles the snapshot under d.mu (cheap copies only).
 func (d *durable) snapshotLocked() *Snapshot {
-	snap := &Snapshot{
-		Schema:  SnapshotSchema,
-		Records: make(map[string]campaign.Record, len(d.records)),
-	}
-	for id, rec := range d.records {
-		snap.Records[id] = rec
-	}
-	for id := range d.pending {
-		snap.Pending = append(snap.Pending, id)
-	}
-	sort.Strings(snap.Pending)
-	if d.cacheIndex != nil {
-		snap.CacheIndex = d.cacheIndex()
-	}
-	return snap
+	return &Snapshot{Schema: SnapshotSchema, Records: maps.Clone(d.records)}
 }
 
 // writeSnapshot persists snap and rotates the journal it captured.
@@ -432,7 +383,6 @@ func (d *durable) writeSnapshot(snap *Snapshot) {
 		return
 	}
 	d.snapshots.Add(1)
-	d.rotations.Add(1)
 	d.bytes.Store(0)
 }
 
@@ -450,17 +400,15 @@ func (d *durable) close() {
 // stats samples the durability counters.
 func (d *durable) stats() JournalStats {
 	d.mu.Lock()
-	records, pending := len(d.records), len(d.pending)
+	records := len(d.records)
 	d.mu.Unlock()
 	return JournalStats{
 		Records:       int64(records),
-		Pending:       int64(pending),
 		Hits:          d.hits.Load(),
 		Appends:       d.appends.Load(),
 		AppendErrors:  d.appendErrors.Load(),
 		Snapshots:     d.snapshots.Load(),
 		Bytes:         d.bytes.Load(),
-		Rotations:     d.rotations.Load(),
 		SnapshotBytes: d.snapshotBytes.Load(),
 		SealedTail:    d.sealedTail,
 	}
@@ -469,10 +417,10 @@ func (d *durable) stats() JournalStats {
 // crashSink is the kill-and-replay harness's journal writer (see
 // KillReplay): it forwards to inner until a seeded crash point, then
 // behaves exactly like a dead process — every subsequent append is
-// refused. tearAtRun cuts the nth "run" append mid-line (the torn-tail
-// signature a restart must seal); dieAfterRun completes the nth "run"
-// append and then dies (the between-runs kill point); both are 1-based,
-// 0 disables. kill crashes immediately from outside (the mid-stream
+// refused. Every append is a "run" line. tearAtRun cuts the nth append
+// mid-line (the torn-tail signature a restart must seal); dieAfterRun
+// completes the nth append and then dies (the between-runs kill
+// point); both are 1-based, 0 disables. kill crashes immediately from outside (the mid-stream
 // kill points). onCrash fires once, from the goroutine that crashed —
 // it must not block.
 type crashSink struct {
@@ -501,9 +449,6 @@ func (c *crashSink) kill() {
 func (c *crashSink) Append(line []byte) error {
 	if c.crashed.Load() {
 		return errCrashed
-	}
-	if !bytes.Contains(line, []byte(`"kind":"run"`)) {
-		return c.inner.Append(line)
 	}
 	n := int(c.runs.Add(1))
 	if n == c.tearAtRun {

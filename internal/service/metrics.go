@@ -110,9 +110,6 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("repro_journal_records",
 		"Run identities with a journaled result, servable without re-execution.",
 		journalStat(func(js JournalStats) int64 { return js.Records }))
-	r.GaugeFunc("repro_journal_pending",
-		"Runs accepted but not yet recorded (the pool queue's durable shadow).",
-		journalStat(func(js JournalStats) int64 { return js.Pending }))
 	r.CounterFunc("repro_journal_hits_total",
 		"Requests answered from the run journal instead of executing.",
 		journalStat(func(js JournalStats) int64 { return js.Hits }))
@@ -128,9 +125,6 @@ func (s *Server) initMetrics() {
 	r.GaugeFunc("repro_journal_bytes",
 		"Bytes appended to the journal since its last rotation — the compaction signal on long campaigns.",
 		journalStat(func(js JournalStats) int64 { return js.Bytes }))
-	r.CounterFunc("repro_journal_rotations_total",
-		"Journal rotations (one per snapshot that sealed and truncated the journal).",
-		journalStat(func(js JournalStats) int64 { return js.Rotations }))
 	r.GaugeFunc("repro_snapshot_bytes",
 		"Size of the last state snapshot written, in bytes.",
 		journalStat(func(js JournalStats) int64 { return js.SnapshotBytes }))

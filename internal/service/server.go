@@ -136,7 +136,7 @@ func New(opts Options) (*Server, error) {
 		s.cache.SetMaxEntries(opts.CacheMaxEntries)
 	}
 	if opts.JournalDir != "" {
-		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.SnapshotEvery, opts.journalSink, s.cache.Index)
+		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.SnapshotEvery, opts.journalSink)
 		if err != nil {
 			s.pool.close()
 			return nil, err
@@ -362,26 +362,14 @@ func (s *Server) job(req *SolveRequest, events func(obs.Event), done chan<- camp
 func (s *Server) schedule(req *SolveRequest, events func(obs.Event)) (<-chan campaign.Record, bool) {
 	done := make(chan campaign.Record, 1)
 	accepted := s.pool.submit(s.job(req, events, done))
-	s.account(req, accepted)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !accepted {
+		s.rejected++
 		return nil, false
 	}
+	s.received++
 	return done, true
-}
-
-// account records one scheduling outcome, journaling the acceptance so
-// a snapshot can persist the queue's durable shadow.
-func (s *Server) account(req *SolveRequest, accepted bool) {
-	s.mu.Lock()
-	if accepted {
-		s.received++
-	} else {
-		s.rejected++
-	}
-	s.mu.Unlock()
-	if accepted && s.durable != nil {
-		s.durable.accept(runIdentity(req), RequestID(req))
-	}
 }
 
 // journalHit answers req from the journal when its run identity has a

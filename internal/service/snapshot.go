@@ -30,14 +30,6 @@ type Snapshot struct {
 	// restarted server answers from the journal instead of
 	// re-executing.
 	Records map[string]campaign.Record `json:"records"`
-	// Pending lists run identities accepted but not yet completed at
-	// snapshot time (the pool queue's durable shadow), sorted.
-	Pending []string `json:"pending,omitempty"`
-	// CacheIndex lists the setup-cache keys resident at snapshot time,
-	// sorted — operator-visible cache state, not replayed into the
-	// cache (setups are recomputed on demand, and Adopt re-charges the
-	// exact Setup cost, so a cold cache cannot change any result).
-	CacheIndex []string `json:"cache_index,omitempty"`
 }
 
 // WriteSnapshot atomically persists snap into dir: marshal to a temp
@@ -94,7 +86,8 @@ func ReadSnapshot(dir string) (*Snapshot, error) {
 
 // parseSnapshot decodes a snapshot file's bytes, refusing corrupt JSON
 // and a foreign schema. Unknown keys are ignored, such as the
-// "campaigns" cursors that servers with a /v1/campaign endpoint wrote.
+// "campaigns" cursors that servers with a /v1/campaign endpoint wrote
+// and the "pending" and "cache_index" lists older servers wrote.
 func parseSnapshot(data []byte) (*Snapshot, error) {
 	var snap Snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
