@@ -14,8 +14,8 @@
 //	solverd serve -addr :8077 -workers 8 -queue 64                     # sized pool
 //	solverd serve -addr :8077 -pprof -trace-dir traces                 # debug profiling + per-run traces
 //	solverd serve -addr :8077 -trace-dir traces -trace-ranks all -trace-sample 1/4  # all-rank spans for a deterministic quarter of runs
-//	solverd serve -addr :8077 -journal-dir journal -journal-fsync off  # durable: journal + snapshots + hot resume
-//	solverd serve -addr :8077 -journal-dir journal -snapshot-every 128 -cache-max-entries 512
+//	solverd serve -addr :8077 -journal-dir journal -journal-fsync off  # durable: run journal + hot resume
+//	solverd serve -addr :8077 -journal-dir journal -cache-max-entries 512
 //	solverd serve -addr :8077 -log-level debug                         # structured key=value logs on stderr
 //	solverd smoke -spec quick -label ci                                # in-process served-vs-direct diff
 //	solverd smoke -spec quick -label kr -outdir out -journal-dir out/journal -kill-at run:40,stream:3,journal:80
@@ -91,19 +91,18 @@ func usage(w *os.File) {
 
 // serveOptions carries the serve-mode flags.
 type serveOptions struct {
-	addr          string
-	workers       int
-	queue         int
-	drain         time.Duration
-	pprof         bool
-	traceDir      string
-	traceRanks    string
-	traceSample   string
-	journalDir    string
-	journalFsync  string
-	snapshotEvery int
-	cacheMax      int
-	logLevel      string
+	addr         string
+	workers      int
+	queue        int
+	drain        time.Duration
+	pprof        bool
+	traceDir     string
+	traceRanks   string
+	traceSample  string
+	journalDir   string
+	journalFsync string
+	cacheMax     int
+	logLevel     string
 }
 
 // newServeFlags builds the serve flag set; keeping construction in one
@@ -119,9 +118,8 @@ func newServeFlags() (*flag.FlagSet, *serveOptions) {
 	fs.StringVar(&o.traceDir, "trace-dir", "", "write one repro-trace/v1 event timeline per executed run into this directory")
 	fs.StringVar(&o.traceRanks, "trace-ranks", "0", "spans kept per trace: 0 (rank 0 only) or all (every rank, enables imbalance/critical-path analytics)")
 	fs.StringVar(&o.traceSample, "trace-sample", "1/1", "trace a deterministic k/n sample of executed runs (seeded by run key; same subset on every rerun)")
-	fs.StringVar(&o.journalDir, "journal-dir", "", "enable durability: keep the repro-journal/v1 run journal and repro-snapshot/v1 state snapshots in this directory, and resume from them on restart")
+	fs.StringVar(&o.journalDir, "journal-dir", "", "enable durability: keep the repro-journal/v1 run journal in this directory, and resume from it on restart")
 	fs.StringVar(&o.journalFsync, "journal-fsync", "always", "journal fsync policy: always (every append is a durability barrier) or off (OS-paced; a crash may lose the last appends, which simply re-execute)")
-	fs.IntVar(&o.snapshotEvery, "snapshot-every", 256, "completed runs between state snapshots (each snapshot rotates the journal it captured)")
 	fs.IntVar(&o.cacheMax, "cache-max-entries", 0, "LRU bound on resident setup-cache artifacts, per-rank slots (0 = unbounded)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "minimum level for the structured key=value log on stderr: debug, info, warn, error or off")
 	return fs, o
@@ -189,8 +187,7 @@ func runServe(args []string) error {
 		Workers: o.workers, Queue: o.queue, TraceDir: o.traceDir,
 		TraceRanks: o.traceRanks, TraceSample: o.traceSample,
 		JournalDir: o.journalDir, JournalFsync: fsync,
-		SnapshotEvery: o.snapshotEvery, CacheMaxEntries: o.cacheMax,
-		Logger: logger,
+		CacheMaxEntries: o.cacheMax, Logger: logger,
 	})
 	if err != nil {
 		return err
@@ -310,7 +307,7 @@ func runSmoke(args []string) error {
 		verdict = map[string]any{
 			"schema": service.Schema, "kill_replay": "ok", "kill_points": o.killAt,
 			"total_runs": res.Total, "recorded": res.Recorded, "journal_hits": res.Hits,
-			"resumed_executed": res.Executed, "snapshots": res.Snapshots,
+			"resumed_executed": res.Executed,
 		}
 	} else {
 		rep, err := service.Smoke(spec, o.label, o.outdir, o.workers)
@@ -319,7 +316,7 @@ func runSmoke(args []string) error {
 		}
 		c := rep.Stats.Cache
 		fmt.Printf("smoke: %d runs served (%d workers), setup cache %d hits / %d misses\n",
-			rep.Stats.Completed, o.workers, c.SetupHits, c.SetupMisses)
+			rep.Stats.Completed, rep.Stats.Workers, c.SetupHits, c.SetupMisses)
 		fmt.Printf("smoke: repro_phase_vseconds reconciles with %d traces (%d phases)\n", rep.Traces, rep.Phases)
 		fmt.Printf("smoke: /metrics reconciles with /stats (%d series scraped)\n", len(rep.Series))
 		verdict = map[string]any{

@@ -53,7 +53,7 @@ func TestDefaultsAreSane(t *testing.T) {
 	if so.addr != ":8077" || so.workers != 0 || so.queue != 0 || so.pprof || so.traceDir != "" {
 		t.Errorf("serve defaults drifted: %+v", so)
 	}
-	if so.journalDir != "" || so.journalFsync != "always" || so.snapshotEvery != 256 || so.cacheMax != 0 {
+	if so.journalDir != "" || so.journalFsync != "always" || so.cacheMax != 0 {
 		t.Errorf("serve durability defaults drifted: %+v", so)
 	}
 	kfs, ko := newSmokeFlags()

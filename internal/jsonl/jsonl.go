@@ -116,11 +116,5 @@ func (f *File) Append(line []byte) error {
 // Sync forces the platform's durability barrier.
 func (f *File) Sync() error { return f.f.Sync() }
 
-// Truncate empties the log; later appends start at offset zero.
-func (f *File) Truncate() error {
-	f.torn = false
-	return f.f.Truncate(0)
-}
-
 // Close releases the file.
 func (f *File) Close() error { return f.f.Close() }

@@ -121,18 +121,8 @@ func TestOpenAppend(t *testing.T) {
 			if got, _ := os.ReadFile(path); string(got) != tc.want {
 				t.Errorf("%s (fsync %v): file is %q, want %q", tc.name, fsync, got, tc.want)
 			}
-			// Truncate restarts the log at offset zero.
-			if err := f.Truncate(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Append([]byte("again\n")); err != nil {
-				t.Fatal(err)
-			}
 			if err := f.Sync(); err != nil {
 				t.Fatal(err)
-			}
-			if got, _ := os.ReadFile(path); string(got) != "again\n" {
-				t.Errorf("%s: after Truncate file is %q", tc.name, got)
 			}
 			if err := f.Close(); err != nil {
 				t.Fatal(err)

@@ -65,8 +65,7 @@ func TestRequestCorrelationAcrossSurfaces(t *testing.T) {
 	}
 	events := parseSSE(t, bufio.NewReader(resp.Body))
 	resp.Body.Close()
-	// The result frame arrived, so the run append is on disk. Read the
-	// journal now — Close snapshots and rotates it.
+	// The result frame arrived, so the run append is on disk.
 	jr, err := ReadJournal(journalDir)
 	if err != nil {
 		t.Fatal(err)

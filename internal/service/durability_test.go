@@ -26,16 +26,55 @@ func runCampaign(t *testing.T, cl *Client, spec campaign.Spec) ([]campaign.Recor
 	return campaign.ReadShardFile(out)
 }
 
-// TestCleanRestartResumesFromSnapshot: a cleanly closed durable server
-// leaves a final snapshot with a rotated (empty) journal, and a
-// restarted server answers the whole campaign from it without
-// executing anything.
-func TestCleanRestartResumesFromSnapshot(t *testing.T) {
+// journalRuns counts the "run" entries of the journal inside dir.
+func journalRuns(t *testing.T, dir string) int64 {
+	t.Helper()
+	jr, err := ReadJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs int64
+	for _, e := range jr.Entries {
+		if e.Kind == "run" {
+			runs++
+		}
+	}
+	return runs
+}
+
+// assertAllHits runs spec through a server restarted over dir and
+// checks that every run is answered from durable state: all journal
+// hits, nothing executed.
+func assertAllHits(t *testing.T, dir string, spec campaign.Spec) []campaign.Record {
+	t.Helper()
+	total := int64(len(spec.ShardRuns(0, 1)))
+	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir})
+	defer done()
+	recs, err := runCampaign(t, cl, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(recs)) != total || st.Completed != 0 || st.Journal.Hits != total {
+		t.Errorf("restart: %d records, %d executed, %d hits — want %d, 0, %d",
+			len(recs), st.Completed, st.Journal.Hits, total, total)
+	}
+	return recs
+}
+
+// TestCleanRestartResumesFromJournal: a cleanly closed durable server
+// leaves the journal — one "run" line per executed run — and no
+// snapshot, and a restarted server answers the whole campaign from it
+// without executing anything.
+func TestCleanRestartResumesFromJournal(t *testing.T) {
 	spec := killReplaySpec()
 	total := int64(len(spec.ShardRuns(0, 1)))
 	dir := t.TempDir()
 
-	srv, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 4})
+	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir})
 	if _, err := runCampaign(t, cl, spec); err != nil {
 		t.Fatal(err)
 	}
@@ -46,38 +85,45 @@ func TestCleanRestartResumesFromSnapshot(t *testing.T) {
 	if st.Journal == nil || st.Journal.Records != total {
 		t.Fatalf("journal records = %+v, want %d", st.Journal, total)
 	}
-	if st.Journal.Snapshots == 0 {
-		t.Errorf("snapshot-every=4 over %d runs wrote no snapshots", total)
-	}
 	done()
-	_ = srv
 
-	// Clean shutdown: final snapshot written, journal rotated away.
-	snap, err := ReadSnapshot(dir)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
+		t.Errorf("clean shutdown left a snapshot (stat err %v)", err)
 	}
-	if snap == nil || int64(len(snap.Records)) != total {
-		t.Fatalf("final snapshot holds %d records, want %d", len(snap.Records), total)
+	if runs := journalRuns(t, dir); runs != total {
+		t.Errorf("journal holds %d run lines after a clean close, want %d", runs, total)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, journalFile)); err != nil || fi.Size() != 0 {
-		t.Errorf("journal not rotated after the final snapshot (size %d, err %v)", fi.Size(), err)
-	}
+	assertAllHits(t, dir, spec)
+}
 
-	// Restart: everything is a hit, nothing executes.
-	_, cl2, done2 := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 4})
-	defer done2()
-	recs, err := runCampaign(t, cl2, spec)
+// TestCloseSyncsJournal: closing a durable server flushes the journal
+// once and then releases it — the flush is what makes a clean shutdown
+// durable when appends skip fsync — and writes nothing else: the
+// directory holds the journal alone, with its one run line.
+func TestCloseSyncsJournal(t *testing.T) {
+	dir := t.TempDir()
+	inner, err := OpenJournal(dir, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := cl2.Stats()
+	sink := &callSink{JournalSink: inner}
+	d, err := newDurable(dir, false, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(recs)) != total || st2.Completed != 0 || st2.Journal.Hits != total {
-		t.Errorf("snapshot resume: %d records, %d executed, %d hits — want %d, 0, %d",
-			len(recs), st2.Completed, st2.Journal.Hits, total, total)
+	d.record("id", "req", *testRecord())
+	d.close()
+	if got := strings.Join(sink.calls, ","); got != "run,sync,close" {
+		t.Errorf("sink calls %s, want run,sync,close", got)
+	}
+	if st := d.stats(); st.Appends != 1 || st.AppendErrors != 0 {
+		t.Errorf("appends/errors = %d/%d, want 1/0", st.Appends, st.AppendErrors)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != journalFile {
+		t.Errorf("directory after close holds %v (err %v), want only %s", ents, err, journalFile)
+	}
+	if runs := journalRuns(t, dir); runs != 1 {
+		t.Errorf("journal holds %d run lines after close, want 1", runs)
 	}
 }
 
@@ -86,7 +132,9 @@ func TestCleanRestartResumesFromSnapshot(t *testing.T) {
 // cursors and "pending" and "cache_index" lists in the snapshot —
 // loads, and every run it recorded (half in the snapshot, half in the
 // journal) is answered from it: all journal hits, nothing executed,
-// records identical to local execution.
+// records identical to local execution. Serving from it writes
+// nothing: the snapshot stays byte-identical, the journal gains no
+// line, and a second restart answers every run again.
 func TestOlderJournalDirLoads(t *testing.T) {
 	spec := killReplaySpec()
 	jobs := spec.ShardRuns(0, 1)
@@ -124,25 +172,18 @@ func TestOlderJournalDirLoads(t *testing.T) {
 	}
 	writeJournalFile(t, dir, journal)
 
-	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir})
-	defer done()
-	recs, err := runCampaign(t, cl, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := cl.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != len(jobs) || st.Completed != 0 || st.Journal.Hits != int64(len(jobs)) {
-		t.Errorf("older journal: %d records, %d executed, %d hits — want %d, 0, %d",
-			len(recs), st.Completed, st.Journal.Hits, len(jobs), len(jobs))
-	}
-	for _, rec := range recs {
+	for _, rec := range assertAllHits(t, dir, spec) {
 		if b, _ := json.Marshal(rec); want[rec.Key] != string(b) {
 			t.Errorf("record %s differs from local execution", rec.Key)
 		}
 	}
+	if got, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err != nil || !bytes.Equal(got, snap) {
+		t.Errorf("the older server's snapshot was rewritten (read err %v)", err)
+	}
+	if runs := journalRuns(t, dir); runs != int64(len(inJournal)) {
+		t.Errorf("journal holds %d run lines after an all-hit campaign, want the %d written", runs, len(inJournal))
+	}
+	assertAllHits(t, dir, spec)
 }
 
 // TestCorruptSnapshotRefusesToServe: a server must not boot into
@@ -311,13 +352,13 @@ func TestEvictionRechargesSetupCost(t *testing.T) {
 	}
 }
 
-// TestSnapshotWhileServingRace: snapshots (cadence 1 — every
-// completion) racing live solves, stats, and metrics scrapes. Run
-// under -race in CI; the assertions here are liveness and a final
-// parseable snapshot.
-func TestSnapshotWhileServingRace(t *testing.T) {
+// TestJournalWhileServingRace: journal appends racing live solves,
+// stats, and metrics scrapes. Run under -race in CI; the assertions
+// here are liveness and a journal that parses to one run line per
+// solve.
+func TestJournalWhileServingRace(t *testing.T) {
 	dir := t.TempDir()
-	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 1})
+	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir})
 	defer done()
 
 	var wg sync.WaitGroup
@@ -352,12 +393,11 @@ func TestSnapshotWhileServingRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Journal.Records != 8 || st.Journal.Snapshots == 0 {
-		t.Errorf("records/snapshots = %d/%d, want 8/>0", st.Journal.Records, st.Journal.Snapshots)
+	if st.Journal.Records != 8 {
+		t.Errorf("records = %d, want 8", st.Journal.Records)
 	}
-	snap, err := ReadSnapshot(dir)
-	if err != nil || snap == nil {
-		t.Fatalf("snapshot unreadable after racing writes: %v", err)
+	if runs := journalRuns(t, dir); runs != 8 {
+		t.Errorf("journal parses to %d run entries after racing writes, want 8", runs)
 	}
 }
 
@@ -398,23 +438,38 @@ func TestEvictionWhileAdoptRace(t *testing.T) {
 	wg.Wait()
 }
 
-// kindSink is a journal sink that tallies the kind of every line
-// appended through it.
-type kindSink struct {
+// callSink is a journal sink that logs every call made on it, in
+// order: an Append as the kind of the line appended, then "sync" and
+// "close".
+type callSink struct {
 	JournalSink
 	mu    sync.Mutex
-	kinds map[string]int
+	calls []string
 }
 
-func (k *kindSink) Append(line []byte) error {
+func (c *callSink) log(call string) {
+	c.mu.Lock()
+	c.calls = append(c.calls, call)
+	c.mu.Unlock()
+}
+
+func (c *callSink) Append(line []byte) error {
 	var e JournalEntry
 	if err := json.Unmarshal(line, &e); err != nil {
 		e.Kind = "unparseable"
 	}
-	k.mu.Lock()
-	k.kinds[e.Kind]++
-	k.mu.Unlock()
-	return k.JournalSink.Append(line)
+	c.log(e.Kind)
+	return c.JournalSink.Append(line)
+}
+
+func (c *callSink) Sync() error {
+	c.log("sync")
+	return c.JournalSink.Sync()
+}
+
+func (c *callSink) Close() error {
+	c.log("close")
+	return c.JournalSink.Close()
 }
 
 // TestConcurrentCampaignFeedersJournal: two identical campaigns driven
@@ -431,8 +486,8 @@ func TestConcurrentCampaignFeedersJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := &kindSink{JournalSink: inner, kinds: map[string]int{}}
-	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir, SnapshotEvery: 3, journalSink: sink})
+	sink := &callSink{JournalSink: inner}
+	_, cl, done := newTestServer(t, Options{Workers: 4, JournalDir: dir, journalSink: sink})
 	defer done()
 
 	want := make(map[string]string)
@@ -486,7 +541,13 @@ func TestConcurrentCampaignFeedersJournal(t *testing.T) {
 	}
 	sink.mu.Lock()
 	defer sink.mu.Unlock()
-	if len(sink.kinds) != 1 || int64(sink.kinds["run"]) != st.Completed {
-		t.Errorf("journal lines by kind %v, want only %d run lines", sink.kinds, st.Completed)
+	runs := 0
+	for _, c := range sink.calls {
+		if c == "run" {
+			runs++
+		}
+	}
+	if runs != len(sink.calls) || int64(runs) != st.Completed {
+		t.Errorf("sink calls %v, want only %d run appends", sink.calls, st.Completed)
 	}
 }

@@ -315,7 +315,7 @@ func ParseKillPoints(s string) ([]KillPoint, error) {
 // journals nothing) and the listener and every connection are severed
 // mid-whatever-was-happening. The journal directory is left exactly as
 // a real crash would leave it — possibly with a torn trailing line.
-func crashPass(spec campaign.Spec, dir string, workers, snapshotEvery int, kp KillPoint) error {
+func crashPass(spec campaign.Spec, dir string, workers int, kp KillPoint) error {
 	inner, err := OpenJournal(dir, false)
 	if err != nil {
 		return err
@@ -327,7 +327,7 @@ func crashPass(spec campaign.Spec, dir string, workers, snapshotEvery int, kp Ki
 	case "journal":
 		cs.tearAtRun = kp.N
 	}
-	ls, err := startServer(Options{Workers: workers, JournalDir: dir, journalSink: cs, SnapshotEvery: snapshotEvery})
+	ls, err := startServer(Options{Workers: workers, JournalDir: dir, journalSink: cs})
 	if err != nil {
 		inner.Close()
 		return err
@@ -381,8 +381,8 @@ func crashPass(spec campaign.Spec, dir string, workers, snapshotEvery int, kp Ki
 // campaign through it with the engine (Exec over /v1/solve) writing the
 // records to out, and returns the stats the server booted with and
 // ended with.
-func resumePass(spec campaign.Spec, dir, out string, workers, snapshotEvery int) (before, after StatsResponse, err error) {
-	ls, err := startServer(Options{Workers: workers, JournalDir: dir, SnapshotEvery: snapshotEvery})
+func resumePass(spec campaign.Spec, dir, out string, workers int) (before, after StatsResponse, err error) {
+	ls, err := startServer(Options{Workers: workers, JournalDir: dir})
 	if err != nil {
 		return before, after, fmt.Errorf("kill-replay: restart failed: %w", err)
 	}
@@ -407,10 +407,9 @@ func resumePass(spec campaign.Spec, dir, out string, workers, snapshotEvery int)
 // KillReplayResult is KillReplay's verdict: the campaign's run count,
 // the runs the crash passes left journaled, the journal hits and
 // executed runs of the resumed pass (Hits == Recorded and Executed ==
-// Total − Recorded, or KillReplay fails), and the state snapshots the
-// resumed server wrote.
+// Total − Recorded, or KillReplay fails).
 type KillReplayResult struct {
-	Total, Recorded, Hits, Executed, Snapshots int64
+	Total, Recorded, Hits, Executed int64
 }
 
 // KillReplay is the kill-and-replay determinism harness, run by
@@ -430,17 +429,14 @@ func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers in
 		return nil, err
 	}
 	total := int64(len(spec.ShardRuns(0, 1)))
-	// A cadence small against the campaign, so crash passes exercise
-	// snapshot writes and journal rotation, not just raw journal replay.
-	snapshotEvery := int(min(16, max(1, total/3)))
 	for _, kp := range kills {
-		if err := crashPass(spec, journalDir, workers, snapshotEvery, kp); err != nil {
+		if err := crashPass(spec, journalDir, workers, kp); err != nil {
 			return nil, err
 		}
 	}
 
 	served := runsPath(outdir, label, "served")
-	before, after, err := resumePass(spec, journalDir, served, workers, snapshotEvery)
+	before, after, err := resumePass(spec, journalDir, served, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -461,7 +457,7 @@ func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers in
 		return nil, fmt.Errorf("kill-replay: %d runs executed on resume, want %d (total %d - %d recorded) — a recorded run was re-executed or lost", after.Completed, total-recorded, total, recorded)
 	}
 
-	_, full, err := resumePass(spec, journalDir, served, workers, snapshotEvery)
+	_, full, err := resumePass(spec, journalDir, served, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -471,5 +467,5 @@ func KillReplay(spec campaign.Spec, label, outdir, journalDir string, workers in
 	if err := diffAgainstDirect(spec, label, outdir); err != nil {
 		return nil, fmt.Errorf("kill-replay: %w — the journal-only replay is not byte-identical to direct execution", err)
 	}
-	return &KillReplayResult{Total: total, Recorded: recorded, Hits: after.Journal.Hits, Executed: after.Completed, Snapshots: after.Journal.Snapshots}, nil
+	return &KillReplayResult{Total: total, Recorded: recorded, Hits: after.Journal.Hits, Executed: after.Completed}, nil
 }

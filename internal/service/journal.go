@@ -19,7 +19,7 @@ import (
 const JournalSchema = "repro-journal/v1"
 
 // journalFile is the append-only journal's file name inside the
-// journal directory (next to snapshotFile).
+// journal directory — the only file a durable server writes there.
 const journalFile = "journal.jsonl"
 
 // JournalEntry is one line of the repro-journal/v1 stream. A "run"
@@ -51,8 +51,7 @@ type JournalEntry struct {
 
 // JournalSink is the append target of the run journal. The server
 // writes one full line (newline included) per Append; Sync forces the
-// platform's durability barrier, Truncate empties the journal after a
-// snapshot has captured its state, and Close releases the file.
+// platform's durability barrier, and Close releases the file.
 // Implementations must tolerate serialized calls from multiple
 // goroutines (the journal layer holds its own lock around every call).
 // The production sink is OpenJournal's *jsonl.File; the kill-and-replay
@@ -60,7 +59,6 @@ type JournalEntry struct {
 type JournalSink interface {
 	Append(line []byte) error
 	Sync() error
-	Truncate() error
 	Close() error
 }
 
@@ -218,50 +216,35 @@ type JournalStats struct {
 	// restart — data loss worth alerting on, never a failed request).
 	Appends      int64 `json:"appends"`
 	AppendErrors int64 `json:"append_errors"`
-	// Snapshots counts state snapshots written, each of which rotates
-	// (truncates) the journal it captured.
-	Snapshots int64 `json:"snapshots"`
-	// Bytes is the journal's current size: bytes appended since the
-	// last rotation. Together with Snapshots it is the compaction
-	// signal — a journal that only ever grows is one that never
-	// snapshots.
+	// Bytes is the journal file's size: what it held at startup plus
+	// every line appended since. The journal is the whole durable
+	// state, so this is the state's size on disk.
 	Bytes int64 `json:"bytes"`
-	// SnapshotBytes is the size of the last snapshot written this
-	// process lifetime (0 before the first).
-	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// SealedTail is true when the journal carried a torn trailing line
 	// at startup (the crash signature) and it was sealed.
 	SealedTail bool `json:"sealed_tail,omitempty"`
 }
 
-// durable is the server's durability state: the journal sink, the
-// identity-indexed record of every completed run, and the snapshot
-// machinery. All methods are safe for concurrent use.
+// durable is the server's durability state: the journal sink and the
+// identity-indexed record of every completed run. The journal is the
+// only file it writes. All methods are safe for concurrent use.
 type durable struct {
-	mu            sync.Mutex
-	sink          JournalSink
-	dir           string
-	snapshotEvery int
-	records       map[string]campaign.Record
-	sinceSnap     int
-	sealedTail    bool
+	mu         sync.Mutex
+	sink       JournalSink
+	records    map[string]campaign.Record
+	sealedTail bool
 
-	hits, appends, appendErrors, snapshots, bytes, snapshotBytes atomic.Int64
+	hits, appends, appendErrors, bytes atomic.Int64
 }
 
-// newDurable restores state from dir (snapshot first, then journal
-// replay — the union is idempotent because rotation only truncates
-// after a snapshot has captured everything) and opens the sink. sink
-// nil uses the production file sink.
-func newDurable(dir string, fsync bool, snapshotEvery int, sink JournalSink) (*durable, error) {
-	d := &durable{
-		dir:           dir,
-		snapshotEvery: snapshotEvery,
-		records:       make(map[string]campaign.Record),
-	}
-	if d.snapshotEvery <= 0 {
-		d.snapshotEvery = 256
-	}
+// newDurable restores state from dir and opens the sink: a snapshot
+// that an older server left there is merged first, then the journal is
+// replayed over it (the union is idempotent, because older servers
+// truncated the journal only after a snapshot had captured it). The
+// snapshot is read, never rewritten. sink nil uses the production file
+// sink.
+func newDurable(dir string, fsync bool, sink JournalSink) (*durable, error) {
+	d := &durable{records: make(map[string]campaign.Record)}
 	snap, err := ReadSnapshot(dir)
 	if err != nil {
 		return nil, err
@@ -330,71 +313,25 @@ func (d *durable) lookup(id string) (campaign.Record, bool) {
 	return rec, ok
 }
 
-// record journals one completed run and triggers the periodic
-// snapshot.
+// record journals one completed run and makes it answerable.
 func (d *durable) record(id, req string, rec campaign.Record) {
 	d.append(JournalEntry{Kind: "run", ID: id, Req: req, Record: &rec})
-	var snap *Snapshot
 	d.mu.Lock()
 	d.records[id] = rec
-	d.sinceSnap++
-	if d.sinceSnap >= d.snapshotEvery {
-		d.sinceSnap = 0
-		snap = d.snapshotLocked()
-	}
 	d.mu.Unlock()
-	if snap != nil {
-		d.writeSnapshot(snap)
-	}
 }
 
-// snapshotLocked assembles the snapshot under d.mu (cheap copies only).
-func (d *durable) snapshotLocked() *Snapshot {
-	return &Snapshot{Schema: SnapshotSchema, Records: maps.Clone(d.records)}
-}
-
-// writeSnapshot persists snap and rotates the journal it captured.
-// The sink is probed (Sync) first: a sink that refuses writes means
-// the process is effectively dead for durability purposes — the
-// kill-and-replay harness's simulated crash — and a dead process
-// writes no snapshots. Rotation happens only after the snapshot is
-// durably in place; a crash between the two leaves snapshot and
-// journal overlapping, which replay merges idempotently.
-func (d *durable) writeSnapshot(snap *Snapshot) {
-	d.mu.Lock()
-	err := d.sink.Sync()
-	d.mu.Unlock()
-	if err != nil {
-		d.appendErrors.Add(1)
-		return
-	}
-	if err := WriteSnapshot(d.dir, snap); err != nil {
-		d.appendErrors.Add(1)
-		return
-	}
-	if st, err := os.Stat(filepath.Join(d.dir, snapshotFile)); err == nil {
-		d.snapshotBytes.Store(st.Size())
-	}
-	d.mu.Lock()
-	err = d.sink.Truncate()
-	d.mu.Unlock()
-	if err != nil {
-		d.appendErrors.Add(1)
-		return
-	}
-	d.snapshots.Add(1)
-	d.bytes.Store(0)
-}
-
-// close writes a final snapshot and releases the sink.
+// close flushes the journal and releases the sink. The flush is what
+// makes a clean shutdown durable when appends skip the fsync barrier
+// (-journal-fsync off); a sink that refuses it — a dead process, in
+// the kill-and-replay harness — counts one append error.
 func (d *durable) close() {
 	d.mu.Lock()
-	snap := d.snapshotLocked()
-	d.mu.Unlock()
-	d.writeSnapshot(snap)
-	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.sink.Sync(); err != nil {
+		d.appendErrors.Add(1)
+	}
 	d.sink.Close()
-	d.mu.Unlock()
 }
 
 // stats samples the durability counters.
@@ -403,14 +340,12 @@ func (d *durable) stats() JournalStats {
 	records := len(d.records)
 	d.mu.Unlock()
 	return JournalStats{
-		Records:       int64(records),
-		Hits:          d.hits.Load(),
-		Appends:       d.appends.Load(),
-		AppendErrors:  d.appendErrors.Load(),
-		Snapshots:     d.snapshots.Load(),
-		Bytes:         d.bytes.Load(),
-		SnapshotBytes: d.snapshotBytes.Load(),
-		SealedTail:    d.sealedTail,
+		Records:      int64(records),
+		Hits:         d.hits.Load(),
+		Appends:      d.appends.Load(),
+		AppendErrors: d.appendErrors.Load(),
+		Bytes:        d.bytes.Load(),
+		SealedTail:   d.sealedTail,
 	}
 }
 
@@ -470,14 +405,6 @@ func (c *crashSink) Sync() error {
 		return errCrashed
 	}
 	return c.inner.Sync()
-}
-
-// Truncate implements JournalSink.
-func (c *crashSink) Truncate() error {
-	if c.crashed.Load() {
-		return errCrashed
-	}
-	return c.inner.Truncate()
 }
 
 // Close implements JournalSink. A crashed sink still closes the inner

@@ -119,15 +119,9 @@ func (s *Server) initMetrics() {
 	r.CounterFunc("repro_journal_append_errors_total",
 		"Journal writes the sink refused (each one is a run that will re-execute after a restart).",
 		journalStat(func(js JournalStats) int64 { return js.AppendErrors }))
-	r.CounterFunc("repro_snapshot_writes_total",
-		"State snapshots written (each rotates the journal it captured).",
-		journalStat(func(js JournalStats) int64 { return js.Snapshots }))
 	r.GaugeFunc("repro_journal_bytes",
-		"Bytes appended to the journal since its last rotation — the compaction signal on long campaigns.",
+		"Size of the journal file, in bytes: the durable state's size on disk.",
 		journalStat(func(js JournalStats) int64 { return js.Bytes }))
-	r.GaugeFunc("repro_snapshot_bytes",
-		"Size of the last state snapshot written, in bytes.",
-		journalStat(func(js JournalStats) int64 { return js.SnapshotBytes }))
 
 	// Build identity: the Prometheus info-metric idiom — constant 1,
 	// with the identity in the labels, so a dashboard joins any series

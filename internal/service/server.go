@@ -38,27 +38,22 @@ type Options struct {
 	// campaign.NewTraceSelection).
 	TraceSample string
 	// JournalDir, when non-empty, enables durability: an append-only
-	// repro-journal/v1 run journal plus periodic repro-snapshot/v1
-	// state snapshots live there, a restarted server reloads both and
-	// answers already-recorded runs from the journal without
-	// re-executing them. See docs/SERVICE.md "Durability".
+	// repro-journal/v1 run journal lives there, and a restarted server
+	// replays it (over any repro-snapshot/v1 snapshot an older server
+	// left) and answers already-recorded runs without re-executing
+	// them. See docs/SERVICE.md "Durability".
 	JournalDir string
 	// JournalFsync makes every journal append an fsync barrier (the
 	// "always" policy). Off, the OS flushes on its own schedule: a
 	// crash may lose the last few appends, which merely re-execute on
 	// resume.
 	JournalFsync bool
-	// SnapshotEvery is the number of completed runs between state
-	// snapshots (default 256). Each snapshot rotates the journal it
-	// captured, keeping both files small on long-lived servers.
-	SnapshotEvery int
 	// CacheMaxEntries bounds the setup cache's resident artifacts
 	// (per-rank slots) with LRU eviction; 0 means unbounded.
 	CacheMaxEntries int
 	// journalSink overrides the journal's append target (the
 	// kill-and-replay harness injects a crashSink here). Requires
-	// JournalDir, which still locates the snapshot and journal for
-	// state loading.
+	// JournalDir, which still locates the state to load.
 	journalSink JournalSink
 	// Logger receives the server's structured log lines (request
 	// admission, run completion, journal hits), every one carrying
@@ -103,10 +98,10 @@ type Server struct {
 }
 
 // New builds a Server and starts its worker pool. With
-// Options.JournalDir set it first restores durable state (snapshot +
-// journal replay) and opens the journal for appending; a journal or
-// snapshot that cannot be trusted fails construction rather than
-// serving with amnesia.
+// Options.JournalDir set it first restores durable state (journal
+// replay over any older server's snapshot) and opens the journal for
+// appending; a journal or snapshot that cannot be trusted fails
+// construction rather than serving with amnesia.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -136,7 +131,7 @@ func New(opts Options) (*Server, error) {
 		s.cache.SetMaxEntries(opts.CacheMaxEntries)
 	}
 	if opts.JournalDir != "" {
-		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.SnapshotEvery, opts.journalSink)
+		d, err := newDurable(opts.JournalDir, opts.JournalFsync, opts.journalSink)
 		if err != nil {
 			s.pool.close()
 			return nil, err
@@ -157,7 +152,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close drains the worker pool — every queued and running solve
 // completes, then the workers exit — and, when durability is on,
-// writes a final snapshot and closes the journal. Stop the HTTP
+// flushes and closes the journal. Stop the HTTP
 // listener first (http.Server.Shutdown) so no new work arrives while
 // draining.
 func (s *Server) Close() {

@@ -9,20 +9,19 @@ import (
 	"repro/internal/campaign"
 )
 
-// SnapshotSchema is the version tag of the periodic state snapshot.
+// SnapshotSchema is the version tag of the state snapshot older
+// servers wrote.
 const SnapshotSchema = "repro-snapshot/v1"
 
 // snapshotFile is the snapshot's file name inside the journal
 // directory.
 const snapshotFile = "snapshot.json"
 
-// Snapshot is the server's durable checkpoint: everything a restarted
-// solverd needs to resume where the previous process stopped. It is
-// written atomically (temp file + rename) every -snapshot-every
-// completed runs and once more on clean shutdown; after a snapshot
-// lands, the journal it captured is rotated away, so recovery is
-// always "load the snapshot, replay the journal tail" and both files
-// stay small on long-lived servers.
+// Snapshot is the record map that older servers checkpointed into the
+// journal directory, truncating the journal it captured. A server
+// writes none now — the journal alone is the state — but it still
+// merges a snapshot it finds there before replaying the journal, so
+// directories written by older servers keep resuming.
 type Snapshot struct {
 	// Schema is "repro-snapshot/v1".
 	Schema string `json:"schema"`
