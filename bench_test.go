@@ -18,12 +18,14 @@ import (
 	"repro/internal/comm"
 )
 
-// BenchmarkExperiments runs every experiment of the registry (bench.IDs)
-// as one sub-benchmark, skipping the Slow scaling sweeps in -short mode.
+// BenchmarkExperiments runs every experiment of the index
+// (bench.Experiments) as one sub-benchmark, skipping the Slow scaling
+// sweeps in -short mode.
 func BenchmarkExperiments(b *testing.B) {
-	for _, id := range bench.IDs() {
+	for _, e := range bench.Experiments() {
+		id := e.ID
 		b.Run(id, func(b *testing.B) {
-			if testing.Short() && bench.Registry()[id].Slow {
+			if testing.Short() && e.Slow {
 				b.Skipf("%s is a scaling sweep; skipped in -short mode", id)
 			}
 			var snap comm.LedgerSnapshot

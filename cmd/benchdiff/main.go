@@ -2,16 +2,20 @@
 // printer of this reproduction. It has three modes:
 //
 //	benchdiff run -label nightly -out BENCH_nightly.json
-//	    runs every registered experiment (concurrently, one isolated
-//	    simulated world set per experiment) plus the kernel
+//	    runs every registered experiment once at seed 1 (concurrently,
+//	    one isolated simulated world set per experiment) plus the kernel
 //	    micro-benchmarks, and writes a canonical BENCH_<label>.json with
 //	    wall-clock, allocs/op, virtual-time and comm/flop metrics.
+//	    -exp narrows the experiments, -exps-only skips the kernels. To
+//	    time the kernels at another benchtime, run
+//	    `go test -bench BenchmarkKernels -benchtime 2s -benchmem .` at the
+//	    repository root: it runs the same kernel bodies.
 //
 //	benchdiff compare BENCH_baseline.json BENCH_new.json
 //	    exits non-zero if the new report regresses the baseline beyond
-//	    the per-metric thresholds: kernel ns/op (+25% default), kernel
-//	    allocs/op (any growth), experiment virtual time (+10% default,
-//	    fully deterministic).
+//	    the per-metric thresholds: kernel ns/op (-ns, +25% default),
+//	    kernel allocs/op (any growth, fixed), experiment virtual time
+//	    (-vt, +10% default, fully deterministic).
 //
 //	benchdiff tables -exp F1,F6,T4
 //	    prints the experiment tables themselves: each experiment
@@ -65,9 +69,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  benchdiff run [-label L] [-out FILE] [-quick] [-repeat N] [-workers N]
-                [-benchtime D] [-seed S] [-exp F1,F2] [-kernels-only] [-exps-only] [-q]
-  benchdiff compare [-ns F] [-allocs F] [-vt F] BASELINE.json CURRENT.json
+  benchdiff run [-label L] [-out FILE] [-quick] [-exp F1,F2] [-exps-only] [-q]
+  benchdiff compare [-ns F] [-vt F] BASELINE.json CURRENT.json
   benchdiff tables [-exp F1,F2|fast|all] [-seed S] [-list]`)
 }
 
@@ -90,11 +93,8 @@ func fail(err error) {
 
 // runOptions carries every flag of the run mode.
 type runOptions struct {
-	label, out, exps                string
-	quick, kernelsOnly, expsOnly, q bool
-	repeat, workers                 int
-	benchtime                       time.Duration
-	seed                            uint64
+	label, out, exps   string
+	quick, expsOnly, q bool
 }
 
 func newRunFlags() (*flag.FlagSet, *runOptions) {
@@ -102,13 +102,8 @@ func newRunFlags() (*flag.FlagSet, *runOptions) {
 	fs := flag.NewFlagSet("benchdiff run", flag.ContinueOnError)
 	fs.StringVar(&o.label, "label", "dev", "report label")
 	fs.StringVar(&o.out, "out", "", "output path (default BENCH_<label>.json)")
-	fs.BoolVar(&o.quick, "quick", false, "smallest experiment scales, short kernel timing")
-	fs.IntVar(&o.repeat, "repeat", 0, "experiment repetitions (default 3, quick 1)")
-	fs.IntVar(&o.workers, "workers", 0, "experiment worker pool size (default GOMAXPROCS)")
-	fs.DurationVar(&o.benchtime, "benchtime", 0, "per-kernel time target (default 1s, quick 100ms)")
-	fs.Uint64Var(&o.seed, "seed", 1, "experiment master seed")
+	fs.BoolVar(&o.quick, "quick", false, "smallest experiment scales, 100ms instead of 1s per kernel")
 	fs.StringVar(&o.exps, "exp", "", "comma-separated experiment IDs (default all)")
-	fs.BoolVar(&o.kernelsOnly, "kernels-only", false, "skip experiments")
 	fs.BoolVar(&o.expsOnly, "exps-only", false, "skip kernel micro-benchmarks")
 	fs.BoolVar(&o.q, "q", false, "suppress progress output")
 	return fs, o
@@ -118,16 +113,7 @@ func runCmd(args []string) {
 	fs, o := newRunFlags()
 	parse(fs, args)
 
-	opts := bench.HarnessOptions{
-		Label:       o.label,
-		Seed:        o.seed,
-		Quick:       o.quick,
-		Repeat:      o.repeat,
-		Workers:     o.workers,
-		BenchTime:   o.benchtime,
-		SkipKernels: o.expsOnly,
-		SkipExps:    o.kernelsOnly,
-	}
+	opts := bench.HarnessOptions{Label: o.label, Quick: o.quick, SkipKernels: o.expsOnly}
 	if !o.q {
 		opts.Progress = os.Stderr
 	}
@@ -157,7 +143,6 @@ func newCompareFlags() (*flag.FlagSet, *bench.Thresholds) {
 	th := bench.DefaultThresholds()
 	fs := flag.NewFlagSet("benchdiff compare", flag.ContinueOnError)
 	fs.Float64Var(&th.NsPerOp, "ns", th.NsPerOp, "allowed relative kernel ns/op growth (<0 disables)")
-	fs.Float64Var(&th.AllocsPerOp, "allocs", th.AllocsPerOp, "allowed absolute kernel allocs/op growth (<0 disables)")
 	fs.Float64Var(&th.VirtualTime, "vt", th.VirtualTime, "allowed relative experiment virtual-time growth (<0 disables)")
 	return fs, &th
 }
@@ -207,18 +192,17 @@ func tablesCmd(args []string) {
 	fs, o := newTablesFlags()
 	parse(fs, args)
 
-	reg := bench.Registry()
 	if o.list {
-		for _, id := range bench.IDs() {
+		for _, e := range bench.Experiments() {
 			slow := ""
-			if reg[id].Slow {
+			if e.Slow {
 				slow = " (slow)"
 			}
-			fmt.Printf("  %s%s\n", id, slow)
+			fmt.Printf("  %s%s\n", e.ID, slow)
 		}
 		return
 	}
-	for _, id := range selectIDs(o.exp, reg) {
+	for _, id := range selectIDs(o.exp) {
 		table, err := bench.RunMetered(id, bench.RunCtx{Seed: o.seed})
 		if err != nil {
 			fail(err)
@@ -229,20 +213,17 @@ func tablesCmd(args []string) {
 
 // selectIDs resolves the -exp value to experiment IDs: "all", "fast"
 // (everything not marked Slow), or a comma-separated list.
-func selectIDs(exp string, reg map[string]bench.Experiment) []string {
+func selectIDs(exp string) []string {
 	var ids []string
-	switch exp {
-	case "all":
-		ids = bench.IDs()
-	case "fast":
-		for _, id := range bench.IDs() {
-			if !reg[id].Slow {
-				ids = append(ids, id)
-			}
-		}
-	default:
+	if exp != "all" && exp != "fast" {
 		for _, id := range strings.Split(exp, ",") {
 			ids = append(ids, strings.TrimSpace(id))
+		}
+		return ids
+	}
+	for _, e := range bench.Experiments() {
+		if exp == "all" || !e.Slow {
+			ids = append(ids, e.ID)
 		}
 	}
 	return ids

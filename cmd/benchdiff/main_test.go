@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,10 +74,10 @@ func TestDefaultsAreSane(t *testing.T) {
 	if err := rfs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if ro.label != "dev" || ro.out != "" || ro.exps != "" || ro.seed != 1 || ro.repeat != 0 || ro.workers != 0 || ro.benchtime != 0 {
+	if ro.label != "dev" || ro.out != "" || ro.exps != "" {
 		t.Errorf("run defaults drifted: %+v", ro)
 	}
-	if ro.quick || ro.kernelsOnly || ro.expsOnly || ro.q {
+	if ro.quick || ro.expsOnly || ro.q {
 		t.Errorf("run switches drifted: %+v", ro)
 	}
 	cfs, th := newCompareFlags()
@@ -95,25 +96,27 @@ func TestDefaultsAreSane(t *testing.T) {
 	}
 }
 
-// TestSelectIDs covers the -exp selector against the live registry:
-// "fast" excludes every Slow experiment, "all" is the whole index, and
-// explicit lists pass through trimmed.
+// TestSelectIDs covers the -exp selector against the live index:
+// "fast" is every experiment not marked Slow, in index order, "all" is
+// the whole index, and explicit lists pass through trimmed.
 func TestSelectIDs(t *testing.T) {
-	reg := bench.Registry()
-	if got := selectIDs("all", reg); len(got) != len(bench.IDs()) {
-		t.Errorf("all selected %d of %d", len(got), len(bench.IDs()))
-	}
-	fast := selectIDs("fast", reg)
-	if len(fast) == 0 {
-		t.Fatal("fast selected nothing")
-	}
-	for _, id := range fast {
-		if reg[id].Slow {
-			t.Errorf("fast selected slow experiment %s", id)
+	var all, fast []string
+	for _, e := range bench.Experiments() {
+		all = append(all, e.ID)
+		if !e.Slow {
+			fast = append(fast, e.ID)
 		}
 	}
-	got := selectIDs("F1, T4", reg)
-	if len(got) != 2 || got[0] != "F1" || got[1] != "T4" {
+	if got := selectIDs("all"); !slices.Equal(got, all) {
+		t.Errorf("all selected %v, want %v", got, all)
+	}
+	if len(fast) == 0 || len(fast) == len(all) {
+		t.Fatalf("index has %d fast of %d experiments", len(fast), len(all))
+	}
+	if got := selectIDs("fast"); !slices.Equal(got, fast) {
+		t.Errorf("fast selected %v, want %v", got, fast)
+	}
+	if got := selectIDs("F1, T4"); !slices.Equal(got, []string{"F1", "T4"}) {
 		t.Errorf("list selection: %v", got)
 	}
 }

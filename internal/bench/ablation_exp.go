@@ -29,7 +29,7 @@ func A1(rc RunCtx) *Table {
 	for _, p := range ps {
 		mgs := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
 		p1 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
-		cgs := cgsTimePerIter(rc, p, nLocal, iters)
+		cgs := timePerIter(rc, p, nLocal, iters, cgsGMRES, false, nil)
 		t.AddRow(fmt.Sprint(p), f(mgs), f(cgs), f(p1), speedup(mgs, cgs), speedup(cgs, p1))
 	}
 	t.Notes = append(t.Notes,
@@ -38,34 +38,6 @@ func A1(rc RunCtx) *Table {
 		"merging dominates at high P because MGS pays the tree latency j+1 times per step",
 		"p1's per-cycle true-residual safeguard (one extra SpMV + reduction) roughly cancels its small overlap gain at these short cycles; longer cycles amortise it")
 	return t
-}
-
-func cgsTimePerIter(rc RunCtx, p, nLocal, iters int) float64 {
-	cfg := rc.cfg(p, nil)
-	var out float64
-	err := comm.Run(cfg, func(c *comm.Comm) error {
-		op := dist.NewStencil3(c, nLocal*p, -1, 2.5, -1)
-		b := make([]float64, op.LocalLen())
-		for i := range b {
-			b[i] = 1
-		}
-		_, st, err := krylov.DistCGSGMRES(c, op, b, nil, krylov.DistGMRESOptions{Restart: iters, Tol: 1e-30, MaxIter: iters})
-		if err != nil {
-			return err
-		}
-		mx, err := c.AllreduceScalar(c.Clock(), comm.OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && st.Iterations > 0 {
-			out = mx / float64(st.Iterations)
-		}
-		return nil
-	})
-	if err != nil {
-		return -1
-	}
-	return out
 }
 
 // A2 — time-to-solution across the synchronisation spectrum for an SPD

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -10,10 +11,11 @@ import (
 // TestFastExperimentsProduceTables runs every non-slow experiment once
 // and sanity-checks its output structure.
 func TestFastExperimentsProduceTables(t *testing.T) {
-	for id, e := range Registry() {
+	for _, e := range Experiments() {
 		if e.Slow {
 			continue
 		}
+		id := e.ID
 		table, err := RunMetered(id, RunCtx{Seed: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -111,13 +113,20 @@ func TestF5LFLRWins(t *testing.T) {
 	}
 }
 
+// TestRegistryAndRender pins the index's display order — figures,
+// tables, ablations, preconditioning, then campaigns, numerically
+// within each group — which `benchdiff tables` and the harness follow.
 func TestRegistryAndRender(t *testing.T) {
-	ids := IDs()
-	if len(ids) != 21 {
-		t.Fatalf("expected 21 experiments, got %d: %v", len(ids), ids)
+	var ids []string
+	for _, e := range Experiments() {
+		ids = append(ids, e.ID)
 	}
-	if ids[0] != "F1" {
-		t.Errorf("first ID %s", ids[0])
+	want := []string{
+		"F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10",
+		"T1", "T2", "T3", "T4", "A1", "A2", "P1", "P2", "P3", "P4", "C1",
+	}
+	if !slices.Equal(ids, want) {
+		t.Fatalf("index order\n got %v\nwant %v", ids, want)
 	}
 	if _, err := RunMetered("nope", RunCtx{Seed: 1}); err == nil {
 		t.Error("unknown ID should error")

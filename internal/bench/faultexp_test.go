@@ -27,11 +27,11 @@ func TestFaultExperimentsGolden(t *testing.T) {
 	}
 	var got bytes.Buffer
 	for _, id := range faultExps {
-		e, ok := Registry()[id]
-		if !ok {
-			t.Fatalf("no experiment %s", id)
+		table, err := RunMetered(id, RunCtx{Seed: 1, Quick: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, row := range e.Run(RunCtx{Seed: 1, Quick: true}).Rows {
+		for _, row := range table.Rows {
 			got.WriteString(id + "\t" + strings.Join(row, "\t") + "\n")
 		}
 	}

@@ -23,51 +23,23 @@ import (
 // SchemaVersion identifies the BENCH_*.json layout.
 const SchemaVersion = "repro-bench/v1"
 
-// HarnessOptions configures one harness run.
+// HarnessOptions configures one harness run. Everything else follows
+// from Quick: every experiment runs once at seed 1 on a GOMAXPROCS-wide
+// pool (its ledger is deterministic and its wall-clock is not gated),
+// and each kernel is timed for 1s, or 100ms in quick mode. To time a
+// kernel at another benchtime, use `go test -bench BenchmarkKernels
+// -benchtime D` at the repository root, which runs the same Kernels()
+// bodies.
 type HarnessOptions struct {
-	Label  string // report label; also names the output file
-	Seed   uint64 // experiment master seed (default 1)
-	Quick  bool   // trim scaling sweeps and shorten kernel timing
-	Repeat int    // experiment repetitions; min wall-clock is kept (default 3, quick 1)
-	// Workers sizes the experiment worker pool. Each experiment owns its
-	// isolated comm.World(s), so independent experiments run concurrently;
-	// default is GOMAXPROCS.
-	Workers int
-	// BenchTime is the per-kernel measurement target (default 1s, quick
-	// 100ms). Kernels run sequentially after the experiments so wall-clock
-	// numbers are not perturbed by pool concurrency.
-	BenchTime   time.Duration
+	Label       string    // report label; also names the output file
+	Quick       bool      // trim scaling sweeps and shorten kernel timing
 	Experiments []string  // subset of experiment IDs; nil = all
 	SkipKernels bool      // experiments only
-	SkipExps    bool      // kernels only
 	Progress    io.Writer // optional per-item progress log
 }
 
-func (o *HarnessOptions) defaults() {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Repeat <= 0 {
-		if o.Quick {
-			o.Repeat = 1
-		} else {
-			o.Repeat = 3
-		}
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.BenchTime <= 0 {
-		if o.Quick {
-			o.BenchTime = 100 * time.Millisecond
-		} else {
-			o.BenchTime = time.Second
-		}
-	}
-	if o.Label == "" {
-		o.Label = "dev"
-	}
-}
+// harnessSeed is the experiment master seed of every harness run.
+const harnessSeed = 1
 
 // Result is one measured entry of a report.
 type Result struct {
@@ -116,14 +88,13 @@ func (r *Report) Lookup(name string) (Result, bool) {
 // kernel micro-benchmarks (sequentially, for quiet wall-clock), and
 // returns the assembled report.
 func RunHarness(opts HarnessOptions) (*Report, error) {
-	opts.defaults()
 	rep := &Report{
 		Schema:    SchemaVersion,
 		Label:     opts.Label,
 		GoVersion: runtime.Version(),
 		Quick:     opts.Quick,
-		Repeat:    opts.Repeat,
-		Seed:      opts.Seed,
+		Repeat:    1,
+		Seed:      harnessSeed,
 	}
 	progress := func(format string, args ...any) {
 		if opts.Progress != nil {
@@ -131,41 +102,45 @@ func RunHarness(opts HarnessOptions) (*Report, error) {
 		}
 	}
 
-	if !opts.SkipExps {
-		ids := opts.Experiments
-		if ids == nil {
-			ids = IDs()
+	ids := opts.Experiments
+	if ids == nil {
+		for _, e := range Experiments() {
+			ids = append(ids, e.ID)
 		}
-		results := make([]Result, len(ids))
-		errs := make([]error, len(ids))
-		var wg sync.WaitGroup
-		work := make(chan int)
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					results[i], errs[i] = runExperimentMetered(ids[i], opts)
-					progress("experiment %-4s %12.0f ns/op  vt=%.3gs", ids[i], results[i].NsPerOp, results[i].VirtualTime)
-				}
-			}()
-		}
-		for i := range ids {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("experiment %s: %w", ids[i], err)
-			}
-		}
-		rep.Results = append(rep.Results, results...)
 	}
+	results := make([]Result, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	work := make(chan int)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range work {
+				results[i], errs[i] = runExperimentMetered(ids[i], opts.Quick)
+				progress("experiment %-4s %12.0f ns/op  vt=%.3gs", ids[i], results[i].NsPerOp, results[i].VirtualTime)
+			}
+		}()
+	}
+	for i := range ids {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", ids[i], err)
+		}
+	}
+	rep.Results = append(rep.Results, results...)
 
 	if !opts.SkipKernels {
+		benchTime := time.Second
+		if opts.Quick {
+			benchTime = 100 * time.Millisecond
+		}
 		for _, k := range Kernels() {
-			res := measureKernel(k, opts.BenchTime)
+			res := measureKernel(k, benchTime)
 			progress("kernel %-28s %12.1f ns/op  %6.3f allocs/op", k.Name, res.NsPerOp, res.AllocsPerOp)
 			rep.Results = append(rep.Results, res)
 		}
@@ -175,35 +150,34 @@ func RunHarness(opts HarnessOptions) (*Report, error) {
 	return rep, nil
 }
 
-// runExperimentMetered runs one experiment opts.Repeat times, keeping
-// the minimum wall-clock and the (deterministic) ledger metrics.
-func runExperimentMetered(id string, opts HarnessOptions) (Result, error) {
-	res := Result{Name: "exp/" + id, Kind: "experiment", Iters: opts.Repeat}
-	for rep := 0; rep < opts.Repeat; rep++ {
-		led := &comm.Ledger{}
-		start := time.Now()
-		table, err := RunMetered(id, RunCtx{Seed: opts.Seed, Quick: opts.Quick, Ledger: led})
-		wall := float64(time.Since(start).Nanoseconds())
-		if err != nil {
-			return res, err
-		}
-		if len(table.Rows) == 0 {
-			return res, fmt.Errorf("produced no rows")
-		}
-		snap := led.Snapshot()
-		if rep == 0 || wall < res.NsPerOp {
-			res.NsPerOp = wall
-		}
-		res.Rows = len(table.Rows)
-		res.Worlds = snap.Worlds
-		res.VirtualTime = snap.MaxClock
-		res.RankSeconds = snap.RankSeconds
-		res.Sends = snap.Stats.Sends
-		res.Recvs = snap.Stats.Recvs
-		res.Collectives = snap.Stats.Collective
-		res.Flops = snap.Stats.Flops
+// runExperimentMetered runs one experiment once, recording its
+// wall-clock and its (deterministic) ledger metrics.
+func runExperimentMetered(id string, quick bool) (Result, error) {
+	led := &comm.Ledger{}
+	start := time.Now()
+	table, err := RunMetered(id, RunCtx{Seed: harnessSeed, Quick: quick, Ledger: led})
+	wall := float64(time.Since(start).Nanoseconds())
+	if err != nil {
+		return Result{}, err
 	}
-	return res, nil
+	if len(table.Rows) == 0 {
+		return Result{}, fmt.Errorf("produced no rows")
+	}
+	snap := led.Snapshot()
+	return Result{
+		Name:        "exp/" + id,
+		Kind:        "experiment",
+		NsPerOp:     wall,
+		Iters:       1,
+		Rows:        len(table.Rows),
+		Worlds:      snap.Worlds,
+		VirtualTime: snap.MaxClock,
+		RankSeconds: snap.RankSeconds,
+		Sends:       snap.Stats.Sends,
+		Recvs:       snap.Stats.Recvs,
+		Collectives: snap.Stats.Collective,
+		Flops:       snap.Stats.Flops,
+	}, nil
 }
 
 // measureKernel times one kernel body: warm up, grow n until the run

@@ -15,8 +15,8 @@ import (
 // above cannot give: an experiment that silently breaks at any scale now
 // fails the suite.
 func TestRegistrySmoke(t *testing.T) {
-	for _, id := range IDs() {
-		id := id
+	for _, e := range Experiments() {
+		id := e.ID
 		t.Run(id, func(t *testing.T) {
 			table, err := RunMetered(id, RunCtx{Seed: 1, Quick: true})
 			if err != nil {
@@ -46,7 +46,6 @@ func TestHarnessRunAndRoundTrip(t *testing.T) {
 	rep, err := RunHarness(HarnessOptions{
 		Label:       "test",
 		Quick:       true,
-		Repeat:      1,
 		Experiments: []string{"F8"},
 		SkipKernels: true,
 	})
@@ -204,7 +203,7 @@ func TestRankKillExperimentsExact(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	run := func() []Result {
-		rep, err := RunHarness(HarnessOptions{Experiments: []string{"F4", "C1", "T3"}, Repeat: 1, SkipKernels: true})
+		rep, err := RunHarness(HarnessOptions{Experiments: []string{"F4", "C1", "T3"}, SkipKernels: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -52,8 +52,8 @@ func TestScalingHelpersAtSmallP(t *testing.T) {
 			}
 		}
 	}
-	if got := cgsTimePerIter(RunCtx{Seed: 1}, p, nLocal, iters); got <= 0 {
-		t.Errorf("cgsTimePerIter = %g", got)
+	if got := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, cgsGMRES, false, nil); got <= 0 {
+		t.Errorf("timePerIter(kind=cgsGMRES) = %g", got)
 	}
 	// Ordering sanity at tiny scale: MGS is already the most
 	// reduction-heavy variant.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/comm"
 	"repro/internal/dist"
@@ -18,14 +17,6 @@ import (
 // the earlier experiments benchmark, and — per §III-D — the whole
 // preconditioner can run in low-reliability mode inside FT-GMRES with
 // the outer iteration absorbing its faults.
-
-// anisoBounds returns the exact extreme eigenvalues of AnisoPoisson2D,
-// the spectral interval the Chebyshev preconditioner needs.
-func anisoBounds(nx, ny int, ex, ey float64) (lmin, lmax float64) {
-	cx := math.Cos(math.Pi / float64(nx+1))
-	cy := math.Cos(math.Pi / float64(ny+1))
-	return 2*ex*(1-cx) + 2*ey*(1-cy), 2*ex*(1+cx) + 2*ey*(1+cy)
-}
 
 // pcgVariant runs one (preconditioner, solver) configuration of P1 at P
 // ranks and reports iterations, reductions, virtual time, convergence.
@@ -74,7 +65,7 @@ func P1(rc RunCtx) *Table {
 	for _, ex := range ratios {
 		a := problems.AnisoPoisson2D(nx, ny, ex, 1)
 		rhs, _ := problems.ManufacturedRHS(a)
-		lmin, lmax := anisoBounds(nx, ny, ex, 1)
+		lmin, lmax := problems.AnisoPoisson2DBounds(nx, ny, ex, 1)
 
 		// A failed variant still contributes a row: an "ERR" cell fails
 		// the registry smoke test, so a broken configuration cannot
@@ -260,7 +251,7 @@ func P4(rc RunCtx) *Table {
 	const ex, ey = 25.0, 1.0
 	a := problems.AnisoPoisson2D(nx, nx, ex, ey)
 	rhs, _ := problems.ManufacturedRHS(a)
-	lmin, lmax := anisoBounds(nx, nx, ex, ey)
+	lmin, lmax := problems.AnisoPoisson2DBounds(nx, nx, ex, ey)
 	opts := krylov.DistGMRESOptions{Restart: 30, Tol: 1e-8, MaxIter: 2000}
 
 	type variant struct {

@@ -9,12 +9,15 @@ import (
 	"repro/internal/machine"
 )
 
-// solverKind selects which solver pair a scaling run uses.
+// solverKind selects which solver family a scaling run uses: the CG
+// and GMRES pairs (classic or pipelined), or A1's single-reduction
+// CGS-1 GMRES, which has no pipelined twin.
 type solverKind int
 
 const (
 	cgPair solverKind = iota
 	gmresPair
+	cgsGMRES
 )
 
 // timePerIter runs `iters` iterations of the chosen solver at P ranks
@@ -33,6 +36,8 @@ func timePerIter(rc RunCtx, p, nLocal, iters int, kind solverKind, pipelined boo
 		var st krylov.Stats
 		var err error
 		switch {
+		case kind == cgsGMRES:
+			_, st, err = krylov.DistCGSGMRES(c, op, b, nil, krylov.DistGMRESOptions{Restart: iters, Tol: 1e-30, MaxIter: iters})
 		case kind == cgPair && pipelined:
 			_, st, err = krylov.DistPipelinedCG(c, op, b, nil, krylov.DistOptions{Tol: 1e-30, MaxIter: iters})
 		case kind == cgPair:

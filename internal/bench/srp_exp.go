@@ -55,7 +55,6 @@ func F6(rc RunCtx) *Table {
 // expensive approaches such as triple modular redundancy (TMR) can still
 // be much faster than a fully unreliable approach").
 func T4(rc RunCtx) *Table {
-	seed := rc.Seed
 	t := &Table{
 		ID:      "T4",
 		Title:   "Execution strategies on unreliable hardware: expected completion time",
@@ -83,7 +82,6 @@ func T4(rc RunCtx) *Table {
 		fmt.Sprintf("job of %.0e ops; SRP holds %.0f%% of data/compute reliable, inner-fault absorption overhead factor %g", work, 100*fracReliable, srpOverhead),
 		"unreliable+restart: expected (e^{λW}-1)/λ — explodes once λW > 1, exactly the paper's argument",
 		"(seed unused: the table is the analytic expectation)")
-	_ = seed
 	return t
 }
 

@@ -179,24 +179,17 @@ func (p Problem) layout(ranks int) *dist.Layout {
 	return l
 }
 
-// laplaceBounds returns the exact extreme eigenvalues of the
-// h²-scaled anisotropic 5-point Laplacian on a g×g interior grid.
-func laplaceBounds(g int, ex, ey float64) (lmin, lmax float64) {
-	c := math.Cos(math.Pi / float64(g+1))
-	return 2*ex*(1-c) + 2*ey*(1-c), 2*ex*(1+c) + 2*ey*(1+c)
-}
-
 // BuildProblem generates the named problem on a g×g interior grid.
 func BuildProblem(name string, g int) (Problem, error) {
 	p := Problem{layouts: &layoutMemo{byRanks: make(map[int]*dist.Layout)}}
 	switch name {
 	case ProblemPoisson:
 		p.A = problems.Poisson2D(g, g)
-		p.LMin, p.LMax = laplaceBounds(g, 1, 1)
+		p.LMin, p.LMax = problems.AnisoPoisson2DBounds(g, g, 1, 1)
 	case ProblemAniso:
 		const ex, ey = 25.0, 1.0
 		p.A = problems.AnisoPoisson2D(g, g, ex, ey)
-		p.LMin, p.LMax = laplaceBounds(g, ex, ey)
+		p.LMin, p.LMax = problems.AnisoPoisson2DBounds(g, g, ex, ey)
 	case ProblemConvDiff:
 		p.A = problems.ConvDiffRot2D(g, g, 40)
 	case ProblemHeat:
@@ -214,7 +207,7 @@ func BuildProblem(name string, g int) (Problem, error) {
 			}
 		}
 		p.A = a
-		lmin, lmax := laplaceBounds(g, 1, 1)
+		lmin, lmax := problems.AnisoPoisson2DBounds(g, g, 1, 1)
 		p.LMin, p.LMax = 1+nu*lmin, 1+nu*lmax
 	default:
 		return p, fmt.Errorf("campaign: unknown problem %q", name)

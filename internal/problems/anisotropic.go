@@ -1,6 +1,10 @@
 package problems
 
-import "repro/internal/la"
+import (
+	"math"
+
+	"repro/internal/la"
+)
 
 // AnisoPoisson2D returns the anisotropic Poisson operator
 // -epsX·u_xx - epsY·u_yy on an nx×ny grid with Dirichlet boundaries,
@@ -17,6 +21,16 @@ func AnisoPoisson2D(nx, ny int, epsX, epsY float64) *la.CSR {
 	return stencil5(nx, ny, func(i, j int) (c, w, e, s, n float64) {
 		return 2*epsX + 2*epsY, -epsX, -epsX, -epsY, -epsY
 	})
+}
+
+// AnisoPoisson2DBounds returns the exact extreme eigenvalues of
+// AnisoPoisson2D(nx, ny, epsX, epsY), the spectral interval Chebyshev
+// iteration and preconditioning need. Poisson2D(nx, ny) is the case
+// epsX = epsY = 1.
+func AnisoPoisson2DBounds(nx, ny int, epsX, epsY float64) (lmin, lmax float64) {
+	cx := math.Cos(math.Pi / float64(nx+1))
+	cy := math.Cos(math.Pi / float64(ny+1))
+	return 2*epsX*(1-cx) + 2*epsY*(1-cy), 2*epsX*(1+cx) + 2*epsY*(1+cy)
 }
 
 // ConvDiffRot2D returns a convection–diffusion operator with a
