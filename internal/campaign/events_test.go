@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sync"
@@ -159,6 +161,76 @@ func TestRunEventMatrix(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, tc.want) {
 				t.Errorf("event × rank matrix:\n got %v\nwant %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestPhaseTallyMatchesSpanEvents: ExecEnv.Phases stages exactly the
+// phase spans ExecEnv.Events carries — per phase, as many observations
+// as span events (the harness's restart-recovery annotation aside) and
+// the same total length — on a clean, a noisy, a bitflip and a
+// rank-kill cell. The rank-kill cell restarts, so later attempts'
+// events are shifted in run-virtual time while the tally takes the
+// unshifted lengths.
+func TestPhaseTallyMatchesSpanEvents(t *testing.T) {
+	killSpec := testSpec()
+	killSpec.MaxRestarts = 8
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		cell Cell
+	}{
+		{"clean", testSpec(), Cell{Solver: SolverGMRES, Precond: PrecondJacobi, Problem: ProblemPoisson, Ranks: 2}},
+		{"noisy", testSpec(), Cell{Solver: SolverPCG, Precond: PrecondJacobi, Problem: ProblemPoisson, Ranks: 2,
+			Noise: NoiseSpec{Model: NoiseUniform, Frac: 0.2}}},
+		{"bitflip", testSpec(), Cell{Solver: SolverFTGMRES, Precond: PrecondBJILU, Problem: ProblemConvDiff, Ranks: 2,
+			Fault: FaultSpec{Model: FaultBitflip, Rate: 5e-2}}},
+		{"rank-kill", killSpec, Cell{Solver: SolverGMRES, Precond: PrecondNone, Problem: ProblemPoisson, Ranks: 2,
+			Fault: FaultSpec{Model: FaultRankKill, MTBF: 15}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			hists := make([]*obs.Histogram, len(obs.Phases()))
+			for i, p := range obs.Phases() {
+				hists[i] = reg.Histogram("phase", "", []float64{1e-6, 1e-3, 1}, obs.Label{Key: "phase", Value: p})
+			}
+			phases := obs.NewPhaseTally(hists)
+			ev := &recorder{}
+			rec := ExecuteRunEnv(&tc.spec, tc.cell, 0, &ExecEnv{Phases: phases, Events: ev.observe})
+			if rec.Err != "" {
+				t.Fatal(rec.Err)
+			}
+			if tc.cell.Fault.Model == FaultRankKill && rec.Restarts == 0 {
+				t.Fatal("no restarts; the attempt shift is not exercised")
+			}
+			phases.Flush()
+			var text bytes.Buffer
+			reg.WritePrometheus(&text)
+			series, err := obs.ParseText(text.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			count := map[string]int{}
+			sum := map[string]float64{}
+			for _, e := range ev.events {
+				if e.Name == obs.EventSpan && e.Detail != obs.PhaseRestartRecovery {
+					count[e.Detail]++
+					sum[e.Detail] += e.Dur
+				}
+			}
+			if count[obs.PhaseAllreduce] == 0 {
+				t.Fatal("the run emitted no allreduce spans")
+			}
+			for _, p := range obs.Phases() {
+				n := series[fmt.Sprintf("phase_count{phase=%q}", p)]
+				s := series[fmt.Sprintf("phase_sum{phase=%q}", p)]
+				if n != float64(count[p]) {
+					t.Errorf("%s: tally counted %g spans, the event stream carried %d", p, n, count[p])
+				}
+				if d := math.Abs(s - sum[p]); d > 1e-9*math.Abs(sum[p]) {
+					t.Errorf("%s: tally sums to %g, the event stream to %g", p, s, sum[p])
+				}
 			}
 		})
 	}

@@ -248,6 +248,14 @@ type ExecEnv struct {
 	// Ledger, when non-nil, aggregates communication activity over
 	// every world the run creates.
 	Ledger *comm.Ledger
+	// Phases, when non-nil, stages the length of every phase span of
+	// every rank and attempt in the run (comm.Config.Phases): the
+	// per-phase totals of the span events Events would see, without an
+	// observer. The harness's restart-recovery annotation is not a
+	// world span and is not staged. The run's worlds execute one at a
+	// time on the calling goroutine, so a tally serves one run at a
+	// time and the caller flushes it when ExecuteRunEnv returns.
+	Phases obs.PhaseTally
 	// Problems, when non-nil, resolves problem assembly (a cache hook:
 	// (*ProblemMemo).Problem is the one both the engine and the solve
 	// service use); nil falls back to BuildProblem for every run.
@@ -509,7 +517,7 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 		err := comm.Run(comm.Config{
 			Ranks: cell.Ranks, Cost: machine.DefaultCostModel(),
 			Noise: noiseModel(cell.Noise), Seed: aseed, Ledger: env.Ledger,
-			Observer: emit,
+			Observer: emit, Phases: env.Phases,
 		}, func(c *comm.Comm) error {
 			return runRank(c, spec, cell, p, layout, att, env.Setups)
 		})

@@ -1,18 +1,24 @@
 package comm
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
-// parkedWorld spawns p ranks that each build their state with setup and
-// park. step(n) releases them to run their body n times and drives the
-// world until every rank has parked again, so a measurement of step
-// excludes world construction; stop makes the ranks return. Both fail t
-// on any rank error.
-func parkedWorld(tb testing.TB, p int, setup func(c *Comm) func(n int) error) (step func(n int), stop func()) {
-	w := NewWorld(Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 1})
+// parkedWorld spawns cfg.Ranks ranks (on the default cost model, seed
+// 1) that each build their state with setup and park. step(n) releases
+// them to run their body n times and drives the world until every rank
+// has parked again, so a measurement of step excludes world
+// construction; stop makes the ranks return. Both fail t on any rank
+// error.
+func parkedWorld(tb testing.TB, cfg Config, setup func(c *Comm) func(n int) error) (step func(n int), stop func()) {
+	cfg.Cost, cfg.Seed = machine.DefaultCostModel(), 1
+	p := cfg.Ranks
+	w := NewWorld(cfg)
 	reps := 0 // what the released ranks run next; negative = exit
 	for r := 0; r < p; r++ {
 		w.Spawn(r, 0, func(c *Comm) error {
@@ -56,7 +62,7 @@ func parkedWorld(tb testing.TB, p int, setup func(c *Comm) func(n int) error) (s
 // CI gate watches it end to end.
 func TestSteadyStateAllocationFree(t *testing.T) {
 	const p = 4
-	step, stop := parkedWorld(t, p, func(c *Comm) func(n int) error {
+	step, stop := parkedWorld(t, Config{Ranks: p}, func(c *Comm) func(n int) error {
 		buf := []float64{float64(c.Rank())}
 		recv := make([]float64, 1)
 		red := make([]float64, 2)
@@ -102,13 +108,80 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestPhaseTallyAllocationFree: a world that stages its phase spans in
+// a tally, with no observer, keeps the steady-state collective and halo
+// loop at 0 allocations — the solve service's plain-solve path — and
+// the tally sees every span the loop closes.
+func TestPhaseTallyAllocationFree(t *testing.T) {
+	const p = 4
+	reg := obs.NewRegistry()
+	hists := make([]*obs.Histogram, len(obs.Phases()))
+	for i, ph := range obs.Phases() {
+		hists[i] = reg.Histogram("phase", "", []float64{1e-6, 1e-3}, obs.Label{Key: "phase", Value: ph})
+	}
+	phases := obs.NewPhaseTally(hists)
+	iters := 0 // loop iterations of rank 0; every rank runs as many
+	step, stop := parkedWorld(t, Config{Ranks: p, Phases: phases}, func(c *Comm) func(n int) error {
+		out := make([]float64, 8)
+		left, right := make([]float64, 8), make([]float64, 8)
+		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				halo, mark := c.SpanStart(), c.WaitMark()
+				if err := c.Send(next, 1, out); err != nil {
+					return err
+				}
+				if err := c.Send(prev, 2, out); err != nil {
+					return err
+				}
+				if _, err := c.RecvInto(prev, 1, left); err != nil {
+					return err
+				}
+				if _, err := c.RecvInto(next, 2, right); err != nil {
+					return err
+				}
+				c.SpanEndWait(obs.PhaseHaloExchange, halo, mark)
+				spmv := c.SpanStart()
+				c.Compute(100)
+				c.SpanEnd(obs.PhaseSpMV, spmv)
+				if _, err := c.AllreduceScalar(1, OpSum); err != nil {
+					return err
+				}
+				if c.Rank() == 0 {
+					iters++
+				}
+			}
+			return nil
+		}
+	})
+	step(3) // warm-up: pools fill
+
+	allocs := testing.AllocsPerRun(5, func() { step(10) })
+	stop()
+	if allocs != 0 {
+		t.Errorf("steady-state comm with a phase tally allocated %.1f times per round, want 0", allocs)
+	}
+	phases.Flush()
+	var text bytes.Buffer
+	reg.WritePrometheus(&text)
+	series, err := obs.ParseText(text.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ph := range []string{obs.PhaseHaloExchange, obs.PhaseSpMV, obs.PhaseAllreduce} {
+		if got, want := series[fmt.Sprintf("phase_count{phase=%q}", ph)], float64(p*iters); got != want {
+			t.Errorf("%s: tally staged %g spans, the loop closed %g", ph, got, want)
+		}
+	}
+}
+
 // BenchmarkAllreduceScalar: one op is one blocking one-word all-reduce
 // over every rank of the world — what modified Gram–Schmidt, dist.Dot
 // and dist.Norm2 pay per reduction.
 func BenchmarkAllreduceScalar(b *testing.B) {
 	for _, p := range []int{4, 64} {
 		b.Run(map[int]string{4: "p4", 64: "p64"}[p], func(b *testing.B) {
-			step, stop := parkedWorld(b, p, func(c *Comm) func(n int) error {
+			step, stop := parkedWorld(b, Config{Ranks: p}, func(c *Comm) func(n int) error {
 				return func(n int) error {
 					for i := 0; i < n; i++ {
 						if _, err := c.AllreduceScalar(1, OpSum); err != nil {
@@ -132,7 +205,7 @@ func BenchmarkAllreduceScalar(b *testing.B) {
 // point-to-point half of a distributed SpMV on the solve_wide grid.
 func BenchmarkHaloExchange(b *testing.B) {
 	const p, halo = 64, 24
-	step, stop := parkedWorld(b, p, func(c *Comm) func(n int) error {
+	step, stop := parkedWorld(b, Config{Ranks: p}, func(c *Comm) func(n int) error {
 		out := make([]float64, halo)
 		left, right := make([]float64, halo), make([]float64, halo)
 		next, prev := (c.Rank()+1)%p, (c.Rank()+p-1)%p

@@ -95,8 +95,8 @@ func (c *Comm) SpanStart() float64 { return c.clock.Now() }
 // with no wait attributed. Call it only on success paths: an operation
 // that failed mid-phase has no meaningful duration.
 func (c *Comm) SpanEnd(phase string, start float64) {
-	if c.world.observer != nil {
-		c.emitSpan(phase, start, c.waited)
+	if c.world.spans {
+		c.endSpan(phase, start, c.waited)
 	}
 }
 
@@ -115,15 +115,21 @@ func (c *Comm) WaitMark() float64 { return c.waited }
 // rank spent blocked behind the slowest participant rather than doing
 // its own work.
 func (c *Comm) SpanEndWait(phase string, start, mark float64) {
-	if c.world.observer != nil {
-		c.emitSpan(phase, start, mark)
+	if c.world.spans {
+		c.endSpan(phase, start, mark)
 	}
 }
 
-// emitSpan is the observed half of SpanEnd/SpanEndWait, kept out of
-// line so the unobserved half inlines to a nil check in hot loops.
-func (c *Comm) emitSpan(phase string, start, mark float64) {
-	c.Emit(obs.Event{Name: obs.EventSpan, T: start, Dur: c.clock.Now() - start, Wait: c.waited - mark, Detail: phase})
+// endSpan is the observed half of SpanEnd/SpanEndWait, kept out of
+// line so the unobserved half inlines to one flag test in hot loops:
+// it stages the span's length in the world's phase tally and emits the
+// span event to its observer, each when present.
+func (c *Comm) endSpan(phase string, start, mark float64) {
+	dur := c.clock.Now() - start
+	c.world.phases.Observe(phase, dur)
+	if c.world.observer != nil {
+		c.world.observer(obs.Event{Name: obs.EventSpan, Rank: c.rank, T: start, Dur: dur, Wait: c.waited - mark, Detail: phase})
+	}
 }
 
 // Die marks this rank failed, waking every blocked operation in the world

@@ -85,6 +85,14 @@ type Config struct {
 	// an RNG — so a world with an observer computes bit-identical
 	// results to one without.
 	Observer func(obs.Event)
+
+	// Phases, if non-nil, stages the length of every phase span the
+	// world's ranks close (SpanEnd, SpanEndWait), beside the observer
+	// rather than through it: a world that only feeds per-phase
+	// histograms keeps no observer, so Emit stays a nil check. The
+	// world runs one rank at a time, so the tally needs no lock; its
+	// owner flushes it once the world is done.
+	Phases obs.PhaseTally
 }
 
 // rankState is where one rank stands with the driver.
@@ -145,6 +153,8 @@ type World struct {
 
 	ledger   *Ledger
 	observer func(obs.Event)
+	phases   obs.PhaseTally
+	spans    bool // observer or phases is set: a span end has work to do
 	seedRNG  *machine.RNG
 	errs     []error // exit error per rank (most recent spawn)
 }
@@ -167,6 +177,8 @@ func NewWorld(cfg Config) *World {
 		queues:   make([][]message, cfg.Ranks),
 		ledger:   cfg.Ledger,
 		observer: cfg.Observer,
+		phases:   cfg.Phases,
+		spans:    cfg.Observer != nil || cfg.Phases != nil,
 		seedRNG:  machine.NewRNG(cfg.Seed ^ 0xda3e39cb94b95bdb),
 		errs:     make([]error, cfg.Ranks),
 	}

@@ -110,8 +110,17 @@ type Histogram struct {
 // bucketOf returns the index of the le bucket an observation of v lands
 // in: the first bound >= v, or len(bounds) — the +Inf overflow — when
 // there is none (a NaN lands there too). The one bucket rule, shared by
-// Histogram.Observe and Tally.Observe.
-func bucketOf(bounds []float64, v float64) int { return sort.SearchFloat64s(bounds, v) }
+// Histogram.Observe and Tally.Observe. It is the index
+// sort.SearchFloat64s returns, found by a plain scan: the layouts in use
+// have at most 19 bounds and most observations land in the low ones.
+func bucketOf(bounds []float64, v float64) int {
+	for i, b := range bounds {
+		if b >= v {
+			return i
+		}
+	}
+	return len(bounds)
+}
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
@@ -132,7 +141,10 @@ func (h *Histogram) Observe(v float64) {
 // staged observations are invisible to scrapes. The nil *Tally is a
 // valid no-op sink.
 type Tally struct {
-	h      *Histogram
+	h *Histogram
+	// bounds is h.bounds, copied so Observe never reads the
+	// histogram's struct, whose line other goroutines' flushes write.
+	bounds []float64
 	counts []uint64
 	sum    float64
 }
@@ -144,7 +156,7 @@ func (h *Histogram) Tally() *Tally {
 	if h == nil {
 		return nil
 	}
-	return &Tally{h: h, counts: make([]uint64, len(h.counts))}
+	return &Tally{h: h, bounds: h.bounds, counts: make([]uint64, len(h.counts))}
 }
 
 // Observe stages one value.
@@ -152,7 +164,7 @@ func (t *Tally) Observe(v float64) {
 	if t == nil {
 		return
 	}
-	t.counts[bucketOf(t.h.bounds, v)]++
+	t.counts[bucketOf(t.bounds, v)]++
 	t.sum += v
 }
 
@@ -176,6 +188,40 @@ func (t *Tally) Flush() {
 	}
 }
 
+// PhaseTally stages phase-span lengths for per-phase histograms: entry
+// i is the Tally of catalogue phase i (see PhaseIndex), nil for a phase
+// no histogram takes. A world feeds one from every span end (see
+// comm.Config.Phases) and its owner flushes it once the run is done.
+// Like a Tally it belongs to one goroutine at a time. The nil
+// PhaseTally is a valid no-op sink.
+type PhaseTally []*Tally
+
+// NewPhaseTally returns an empty PhaseTally over hists, which is
+// indexed like Phases (a nil entry stages nothing).
+func NewPhaseTally(hists []*Histogram) PhaseTally {
+	t := make(PhaseTally, len(hists))
+	for i, h := range hists {
+		t[i] = h.Tally()
+	}
+	return t
+}
+
+// Observe stages one span of the named phase; a name outside the
+// catalogue is dropped.
+func (t PhaseTally) Observe(phase string, dur float64) {
+	if i := PhaseIndex(phase); i >= 0 && i < len(t) {
+		t[i].Observe(dur)
+	}
+}
+
+// Flush merges every phase's staged spans into its histogram and
+// resets the tally for reuse.
+func (t PhaseTally) Flush() {
+	for _, tally := range t {
+		tally.Flush()
+	}
+}
+
 // Sum returns the sum of all observed values (0 on nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -188,6 +234,14 @@ func (h *Histogram) Sum() float64 {
 // histograms: exponential-ish from 1 ms to 10 s, in seconds.
 func LatencyBuckets() []float64 {
 	return []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+}
+
+// PhaseBuckets is the bucket layout of per-phase virtual-duration
+// histograms: phase spans run from sub-microsecond collectives to
+// multi-second preconditioner setups in virtual time, so the buckets
+// are decades with a 1-2.5-5 split around the common span lengths.
+func PhaseBuckets() []float64 {
+	return []float64{1e-7, 1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
 // metricKind discriminates the exposition TYPE of one family.

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -97,8 +98,6 @@ func TestHistogramBucketEdges(t *testing.T) {
 	}
 }
 
-// TestExpositionEscaping pins label-value and help escaping: backslash,
-// double quote and newline must be escaped per the text format.
 // TestTallyMatchesDirectObservation: staging observations in tallies —
 // several, flushed in pieces, reused after a flush — lands every one in
 // the bucket Histogram.Observe would have chosen (bounds, values between
@@ -156,6 +155,68 @@ func TestTallyMatchesDirectObservation(t *testing.T) {
 	}
 }
 
+// TestBucketOfMatchesSearch pins bucketOf's scan to the index
+// sort.SearchFloat64s returns, on both bucket layouts in use: at every
+// bound, between bounds, at 0 and below, past the last bound, at +Inf,
+// and for NaN, which lands in the +Inf overflow bucket.
+func TestBucketOfMatchesSearch(t *testing.T) {
+	for _, bounds := range [][]float64{LatencyBuckets(), PhaseBuckets()} {
+		vals := []float64{0, -1, math.Inf(-1), math.Inf(1), 2 * bounds[len(bounds)-1]}
+		for i, b := range bounds {
+			vals = append(vals, b, math.Nextafter(b, math.Inf(-1)), math.Nextafter(b, math.Inf(1)))
+			if i > 0 {
+				vals = append(vals, (bounds[i-1]+b)/2)
+			}
+		}
+		for _, v := range vals {
+			if got, want := bucketOf(bounds, v), sort.SearchFloat64s(bounds, v); got != want {
+				t.Errorf("bucketOf(%v) = %d, sort.SearchFloat64s = %d", v, got, want)
+			}
+		}
+		if got := bucketOf(bounds, math.NaN()); got != len(bounds) {
+			t.Errorf("bucketOf(NaN) = %d, want the overflow bucket %d", got, len(bounds))
+		}
+	}
+}
+
+// TestPhaseTally: a PhaseTally routes each span to its catalogue
+// phase's histogram, drops names outside the catalogue and phases
+// without a histogram, and is a no-op when nil.
+func TestPhaseTally(t *testing.T) {
+	for i, p := range Phases() {
+		if PhaseIndex(p) != i {
+			t.Errorf("PhaseIndex(%q) = %d, want its catalogue position %d", p, PhaseIndex(p), i)
+		}
+	}
+	if PhaseIndex("nope") != -1 {
+		t.Error("PhaseIndex accepts a name outside the catalogue")
+	}
+	r := NewRegistry()
+	hists := make([]*Histogram, len(Phases()))
+	hists[PhaseIndex(PhaseSpMV)] = r.Histogram("spmv", "", []float64{1})
+	hists[PhaseIndex(PhaseAllreduce)] = r.Histogram("allreduce", "", []float64{1})
+	pt := NewPhaseTally(hists)
+	pt.Observe(PhaseSpMV, 0.5)
+	pt.Observe(PhaseSpMV, 2)
+	pt.Observe(PhaseAllreduce, 0.25)
+	pt.Observe(PhaseSanitize, 1) // no histogram
+	pt.Observe("nope", 1)
+	if histCount(hists[PhaseIndex(PhaseSpMV)]) != 0 {
+		t.Fatal("staged spans are visible before the flush")
+	}
+	pt.Flush()
+	spmv, ar := hists[PhaseIndex(PhaseSpMV)], hists[PhaseIndex(PhaseAllreduce)]
+	if histCount(spmv) != 2 || spmv.Sum() != 2.5 || histCount(ar) != 1 || ar.Sum() != 0.25 {
+		t.Errorf("spmv %d spans summing to %g, allreduce %d summing to %g; want 2/2.5 and 1/0.25",
+			histCount(spmv), spmv.Sum(), histCount(ar), ar.Sum())
+	}
+	var none PhaseTally
+	none.Observe(PhaseSpMV, 1)
+	none.Flush()
+}
+
+// TestExpositionEscaping pins label-value and help escaping: backslash,
+// double quote and newline must be escaped per the text format.
 func TestExpositionEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("repro_esc_total", "help with \\ and\nnewline",

@@ -27,20 +27,20 @@ func (s *Server) initMetrics() {
 	s.traceErrors = r.Counter("repro_trace_write_errors_total",
 		"Run traces that could not be persisted to the trace directory.")
 
-	// Per-phase virtual-duration histograms, fed from each run's event
-	// stream (see phaseTallies): every rank's spans of every executed
-	// run, in virtual seconds, whether or not tracing is on, merged in
-	// when the run completes.
-	// Restart-recovery is excluded — it re-labels lost work rather than
-	// timing a phase.
-	s.phaseSec = make(map[string]*obs.Histogram)
-	for _, p := range obs.Phases() {
+	// Per-phase virtual-duration histograms, indexed like obs.Phases:
+	// every rank's spans of every executed run, in virtual seconds,
+	// staged in the run's obs.PhaseTally beside its event stream (so a
+	// plain solve keeps no observer) and merged in when the run
+	// completes. Restart-recovery is excluded — it re-labels lost work
+	// rather than timing a phase.
+	s.phaseSec = make([]*obs.Histogram, len(obs.Phases()))
+	for i, p := range obs.Phases() {
 		if p == obs.PhaseRestartRecovery {
 			continue
 		}
-		s.phaseSec[p] = r.Histogram("repro_phase_vseconds",
+		s.phaseSec[i] = r.Histogram("repro_phase_vseconds",
 			"Virtual seconds per phase span across all ranks of executed runs, labelled by phase.",
-			phaseBuckets(), obs.Label{Key: "phase", Value: p})
+			obs.PhaseBuckets(), obs.Label{Key: "phase", Value: p})
 	}
 
 	r.GaugeFunc("repro_pool_workers",
@@ -132,45 +132,6 @@ func (s *Server) initMetrics() {
 		func() float64 { return 1 },
 		obs.Label{Key: "version", Value: bi.Version},
 		obs.Label{Key: "revision", Value: bi.Revision})
-}
-
-// phaseBuckets is the bucket layout of repro_phase_vseconds: phase
-// spans run from sub-microsecond collectives to multi-second
-// preconditioner setups in virtual time, so the buckets are decades
-// with a 1-2.5-5 split around the common span lengths.
-func phaseBuckets() []float64 {
-	return []float64{1e-7, 1e-6, 1e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-}
-
-// phaseTallies stages one run's samples for repro_phase_vseconds: a
-// run emits a span per phase per rank per iteration, and two workers
-// observing each one straight into the shared histograms spend their
-// time trading cache lines. A run's tallies live on the worker that
-// executes it and reach the histograms in one flush when it completes.
-type phaseTallies map[string]*obs.Tally
-
-// newPhaseTallies returns an empty tally per phase histogram.
-func (s *Server) newPhaseTallies() phaseTallies {
-	t := make(phaseTallies, len(s.phaseSec))
-	for p, h := range s.phaseSec {
-		t[p] = h.Tally()
-	}
-	return t
-}
-
-// observe is the run's event sink: one staged sample per phase span,
-// in virtual seconds.
-func (t phaseTallies) observe(ev obs.Event) {
-	if ev.Name == obs.EventSpan {
-		t[ev.Detail].Observe(ev.Dur)
-	}
-}
-
-// flush merges the run's samples into the server's histograms.
-func (t phaseTallies) flush() {
-	for _, tally := range t {
-		tally.Flush()
-	}
 }
 
 // BuildInfo is the binary's build identity, surfaced on /metrics as

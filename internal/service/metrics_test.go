@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -160,6 +164,146 @@ func TestSolveStreamingDiscardEvents(t *testing.T) {
 		}
 		if i > 0 && d.Solve <= discards[i-1].Solve {
 			t.Errorf("discard ordinals out of order: %d after %d", d.Solve, discards[i-1].Solve)
+		}
+	}
+}
+
+// phaseRequests is a mix of n solves for the phase-histogram tests:
+// clean PCG replicates, bitflip-corrupted FT-GMRES (inner discards)
+// and rank-kill GMRES (global restarts).
+func phaseRequests(n int) []SolveRequest {
+	reqs := make([]SolveRequest, n)
+	for i := range reqs {
+		req := testRequest()
+		req.Rep = i
+		switch i % 3 {
+		case 1:
+			req.Solver, req.Precond, req.Problem = campaign.SolverFTGMRES, campaign.PrecondBJILU, campaign.ProblemConvDiff
+			req.Fault = campaign.FaultSpec{Model: campaign.FaultBitflip, Rate: 5e-2}
+		case 2:
+			req.Solver, req.Precond = campaign.SolverGMRES, campaign.PrecondNone
+			req.Fault = campaign.FaultSpec{Model: campaign.FaultRankKill, MTBF: 15}
+			req.MaxRestarts = 8
+		}
+		reqs[i] = req
+	}
+	return reqs
+}
+
+// phaseSeries is the repro_phase_vseconds part of a scrape.
+func phaseSeries(series map[string]float64) map[string]float64 {
+	out := map[string]float64{}
+	for k, v := range series {
+		if strings.HasPrefix(k, "repro_phase_vseconds") {
+			out[k] = v
+		}
+	}
+	return out
+}
+
+// TestUntracedPhaseHistogramsMatchTraces: a server with no trace
+// directory, whose plain solves run without any observer, still feeds
+// repro_phase_vseconds one observation per phase span — the same
+// spans, per phase, that a tracing server persists for the same
+// requests (the reconciliation solverd smoke runs against traced
+// servers). One request is streamed, so the SSE path is covered too.
+func TestUntracedPhaseHistogramsMatchTraces(t *testing.T) {
+	traceDir := t.TempDir()
+	_, traced, doneTraced := newTestServer(t, Options{Workers: 2, TraceDir: traceDir, TraceRanks: "all"})
+	defer doneTraced()
+	_, plain, donePlain := newTestServer(t, Options{Workers: 2})
+	defer donePlain()
+
+	reqs := phaseRequests(6)
+	restarts, discards := 0, 0
+	for _, cl := range []*Client{traced, plain} {
+		for i, req := range reqs {
+			if i == 0 {
+				req.Stream = true
+				body, _ := json.Marshal(req)
+				resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				events := parseSSE(t, bufio.NewReader(resp.Body))
+				resp.Body.Close()
+				if len(events) == 0 || events[len(events)-1].name != "result" {
+					t.Fatal("streamed solve did not end in a result event")
+				}
+				continue
+			}
+			rec, err := cl.Solve(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restarts += rec.Restarts
+			discards += rec.Discards
+		}
+	}
+	if restarts == 0 || discards == 0 {
+		t.Fatalf("the mix had %d restarts and %d discards; it must exercise both", restarts, discards)
+	}
+	if _, err := ReconcileMetrics(traced, traceDir); err != nil {
+		t.Fatalf("traced server: %v", err)
+	}
+	rep, err := ReconcileMetrics(plain, traceDir)
+	if err != nil {
+		t.Fatalf("untraced server against the traced server's traces: %v", err)
+	}
+	if rep.Traces != len(reqs) {
+		t.Errorf("reconciled against %d traces, want one per request (%d)", rep.Traces, len(reqs))
+	}
+}
+
+// TestPhaseHistogramsConcurrentSolves: clients posting at once to a
+// 4-worker server, whose workers flush per-run tallies into the shared
+// histograms concurrently, leave every repro_phase_vseconds bucket and
+// count exactly where a serial run on one worker leaves them (the sums
+// to float tolerance: the additions regroup).
+func TestPhaseHistogramsConcurrentSolves(t *testing.T) {
+	reqs := phaseRequests(12)
+	scrape := func(workers, clients int) map[string]float64 {
+		_, cl, done := newTestServer(t, Options{Workers: workers})
+		defer done()
+		var wg sync.WaitGroup
+		errs := make(chan error, len(reqs))
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := c; i < len(reqs); i += clients {
+					if _, err := cl.Solve(reqs[i]); err != nil {
+						errs <- err
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		rep, err := ReconcileMetrics(cl, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return phaseSeries(rep.Series)
+	}
+	serial, concurrent := scrape(1, 1), scrape(4, 6)
+	if serial[fmt.Sprintf("repro_phase_vseconds_count{phase=%q}", obs.PhaseAllreduce)] == 0 {
+		t.Fatal("the serial run staged no allreduce spans")
+	}
+	if len(concurrent) != len(serial) {
+		t.Fatalf("%d phase series concurrently, %d serially", len(concurrent), len(serial))
+	}
+	for k, want := range serial {
+		got := concurrent[k]
+		if strings.Contains(k, "_sum{") {
+			if math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%s: %g concurrently, %g serially", k, got, want)
+			}
+		} else if got != want {
+			t.Errorf("%s: %g concurrently, %g serially", k, got, want)
 		}
 	}
 }

@@ -15,9 +15,12 @@ import (
 // restart, carries the same ID — so SSE frames, journal entries, trace
 // files and log lines correlate across process lifetimes without any
 // shared state.
-func RequestID(req *SolveRequest) string {
+func RequestID(req *SolveRequest) string { return requestID(runIdentity(req)) }
+
+// requestID is RequestID from an already derived run identity.
+func requestID(id string) string {
 	h := fnv.New64a()
-	io.WriteString(h, runIdentity(req))
+	io.WriteString(h, id)
 	return fmt.Sprintf("r-%016x", h.Sum64())
 }
 

@@ -87,7 +87,7 @@ type Server struct {
 	queueWait   *obs.Histogram
 	execSec     *obs.Histogram
 	traceErrors *obs.Counter
-	phaseSec    map[string]*obs.Histogram
+	phaseSec    []*obs.Histogram // by obs.PhaseIndex; nil for restart-recovery
 
 	mu        sync.Mutex
 	received  int64
@@ -286,26 +286,27 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // execute runs one request's solve on the calling goroutine (a pool
-// worker) and updates the counters. The run's event stream is tee'd to
-// events (the SSE feeder; nil for none), the run's tallies for the
-// per-phase histograms on /metrics — every run, traced or not, merged
-// in when the run completes — and, when the server has a trace
-// directory and the run is sampled, a tracer whose timeline is
-// persisted alongside.
-func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Record {
-	reqID := RequestID(req)
+// worker) and updates the counters. id is the request's run identity
+// and reqID its correlation ID (see runIdentity, RequestID). The run's
+// phase spans are staged for the per-phase histograms on /metrics and
+// merged in when it completes — every run, traced or not. Its event
+// stream goes to events (the SSE feeder; nil for none) and, when the
+// server has a trace directory and the run is sampled, to a tracer
+// whose timeline is persisted alongside; with neither, the run's
+// worlds have no observer.
+func (s *Server) execute(req *SolveRequest, id, reqID string, events func(obs.Event)) campaign.Record {
 	spec, cell := req.SpecCell()
 	tr := s.trace.Tracer(&spec, cell, req.Rep) // nil when the run is not traced
 	var trace func(obs.Event)                  // nil, not a bound nil method: Tee drops it
 	if tr != nil {
 		trace = tr.Observe
 	}
-	phases := s.newPhaseTallies()
+	phases := obs.NewPhaseTally(s.phaseSec)
 	rec := campaign.ExecuteRunEnv(&spec, cell, req.Rep, &campaign.ExecEnv{
-		Problems: s.cache.Problem, Setups: s.cache,
-		Events: obs.Tee(events, phases.observe, trace),
+		Problems: s.cache.Problem, Setups: s.cache, Phases: phases,
+		Events: obs.Tee(events, trace),
 	})
-	phases.flush()
+	phases.Flush()
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
 	if _, err := campaign.WriteRunTraceAs(s.trace.Dir, tr,
@@ -319,7 +320,7 @@ func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Rec
 		// Transient harness errors are retryable by contract (campaign
 		// resume re-executes them); journaling one would pin a failure
 		// a restart should retry.
-		s.durable.record(runIdentity(req), reqID, rec)
+		s.durable.record(id, reqID, rec)
 	}
 	if rec.Err != "" {
 		s.log.Warn("run errored", "req", reqID, "key", rec.Key, "error", rec.Err)
@@ -340,23 +341,23 @@ func (s *Server) execute(req *SolveRequest, events func(obs.Event)) campaign.Rec
 // job wraps one request into a pool job that times its queue wait and
 // execution (the two latency histograms on /metrics) and delivers the
 // record on done.
-func (s *Server) job(req *SolveRequest, events func(obs.Event), done chan<- campaign.Record) func() {
+func (s *Server) job(req *SolveRequest, id, reqID string, events func(obs.Event), done chan<- campaign.Record) func() {
 	enqueued := time.Now()
 	return func() {
 		started := time.Now()
 		s.queueWait.Observe(started.Sub(enqueued).Seconds())
-		rec := s.execute(req, events)
+		rec := s.execute(req, id, reqID, events)
 		s.execSec.Observe(time.Since(started).Seconds())
 		done <- rec
 	}
 }
 
-// schedule submits one request to the pool; the returned channel
-// yields the record when the run completes. ok is false when the queue
-// is full.
-func (s *Server) schedule(req *SolveRequest, events func(obs.Event)) (<-chan campaign.Record, bool) {
+// schedule submits one request, with its run identity and correlation
+// ID, to the pool; the returned channel yields the record when the run
+// completes. ok is false when the queue is full.
+func (s *Server) schedule(req *SolveRequest, id, reqID string, events func(obs.Event)) (<-chan campaign.Record, bool) {
 	done := make(chan campaign.Record, 1)
-	accepted := s.pool.submit(s.job(req, events, done))
+	accepted := s.pool.submit(s.job(req, id, reqID, events, done))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !accepted {
@@ -367,16 +368,16 @@ func (s *Server) schedule(req *SolveRequest, events func(obs.Event)) (<-chan cam
 	return done, true
 }
 
-// journalHit answers req from the journal when its run identity has a
-// recorded result. Hits bypass the pool entirely and are not counted
-// as received or completed — on /stats, completed counts only runs
-// actually executed, which is exactly what the kill-and-replay harness
-// asserts never includes a recorded run.
-func (s *Server) journalHit(req *SolveRequest) (campaign.Record, bool) {
+// journalHit answers the request with run identity id from the journal
+// when it has a recorded result. Hits bypass the pool entirely and are
+// not counted as received or completed — on /stats, completed counts
+// only runs actually executed, which is exactly what the kill-and-replay
+// harness asserts never includes a recorded run.
+func (s *Server) journalHit(id string) (campaign.Record, bool) {
 	if s.durable == nil {
 		return campaign.Record{}, false
 	}
-	return s.durable.lookup(runIdentity(req))
+	return s.durable.lookup(id)
 }
 
 // maxRequestBytes caps a request body: every field of a v1 solve
@@ -395,8 +396,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	reqID := RequestID(&req)
-	if rec, ok := s.journalHit(&req); ok {
+	// The run identity and the correlation ID are derived once here
+	// and travel with the request.
+	id := runIdentity(&req)
+	reqID := requestID(id)
+	if rec, ok := s.journalHit(id); ok {
 		s.log.Info("solve answered from journal", "req", reqID, "key", rec.Key)
 		if req.Stream {
 			s.streamRecorded(w, reqID, rec)
@@ -408,10 +412,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("solve accepted", "req", reqID, "solver", req.Solver,
 		"problem", req.Problem, "ranks", req.Ranks, "stream", req.Stream)
 	if req.Stream {
-		s.streamSolve(r.Context(), w, reqID, &req)
+		s.streamSolve(r.Context(), w, id, reqID, &req)
 		return
 	}
-	done, ok := s.schedule(&req, nil)
+	done, ok := s.schedule(&req, id, reqID, nil)
 	if !ok {
 		s.log.Warn("solve rejected", "req", reqID, "reason", "queue full")
 		writeError(w, http.StatusServiceUnavailable, "queue full, retry later")

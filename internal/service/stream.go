@@ -45,7 +45,7 @@ type sseFrame struct {
 // the result). A client that disconnects stops the event writer; the
 // solve itself finishes in the background (a world cannot be cancelled
 // mid-solve) and still counts in /stats.
-func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, reqID string, req *SolveRequest) {
+func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, id, reqID string, req *SolveRequest) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
@@ -59,7 +59,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, reqID s
 			// Slow consumer: drop the event rather than stall the solve.
 		}
 	}
-	done, ok := s.schedule(req, func(ev obs.Event) {
+	done, ok := s.schedule(req, id, reqID, func(ev obs.Event) {
 		switch ev.Name {
 		case obs.EventIteration:
 			emit(sseFrame{"progress", ProgressEvent{Attempt: ev.Attempt, Iter: ev.Iter, Relres: ev.Value}})
