@@ -54,6 +54,12 @@ type topDecl struct {
 // mention its type. What an allowlisted declaration mentions is
 // kept (NewHeatGrid keeps HeatGrid), but such a mention is no production
 // caller: it cannot make another allowlist entry stale.
+//
+// The blind spot of a by-name scan is a method whose name a type outside
+// internal/ shares through a value, not a package: p.cond.Broadcast() on
+// a sync.Cond kept comm.Comm.Broadcast alive with no caller, and a type
+// or field named like a method (machine.RNG, perf's Result.Failed) keeps
+// that method too. Only a type-checked scan would see through them.
 func checkUnusedExports(root string, allow map[string]string) ([]string, error) {
 	var decls []topDecl
 	fset := token.NewFileSet()

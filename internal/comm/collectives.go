@@ -49,13 +49,12 @@ type collKind int
 const (
 	kindBarrier collKind = iota
 	kindAllreduce
-	kindBroadcast
 	kindAllgather
 )
 
 // String names the collective family in mismatch panics.
 func (k collKind) String() string {
-	return [...]string{"barrier", "allreduce", "broadcast", "allgather"}[k]
+	return [...]string{"barrier", "allreduce", "allgather"}[k]
 }
 
 // slotKeepWords bounds the storage a recycled slot keeps: a slot that
@@ -73,7 +72,6 @@ const slotKeepWords = 1 << 15
 type collSlot struct {
 	kind       collKind
 	op         Op
-	root       int
 	epoch, seq int
 	arrived    int     // ranks that have posted; all of them = complete
 	maxPost    float64 // latest post (entry) virtual time
@@ -95,7 +93,7 @@ func (s *collSlot) part(r int) []float64 { return s.vals[s.parts[r][0]:s.parts[r
 // and counts the arrival; the last rank to arrive completes the slot.
 // It advances seq, or fails with nothing posted when the world is in a
 // failed state.
-func (c *Comm) arrive(kind collKind, op Op, root int, data []float64) (*collSlot, error) {
+func (c *Comm) arrive(kind collKind, op Op, data []float64) (*collSlot, error) {
 	w := c.world
 	if err := c.checkAlive(); err != nil {
 		return nil, err
@@ -119,11 +117,11 @@ func (c *Comm) arrive(kind collKind, op Op, root int, data []float64) (*collSlot
 		} else {
 			s = &collSlot{parts: make([][2]int, w.n), vals: make([]float64, 0, (w.n+1)*len(data))}
 		}
-		s.kind, s.op, s.root, s.epoch, s.seq = kind, op, root, c.epoch, seq
+		s.kind, s.op, s.epoch, s.seq = kind, op, c.epoch, seq
 		w.colls[at] = s
-	} else if s.kind != kind || s.op != op || s.root != root {
-		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called kind=%d op=%d root=%d, slot has kind=%d op=%d root=%d",
-			c.epoch, seq, c.rank, kind, op, root, s.kind, s.op, s.root))
+	} else if s.kind != kind || s.op != op {
+		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called kind=%d op=%d, slot has kind=%d op=%d",
+			c.epoch, seq, c.rank, kind, op, s.kind, s.op))
 	}
 	s.parts[c.rank] = [2]int{len(s.vals), len(s.vals) + len(data)}
 	s.vals = append(s.vals, data...)
@@ -152,8 +150,6 @@ func (w *World) completeColl(s *collSlot) {
 			}
 			s.op.apply(s.vals[at:], s.part(r))
 		}
-	case kindBroadcast:
-		s.vals = append(s.vals, s.part(s.root)...)
 	case kindAllgather:
 		for r := 0; r < w.n; r++ {
 			s.vals = append(s.vals, s.part(r)...)
@@ -262,8 +258,8 @@ func (c *Comm) finish(s *collSlot, out []float64, fresh bool) ([]float64, error)
 }
 
 // collective is a blocking collective: arrive, then finish.
-func (c *Comm) collective(kind collKind, op Op, root int, data, out []float64, fresh bool) ([]float64, error) {
-	s, err := c.arrive(kind, op, root, data)
+func (c *Comm) collective(kind collKind, op Op, data, out []float64, fresh bool) ([]float64, error) {
+	s, err := c.arrive(kind, op, data)
 	if err != nil {
 		return nil, err
 	}
@@ -292,14 +288,14 @@ func (w *World) retireColl(seq int) {
 // common completion time. This is the explicit BSP synchronisation point
 // whose cost the RBSP experiments quantify.
 func (c *Comm) Barrier() error {
-	_, err := c.collective(kindBarrier, OpSum, 0, nil, nil, false)
+	_, err := c.collective(kindBarrier, OpSum, nil, nil, false)
 	return err
 }
 
 // Allreduce combines each rank's data elementwise with op and returns the
 // combined vector to every rank. All ranks must pass equal-length slices.
 func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
-	return c.collective(kindAllreduce, op, 0, data, nil, true)
+	return c.collective(kindAllreduce, op, data, nil, true)
 }
 
 // AllreduceInto is Allreduce with a caller-provided result buffer (which
@@ -308,7 +304,7 @@ func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
 // fully allocation-free, which is what lets the Krylov hot loops reach
 // 0 allocs/iteration.
 func (c *Comm) AllreduceInto(data []float64, op Op, out []float64) error {
-	_, err := c.collective(kindAllreduce, op, 0, data, out, false)
+	_, err := c.collective(kindAllreduce, op, data, out, false)
 	return err
 }
 
@@ -317,7 +313,7 @@ func (c *Comm) AllreduceInto(data []float64, op Op, out []float64) error {
 // directly: one write, one arrival, one wait.
 func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 	c.sbuf[0] = x
-	s, err := c.arrive(kindAllreduce, op, 0, c.sbuf[:])
+	s, err := c.arrive(kindAllreduce, op, c.sbuf[:])
 	if err != nil {
 		return 0, err
 	}
@@ -331,17 +327,11 @@ func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 	return x, nil
 }
 
-// Broadcast distributes root's data to every rank. Non-root ranks may
-// pass nil.
-func (c *Comm) Broadcast(root int, data []float64) ([]float64, error) {
-	return c.collective(kindBroadcast, OpSum, root, data, nil, true)
-}
-
 // Allgather concatenates every rank's contribution in rank order and
 // returns the whole vector to every rank. Contributions may have
 // different lengths.
 func (c *Comm) Allgather(data []float64) ([]float64, error) {
-	return c.collective(kindAllgather, OpSum, 0, data, nil, true)
+	return c.collective(kindAllgather, OpSum, data, nil, true)
 }
 
 // Reduce combines data with op and delivers the result to root only;

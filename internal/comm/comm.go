@@ -45,10 +45,6 @@ func (c *Comm) Size() int { return c.world.n }
 // Clock returns the rank's current virtual time in seconds.
 func (c *Comm) Clock() float64 { return c.clock.Now() }
 
-// RNG returns the rank's deterministic random stream. Fault injectors and
-// noise draws use it so experiments reproduce exactly under a fixed seed.
-func (c *Comm) RNG() *machine.RNG { return c.rng }
-
 // Stats returns a copy of the rank's activity counters.
 func (c *Comm) Stats() Stats { return c.stats }
 

@@ -21,10 +21,6 @@ func TestFailureDuringEachCollective(t *testing.T) {
 			_, err := c.AllreduceScalar(1, OpSum)
 			return err
 		},
-		"broadcast": func(c *Comm) error {
-			_, err := c.Broadcast(0, []float64{1})
-			return err
-		},
 		"allgather": func(c *Comm) error {
 			_, err := c.Allgather([]float64{1})
 			return err

@@ -31,13 +31,13 @@ func (c *Comm) IAllreduce(data []float64, op Op) *Request {
 // immediately (the contribution is copied at post time); complete with
 // WaitInto for a fully allocation-free overlap loop.
 func (c *Comm) StartAllreduce(data []float64, op Op, req *Request) {
-	s, err := c.arrive(kindAllreduce, op, 0, data)
+	s, err := c.arrive(kindAllreduce, op, data)
 	*req = Request{c: c, s: s, err: err}
 }
 
 // IBarrier posts a non-blocking barrier.
 func (c *Comm) IBarrier() *Request {
-	s, err := c.arrive(kindBarrier, OpSum, 0, nil)
+	s, err := c.arrive(kindBarrier, OpSum, nil)
 	return &Request{c: c, s: s, err: err}
 }
 

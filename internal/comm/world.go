@@ -374,17 +374,6 @@ func (w *World) Kill(r int) {
 	w.wakeBlocked()
 }
 
-// Failed returns the sorted list of currently-failed ranks.
-func (w *World) Failed() []int {
-	var out []int
-	for r, f := range w.failed {
-		if f {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Repair clears the failed/revoked state after the supervisor has
 // respawned replacement ranks, opening a new epoch: collective sequence
 // numbers restart and stale messages from the previous epoch are purged.

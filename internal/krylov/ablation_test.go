@@ -9,6 +9,7 @@ import (
 	"repro/internal/la"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/precond"
 	"repro/internal/problems"
 )
 
@@ -79,38 +80,81 @@ func TestCGSGMRESMatchesMGS(t *testing.T) {
 	}
 }
 
-// TestCGSGMRESAllocsIndependentOfSteps: the engine borrows a solve's
-// footprint up front, so how many Arnoldi steps a CGS solve takes does
-// not change how often it allocates.
+// TestCGSGMRESAllocsIndependentOfSteps: every loop borrows a solve's
+// footprint up front, so how many steps a solve takes does not change how
+// often it allocates — for the CGS engine and for the four CG entry
+// points, bare and behind Jacobi.
 func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
-	a := problems.ConvDiff2D(12, 12, 20, 10)
-	rhs, _ := problems.ManufacturedRHS(a)
-	err := comm.Run(distConfig(1), func(c *comm.Comm) error {
-		op := dist.NewCSR(c, a)
-		allocs := func(maxIter int) float64 {
-			solve := func() {
-				_, st, err := DistCGSGMRES(c, op, rhs, nil, DistGMRESOptions{Restart: 40, Tol: 1e-30, MaxIter: maxIter})
-				if err != nil || st.Iterations != maxIter {
-					t.Errorf("MaxIter %d: %d iterations, err %v", maxIter, st.Iterations, err)
+	type solver func(c *comm.Comm, op dist.Operator, m DistPreconditioner, b []float64, maxIter int) (Stats, error)
+	cg := func(c *comm.Comm, op dist.Operator, _ DistPreconditioner, b []float64, maxIter int) (Stats, error) {
+		_, st, err := DistCG(c, op, b, nil, DistOptions{Tol: 1e-30, MaxIter: maxIter})
+		return st, err
+	}
+	pcg := func(c *comm.Comm, op dist.Operator, m DistPreconditioner, b []float64, maxIter int) (Stats, error) {
+		_, st, err := DistPCG(c, op, m, b, nil, DistOptions{Tol: 1e-30, MaxIter: maxIter})
+		return st, err
+	}
+	pipelinedCG := func(c *comm.Comm, op dist.Operator, _ DistPreconditioner, b []float64, maxIter int) (Stats, error) {
+		_, st, err := DistPipelinedCG(c, op, b, nil, DistOptions{Tol: 1e-30, MaxIter: maxIter})
+		return st, err
+	}
+	pipelinedPCG := func(c *comm.Comm, op dist.Operator, m DistPreconditioner, b []float64, maxIter int) (Stats, error) {
+		_, st, err := DistPipelinedPCG(c, op, m, b, nil, DistOptions{Tol: 1e-30, MaxIter: maxIter})
+		return st, err
+	}
+	cgsGMRES := func(c *comm.Comm, op dist.Operator, _ DistPreconditioner, b []float64, maxIter int) (Stats, error) {
+		_, st, err := DistCGSGMRES(c, op, b, nil, DistGMRESOptions{Restart: 40, Tol: 1e-30, MaxIter: maxIter})
+		return st, err
+	}
+	convDiff, spd := problems.ConvDiff2D(12, 12, 20, 10), problems.Poisson2D(12, 12)
+	for _, tc := range []struct {
+		name   string
+		a      *la.CSR
+		jacobi bool
+		solve  solver
+	}{
+		{"DistCGSGMRES", convDiff, false, cgsGMRES},
+		{"DistCG", spd, false, cg},
+		{"DistPCG/jacobi", spd, true, pcg},
+		{"DistPipelinedCG", spd, false, pipelinedCG},
+		{"DistPipelinedPCG/jacobi", spd, true, pipelinedPCG},
+	} {
+		rhs, _ := problems.ManufacturedRHS(tc.a)
+		err := comm.Run(distConfig(1), func(c *comm.Comm) error {
+			op := dist.NewCSR(c, tc.a)
+			var m DistPreconditioner
+			if tc.jacobi {
+				j := precond.NewJacobi(c, tc.a)
+				if err := j.Setup(); err != nil {
+					return err
 				}
+				m = j
 			}
-			// The cheapest of several readings: a collection (and, under
-			// the race detector, the pool itself) may drop the recycled
-			// workspace, and that solve pays for a fresh one — the
-			// comparison is between solves that found theirs.
-			best := math.Inf(1)
-			for i := 0; i < 10; i++ {
-				best = min(best, testing.AllocsPerRun(1, solve))
+			allocs := func(maxIter int) float64 {
+				solve := func() {
+					st, err := tc.solve(c, op, m, rhs, maxIter)
+					if err != nil || st.Iterations != maxIter {
+						t.Errorf("%s, MaxIter %d: %d iterations, err %v", tc.name, maxIter, st.Iterations, err)
+					}
+				}
+				// The cheapest of several readings: a collection (and,
+				// under the race detector, the pool itself) may drop the
+				// recycled workspace, and that solve pays for a fresh one
+				// — the comparison is between solves that found theirs.
+				best := math.Inf(1)
+				for i := 0; i < 10; i++ {
+					best = min(best, testing.AllocsPerRun(1, solve))
+				}
+				return best
 			}
-			return best
+			if short, long := allocs(10), allocs(40); short != long {
+				t.Errorf("%s: a 10-step solve allocates %v times, a 40-step solve %v", tc.name, short, long)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if short, long := allocs(10), allocs(40); short != long {
-			t.Errorf("a 10-step solve allocates %v times, a 40-step solve %v", short, long)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -331,6 +331,12 @@ func TestDistFamilyGolden(t *testing.T) {
 	}
 }
 
+// sameBits reports whether got and want hold the same float64 bit
+// patterns.
+func sameBits(got, want []float64) bool {
+	return slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestDistFamilyResultsSurviveNextSolve is the escape check for borrowed
 // scratch: every entry point's working storage goes back to mem's pool
 // when it returns, and the next solve on the same rank is handed it
@@ -340,9 +346,6 @@ func TestDistFamilyGolden(t *testing.T) {
 func TestDistFamilyResultsSurviveNextSolve(t *testing.T) {
 	a := problems.Poisson2D(11, 11)
 	rhs, _ := problems.ManufacturedRHS(a)
-	sameBits := func(got, want []float64) bool {
-		return slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
-	}
 	for _, s := range familySolvers {
 		err := comm.Run(comm.Config{Ranks: 3, Cost: machine.DefaultCostModel(), Seed: 5}, func(c *comm.Comm) error {
 			csr := dist.NewCSR(c, a)

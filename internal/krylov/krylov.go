@@ -86,16 +86,6 @@ type DistPreconditioner interface {
 	ApplyInto(r, z []float64) error
 }
 
-// applyDistPrecon routes z = M⁻¹·r through m, with nil meaning the
-// identity. r and z must not alias.
-func applyDistPrecon(m DistPreconditioner, r, z []float64) error {
-	if m == nil {
-		copy(z, r)
-		return nil
-	}
-	return m.ApplyInto(r, z)
-}
-
 // mgs is the modified Gram–Schmidt step of the arnoldi engine (DistGMRES,
 // through DistGMRESInner FT-GMRES's inner solves, and DistFGMRES): it
 // orthogonalises w against v[0..j] in place, stores

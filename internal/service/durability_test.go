@@ -149,7 +149,8 @@ func TestOlderJournalDirLoads(t *testing.T) {
 		rec := campaign.ExecuteRun(&spec, j.Cell, j.Rep, nil)
 		b, _ := json.Marshal(rec)
 		want[rec.Key] = string(b)
-		id, reqID := runIdentity(&req), RequestID(&req)
+		_, cell := req.SpecCell()
+		id, reqID := runIdentity(&req, cell), RequestID(&req)
 		if i%2 == 0 {
 			inSnap[id] = rec
 			continue

@@ -28,7 +28,10 @@ func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req SolveRequest
-		if decodeStrict(bytes.NewReader(data), &req) != nil || req.Validate() != nil {
+		if decodeStrict(bytes.NewReader(data), &req) != nil {
+			return
+		}
+		if _, _, err := req.Validate(); err != nil {
 			return
 		}
 		again, err := json.Marshal(&req)
@@ -39,7 +42,7 @@ func FuzzSolveRequest(f *testing.F) {
 		if err := decodeStrict(bytes.NewReader(again), &back); err != nil {
 			t.Fatalf("an accepted request's own encoding does not decode: %v\n%s", err, again)
 		}
-		if err := back.Validate(); err != nil {
+		if _, _, err := back.Validate(); err != nil {
 			t.Fatalf("an accepted request's own encoding is refused: %v\n%s", err, again)
 		}
 		if RequestID(&back) != RequestID(&req) {

@@ -194,9 +194,9 @@ func parseJournalLine(line []byte) (JournalEntry, error) {
 // key (axes + replicate), the derived per-run seed (which folds in the
 // campaign seed and cell index), and the solve parameters that shape
 // the result. Two requests with equal identity are the same
-// deterministic computation, so a journaled record answers both.
-func runIdentity(req *SolveRequest) string {
-	_, cell := req.SpecCell()
+// deterministic computation, so a journaled record answers both. cell
+// is the request's cell (see SpecCell).
+func runIdentity(req *SolveRequest, cell campaign.Cell) string {
 	return fmt.Sprintf("%s|%016x|g%d|t%g|i%d|r%d",
 		cell.RunKey(req.Rep), campaign.RunSeed(req.Seed, req.Cell, req.Rep),
 		req.Grid, req.Tol, req.MaxIter, req.MaxRestarts)
@@ -302,8 +302,14 @@ func (d *durable) append(e JournalEntry) {
 	d.bytes.Add(int64(len(line)))
 }
 
-// lookup returns the journaled record for id, counting a hit.
+// lookup returns the journaled record for id, counting a hit; a nil
+// durable (no journal directory) has none. A hit bypasses the pool, so
+// /stats counts it as neither received nor completed — completed counts
+// only executed runs, which the kill-and-replay harness relies on.
 func (d *durable) lookup(id string) (campaign.Record, bool) {
+	if d == nil {
+		return campaign.Record{}, false
+	}
 	d.mu.Lock()
 	rec, ok := d.records[id]
 	d.mu.Unlock()

@@ -15,7 +15,10 @@ import (
 // restart, carries the same ID — so SSE frames, journal entries, trace
 // files and log lines correlate across process lifetimes without any
 // shared state.
-func RequestID(req *SolveRequest) string { return requestID(runIdentity(req)) }
+func RequestID(req *SolveRequest) string {
+	_, cell := req.SpecCell()
+	return requestID(runIdentity(req, cell))
+}
 
 // requestID is RequestID from an already derived run identity.
 func requestID(id string) string {

@@ -93,23 +93,24 @@ func (r *SolveRequest) SpecCell() (campaign.Spec, campaign.Cell) {
 
 // Validate normalizes the request and checks it structurally: schema
 // tag, axis values (via the campaign spec validator), identity fields,
-// and cell compatibility. It returns a client-facing error.
-func (r *SolveRequest) Validate() error {
+// and cell compatibility. It returns the request's spec and cell (see
+// SpecCell), or a client-facing error.
+func (r *SolveRequest) Validate() (spec campaign.Spec, cell campaign.Cell, err error) {
 	if r.Schema != Schema {
-		return fmt.Errorf("schema %q is not %q", r.Schema, Schema)
+		return spec, cell, fmt.Errorf("schema %q is not %q", r.Schema, Schema)
 	}
 	r.normalize()
 	if r.Rep < 0 || r.Cell < 0 {
-		return fmt.Errorf("cell %d / rep %d must be non-negative", r.Cell, r.Rep)
+		return spec, cell, fmt.Errorf("cell %d / rep %d must be non-negative", r.Cell, r.Rep)
 	}
-	spec, _ := r.SpecCell()
+	spec, cell = r.SpecCell()
 	if err := spec.Validate(); err != nil {
-		return err
+		return spec, cell, err
 	}
 	if ok, why := campaign.Compatible(r.Solver, r.Precond, r.Problem, r.Fault); !ok {
-		return fmt.Errorf("incompatible cell: %s", why)
+		return spec, cell, fmt.Errorf("incompatible cell: %s", why)
 	}
-	return nil
+	return spec, cell, nil
 }
 
 // SolveResponse is the body of a non-streaming POST /v1/solve reply

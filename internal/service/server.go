@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"log/slog"
+	"maps"
 	"net/http"
 	"runtime"
 	"sync"
@@ -267,10 +268,7 @@ func (s *Server) Stats() StatsResponse {
 		Completed:  s.completed,
 		Errored:    s.errored,
 		Rejected:   s.rejected,
-		PerSolver:  make(map[string]int64, len(s.perSolver)),
-	}
-	for k, v := range s.perSolver {
-		resp.PerSolver[k] = v
+		PerSolver:  maps.Clone(s.perSolver),
 	}
 	s.mu.Unlock()
 	resp.Endpoints = make(map[string]int64, len(s.endpoints))
@@ -285,24 +283,30 @@ func (s *Server) Stats() StatsResponse {
 	return resp
 }
 
+// solveRun is a validated request with what handleSolve derives from it
+// once: its spec and cell (SpecCell), run identity and correlation ID.
+type solveRun struct {
+	req       *SolveRequest
+	spec      campaign.Spec
+	cell      campaign.Cell
+	id, reqID string
+}
+
 // execute runs one request's solve on the calling goroutine (a pool
-// worker) and updates the counters. id is the request's run identity
-// and reqID its correlation ID (see runIdentity, RequestID). The run's
-// phase spans are staged for the per-phase histograms on /metrics and
-// merged in when it completes — every run, traced or not. Its event
-// stream goes to events (the SSE feeder; nil for none) and, when the
-// server has a trace directory and the run is sampled, to a tracer
-// whose timeline is persisted alongside; with neither, the run's
-// worlds have no observer.
-func (s *Server) execute(req *SolveRequest, id, reqID string, events func(obs.Event)) campaign.Record {
-	spec, cell := req.SpecCell()
-	tr := s.trace.Tracer(&spec, cell, req.Rep) // nil when the run is not traced
-	var trace func(obs.Event)                  // nil, not a bound nil method: Tee drops it
+// worker) and updates the counters. The run's phase spans are staged
+// for the per-phase histograms on /metrics and merged in when it
+// completes — every run, traced or not. Its event stream goes to events
+// (the SSE feeder; nil for none) and, when the server has a trace
+// directory and the run is sampled, to a tracer whose timeline is
+// persisted alongside; with neither, the run's worlds have no observer.
+func (s *Server) execute(run *solveRun, events func(obs.Event)) campaign.Record {
+	tr := s.trace.Tracer(&run.spec, run.cell, run.req.Rep) // nil when the run is not traced
+	var trace func(obs.Event)                              // nil, not a bound nil method: Tee drops it
 	if tr != nil {
 		trace = tr.Observe
 	}
 	phases := obs.NewPhaseTally(s.phaseSec)
-	rec := campaign.ExecuteRunEnv(&spec, cell, req.Rep, &campaign.ExecEnv{
+	rec := campaign.ExecuteRunEnv(&run.spec, run.cell, run.req.Rep, &campaign.ExecEnv{
 		Problems: s.cache.Problem, Setups: s.cache, Phases: phases,
 		Events: obs.Tee(events, trace),
 	})
@@ -310,27 +314,27 @@ func (s *Server) execute(req *SolveRequest, id, reqID string, events func(obs.Ev
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
 	if _, err := campaign.WriteRunTraceAs(s.trace.Dir, tr,
-		false, TraceName(reqID, cell.RunKey(req.Rep))); err != nil {
+		false, TraceName(run.reqID, run.cell.RunKey(run.req.Rep))); err != nil {
 		// A failed trace write must not fail the solve: the record is
 		// sound. It is counted, so a scrape surfaces the data loss.
 		s.traceErrors.Inc()
-		s.log.Warn("trace write failed", "req", reqID, "key", rec.Key, "err", err)
+		s.log.Warn("trace write failed", "req", run.reqID, "key", rec.Key, "err", err)
 	}
 	if s.durable != nil && !rec.Transient {
 		// Transient harness errors are retryable by contract (campaign
 		// resume re-executes them); journaling one would pin a failure
 		// a restart should retry.
-		s.durable.record(id, reqID, rec)
+		s.durable.record(run.id, run.reqID, rec)
 	}
 	if rec.Err != "" {
-		s.log.Warn("run errored", "req", reqID, "key", rec.Key, "error", rec.Err)
+		s.log.Warn("run errored", "req", run.reqID, "key", rec.Key, "error", rec.Err)
 	} else {
-		s.log.Debug("run completed", "req", reqID, "key", rec.Key,
+		s.log.Debug("run completed", "req", run.reqID, "key", rec.Key,
 			"converged", rec.Converged, "iters", rec.Iters, "vtime", rec.VTime)
 	}
 	s.mu.Lock()
 	s.completed++
-	s.perSolver[req.Solver]++
+	s.perSolver[run.req.Solver]++
 	if rec.Err != "" {
 		s.errored++
 	}
@@ -338,26 +342,25 @@ func (s *Server) execute(req *SolveRequest, id, reqID string, events func(obs.Ev
 	return rec
 }
 
-// job wraps one request into a pool job that times its queue wait and
+// job wraps one run into a pool job that times its queue wait and
 // execution (the two latency histograms on /metrics) and delivers the
 // record on done.
-func (s *Server) job(req *SolveRequest, id, reqID string, events func(obs.Event), done chan<- campaign.Record) func() {
+func (s *Server) job(run *solveRun, events func(obs.Event), done chan<- campaign.Record) func() {
 	enqueued := time.Now()
 	return func() {
 		started := time.Now()
 		s.queueWait.Observe(started.Sub(enqueued).Seconds())
-		rec := s.execute(req, id, reqID, events)
+		rec := s.execute(run, events)
 		s.execSec.Observe(time.Since(started).Seconds())
 		done <- rec
 	}
 }
 
-// schedule submits one request, with its run identity and correlation
-// ID, to the pool; the returned channel yields the record when the run
-// completes. ok is false when the queue is full.
-func (s *Server) schedule(req *SolveRequest, id, reqID string, events func(obs.Event)) (<-chan campaign.Record, bool) {
+// schedule submits one run to the pool; the returned channel yields the
+// record when it completes. ok is false when the queue is full.
+func (s *Server) schedule(run *solveRun, events func(obs.Event)) (<-chan campaign.Record, bool) {
 	done := make(chan campaign.Record, 1)
-	accepted := s.pool.submit(s.job(req, id, reqID, events, done))
+	accepted := s.pool.submit(s.job(run, events, done))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !accepted {
@@ -366,18 +369,6 @@ func (s *Server) schedule(req *SolveRequest, id, reqID string, events func(obs.E
 	}
 	s.received++
 	return done, true
-}
-
-// journalHit answers the request with run identity id from the journal
-// when it has a recorded result. Hits bypass the pool entirely and are
-// not counted as received or completed — on /stats, completed counts
-// only runs actually executed, which is exactly what the kill-and-replay
-// harness asserts never includes a recorded run.
-func (s *Server) journalHit(id string) (campaign.Record, bool) {
-	if s.durable == nil {
-		return campaign.Record{}, false
-	}
-	return s.durable.lookup(id)
 }
 
 // maxRequestBytes caps a request body: every field of a v1 solve
@@ -392,37 +383,36 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if err := req.Validate(); err != nil {
+	spec, cell, err := req.Validate()
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The run identity and the correlation ID are derived once here
-	// and travel with the request.
-	id := runIdentity(&req)
-	reqID := requestID(id)
-	if rec, ok := s.journalHit(id); ok {
-		s.log.Info("solve answered from journal", "req", reqID, "key", rec.Key)
+	run := &solveRun{req: &req, spec: spec, cell: cell, id: runIdentity(&req, cell)}
+	run.reqID = requestID(run.id)
+	if rec, ok := s.durable.lookup(run.id); ok {
+		s.log.Info("solve answered from journal", "req", run.reqID, "key", rec.Key)
 		if req.Stream {
-			s.streamRecorded(w, reqID, rec)
+			s.streamRecorded(w, run.reqID, rec)
 		} else {
-			writeJSON(w, http.StatusOK, SolveResponse{Schema: Schema, RequestID: reqID, Record: rec})
+			writeJSON(w, http.StatusOK, SolveResponse{Schema: Schema, RequestID: run.reqID, Record: rec})
 		}
 		return
 	}
-	s.log.Info("solve accepted", "req", reqID, "solver", req.Solver,
+	s.log.Info("solve accepted", "req", run.reqID, "solver", req.Solver,
 		"problem", req.Problem, "ranks", req.Ranks, "stream", req.Stream)
 	if req.Stream {
-		s.streamSolve(r.Context(), w, id, reqID, &req)
+		s.streamSolve(r.Context(), w, run)
 		return
 	}
-	done, ok := s.schedule(&req, id, reqID, nil)
+	done, ok := s.schedule(run, nil)
 	if !ok {
-		s.log.Warn("solve rejected", "req", reqID, "reason", "queue full")
+		s.log.Warn("solve rejected", "req", run.reqID, "reason", "queue full")
 		writeError(w, http.StatusServiceUnavailable, "queue full, retry later")
 		return
 	}
 	rec := <-done
-	writeJSON(w, http.StatusOK, SolveResponse{Schema: Schema, RequestID: reqID, Record: rec})
+	writeJSON(w, http.StatusOK, SolveResponse{Schema: Schema, RequestID: run.reqID, Record: rec})
 }
 
 // writeJSON writes one JSON body with the given status.

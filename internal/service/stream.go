@@ -45,7 +45,7 @@ type sseFrame struct {
 // the result). A client that disconnects stops the event writer; the
 // solve itself finishes in the background (a world cannot be cancelled
 // mid-solve) and still counts in /stats.
-func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, id, reqID string, req *SolveRequest) {
+func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, run *solveRun) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "response writer does not support streaming")
@@ -59,7 +59,7 @@ func (s *Server) streamSolve(ctx context.Context, w http.ResponseWriter, id, req
 			// Slow consumer: drop the event rather than stall the solve.
 		}
 	}
-	done, ok := s.schedule(req, id, reqID, func(ev obs.Event) {
+	done, ok := s.schedule(run, func(ev obs.Event) {
 		switch ev.Name {
 		case obs.EventIteration:
 			emit(sseFrame{"progress", ProgressEvent{Attempt: ev.Attempt, Iter: ev.Iter, Relres: ev.Value}})
@@ -81,7 +81,7 @@ wait:
 	for {
 		select {
 		case f := <-events:
-			writeSSE(w, fl, reqID, f.event, f.v)
+			writeSSE(w, fl, run.reqID, f.event, f.v)
 		case rec = <-done:
 			break wait
 		case <-ctx.Done():
@@ -94,9 +94,9 @@ wait:
 	for {
 		select {
 		case f := <-events:
-			writeSSE(w, fl, reqID, f.event, f.v)
+			writeSSE(w, fl, run.reqID, f.event, f.v)
 		default:
-			writeSSE(w, fl, reqID, "result", SolveResponse{Schema: Schema, RequestID: reqID, Record: rec})
+			writeSSE(w, fl, run.reqID, "result", SolveResponse{Schema: Schema, RequestID: run.reqID, Record: rec})
 			return
 		}
 	}

@@ -41,6 +41,7 @@ type dist struct {
 }
 
 func (d *dist) add(v float64)       { d.vals = append(d.vals, v) }
+func (d *dist) merge(o *dist)       { d.vals = append(d.vals, o.vals...) }
 func (d *dist) sorted() []float64   { sort.Float64s(d.vals); return d.vals }
 func (d *dist) mean() float64       { return stats.Mean(d.vals) }
 func (d *dist) q(p float64) float64 { return stats.Quantile(d.sorted(), p) }
@@ -64,12 +65,7 @@ func bySolver(a *Analysis) []*solverPhases {
 			order = append(order, r.Solver)
 		}
 		for _, p := range AttributionPhases() {
-			d, ok := sp.phases[p]
-			if !ok {
-				d = &dist{}
-				sp.phases[p] = d
-			}
-			d.add(r.Share(p))
+			distOf(sp.phases, p).add(r.Share(p))
 		}
 	}
 	sort.Strings(order)
@@ -121,21 +117,19 @@ func sectionAttribution(b *bytes.Buffer, a *Analysis) {
 	b.WriteString("\n")
 }
 
-// sectionFTGMRESDeltas renders the selective-reliability attribution
-// claim: on cells where both solvers ran, where does FT-GMRES spend the
-// time plain GMRES does not (sanitisation, extra inner reductions) and
-// where does it save it (restart recovery)?
-func sectionFTGMRESDeltas(b *bytes.Buffer, a *Analysis) {
-	// Pair cells via the solver-held-out suffix of the cell key.
-	suffix := func(cell string) (solver, rest string, ok bool) {
-		return strings.Cut(cell, "/")
-	}
+// pairFTGMRES pairs the gmres and ftgmres runs of cells that differ
+// only in solver (by the solver-held-out suffix of the cell key) and,
+// over the pairs where both solvers ran, merges each side's per-run
+// share of every attribution phase, pairs in key order. allRank keeps
+// only runs with all-rank spans. It returns the merged gmres and
+// ftgmres shares and the number of pairs.
+func pairFTGMRES(a *Analysis, allRank bool, share func(*RunPhases, string) float64) (gm, ft map[string]*dist, paired int) {
 	type pair struct{ gm, ft map[string]*dist }
 	pairs := map[string]*pair{}
 	var order []string
 	for _, r := range a.Runs {
-		solver, rest, ok := suffix(r.Cell)
-		if !ok || (solver != "gmres" && solver != "ftgmres") {
+		solver, rest, ok := strings.Cut(r.Cell, "/")
+		if !ok || (solver != "gmres" && solver != "ftgmres") || (allRank && !r.AllRank()) {
 			continue
 		}
 		pr, seen := pairs[rest]
@@ -149,37 +143,41 @@ func sectionFTGMRESDeltas(b *bytes.Buffer, a *Analysis) {
 			side = pr.ft
 		}
 		for _, p := range AttributionPhases() {
-			d, ok := side[p]
-			if !ok {
-				d = &dist{}
-				side[p] = d
-			}
-			d.add(r.Share(p))
+			distOf(side, p).add(share(r, p))
 		}
 	}
 	sort.Strings(order)
-	// Aggregate over cells where both sides exist.
-	gm, ft := map[string]*dist{}, map[string]*dist{}
-	paired := 0
+	gm, ft = map[string]*dist{}, map[string]*dist{}
 	for _, rest := range order {
 		pr := pairs[rest]
 		if len(pr.gm) == 0 || len(pr.ft) == 0 {
 			continue
 		}
 		paired++
-		merge := func(into map[string]*dist, p string, side *dist) {
-			d, ok := into[p]
-			if !ok {
-				d = &dist{}
-				into[p] = d
-			}
-			d.vals = append(d.vals, side.vals...)
-		}
 		for _, p := range AttributionPhases() {
-			merge(gm, p, pr.gm[p])
-			merge(ft, p, pr.ft[p])
+			distOf(gm, p).merge(pr.gm[p])
+			distOf(ft, p).merge(pr.ft[p])
 		}
 	}
+	return gm, ft, paired
+}
+
+// distOf returns m's dist for key, adding an empty one if there is none.
+func distOf(m map[string]*dist, key string) *dist {
+	d, ok := m[key]
+	if !ok {
+		d = &dist{}
+		m[key] = d
+	}
+	return d
+}
+
+// sectionFTGMRESDeltas renders the selective-reliability attribution
+// claim: on cells where both solvers ran, where does FT-GMRES spend the
+// time plain GMRES does not (sanitisation, extra inner reductions) and
+// where does it save it (restart recovery)?
+func sectionFTGMRESDeltas(b *bytes.Buffer, a *Analysis) {
+	gm, ft, paired := pairFTGMRES(a, false, (*RunPhases).Share)
 	b.WriteString("## ftgmres vs gmres: phase deltas\n\n")
 	if paired == 0 {
 		b.WriteString("No (ftgmres, gmres) cell pairs in this trace set.\n\n")
@@ -361,60 +359,9 @@ func sectionCriticalPath(b *bytes.Buffer, a *Analysis) {
 		}
 		b.WriteString("\n")
 	}
-	// The selective-reliability delta on the critical path: pair cells
-	// differing only in solver, mirroring sectionFTGMRESDeltas.
-	type pair struct{ gm, ft map[string]*dist }
-	pairs := map[string]*pair{}
-	var order []string
-	for _, r := range a.Runs {
-		if !r.AllRank() {
-			continue
-		}
-		solver, rest, ok := strings.Cut(r.Cell, "/")
-		if !ok || (solver != "gmres" && solver != "ftgmres") {
-			continue
-		}
-		pr, seen := pairs[rest]
-		if !seen {
-			pr = &pair{gm: map[string]*dist{}, ft: map[string]*dist{}}
-			pairs[rest] = pr
-			order = append(order, rest)
-		}
-		side := pr.gm
-		if solver == "ftgmres" {
-			side = pr.ft
-		}
-		for _, p := range AttributionPhases() {
-			d, ok := side[p]
-			if !ok {
-				d = &dist{}
-				side[p] = d
-			}
-			d.add(r.CritShare(p))
-		}
-	}
-	sort.Strings(order)
-	gm, ft := map[string]*dist{}, map[string]*dist{}
-	paired := 0
-	for _, rest := range order {
-		pr := pairs[rest]
-		if len(pr.gm) == 0 || len(pr.ft) == 0 {
-			continue
-		}
-		paired++
-		merge := func(into map[string]*dist, p string, side *dist) {
-			d, ok := into[p]
-			if !ok {
-				d = &dist{}
-				into[p] = d
-			}
-			d.vals = append(d.vals, side.vals...)
-		}
-		for _, p := range AttributionPhases() {
-			merge(gm, p, pr.gm[p])
-			merge(ft, p, pr.ft[p])
-		}
-	}
+	// The selective-reliability delta on the critical path, over the
+	// all-rank runs only.
+	gm, ft, paired := pairFTGMRES(a, true, (*RunPhases).CritShare)
 	b.WriteString("\n### ftgmres vs gmres on the critical path\n\n")
 	if paired == 0 {
 		b.WriteString("No all-rank (ftgmres, gmres) cell pairs in this trace set.\n\n")
