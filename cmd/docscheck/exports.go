@@ -1,16 +1,20 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
-	"path"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -20,214 +24,207 @@ import (
 // longer names a declaration, or whose identifier has since gained a
 // production caller, is itself a problem, so the list cannot go stale.
 var exportAllowlist = map[string]string{
-	"comm.Comm.Barrier":       "simulated MPI surface",
-	"comm.Comm.Reduce":        "simulated MPI surface",
-	"comm.Comm.IBarrier":      "simulated MPI surface",
-	"comm.Request.Test":       "simulated MPI surface",
-	"comm.Comm.Sendrecv":      "simulated MPI surface",
-	"problems.NewHeatGrid":    "serial reference that lflr's bitwise tests compare against",
-	"problems.NewAdvection1D": "serial reference that lflr's bitwise tests compare against",
-	"problems.Poisson1D":      "shared test fixture",
-	"problems.OnesRHS":        "shared test fixture",
-	"la.CSR.Diag":             "shared test fixture: the dist_family golden's diagPrecon",
-	"skp.NewDistCheckedOp":    "protection row of the planned bit-flip coverage table (ROADMAP)",
+	"comm.Comm.Barrier":    "simulated MPI surface",
+	"comm.Comm.Reduce":     "simulated MPI surface",
+	"comm.Comm.IBarrier":   "simulated MPI surface",
+	"comm.Request.Test":    "simulated MPI surface",
+	"comm.Comm.Sendrecv":   "simulated MPI surface",
+	"comm.Comm.Stats":      "shared test fixture: dist's and skp's tests assert message counts with it",
+	"problems.Poisson1D":   "shared test fixture",
+	"problems.OnesRHS":     "shared test fixture",
+	"la.CSR.Diag":          "shared test fixture: the dist_family golden's diagPrecon",
+	"skp.NewDistCheckedOp": "protection row of the planned bit-flip coverage table (ROADMAP)",
+	"usagecheck.Verify":    "test-support package: the cmd tests check their documented invocations with it",
 }
 
-// topDecl is one top-level declaration: the keys of the names it
-// declares and the parts of it that may mention other names.
-type topDecl struct {
-	keys    []string // "pkg.Name" or "pkg.Type.Method"
-	names   []string
-	pos     string
-	parts   []ast.Node
-	foreign map[string]bool // the file's names for packages outside internal/
-}
+// dynamicNames are the methods the standard library looks up at run
+// time (fmt, errors, encoding/json), which no call in the program names.
+var dynamicNames = strings.Fields("Error String Format GoString MarshalJSON UnmarshalJSON MarshalText UnmarshalText")
 
-// checkUnusedExports reports every exported top-level function, method
-// (of an exported type), type, constant and variable declared in a
-// non-test file under root/internal that no non-test file under root
-// mentions outside its own declaration, unless allow lists it; and
-// every allow entry that is stale. The scan is by name, so a mention of
-// Apply anywhere keeps every method named Apply — except a name
-// qualified by a package that is no internal/ package (bytes.Contains
-// keeps no method named Contains). A method's receiver does not
-// mention its type. What an allowlisted declaration mentions is
-// kept (NewHeatGrid keeps HeatGrid), but such a mention is no production
-// caller: it cannot make another allowlist entry stale.
-//
-// The blind spot of a by-name scan is a method whose name a type outside
-// internal/ shares through a value, not a package: p.cond.Broadcast() on
-// a sync.Cond kept comm.Comm.Broadcast alive with no caller, and a type
-// or field named like a method (machine.RNG, perf's Result.Failed) keeps
-// that method too. Only a type-checked scan would see through them.
+// checkUnusedExports type-checks the non-test files of the module at
+// root and reports every exported top-level function, method (of an
+// exported type), type, constant and variable under root/internal that
+// no non-test file uses outside its own declaration, unless allow lists
+// it; and every stale allow entry. A use is what the type checker
+// resolves an identifier to, so sync.Cond's Broadcast uses no other
+// Broadcast, and a method's receiver does not use its type. A method is
+// also used when the standard library finds it by name (dynamicNames)
+// or its type implements an interface of the program that names it.
+// What an allowlisted declaration uses is kept (NewDistCheckedOp keeps
+// DistCheckedOp), but it cannot make another allowlist entry stale.
 func checkUnusedExports(root string, allow map[string]string) ([]string, error) {
-	var decls []topDecl
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		rel, _ := filepath.Rel(root, path)
-		rel = filepath.ToSlash(rel)
-		pkg := filepath.Base(filepath.Dir(rel))
-		foreign := foreignImports(f)
-		for _, dc := range f.Decls {
-			switch d := dc.(type) {
-			case *ast.FuncDecl:
-				key := pkg + "." + d.Name.Name
-				if recv := recvName(d); recv != "" {
-					key = pkg + "." + recv + "." + d.Name.Name
-				}
-				td := topDecl{keys: []string{key}, names: []string{d.Name.Name},
-					pos: position(fset, rel, d.Name), parts: []ast.Node{d.Type}, foreign: foreign}
-				if d.Body != nil {
-					td.parts = append(td.parts, d.Body)
-				}
-				decls = append(decls, td)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						td := topDecl{keys: []string{pkg + "." + s.Name.Name}, names: []string{s.Name.Name},
-							pos: position(fset, rel, s.Name), parts: []ast.Node{s.Type}, foreign: foreign}
-						if s.TypeParams != nil {
-							td.parts = append(td.parts, s.TypeParams)
-						}
-						decls = append(decls, td)
-					case *ast.ValueSpec:
-						td := topDecl{pos: position(fset, rel, s.Names[0]), foreign: foreign}
-						if s.Type != nil {
-							td.parts = append(td.parts, s.Type)
-						}
-						for _, n := range s.Names {
-							td.keys = append(td.keys, pkg+"."+n.Name)
-							td.names = append(td.names, n.Name)
-						}
-						for _, v := range s.Values {
-							td.parts = append(td.parts, v)
-						}
-						decls = append(decls, td)
-					}
-				}
-			}
-		}
-		return nil
-	})
+	pkgs, err := goList(root)
 	if err != nil {
 		return nil, err
 	}
-
-	// Candidates: exported names under internal/ of exported receivers.
-	declared := map[string]topDecl{}
-	for _, d := range decls {
-		if !strings.HasPrefix(d.pos, "internal/") {
+	fset := token.NewFileSet()
+	exportData := map[string]string{}
+	for _, p := range pkgs {
+		exportData[p.ImportPath] = p.Export
+	}
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) { return os.Open(exportData[path]) })
+	// Module packages are checked from source, dependencies first, and
+	// imported as checked, so an object is one value in every package.
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
+	var files []*ast.File
+	candidates := map[types.Object]string{} // "pkg.Name" or "pkg.Type.Method"
+	var modDir string
+	for _, p := range pkgs {
+		if p.Module == nil || !p.Module.Main || len(p.GoFiles) == 0 {
 			continue
 		}
-		for i, key := range d.keys {
-			if parts := strings.Split(key, "."); ast.IsExported(parts[1]) && ast.IsExported(d.names[i]) {
-				declared[key] = topDecl{names: d.names[i : i+1], pos: d.pos}
+		modDir = p.Module.Dir
+		var pfiles []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			pfiles = append(pfiles, f)
+		}
+		pkg, err := conf.Check(p.ImportPath, fset, pfiles, info)
+		if err != nil {
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath], files = pkg, append(files, pfiles...)
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() || !strings.HasPrefix(p.ImportPath, p.Module.Path+"/internal/") {
+				continue
+			}
+			candidates[obj] = pkg.Name() + "." + name
+			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+				for m := range tn.Type().(*types.Named).Methods() {
+					if m.Exported() {
+						candidates[m] = candidates[obj] + "." + m.Name()
+					}
+				}
 			}
 		}
 	}
-	prod, kept := map[string]bool{}, map[string]bool{}
-	for _, d := range decls {
-		mentioned := prod
-		if slices.ContainsFunc(d.keys, func(k string) bool { _, ok := allow[k]; return ok }) {
-			mentioned = kept
-		}
-		for _, part := range d.parts {
-			ast.Inspect(part, func(n ast.Node) bool {
-				switch x := n.(type) {
-				case *ast.SelectorExpr:
-					if pkg, ok := x.X.(*ast.Ident); ok && d.foreign[pkg.Name] {
-						return false
-					}
-				case *ast.Ident:
-					if !slices.Contains(d.names, x.Name) {
-						mentioned[x.Name] = true
-					}
+
+	// Each top-level declaration, or spec of a grouped one, uses what its
+	// identifiers resolve to, except what it declares itself.
+	prod, kept := map[types.Object]bool{}, map[types.Object]bool{}
+	for _, f := range files {
+		for _, d := range f.Decls {
+			units, recv := []ast.Node{d}, ast.Node(nil)
+			if g, ok := d.(*ast.GenDecl); ok {
+				units = units[:0]
+				for _, s := range g.Specs {
+					units = append(units, s)
 				}
-				return true
-			})
+			} else if fd := d.(*ast.FuncDecl); fd.Recv != nil {
+				recv = fd.Recv
+			}
+			for _, u := range units {
+				used := prod
+				ast.Inspect(u, func(n ast.Node) bool {
+					id, _ := n.(*ast.Ident)
+					if _, ok := allow[candidates[info.Defs[id]]]; ok {
+						used = kept // u declares an allowlisted name, ahead of its uses
+					} else if obj := info.Uses[id]; obj != nil {
+						if fn, ok := obj.(*types.Func); ok {
+							obj = fn.Origin()
+						}
+						if obj.Pos() < u.Pos() || obj.Pos() >= u.End() {
+							used[obj] = true
+						}
+					}
+					return n != recv
+				})
+			}
 		}
 	}
-
-	var problems []string
-	for key, d := range declared {
-		if _, ok := allow[key]; !ok && !prod[d.names[0]] && !kept[d.names[0]] {
-			problems = append(problems, fmt.Sprintf("%s: exported %s has no production caller", d.pos, key))
+	// implemented reports whether m's type implements an interface that
+	// names m and that the program writes or holds a value of.
+	implemented := func(m *types.Func) bool {
+		recv := m.Signature().Recv().Type()
+		if _, ok := recv.(*types.Pointer); !ok {
+			recv = types.NewPointer(recv) // *T implements whatever T does
 		}
+		for _, tv := range info.Types {
+			it, ok := tv.Type.Underlying().(*types.Interface)
+			if ok && types.Implements(recv, it) && types.NewMethodSet(it).Lookup(nil, m.Name()) != nil {
+				return true
+			}
+		}
+		return false
+	}
+	position := func(obj types.Object) string {
+		p := fset.Position(obj.Pos())
+		rel, _ := filepath.Rel(modDir, p.Filename)
+		return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), p.Line)
+	}
+	var problems []string
+	declared := map[string]types.Object{}
+	for obj, key := range candidates {
+		declared[key] = obj
+		if _, ok := allow[key]; ok || prod[obj] || kept[obj] {
+			continue
+		}
+		if m, ok := obj.(*types.Func); ok && m.Signature().Recv() != nil && (slices.Contains(dynamicNames, m.Name()) || implemented(m)) {
+			continue
+		}
+		problems = append(problems, fmt.Sprintf("%s: exported %s has no production caller", position(obj), key))
 	}
 	for key := range allow {
-		switch d, ok := declared[key]; {
+		switch obj, ok := declared[key]; {
 		case !ok:
 			problems = append(problems, fmt.Sprintf("cmd/docscheck: allowlisted %s is not declared", key))
-		case prod[d.names[0]]:
-			problems = append(problems, fmt.Sprintf("%s: allowlisted %s has a production caller", d.pos, key))
+		case prod[obj]:
+			problems = append(problems, fmt.Sprintf("%s: allowlisted %s has a production caller", position(obj), key))
 		}
 	}
 	sort.Strings(problems)
 	return problems, nil
 }
 
-// foreignImports returns the names f imports packages under, except
-// internal/ packages: only those can declare a candidate, and Go lets a
-// module import no internal/ package but its own.
-func foreignImports(f *ast.File) map[string]bool {
-	names := map[string]bool{}
-	for _, imp := range f.Imports {
-		p, _ := strconv.Unquote(imp.Path.Value)
-		if slices.Contains(strings.Split(p, "/"), "internal") {
-			continue
-		}
-		if v := path.Base(p); len(v) > 1 && v[0] == 'v' && strings.Trim(v[1:], "0123456789") == "" {
-			p = path.Dir(p) // math/rand/v2 is package rand
-		}
-		name := path.Base(p)
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		names[name] = true
-	}
-	return names
-}
-
-// recvName returns the base type name of a method's receiver, or "" for
-// a function.
-func recvName(d *ast.FuncDecl) string {
-	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return ""
-	}
-	t := d.Recv.List[0].Type
-	for {
-		switch x := t.(type) {
-		case *ast.StarExpr:
-			t = x.X
-		case *ast.IndexExpr:
-			t = x.X
-		case *ast.IndexListExpr:
-			t = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+// listedPackage is what the scan reads of one `go list -json` record.
+type listedPackage struct {
+	ImportPath, Dir, Export string
+	GoFiles                 []string
+	Module                  *struct {
+		Path, Dir string
+		Main      bool
 	}
 }
 
-func position(fset *token.FileSet, rel string, id *ast.Ident) string {
-	return fmt.Sprintf("%s:%d", rel, fset.Position(id.Pos()).Line)
+// goList runs `go list -export -deps -json ./...` in root: every
+// package the module needs, dependencies first, each with the file its
+// compiled export data is in. A failure is one line: the first of go
+// list's that is not a "# pkg" build header.
+func goList(root string) ([]listedPackage, error) {
+	var stderr strings.Builder
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
+	cmd.Dir, cmd.Stderr = root, &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if line != "" && !strings.HasPrefix(line, "# ") {
+				return nil, fmt.Errorf("go list: %s", line)
+			}
+		}
+		return nil, fmt.Errorf("go list: %v", err)
+	}
+	var pkgs []listedPackage
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p listedPackage
+		if err := dec.Decode(&p); err != nil {
+			return nil, fmt.Errorf("go list: %v", err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -4,9 +4,11 @@
 // that once left package docs citing design notes nobody wrote);
 // exported identifiers in any package under internal/ that lack doc
 // comments; and exported identifiers under internal/ that no non-test
-// code mentions, unless a commented allowlist (exports.go) says why they
-// stay. It takes the repository root as an optional argument (default
-// ".") and exits non-zero with one line per problem.
+// code uses, as the type checker resolves uses, unless a commented
+// allowlist (exports.go) says why they stay. It takes the repository
+// root (a Go module) as an optional argument (default ".") and exits 1
+// with one line per problem, or 2 with one line when the tree cannot be
+// read, listed or type-checked.
 //
 //	go run ./cmd/docscheck
 package main

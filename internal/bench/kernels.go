@@ -304,14 +304,12 @@ func chebyshevApplyKernel() (func(n int), func()) {
 func obsDisabledKernel() (func(n int), func()) {
 	var (
 		c  *obs.Counter
-		g  *obs.Gauge
 		h  *obs.Histogram
 		tr *obs.RunTracer
 	)
 	return func(n int) {
 		for i := 0; i < n; i++ {
 			c.Inc()
-			g.Set(float64(i))
 			h.Observe(float64(i))
 			if tr != nil { // hot paths skip building the event, not just recording it
 				tr.Observe(obs.Event{T: float64(i), Name: obs.EventIteration, Iter: i})

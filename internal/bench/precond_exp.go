@@ -43,13 +43,16 @@ func pcgVariant(rc RunCtx, p int, a *la.CSR, rhs []float64, mk func(c *comm.Comm
 	return st, err
 }
 
-// P1 — preconditioned vs plain CG on anisotropic Poisson, where the
-// constant diagonal makes Jacobi a placebo and only a real
-// preconditioner (Chebyshev polynomial) buys iterations.
+// P1 — DistPCG with a Chebyshev preconditioner vs DistPCG with M = I
+// on anisotropic Poisson, where the constant diagonal makes Jacobi a
+// placebo and only a real preconditioner (Chebyshev polynomial) buys
+// iterations. The baseline row is DistPCG(nil), not DistCG: it takes
+// CG's iterations but pays a third reduction per iteration that
+// DistCG does not, so it charges more virtual time than plain CG.
 func P1(rc RunCtx) *Table {
 	t := &Table{
 		ID:      "P1",
-		Title:   "DistPCG with Chebyshev preconditioning vs plain CG on anisotropic Poisson",
+		Title:   "DistPCG with Chebyshev preconditioning vs DistPCG with M = I on anisotropic Poisson",
 		Claim:   "a real preconditioner cuts iterations and virtual time where diagonal scaling cannot",
 		Columns: []string{"eps x/y", "variant", "converged", "iters", "reductions", "virtual time"},
 	}
@@ -72,9 +75,9 @@ func P1(rc RunCtx) *Table {
 		// silently vanish from the table.
 		plain, err := pcgVariant(rc, p, a, rhs, nil)
 		if err != nil {
-			t.AddRow(f(ex), "CG", "ERR: "+err.Error())
+			t.AddRow(f(ex), "PCG, M = I", "ERR: "+err.Error())
 		} else {
-			t.AddRow(f(ex), "CG", yesNo(plain.Converged), fmt.Sprint(plain.Iterations),
+			t.AddRow(f(ex), "PCG, M = I", yesNo(plain.Converged), fmt.Sprint(plain.Iterations),
 				fmt.Sprint(plain.Reductions), f(plain.VirtualTime))
 		}
 		cheb, err := pcgVariant(rc, p, a, rhs, func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {

@@ -33,13 +33,14 @@ func TestStrikesThatCannotFireAreErrors(t *testing.T) {
 		{"element 128", flip(2, 128, 62)},
 	} {
 		// LFLR heat on 5 ranks of a 16×40 grid: 128 values per strip.
-		w := comm.NewWorld(comm.Config{Ranks: 5, Cost: machine.DefaultCostModel()})
+		var led comm.Ledger
+		w := comm.NewWorld(comm.Config{Ranks: 5, Cost: machine.DefaultCostModel(), Ledger: &led})
 		_, err := lflr.RunHeat(w, lflr.NewStore(), lflr.HeatConfig{
 			Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, EnergyGuard: true,
 			Faults: fault.Plan{Entries: []fault.Entry{tc.e}},
 		})
-		if err == nil || !strings.HasPrefix(err.Error(), "fault: ") || w.MaxClock() != 0 {
-			t.Errorf("lflr, %s: error %v after the world ran to %g, want a fault: error first", tc.name, err, w.MaxClock())
+		if ran := led.Snapshot(); err == nil || !strings.HasPrefix(err.Error(), "fault: ") || ran.Ranks != 0 || ran.MaxClock != 0 {
+			t.Errorf("lflr, %s: error %v after %d rank(s) ran to %g, want a fault: error first", tc.name, err, ran.Ranks, ran.MaxClock)
 		}
 
 		// The serial adapter on a 128-row operator, whose only rank is 0.

@@ -161,7 +161,6 @@ func (w *World) completeColl(s *collSlot) {
 		msgBytes = 8
 	}
 	s.complete = s.maxPost + w.cost.Collective(w.n, msgBytes)
-	w.observeClock(s.complete)
 	for r := range w.ranks {
 		if rk := &w.ranks[r]; rk.state == rankBlocked && rk.on.slot == s {
 			w.makeReady(r)
@@ -207,7 +206,6 @@ func (c *Comm) await(s *collSlot) error {
 		c.waited += lag
 	}
 	c.clock.SyncTo(s.complete)
-	w.observeClock(c.clock.Now())
 	return nil
 }
 

@@ -36,7 +36,6 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 	copy(cp, data)
 	w.queues[dst] = append(w.queues[dst], message{src: c.rank, tag: tag, data: cp, arrive: arrive, epoch: c.epoch})
 	c.stats.Sends++
-	w.observeClock(c.clock.Now())
 	if rk := &w.ranks[dst]; rk.state == rankBlocked && rk.on.slot == nil && rk.on.src == c.rank && rk.on.tag == tag {
 		w.makeReady(dst)
 	}
@@ -91,7 +90,6 @@ func (c *Comm) recvMessage(src, tag int) ([]float64, error) {
 				c.clock.Advance(w.cost.Overhead)
 				w.queues[c.rank] = append(q[:i], q[i+1:]...)
 				c.stats.Recvs++
-				w.observeClock(c.clock.Now())
 				return data, nil
 			}
 		}

@@ -149,7 +149,6 @@ type World struct {
 	colls    []*collSlot
 	collBase int
 	slotPool []*collSlot
-	maxClock float64 // latest virtual time observed by any operation
 
 	ledger   *Ledger
 	observer func(obs.Event)
@@ -390,15 +389,4 @@ func (w *World) Repair() int {
 	w.colls, w.collBase = w.colls[:0], 0
 	w.wakeBlocked()
 	return w.epoch
-}
-
-// MaxClock returns the largest virtual time reported by any completed
-// operation bookkeeping. It is refreshed by collectives; for precise
-// end-of-run timing prefer reducing clocks inside the rank function.
-func (w *World) MaxClock() float64 { return w.maxClock }
-
-func (w *World) observeClock(t float64) {
-	if t > w.maxClock {
-		w.maxClock = t
-	}
 }

@@ -39,9 +39,14 @@ func scatteredMatrix(n, p, quiet, hub int, seed uint64) *la.CSR {
 				cols = append(cols, rng.Intn(n))
 			}
 		}
-		// Distinct columns, in random order.
+		// Distinct columns, in random order: an inside-out shuffle.
+		order := make([]int, len(cols))
+		for i := range order {
+			j := rng.Intn(i + 1)
+			order[i], order[j] = order[j], i
+		}
 		seen := map[int]bool{}
-		for _, k := range rng.Perm(len(cols)) {
+		for _, k := range order {
 			if j := cols[k]; !seen[j] {
 				seen[j] = true
 				a.ColIdx = append(a.ColIdx, j)

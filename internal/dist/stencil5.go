@@ -41,10 +41,6 @@ func NewStencil5(c *comm.Comm, nx, ny int, diag, off float64) *Stencil5 {
 	return s
 }
 
-// Rows returns the half-open global grid-row range [jlo, jhi) this rank
-// owns.
-func (s *Stencil5) Rows() (jlo, jhi int) { return s.jlo, s.jhi }
-
 // Apply implements Operator: one boundary row to each slab neighbour,
 // then the local five-point sweep.
 func (s *Stencil5) Apply(x, y []float64) error {

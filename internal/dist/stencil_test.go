@@ -114,7 +114,7 @@ func TestStencil5MatchesAssembled(t *testing.T) {
 	for _, p := range rankCounts {
 		err := comm.Run(testCfg(p), func(c *comm.Comm) error {
 			op := NewStencil5(c, nx, ny, diag, off)
-			jlo, jhi := op.Rows()
+			jlo, jhi := op.jlo, op.jhi
 			wlo, whi := Partition{N: ny, P: p}.Range(c.Rank())
 			if jlo != wlo || jhi != whi {
 				t.Errorf("p=%d rank %d: Rows (%d,%d) want (%d,%d)", p, c.Rank(), jlo, jhi, wlo, whi)

@@ -28,16 +28,6 @@ func (a *Dense) Set(i, j int, v float64) { a.Data[i*a.Cols+j] = v }
 // Row returns a view (not a copy) of row i.
 func (a *Dense) Row(i int) []float64 { return a.Data[i*a.Cols : (i+1)*a.Cols] }
 
-// MatVec computes y = A·x into a fresh slice.
-func (a *Dense) MatVec(x []float64) []float64 {
-	CheckLen("x", x, a.Cols)
-	y := make([]float64, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		y[i] = Dot(a.Row(i), x)
-	}
-	return y
-}
-
 // MatMul computes C = A·B into a fresh matrix.
 func (a *Dense) MatMul(b *Dense) *Dense {
 	if a.Cols != b.Rows {

@@ -128,10 +128,9 @@ func TestCSRMatchesDenseProperty(t *testing.T) {
 			x[i] = 2*rng.Float64() - 1
 		}
 		ys := m.MatVec(x, nil)
-		yd := d.MatVec(x)
 		for i := range ys {
-			if math.Abs(ys[i]-yd[i]) > 1e-12 {
-				t.Fatalf("trial %d: row %d: CSR %g vs dense %g", trial, i, ys[i], yd[i])
+			if yd := Dot(d.Row(i), x); math.Abs(ys[i]-yd) > 1e-12 {
+				t.Fatalf("trial %d: row %d: CSR %g vs dense %g", trial, i, ys[i], yd)
 			}
 		}
 		// Structure invariants.

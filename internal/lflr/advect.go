@@ -97,7 +97,8 @@ func (a *advectApp) step(r *rank) (float64, error) {
 	return mass, nil
 }
 
-// update is the upwind update, same arithmetic as problems.Advection1D;
+// update is the upwind update, same arithmetic as the serial reference
+// (advection1D.run in reference_test.go);
 // halos[0] is the ghost cell from the left.
 func (a *advectApp) update(c *comm.Comm, u, v []float64, halos [2][]float64) {
 	for i := range u {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/fault"
-	"repro/internal/problems"
 )
 
 func runAdvect(t *testing.T, p int, cfg AdvectConfig) AdvectResult {
@@ -22,30 +21,30 @@ func runAdvect(t *testing.T, p int, cfg AdvectConfig) AdvectResult {
 func TestAdvectionMatchesSerial(t *testing.T) {
 	const n, steps = 240, 150
 	const cfl = 0.6
-	ref := problems.NewAdvection1D(n, cfl)
-	ref.Run(steps)
+	ref := newAdvection1D(n, cfl)
+	ref.run(steps)
 
 	res := runAdvect(t, 5, AdvectConfig{N: n, C: cfl, Steps: steps, PersistEvery: 25})
 	if len(res.U) != n {
 		t.Fatalf("field size %d", len(res.U))
 	}
 	for i := range res.U {
-		if res.U[i] != ref.U[i] {
-			t.Fatalf("cell %d differs: %v vs %v", i, res.U[i], ref.U[i])
+		if res.U[i] != ref.u[i] {
+			t.Fatalf("cell %d differs: %v vs %v", i, res.U[i], ref.u[i])
 		}
 	}
-	if math.Abs(res.Mass-ref.Mass()) > 1e-10 {
-		t.Errorf("mass mismatch: %v vs %v", res.Mass, ref.Mass())
+	if math.Abs(res.Mass-ref.mass()) > 1e-10 {
+		t.Errorf("mass mismatch: %v vs %v", res.Mass, ref.mass())
 	}
 }
 
 // TestAdvectionMassConserved: the invariant the guard relies on holds to
 // rounding over a long run.
 func TestAdvectionMassConserved(t *testing.T) {
-	a := problems.NewAdvection1D(300, 0.8)
-	m0 := a.Mass()
-	a.Run(2000)
-	if d := math.Abs(a.Mass() - m0); d > 1e-9*(1+m0) {
+	a := newAdvection1D(300, 0.8)
+	m0 := a.mass()
+	a.run(2000)
+	if d := math.Abs(a.mass() - m0); d > 1e-9*(1+m0) {
 		t.Errorf("mass drifted by %g over 2000 steps", d)
 	}
 }

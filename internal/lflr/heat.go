@@ -130,9 +130,9 @@ func (h *heatApp) step(r *rank) (float64, error) {
 }
 
 // update performs the FTCS update with the exact arithmetic of the
-// serial reference (problems.HeatGrid.Step), so recovered runs match the
-// fault-free trajectory bitwise. halos are the rows below and above the
-// strip, nil beyond the grid.
+// serial reference (heatGrid.step in reference_test.go), so recovered
+// runs match the fault-free trajectory bitwise. halos are the rows below
+// and above the strip, nil beyond the grid.
 func (h *heatApp) update(c *comm.Comm, u, v []float64, halos [2][]float64) {
 	nx, nRows, nu := h.nx, h.rows(), h.nu
 	below, above := halos[0], halos[1]

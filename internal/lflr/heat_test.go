@@ -6,7 +6,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/fault"
 	"repro/internal/machine"
-	"repro/internal/problems"
 )
 
 func heatWorld(p int) *comm.World {
@@ -27,16 +26,16 @@ func runScenario(t *testing.T, p int, cfg HeatConfig) HeatResult {
 func TestHeatMatchesSerial(t *testing.T) {
 	const nx, ny, steps = 24, 32, 60
 	const nu = 0.2
-	ref := problems.NewHeatGrid(nx, ny, nu)
-	ref.Run(steps)
+	ref := newHeatGrid(nx, ny, nu)
+	ref.run(steps)
 
 	res := runScenario(t, 4, HeatConfig{Nx: nx, Ny: ny, Nu: nu, Steps: steps, PersistEvery: 10})
 	if len(res.U) != nx*ny {
 		t.Fatalf("gathered field has %d values, want %d", len(res.U), nx*ny)
 	}
 	for i := range res.U {
-		if res.U[i] != ref.U[i] {
-			t.Fatalf("element %d differs: dist %v vs serial %v", i, res.U[i], ref.U[i])
+		if res.U[i] != ref.u[i] {
+			t.Fatalf("element %d differs: dist %v vs serial %v", i, res.U[i], ref.u[i])
 		}
 	}
 	if res.Recoveries != 0 {

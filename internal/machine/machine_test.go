@@ -53,18 +53,6 @@ func TestRNGSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := NewRNG(9)
 	const n = 200000

@@ -76,14 +76,3 @@ func (r *RNG) NormFloat64() float64 {
 func (r *RNG) ExpFloat64() float64 {
 	return -math.Log(1.0 - r.Float64())
 }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}

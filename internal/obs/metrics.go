@@ -33,14 +33,6 @@ func (c *Counter) Inc() {
 	c.v.Add(1)
 }
 
-// Add adds n (n must be non-negative; counters never go down).
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
 // Value returns the current count (0 on nil).
 func (c *Counter) Value() int64 {
 	if c == nil {
@@ -64,38 +56,7 @@ func (f *atomicFloat) add(v float64) {
 	}
 }
 
-func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
-
-// Gauge is a metric that can go up and down. The nil *Gauge is a valid
-// no-op sink. Gauges are safe for concurrent use.
-type Gauge struct {
-	v atomicFloat
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.store(v)
-}
-
-// Add adds v (negative to subtract).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	g.v.add(v)
-}
-
-// Value returns the current value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.load()
-}
+func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram with Prometheus cumulative-le
 // semantics: bucket i counts observations v with v <= bounds[i], plus an
@@ -272,9 +233,8 @@ type metric struct {
 	kind   metricKind
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
-	fn      func() float64 // function-backed counter/gauge; nil otherwise
+	fn      func() float64 // function-backed counter, and every gauge; nil otherwise
 }
 
 // Registry is a set of metrics with deterministic Prometheus text-format
@@ -330,16 +290,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	}
 	m := r.lookup(name, help, kindCounter, labels, func(m *metric) { m.counter = &Counter{} })
 	return m.counter
-}
-
-// Gauge returns the gauge for (name, labels), creating it on first use.
-// Returns nil on a nil registry.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, help, kindGauge, labels, func(m *metric) { m.gauge = &Gauge{} })
-	return m.gauge
 }
 
 // Histogram returns the histogram for (name, labels) over the given
@@ -414,14 +364,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		switch m.kind {
 		case kindCounter, kindGauge:
-			var v float64
-			switch {
-			case m.fn != nil:
+			v := float64(m.counter.Value())
+			if m.fn != nil {
 				v = m.fn()
-			case m.counter != nil:
-				v = float64(m.counter.Value())
-			default:
-				v = m.gauge.Value()
 			}
 			fmt.Fprintf(&b, "%s%s %s\n", m.name, wrapLabels(m.labels), formatValue(v))
 		case kindHistogram:

@@ -12,7 +12,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("repro_test_total", "test counter")
 	c.Inc()
-	c.Add(4)
+	c.v.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
@@ -20,11 +20,15 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if again := r.Counter("repro_test_total", ""); again != c {
 		t.Fatalf("re-registration returned a different counter")
 	}
-	g := r.Gauge("repro_test_gauge", "test gauge")
-	g.Set(3)
-	g.Add(-1.5)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	g := 3.0
+	r.GaugeFunc("repro_test_gauge", "test gauge", func() float64 { return g })
+	g -= 1.5
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "\nrepro_test_gauge 1.5\n") {
+		t.Fatalf("gauge not sampled at exposition:\n%s", b.String())
 	}
 }
 
@@ -43,16 +47,12 @@ func histCount(h *Histogram) uint64 {
 func TestNilMetricsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x", "")
-	g := r.Gauge("x", "")
 	h := r.Histogram("x", "", LatencyBuckets())
 	r.CounterFunc("x", "", func() float64 { return 1 })
 	r.GaugeFunc("x", "", func() float64 { return 1 })
 	c.Inc()
-	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(0.5)
-	if c.Value() != 0 || g.Value() != 0 || histCount(h) != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || histCount(h) != 0 || h.Sum() != 0 {
 		t.Fatalf("nil metrics must read as zero")
 	}
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {
@@ -244,7 +244,7 @@ func TestExpositionDeterministic(t *testing.T) {
 		for _, ep := range order {
 			r.Counter("repro_http_requests_total", "requests", Label{Key: "endpoint", Value: ep}).Inc()
 		}
-		r.Gauge("repro_depth", "depth").Set(2)
+		r.GaugeFunc("repro_depth", "depth", func() float64 { return 2 })
 		r.Histogram("repro_wait_seconds", "wait", []float64{1}).Observe(0.5)
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
@@ -293,10 +293,8 @@ func TestConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("repro_conc_total", "conc")
-			g := r.Gauge("repro_conc_gauge", "conc")
 			for i := 0; i < per; i++ {
 				c.Inc()
-				g.Add(1)
 				h.Observe(float64(i%13) / 100)
 			}
 		}(w)
@@ -304,9 +302,6 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter("repro_conc_total", "").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
-	}
-	if got := r.Gauge("repro_conc_gauge", "").Value(); got != workers*per {
-		t.Fatalf("gauge = %v, want %d", got, workers*per)
 	}
 	if got := histCount(h); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
@@ -337,5 +332,5 @@ func TestKindMismatchPanics(t *testing.T) {
 			t.Fatalf("re-registering a counter as a gauge must panic")
 		}
 	}()
-	r.Gauge("repro_kind", "")
+	r.GaugeFunc("repro_kind", "", func() float64 { return 0 })
 }

@@ -12,8 +12,8 @@ import (
 // including histogram +Inf buckets and escaped label values.
 func TestParseTextRoundTripsEveryKind(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("rt_counter_total", "a counter").Add(5)
-	r.Gauge("rt_gauge", "a gauge").Set(-2.5)
+	r.Counter("rt_counter_total", "a counter").v.Add(5)
+	r.GaugeFunc("rt_gauge", "a gauge", func() float64 { return -2.5 })
 	h := r.Histogram("rt_hist_seconds", "a histogram", []float64{0.1, 1})
 	h.Observe(0.05) // first bucket
 	h.Observe(0.5)  // second bucket

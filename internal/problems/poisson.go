@@ -1,8 +1,8 @@
 // Package problems generates the model PDE workloads the experiments run
 // on: Poisson operators (symmetric positive definite, for CG), a 2D
 // convection–diffusion operator (nonsymmetric, for GMRES), and the
-// serial heat and advection steppers the LFLR apps are checked against,
-// with the initial conditions both sides start from. These are the
+// initial conditions of the LFLR heat and advection apps (their serial
+// reference steppers live in internal/lflr's tests). These are the
 // canonical problems of the papers this position paper cites.
 package problems
 

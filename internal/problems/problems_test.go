@@ -90,44 +90,6 @@ func TestManufacturedRHSConsistency(t *testing.T) {
 	}
 }
 
-func TestHeatGridEnergyDecays(t *testing.T) {
-	g := NewHeatGrid(20, 20, 0.25)
-	prev := g.Energy()
-	if prev <= 0 {
-		t.Fatal("initial energy must be positive")
-	}
-	for s := 0; s < 50; s++ {
-		g.Step()
-		e := g.Energy()
-		if e > prev+1e-15 {
-			t.Fatalf("energy grew at step %d: %g -> %g", s, prev, e)
-		}
-		prev = e
-	}
-}
-
-func TestHeatGridStableRange(t *testing.T) {
-	g := NewHeatGrid(15, 15, 0.25)
-	g.Run(200)
-	for _, v := range g.U {
-		if v < -1e-12 || v > 1 {
-			t.Fatalf("value %g outside [0,1]", v)
-		}
-	}
-}
-
-func TestHeatGridUnstableNuGrows(t *testing.T) {
-	// Above the CFL limit the scheme must blow up — a sanity check that
-	// Nu really is the stability knob (and a negative control for the
-	// conservation skeptical check).
-	g := NewHeatGrid(15, 15, 0.6)
-	e0 := g.Energy()
-	g.Run(200)
-	if g.Energy() <= e0 {
-		t.Error("expected instability at nu=0.6")
-	}
-}
-
 func TestOnesRHS(t *testing.T) {
 	b := OnesRHS(4)
 	for _, v := range b {

@@ -15,27 +15,33 @@ import (
 	"repro/internal/obs"
 )
 
+// requestIDOf is the correlation ID the server gives req.
+func requestIDOf(req *SolveRequest) string {
+	_, cell := req.SpecCell()
+	return requestID(runIdentity(req, cell))
+}
+
 // TestRequestIDDeterministic pins the correlation contract: the ID is
 // a pure function of the run identity, so a replayed request carries
 // the same ID, and requests for different runs carry different ones.
 func TestRequestIDDeterministic(t *testing.T) {
 	a := testRequest()
 	b := testRequest()
-	if RequestID(&a) != RequestID(&b) {
+	if requestIDOf(&a) != requestIDOf(&b) {
 		t.Error("equal requests produced different IDs")
 	}
-	if !regexp.MustCompile(`^r-[0-9a-f]{16}$`).MatchString(RequestID(&a)) {
-		t.Errorf("ID %q does not match r-<16 hex>", RequestID(&a))
+	if !regexp.MustCompile(`^r-[0-9a-f]{16}$`).MatchString(requestIDOf(&a)) {
+		t.Errorf("ID %q does not match r-<16 hex>", requestIDOf(&a))
 	}
 	b.Rep++
-	if RequestID(&a) == RequestID(&b) {
+	if requestIDOf(&a) == requestIDOf(&b) {
 		t.Error("different replicates share an ID")
 	}
 	// Stream is presentation, not identity: the same run streamed and
 	// unary must correlate.
 	c := testRequest()
 	c.Stream = true
-	if RequestID(&a) != RequestID(&c) {
+	if requestIDOf(&a) != requestIDOf(&c) {
 		t.Error("streaming changed the request ID")
 	}
 }
@@ -56,7 +62,7 @@ func TestRequestCorrelationAcrossSurfaces(t *testing.T) {
 
 	req := testRequest()
 	req.Stream = true
-	wantID := RequestID(&req)
+	wantID := requestIDOf(&req)
 
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(cl.Base+"/v1/solve", "application/json", bytes.NewReader(body))

@@ -150,7 +150,8 @@ func TestOlderJournalDirLoads(t *testing.T) {
 		b, _ := json.Marshal(rec)
 		want[rec.Key] = string(b)
 		_, cell := req.SpecCell()
-		id, reqID := runIdentity(&req, cell), RequestID(&req)
+		id := runIdentity(&req, cell)
+		reqID := requestID(id)
 		if i%2 == 0 {
 			inSnap[id] = rec
 			continue
@@ -337,7 +338,7 @@ func TestEvictionRechargesSetupCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := srvSmall.Cache().Stats()
+	st := srvSmall.cache.Stats()
 	if st.SetupEvictions == 0 {
 		t.Fatalf("one-entry cache saw no evictions under two-key traffic: %+v", st)
 	}

@@ -14,7 +14,7 @@ import (
 // path the HTTP handler runs before anything is queued: decodeStrict
 // and Validate must refuse or accept without panicking, and a request
 // they accept must survive its own encoding — marshalled and decoded
-// again it is accepted again and names the same run (RequestID), which
+// again it is accepted again and names the same run (requestIDOf), which
 // is what lets a client, the journal and a replay agree on identity.
 func FuzzSolveRequest(f *testing.F) {
 	f.Add([]byte(`{"schema":"repro-solve/v1","solver":"pcg","precond":"jacobi","problem":"poisson","ranks":2,"grid":12,"seed":7,"cell":3,"rep":1,"tol":1e-6,"max_iter":400}`))
@@ -45,8 +45,8 @@ func FuzzSolveRequest(f *testing.F) {
 		if _, _, err := back.Validate(); err != nil {
 			t.Fatalf("an accepted request's own encoding is refused: %v\n%s", err, again)
 		}
-		if RequestID(&back) != RequestID(&req) {
-			t.Fatalf("request identity changed across its own encoding: %s → %s\n%s", RequestID(&req), RequestID(&back), again)
+		if requestIDOf(&back) != requestIDOf(&req) {
+			t.Fatalf("request identity changed across its own encoding: %s → %s\n%s", requestIDOf(&req), requestIDOf(&back), again)
 		}
 	})
 }

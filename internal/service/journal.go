@@ -38,7 +38,7 @@ type JournalEntry struct {
 	// ID is the run identity: the run key, derived seed and solve
 	// parameters that make two requests the same run.
 	ID string `json:"id,omitempty"`
-	// Req is the request correlation ID — the same RequestID the SSE
+	// Req is the request correlation ID — the same requestID the SSE
 	// frames, trace files and log lines carry, so a journal line joins
 	// against every other signal of its run.
 	Req string `json:"req,omitempty"`

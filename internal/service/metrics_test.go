@@ -90,7 +90,7 @@ func TestServerTraceDir(t *testing.T) {
 		t.Errorf("traced served record differs from direct execution:\n%s\n%s", gb, wb)
 	}
 
-	path := filepath.Join(dir, TraceName(RequestID(&req), cell.RunKey(req.Rep)))
+	path := filepath.Join(dir, TraceName(requestIDOf(&req), cell.RunKey(req.Rep)))
 	tr, err := obs.ReadTraceFile(path)
 	if err != nil {
 		t.Fatalf("missing or malformed trace file: %v", err)

@@ -8,19 +8,13 @@ import (
 	"repro/internal/campaign"
 )
 
-// RequestID derives the correlation ID of one solve request: "r-" plus
-// the 16-hex-digit FNV-64a hash of the run identity (run key, derived
-// seed, solve parameters). The ID is deterministic by design — the
-// same run requested twice, or replayed from the journal after a
-// restart, carries the same ID — so SSE frames, journal entries, trace
-// files and log lines correlate across process lifetimes without any
-// shared state.
-func RequestID(req *SolveRequest) string {
-	_, cell := req.SpecCell()
-	return requestID(runIdentity(req, cell))
-}
-
-// requestID is RequestID from an already derived run identity.
+// requestID derives the correlation ID of one solve request from its
+// run identity (run key, derived seed, solve parameters; see
+// runIdentity): "r-" plus the identity's 16-hex-digit FNV-64a hash. The
+// ID is deterministic by design — the same run requested twice, or
+// replayed from the journal after a restart, carries the same ID — so
+// SSE frames, journal entries, trace files and log lines correlate
+// across process lifetimes without any shared state.
 func requestID(id string) string {
 	h := fnv.New64a()
 	io.WriteString(h, id)

@@ -119,7 +119,7 @@ type SolveResponse struct {
 	// Schema is "repro-solve/v1".
 	Schema string `json:"schema"`
 	// RequestID is the deterministic correlation ID of the request
-	// (see RequestID) — the same value the SSE id: lines, journal
+	// (see requestID) — the same value the SSE id: lines, journal
 	// entries, trace file names and server log lines carry.
 	RequestID string `json:"req,omitempty"`
 	// Record is the run's result, exactly as local campaign execution

@@ -163,9 +163,6 @@ func (s *Server) Close() {
 	}
 }
 
-// Cache exposes the server's setup cache (tests and /stats).
-func (s *Server) Cache() *Cache { return s.cache }
-
 // HealthzResponse is the body of GET /healthz.
 type HealthzResponse struct {
 	// Schema is "repro-solve/v1".

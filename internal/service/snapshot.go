@@ -33,7 +33,9 @@ type Snapshot struct {
 
 // WriteSnapshot atomically persists snap into dir: marshal to a temp
 // file, fsync, rename over snapshot.json. A crash at any point leaves
-// either the old snapshot or the new one, never a torn mix.
+// either the old snapshot or the new one, never a torn mix. No server
+// calls it: its one caller is the perf harness's journal.snapshot_ms
+// probe (perf/), which is why it stays exported.
 func WriteSnapshot(dir string, snap *Snapshot) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
