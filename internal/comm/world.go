@@ -22,11 +22,16 @@
 // A world is a run-to-block cooperative simulation: every rank is a
 // coroutine, and World.Wait is the driver that resumes one rank at a
 // time, in FIFO order of becoming runnable, until it blocks in a
-// receive, a collective wait or Park. So a world needs no locks, every
-// interleaving — including which survivor operation first observes a
-// failure — is a pure function of the program, and a world uses one
-// core. Parallelism lives across worlds: any number may run at once,
-// each driven (with its Comms) from one goroutine at a time.
+// receive, a collective wait, Park or Offload. So a world needs no
+// locks, and every interleaving — including which survivor operation
+// first observes a failure — is a pure function of the program.
+// Parallelism lives across worlds: any number may run at once, each
+// driven (with its Comms) from one goroutine at a time. Inside a world
+// the one exception is Offload: a rank whose slab has at least
+// OffloadRows rows hands a kernel that touches only its own memory to
+// the helper thread and yields, and the driver runs the other ranks
+// meanwhile. The rank yields whether or not the helper takes the job, so
+// the interleaving stays the program's; the helper sees only job memory.
 package comm
 
 import (
@@ -119,6 +124,7 @@ type rankSlot struct {
 	stop   func()                  // iter.Pull's stop: make the rank's pending block fail
 	state  rankState
 	on     waitFor
+	job    jobSlot // the kernel an Offload left behind, if any
 }
 
 // World is a set of simulated ranks plus the shared machinery they
@@ -154,6 +160,7 @@ type World struct {
 	observer func(obs.Event)
 	phases   obs.PhaseTally
 	spans    bool // observer or phases is set: a span end has work to do
+	procs    int  // GOMAXPROCS as read in this Wait; 0 until an Offload needs it
 	seedRNG  *machine.RNG
 	errs     []error // exit error per rank (most recent spawn)
 }
@@ -223,7 +230,8 @@ func (w *World) Spawn(r int, startTime float64, fn func(c *Comm) error) {
 }
 
 // makeReady appends rank r to the ready ring. Callers guarantee r is not
-// already queued (it is freshly spawned, blocked or parked).
+// already queued: it is freshly spawned, blocked or parked, or it is
+// the running rank queueing itself behind an Offload before it yields.
 func (w *World) makeReady(r int) {
 	w.ranks[r].state = rankReady
 	at := w.head + w.nready
@@ -270,10 +278,13 @@ func (w *World) Release(r int) {
 // goroutine, after the other ranks have been unwound the same way.
 func (w *World) Wait() []error {
 	clean := false
+	w.procs = 0 // Offload reads GOMAXPROCS once per Wait, if at all
+	inWait.Add(1)
 	defer func() {
 		if !clean { // a rank panicked, or exited its goroutine as t.Fatal does
 			w.stopAll(errAborted)
 		}
+		inWait.Add(-1)
 	}()
 	for w.nready > 0 {
 		rk := &w.ranks[w.ready[w.head]]
@@ -281,6 +292,9 @@ func (w *World) Wait() []error {
 			w.head = 0
 		}
 		w.nready--
+		if rk.job.state.Load() != jobIdle {
+			w.finish(&rk.job)
+		}
 		rk.resume()
 	}
 	for r := range w.ranks {
@@ -321,11 +335,13 @@ func (w *World) deadlockError() error {
 	return fmt.Errorf("%w: %s", ErrDeadlock, b.String())
 }
 
-// stopAll unwinds every rank whose function has not returned: its
-// pending block, and every later operation, returns why — also as the
+// stopAll unwinds every rank whose function has not returned, once
+// every offloaded job has run: its pending block, and every later
+// operation, returns why — also as the
 // exit error of a rank that was blocked (not parked) and reported no
 // other. The world is not usable afterwards.
 func (w *World) stopAll(why error) {
+	w.finishAll()
 	w.halt = why
 	for r := range w.ranks {
 		rk := &w.ranks[r]

@@ -36,6 +36,24 @@ type CSR struct {
 	xbuf    []float64 // operand buffer: [owned | ghosts], persists across Applies
 	pack    []float64 // reusable pack buffer (Send copies the payload)
 	normInf float64   // global infinity norm, precomputed
+	kern    product   // the local product as an Offload job
+}
+
+// product is a CSR's local product as a comm.Job: the owned operand
+// copy into xbuf when x is set (Apply), then y = A·xbuf. It touches only
+// the rank's own buffers and its read-only slab.
+type product struct {
+	m    *CSR
+	x, y []float64
+}
+
+// Run implements comm.Job.
+func (k *product) Run() {
+	m := k.m
+	if k.x != nil {
+		copy(m.xbuf, k.x)
+	}
+	la.SpMVRuns(m.runs, m.rowPtr, m.colIdx, m.val, m.xbuf, k.y)
 }
 
 // NewCSR builds rank c.Rank()'s slab of the square global matrix a.
@@ -53,7 +71,6 @@ func (m *CSR) Apply(x, y []float64) error {
 	nl := m.hi - m.lo
 	la.CheckLen("x", x, nl)
 	la.CheckLen("y", y, nl)
-	copy(m.xbuf[:nl], x)
 	halo, mark := m.c.SpanStart(), m.c.WaitMark()
 	// Sends are buffered and never block, so posting all sends before
 	// any receive cannot deadlock even when every rank applies at once.
@@ -72,7 +89,7 @@ func (m *CSR) Apply(x, y []float64) error {
 		}
 	}
 	m.c.SpanEndWait(obs.PhaseHaloExchange, halo, mark)
-	m.ApplyLocal(y)
+	m.local(x, y)
 	return nil
 }
 
@@ -81,18 +98,26 @@ func (m *CSR) Apply(x, y []float64) error {
 // still valid, so a detected transient fault in the local kernel is
 // repaired without touching the network (the SKP correction path).
 func (m *CSR) ApplyLocal(y []float64) {
+	la.CheckLen("y", y, m.hi-m.lo)
+	m.local(nil, y)
+}
+
+// local runs the local product — copying x into the operand buffer
+// first when x is non-nil — through Offload, under one SpMV span.
+func (m *CSR) local(x, y []float64) {
 	start := m.c.SpanStart()
-	nl := m.hi - m.lo
-	la.CheckLen("y", y, nl)
-	la.SpMVRuns(m.runs, m.rowPtr, m.colIdx, m.val, m.xbuf, y)
+	m.kern.x, m.kern.y = x, y
+	m.c.Offload(m.hi-m.lo, &m.kern)
 	m.c.Compute(2 * float64(len(m.val)))
 	m.c.SpanEnd(obs.PhaseSpMV, start)
 }
 
 // XBuffer returns the live operand buffer [owned | ghosts] of the last
-// Apply, including one made through a wrapper such as Faulty. Checksum
-// validators (skp.DistCheckedOp) read it to reproduce exactly what the
-// local kernel consumed, and ApplyLocal recomputes from it.
+// successful Apply, including one made through a wrapper such as
+// Faulty. Checksum validators (skp.DistCheckedOp) read it to reproduce
+// exactly what the local kernel consumed, and ApplyLocal recomputes
+// from it. After an Apply whose halo exchange failed it is not that
+// Apply's operand: the owned part is copied in with the local product.
 func (m *CSR) XBuffer() []float64 { return m.xbuf }
 
 // LocalColSums returns the column sums eᵀA of the local slab in operand

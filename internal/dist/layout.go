@@ -149,5 +149,6 @@ func (l *Layout) Bind(c *comm.Comm) *CSR {
 	nx := m.hi - m.lo + m.ghosts
 	buf := make([]float64, nx+m.maxSend)
 	m.xbuf, m.pack = buf[:nx:nx], buf[nx:]
+	m.kern.m = m
 	return m
 }

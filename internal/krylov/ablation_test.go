@@ -83,8 +83,16 @@ func TestCGSGMRESMatchesMGS(t *testing.T) {
 // TestCGSGMRESAllocsIndependentOfSteps: every loop borrows a solve's
 // footprint up front, so how many steps a solve takes does not change how
 // often it allocates — for the CGS engine and for the four CG entry
-// points, bare and behind Jacobi.
+// points, bare and behind Jacobi, on a thin slab and on one of at
+// least comm.OffloadRows rows, whose products go through Offload.
 func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
+	fat := int(math.Ceil(math.Sqrt(comm.OffloadRows)))
+	for _, g := range []int{12, fat} {
+		cgsGMRESAllocs(t, g)
+	}
+}
+
+func cgsGMRESAllocs(t *testing.T, g int) {
 	type solver func(c *comm.Comm, op dist.Operator, m DistPreconditioner, b []float64, maxIter int) (Stats, error)
 	cg := func(c *comm.Comm, op dist.Operator, _ DistPreconditioner, b []float64, maxIter int) (Stats, error) {
 		_, st, err := DistCG(c, op, b, nil, DistOptions{Tol: 1e-30, MaxIter: maxIter})
@@ -106,7 +114,7 @@ func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
 		_, st, err := DistCGSGMRES(c, op, b, nil, DistGMRESOptions{Restart: 40, Tol: 1e-30, MaxIter: maxIter})
 		return st, err
 	}
-	convDiff, spd := problems.ConvDiff2D(12, 12, 20, 10), problems.Poisson2D(12, 12)
+	convDiff, spd := problems.ConvDiff2D(g, g, 20, 10), problems.Poisson2D(g, g)
 	for _, tc := range []struct {
 		name   string
 		a      *la.CSR
@@ -134,7 +142,7 @@ func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
 				solve := func() {
 					st, err := tc.solve(c, op, m, rhs, maxIter)
 					if err != nil || st.Iterations != maxIter {
-						t.Errorf("%s, MaxIter %d: %d iterations, err %v", tc.name, maxIter, st.Iterations, err)
+						t.Errorf("%s on %d rows, MaxIter %d: %d iterations, err %v", tc.name, g*g, maxIter, st.Iterations, err)
 					}
 				}
 				// The cheapest of several readings: a collection (and,
@@ -148,7 +156,7 @@ func TestCGSGMRESAllocsIndependentOfSteps(t *testing.T) {
 				return best
 			}
 			if short, long := allocs(10), allocs(40); short != long {
-				t.Errorf("%s: a 10-step solve allocates %v times, a 40-step solve %v", tc.name, short, long)
+				t.Errorf("%s on %d rows: a 10-step solve allocates %v times, a 40-step solve %v", tc.name, g*g, short, long)
 			}
 			return nil
 		})

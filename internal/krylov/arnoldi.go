@@ -72,6 +72,10 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	r := ws.Vec(n)
 	q := carveLSQ(ws, m)
 	dots := ws.Vec(nDots)
+	var kern *axpyDot // mgs's fused pass, as an Offload job
+	if !kind.cgs {
+		kern = new(axpyDot)
+	}
 
 	// The abandoned-cycle budget. A cycle abandoned at its first step
 	// adds no iteration, so MaxIter alone does not bound a solve whose
@@ -123,7 +127,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 			if kind.cgs {
 				hj1, err = cgs(c, v, w, j, q.h, dots, &st)
 			} else {
-				hj1, err = mgs(c, v, w, j, q.h, &st)
+				hj1, err = mgs(c, kern, v, w, j, q.h, &st)
 			}
 			if err != nil {
 				return x, st, err

@@ -100,7 +100,11 @@ type DistPreconditioner interface {
 // reductions are exactly those of the unfused sequence dist.Dot,
 // dist.Axpy, …, dist.Norm2 (kept as the reference in mgs_test.go):
 // results, clocks and ledgers are bit-identical to it.
-func mgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
+//
+// Each fused pass goes through (*comm.Comm).Offload as k, the caller's
+// job storage, so on a fat slab the world's other ranks run while a
+// helper thread does it.
+func mgs(c *comm.Comm, k *axpyDot, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
 	span := c.SpanStart()
 	n := len(w)
 	local := la.Dot(w, v[0])
@@ -116,7 +120,9 @@ func mgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats
 		if i < j {
 			next = v[i+1]
 		}
-		local = la.AxpyDot(-hij, v[i], w, next)
+		k.alpha, k.x, k.y, k.next = -hij, v[i], w, next
+		c.Offload(n, k)
+		local = k.dot
 		c.Compute(la.FlopsAxpy(n))
 	}
 	c.Compute(la.FlopsDot(n))
@@ -128,6 +134,17 @@ func mgs(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats
 	c.SpanEnd(obs.PhaseOrthogonalize, span)
 	return math.Sqrt(total), nil
 }
+
+// axpyDot is mgs's fused pass as a comm.Job: y += alpha·x, then
+// dot = next·y (la.AxpyDot).
+type axpyDot struct {
+	alpha      float64
+	x, y, next []float64
+	dot        float64
+}
+
+// Run implements comm.Job.
+func (k *axpyDot) Run() { k.dot = la.AxpyDot(k.alpha, k.x, k.y, k.next) }
 
 // cgs is the classical Gram–Schmidt step with the Pythagorean norm: all
 // j+1 projections of w and ‖w‖² travel in one merged blocking reduction
