@@ -24,11 +24,6 @@ import (
 // longer names a declaration, or whose identifier has since gained a
 // production caller, is itself a problem, so the list cannot go stale.
 var exportAllowlist = map[string]string{
-	"comm.Comm.Barrier":    "simulated MPI surface",
-	"comm.Comm.Reduce":     "simulated MPI surface",
-	"comm.Comm.IBarrier":   "simulated MPI surface",
-	"comm.Request.Test":    "simulated MPI surface",
-	"comm.Comm.Sendrecv":   "simulated MPI surface",
 	"comm.Comm.Stats":      "shared test fixture: dist's and skp's tests assert message counts with it",
 	"problems.Poisson1D":   "shared test fixture",
 	"problems.OnesRHS":     "shared test fixture",

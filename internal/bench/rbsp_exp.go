@@ -199,15 +199,17 @@ func F8(rc RunCtx) *Table {
 				var out float64
 				err := comm.Run(rc.cfg(p, nil), func(c *comm.Comm) error {
 					const reps = 10
+					var req comm.Request
+					res := make([]float64, 1)
 					for i := 0; i < reps; i++ {
 						if overlap {
-							req := c.IAllreduce([]float64{1}, comm.OpSum)
+							c.StartAllreduce([]float64{1}, comm.OpSum, &req)
 							c.Compute(w)
-							if _, err := req.Wait(); err != nil {
+							if _, err := req.WaitInto(res); err != nil {
 								return err
 							}
 						} else {
-							if _, err := c.Allreduce([]float64{1}, comm.OpSum); err != nil {
+							if _, err := c.AllreduceScalar(1, comm.OpSum); err != nil {
 								return err
 							}
 							c.Compute(w)

@@ -56,8 +56,8 @@ func parkedWorld(tb testing.TB, cfg Config, setup func(c *Comm) func(n int) erro
 // TestSteadyStateAllocationFree pins the zero-allocation contract of the
 // hot communication paths: after a warm-up round has filled the world's
 // message pool and collective slots, Send/RecvInto exchanges, blocking
-// scalar and vector all-reduces, barriers and the Start/WaitInto
-// non-blocking pair must allocate nothing. The Krylov solvers' 0
+// scalar and vector all-reduces and the Start/WaitInto non-blocking
+// pair must allocate nothing. The Krylov solvers' 0
 // allocs/iteration depends on exactly this property, and the benchdiff
 // CI gate watches it end to end.
 func TestSteadyStateAllocationFree(t *testing.T) {
@@ -86,9 +86,6 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 				if _, err := req.WaitInto(red); err != nil {
 					return err
 				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
 				vec[0], vec[1], vec[2] = 1, 2, 3
 				if err := c.AllreduceInto(vec, OpMax, vec); err != nil {
 					return err
@@ -101,7 +98,7 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(5, func() { step(10) })
 	stop()
-	// The whole world does 4 ranks × 10 steps × 6 operations per measured
+	// The whole world does 4 ranks × 10 steps × 5 operations per measured
 	// run; demand strictly zero heap allocations across all of it.
 	if allocs != 0 {
 		t.Errorf("steady-state comm allocated %.1f times per round, want 0", allocs)

@@ -7,15 +7,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Op is a reduction operator for Allreduce/Reduce.
+// Op is a reduction operator of an all-reduce.
 type Op int
 
 // Reduction operators. Sum is evaluated in rank order, so results do not
-// depend on the order ranks posted in.
+// depend on the order ranks posted in. A minimum is −max(−x).
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
 )
 
 func (o Op) apply(dst, src []float64) {
@@ -30,31 +29,24 @@ func (o Op) apply(dst, src []float64) {
 				dst[i] = src[i]
 			}
 		}
-	case OpMin:
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
 	default:
 		panic(fmt.Sprintf("comm: unknown reduction op %d", int(o)))
 	}
 }
 
 // collKind distinguishes the collective families so mismatched calls
-// (rank 0 in a Barrier while rank 1 is in an Allreduce) fail loudly
+// (rank 0 in an all-reduce while rank 1 is in an Allgather) fail loudly
 // instead of silently exchanging garbage.
 type collKind int
 
 const (
-	kindBarrier collKind = iota
-	kindAllreduce
+	kindAllreduce collKind = iota
 	kindAllgather
 )
 
 // String names the collective family in mismatch panics.
 func (k collKind) String() string {
-	return [...]string{"barrier", "allreduce", "allgather"}[k]
+	return [...]string{"allreduce", "allgather"}[k]
 }
 
 // slotKeepWords bounds the storage a recycled slot keeps: a slot that
@@ -120,7 +112,7 @@ func (c *Comm) arrive(kind collKind, op Op, data []float64) (*collSlot, error) {
 		s.kind, s.op, s.epoch, s.seq = kind, op, c.epoch, seq
 		w.colls[at] = s
 	} else if s.kind != kind || s.op != op {
-		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called kind=%d op=%d, slot has kind=%d op=%d",
+		panic(fmt.Sprintf("comm: collective mismatch at epoch %d seq %d: rank %d called %v op=%d, slot has %v op=%d",
 			c.epoch, seq, c.rank, kind, op, s.kind, s.op))
 	}
 	s.parts[c.rank] = [2]int{len(s.vals), len(s.vals) + len(data)}
@@ -156,11 +148,7 @@ func (w *World) completeColl(s *collSlot) {
 		}
 	}
 	s.result = s.vals[at:]
-	msgBytes := 8 * len(s.result)
-	if s.kind == kindBarrier {
-		msgBytes = 8
-	}
-	s.complete = s.maxPost + w.cost.Collective(w.n, msgBytes)
+	s.complete = s.maxPost + w.cost.Collective(w.n, 8*len(s.result))
 	for r := range w.ranks {
 		if rk := &w.ranks[r]; rk.state == rankBlocked && rk.on.slot == s {
 			w.makeReady(r)
@@ -282,31 +270,18 @@ func (w *World) retireColl(seq int) {
 	}
 }
 
-// Barrier blocks until every rank arrives; all clocks advance to the
-// common completion time. This is the explicit BSP synchronisation point
-// whose cost the RBSP experiments quantify.
-func (c *Comm) Barrier() error {
-	_, err := c.collective(kindBarrier, OpSum, nil, nil, false)
-	return err
-}
-
-// Allreduce combines each rank's data elementwise with op and returns the
-// combined vector to every rank. All ranks must pass equal-length slices.
-func (c *Comm) Allreduce(data []float64, op Op) ([]float64, error) {
-	return c.collective(kindAllreduce, op, data, nil, true)
-}
-
-// AllreduceInto is Allreduce with a caller-provided result buffer (which
-// may alias data — the contribution is copied at post time). With the
-// slots' recycled storage this makes a steady-state reduction loop
-// fully allocation-free, which is what lets the Krylov hot loops reach
-// 0 allocs/iteration.
+// AllreduceInto combines each rank's data elementwise with op and copies
+// the combined vector into out on every rank. All ranks must pass
+// equal-length slices; out may alias data (the contribution is copied
+// at post time). With the slots' recycled storage this makes a
+// steady-state reduction loop fully allocation-free, which is what lets
+// the Krylov hot loops reach 0 allocs/iteration.
 func (c *Comm) AllreduceInto(data []float64, op Op, out []float64) error {
 	_, err := c.collective(kindAllreduce, op, data, out, false)
 	return err
 }
 
-// AllreduceScalar is Allreduce for a single value. It is allocation-free
+// AllreduceScalar is AllreduceInto for a single value. It is allocation-free
 // and the reduction the solvers post most often, so it meets the slot
 // directly: one write, one arrival, one wait.
 func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
@@ -330,16 +305,4 @@ func (c *Comm) AllreduceScalar(x float64, op Op) (float64, error) {
 // different lengths.
 func (c *Comm) Allgather(data []float64) ([]float64, error) {
 	return c.collective(kindAllgather, OpSum, data, nil, true)
-}
-
-// Reduce combines data with op and delivers the result to root only;
-// other ranks receive nil. The cost model is the same tree as Allreduce
-// (conservatively synchronising all participants — the common MPI
-// implementation behaviour for small messages).
-func (c *Comm) Reduce(root int, data []float64, op Op) ([]float64, error) {
-	res, err := c.Allreduce(data, op)
-	if c.rank != root {
-		res = nil
-	}
-	return res, err
 }

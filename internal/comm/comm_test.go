@@ -15,8 +15,8 @@ func testConfig(ranks int) Config {
 func TestAllreduceSum(t *testing.T) {
 	const P = 8
 	err := Run(testConfig(P), func(c *Comm) error {
-		res, err := c.Allreduce([]float64{float64(c.Rank()), 1}, OpSum)
-		if err != nil {
+		res := make([]float64, 2)
+		if err := c.AllreduceInto([]float64{float64(c.Rank()), 1}, OpSum, res); err != nil {
 			return err
 		}
 		wantSum := float64(P*(P-1)) / 2
@@ -30,6 +30,8 @@ func TestAllreduceSum(t *testing.T) {
 	}
 }
 
+// TestAllreduceMaxMin: OpMax gives the maximum, and −max(−x) the
+// minimum.
 func TestAllreduceMaxMin(t *testing.T) {
 	const P = 5
 	err := Run(testConfig(P), func(c *Comm) error {
@@ -37,11 +39,11 @@ func TestAllreduceMaxMin(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		mn, err := c.AllreduceScalar(float64(c.Rank()), OpMin)
+		mn, err := c.AllreduceScalar(-float64(c.Rank()), OpMax)
 		if err != nil {
 			return err
 		}
-		if mx != P-1 || mn != 0 {
+		if mn = -mn; mx != P-1 || mn != 0 {
 			t.Errorf("rank %d: max=%v min=%v", c.Rank(), mx, mn)
 		}
 		return nil
@@ -51,12 +53,18 @@ func TestAllreduceMaxMin(t *testing.T) {
 	}
 }
 
+// TestSendRecvRing: every rank sends to its successor before it
+// receives from its predecessor. Sends are buffered, so the ring
+// cannot deadlock.
 func TestSendRecvRing(t *testing.T) {
 	const P = 6
 	err := Run(testConfig(P), func(c *Comm) error {
 		next := (c.Rank() + 1) % P
 		prev := (c.Rank() + P - 1) % P
-		got, err := c.Sendrecv(next, 7, []float64{float64(c.Rank())}, prev, 7)
+		if err := c.Send(next, 7, []float64{float64(c.Rank())}); err != nil {
+			return err
+		}
+		got, err := c.Recv(prev, 7)
 		if err != nil {
 			return err
 		}
@@ -91,17 +99,15 @@ func TestAllgather(t *testing.T) {
 }
 
 // TestVirtualTimeOverlap verifies the core RBSP property: computation
-// between posting an IAllreduce and waiting on it hides collective
-// latency, whereas the same computation after a blocking Allreduce adds
-// to it.
+// between StartAllreduce and WaitInto hides collective latency, whereas
+// the same computation after a blocking all-reduce adds to it.
 func TestVirtualTimeOverlap(t *testing.T) {
 	const P = 16
 	const flops = 1e6
 	var blockingTime, overlapTime float64
 
 	err := Run(testConfig(P), func(c *Comm) error {
-		_, err := c.Allreduce([]float64{1}, OpSum)
-		if err != nil {
+		if _, err := c.AllreduceScalar(1, OpSum); err != nil {
 			return err
 		}
 		c.Compute(flops)
@@ -119,9 +125,11 @@ func TestVirtualTimeOverlap(t *testing.T) {
 	}
 
 	err = Run(testConfig(P), func(c *Comm) error {
-		req := c.IAllreduce([]float64{1}, OpSum)
+		buf := []float64{1}
+		var req Request
+		c.StartAllreduce(buf, OpSum, &req)
 		c.Compute(flops)
-		if _, err := req.Wait(); err != nil {
+		if _, err := req.WaitInto(buf); err != nil {
 			return err
 		}
 		tEnd, err := c.AllreduceScalar(c.Clock(), OpMax)
@@ -275,36 +283,21 @@ func TestRecvFromDeadRank(t *testing.T) {
 	w.Wait()
 }
 
-func TestReduceDeliversToRootOnly(t *testing.T) {
-	const P = 5
-	err := Run(testConfig(P), func(c *Comm) error {
-		res, err := c.Reduce(2, []float64{float64(c.Rank())}, OpSum)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 2 {
-			if res == nil || res[0] != 10 {
-				t.Errorf("root got %v, want [10]", res)
-			}
-		} else if res != nil {
-			t.Errorf("rank %d: non-root got %v", c.Rank(), res)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSingleRankWorld: all collectives must work (and be free) at P=1.
 func TestSingleRankWorld(t *testing.T) {
 	err := Run(testConfig(1), func(c *Comm) error {
-		if err := c.Barrier(); err != nil {
-			return err
-		}
 		s, err := c.AllreduceScalar(3, OpSum)
 		if err != nil || s != 3 {
 			t.Errorf("allreduce: %v %v", s, err)
+		}
+		v := []float64{1, 2}
+		if err := c.AllreduceInto(v, OpMax, v); err != nil || v[0] != 1 || v[1] != 2 {
+			t.Errorf("allreduce into: %v %v", v, err)
+		}
+		var req Request
+		c.StartAllreduce([]float64{4}, OpSum, &req)
+		if n, err := req.WaitInto(v); err != nil || n != 1 || v[0] != 4 {
+			t.Errorf("start/wait: %v (n=%d) %v", v, n, err)
 		}
 		g, err := c.Allgather([]float64{1, 2})
 		if err != nil || len(g) != 2 {

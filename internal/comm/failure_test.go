@@ -16,18 +16,23 @@ import (
 func TestFailureDuringEachCollective(t *testing.T) {
 	type op func(c *Comm) error
 	cases := map[string]op{
-		"barrier": func(c *Comm) error { return c.Barrier() },
 		"allreduce": func(c *Comm) error {
 			_, err := c.AllreduceScalar(1, OpSum)
 			return err
+		},
+		"allreduce-into": func(c *Comm) error {
+			buf := []float64{1, 2}
+			return c.AllreduceInto(buf, OpMax, buf)
 		},
 		"allgather": func(c *Comm) error {
 			_, err := c.Allgather([]float64{1})
 			return err
 		},
-		"iallreduce-wait": func(c *Comm) error {
-			req := c.IAllreduce([]float64{1}, OpSum)
-			_, err := req.Wait()
+		"start-waitinto": func(c *Comm) error {
+			buf := []float64{1}
+			var req Request
+			c.StartAllreduce(buf, OpSum, &req)
+			_, err := req.WaitInto(buf)
 			return err
 		},
 		"recv": func(c *Comm) error {
@@ -64,8 +69,13 @@ func TestOpsAfterOwnDeathReturnKilled(t *testing.T) {
 	w := NewWorld(testConfig(2))
 	w.Spawn(0, 0, func(c *Comm) error {
 		_ = c.Die()
-		if err := c.Barrier(); !errors.Is(err, ErrKilled) {
-			t.Errorf("Barrier after death: %v", err)
+		if _, err := c.Allgather([]float64{1}); !errors.Is(err, ErrKilled) {
+			t.Errorf("Allgather after death: %v", err)
+		}
+		var req Request
+		c.StartAllreduce([]float64{1}, OpSum, &req)
+		if _, err := req.WaitInto(make([]float64, 1)); !errors.Is(err, ErrKilled) {
+			t.Errorf("StartAllreduce/WaitInto after death: %v", err)
 		}
 		if err := c.Send(1, 0, []float64{1}); !errors.Is(err, ErrKilled) {
 			t.Errorf("Send after death: %v", err)
@@ -96,62 +106,6 @@ func TestSendToFailedRankFailsFast(t *testing.T) {
 	})
 	w.Spawn(1, 0, func(c *Comm) error { return nil })
 	w.Wait()
-}
-
-// TestRequestTest covers the non-blocking Test path: false while some
-// rank has yet to post, true once all have, and never a clock advance.
-func TestRequestTest(t *testing.T) {
-	const P = 3
-	w := NewWorld(testConfig(P))
-	for r := 0; r < P; r++ {
-		w.Spawn(r, 0, func(c *Comm) error {
-			req := c.IAllreduce([]float64{float64(c.Rank())}, OpSum)
-			before := c.Clock()
-			// Ranks post in rank order, so only the last sees completion.
-			if got, want := req.Test(), c.Rank() == P-1; got != want {
-				t.Errorf("rank %d: Test right after posting = %v, want %v", c.Rank(), got, want)
-			}
-			if err := c.Park(); err != nil { // let the other ranks post
-				return err
-			}
-			if !req.Test() {
-				t.Errorf("rank %d: Test false after every rank posted", c.Rank())
-			}
-			if c.Clock() != before {
-				t.Errorf("Test advanced the clock")
-			}
-			res, err := req.Wait()
-			if err != nil {
-				return err
-			}
-			if res[0] != 3 {
-				t.Errorf("sum %v", res[0])
-			}
-			return nil
-		})
-	}
-	w.Wait()
-	for r := 0; r < P; r++ {
-		w.Release(r)
-	}
-	for r, err := range w.Wait() {
-		if err != nil {
-			t.Errorf("rank %d: %v", r, err)
-		}
-	}
-}
-
-// TestIBarrier covers the non-blocking barrier.
-func TestIBarrier(t *testing.T) {
-	err := Run(testConfig(4), func(c *Comm) error {
-		req := c.IBarrier()
-		c.Compute(1000)
-		_, err := req.Wait()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestKillDuringNonBlockingAllreduce kills a rank at each stage of an
@@ -310,7 +264,7 @@ func TestDeadlockIsAnError(t *testing.T) {
 			return nil
 		}, []string{"rank 0: ", "rank 0 in recv (src 1, tag 99)"}},
 		{"skipped collective", func(c *Comm) error {
-			if err := c.Barrier(); err != nil {
+			if _, err := c.Allgather(nil); err != nil {
 				return err
 			}
 			if c.Rank() == 1 {
@@ -368,7 +322,7 @@ func TestRankPanicSurfacesFromRun(t *testing.T) {
 			if c.Rank() == 2 {
 				panic("rank 2 is unwell")
 			}
-			err := c.Barrier()
+			_, err := c.AllreduceScalar(1, OpSum)
 			if c.Rank() == 0 {
 				unwound = err
 			}
@@ -402,7 +356,10 @@ func TestTwoWorldsConcurrently(t *testing.T) {
 			for r := 0; r < P; r++ {
 				w.Spawn(r, 0, func(c *Comm) error {
 					for step := 0; step < 50; step++ {
-						if _, err := c.Sendrecv((c.Rank()+1)%P, step, []float64{1}, (c.Rank()+P-1)%P, step); err != nil {
+						if err := c.Send((c.Rank()+1)%P, step, []float64{1}); err != nil {
+							return err
+						}
+						if _, err := c.Recv((c.Rank()+P-1)%P, step); err != nil {
 							return err
 						}
 						s, err := c.AllreduceScalar(float64(step), OpSum)

@@ -98,13 +98,3 @@ func (c *Comm) recvMessage(src, tag int) ([]float64, error) {
 		}
 	}
 }
-
-// Sendrecv posts a send to dst and then receives from src, the classic
-// halo-exchange primitive. Because sends are buffered, this cannot
-// deadlock even when every rank calls it simultaneously.
-func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) ([]float64, error) {
-	if err := c.Send(dst, sendTag, data); err != nil {
-		return nil, err
-	}
-	return c.Recv(src, recvTag)
-}

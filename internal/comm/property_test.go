@@ -11,9 +11,9 @@ import (
 )
 
 // TestAllreduceEqualsSerialReductionProperty: for random per-rank
-// payloads, the distributed sum/max/min must equal the serial fold —
-// bitwise for max/min, and bitwise for sum too because contributions are
-// folded in rank order.
+// payloads, the distributed sum, max and min (as −max(−x)) must equal
+// the serial fold — bitwise for max/min, and bitwise for sum too
+// because contributions are folded in rank order.
 func TestAllreduceEqualsSerialReductionProperty(t *testing.T) {
 	f := func(raw []float64, pRaw uint8) bool {
 		p := int(pRaw%7) + 2 // 2..8 ranks
@@ -43,11 +43,11 @@ func TestAllreduceEqualsSerialReductionProperty(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			mn, err := c.AllreduceScalar(vals[c.Rank()], OpMin)
+			mn, err := c.AllreduceScalar(-vals[c.Rank()], OpMax)
 			if err != nil {
 				return err
 			}
-			if s != wantSum || mx != wantMax || mn != wantMin {
+			if s != wantSum || mx != wantMax || -mn != wantMin {
 				ok = false
 			}
 			return nil
@@ -91,15 +91,15 @@ func TestAllreduceBitwiseDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestClocksNeverExceedCollectiveCompletion: after a barrier, all ranks
-// report the same clock (the completion time), and it is at least the
-// max of their pre-barrier clocks.
-func TestBarrierSynchronisesClocks(t *testing.T) {
+// TestCollectiveSynchronisesClocks: after a blocking collective, all
+// ranks report the same clock (the completion time), and it is at
+// least the max of their pre-collective clocks.
+func TestCollectiveSynchronisesClocks(t *testing.T) {
 	const p = 6
 	err := Run(testConfig(p), func(c *Comm) error {
 		c.Compute(float64(c.Rank()) * 1e6) // staggered work
 		pre := c.Clock()
-		if err := c.Barrier(); err != nil {
+		if _, err := c.AllreduceScalar(0, OpSum); err != nil {
 			return err
 		}
 		post := c.Clock()
@@ -111,12 +111,12 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		mn, err := c.AllreduceScalar(post, OpMin)
+		mn, err := c.AllreduceScalar(-post, OpMax)
 		if err != nil {
 			return err
 		}
-		if mx != mn {
-			t.Errorf("rank %d: clocks disagree after barrier: %g vs %g", c.Rank(), mn, mx)
+		if mn = -mn; mx != mn {
+			t.Errorf("rank %d: clocks disagree after the collective: %g vs %g", c.Rank(), mn, mx)
 		}
 		return nil
 	})
@@ -125,23 +125,46 @@ func TestBarrierSynchronisesClocks(t *testing.T) {
 	}
 }
 
-// TestMismatchedCollectivePanics: rank 0 calling Barrier while rank 1
-// calls Allreduce at the same sequence number must panic loudly, not
-// exchange garbage. The second arrival is the one that panics, and the
-// panic surfaces from Wait.
+// TestMismatchedCollectivePanics: two ranks entering different
+// collectives, or one all-reduce with different ops, at the same
+// sequence number must panic loudly, not exchange garbage. The second
+// arrival is the one that panics, the panic surfaces from Wait, and
+// its message names both sides.
 func TestMismatchedCollectivePanics(t *testing.T) {
-	w := NewWorld(testConfig(2))
-	w.Spawn(0, 0, func(c *Comm) error { return c.Barrier() })
-	w.Spawn(1, 0, func(c *Comm) error {
-		_, err := c.AllreduceScalar(1, OpSum)
-		return err
-	})
-	defer func() {
-		if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "collective mismatch") {
-			t.Errorf("mismatched collectives should panic out of Wait, recovered %v", p)
+	allreduce := func(op Op) func(c *Comm) error {
+		return func(c *Comm) error {
+			_, err := c.AllreduceScalar(1, op)
+			return err
 		}
-	}()
-	w.Wait()
+	}
+	allgather := func(c *Comm) error {
+		_, err := c.Allgather([]float64{1})
+		return err
+	}
+	for _, tc := range []struct {
+		name       string
+		rank0      func(c *Comm) error
+		rank1      func(c *Comm) error
+		wantInText []string
+	}{
+		{"kind", allreduce(OpSum), allgather, []string{"collective mismatch", "called allgather", "slot has allreduce"}},
+		{"op", allreduce(OpSum), allreduce(OpMax), []string{"collective mismatch", "called allreduce op=1", "slot has allreduce op=0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorld(testConfig(2))
+			w.Spawn(0, 0, tc.rank0)
+			w.Spawn(1, 0, tc.rank1)
+			defer func() {
+				p := recover()
+				for _, want := range tc.wantInText {
+					if p == nil || !strings.Contains(fmt.Sprint(p), want) {
+						t.Errorf("mismatched collectives should panic out of Wait naming %q, recovered %v", want, p)
+					}
+				}
+			}()
+			w.Wait()
+		})
+	}
 }
 
 // TestSendRecvLargePayload exercises payload copying.

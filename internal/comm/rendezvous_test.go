@@ -9,8 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// The tests below pin the collective rendezvous itself: every entry
-// point (blocking scalar, blocking into a buffer, blocking fresh,
+// The tests below pin the collective rendezvous itself: every
+// all-reduce entry point (blocking scalar, blocking into a buffer,
 // non-blocking start/wait) meets the others in one slot and produces the
 // same bits, clocks, counters and spans; and what a world keeps of its
 // collectives' storage once they are done is bounded.
@@ -24,10 +24,11 @@ type rendezvousRun struct {
 }
 
 // runAllreduceEntries runs a few rounds of one-word all-reduces with op
-// on p ranks of a jittery machine. Rank r reaches each all-reduce through
+// on p ranks of a jittery machine, each contribution multiplied by sign
+// (a minimum is −max(−x)). Rank r reaches each all-reduce through
 // entry(r); the contributions are ill-conditioned so a change of fold
 // order would show in the sums.
-func runAllreduceEntries(t *testing.T, p int, op Op, entry func(r int) int) rendezvousRun {
+func runAllreduceEntries(t *testing.T, p int, op Op, sign float64, entry func(r int) int) rendezvousRun {
 	t.Helper()
 	const rounds = 6
 	out := rendezvousRun{results: make([][]uint64, p), clocks: make([]float64, p), stats: make([]Stats, p)}
@@ -37,7 +38,7 @@ func runAllreduceEntries(t *testing.T, p int, op Op, entry func(r int) int) rend
 	err := Run(cfg, func(c *Comm) error {
 		for i := 0; i < rounds; i++ {
 			c.Compute(float64(1000 * (c.Rank()%5 + i)))
-			x := math.Pow(10, float64((c.Rank()*7+i)%17-8)) * float64(1-2*((c.Rank()+i)%2))
+			x := sign * math.Pow(10, float64((c.Rank()*7+i)%17-8)) * float64(1-2*((c.Rank()+i)%2))
 			var got float64
 			switch entry(c.Rank()) {
 			case 0:
@@ -53,12 +54,6 @@ func runAllreduceEntries(t *testing.T, p int, op Op, entry func(r int) int) rend
 				}
 				got = buf[0]
 			case 2:
-				res, err := c.Allreduce([]float64{x}, op)
-				if err != nil {
-					return err
-				}
-				got = res[0]
-			case 3:
 				var req Request
 				c.StartAllreduce([]float64{x}, op, &req)
 				res := make([]float64, 1)
@@ -80,14 +75,18 @@ func runAllreduceEntries(t *testing.T, p int, op Op, entry func(r int) int) rend
 }
 
 // TestMixedEntriesMeetInOneSlot: rank r reaches every all-reduce through
-// entry r mod 4. The run must be bitwise the all-scalar run — results,
+// entry r mod 3. The run must be bitwise the all-scalar run — results,
 // clocks, counters and the span stream.
 func TestMixedEntriesMeetInOneSlot(t *testing.T) {
 	for _, p := range []int{1, 3, 64} {
-		for op, name := range map[Op]string{OpSum: "sum", OpMax: "max", OpMin: "min"} {
-			t.Run(fmt.Sprintf("p%d/%s", p, name), func(t *testing.T) {
-				want := runAllreduceEntries(t, p, op, func(int) int { return 0 })
-				got := runAllreduceEntries(t, p, op, func(r int) int { return r % 4 })
+		for _, red := range []struct {
+			name string
+			op   Op
+			sign float64
+		}{{"sum", OpSum, 1}, {"max", OpMax, 1}, {"min", OpMax, -1}} {
+			t.Run(fmt.Sprintf("p%d/%s", p, red.name), func(t *testing.T) {
+				want := runAllreduceEntries(t, p, red.op, red.sign, func(int) int { return 0 })
+				got := runAllreduceEntries(t, p, red.op, red.sign, func(r int) int { return r % 3 })
 				for r := 0; r < p; r++ {
 					if fmt.Sprint(got.results[r]) != fmt.Sprint(want.results[r]) {
 						t.Errorf("rank %d results %x, all-scalar run %x", r, got.results[r], want.results[r])

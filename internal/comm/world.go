@@ -5,7 +5,8 @@
 // The package provides the two MPI capabilities the paper identifies as
 // resilience enablers:
 //
-//   - MPI-3 style non-blocking collectives (IAllreduce), whose
+//   - MPI-3 style non-blocking collectives (StartAllreduce, then
+//     Request.WaitInto), whose
 //     virtual-time semantics reward overlapping computation with
 //     communication — the substrate for Relaxed Bulk-Synchronous
 //     Programming (paper §II-B);

@@ -9,10 +9,11 @@ import (
 
 // The distributed BLAS-1 layer. Norm2 and Dot are the bulk-synchronous
 // reduction points of every Krylov iteration — each costs exactly one
-// blocking Allreduce, which is what the RBSP experiments (§II-B) count
-// and what the pipelined solvers restructure around IAllreduce to
-// avoid. Scal and Axpy are embarrassingly parallel: they touch only the
-// local slab and charge the cost model, never the network.
+// blocking all-reduce, which is what the RBSP experiments (§II-B) count
+// and what the pipelined solvers restructure around StartAllreduce and
+// WaitInto to avoid. Scal and Axpy are embarrassingly parallel: they
+// touch only the local slab and charge the cost model, never the
+// network.
 
 // Norm2 returns the global Euclidean norm of the distributed vector
 // whose local slab is v. One Allreduce — which is the point: the cost

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"repro/internal/campaign"
 )
 
 // FuzzSolveRequest feeds arbitrary bytes to the repro-solve/v1 request
@@ -80,48 +78,6 @@ func FuzzParseKillPoints(f *testing.F) {
 			if again[i].Mode != kps[i].Mode || again[i].N != kps[i].N {
 				t.Fatalf("%q point %d re-parses as %+v, was %+v", s, i, again[i], kps[i])
 			}
-		}
-	})
-}
-
-// FuzzReadSnapshot feeds arbitrary bytes to the snapshot reader a
-// restarting server recovers through. It must never panic; a snapshot
-// it accepts has the snapshot schema and re-encodes, as WriteSnapshot
-// writes it, to bytes it accepts again unchanged.
-func FuzzReadSnapshot(f *testing.F) {
-	good, err := json.Marshal(&Snapshot{
-		Schema:  SnapshotSchema,
-		Records: map[string]campaign.Record{"gmres/none/poisson/p2/none/r0|0000000000000001|g12|t1e-08|i200|r3": {Schema: campaign.RunSchema, Key: "gmres/none/poisson/p2/none/r0", Converged: true, Iters: 7}},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(good)
-	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":null}`))
-	f.Add([]byte(`{"schema":"repro-snapshot/v0"}`))
-	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{"k":{"iters":-1}}`))
-	// Older servers also wrote per-campaign cursors, pending run
-	// identities and the setup-cache index; the keys are ignored.
-	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{},"campaigns":{"0123456789abcdef":{"runs":16,"done":3}}}`))
-	f.Add([]byte(`{"schema":"` + SnapshotSchema + `","records":{},"pending":["a","b"],"cache_index":["poisson/g12/p2/jacobi#0"]}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		snap, err := parseSnapshot(data)
-		if err != nil {
-			return
-		}
-		if snap.Schema != SnapshotSchema {
-			t.Fatalf("accepted schema %q", snap.Schema)
-		}
-		enc, err := json.MarshalIndent(snap, "", "  ")
-		if err != nil {
-			t.Fatalf("accepted snapshot does not re-encode: %v", err)
-		}
-		again, err := parseSnapshot(enc)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot refused: %v\n%s", err, enc)
-		}
-		if enc2, _ := json.MarshalIndent(again, "", "  "); !bytes.Equal(enc, enc2) {
-			t.Fatalf("round trip moved bytes:\n%s\n%s", enc, enc2)
 		}
 	})
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -237,21 +236,12 @@ type durable struct {
 	hits, appends, appendErrors, bytes atomic.Int64
 }
 
-// newDurable restores state from dir and opens the sink: a snapshot
-// that an older server left there is merged first, then the journal is
-// replayed over it (the union is idempotent, because older servers
-// truncated the journal only after a snapshot had captured it). The
-// snapshot is read, never rewritten. sink nil uses the production file
-// sink.
+// newDurable restores state from dir by replaying its journal, and
+// opens the sink. A snapshot.json that a server older than the
+// journal-only format left there is ignored: the runs only it held
+// re-execute. sink nil uses the production file sink.
 func newDurable(dir string, fsync bool, sink JournalSink) (*durable, error) {
 	d := &durable{records: make(map[string]campaign.Record)}
-	snap, err := ReadSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
-	if snap != nil {
-		maps.Copy(d.records, snap.Records)
-	}
 	jr, err := ReadJournal(dir)
 	if err != nil {
 		return nil, err

@@ -40,8 +40,7 @@ type Options struct {
 	TraceSample string
 	// JournalDir, when non-empty, enables durability: an append-only
 	// repro-journal/v1 run journal lives there, and a restarted server
-	// replays it (over any repro-snapshot/v1 snapshot an older server
-	// left) and answers already-recorded runs without re-executing
+	// replays it and answers already-recorded runs without re-executing
 	// them. See docs/SERVICE.md "Durability".
 	JournalDir string
 	// JournalFsync makes every journal append an fsync barrier (the
@@ -100,9 +99,8 @@ type Server struct {
 
 // New builds a Server and starts its worker pool. With
 // Options.JournalDir set it first restores durable state (journal
-// replay over any older server's snapshot) and opens the journal for
-// appending; a journal or snapshot that cannot be trusted fails
-// construction rather than serving with amnesia.
+// replay) and opens the journal for appending; a journal that cannot
+// be trusted fails construction rather than serving with amnesia.
 func New(opts Options) (*Server, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -19,9 +18,9 @@ const snapshotFile = "snapshot.json"
 
 // Snapshot is the record map that older servers checkpointed into the
 // journal directory, truncating the journal it captured. A server
-// writes none now — the journal alone is the state — but it still
-// merges a snapshot it finds there before replaying the journal, so
-// directories written by older servers keep resuming.
+// neither writes nor reads one now — the journal alone is the state —
+// so a run that only an older server's snapshot held re-executes, to
+// the identical record.
 type Snapshot struct {
 	// Schema is "repro-snapshot/v1".
 	Schema string `json:"schema"`
@@ -62,40 +61,4 @@ func WriteSnapshot(dir string, snap *Snapshot) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), filepath.Join(dir, snapshotFile))
-}
-
-// ReadSnapshot loads the snapshot from dir. A missing file is a fresh
-// start (nil, nil); an unreadable or foreign-schema snapshot is a hard
-// error, because serving with silently amnesiac state would re-execute
-// recorded runs — the operator must repair or remove the file
-// deliberately.
-func ReadSnapshot(dir string) (*Snapshot, error) {
-	path := filepath.Join(dir, snapshotFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	snap, err := parseSnapshot(data)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", path, err)
-	}
-	return snap, nil
-}
-
-// parseSnapshot decodes a snapshot file's bytes, refusing corrupt JSON
-// and a foreign schema. Unknown keys are ignored, such as the
-// "campaigns" cursors that servers with a /v1/campaign endpoint wrote
-// and the "pending" and "cache_index" lists older servers wrote.
-func parseSnapshot(data []byte) (*Snapshot, error) {
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("corrupt: %w", err)
-	}
-	if snap.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("foreign schema %q (want %q)", snap.Schema, SnapshotSchema)
-	}
-	return &snap, nil
 }
