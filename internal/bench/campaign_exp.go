@@ -46,7 +46,7 @@ func C1(rc RunCtx) *Table {
 	var recs []campaign.Record
 	for _, cell := range spec.Cells() {
 		for rep := 0; rep < spec.Replicates; rep++ {
-			recs = append(recs, campaign.ExecuteRun(&spec, cell, rep, rc.Ledger))
+			recs = append(recs, campaign.ExecuteRunEnv(&spec, cell, rep, &campaign.ExecEnv{Ledger: rc.Ledger}))
 		}
 	}
 	agg, err := campaign.AggregateRecords(spec, "bench-c1", recs)

@@ -45,20 +45,24 @@ func TestFormatHelpers(t *testing.T) {
 // at a size cheap enough for every `go test` run.
 func TestScalingHelpersAtSmallP(t *testing.T) {
 	const p, nLocal, iters = 4, 64, 5
+	perIter := func(kind solverKind, pipe bool) float64 {
+		t.Helper()
+		got, err := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, kind, pipe, nil)
+		if err != nil || got <= 0 {
+			t.Errorf("timePerIter(kind=%d pipe=%v) = %g, %v", kind, pipe, got, err)
+		}
+		return got
+	}
 	for _, pipe := range []bool{false, true} {
 		for _, kind := range []solverKind{cgPair, gmresPair} {
-			if got := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, kind, pipe, nil); got <= 0 {
-				t.Errorf("timePerIter(kind=%d pipe=%v) = %g", kind, pipe, got)
-			}
+			perIter(kind, pipe)
 		}
 	}
-	if got := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, cgsGMRES, false, nil); got <= 0 {
-		t.Errorf("timePerIter(kind=cgsGMRES) = %g", got)
-	}
+	perIter(cgsGMRES, false)
 	// Ordering sanity at tiny scale: MGS is already the most
 	// reduction-heavy variant.
-	mgs := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, gmresPair, false, nil)
-	p1 := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, gmresPair, true, nil)
+	mgs := perIter(gmresPair, false)
+	p1 := perIter(gmresPair, true)
 	if p1 >= mgs {
 		t.Errorf("even at P=4, p1 (%g) should not lose to MGS (%g)", p1, mgs)
 	}

@@ -3,11 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/comm"
 	"repro/internal/dist"
-	"repro/internal/krylov"
 	"repro/internal/la"
-	"repro/internal/precond"
 	"repro/internal/problems"
 	"repro/internal/srp"
 )
@@ -17,38 +16,60 @@ import (
 // the earlier experiments benchmark, and — per §III-D — the whole
 // preconditioner can run in low-reliability mode inside FT-GMRES with
 // the outer iteration absorbing its faults.
+//
+// P1, P2 and P4 are lists of fault-free campaign cells, each run through
+// campaign.ExecuteRunEnv, so the executor alone opens their worlds and
+// builds their preconditioners.
 
-// pcgVariant runs one (preconditioner, solver) configuration of P1 at P
-// ranks and reports iterations, reductions, virtual time, convergence.
-func pcgVariant(rc RunCtx, p int, a *la.CSR, rhs []float64, mk func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error)) (krylov.Stats, error) {
-	var st krylov.Stats
-	err := comm.Run(rc.cfg(p, nil), func(c *comm.Comm) error {
-		op := dist.NewCSR(c, a)
-		var m krylov.DistPreconditioner
-		if mk != nil {
-			var err error
-			if m, err = mk(c, op); err != nil {
-				return err
-			}
-		}
-		_, s, err := krylov.DistPCG(c, op, m, op.Scatter(rhs), nil, krylov.DistOptions{Tol: 1e-8, MaxIter: 3000})
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			st = s
-		}
-		return nil
+// cellRow runs the fault-free cell (solver, prec, family, p) on a
+// grid×grid mesh to tolerance 1e-8 and renders its converged,
+// iterations, reductions and virtual-time cells. prob is the table's
+// own variant of the family (another anisotropy or wind), handed in
+// through ExecEnv.Problems; the family still decides Compatible. The
+// reductions are the ledger's collectives per rank: an experiment runs
+// its rows one at a time, so the ledger's growth across the call is
+// this row's.
+func cellRow(rc RunCtx, family string, prob campaign.Problem, grid, p int, solver, prec string, maxIter int) []string {
+	none := campaign.FaultSpec{Model: campaign.FaultNone}
+	if ok, why := campaign.Compatible(solver, prec, family, none); !ok {
+		return []string{"ERR: " + why}
+	}
+	spec := campaign.Spec{
+		Name: "bench-p", Seed: rc.Seed, Solvers: []string{solver}, Preconds: []string{prec},
+		Problems: []string{family}, Ranks: []int{p}, Faults: []campaign.FaultSpec{none},
+		Replicates: 1, Grid: grid, Tol: 1e-8, MaxIter: maxIter,
+	}
+	led := rc.Ledger
+	if led == nil {
+		led = &comm.Ledger{}
+	}
+	before := led.Snapshot().Stats.Collective
+	rec := campaign.ExecuteRunEnv(&spec, spec.Cells()[0], 0, &campaign.ExecEnv{
+		Ledger:   led,
+		Problems: func(string, int) (campaign.Problem, error) { return prob, nil },
 	})
-	return st, err
+	if rec.Err != "" {
+		return []string{"ERR: " + rec.Err}
+	}
+	reductions := (led.Snapshot().Stats.Collective - before) / p
+	return []string{yesNo(rec.Converged), fmt.Sprint(rec.Iters), fmt.Sprint(reductions), f(rec.VTime)}
+}
+
+// anisoProblem is AnisoPoisson2D on a g×g mesh with eps ex:1, its
+// manufactured right-hand side and its exact spectral bounds.
+func anisoProblem(g int, ex float64) campaign.Problem {
+	a := problems.AnisoPoisson2D(g, g, ex, 1)
+	rhs, _ := problems.ManufacturedRHS(a)
+	lmin, lmax := problems.AnisoPoisson2DBounds(g, g, ex, 1)
+	return campaign.Problem{A: a, RHS: rhs, LMin: lmin, LMax: lmax}
 }
 
 // P1 — DistPCG with a Chebyshev preconditioner vs DistPCG with M = I
 // on anisotropic Poisson, where the constant diagonal makes Jacobi a
 // placebo and only a real preconditioner (Chebyshev polynomial) buys
-// iterations. The baseline row is DistPCG(nil), not DistCG: it takes
-// CG's iterations but pays a third reduction per iteration that
-// DistCG does not, so it charges more virtual time than plain CG.
+// iterations. The baseline row is the pcg/none cell, not the cg cell:
+// it takes CG's iterations but pays a third reduction per iteration
+// that DistCG does not, so it charges more virtual time than plain CG.
 func P1(rc RunCtx) *Table {
 	t := &Table{
 		ID:      "P1",
@@ -57,44 +78,29 @@ func P1(rc RunCtx) *Table {
 		Columns: []string{"eps x/y", "variant", "converged", "iters", "reductions", "virtual time"},
 	}
 	const p = 4
-	nx, ny := 24, 24
-	if rc.Quick {
-		nx, ny = 16, 16
-	}
+	g := 24
 	ratios := []float64{1, 25, 100}
 	if rc.Quick {
-		ratios = []float64{25}
+		g, ratios = 16, []float64{25}
+	}
+	rows := []struct{ name, prec string }{
+		{"PCG, M = I", campaign.PrecondNone},
+		{"PCG+cheb(6)", campaign.PrecondChebyshev},
 	}
 	for _, ex := range ratios {
-		a := problems.AnisoPoisson2D(nx, ny, ex, 1)
-		rhs, _ := problems.ManufacturedRHS(a)
-		lmin, lmax := problems.AnisoPoisson2DBounds(nx, ny, ex, 1)
-
-		// A failed variant still contributes a row: an "ERR" cell fails
-		// the registry smoke test, so a broken configuration cannot
-		// silently vanish from the table.
-		plain, err := pcgVariant(rc, p, a, rhs, nil)
-		if err != nil {
-			t.AddRow(f(ex), "PCG, M = I", "ERR: "+err.Error())
-		} else {
-			t.AddRow(f(ex), "PCG, M = I", yesNo(plain.Converged), fmt.Sprint(plain.Iterations),
-				fmt.Sprint(plain.Reductions), f(plain.VirtualTime))
-		}
-		cheb, err := pcgVariant(rc, p, a, rhs, func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewChebyshev(c, op, lmin, lmax, 6)
-			return m, m.Setup()
-		})
-		if err != nil {
-			t.AddRow(f(ex), "PCG+cheb(6)", "ERR: "+err.Error())
-		} else {
-			t.AddRow(f(ex), "PCG+cheb(6)", yesNo(cheb.Converged), fmt.Sprint(cheb.Iterations),
-				fmt.Sprint(cheb.Reductions), f(cheb.VirtualTime))
+		prob := anisoProblem(g, ex)
+		// A failed row still renders: an "ERR" cell fails the registry
+		// smoke test, so a broken configuration cannot silently vanish
+		// from the table.
+		for _, r := range rows {
+			t.AddRow(append([]string{f(ex), r.name},
+				cellRow(rc, campaign.ProblemAniso, prob, g, p, campaign.SolverPCG, r.prec, 3000)...)...)
 		}
 	}
 	t.Notes = append(t.Notes,
 		"AnisoPoisson2D has a constant diagonal: Jacobi is exactly a scalar scaling, so Chebyshev is the honest comparison",
 		"each Chebyshev application costs 6 halo exchanges and zero reductions — latency-tolerant preconditioning",
-		fmt.Sprintf("%dx%d grid on %d ranks, tol 1e-8", nx, ny, p))
+		fmt.Sprintf("%dx%d grid on %d ranks, tol 1e-8", g, g, p))
 	return t
 }
 
@@ -108,66 +114,29 @@ func P2(rc RunCtx) *Table {
 		Columns: []string{"wind", "variant", "converged", "iters", "reductions", "virtual time"},
 	}
 	const p = 4
-	nx := 24
-	if rc.Quick {
-		nx = 16
-	}
+	g := 24
 	winds := []float64{0, 40, 120}
 	if rc.Quick {
-		winds = []float64{40}
+		g, winds = 16, []float64{40}
 	}
-	opts := krylov.DistGMRESOptions{Restart: 30, Tol: 1e-8, MaxIter: 1200}
+	rows := []struct{ name, solver, prec string }{
+		{"GMRES", campaign.SolverGMRES, campaign.PrecondNone},
+		{"GMRES+bj-ilu", campaign.SolverGMRES, campaign.PrecondBJILU},
+		{"FGMRES+bj-ilu", campaign.SolverFGMRES, campaign.PrecondBJILU},
+	}
 	for _, wind := range winds {
-		a := problems.ConvDiffRot2D(nx, nx, wind)
+		a := problems.ConvDiffRot2D(g, g, wind)
 		rhs, _ := problems.ManufacturedRHS(a)
-		run := func(variant string, solve func(c *comm.Comm, op *dist.CSR, m *precond.BlockJacobi) (krylov.Stats, error), withM bool) {
-			var st krylov.Stats
-			err := comm.Run(rc.cfg(p, nil), func(c *comm.Comm) error {
-				op := dist.NewCSR(c, a)
-				var m *precond.BlockJacobi
-				if withM {
-					m = precond.NewBlockJacobiILU(c, a)
-					if err := m.Setup(); err != nil {
-						return err
-					}
-				}
-				s, err := solve(c, op, m)
-				if err != nil {
-					return err
-				}
-				if c.Rank() == 0 {
-					st = s
-				}
-				return nil
-			})
-			if err != nil {
-				t.AddRow(f(wind), variant, "ERR: "+err.Error())
-				return
-			}
-			t.AddRow(f(wind), variant, yesNo(st.Converged), fmt.Sprint(st.Iterations),
-				fmt.Sprint(st.Reductions), f(st.VirtualTime))
+		prob := campaign.Problem{A: a, RHS: rhs}
+		for _, r := range rows {
+			t.AddRow(append([]string{f(wind), r.name},
+				cellRow(rc, campaign.ProblemConvDiff, prob, g, p, r.solver, r.prec, 1200)...)...)
 		}
-		run("GMRES", func(c *comm.Comm, op *dist.CSR, _ *precond.BlockJacobi) (krylov.Stats, error) {
-			_, s, err := krylov.DistGMRES(c, op, op.Scatter(rhs), nil, opts)
-			return s, err
-		}, false)
-		run("GMRES+bj-ilu", func(c *comm.Comm, op *dist.CSR, m *precond.BlockJacobi) (krylov.Stats, error) {
-			o := opts
-			o.Precon = m
-			_, s, err := krylov.DistGMRES(c, op, op.Scatter(rhs), nil, o)
-			return s, err
-		}, true)
-		run("FGMRES+bj-ilu", func(c *comm.Comm, op *dist.CSR, m *precond.BlockJacobi) (krylov.Stats, error) {
-			o := opts
-			o.Precon = m
-			_, s, err := krylov.DistFGMRES(c, op, op.Scatter(rhs), nil, o)
-			return s, err
-		}, true)
 	}
 	t.Notes = append(t.Notes,
 		"block-Jacobi drops inter-rank couplings: zero communication per application",
 		"fixed-M right preconditioning (GMRES) stores one basis; FGMRES stores two and allows a varying M",
-		fmt.Sprintf("%dx%d grid on %d ranks, restart 30, tol 1e-8", nx, nx, p))
+		fmt.Sprintf("%dx%d grid on %d ranks, restart 30, tol 1e-8", g, g, p))
 	return t
 }
 
@@ -175,6 +144,11 @@ func P2(rc RunCtx) *Table {
 // inner phase is preconditioned by a *fault-injected* block-Jacobi, at
 // rising fault rates (§III-D with the preconditioner itself in
 // low-reliability mode).
+//
+// Unlike P1, P2 and P4, P3 opens its own worlds: its fault stack flips
+// both the inner operator's and the preconditioner's outputs, and no
+// campaign fault model does both; its "inner solves" and "err vs x*"
+// columns also need more than a campaign record holds.
 func P3(rc RunCtx) *Table {
 	t := &Table{
 		ID:      "P3",
@@ -247,73 +221,28 @@ func P4(rc RunCtx) *Table {
 		Claim:   "stronger local physics coverage buys iterations; more ranks shrink block-Jacobi's blocks and give some back",
 		Columns: []string{"ranks", "precond", "converged", "iters", "reductions", "virtual time"},
 	}
-	nx := 24
+	g := 24
 	if rc.Quick {
-		nx = 16
+		g = 16
 	}
-	const ex, ey = 25.0, 1.0
-	a := problems.AnisoPoisson2D(nx, nx, ex, ey)
-	rhs, _ := problems.ManufacturedRHS(a)
-	lmin, lmax := problems.AnisoPoisson2DBounds(nx, nx, ex, ey)
-	opts := krylov.DistGMRESOptions{Restart: 30, Tol: 1e-8, MaxIter: 2000}
-
-	type variant struct {
-		p    int
-		name string
-		mk   func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error)
-	}
-	variants := []variant{
-		{4, "none", nil},
-		{4, "jacobi", func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewJacobi(c, a)
-			return m, m.Setup()
-		}},
-		{4, "bj-ilu", func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewBlockJacobiILU(c, a)
-			return m, m.Setup()
-		}},
-		{4, "cheb(6)", func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewChebyshev(c, op, lmin, lmax, 6)
-			return m, m.Setup()
-		}},
-		{1, "bj-ilu", func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewBlockJacobiILU(c, a)
-			return m, m.Setup()
-		}},
-		{8, "bj-ilu", func(c *comm.Comm, op *dist.CSR) (krylov.DistPreconditioner, error) {
-			m := precond.NewBlockJacobiILU(c, a)
-			return m, m.Setup()
-		}},
+	prob := anisoProblem(g, 25)
+	rows := []struct {
+		p          int
+		name, prec string
+	}{
+		{4, "none", campaign.PrecondNone},
+		{4, "jacobi", campaign.PrecondJacobi},
+		{4, "bj-ilu", campaign.PrecondBJILU},
+		{4, "cheb(6)", campaign.PrecondChebyshev},
+		{1, "bj-ilu", campaign.PrecondBJILU},
+		{8, "bj-ilu", campaign.PrecondBJILU},
 	}
 	if rc.Quick {
-		variants = variants[:4]
+		rows = rows[:4]
 	}
-	for _, v := range variants {
-		var st krylov.Stats
-		err := comm.Run(rc.cfg(v.p, nil), func(c *comm.Comm) error {
-			op := dist.NewCSR(c, a)
-			o := opts
-			if v.mk != nil {
-				var err error
-				if o.Precon, err = v.mk(c, op); err != nil {
-					return err
-				}
-			}
-			_, s, err := krylov.DistFGMRES(c, op, op.Scatter(rhs), nil, o)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				st = s
-			}
-			return nil
-		})
-		if err != nil {
-			t.AddRow(fmt.Sprint(v.p), v.name, "ERR: "+err.Error())
-			continue
-		}
-		t.AddRow(fmt.Sprint(v.p), v.name, yesNo(st.Converged), fmt.Sprint(st.Iterations),
-			fmt.Sprint(st.Reductions), f(st.VirtualTime))
+	for _, r := range rows {
+		t.AddRow(append([]string{fmt.Sprint(r.p), r.name},
+			cellRow(rc, campaign.ProblemAniso, prob, g, r.p, campaign.SolverFGMRES, r.prec, 2000)...)...)
 	}
 	t.Notes = append(t.Notes,
 		"FGMRES hosts every variant so symmetric and nonsymmetric preconditioners compare on one solver",

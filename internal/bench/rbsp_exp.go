@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/comm"
@@ -22,11 +23,13 @@ const (
 
 // timePerIter runs `iters` iterations of the chosen solver at P ranks
 // (weak scaling: nLocal points per rank on a 1D chain) and returns the
-// virtual time per iteration, maximised over ranks.
-func timePerIter(rc RunCtx, p, nLocal, iters int, kind solverKind, pipelined bool, noise machine.Noise) float64 {
-	cfg := rc.cfg(p, noise)
+// virtual time per iteration, maximised over ranks, or the world's
+// error. It opens its own world rather than a campaign cell's: it runs
+// a fixed iteration count (tol 1e-30) over dist.Stencil3, and the
+// campaign executor solves to a tolerance over its assembled problems.
+func timePerIter(rc RunCtx, p, nLocal, iters int, kind solverKind, pipelined bool, noise machine.Noise) (float64, error) {
 	var out float64
-	err := comm.Run(cfg, func(c *comm.Comm) error {
+	err := comm.Run(rc.cfg(p, noise), func(c *comm.Comm) error {
 		op := dist.NewStencil3(c, nLocal*p, -1, 2.5, -1)
 		nl := op.LocalLen()
 		b := make([]float64, nl)
@@ -59,10 +62,7 @@ func timePerIter(rc RunCtx, p, nLocal, iters int, kind solverKind, pipelined boo
 		}
 		return nil
 	})
-	if err != nil {
-		return -1
-	}
-	return out
+	return out, err
 }
 
 // F2 — weak-scaling latency sweep without noise (paper §III-B: poorly
@@ -81,10 +81,14 @@ func F2(rc RunCtx) *Table {
 		ps = ps[:2]
 	}
 	for _, p := range ps {
-		cg := timePerIter(rc, p, nLocal, iters, cgPair, false, nil)
-		pcg := timePerIter(rc, p, nLocal, iters, cgPair, true, nil)
-		gm := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-		p1 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+		cg, e1 := timePerIter(rc, p, nLocal, iters, cgPair, false, nil)
+		pcg, e2 := timePerIter(rc, p, nLocal, iters, cgPair, true, nil)
+		gm, e3 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
+		p1, e4 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+		if err := cmp.Or(e1, e2, e3, e4); err != nil {
+			t.AddRow(fmt.Sprint(p), "ERR: "+err.Error())
+			continue
+		}
 		t.AddRow(fmt.Sprint(p), f(cg), f(pcg), speedup(cg, pcg), f(gm), f(p1), speedup(gm, p1))
 	}
 	t.Notes = append(t.Notes,
@@ -113,10 +117,14 @@ func F3(rc RunCtx) *Table {
 		ps = ps[:2]
 	}
 	for _, p := range ps {
-		gq := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-		gn := timePerIter(rc, p, nLocal, iters, gmresPair, false, noise)
-		pq := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
-		pn := timePerIter(rc, p, nLocal, iters, gmresPair, true, noise)
+		gq, e1 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
+		gn, e2 := timePerIter(rc, p, nLocal, iters, gmresPair, false, noise)
+		pq, e3 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+		pn, e4 := timePerIter(rc, p, nLocal, iters, gmresPair, true, noise)
+		if err := cmp.Or(e1, e2, e3, e4); err != nil {
+			t.AddRow(fmt.Sprint(p), "ERR: "+err.Error())
+			continue
+		}
 		t.AddRow(fmt.Sprint(p), f(gq), f(gn), slow(gq, gn), f(pq), f(pn), slow(pq, pn), speedup(gn, pn))
 	}
 	t.Notes = append(t.Notes,
@@ -155,9 +163,13 @@ func T2(rc RunCtx) *Table {
 	for _, nLocal := range sizes {
 		cross := map[float64]string{1.25: "-", 1.5: "-", 2: "-"}
 		lastGain := ""
+		var err error
 		for _, p := range ps {
-			gm := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-			p1 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+			gm, e1 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
+			p1, e2 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+			if err = cmp.Or(e1, e2); err != nil {
+				break
+			}
 			if p1 <= 0 || gm <= 0 {
 				continue
 			}
@@ -171,6 +183,10 @@ func T2(rc RunCtx) *Table {
 				lastGain = fmt.Sprintf("%.2fx", gain)
 			}
 		}
+		if err != nil {
+			t.AddRow(fmt.Sprint(nLocal), "ERR: "+err.Error())
+			continue
+		}
 		t.AddRow(fmt.Sprint(nLocal), cross[1.25], cross[1.5], cross[2], lastGain)
 	}
 	t.Notes = append(t.Notes,
@@ -180,7 +196,8 @@ func T2(rc RunCtx) *Table {
 }
 
 // F8 — the comm-substrate microbenchmark (paper §II-B: MPI-3
-// "asynchronous neighborhood and global collectives" enable RBSP).
+// "asynchronous neighborhood and global collectives" enable RBSP). It
+// times bare collectives, not a solve, so it opens its own worlds.
 func F8(rc RunCtx) *Table {
 	t := &Table{
 		ID:      "F8",
@@ -194,8 +211,7 @@ func F8(rc RunCtx) *Table {
 	}
 	for _, p := range ps {
 		for _, w := range []float64{0, 1e4, 1e5, 1e6} {
-			var tBlock, tOverlap float64
-			run := func(overlap bool) float64 {
+			run := func(overlap bool) (float64, error) {
 				var out float64
 				err := comm.Run(rc.cfg(p, nil), func(c *comm.Comm) error {
 					const reps = 10
@@ -224,13 +240,14 @@ func F8(rc RunCtx) *Table {
 					}
 					return nil
 				})
-				if err != nil {
-					return -1
-				}
-				return out
+				return out, err
 			}
-			tBlock = run(false)
-			tOverlap = run(true)
+			tBlock, e1 := run(false)
+			tOverlap, e2 := run(true)
+			if err := cmp.Or(e1, e2); err != nil {
+				t.AddRow(fmt.Sprint(p), f(w), "ERR: "+err.Error())
+				continue
+			}
 			hidden := "0%"
 			if tBlock > 0 {
 				hidden = fmt.Sprintf("%.0f%%", 100*(1-tOverlap/tBlock))

@@ -43,7 +43,7 @@ func TestAllRankTraceIsObserver(t *testing.T) {
 	if !bytes.Equal(bytes1, bytes2) {
 		t.Fatal("all-rank trace not byte-identical across reruns")
 	}
-	if plain := ExecuteRun(&spec, cell, 0, nil); plain != rec1 {
+	if plain := ExecuteRunEnv(&spec, cell, 0, nil); plain != rec1 {
 		t.Fatalf("all-rank tracing perturbed the run: traced %+v, untraced %+v", rec1, plain)
 	}
 	spanRanks := map[int]int{}

@@ -50,7 +50,7 @@ type Options struct {
 	// NewTraceSelection). The sampled set is identical across reruns,
 	// shards and worker counts. Requires TraceDir.
 	TraceSample string
-	// Exec, when non-nil, replaces local ExecuteRun for every run —
+	// Exec, when non-nil, replaces local ExecuteRunEnv for every run —
 	// the remote-execution hook: `campaign -server` sets it to POST
 	// each run to a solve service, turning this engine into a
 	// distributed load generator whose JSONL and aggregate outputs

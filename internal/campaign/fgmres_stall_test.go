@@ -20,7 +20,7 @@ func TestFGMRESAllCyclesAbandonedTerminates(t *testing.T) {
 			continue
 		}
 		done := make(chan Record, 1)
-		go func() { done <- ExecuteRun(&spec, cell, rep, nil) }()
+		go func() { done <- ExecuteRunEnv(&spec, cell, rep, nil) }()
 		select {
 		case rec := <-done:
 			if rec.Err != "" || rec.Converged || rec.Relres != -1 {

@@ -96,9 +96,9 @@ func TestNoisyRunDeterministicAndSlower(t *testing.T) {
 		t.Fatalf("cell 1 is %s, want the uniform-noise twin of cell 0", noisy.Key())
 	}
 
-	cleanRec := ExecuteRun(&spec, clean, 0, nil)
-	r1 := ExecuteRun(&spec, noisy, 0, nil)
-	r2 := ExecuteRun(&spec, noisy, 0, nil)
+	cleanRec := ExecuteRunEnv(&spec, clean, 0, nil)
+	r1 := ExecuteRunEnv(&spec, noisy, 0, nil)
+	r2 := ExecuteRunEnv(&spec, noisy, 0, nil)
 	b1, _ := json.Marshal(r1)
 	b2, _ := json.Marshal(r2)
 	if string(b1) != string(b2) {

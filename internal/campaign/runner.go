@@ -260,6 +260,10 @@ type ExecEnv struct {
 	// (*ProblemMemo).Problem is the one both the engine and the solve
 	// service use); nil falls back to BuildProblem for every run.
 	// Returned problems are shared read-only across runs and ranks.
+	// The bench tables also hand in variants of a named family through
+	// it (another anisotropy ratio or wind). A resolver that returns a
+	// variant must not share a Setups cache: SetupKey names only the
+	// family, so a cached artifact would belong to another matrix.
 	Problems func(name string, grid int) (Problem, error)
 	// Setups, when non-nil, shares preconditioner Setup artifacts
 	// across runs. Adopting an artifact charges the same virtual cost
@@ -443,15 +447,6 @@ func isRankFailure(err error) bool {
 	return errors.Is(err, comm.ErrKilled) || errors.Is(err, comm.ErrRankFailed)
 }
 
-// ExecuteRun executes one (cell, replicate) of the spec and returns
-// its Record. It never fails as a function: configuration errors are
-// captured in the record's Err field so one broken cell cannot abort a
-// campaign. led, when non-nil, aggregates the communication activity
-// of every world the run creates.
-func ExecuteRun(spec *Spec, cell Cell, rep int, led *comm.Ledger) Record {
-	return ExecuteRunEnv(spec, cell, rep, &ExecEnv{Ledger: led})
-}
-
 // noiseModel maps a cell's NoiseSpec onto the machine layer.
 func noiseModel(n NoiseSpec) machine.Noise {
 	if n.Enabled() {
@@ -460,8 +455,11 @@ func noiseModel(n NoiseSpec) machine.Noise {
 	return machine.NoNoise{}
 }
 
-// ExecuteRunEnv is ExecuteRun with an explicit execution environment:
-// assembly caches and an event sink (see ExecEnv). Results are
+// ExecuteRunEnv executes one (cell, replicate) of the spec and returns
+// its Record. It never fails as a function: configuration errors are
+// captured in the record's Err field so one broken cell cannot abort a
+// campaign. env (nil for plain unobserved execution) supplies the
+// ledger, assembly caches and an event sink (see ExecEnv). Results are
 // bitwise independent of the environment — caching skips real work,
 // never virtual work — which is the property the solve service's
 // loadgen test pins.

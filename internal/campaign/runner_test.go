@@ -49,7 +49,7 @@ func TestBuildProblems(t *testing.T) {
 }
 
 // TestEveryRunnerConvergesClean runs each solver family through
-// ExecuteRun on a compatible clean cell; all must converge.
+// ExecuteRunEnv on a compatible clean cell; all must converge.
 func TestEveryRunnerConvergesClean(t *testing.T) {
 	spec := testSpec()
 	none := FaultSpec{Model: FaultNone}
@@ -68,7 +68,7 @@ func TestEveryRunnerConvergesClean(t *testing.T) {
 		if ok, why := Compatible(cell.Solver, cell.Precond, cell.Problem, cell.Fault); !ok {
 			t.Fatalf("test cell %s invalid: %s", cell.Key(), why)
 		}
-		rec := ExecuteRun(&spec, cell, 0, nil)
+		rec := ExecuteRunEnv(&spec, cell, 0, nil)
 		if rec.Err != "" {
 			t.Fatalf("%s: %s", cell.Key(), rec.Err)
 		}
@@ -89,7 +89,7 @@ func TestFTGMRESSurvivesBitflips(t *testing.T) {
 		Solver: SolverFTGMRES, Precond: PrecondBJILU, Problem: ProblemConvDiff,
 		Ranks: 2, Fault: FaultSpec{Model: FaultBitflip, Rate: 1e-3},
 	}
-	rec := ExecuteRun(&spec, cell, 0, nil)
+	rec := ExecuteRunEnv(&spec, cell, 0, nil)
 	if rec.Err != "" {
 		t.Fatal(rec.Err)
 	}
@@ -107,7 +107,7 @@ func TestFaultyPrecondModel(t *testing.T) {
 		Solver: SolverFGMRES, Precond: PrecondBJILU, Problem: ProblemConvDiff,
 		Ranks: 2, Fault: FaultSpec{Model: FaultFaultyPrecond, Rate: 1e-3},
 	}
-	rec := ExecuteRun(&spec, cell, 0, nil)
+	rec := ExecuteRunEnv(&spec, cell, 0, nil)
 	if rec.Err != "" {
 		t.Fatal(rec.Err)
 	}
@@ -125,8 +125,8 @@ func TestFTGMRESFaultModelsAreDistinct(t *testing.T) {
 	bitflip, faultyPrec := base, base
 	bitflip.Fault = FaultSpec{Model: FaultBitflip, Rate: 5e-3}
 	faultyPrec.Fault = FaultSpec{Model: FaultFaultyPrecond, Rate: 5e-3}
-	a := ExecuteRun(&spec, bitflip, 0, nil)
-	b := ExecuteRun(&spec, faultyPrec, 0, nil)
+	a := ExecuteRunEnv(&spec, bitflip, 0, nil)
+	b := ExecuteRunEnv(&spec, faultyPrec, 0, nil)
 	if a.Err != "" || b.Err != "" {
 		t.Fatalf("errs: %q / %q", a.Err, b.Err)
 	}
@@ -148,7 +148,7 @@ func TestRankKillRestartsDeterministically(t *testing.T) {
 		Solver: SolverGMRES, Precond: PrecondNone, Problem: ProblemPoisson,
 		Ranks: 2, Fault: FaultSpec{Model: FaultRankKill, MTBF: 15},
 	}
-	first := ExecuteRun(&spec, cell, 0, nil)
+	first := ExecuteRunEnv(&spec, cell, 0, nil)
 	if first.Err != "" {
 		t.Fatal(first.Err)
 	}
@@ -156,13 +156,13 @@ func TestRankKillRestartsDeterministically(t *testing.T) {
 		t.Error("MTBF 15 produced no restarts — kill wiring inert")
 	}
 	for trial := 0; trial < 3; trial++ {
-		again := ExecuteRun(&spec, cell, 0, nil)
+		again := ExecuteRunEnv(&spec, cell, 0, nil)
 		if again != first {
 			t.Fatalf("rank-kill run not reproducible:\n  %+v\n  %+v", first, again)
 		}
 	}
 	// A different replicate draws a different failure history.
-	other := ExecuteRun(&spec, cell, 1, nil)
+	other := ExecuteRunEnv(&spec, cell, 1, nil)
 	if other.Seed == first.Seed {
 		t.Error("replicates share a seed")
 	}
@@ -184,7 +184,7 @@ func TestFTGMRESRankKillCountsInnerApplies(t *testing.T) {
 	}
 	restarts := 0
 	for rep := 0; rep < 3; rep++ {
-		rec := ExecuteRun(&spec, cell, rep, nil)
+		rec := ExecuteRunEnv(&spec, cell, rep, nil)
 		if rec.Err != "" {
 			t.Fatal(rec.Err)
 		}
@@ -200,7 +200,7 @@ func TestFTGMRESRankKillCountsInnerApplies(t *testing.T) {
 func TestExecuteRunRecordsConfigErrors(t *testing.T) {
 	spec := testSpec()
 	cell := Cell{Solver: SolverPCG, Precond: PrecondNone, Problem: "nonsense", Ranks: 2, Fault: FaultSpec{Model: FaultNone}}
-	rec := ExecuteRun(&spec, cell, 0, nil)
+	rec := ExecuteRunEnv(&spec, cell, 0, nil)
 	if rec.Err == "" {
 		t.Error("unknown problem did not record an error")
 	}

@@ -64,8 +64,8 @@ func TestFTGMRESInnerSetupUsesCache(t *testing.T) {
 	}
 
 	// Uncached oracle.
-	plain0 := ExecuteRun(&spec, cells[0], 0, nil)
-	plain1 := ExecuteRun(&spec, cells[0], 1, nil)
+	plain0 := ExecuteRunEnv(&spec, cells[0], 0, nil)
+	plain1 := ExecuteRunEnv(&spec, cells[0], 1, nil)
 
 	cache := newMapCache()
 	env := &ExecEnv{Setups: cache}

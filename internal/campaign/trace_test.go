@@ -56,7 +56,7 @@ func TestTraceByteIdenticalAcrossReruns(t *testing.T) {
 	if rec2 != rec1 {
 		t.Fatalf("rerun record differs: %+v vs %+v", rec1, rec2)
 	}
-	if plain := ExecuteRun(&spec, cell, 0, nil); plain != rec1 {
+	if plain := ExecuteRunEnv(&spec, cell, 0, nil); plain != rec1 {
 		t.Fatalf("tracing perturbed the run: traced %+v, untraced %+v", rec1, plain)
 	}
 	for _, name := range []string{"run_begin", "attempt_begin", "iteration", "fault_inject", "attempt_end", "run_end"} {

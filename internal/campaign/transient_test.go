@@ -45,7 +45,7 @@ func TestResumeRetriesTransientRecords(t *testing.T) {
 	if err := w.Write(stale); err != nil {
 		t.Fatal(err)
 	}
-	good := ExecuteRun(&spec, cells[1], 0, nil)
+	good := ExecuteRunEnv(&spec, cells[1], 0, nil)
 	if err := w.Write(good); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestResumeRetriesTransientRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ExecuteRun(&spec, cells[0], 0, nil)
+	want := ExecuteRunEnv(&spec, cells[0], 0, nil)
 	wb, _ := json.Marshal(want)
 	found := false
 	for _, r := range recs {

@@ -18,7 +18,7 @@ import (
 func TestExecRetriesTransientFailures(t *testing.T) {
 	spec := campaign.QuickSpec()
 	cell := spec.Cells()[0]
-	want := campaign.ExecuteRun(&spec, cell, 0, nil)
+	want := campaign.ExecuteRunEnv(&spec, cell, 0, nil)
 
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -51,7 +51,7 @@ func TestExecRetriesTransientFailures(t *testing.T) {
 func TestExecRetriesBodyCutMidResponse(t *testing.T) {
 	spec := campaign.QuickSpec()
 	cell := spec.Cells()[0]
-	want := campaign.ExecuteRun(&spec, cell, 0, nil)
+	want := campaign.ExecuteRunEnv(&spec, cell, 0, nil)
 
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -146,7 +146,7 @@ func TestOlderJournalDirLoads(t *testing.T) {
 	journal := `{"schema":"repro-journal/v1","kind":"campaign","digest":"0123456789abcdef","runs":16}` + "\n"
 	for i, j := range jobs {
 		req := NewSolveRequest(&spec, j.Cell, j.Rep)
-		rec := campaign.ExecuteRun(&spec, j.Cell, j.Rep, nil)
+		rec := campaign.ExecuteRunEnv(&spec, j.Cell, j.Rep, nil)
 		b, _ := json.Marshal(rec)
 		want[rec.Key] = string(b)
 		_, cell := req.SpecCell()
@@ -310,7 +310,7 @@ func TestEvictionRechargesSetupCost(t *testing.T) {
 	reqB.Grid = 10 // different SetupKey, same everything else
 
 	spec, cell := reqA.SpecCell()
-	direct := campaign.ExecuteRun(&spec, cell, reqA.Rep, nil)
+	direct := campaign.ExecuteRunEnv(&spec, cell, reqA.Rep, nil)
 	want, _ := json.Marshal(direct)
 
 	// Unbounded cache: second solve adopts the cached artifact.
@@ -416,7 +416,7 @@ func TestEvictionWhileAdoptRace(t *testing.T) {
 	want := make([]string, len(reqs))
 	for i, req := range reqs {
 		spec, cell := req.SpecCell()
-		b, _ := json.Marshal(campaign.ExecuteRun(&spec, cell, req.Rep, nil))
+		b, _ := json.Marshal(campaign.ExecuteRunEnv(&spec, cell, req.Rep, nil))
 		want[i] = string(b)
 	}
 
@@ -495,7 +495,7 @@ func TestConcurrentCampaignFeedersJournal(t *testing.T) {
 	want := make(map[string]string)
 	for _, cell := range spec.Cells() {
 		for rep := 0; rep < spec.Replicates; rep++ {
-			rec := campaign.ExecuteRun(&spec, cell, rep, nil)
+			rec := campaign.ExecuteRunEnv(&spec, cell, rep, nil)
 			b, _ := json.Marshal(rec)
 			want[rec.Key] = string(b)
 		}

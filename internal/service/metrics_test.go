@@ -85,7 +85,7 @@ func TestServerTraceDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, cell := req.SpecCell()
-	want := campaign.ExecuteRun(&spec, cell, req.Rep, nil)
+	want := campaign.ExecuteRunEnv(&spec, cell, req.Rep, nil)
 	if gb, wb := mustJSON(t, got), mustJSON(t, want); gb != wb {
 		t.Errorf("traced served record differs from direct execution:\n%s\n%s", gb, wb)
 	}

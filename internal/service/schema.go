@@ -65,7 +65,7 @@ func (r *SolveRequest) normalize() {
 }
 
 // SpecCell reconstructs the single-cell campaign spec and cell this
-// request describes. The spec carries exactly the fields ExecuteRun
+// request describes. The spec carries exactly the fields ExecuteRunEnv
 // reads, so a run executed from it is indistinguishable from one
 // executed out of a full campaign grid.
 func (r *SolveRequest) SpecCell() (campaign.Spec, campaign.Cell) {

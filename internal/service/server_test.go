@@ -49,7 +49,7 @@ func TestSolveEndpointMatchesDirectExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, cell := req.SpecCell()
-	want := campaign.ExecuteRun(&spec, cell, req.Rep, nil)
+	want := campaign.ExecuteRunEnv(&spec, cell, req.Rep, nil)
 	gb, _ := json.Marshal(got)
 	wb, _ := json.Marshal(want)
 	if !bytes.Equal(gb, wb) {
@@ -229,7 +229,7 @@ func TestSolveStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, cell := req.SpecCell()
-	want := campaign.ExecuteRun(&spec, cell, req.Rep, nil)
+	want := campaign.ExecuteRunEnv(&spec, cell, req.Rep, nil)
 	gb, _ := json.Marshal(final.Record)
 	wb, _ := json.Marshal(want)
 	if !bytes.Equal(gb, wb) {
@@ -257,7 +257,7 @@ func TestStreamedProgressSurvivesDivergence(t *testing.T) {
 		}
 	}
 	cspec, cell := req.SpecCell()
-	direct := campaign.ExecuteRun(&cspec, cell, req.Rep, nil)
+	direct := campaign.ExecuteRunEnv(&cspec, cell, req.Rep, nil)
 	if direct.Relres != -1 {
 		t.Fatalf("fixture run no longer diverges (relres %g); pick another cell", direct.Relres)
 	}
