@@ -9,7 +9,7 @@
 //
 //	faultsim -ranks 8 -steps 400 -kill-rank 3 -kill-step 237 -persist 20
 //	faultsim -implicit -coarsen 4
-//	faultsim -sdc-bit 52 -guard
+//	faultsim -sdc-bit 62 -guard -kill-rank -1
 package main
 
 import (
@@ -71,16 +71,28 @@ func newFlags() (*flag.FlagSet, *options) {
 	return fs, o
 }
 
-// check rejects values the run would otherwise ignore in silence: a bit
-// outside the word flips nothing, a victim outside the world never fires.
+// check rejects values the run would otherwise crash on or ignore in
+// silence: a world needs a rank, a bit outside the word flips nothing,
+// a victim outside the world or a step outside the run never fires, and
+// a persist or coarsening interval below 1 runs as if it were 1.
 func (o *options) check() error {
 	switch {
+	case o.ranks < 1:
+		return fmt.Errorf("-ranks %d: want at least 1", o.ranks)
 	case o.sdcBit < -1 || o.sdcBit > 63:
 		return fmt.Errorf("-sdc-bit %d: want -1 (none) or an IEEE-754 bit 0..63", o.sdcBit)
-	case o.killRank >= o.ranks:
-		return fmt.Errorf("-kill-rank %d: the world has ranks 0..%d", o.killRank, o.ranks-1)
+	case o.killRank < -1 || o.killRank >= o.ranks:
+		return fmt.Errorf("-kill-rank %d: want -1 (none) or a rank of the world, 0..%d", o.killRank, o.ranks-1)
+	case o.killRank >= 0 && (o.killStep < 0 || o.killStep >= o.steps):
+		return fmt.Errorf("-kill-step %d: the run has steps 0..%d", o.killStep, o.steps-1)
 	case o.sdcBit >= 0 && (o.sdcRank < 0 || o.sdcRank >= o.ranks):
 		return fmt.Errorf("-sdc-rank %d: the world has ranks 0..%d", o.sdcRank, o.ranks-1)
+	case o.sdcBit >= 0 && (o.sdcStep < 0 || o.sdcStep >= o.steps):
+		return fmt.Errorf("-sdc-step %d: the run has steps 0..%d", o.sdcStep, o.steps-1)
+	case o.persist < 1:
+		return fmt.Errorf("-persist %d: want at least 1", o.persist)
+	case o.coarsen < 1:
+		return fmt.Errorf("-coarsen %d: want at least 1", o.coarsen)
 	}
 	return nil
 }

@@ -14,7 +14,7 @@ import (
 // command's doc comment and the repository README against the real flag
 // set, so the usage text cannot drift from the flags main parses.
 func TestDocumentedInvocationsParse(t *testing.T) {
-	sources := []string{"main.go", "../../README.md", "../../docs/ARCHITECTURE.md"}
+	sources := []string{"main.go", "../../README.md", "../../docs/ARCHITECTURE.md", "../../.github/workflows/ci.yml"}
 	seen := 0
 	for _, path := range sources {
 		data, err := os.ReadFile(path)
@@ -50,9 +50,11 @@ func TestDefaultsAreSane(t *testing.T) {
 }
 
 // TestRejectsIgnoredInputs runs main in a child process: a flip bit
-// outside the word and a victim rank outside the world used to be
-// ignored in silence (the run printed "sdc: bit 64" and flipped nothing);
-// each is now a usage error, exit status 2, naming the flag.
+// outside the word, a victim rank or step outside the world or the run,
+// and a persist or coarsening interval below 1 used to be ignored in
+// silence (the run printed "sdc: bit 64" and flipped nothing), and an
+// empty world panicked; each is now a usage error, exit status 2,
+// naming the flag.
 func TestRejectsIgnoredInputs(t *testing.T) {
 	if args := os.Getenv("FAULTSIM_CHILD_ARGS"); args != "" {
 		os.Args = append([]string{"faultsim"}, strings.Fields(args)...)
@@ -69,6 +71,16 @@ func TestRejectsIgnoredInputs(t *testing.T) {
 		{small + "-kill-rank 8", "-kill-rank 8", 2},
 		{small + "-ranks 4 -sdc-bit 3 -sdc-rank 4", "-sdc-rank 4", 2},
 		{small + "-ranks 4 -sdc-bit 3 -sdc-rank -1", "-sdc-rank -1", 2},
+		{small + "-ranks 0 -kill-rank -1", "-ranks 0", 2},
+		{small + "-ranks 0", "-ranks 0", 2},
+		{small + "-kill-step 6", "-kill-step 6", 2},
+		{small + "-sdc-bit 52 -sdc-step 6", "-sdc-step 6", 2},
+		{small + "-implicit -kill-step 6", "-kill-step 6", 2},
+		{small + "-kill-rank -5", "-kill-rank -5", 2},
+		{small + "-persist -3", "-persist -3", 2},
+		{small + "-implicit -coarsen 0", "-coarsen 0", 2},
+		// No kill is asked for, so its step is not checked.
+		{small + "-kill-rank -1 -kill-step 99", "recoveries:            0", 0},
 		// The default -sdc-rank 2 is outside this world, but no flip is asked for.
 		{small + "-ranks 2 -kill-rank 1", "recoveries:            1", 0},
 		{small + "-implicit -ranks 9", "lflr: 9 ranks exceed 8 grid rows", 1},

@@ -226,6 +226,10 @@ type Spec struct {
 	MaxRestarts int     `json:"max_restarts"` // rank-kill global-restart cap per run
 }
 
+var knownSolvers = map[string]bool{
+	SolverCG: true, SolverPCG: true, SolverPipelinedPCG: true, SolverGMRES: true, SolverFGMRES: true, SolverFTGMRES: true,
+}
+
 var knownPreconds = map[string]bool{
 	PrecondNone: true, PrecondJacobi: true, PrecondBJILU: true, PrecondChebyshev: true,
 }
@@ -251,7 +255,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("campaign: spec %q has an empty axis", s.Name)
 	}
 	for _, v := range s.Solvers {
-		if _, ok := runners[v]; !ok {
+		if !knownSolvers[v] {
 			return fmt.Errorf("campaign: unknown solver %q", v)
 		}
 	}

@@ -165,7 +165,7 @@ func Run(opts Options) (RunStats, error) {
 						env.Events = tr.Observe
 					}
 					rec = ExecuteRunEnv(&spec, j.Cell, j.Rep, env)
-					if _, err := WriteRunTrace(trace.Dir, tr, opts.TraceChrome); err != nil {
+					if err := WriteRunTrace(trace.Dir, tr, opts.TraceChrome, TraceFileName(tr.Key())); err != nil {
 						mu.Lock()
 						if writeErr == nil {
 							writeErr = err

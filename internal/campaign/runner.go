@@ -19,123 +19,54 @@ import (
 	"repro/internal/srp"
 )
 
-// Env is the per-rank solve environment the engine assembles for a
-// Runner: the operator (consulting the cell's fault plan),
-// the preconditioner, this rank's right-hand-side slab, and the solve
-// parameters. Runners are SPMD functions — every rank of the world
-// calls the same Runner with its own Env.
-type Env struct {
-	C *comm.Comm
-	// Op is the operator the solver iterates on, consulting the rank's
-	// fault injector under any fault model. For ftgmres it is the
-	// reliable outer operator: a rank can die in its applies, but flips
-	// land only in the inner operator the runner builds.
-	Op dist.Operator
-	// M is the preconditioner (nil for none), consulting the rank's
-	// fault injector under any fault model. For ftgmres it
-	// preconditions the unreliable inner solve.
-	M krylov.DistPreconditioner
-	// B is this rank's slab of the right-hand side.
-	B       []float64
-	Tol     float64
-	MaxIter int
-	// layout and faults (nil for a fault-free cell) let a runner bind a
-	// second operator on the same partition and plan (ftgmres's inner
-	// one): the rank-kill model's MTBF counts its applies as well.
-	layout *dist.Layout
-	faults *fault.Injector
-}
-
-// Outcome is what a Runner reports from rank 0 (the SPMD convention:
-// all ranks compute it, rank 0's copy is recorded).
-type Outcome struct {
-	Converged bool
-	Iters     int
-	Relres    float64
-	// Discards counts rejected unreliable inner results (ftgmres only).
-	Discards int
-	// VTime is the end-of-solve virtual clock.
-	VTime float64
-}
-
-// Runner adapts one solver family to the campaign engine: it runs a
-// single solve over the assembled Env and reports the Outcome.
-// Communication errors (rank death) propagate unchanged so the engine
-// can apply its global-restart policy.
-type Runner func(env *Env) (Outcome, error)
-
-var runners = map[string]Runner{
-	SolverCG:           runCG,
-	SolverPCG:          runPCG,
-	SolverPipelinedPCG: runPipelinedPCG,
-	SolverGMRES:        runGMRES,
-	SolverFGMRES:       runFGMRES,
-	SolverFTGMRES:      runFTGMRES,
-}
-
-func fromStats(st krylov.Stats) Outcome {
-	return Outcome{
-		Converged: st.Converged,
-		Iters:     st.Iterations,
-		Relres:    st.FinalResidual,
-		VTime:     st.VirtualTime,
-	}
-}
-
-func runCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistCG(env.C, env.Op, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
-	return fromStats(st), err
-}
-
-func runPCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
-	return fromStats(st), err
-}
-
-func runPipelinedPCG(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistPipelinedPCG(env.C, env.Op, env.M, env.B, nil, krylov.DistOptions{Tol: env.Tol, MaxIter: env.MaxIter})
-	return fromStats(st), err
-}
-
-func runGMRES(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistGMRES(env.C, env.Op, env.B, nil, krylov.DistGMRESOptions{
-		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Precon: env.M,
-	})
-	return fromStats(st), err
-}
-
-func runFGMRES(env *Env) (Outcome, error) {
-	_, st, err := krylov.DistFGMRES(env.C, env.Op, env.B, nil, krylov.DistGMRESOptions{
-		Restart: 30, Tol: env.Tol, MaxIter: env.MaxIter, Precon: env.M,
-	})
-	return fromStats(st), err
-}
-
 // ftgmresInnerIters is the fixed inner budget per outer step — the
 // paper's fixed-budget unreliable phase (§III-D).
 const ftgmresInnerIters = 10
 
-// runFTGMRES runs the distributed FT-GMRES stack: env.Op is the
-// reliable outer operator and env.M the inner preconditioner; the
-// unreliable inner operator is bound here on the same injector, so the
-// cell's faults land at the same sites as for the plain solvers —
-// bitflip corrupts the inner operator's SpMV outputs, faulty-precond
-// only the inner preconditioner's outputs, and a rank kill counts inner
-// and outer applies alike. Either way the flips stay *inside* the
-// low-reliability phase, which is exactly the configuration the paper
-// argues survives them.
-func runFTGMRES(env *Env) (Outcome, error) {
-	faulty := &dist.Faulty{Inner: env.layout.Bind(env.C), Faults: env.faults}
-	maxOuter := env.MaxIter / ftgmresInnerIters
-	if maxOuter < 10 {
-		maxOuter = 10
+// solve runs the named solver on this rank's slab b of the right-hand
+// side and returns the rank's slab of the solution, the solve's Stats
+// and ftgmres's count of rejected inner results (0 for the others). op
+// is the operator the solver iterates on and m the preconditioner (nil
+// for none), both consulting the rank's fault injector under any fault
+// model. Communication errors (rank death) propagate unchanged so the
+// caller can apply its global-restart policy.
+//
+// For ftgmres, op is the reliable outer operator and m preconditions
+// the unreliable inner solve, whose operator is bound here on the same
+// layout and injector (faults, nil for a fault-free cell). The cell's
+// faults so land at the same sites as for the plain solvers — bitflip
+// corrupts the inner operator's SpMV outputs, faulty-precond only the
+// inner preconditioner's outputs, and a rank kill counts inner and
+// outer applies alike — and flips stay *inside* the low-reliability
+// phase, which is exactly the configuration the paper argues survives
+// them.
+func solve(c *comm.Comm, spec *Spec, solver string, op dist.Operator, m krylov.DistPreconditioner, b []float64, layout *dist.Layout, faults *fault.Injector) ([]float64, krylov.Stats, int, error) {
+	opts := krylov.DistOptions{Tol: spec.Tol, MaxIter: spec.MaxIter}
+	gmres := krylov.DistGMRESOptions{Restart: 30, Tol: spec.Tol, MaxIter: spec.MaxIter, Precon: m}
+	var x []float64
+	var st krylov.Stats
+	var err error
+	switch solver {
+	case SolverCG:
+		x, st, err = krylov.DistCG(c, op, b, nil, opts)
+	case SolverPCG:
+		x, st, err = krylov.DistPCG(c, op, m, b, nil, opts)
+	case SolverPipelinedPCG:
+		x, st, err = krylov.DistPipelinedPCG(c, op, m, b, nil, opts)
+	case SolverGMRES:
+		x, st, err = krylov.DistGMRES(c, op, b, nil, gmres)
+	case SolverFGMRES:
+		x, st, err = krylov.DistFGMRES(c, op, b, nil, gmres)
+	case SolverFTGMRES:
+		faulty := &dist.Faulty{Inner: layout.Bind(c), Faults: faults}
+		res, err := srp.DistFTGMRESPreconditioned(c, op, faulty, m, b, srp.Options{
+			InnerIters: ftgmresInnerIters, Tol: spec.Tol, MaxOuter: max(spec.MaxIter/ftgmresInnerIters, 10),
+		})
+		return res.X, res.Stats, res.InnerDiscards, err
+	default:
+		return nil, krylov.Stats{}, 0, fmt.Errorf("campaign: unknown solver %q", solver)
 	}
-	res, err := srp.DistFTGMRESPreconditioned(env.C, env.Op, faulty, env.M, env.B, srp.Options{
-		InnerIters: ftgmresInnerIters, Tol: env.Tol, MaxOuter: maxOuter,
-	})
-	out := fromStats(res.Stats)
-	out.Discards = res.InnerDiscards
-	return out, err
+	return x, st, 0, err
 }
 
 // Problem carries one generated workload: the replicated matrix, a
@@ -386,15 +317,17 @@ func setupOrAdopt(c *comm.Comm, m precond.Preconditioner, cache SetupCache, key 
 
 // attemptState is the cross-rank blackboard of one solve attempt: the
 // run of its fault plan (nil for a fault-free cell), which records the
-// victim's death clock, and the outcome, written by rank 0. The
-// supervisor reads both after World.Wait, so no locking is needed.
+// victim's death clock, and rank 0's Stats and inner-discard count. The
+// supervisor reads them after World.Wait, so no locking is needed.
 type attemptState struct {
-	faults *fault.Run
-	out    Outcome
+	faults   *fault.Run
+	st       krylov.Stats
+	discards int
 }
 
-// runRank is the SPMD body of one solve attempt: assemble the env for
-// this rank (fault wiring included) and dispatch the cell's Runner.
+// runRank is the SPMD body of one solve attempt: wire this rank's
+// operator and preconditioner (faults included) and run the cell's
+// solver.
 func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout, att *attemptState, setups SetupCache) error {
 	assemble := c.SpanStart()
 	trusted := layout.Bind(c)
@@ -406,7 +339,7 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout
 	if att.faults != nil {
 		faults = att.faults.Rank(c)
 		// ftgmres's outer iteration is its reliable phase: its flips
-		// land in the inner stack the runner builds.
+		// land in the inner stack solve builds.
 		op = &dist.Faulty{Inner: trusted, Faults: faults, Reliable: cell.Solver == SolverFTGMRES}
 	}
 
@@ -423,19 +356,14 @@ func runRank(c *comm.Comm, spec *Spec, cell Cell, p Problem, layout *dist.Layout
 		m = pc
 	}
 
-	run, ok := runners[cell.Solver]
-	if !ok {
-		return fmt.Errorf("campaign: unknown solver %q", cell.Solver)
-	}
-	out, err := run(&Env{
-		C: c, Op: op, M: m, B: trusted.Scatter(p.RHS), Tol: spec.Tol, MaxIter: spec.MaxIter,
-		layout: layout, faults: faults,
-	})
+	// The solution is dropped here and only here: this is where a
+	// verifier of the answer reads it.
+	_, st, discards, err := solve(c, spec, cell.Solver, op, m, trusted.Scatter(p.RHS), layout, faults)
 	if err != nil {
 		return err
 	}
 	if c.Rank() == 0 {
-		att.out = out
+		att.st, att.discards = st, discards
 	}
 	return nil
 }
@@ -541,16 +469,17 @@ func ExecuteRunEnv(spec *Spec, cell Cell, rep int, env *ExecEnv) Record {
 			emit.harness(obs.Event{Name: "attempt_end", Detail: "error"})
 			break
 		}
-		vtime += att.out.VTime
-		rec.Converged = att.out.Converged
-		rec.Iters = att.out.Iters
-		rec.Discards = att.out.Discards
-		rec.Relres = att.out.Relres
+		st := att.st
+		vtime += st.VirtualTime
+		rec.Converged = st.Converged
+		rec.Iters = st.Iterations
+		rec.Discards = att.discards
+		rec.Relres = st.FinalResidual
 		detail := "converged"
-		if !att.out.Converged {
+		if !st.Converged {
 			detail = "unconverged"
 		}
-		emit.harness(obs.Event{T: att.out.VTime, Name: "attempt_end", Iter: att.out.Iters, Value: att.out.Relres, Detail: detail})
+		emit.harness(obs.Event{T: st.VirtualTime, Name: "attempt_end", Iter: st.Iterations, Value: st.FinalResidual, Detail: detail})
 		break
 	}
 	rec.VTime = vtime

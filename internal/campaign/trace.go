@@ -16,49 +16,43 @@ func TraceFileName(runKey string) string {
 }
 
 // WriteRunTrace persists one run's trace into dir as repro-trace/v1
-// JSONL (and, when chrome is set, a sibling .chrome.json in Chrome
-// trace-event format), returning the JSONL path. A nil tracer writes
+// JSONL under the given file name (TraceFileName of the run key, or a
+// name the caller correlates with an external identity: the solve
+// service prefixes the request ID) and, when chrome is set, a sibling
+// .chrome.json in Chrome trace-event format. A nil tracer writes
 // nothing.
-func WriteRunTrace(dir string, tr *obs.RunTracer, chrome bool) (string, error) {
-	return WriteRunTraceAs(dir, tr, chrome, TraceFileName(tr.Key()))
-}
-
-// WriteRunTraceAs is WriteRunTrace with an explicit file name —
-// callers that correlate traces with an external identity (the solve
-// service prefixes the request ID) choose the name; everyone else goes
-// through WriteRunTrace and the canonical TraceFileName.
-func WriteRunTraceAs(dir string, tr *obs.RunTracer, chrome bool, name string) (string, error) {
+func WriteRunTrace(dir string, tr *obs.RunTracer, chrome bool, name string) error {
 	if tr == nil {
-		return "", nil
+		return nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
+		return err
 	}
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
-		return "", err
+		return err
 	}
 	if err := tr.WriteJSONL(f); err != nil {
 		f.Close()
-		return "", err
+		return err
 	}
 	if err := f.Close(); err != nil {
-		return "", err
+		return err
 	}
 	if chrome {
 		cpath := strings.TrimSuffix(path, ".trace.jsonl") + ".chrome.json"
 		cf, err := os.Create(cpath)
 		if err != nil {
-			return "", err
+			return err
 		}
 		if err := tr.WriteChromeTrace(cf); err != nil {
 			cf.Close()
-			return "", err
+			return err
 		}
 		if err := cf.Close(); err != nil {
-			return "", err
+			return err
 		}
 	}
-	return path, nil
+	return nil
 }

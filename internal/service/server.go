@@ -308,7 +308,7 @@ func (s *Server) execute(run *solveRun, events func(obs.Event)) campaign.Record 
 	phases.Flush()
 	// The trace file leads with the request ID, so one glob joins a
 	// request's trace against its journal entries and log lines.
-	if _, err := campaign.WriteRunTraceAs(s.trace.Dir, tr,
+	if err := campaign.WriteRunTrace(s.trace.Dir, tr,
 		false, TraceName(run.reqID, run.cell.RunKey(run.req.Rep))); err != nil {
 		// A failed trace write must not fail the solve: the record is
 		// sound. It is counted, so a scrape surfaces the data loss.

@@ -42,25 +42,28 @@ func (NonFinite) Validate(_, y []float64) error {
 	return nil
 }
 
-// NormBound enforces ‖y‖∞ ≤ Slack·‖A‖∞·‖x‖∞. The bound is a property of
-// the intended operator, so a bit flip that inflates a value past the
-// bound is caught regardless of where in the product it struck. Slack
-// absorbs rounding (default 4 when zero). Exponent-bit flips, the
-// catastrophic class, almost always trip this check; low-mantissa flips
-// usually do not — and usually do not matter, which is exactly the
-// paper's point about "harmless" errors.
+// normSlack is NormBound's allowance for rounding: the factor by which
+// ‖y‖∞ may exceed ‖A‖∞·‖x‖∞ before the check fires.
+const normSlack = 4
+
+// checksumTol is the relative tolerance of the checksum identity
+// Σy = c·x, which Checksum and DistCheckedOp both check; the scale it
+// multiplies grows with the length of x.
+const checksumTol = 1e-10
+
+// NormBound enforces ‖y‖∞ ≤ normSlack·‖A‖∞·‖x‖∞. The bound is a property
+// of the intended operator, so a bit flip that inflates a value past the
+// bound is caught regardless of where in the product it struck.
+// Exponent-bit flips, the catastrophic class, almost always trip this
+// check; low-mantissa flips usually do not — and usually do not matter,
+// which is exactly the paper's point about "harmless" errors.
 type NormBound struct {
 	ANormInf float64
-	Slack    float64
 }
 
 // Validate implements Check.
 func (nb NormBound) Validate(x, y []float64) error {
-	slack := nb.Slack
-	if slack == 0 {
-		slack = 4
-	}
-	bound := slack * nb.ANormInf * la.NrmInf(x)
+	bound := normSlack * nb.ANormInf * la.NrmInf(x)
 	if got := la.NrmInf(y); got > bound {
 		return fmt.Errorf("skp: norm bound violated: ‖Ax‖∞=%g > %g", got, bound)
 	}
@@ -75,7 +78,6 @@ func (nb NormBound) Validate(x, y []float64) error {
 // the downward exponent flips that are invisible to NormBound.
 type Checksum struct {
 	ColSums []float64 // eᵀA, from la.CSR.ColSums
-	Tol     float64   // relative tolerance; default scales with len(x)
 }
 
 // Validate implements Check.
@@ -89,11 +91,7 @@ func (ck Checksum) Validate(x, y []float64) error {
 	if scale == 0 {
 		return nil
 	}
-	tol := ck.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	if diff := lhs - rhs; diff > tol*scale || diff < -tol*scale {
+	if diff := lhs - rhs; diff > checksumTol*scale || diff < -checksumTol*scale {
 		return fmt.Errorf("skp: checksum violated: Σy=%g vs c·x=%g", lhs, rhs)
 	}
 	return nil

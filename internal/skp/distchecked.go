@@ -22,8 +22,6 @@ type DistCheckedOp struct {
 	// buffer, which the checksum and the recompute read.
 	Suspect dist.Operator
 	Trusted *dist.CSR
-	// Tol is the relative checksum tolerance (default scales with size).
-	Tol float64
 
 	colSums []float64
 	Stats   CheckStats
@@ -73,11 +71,7 @@ func (o *DistCheckedOp) validate(y []float64) bool {
 	if scale == 0 {
 		return true
 	}
-	tol := o.Tol
-	if tol == 0 {
-		tol = 1e-10
-	}
-	return math.Abs(lhs-rhs) <= tol*scale
+	return math.Abs(lhs-rhs) <= checksumTol*scale
 }
 
 // LocalLen implements dist.Operator.

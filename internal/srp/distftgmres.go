@@ -12,17 +12,17 @@ import (
 
 // DistInner is the unreliable distributed inner solver used as the
 // DistFGMRES preconditioner: a fixed-budget distributed GMRES on the
-// faulty operator — itself optionally preconditioned by Precon
-// (typically a precond.Faulty block-Jacobi, so the whole inner phase
-// including its preconditioner runs in low-reliability mode) — with
-// reliable sanitisation of the result. It implements
-// krylov.DistPreconditioner: to the reliable outer iteration, the whole
-// unreliable solve is just one preconditioner application.
+// faulty operator, one restart cycle of Iters steps — itself optionally
+// preconditioned by Precon (typically a precond.Faulty block-Jacobi, so
+// the whole inner phase including its preconditioner runs in
+// low-reliability mode) — with reliable sanitisation of the result. It
+// implements krylov.DistPreconditioner: to the reliable outer
+// iteration, the whole unreliable solve is just one preconditioner
+// application.
 type DistInner struct {
-	C       *comm.Comm
-	Faulty  dist.Operator
-	Iters   int
-	Restart int
+	C      *comm.Comm
+	Faulty dist.Operator
+	Iters  int
 	// Precon, when non-nil, right-preconditions the inner GMRES solves.
 	Precon krylov.DistPreconditioner
 
@@ -37,12 +37,8 @@ type DistInner struct {
 // consensus, so every rank emits it in the same solves.
 func (s *DistInner) ApplyInto(r, z []float64) error {
 	s.Solves++
-	restart := s.Restart
-	if restart <= 0 {
-		restart = s.Iters
-	}
 	out, _, err := krylov.DistGMRESInner(s.C, s.Faulty, r, nil, krylov.DistGMRESOptions{
-		Restart: restart, MaxIter: s.Iters, Tol: 1e-13, Precon: s.Precon,
+		Restart: s.Iters, MaxIter: s.Iters, Tol: 1e-13, Precon: s.Precon,
 	})
 	if err != nil {
 		return err // communication errors are not sanitisable
@@ -78,8 +74,10 @@ func (s *DistInner) ApplyInto(r, z []float64) error {
 // is true — a block-Jacobi ILU(0) preconditioner, each flipping every
 // element of its output with probability rate from its own per-rank
 // stream of seed. Nothing in that plan fires once, so each rank runs it
-// on its own. Every experiment, example and test that runs FT-GMRES on
-// a corrupted stack builds it here, so the wiring cannot drift.
+// on its own. Its callers are experiment P3 and this package's tests.
+// The campaign's ftgmres cells bind their inner dist.Faulty in the
+// campaign executor, on the cell's own fault plan, and experiment F6
+// runs the serial FTGMRES.
 func NewFaultyStack(c *comm.Comm, a *la.CSR, rate float64, seed uint64, precondition bool) (dist.Operator, krylov.DistPreconditioner, error) {
 	plan := fault.Plan{Seed: seed, Entries: []fault.Entry{
 		fault.Sustained(fault.SiteApply, rate), fault.Sustained(fault.SitePrecond, rate),
@@ -122,8 +120,7 @@ type DistFTGMRESResult struct {
 func DistFTGMRESPreconditioned(c *comm.Comm, trusted, faulty dist.Operator, innerM krylov.DistPreconditioner, b []float64, opts Options) (DistFTGMRESResult, error) {
 	opts.defaults()
 	inner := &DistInner{
-		C: c, Faulty: faulty, Iters: opts.InnerIters, Restart: opts.InnerIters,
-		Precon: innerM,
+		C: c, Faulty: faulty, Iters: opts.InnerIters, Precon: innerM,
 	}
 	x, st, err := krylov.DistFGMRES(c, trusted, b, nil, krylov.DistGMRESOptions{
 		Restart: outerRestart,

@@ -18,13 +18,13 @@ import (
 )
 
 // InnerSolver is the unreliable inner solve used as the FGMRES
-// preconditioner. Each Solve runs a fresh GMRES on the faulty operator;
-// the result is sanitised before it is handed to the reliable outer
-// iteration (the "analyse and use or discard" step of §III-D).
+// preconditioner. Each Solve runs a fresh GMRES on the faulty operator,
+// one restart cycle of Iters steps; the result is sanitised before it
+// is handed to the reliable outer iteration (the "analyse and use or
+// discard" step of §III-D).
 type InnerSolver struct {
-	Faulty  krylov.Op // operator with sustained fault injection
-	Iters   int       // inner iteration budget per outer step
-	Restart int
+	Faulty krylov.Op // operator with sustained fault injection
+	Iters  int       // inner iteration budget per outer step
 
 	// Discards counts inner results rejected by sanitisation.
 	Discards int
@@ -35,12 +35,8 @@ type InnerSolver struct {
 // Solve implements krylov.Preconditioner.
 func (s *InnerSolver) Solve(r, z []float64) {
 	s.Solves++
-	restart := s.Restart
-	if restart <= 0 {
-		restart = s.Iters
-	}
 	out, _, err := krylov.GMRES(s.Faulty, r, nil, krylov.GMRESOptions{
-		Restart: restart,
+		Restart: s.Iters,
 		MaxIter: s.Iters,
 		Tol:     1e-13, // run the full budget; outer handles accuracy
 	})
@@ -109,9 +105,8 @@ func FTGMRES(trusted krylov.Op, faults fault.Plan, b []float64, opts Options) (R
 		return Result{}, err
 	}
 	inner := &InnerSolver{
-		Faulty:  faulty,
-		Iters:   opts.InnerIters,
-		Restart: opts.InnerIters,
+		Faulty: faulty,
+		Iters:  opts.InnerIters,
 	}
 	x, st, err := krylov.GMRES(trusted, b, nil, krylov.GMRESOptions{
 		Restart: outerRestart,
