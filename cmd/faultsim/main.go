@@ -10,6 +10,10 @@
 //	faultsim -ranks 8 -steps 400 -kill-rank 3 -kill-step 237 -persist 20
 //	faultsim -implicit -coarsen 4
 //	faultsim -sdc-bit 62 -guard -kill-rank -1
+//
+// A silent bit flip (-sdc-bit) and its energy guard (-guard) are
+// explicit mode only: the implicit app has no guard, so -implicit with
+// -sdc-bit is a usage error rather than an unguarded flip.
 package main
 
 import (
@@ -73,8 +77,9 @@ func newFlags() (*flag.FlagSet, *options) {
 
 // check rejects values the run would otherwise crash on or ignore in
 // silence: a world needs a rank, a bit outside the word flips nothing,
-// a victim outside the world or a step outside the run never fires, and
-// a persist or coarsening interval below 1 runs as if it were 1.
+// a victim outside the world or a step outside the run never fires, a
+// persist or coarsening interval below 1 runs as if it were 1, and a
+// flip in implicit mode strikes a field no guard watches.
 func (o *options) check() error {
 	switch {
 	case o.ranks < 1:
@@ -89,6 +94,8 @@ func (o *options) check() error {
 		return fmt.Errorf("-sdc-rank %d: the world has ranks 0..%d", o.sdcRank, o.ranks-1)
 	case o.sdcBit >= 0 && (o.sdcStep < 0 || o.sdcStep >= o.steps):
 		return fmt.Errorf("-sdc-step %d: the run has steps 0..%d", o.sdcStep, o.steps-1)
+	case o.sdcBit >= 0 && o.implicit:
+		return fmt.Errorf("-sdc-bit %d with -implicit: the implicit app has no energy guard (explicit mode only)", o.sdcBit)
 	case o.persist < 1:
 		return fmt.Errorf("-persist %d: want at least 1", o.persist)
 	case o.coarsen < 1:

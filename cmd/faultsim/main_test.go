@@ -52,9 +52,9 @@ func TestDefaultsAreSane(t *testing.T) {
 // TestRejectsIgnoredInputs runs main in a child process: a flip bit
 // outside the word, a victim rank or step outside the world or the run,
 // and a persist or coarsening interval below 1 used to be ignored in
-// silence (the run printed "sdc: bit 64" and flipped nothing), and an
-// empty world panicked; each is now a usage error, exit status 2,
-// naming the flag.
+// silence (the run printed "sdc: bit 64" and flipped nothing), a flip in
+// implicit mode went unguarded and unreported, and an empty world
+// panicked; each is now a usage error, exit status 2, naming the flag.
 func TestRejectsIgnoredInputs(t *testing.T) {
 	if args := os.Getenv("FAULTSIM_CHILD_ARGS"); args != "" {
 		os.Args = append([]string{"faultsim"}, strings.Fields(args)...)
@@ -79,6 +79,7 @@ func TestRejectsIgnoredInputs(t *testing.T) {
 		{small + "-kill-rank -5", "-kill-rank -5", 2},
 		{small + "-persist -3", "-persist -3", 2},
 		{small + "-implicit -coarsen 0", "-coarsen 0", 2},
+		{small + "-implicit -kill-rank -1 -sdc-bit 62 -sdc-step 3", "-sdc-bit 62 with -implicit", 2},
 		// No kill is asked for, so its step is not checked.
 		{small + "-kill-rank -1 -kill-step 99", "recoveries:            0", 0},
 		// The default -sdc-rank 2 is outside this world, but no flip is asked for.

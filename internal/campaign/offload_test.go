@@ -73,11 +73,16 @@ func TestOffloadLeavesNoTrace(t *testing.T) {
 		}
 	}
 	if testing.Short() {
-		// Eight iterations of gmres/bj-ilu, which reaches all three
-		// offload sites, and of the first kill cell, a two-rank GMRES
-		// restart: few enough for the race detector's -count=10.
+		// Eight iterations each of pcg/chebyshev (Chebyshev's opening
+		// pass and step, PCG's dots and vector updates), pcg/jacobi
+		// (the Jacobi scaling), gmres/bj-ilu
+		// (the product, the ILU sweeps, mgs's fused passes),
+		// ftgmres/none under bit flips (mgs's opening dot and the
+		// basis scaling, in two nested Arnoldi loops) and the first kill
+		// cell, a two-rank GMRES restart: every offload site, in few
+		// enough iterations for the race detector's -count=10.
 		deep.MaxIter, rk.MaxIter = 8, 8
-		jobs = []job{jobs[1], jobs[len(deepCells())]}
+		jobs = []job{jobs[0], jobs[1], jobs[3], jobs[6], jobs[len(deepCells())]}
 	}
 	for _, j := range jobs {
 		var runs [3]offloadRun

@@ -43,10 +43,6 @@ func TestFailureSemanticsMidApply(t *testing.T) {
 			v := []float64{1, 2, 3}
 			return func() error { _, err := Norm2(c, v); return err }
 		},
-		"dot": func(c *comm.Comm) func() error {
-			v := []float64{1, 2, 3}
-			return func() error { _, err := Dot(c, v, v); return err }
-		},
 	}
 
 	for name, build := range cases {

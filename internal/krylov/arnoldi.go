@@ -72,10 +72,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	r := ws.Vec(n)
 	q := carveLSQ(ws, m)
 	dots := ws.Vec(nDots)
-	var kern *axpyDot // mgs's fused pass, as an Offload job
-	if !kind.cgs {
-		kern = new(axpyDot)
-	}
+	kern := new(slabJob) // mgs's passes and the scaling, as an Offload job
 
 	// The abandoned-cycle budget. A cycle abandoned at its first step
 	// adds no iteration, so MaxIter alone does not bound a solve whose
@@ -105,7 +102,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 				break
 			}
 		}
-		scaleInto(c, 1/beta, r, v[0])
+		scaleInto(c, kern, 1/beta, r, v[0])
 		q.reset(beta)
 
 		j := 0
@@ -138,7 +135,7 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 			}
 			q.h.Set(j+1, j, hj1)
 			if hj1 > 0 {
-				scaleInto(c, 1/hj1, w, v[j+1])
+				scaleInto(c, kern, 1/hj1, w, v[j+1])
 			}
 			st.Iterations++
 			relres := q.push(j) / bnorm
@@ -187,14 +184,11 @@ func arnoldi(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistGMRESOptio
 	return x, st, nil
 }
 
-// scaleInto sets dst = alpha·src on the local slabs in one pass and
-// charges what copy + dist.Scal charge: the same product per element,
-// one n-flop charge.
-func scaleInto(c *comm.Comm, alpha float64, src, dst []float64) {
-	dst = dst[:len(src)]
-	for i, s := range src {
-		dst[i] = s * alpha
-	}
+// scaleInto sets dst = alpha·src on the local slabs in one pass, through
+// k, and charges what copy + dist.Scal charge: the same product per
+// element, one n-flop charge.
+func scaleInto(c *comm.Comm, k *slabJob, alpha float64, src, dst []float64) {
+	k.scale(c, alpha, src, dst)
 	c.Compute(float64(len(src)))
 }
 

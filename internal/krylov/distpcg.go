@@ -111,7 +111,9 @@ func pcg(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions, kind 
 	p := ws.Vec(n)
 	copy(p, z)
 	q := ws.Vec(n)
-	rho, err := dist.Dot(c, r, z) // (r, M⁻¹r)
+	k := new(slabJob) // the loop's vector work, as an Offload job
+
+	rho, err := k.allDot(c, r, z) // (r, M⁻¹r)
 	if err != nil {
 		return x, st, err
 	}
@@ -120,7 +122,7 @@ func pcg(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions, kind 
 	for st.Iterations < opts.MaxIter {
 		rr := rho
 		if !kind.plain {
-			if rr, err = dist.Dot(c, r, r); err != nil {
+			if rr, err = k.allDot(c, r, r); err != nil {
 				return x, st, err
 			}
 			st.Reductions++
@@ -136,7 +138,7 @@ func pcg(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions, kind 
 		if err := a.Apply(p, q); err != nil {
 			return x, st, err
 		}
-		sigma, err := dist.Dot(c, p, q)
+		sigma, err := k.allDot(c, p, q)
 		if err != nil {
 			return x, st, err
 		}
@@ -145,21 +147,20 @@ func pcg(c *comm.Comm, a dist.Operator, b, x0 []float64, opts DistOptions, kind 
 			break
 		}
 		alpha := rho / sigma
-		dist.Axpy(c, alpha, p, x)
-		dist.Axpy(c, -alpha, q, r)
+		k.axpy2(c, alpha, p, x, q, r) // x += αp; r −= αq
+		c.Compute(la.FlopsAxpy(n))
+		c.Compute(la.FlopsAxpy(n))
 		if err := kind.precon(r, z); err != nil {
 			return x, st, err
 		}
-		rhoNew, err := dist.Dot(c, r, z)
+		rhoNew, err := k.allDot(c, r, z)
 		if err != nil {
 			return x, st, err
 		}
 		st.Reductions++
 		beta := rhoNew / rho
 		rho = rhoNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
+		k.xpby(c, z, beta, p)
 		c.Compute(2 * float64(n))
 		st.Iterations++
 	}

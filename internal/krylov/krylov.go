@@ -97,17 +97,17 @@ type DistPreconditioner interface {
 // projection's local dot (la.AxpyDot against v[i+1], or against w
 // itself for the closing norm), so a step reads w j+2 times instead of
 // 2j+3. The arithmetic, the charges and their order relative to the
-// reductions are exactly those of the unfused sequence dist.Dot,
+// reductions are exactly those of the unfused sequence of blocking dots,
 // dist.Axpy, …, dist.Norm2 (kept as the reference in mgs_test.go):
 // results, clocks and ledgers are bit-identical to it.
 //
-// Each fused pass goes through (*comm.Comm).Offload as k, the caller's
-// job storage, so on a fat slab the world's other ranks run while a
-// helper thread does it.
-func mgs(c *comm.Comm, k *axpyDot, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
+// The opening dot and each fused pass go through (*comm.Comm).Offload
+// as k, the solve's job (see slabJob), so on a fat slab the world's
+// other ranks run while a helper thread does them.
+func mgs(c *comm.Comm, k *slabJob, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
 	span := c.SpanStart()
 	n := len(w)
-	local := la.Dot(w, v[0])
+	local := k.dot(c, w, v[0])
 	for i := 0; i <= j; i++ {
 		c.Compute(la.FlopsDot(n))
 		hij, err := c.AllreduceScalar(local, comm.OpSum)
@@ -120,9 +120,7 @@ func mgs(c *comm.Comm, k *axpyDot, v [][]float64, w []float64, j int, h *la.Dens
 		if i < j {
 			next = v[i+1]
 		}
-		k.alpha, k.x, k.y, k.next = -hij, v[i], w, next
-		c.Offload(n, k)
-		local = k.dot
+		local = k.axpyDot(c, -hij, v[i], w, next)
 		c.Compute(la.FlopsAxpy(n))
 	}
 	c.Compute(la.FlopsDot(n))
@@ -135,16 +133,100 @@ func mgs(c *comm.Comm, k *axpyDot, v [][]float64, w []float64, j int, h *la.Dens
 	return math.Sqrt(total), nil
 }
 
-// axpyDot is mgs's fused pass as a comm.Job: y += alpha·x, then
-// dot = next·y (la.AxpyDot).
-type axpyDot struct {
+// slabJob is the solvers' slab-sized vector work as one comm.Job: the
+// kernels that read what the (offloaded) product wrote, so on a fat
+// slab they run where the product ran rather than pulling its result
+// across to the driver's core. A solve allocates one and every site
+// reuses it; each method below loads one kernel, hands it to Offload
+// with the slab's height and returns when it has run. Every kernel is
+// the la call or loop it replaces, so results are bitwise the inline
+// ones, and none charges: the caller's charges stay where they were.
+type slabJob struct {
+	op         slabOp
 	alpha      float64
-	x, y, next []float64
-	dot        float64
+	x, y, u, v []float64
+	sum        float64 // a dot's result
 }
 
+// slabOp says which kernel a slabJob runs.
+type slabOp uint8
+
+const (
+	opDot     slabOp = iota // dot = x·y
+	opAxpyDot               // y += alpha·x, then dot = u·y (la.AxpyDot)
+	opAxpy2                 // y += alpha·x, then v −= alpha·u
+	opXpby                  // y = x + alpha·y
+	opScale                 // y = alpha·x
+)
+
 // Run implements comm.Job.
-func (k *axpyDot) Run() { k.dot = la.AxpyDot(k.alpha, k.x, k.y, k.next) }
+func (k *slabJob) Run() {
+	switch k.op {
+	case opDot:
+		k.sum = la.Dot(k.x, k.y)
+	case opAxpyDot:
+		k.sum = la.AxpyDot(k.alpha, k.x, k.y, k.u)
+	case opAxpy2:
+		la.Axpy(k.alpha, k.x, k.y)
+		la.Axpy(-k.alpha, k.u, k.v)
+	case opXpby:
+		x, y := k.x, k.y[:len(k.x)]
+		for i := range y {
+			y[i] = x[i] + k.alpha*y[i]
+		}
+	case opScale:
+		x, y := k.x, k.y[:len(k.x)]
+		for i, s := range x {
+			y[i] = s * k.alpha
+		}
+	}
+}
+
+// run hands the loaded kernel to Offload.
+func (k *slabJob) run(c *comm.Comm, op slabOp) {
+	k.op = op
+	c.Offload(len(k.x), k)
+}
+
+// dot returns the local x·y.
+func (k *slabJob) dot(c *comm.Comm, x, y []float64) float64 {
+	k.x, k.y = x, y
+	k.run(c, opDot)
+	return k.sum
+}
+
+// axpyDot sets y += alpha·x and returns the local u·y, in one pass.
+func (k *slabJob) axpyDot(c *comm.Comm, alpha float64, x, y, u []float64) float64 {
+	k.alpha, k.x, k.y, k.u = alpha, x, y, u
+	k.run(c, opAxpyDot)
+	return k.sum
+}
+
+// axpy2 sets y += alpha·x, then v −= alpha·u.
+func (k *slabJob) axpy2(c *comm.Comm, alpha float64, x, y, u, v []float64) {
+	k.alpha, k.x, k.y, k.u, k.v = alpha, x, y, u, v
+	k.run(c, opAxpy2)
+}
+
+// xpby sets y = x + beta·y.
+func (k *slabJob) xpby(c *comm.Comm, x []float64, beta float64, y []float64) {
+	k.alpha, k.x, k.y = beta, x, y
+	k.run(c, opXpby)
+}
+
+// scale sets y = alpha·x.
+func (k *slabJob) scale(c *comm.Comm, alpha float64, x, y []float64) {
+	k.alpha, k.x, k.y = alpha, x, y
+	k.run(c, opScale)
+}
+
+// allDot returns the global x·y: the local dot, its charge and one
+// blocking all-reduce, as dist.Norm2 makes them.
+func (k *slabJob) allDot(c *comm.Comm, x, y []float64) (float64, error) {
+	local := k.dot(c, x, y)
+	c.Compute(la.FlopsDot(len(x)))
+	return c.AllreduceScalar(local, comm.OpSum)
+}
 
 // cgs is the classical Gram–Schmidt step with the Pythagorean norm: all
 // j+1 projections of w and ‖w‖² travel in one merged blocking reduction

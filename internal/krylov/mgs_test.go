@@ -20,7 +20,9 @@ import (
 func mgsUnfused(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
 	span := c.SpanStart()
 	for i := 0; i <= j; i++ {
-		hij, err := dist.Dot(c, w, v[i])
+		local := la.Dot(w, v[i])
+		c.Compute(la.FlopsDot(len(w)))
+		hij, err := c.AllreduceScalar(local, comm.OpSum)
 		if err != nil {
 			return 0, err
 		}
@@ -113,7 +115,7 @@ func runMGS(t *testing.T, p, n0 int, orth orthogonaliser) []mgsTrace {
 // pass runs, not what it computes or charges.
 func TestMGSMatchesUnfused(t *testing.T) {
 	fused := func(c *comm.Comm, v [][]float64, w []float64, j int, h *la.Dense, st *Stats) (float64, error) {
-		return mgs(c, new(axpyDot), v, w, j, h, st)
+		return mgs(c, new(slabJob), v, w, j, h, st)
 	}
 	for _, n0 := range []int{41, comm.OffloadRows} {
 		for _, p := range []int{1, 3} {
@@ -156,7 +158,7 @@ func mgsAllocs(t *testing.T, ranks, n int, fat bool) {
 	least := uint64(math.MaxUint64)
 	err := comm.Run(comm.Config{Ranks: ranks, Cost: machine.DefaultCostModel(), Seed: 1}, func(c *comm.Comm) error {
 		const j = 3
-		kern := new(axpyDot)
+		kern := new(slabJob)
 		v := make([][]float64, j+1)
 		for i := range v {
 			v[i] = make([]float64, n)

@@ -35,7 +35,7 @@ type BlockJacobi struct {
 	bwd     []sweepStep // the backward sweep's schedule
 
 	y          []float64 // forward-substitution scratch
-	kern       sweeps    // the two sweeps as an Offload job
+	kern       kernel    // the two sweeps as an Offload job
 	setup      bool
 	setupFlops float64 // virtual cost the factorisation charged (for Adopt)
 }
@@ -73,7 +73,7 @@ func NewBlockJacobiILU(c *comm.Comm, a *la.CSR) *BlockJacobi {
 		b.rowPtr[i+1] = len(b.colIdx)
 	}
 	b.fwd, b.bwd = b.schedules(la.RowRuns(b.rowPtr, b.colIdx))
-	b.kern.b = b
+	b.kern.p = b
 	return b
 }
 
@@ -141,28 +141,19 @@ func (b *BlockJacobi) ApplyInto(r, z []float64) error {
 	start := b.c.SpanStart()
 	la.CheckLen("r", r, b.n)
 	la.CheckLen("z", z, b.n)
-	b.kern.r, b.kern.z = r, z
-	b.c.Offload(b.n, &b.kern)
+	b.kern.offload(b.c, b.n, r, z)
 	b.c.Compute(b.Flops())
 	b.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
 }
 
-// sweeps is an ApplyInto's two sweeps as a comm.Job: L·y = r into the
-// block's scratch, then U·z = y. It touches only the rank's own block.
-type sweeps struct {
-	b    *BlockJacobi
-	r, z []float64
-}
-
-// Run implements comm.Job.
-func (k *sweeps) Run() {
-	b := k.b
+// slab is kern's work: L·y = r into the block's scratch, then U·z = y.
+func (b *BlockJacobi) slab(r, z []float64) {
 	for i := range b.fwd {
-		b.forward(&b.fwd[i], k.r, b.y)
+		b.forward(&b.fwd[i], r, b.y)
 	}
 	for i := range b.bwd {
-		b.backward(&b.bwd[i], b.y, k.z)
+		b.backward(&b.bwd[i], b.y, z)
 	}
 }
 

@@ -26,13 +26,21 @@ type Chebyshev struct {
 	k  int     // polynomial degree (semi-iteration step count)
 
 	r, d, ad []float64 // scratch, carved by Setup
+	kern     kernel    // the opening pass and each step's vector work, as an Offload job
+	// What kern runs next: the opening pass, or one chebyshevStep with
+	// these coefficients.
+	opening      bool
+	coefD, coefR float64
+	more         bool
 }
 
 // NewChebyshev builds a degree-k Chebyshev preconditioner over the
 // distributed operator a, whose SPD spectrum must lie in [lmin, lmax].
 // Call Setup before the first use.
 func NewChebyshev(c *comm.Comm, a dist.Operator, lmin, lmax float64, degree int) *Chebyshev {
-	return &Chebyshev{c: c, a: a, lo: lmin, hi: lmax, k: degree}
+	ch := &Chebyshev{c: c, a: a, lo: lmin, hi: lmax, k: degree}
+	ch.kern.p = ch
+	return ch
 }
 
 // Setup implements Preconditioner: validates the spectral bounds and
@@ -70,30 +78,43 @@ func (ch *Chebyshev) ApplyInto(r, z []float64) error {
 	delta := (ch.hi - ch.lo) / 2
 	sigma1 := theta / delta
 
-	res := ch.r
-	copy(res, r) // residual of the zero guess
 	rho := 1 / sigma1
-	d := ch.d
-	for i := range d {
-		d[i] = res[i] / theta
-		z[i] = 0
-	}
+	ch.opening = true
+	ch.kern.offload(ch.c, n, r, z)
+	ch.opening = false
 	ch.c.Compute(float64(n))
-
-	la.Axpy(1, d, z) // step 0's z += d; later steps' ride in the fused loop
 	for step := 0; step < ch.k; step++ {
 		ch.c.Compute(la.FlopsAxpy(n))
-		if err := ch.a.Apply(d, ch.ad); err != nil {
+		if err := ch.a.Apply(ch.d, ch.ad); err != nil {
 			return err
 		}
 		rhoNew := 1 / (2*sigma1 - rho)
-		chebyshevStep(ch.ad, res, d, z, rhoNew*rho, 2*rhoNew/delta, step+1 < ch.k)
+		ch.coefD, ch.coefR, ch.more = rhoNew*rho, 2*rhoNew/delta, step+1 < ch.k
+		ch.kern.offload(ch.c, n, r, z)
 		ch.c.Compute(la.FlopsAxpy(n))
 		ch.c.Compute(3 * float64(n))
 		rho = rhoNew
 	}
 	ch.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
+}
+
+// slab is kern's work. The opening pass sets res = r, d = res/θ and
+// z = 0, then runs step 0's z += d; otherwise it is one chebyshevStep on
+// z.
+func (ch *Chebyshev) slab(r, z []float64) {
+	if !ch.opening {
+		chebyshevStep(ch.ad, ch.r, ch.d, z, ch.coefD, ch.coefR, ch.more)
+		return
+	}
+	theta := (ch.hi + ch.lo) / 2
+	res, d := ch.r, ch.d
+	copy(res, r) // residual of the zero guess
+	for i := range d {
+		d[i] = res[i] / theta
+		z[i] = 0
+	}
+	la.Axpy(1, d, z) // step 0's z += d; later steps' ride in the fused loop
 }
 
 // chebyshevStep is one semi-iteration's vector work in a single trip:

@@ -16,6 +16,7 @@ type Jacobi struct {
 	c    *comm.Comm
 	diag []float64 // local diagonal slab of the global matrix
 	inv  []float64 // 1/diag, built by Setup
+	kern kernel    // the scaling as an Offload job
 }
 
 // NewJacobi builds the Jacobi preconditioner for the replicated global
@@ -31,7 +32,9 @@ func NewJacobi(c *comm.Comm, a *la.CSR) *Jacobi {
 	for i := range diag {
 		diag[i] = a.At(lo+i, lo+i)
 	}
-	return &Jacobi{c: c, diag: diag}
+	j := &Jacobi{c: c, diag: diag}
+	j.kern.p = j
+	return j
 }
 
 // Setup implements Preconditioner: precomputes the reciprocals. The
@@ -59,12 +62,18 @@ func (j *Jacobi) ApplyInto(r, z []float64) error {
 	start := j.c.SpanStart()
 	la.CheckLen("r", r, len(j.inv))
 	la.CheckLen("z", z, len(j.inv))
-	for i := range r {
-		z[i] = r[i] * j.inv[i]
-	}
+	j.kern.offload(j.c, len(r), r, z)
 	j.c.Compute(j.Flops())
 	j.c.SpanEnd(obs.PhasePrecondApply, start)
 	return nil
+}
+
+// slab is kern's work: z = r·D⁻¹, element by element.
+func (j *Jacobi) slab(r, z []float64) {
+	inv := j.inv[:len(r)]
+	for i := range r {
+		z[i] = r[i] * inv[i]
+	}
 }
 
 // Flops implements Preconditioner: one multiply per local row.

@@ -1,6 +1,10 @@
 package precond
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/comm"
+)
 
 // Preconditioner approximately inverts an operator: ApplyInto computes
 // z ≈ M⁻¹·r for this rank's slab of a block-row distributed vector.
@@ -31,3 +35,22 @@ type Preconditioner interface {
 // ErrNotSetup is returned by ApplyInto when Setup has not run (or has
 // not run since construction).
 var ErrNotSetup = errors.New("precond: Setup must be called before ApplyInto")
+
+// kernel is a preconditioner's slab work as a comm.Job, so a fat rank
+// can hand it to (*comm.Comm).Offload: Run calls p.slab over the r and z
+// last set. It is a field of the preconditioner, whose slab touches only
+// that rank's own vectors and storage and never calls back into its Comm.
+type kernel struct {
+	p    interface{ slab(r, z []float64) }
+	r, z []float64
+}
+
+// Run implements comm.Job.
+func (k *kernel) Run() { k.p.slab(k.r, k.z) }
+
+// offload runs p's slab over r and z through c.Offload, with n the slab
+// height.
+func (k *kernel) offload(c *comm.Comm, n int, r, z []float64) {
+	k.r, k.z = r, z
+	c.Offload(n, k)
+}
