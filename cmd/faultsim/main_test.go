@@ -1,14 +1,45 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/usagecheck"
 )
+
+// TestMain runs main instead of the tests when FAULTSIM_CHILD_ARGS is
+// set: that is how TestRejectsIgnoredInputs and TestScenariosGolden run
+// faultsim in a child process and read its output and exit status.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("FAULTSIM_CHILD_ARGS"); args != "" {
+		os.Args = append([]string{"faultsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runChild runs faultsim with args in a child process and returns its
+// stdout, its stderr and its exit status.
+func runChild(t *testing.T, args string) (stdout, stderr string, code int) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "FAULTSIM_CHILD_ARGS="+args)
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errOut.String(), code
+}
 
 // TestDocumentedInvocationsParse pins every faultsim snippet in this
 // command's doc comment and the repository README against the real flag
@@ -56,11 +87,6 @@ func TestDefaultsAreSane(t *testing.T) {
 // implicit mode went unguarded and unreported, and an empty world
 // panicked; each is now a usage error, exit status 2, naming the flag.
 func TestRejectsIgnoredInputs(t *testing.T) {
-	if args := os.Getenv("FAULTSIM_CHILD_ARGS"); args != "" {
-		os.Args = append([]string{"faultsim"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
 	small := "-nx 4 -ny 8 -steps 6 -kill-step 3 -persist 2 "
 	for _, tc := range []struct {
 		args, want string
@@ -86,17 +112,49 @@ func TestRejectsIgnoredInputs(t *testing.T) {
 		{small + "-ranks 2 -kill-rank 1", "recoveries:            1", 0},
 		{small + "-implicit -ranks 9", "lflr: 9 ranks exceed 8 grid rows", 1},
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRejectsIgnoredInputs$")
-		cmd.Env = append(os.Environ(), "FAULTSIM_CHILD_ARGS="+tc.args)
-		out, err := cmd.CombinedOutput()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if code != tc.code || !strings.Contains(string(out), tc.want) {
+		stdout, stderr, code := runChild(t, tc.args)
+		if out := stdout + stderr; code != tc.code || !strings.Contains(out, tc.want) {
 			t.Errorf("faultsim %s: exit %d, want %d with %q in:\n%s", tc.args, code, tc.code, tc.want, out)
 		}
+	}
+}
+
+// scenariosGolden holds faultsim's whole printout for the three
+// documented scenarios and the unguarded flip: virtual times, replay
+// counts and the final energy, which CI's one-line greps do not see. To
+// re-record after a deliberate change, delete the file and run the
+// test: it writes the file and fails.
+const scenariosGolden = "testdata/scenarios.golden.txt"
+
+func TestScenariosGolden(t *testing.T) {
+	var got strings.Builder
+	for _, args := range []string{
+		"-ranks 8 -steps 400 -kill-rank 3 -kill-step 237 -persist 20",
+		"-implicit -coarsen 4",
+		"-sdc-bit 62 -guard -kill-rank -1",
+		"-sdc-bit 62 -guard=false -kill-rank -1",
+	} {
+		stdout, stderr, code := runChild(t, args)
+		if code != 0 {
+			t.Fatalf("faultsim %s: exit %d\n%s", args, code, stderr)
+		}
+		got.WriteString("$ faultsim " + args + "\n" + stdout)
+	}
+
+	want, err := os.ReadFile(scenariosGolden)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(filepath.Dir(scenariosGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(scenariosGolden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("%s was missing: recorded it from this build; review and commit it", scenariosGolden)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("printout differs from %s\n got:\n%s\nwant:\n%s", scenariosGolden, got.String(), want)
 	}
 }
