@@ -11,19 +11,25 @@
 //	faultsim -implicit -coarsen 4
 //	faultsim -sdc-bit 62 -guard -kill-rank -1
 //
-// A silent bit flip (-sdc-bit) and its energy guard (-guard) are
-// explicit mode only: the implicit app has no guard, so -implicit with
-// -sdc-bit is a usage error rather than an unguarded flip.
+// Every run reads -ranks, -nx, -ny, -steps, -seed and -kill-rank, and
+// -kill-step unless -kill-rank is -1. The explicit heat run (the
+// default) also reads -persist and -guard, and -sdc-rank and -sdc-step
+// when -sdc-bit asks for a flip. The implicit run (-implicit) reads
+// -coarsen instead: it persists every step and has no energy guard, so
+// a flip there would go unguarded. A flag set on the command line that
+// the chosen run never reads is a usage error naming both flags, not a
+// value ignored in silence.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/fault"
+	"repro/internal/la"
 	"repro/internal/lflr"
 	"repro/internal/machine"
 )
@@ -78,9 +84,10 @@ func newFlags() (*flag.FlagSet, *options) {
 // check rejects values the run would otherwise crash on or ignore in
 // silence: a world needs a rank, a bit outside the word flips nothing,
 // a victim outside the world or a step outside the run never fires, a
-// persist or coarsening interval below 1 runs as if it were 1, and a
-// flip in implicit mode strikes a field no guard watches.
-func (o *options) check() error {
+// persist or coarsening interval below 1 runs as if it were 1, a flip
+// in implicit mode strikes a field no guard watches, and a flag set in
+// fs that the chosen run never reads changes nothing.
+func (o *options) check(fs *flag.FlagSet) error {
 	switch {
 	case o.ranks < 1:
 		return fmt.Errorf("-ranks %d: want at least 1", o.ranks)
@@ -101,7 +108,25 @@ func (o *options) check() error {
 	case o.coarsen < 1:
 		return fmt.Errorf("-coarsen %d: want at least 1", o.coarsen)
 	}
-	return nil
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		var by string
+		switch {
+		case unread != nil:
+		case (f.Name == "guard" || f.Name == "persist") && o.implicit:
+			by = "with -implicit"
+		case f.Name == "coarsen" && !o.implicit:
+			by = "without -implicit"
+		case (f.Name == "sdc-rank" || f.Name == "sdc-step") && o.sdcBit < 0:
+			by = "without -sdc-bit"
+		case f.Name == "kill-step" && o.killRank < 0:
+			by = "with -kill-rank -1"
+		}
+		if by != "" {
+			unread = fmt.Errorf("-%s %s %s: the run never reads it", f.Name, f.Value, by)
+		}
+	})
+	return unread
 }
 
 func main() {
@@ -113,7 +138,7 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	if err := o.check(); err != nil {
+	if err := o.check(fs); err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		os.Exit(2)
 	}
@@ -125,43 +150,31 @@ func main() {
 		faults.Entries = append(faults.Entries, fault.StepFlip(o.sdcRank, o.sdcStep, 7, o.sdcBit))
 	}
 
-	// One path for both solvers over what their results share — the
-	// field and the clock; each keeps its full result for its own lines.
-	var heat lflr.HeatResult
-	var impl lflr.ImplicitResult
-	run := func(faults fault.Plan) (u []float64, clock float64, err error) {
-		w := comm.NewWorld(comm.Config{Ranks: o.ranks, Cost: machine.DefaultCostModel(), Seed: o.seed})
+	world := comm.Config{Ranks: o.ranks, Cost: machine.DefaultCostModel(), Seed: o.seed}
+	run := func(faults fault.Plan) (lflr.Result, error) {
 		if o.implicit {
-			impl, err = lflr.RunImplicitHeat(w, lflr.NewStore(), lflr.ImplicitConfig{
+			return lflr.RunImplicitHeat(world, lflr.ImplicitConfig{
 				Nx: o.nx, Ny: o.ny, Nu: 1.0, Steps: o.steps, Coarsen: o.coarsen, Faults: faults})
-			return impl.U, impl.FinalClock, err
 		}
-		heat, err = lflr.RunHeat(w, lflr.NewStore(), lflr.HeatConfig{
+		return lflr.RunHeat(world, lflr.HeatConfig{
 			Nx: o.nx, Ny: o.ny, Nu: 0.25, Steps: o.steps, PersistEvery: o.persist, EnergyGuard: o.guard, Faults: faults})
-		return heat.U, heat.FinalClock, err
 	}
-	cleanU, cleanClock, err := run(fault.Plan{})
+	clean, err := run(fault.Plan{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clean run:", err)
 		os.Exit(1)
 	}
-	u, clock, err := run(faults)
+	res, err := run(faults)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faulty run:", err)
 		os.Exit(1)
 	}
-	exact, maxDiff := true, 0.0
-	for i := range u {
-		exact = exact && u[i] == cleanU[i]
-		maxDiff = max(maxDiff, math.Abs(u[i]-cleanU[i]))
-	}
-
 	if o.implicit {
 		fmt.Printf("implicit (BE) heat %dx%d, %d steps, coarsen %d\n", o.nx, o.ny, o.steps, o.coarsen)
-		fmt.Printf("recoveries:     %d\n", impl.Recoveries)
-		fmt.Printf("replica floats: %d per rank\n", impl.ReplicaFloats)
-		fmt.Printf("max |u - u_clean| after recovery: %.3e\n", maxDiff)
-		fmt.Printf("virtual time: %.6g s (fault-free %.6g s)\n", clock, cleanClock)
+		fmt.Printf("recoveries:     %d\n", res.Recoveries)
+		fmt.Printf("replica floats: %d per rank\n", res.ReplicaFloats)
+		fmt.Printf("max |u - u_clean| after recovery: %.3e\n", la.NrmInf(la.Sub(res.U, clean.U)))
+		fmt.Printf("virtual time: %.6g s (fault-free %.6g s)\n", res.FinalClock, clean.FinalClock)
 		return
 	}
 	fmt.Printf("explicit heat %dx%d, %d steps on %d ranks, persist every %d\n",
@@ -171,12 +184,12 @@ func main() {
 	}
 	if o.sdcBit >= 0 {
 		fmt.Printf("sdc: bit %d of rank %d's field at step %d (guard %v)\n", o.sdcBit, o.sdcRank, o.sdcStep, o.guard)
-		fmt.Printf("sdc detections:        %d (rollback of %d steps)\n", heat.SDCDetections, heat.RollbackSteps)
+		fmt.Printf("sdc detections:        %d (rollback of %d steps)\n", res.SDCDetections, res.RollbackSteps)
 	}
-	fmt.Printf("recoveries:            %d\n", heat.Recoveries)
-	fmt.Printf("replayed steps:        %d\n", heat.ReplaySteps)
-	fmt.Printf("bitwise == fault-free: %v\n", exact)
-	fmt.Printf("final energy:          %.9g\n", heat.Energy)
+	fmt.Printf("recoveries:            %d\n", res.Recoveries)
+	fmt.Printf("replayed steps:        %d\n", res.ReplaySteps)
+	fmt.Printf("bitwise == fault-free: %v\n", slices.Equal(res.U, clean.U))
+	fmt.Printf("final energy:          %.9g\n", res.Summary)
 	fmt.Printf("virtual time:          %.6g s (fault-free %.6g s, recovery cost %.3g s)\n",
-		clock, cleanClock, clock-cleanClock)
+		res.FinalClock, clean.FinalClock, res.FinalClock-clean.FinalClock)
 }

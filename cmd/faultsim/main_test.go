@@ -84,8 +84,9 @@ func TestDefaultsAreSane(t *testing.T) {
 // outside the word, a victim rank or step outside the world or the run,
 // and a persist or coarsening interval below 1 used to be ignored in
 // silence (the run printed "sdc: bit 64" and flipped nothing), a flip in
-// implicit mode went unguarded and unreported, and an empty world
-// panicked; each is now a usage error, exit status 2, naming the flag.
+// implicit mode went unguarded and unreported, a flag the chosen run
+// never reads changed nothing, and an empty world panicked; each is now
+// a usage error, exit status 2, naming the flag.
 func TestRejectsIgnoredInputs(t *testing.T) {
 	small := "-nx 4 -ny 8 -steps 6 -kill-step 3 -persist 2 "
 	for _, tc := range []struct {
@@ -106,11 +107,16 @@ func TestRejectsIgnoredInputs(t *testing.T) {
 		{small + "-persist -3", "-persist -3", 2},
 		{small + "-implicit -coarsen 0", "-coarsen 0", 2},
 		{small + "-implicit -kill-rank -1 -sdc-bit 62 -sdc-step 3", "-sdc-bit 62 with -implicit", 2},
-		// No kill is asked for, so its step is not checked.
-		{small + "-kill-rank -1 -kill-step 99", "recoveries:            0", 0},
+		// Flags the chosen run never reads.
+		{small + "-kill-rank -1 -kill-step 99", "-kill-step 99 with -kill-rank -1", 2},
+		{"-nx 4 -ny 8 -steps 6 -kill-step 3 -implicit -coarsen 4 -persist 7", "-persist 7 with -implicit", 2},
+		{"-nx 4 -ny 8 -steps 6 -kill-step 3 -implicit -guard=false", "-guard false with -implicit", 2},
+		{small + "-coarsen 8", "-coarsen 8 without -implicit", 2},
+		{small + "-sdc-rank 5", "-sdc-rank 5 without -sdc-bit", 2},
+		{small + "-sdc-step 4", "-sdc-step 4 without -sdc-bit", 2},
 		// The default -sdc-rank 2 is outside this world, but no flip is asked for.
 		{small + "-ranks 2 -kill-rank 1", "recoveries:            1", 0},
-		{small + "-implicit -ranks 9", "lflr: 9 ranks exceed 8 grid rows", 1},
+		{"-nx 4 -ny 8 -steps 6 -kill-step 3 -implicit -ranks 9", "lflr: 9 ranks exceed 8 grid rows", 1},
 	} {
 		stdout, stderr, code := runChild(t, tc.args)
 		if out := stdout + stderr; code != tc.code || !strings.Contains(out, tc.want) {

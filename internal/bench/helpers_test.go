@@ -45,24 +45,25 @@ func TestFormatHelpers(t *testing.T) {
 // at a size cheap enough for every `go test` run.
 func TestScalingHelpersAtSmallP(t *testing.T) {
 	const p, nLocal, iters = 4, 64, 5
-	perIter := func(kind solverKind, pipe bool) float64 {
+	perIter := func(s sweepSolver) float64 {
 		t.Helper()
-		got, err := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, kind, pipe, nil)
-		if err != nil || got <= 0 {
-			t.Errorf("timePerIter(kind=%d pipe=%v) = %g, %v", kind, pipe, got, err)
+		st, err := sweepSolve(RunCtx{Seed: 1}, p, nLocal, nil, s, 1e-30, iters)
+		if err != nil || st.Iterations != iters || st.VirtualTime <= 0 {
+			t.Errorf("sweepSolve(%d): %d iterations in %g s, %v; want %d", s, st.Iterations, st.VirtualTime, err, iters)
+		}
+		got, err := timePerIter(RunCtx{Seed: 1}, p, nLocal, iters, s, nil)
+		if err != nil || got != st.VirtualTime/iters {
+			t.Errorf("timePerIter(%d) = %g, %v; want %g", s, got, err, st.VirtualTime/iters)
 		}
 		return got
 	}
-	for _, pipe := range []bool{false, true} {
-		for _, kind := range []solverKind{cgPair, gmresPair} {
-			perIter(kind, pipe)
-		}
+	for _, s := range []sweepSolver{sweepCG, sweepPipelinedCG, sweepGMRES, sweepP1GMRES, sweepCGSGMRES} {
+		perIter(s)
 	}
-	perIter(cgsGMRES, false)
 	// Ordering sanity at tiny scale: MGS is already the most
 	// reduction-heavy variant.
-	mgs := perIter(gmresPair, false)
-	p1 := perIter(gmresPair, true)
+	mgs := perIter(sweepGMRES)
+	p1 := perIter(sweepP1GMRES)
 	if p1 >= mgs {
 		t.Errorf("even at P=4, p1 (%g) should not lose to MGS (%g)", p1, mgs)
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/krylov"
 	"repro/internal/la"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/precond"
 	"repro/internal/problems"
@@ -164,7 +163,7 @@ func gmresIterKernel() (func(n int), func()) {
 // parked ranks the repetition count and drives the world until they
 // have all parked again, so per-op cost excludes world construction.
 func spmdKernel(p int, setup func(c *comm.Comm) func(n int) error) (func(n int), func()) {
-	w := comm.NewWorld(comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 1})
+	w := comm.NewWorld(RunCtx{Seed: 1}.cfg(p, nil))
 	reps := 0 // what the released ranks run next; negative = exit
 	for r := 0; r < p; r++ {
 		w.Spawn(r, 0, func(c *comm.Comm) error {

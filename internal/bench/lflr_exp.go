@@ -2,17 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 
-	"repro/internal/comm"
 	"repro/internal/cpr"
 	"repro/internal/fault"
 	"repro/internal/la"
 	"repro/internal/lflr"
 )
-
-func lflrWorld(rc RunCtx, p int) *comm.World {
-	return comm.NewWorld(rc.cfg(p, nil))
-}
 
 // F4 — explicit heat with LFLR: recovery exactness and cost versus the
 // persistence interval (paper §III-C: "an explicit time-stepping
@@ -32,7 +28,7 @@ func F4(rc RunCtx) *Table {
 	for _, k := range []int{1, 5, 20, 50, 100} {
 		cfg := base
 		cfg.PersistEvery = k
-		clean, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), cfg)
+		clean, err := lflr.RunHeat(rc.cfg(p, nil), cfg)
 		if err != nil {
 			t.AddRow(fmt.Sprint(k), "ERR", "", "", "")
 			continue
@@ -40,7 +36,7 @@ func F4(rc RunCtx) *Table {
 		// The same run with no persistence at all prices the overhead.
 		noPersist := base
 		noPersist.PersistEvery = base.Steps + 1
-		free, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), noPersist)
+		free, err := lflr.RunHeat(rc.cfg(p, nil), noPersist)
 		if err != nil {
 			t.AddRow(fmt.Sprint(k), "ERR", "", "", "")
 			continue
@@ -48,17 +44,14 @@ func F4(rc RunCtx) *Table {
 
 		kill := cfg
 		kill.Faults = fault.Plan{Entries: []fault.Entry{fault.StepKill(3, 237)}}
-		rec, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), kill)
+		rec, err := lflr.RunHeat(rc.cfg(p, nil), kill)
 		if err != nil {
 			t.AddRow(fmt.Sprint(k), "ERR", "", "", "")
 			continue
 		}
 		exact := "yes"
-		for i := range rec.U {
-			if rec.U[i] != clean.U[i] {
-				exact = "NO"
-				break
-			}
+		if !slices.Equal(rec.U, clean.U) {
+			exact = "NO"
 		}
 		overhead := fmt.Sprintf("%.1f%%", 100*(clean.FinalClock-free.FinalClock)/free.FinalClock)
 		t.AddRow(fmt.Sprint(k), exact, fmt.Sprint(rec.ReplaySteps),
@@ -125,7 +118,7 @@ func T3(rc RunCtx) *Table {
 	}
 	const p = 4
 	base := lflr.ImplicitConfig{Nx: 32, Ny: 48, Nu: 1.0, Steps: 16}
-	clean, err := lflr.RunImplicitHeat(lflrWorld(rc, p), lflr.NewStore(), base)
+	clean, err := lflr.RunImplicitHeat(rc.cfg(p, nil), base)
 	if err != nil {
 		t.Notes = append(t.Notes, "clean run failed: "+err.Error())
 		return t
@@ -140,7 +133,7 @@ func T3(rc RunCtx) *Table {
 		cfg := base
 		cfg.Coarsen = c
 		cfg.Faults = fault.Plan{Entries: []fault.Entry{fault.StepKill(1, 8)}}
-		res, err := lflr.RunImplicitHeat(lflrWorld(rc, p), lflr.NewStore(), cfg)
+		res, err := lflr.RunImplicitHeat(rc.cfg(p, nil), cfg)
 		if err != nil {
 			t.AddRow(fmt.Sprint(c), "ERR", err.Error(), "", "")
 			continue
@@ -180,7 +173,7 @@ func F9(rc RunCtx) *Table {
 	}
 	const p = 8
 	base := lflr.HeatConfig{Nx: 48, Ny: 64, Nu: 0.25, Steps: 400, PersistEvery: 20}
-	clean, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), base)
+	clean, err := lflr.RunHeat(rc.cfg(p, nil), base)
 	if err != nil {
 		t.Notes = append(t.Notes, "clean run failed: "+err.Error())
 		return t
@@ -189,16 +182,7 @@ func F9(rc RunCtx) *Table {
 		if la.HasNonFinite(u) {
 			return "destroyed (NaN/Inf)"
 		}
-		maxd := 0.0
-		for i := range u {
-			d := u[i] - clean.U[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > maxd {
-				maxd = d
-			}
-		}
+		maxd := la.NrmInf(la.Sub(u, clean.U))
 		if maxd == 0 {
 			return "bitwise clean"
 		}
@@ -210,7 +194,7 @@ func F9(rc RunCtx) *Table {
 			cfg := base
 			cfg.EnergyGuard = guard
 			cfg.Faults = fault.Plan{Entries: []fault.Entry{fault.StepFlip(3, 237, 7, bit)}}
-			res, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), cfg)
+			res, err := lflr.RunHeat(rc.cfg(p, nil), cfg)
 			if err != nil {
 				t.AddRow(fmt.Sprint(bit), onOff(guard), "ERR", "", err.Error())
 				continue
@@ -242,7 +226,7 @@ func F10(rc RunCtx) *Table {
 	const p = 4
 	heatBase := lflr.HeatConfig{Nx: 16, Ny: 40, Nu: 0.25, Steps: 120, PersistEvery: 20, EnergyGuard: true}
 	advBase := lflr.AdvectConfig{N: 200, C: 0.5, Steps: 120, PersistEvery: 20, MassGuard: true}
-	advClean, err := lflr.RunAdvection(lflrWorld(rc, p), lflr.NewStore(), advBase)
+	advClean, err := lflr.RunAdvection(rc.cfg(p, nil), advBase)
 	if err != nil {
 		t.Notes = append(t.Notes, "clean advection run failed: "+err.Error())
 		return t
@@ -258,7 +242,7 @@ func F10(rc RunCtx) *Table {
 		// Heat: energy-decay guard.
 		hc := heatBase
 		hc.Faults = fault.Plan{Entries: []fault.Entry{fault.StepFlip(1, 63, 4, tc.bit)}}
-		hres, err := lflr.RunHeat(lflrWorld(rc, p), lflr.NewStore(), hc)
+		hres, err := lflr.RunHeat(rc.cfg(p, nil), hc)
 		heatDet := "ERR"
 		if err == nil {
 			heatDet = pct(hres.SDCDetections, 1)
@@ -266,16 +250,13 @@ func F10(rc RunCtx) *Table {
 		// Advection: mass-equality guard.
 		ac := advBase
 		ac.Faults = hc.Faults
-		ares, err := lflr.RunAdvection(lflrWorld(rc, p), lflr.NewStore(), ac)
+		ares, err := lflr.RunAdvection(rc.cfg(p, nil), ac)
 		advDet, field := "ERR", ""
 		if err == nil {
 			advDet = pct(ares.SDCDetections, 1)
 			field = "bitwise clean"
-			for i := range ares.U {
-				if ares.U[i] != advClean.U[i] {
-					field = "corrupted"
-					break
-				}
+			if !slices.Equal(ares.U, advClean.U) {
+				field = "corrupted"
 			}
 		}
 		t.AddRow(tc.name, heatDet, advDet, field)

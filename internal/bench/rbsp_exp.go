@@ -5,65 +5,8 @@ import (
 	"fmt"
 
 	"repro/internal/comm"
-	"repro/internal/dist"
-	"repro/internal/krylov"
 	"repro/internal/machine"
 )
-
-// solverKind selects which solver family a scaling run uses: the CG
-// and GMRES pairs (classic or pipelined), or A1's single-reduction
-// CGS-1 GMRES, which has no pipelined twin.
-type solverKind int
-
-const (
-	cgPair solverKind = iota
-	gmresPair
-	cgsGMRES
-)
-
-// timePerIter runs `iters` iterations of the chosen solver at P ranks
-// (weak scaling: nLocal points per rank on a 1D chain) and returns the
-// virtual time per iteration, maximised over ranks, or the world's
-// error. It opens its own world rather than a campaign cell's: it runs
-// a fixed iteration count (tol 1e-30) over dist.Stencil3, and the
-// campaign executor solves to a tolerance over its assembled problems.
-func timePerIter(rc RunCtx, p, nLocal, iters int, kind solverKind, pipelined bool, noise machine.Noise) (float64, error) {
-	var out float64
-	err := comm.Run(rc.cfg(p, noise), func(c *comm.Comm) error {
-		op := dist.NewStencil3(c, nLocal*p, -1, 2.5, -1)
-		nl := op.LocalLen()
-		b := make([]float64, nl)
-		for i := range b {
-			b[i] = 1
-		}
-		var st krylov.Stats
-		var err error
-		switch {
-		case kind == cgsGMRES:
-			_, st, err = krylov.DistCGSGMRES(c, op, b, nil, krylov.DistGMRESOptions{Restart: iters, Tol: 1e-30, MaxIter: iters})
-		case kind == cgPair && pipelined:
-			_, st, err = krylov.DistPipelinedCG(c, op, b, nil, krylov.DistOptions{Tol: 1e-30, MaxIter: iters})
-		case kind == cgPair:
-			_, st, err = krylov.DistCG(c, op, b, nil, krylov.DistOptions{Tol: 1e-30, MaxIter: iters})
-		case pipelined:
-			_, st, err = krylov.DistP1GMRES(c, op, b, nil, krylov.DistGMRESOptions{Restart: iters, Tol: 1e-30, MaxIter: iters})
-		default:
-			_, st, err = krylov.DistGMRES(c, op, b, nil, krylov.DistGMRESOptions{Restart: iters, Tol: 1e-30, MaxIter: iters})
-		}
-		if err != nil {
-			return err
-		}
-		mx, err := c.AllreduceScalar(c.Clock(), comm.OpMax)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 && st.Iterations > 0 {
-			out = mx / float64(st.Iterations)
-		}
-		return nil
-	})
-	return out, err
-}
 
 // F2 — weak-scaling latency sweep without noise (paper §III-B: poorly
 // scaling synchronous collectives are "severe performance limiters";
@@ -81,10 +24,10 @@ func F2(rc RunCtx) *Table {
 		ps = ps[:2]
 	}
 	for _, p := range ps {
-		cg, e1 := timePerIter(rc, p, nLocal, iters, cgPair, false, nil)
-		pcg, e2 := timePerIter(rc, p, nLocal, iters, cgPair, true, nil)
-		gm, e3 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-		p1, e4 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+		cg, e1 := timePerIter(rc, p, nLocal, iters, sweepCG, nil)
+		pcg, e2 := timePerIter(rc, p, nLocal, iters, sweepPipelinedCG, nil)
+		gm, e3 := timePerIter(rc, p, nLocal, iters, sweepGMRES, nil)
+		p1, e4 := timePerIter(rc, p, nLocal, iters, sweepP1GMRES, nil)
 		if err := cmp.Or(e1, e2, e3, e4); err != nil {
 			t.AddRow(fmt.Sprint(p), "ERR: "+err.Error())
 			continue
@@ -117,10 +60,10 @@ func F3(rc RunCtx) *Table {
 		ps = ps[:2]
 	}
 	for _, p := range ps {
-		gq, e1 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-		gn, e2 := timePerIter(rc, p, nLocal, iters, gmresPair, false, noise)
-		pq, e3 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
-		pn, e4 := timePerIter(rc, p, nLocal, iters, gmresPair, true, noise)
+		gq, e1 := timePerIter(rc, p, nLocal, iters, sweepGMRES, nil)
+		gn, e2 := timePerIter(rc, p, nLocal, iters, sweepGMRES, noise)
+		pq, e3 := timePerIter(rc, p, nLocal, iters, sweepP1GMRES, nil)
+		pn, e4 := timePerIter(rc, p, nLocal, iters, sweepP1GMRES, noise)
 		if err := cmp.Or(e1, e2, e3, e4); err != nil {
 			t.AddRow(fmt.Sprint(p), "ERR: "+err.Error())
 			continue
@@ -165,8 +108,8 @@ func T2(rc RunCtx) *Table {
 		lastGain := ""
 		var err error
 		for _, p := range ps {
-			gm, e1 := timePerIter(rc, p, nLocal, iters, gmresPair, false, nil)
-			p1, e2 := timePerIter(rc, p, nLocal, iters, gmresPair, true, nil)
+			gm, e1 := timePerIter(rc, p, nLocal, iters, sweepGMRES, nil)
+			p1, e2 := timePerIter(rc, p, nLocal, iters, sweepP1GMRES, nil)
 			if err = cmp.Or(e1, e2); err != nil {
 				break
 			}

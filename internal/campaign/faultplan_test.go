@@ -34,8 +34,7 @@ func TestStrikesThatCannotFireAreErrors(t *testing.T) {
 	} {
 		// LFLR heat on 5 ranks of a 16×40 grid: 128 values per strip.
 		var led comm.Ledger
-		w := comm.NewWorld(comm.Config{Ranks: 5, Cost: machine.DefaultCostModel(), Ledger: &led})
-		_, err := lflr.RunHeat(w, lflr.NewStore(), lflr.HeatConfig{
+		_, err := lflr.RunHeat(comm.Config{Ranks: 5, Cost: machine.DefaultCostModel(), Ledger: &led}, lflr.HeatConfig{
 			Nx: 16, Ny: 40, Nu: 0.25, Steps: 100, PersistEvery: 20, EnergyGuard: true,
 			Faults: fault.Plan{Entries: []fault.Entry{tc.e}},
 		})

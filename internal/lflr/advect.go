@@ -25,26 +25,16 @@ type AdvectConfig struct {
 	MassGuard    bool
 }
 
-// AdvectResult is what one run reports.
-type AdvectResult struct {
-	U             []float64
-	Mass          float64
-	FinalClock    float64
-	Recoveries    int
-	ReplaySteps   int
-	SDCDetections int
-	RollbackSteps int
-}
-
 const tagAdvect = 5000
 
-// RunAdvection executes the configured scenario, returning rank 0's view.
-func RunAdvection(world *comm.World, store *Store, cfg AdvectConfig) (AdvectResult, error) {
+// RunAdvection executes the configured scenario on a world opened from
+// world, returning rank 0's view (Summary is the final mass Σu).
+func RunAdvection(world comm.Config, cfg AdvectConfig) (Result, error) {
 	sp := spec{
 		steps: cfg.Steps, persistEvery: cfg.PersistEvery, faults: cfg.Faults,
 		cells: cfg.N, unit: "cells", nx: 1,
 	}
-	res, err := run(world, store, sp, func(c *comm.Comm) app {
+	return run(world, sp, func(c *comm.Comm) app {
 		a := &advectApp{n: cfg.N, cfl: cfg.C}
 		a.lo, a.hi = dist.Partition{N: cfg.N, P: c.Size()}.Range(c.Rank())
 		// Ring halo: the last cell goes right, the ghost comes from the
@@ -67,10 +57,6 @@ func RunAdvection(world *comm.World, store *Store, cfg AdvectConfig) (AdvectResu
 		}
 		return ap
 	})
-	return AdvectResult{
-		U: res.u, Mass: res.summary, FinalClock: res.clock, Recoveries: res.recoveries, ReplaySteps: res.replaySteps,
-		SDCDetections: res.sdcDetections, RollbackSteps: res.rollbackSteps,
-	}, err
 }
 
 // advectApp is the upwind stencil on one rank's cells [lo, hi) of the ring.
@@ -88,7 +74,7 @@ func (a *advectApp) step(r *rank) (float64, error) {
 	}
 	// Step-boundary mass reduction: failure detector + two-sided
 	// conservation check.
-	c := r.ctx.Comm
+	c := r.ctx.comm
 	mass, err := c.AllreduceScalar(la.Sum(r.u), comm.OpSum)
 	if err != nil {
 		return 0, err

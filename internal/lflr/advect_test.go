@@ -7,9 +7,9 @@ import (
 	"repro/internal/fault"
 )
 
-func runAdvect(t *testing.T, p int, cfg AdvectConfig) AdvectResult {
+func runAdvect(t *testing.T, p int, cfg AdvectConfig) Result {
 	t.Helper()
-	res, err := RunAdvection(heatWorld(p), NewStore(), cfg)
+	res, err := RunAdvection(heatWorld(p), cfg)
 	if err != nil {
 		t.Fatalf("RunAdvection: %v", err)
 	}
@@ -33,8 +33,8 @@ func TestAdvectionMatchesSerial(t *testing.T) {
 			t.Fatalf("cell %d differs: %v vs %v", i, res.U[i], ref.u[i])
 		}
 	}
-	if math.Abs(res.Mass-ref.mass()) > 1e-10 {
-		t.Errorf("mass mismatch: %v vs %v", res.Mass, ref.mass())
+	if math.Abs(res.Summary-ref.mass()) > 1e-10 {
+		t.Errorf("mass mismatch: %v vs %v", res.Summary, ref.mass())
 	}
 }
 

@@ -15,15 +15,14 @@ type ledgerTuple struct {
 	maxClock            float64
 }
 
-func runHeatLedger(t *testing.T, kill bool) (ledgerTuple, HeatResult) {
+func runHeatLedger(t *testing.T, kill bool) (ledgerTuple, Result) {
 	t.Helper()
 	cfg := HeatConfig{Nx: 48, Ny: 64, Nu: 0.25, Steps: 400, PersistEvery: 20}
 	if kill {
 		cfg.Faults = plan(fault.StepKill(3, 237))
 	}
 	led := &comm.Ledger{}
-	w := comm.NewWorld(comm.Config{Ranks: 8, Cost: machine.DefaultCostModel(), Seed: 1, Ledger: led})
-	res, err := RunHeat(w, NewStore(), cfg)
+	res, err := RunHeat(comm.Config{Ranks: 8, Cost: machine.DefaultCostModel(), Seed: 1, Ledger: led}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +61,17 @@ func TestHeatKillLedgerExact(t *testing.T) {
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		for i := 0; i < reruns; i++ {
-			if tup, res := runHeatLedger(t, false); tup != cleanBase || res.Energy != cleanRes.Energy {
+			if tup, res := runHeatLedger(t, false); tup != cleanBase || res.Summary != cleanRes.Summary {
 				t.Fatalf("GOMAXPROCS %d fault-free rerun %d: %+v energy %.17g, want %+v energy %.17g",
-					procs, i, tup, res.Energy, cleanBase, cleanRes.Energy)
+					procs, i, tup, res.Summary, cleanBase, cleanRes.Summary)
 			}
 			tup, res := runHeatLedger(t, true)
 			if tup != killBase {
 				t.Fatalf("GOMAXPROCS %d kill rerun %d: ledger %+v, want %+v", procs, i, tup, killBase)
 			}
-			if res.Energy != killRes.Energy || res.ReplaySteps != killRes.ReplaySteps || res.Recoveries != killRes.Recoveries {
+			if res.Summary != killRes.Summary || res.ReplaySteps != killRes.ReplaySteps || res.Recoveries != killRes.Recoveries {
 				t.Fatalf("GOMAXPROCS %d kill rerun %d: energy %.17g replay %d recoveries %d, want %.17g / %d / %d", procs, i,
-					res.Energy, res.ReplaySteps, res.Recoveries, killRes.Energy, killRes.ReplaySteps, killRes.Recoveries)
+					res.Summary, res.ReplaySteps, res.Recoveries, killRes.Summary, killRes.ReplaySteps, killRes.Recoveries)
 			}
 		}
 	}

@@ -176,51 +176,41 @@ type familyLine struct {
 // golden record.
 func runFamily(sc familyScenario) familyLine {
 	led := &comm.Ledger{}
-	w := comm.NewWorld(comm.Config{
+	world := comm.Config{
 		Ranks: sc.p, Cost: machine.DefaultCostModel(), Seed: 7,
 		Noise: machine.UniformJitter{Frac: 0.25}, Ledger: led,
-	})
+	}
 	plan := fault.Plan{Entries: slices.Clone(sc.kills)}
 	if sc.sdc != nil {
 		plan.Entries = append(plan.Entries, *sc.sdc)
 	}
-	line := familyLine{App: sc.app, Scenario: sc.name}
 
 	var (
-		u       []float64
-		summary float64 // Energy or Mass
-		clock   float64
-		cgIters []int
-		replica int
-		err     error
+		r   Result
+		err error
 	)
 	switch sc.app {
 	case "heat":
-		var r HeatResult
-		r, err = RunHeat(w, NewStore(), HeatConfig{
+		r, err = RunHeat(world, HeatConfig{
 			Nx: 7, Ny: 20, Nu: 0.25, Steps: familySteps, PersistEvery: sc.persist,
 			Faults: plan, EnergyGuard: sc.guard,
 		})
-		u, summary, clock = r.U, r.Energy, r.FinalClock
-		line.Recoveries, line.Replay, line.Detections, line.Rollback = r.Recoveries, r.ReplaySteps, r.SDCDetections, r.RollbackSteps
 	case "advect":
-		var r AdvectResult
-		r, err = RunAdvection(w, NewStore(), AdvectConfig{
+		r, err = RunAdvection(world, AdvectConfig{
 			N: 67, C: 0.5, Steps: familySteps, PersistEvery: sc.persist,
 			Faults: plan, MassGuard: sc.guard,
 		})
-		u, summary, clock = r.U, r.Mass, r.FinalClock
-		line.Recoveries, line.Replay, line.Detections, line.Rollback = r.Recoveries, r.ReplaySteps, r.SDCDetections, r.RollbackSteps
 	case "implicit":
-		var r ImplicitResult
-		r, err = RunImplicitHeat(w, NewStore(), ImplicitConfig{
+		r, err = RunImplicitHeat(world, ImplicitConfig{
 			Nx: 7, Ny: 20, Nu: 1, Steps: familyImplicitSteps, Coarsen: sc.coarsen, Faults: plan,
 		})
-		u, clock, cgIters, replica = r.U, r.FinalClock, r.CGIters, r.ReplicaFloats
-		line.Recoveries = r.Recoveries
 	}
 	if err != nil {
 		return familyLine{App: sc.app, Scenario: sc.name, Err: err.Error()}
+	}
+	line := familyLine{
+		App: sc.app, Scenario: sc.name,
+		Recoveries: r.Recoveries, Replay: r.ReplaySteps, Detections: r.SDCDetections, Rollback: r.RollbackSteps,
 	}
 
 	h := fnv.New64a()
@@ -241,10 +231,10 @@ func runFamily(sc familyScenario) familyLine {
 			u64(math.Float64bits(v))
 		}
 	}
-	f64(u...)
-	f64(summary, clock)
-	u64(uint64(line.Recoveries), uint64(line.Replay), uint64(line.Detections), uint64(line.Rollback), uint64(replica))
-	for _, it := range cgIters {
+	f64(r.U...)
+	f64(r.Summary, r.FinalClock)
+	u64(uint64(line.Recoveries), uint64(line.Replay), uint64(line.Detections), uint64(line.Rollback), uint64(r.ReplicaFloats))
+	for _, it := range r.CGIters {
 		u64(uint64(it))
 	}
 	s := led.Snapshot()

@@ -34,32 +34,20 @@ type HeatConfig struct {
 	EnergyGuard bool
 }
 
-// HeatResult is what one run reports.
-type HeatResult struct {
-	U           []float64 // final global field (rank-order concatenation)
-	Energy      float64   // final Σu²
-	FinalClock  float64   // max virtual time over ranks
-	Recoveries  int
-	ReplaySteps int // recomputed steps during recoveries (failed rank only)
-
-	SDCDetections int // energy-guard firings
-	RollbackSteps int // steps re-executed after SDC rollbacks
-}
-
 const (
 	tagHeatDown = 3000 // a strip's last row, to rank+1
 	tagHeatUp   = 3001 // a strip's first row, to rank-1
 )
 
-// RunHeat executes the configured scenario over an existing world and
-// returns the result observed by rank 0 (global field gathered at the
-// end). The store must be fresh per run.
-func RunHeat(world *comm.World, store *Store, cfg HeatConfig) (HeatResult, error) {
+// RunHeat executes the configured scenario on a world opened from world
+// and returns the result observed by rank 0 (global field gathered at
+// the end; Summary is the final energy Σu²).
+func RunHeat(world comm.Config, cfg HeatConfig) (Result, error) {
 	sp := spec{
 		steps: cfg.Steps, persistEvery: cfg.PersistEvery, faults: cfg.Faults,
 		cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx,
 	}
-	res, err := run(world, store, sp, func(c *comm.Comm) app {
+	return run(world, sp, func(c *comm.Comm) app {
 		h := &heatApp{strip: newStrip(c, cfg.Nx, cfg.Ny), nu: cfg.Nu}
 		n := h.rows() * h.nx
 		ap := app{
@@ -83,10 +71,6 @@ func RunHeat(world *comm.World, store *Store, cfg HeatConfig) (HeatResult, error
 		}
 		return ap
 	})
-	return HeatResult{
-		U: res.u, Energy: res.summary, FinalClock: res.clock, Recoveries: res.recoveries, ReplaySteps: res.replaySteps,
-		SDCDetections: res.sdcDetections, RollbackSteps: res.rollbackSteps,
-	}, err
 }
 
 // strip is one rank's row slab [jlo, jhi) of the Nx×Ny heat grid, shared
@@ -126,7 +110,7 @@ func (h *heatApp) step(r *rank) (float64, error) {
 	if err := r.haloStep(); err != nil {
 		return 0, err
 	}
-	return reduceEnergy(r.ctx.Comm, r.u)
+	return reduceEnergy(r.ctx.comm, r.u)
 }
 
 // update performs the FTCS update with the exact arithmetic of the

@@ -8,13 +8,13 @@ import (
 	"repro/internal/machine"
 )
 
-func heatWorld(p int) *comm.World {
-	return comm.NewWorld(comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 11})
+func heatWorld(p int) comm.Config {
+	return comm.Config{Ranks: p, Cost: machine.DefaultCostModel(), Seed: 11}
 }
 
-func runScenario(t *testing.T, p int, cfg HeatConfig) HeatResult {
+func runScenario(t *testing.T, p int, cfg HeatConfig) Result {
 	t.Helper()
-	res, err := RunHeat(heatWorld(p), NewStore(), cfg)
+	res, err := RunHeat(heatWorld(p), cfg)
 	if err != nil {
 		t.Fatalf("RunHeat: %v", err)
 	}

@@ -32,17 +32,9 @@ const (
 	implicitCGMaxIter = 500
 )
 
-// ImplicitResult reports one implicit run.
-type ImplicitResult struct {
-	U             []float64
-	FinalClock    float64
-	Recoveries    int
-	CGIters       []int // per-step global CG iteration counts
-	ReplicaFloats int   // per-rank replica size actually persisted
-}
-
-// RunImplicitHeat executes the scenario and returns rank 0's view.
-func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (ImplicitResult, error) {
+// RunImplicitHeat executes the scenario on a world opened from world and
+// returns rank 0's view, CGIters and ReplicaFloats included.
+func RunImplicitHeat(world comm.Config, cfg ImplicitConfig) (Result, error) {
 	if cfg.Coarsen <= 0 {
 		cfg.Coarsen = 1
 	}
@@ -50,7 +42,7 @@ func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (Impli
 	// it persists every step and must restore to the agreed step itself.
 	sp := spec{steps: cfg.Steps, persistEvery: 1, faults: cfg.Faults, cells: cfg.Ny, unit: "grid rows", nx: cfg.Nx}
 	var root *implicitApp // rank 0's current incarnation
-	res, err := run(world, store, sp, func(c *comm.Comm) app {
+	res, err := run(world, sp, func(c *comm.Comm) app {
 		a := &implicitApp{strip: newStrip(c, cfg.Nx, cfg.Ny), cfg: cfg}
 		a.op = dist.NewStencil5(c, cfg.Nx, cfg.Ny, 1+4*cfg.Nu, -cfg.Nu)
 		a.si, a.sj = sampleIdx(a.nx, cfg.Coarsen), sampleIdx(a.rows(), cfg.Coarsen)
@@ -63,12 +55,10 @@ func RunImplicitHeat(world *comm.World, store *Store, cfg ImplicitConfig) (Impli
 		}
 	})
 	if err != nil {
-		return ImplicitResult{}, err
+		return Result{}, err
 	}
-	return ImplicitResult{
-		U: res.u, FinalClock: res.clock, Recoveries: res.recoveries,
-		CGIters: root.cgIters, ReplicaFloats: root.replicaN,
-	}, nil
+	res.CGIters, res.ReplicaFloats = root.cgIters, root.replicaN
+	return res, nil
 }
 
 // implicitApp is the backward-Euler step on a strip, persisted as a
@@ -83,7 +73,7 @@ type implicitApp struct {
 }
 
 func (a *implicitApp) step(r *rank) (float64, error) {
-	c := r.ctx.Comm
+	c := r.ctx.comm
 	copy(r.uPrev, r.u)
 	x, st, err := krylov.DistCG(c, a.op, r.u, r.u, krylov.DistOptions{Tol: implicitCGTol, MaxIter: implicitCGMaxIter})
 	if err != nil {

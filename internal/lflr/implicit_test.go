@@ -8,9 +8,9 @@ import (
 	"repro/internal/la"
 )
 
-func runImplicit(t *testing.T, p int, cfg ImplicitConfig) ImplicitResult {
+func runImplicit(t *testing.T, p int, cfg ImplicitConfig) Result {
 	t.Helper()
-	res, err := RunImplicitHeat(heatWorld(p), NewStore(), cfg)
+	res, err := RunImplicitHeat(heatWorld(p), cfg)
 	if err != nil {
 		t.Fatalf("RunImplicitHeat: %v", err)
 	}

@@ -7,34 +7,34 @@ import (
 	"repro/internal/comm"
 )
 
-// Ctx is the per-rank handle an LFLR application runs with: the
+// rankCtx is the per-rank handle an LFLR application runs with: the
 // communicator, the persistent store, and the recovery hooks.
-type Ctx struct {
-	Comm  *comm.Comm
-	Store *Store
-	// Recovering is true when this rank is a replacement process spawned
+type rankCtx struct {
+	comm  *comm.Comm
+	store *store
+	// recovering is true when this rank is a replacement process spawned
 	// into a failed rank's slot: the entry function should restore state
-	// from the Store instead of initialising fresh. The application MUST
+	// from the store instead of initialising fresh. The application MUST
 	// clear it once its initial recovery pass completes — on any later
 	// failure this rank is an ordinary survivor, and leaving the flag set
 	// would make it skip its survivor-side duties in the next recovery.
-	Recovering bool
+	recovering bool
 
-	rt *Runtime
+	rt *supervisor
 }
 
-// AwaitRepair parks a surviving rank after it observed ErrRankFailed,
+// awaitRepair parks a surviving rank after it observed ErrRankFailed,
 // until the supervisor has respawned the failed rank and repaired the
 // world. On return the rank has joined the new epoch and may communicate
 // again. The application then runs its own recovery protocol (state
 // rollback, log replay) before resuming.
-func (ctx *Ctx) AwaitRepair() {
+func (ctx *rankCtx) awaitRepair() {
 	rt := ctx.rt
-	rt.parks = append(rt.parks, rankNote{rank: ctx.Comm.Rank(), clock: ctx.Comm.Clock()})
+	rt.parks = append(rt.parks, rankNote{rank: ctx.comm.Rank(), clock: ctx.comm.Clock()})
 	// A Park that fails means the world is being unwound; the rank's
 	// next operation returns the same error, which is where callers look.
-	_ = ctx.Comm.Park()
-	ctx.Comm.JoinEpoch(rt.epoch)
+	_ = ctx.comm.Park()
+	ctx.comm.JoinEpoch(rt.epoch)
 }
 
 // rankNote is what a rank leaves for the supervisor when it parks or
@@ -49,37 +49,33 @@ type rankNote struct {
 // of process launch and library init.
 const respawnCost = 10e-3
 
-// Runtime is the LFLR supervisor: it launches the world, watches for rank
-// deaths, respawns replacements into the failed slots (with Recovering
-// set), repairs the communication epoch, and releases parked survivors.
-// It implements the system-software side of the §II-C contract.
-type Runtime struct {
+// supervisor is the LFLR runtime: it launches the world, watches for
+// rank deaths, respawns replacements into the failed slots (with
+// recovering set), repairs the communication epoch, and releases parked
+// survivors. It implements the system-software side of the §II-C
+// contract.
+type supervisor struct {
 	world *comm.World
-	store *Store
+	store *store
 
 	// The ranks append to these while the world runs and the supervisor
 	// reads them between Waits; one rank runs at a time, so plain
 	// slices do.
-	parks []rankNote // survivors waiting in AwaitRepair
+	parks []rankNote // survivors waiting in awaitRepair
 	exits []rankNote // rank functions that have returned
 	epoch int        // the epoch released survivors join
 }
 
-// NewRuntime wraps a world with LFLR supervision.
-func NewRuntime(world *comm.World, store *Store) *Runtime {
-	return &Runtime{world: world, store: store}
-}
-
-// Execute runs entry on every rank and supervises until all ranks have
+// execute runs entry on every rank and supervises until all ranks have
 // completed. Ranks that die (comm.ErrKilled) are respawned with
-// Ctx.Recovering=true; survivors park in AwaitRepair and are released
-// once the world is repaired. Any other rank error aborts the run.
-// It returns the number of recoveries performed.
-func (rt *Runtime) Execute(entry func(*Ctx) error) (recoveries int, err error) {
+// recovering set; survivors park in awaitRepair and are released once
+// the world is repaired. Any other rank error aborts the run. It
+// returns the number of recoveries performed.
+func (rt *supervisor) execute(entry func(*rankCtx) error) (recoveries int, err error) {
 	n := rt.world.Size()
 	wrap := func(recovering bool) func(c *comm.Comm) error {
 		return func(c *comm.Comm) error {
-			e := entry(&Ctx{Comm: c, Store: rt.store, Recovering: recovering, rt: rt})
+			e := entry(&rankCtx{comm: c, store: rt.store, recovering: recovering, rt: rt})
 			rt.exits = append(rt.exits, rankNote{rank: c.Rank(), clock: c.Clock(), err: e})
 			return e
 		}

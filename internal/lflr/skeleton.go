@@ -90,19 +90,26 @@ func (l haloLog) bundle(what string, rank, first, target int) ([]float64, error)
 	return payload, nil
 }
 
-// result is what rank 0 holds after the closing gather; the public
-// Result types are views of it.
-type result struct {
-	u                            []float64 // final global field (rank-order concatenation)
-	summary                      float64   // Σ over ranks of app.summary
-	clock                        float64   // max virtual time over ranks
-	recoveries, replaySteps      int
-	sdcDetections, rollbackSteps int
+// Result is what one run reports: what rank 0 holds after the closing
+// gather.
+type Result struct {
+	U           []float64 // final global field (rank-order concatenation)
+	Summary     float64   // energy Σu² (heat) or mass Σu (advection); 0 for implicit heat
+	FinalClock  float64   // max virtual time over ranks
+	Recoveries  int
+	ReplaySteps int // recomputed steps during recoveries (failed rank only)
+
+	SDCDetections int // guard firings
+	RollbackSteps int // steps re-executed after SDC rollbacks
+
+	// Implicit heat only, read from rank 0's latest incarnation.
+	CGIters       []int // per-step global CG iteration counts
+	ReplicaFloats int   // per-rank replica size actually persisted
 }
 
 // rank is the per-rank state every app shares.
 type rank struct {
-	ctx *Ctx
+	ctx *rankCtx
 	spec
 	app
 	faults *fault.Injector
@@ -121,19 +128,24 @@ type rank struct {
 	rollbackSteps int
 }
 
-// run executes one app over an existing world; bind builds the app for
-// one rank, and again for every replacement.
-func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (result, error) {
+// run opens a world from cfg with a fresh store and executes one app
+// over it; bind builds the app for one rank, and again for every
+// replacement.
+func run(cfg comm.Config, sp spec, bind func(*comm.Comm) app) (Result, error) {
+	if cfg.Ranks < 1 {
+		return Result{}, fmt.Errorf("lflr: %d ranks, want at least 1", cfg.Ranks)
+	}
+	world := comm.NewWorld(cfg)
 	sp.persistEvery = max(sp.persistEvery, 1)
 	switch {
 	case world.Size() > sp.cells:
 		// The recovery protocol identifies neighbours by rank adjacency,
 		// which requires every rank to own at least one grid row or cell.
-		return result{}, fmt.Errorf("lflr: %d ranks exceed %d %s", world.Size(), sp.cells, sp.unit)
+		return Result{}, fmt.Errorf("lflr: %d ranks exceed %d %s", world.Size(), sp.cells, sp.unit)
 	case sp.nx < 1:
-		return result{}, fmt.Errorf("lflr: grid width %d, want at least 1", sp.nx)
+		return Result{}, fmt.Errorf("lflr: grid width %d, want at least 1", sp.nx)
 	case sp.steps < 0:
-		return result{}, fmt.Errorf("lflr: %d steps, want at least 0", sp.steps)
+		return Result{}, fmt.Errorf("lflr: %d steps, want at least 0", sp.steps)
 	}
 	// The plan's steps are time steps and its vectors the ranks' fields;
 	// its run is shared by a victim and its replacements, so a fired
@@ -141,15 +153,16 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 	pt := dist.Partition{N: sp.cells, P: world.Size()}
 	faults, err := fault.NewRun(sp.faults, world.Size(), func(q int) int { return pt.Len(q) * sp.nx })
 	if err != nil {
-		return result{}, err
+		return Result{}, err
 	}
-	resCh := make(chan result, 1)
+	resCh := make(chan Result, 1)
 
-	recoveries, err := NewRuntime(world, store).Execute(func(ctx *Ctx) error {
-		c := ctx.Comm
+	rt := &supervisor{world: world, store: newStore()}
+	recoveries, err := rt.execute(func(ctx *rankCtx) error {
+		c := ctx.comm
 		r := &rank{ctx: ctx, spec: sp, app: bind(c), faults: faults.Rank(c)}
 
-		if ctx.Recovering {
+		if ctx.recovering {
 			if err := r.restore(); err != nil {
 				return err
 			}
@@ -157,7 +170,7 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 				return err
 			}
 			// From here on this rank is an ordinary survivor.
-			ctx.Recovering = false
+			ctx.recovering = false
 		} else {
 			r.u = r.initial()
 			r.uPrev = make([]float64, len(r.u))
@@ -168,17 +181,17 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 		}
 
 		// Gather the global field for verification.
-		res := result{sdcDetections: r.sdcDetections, rollbackSteps: r.rollbackSteps}
+		res := Result{SDCDetections: r.sdcDetections, RollbackSteps: r.rollbackSteps}
 		var err error
-		if res.u, err = c.Allgather(r.u); err != nil {
+		if res.U, err = c.Allgather(r.u); err != nil {
 			return err
 		}
 		if r.summary != nil {
-			if res.summary, err = c.AllreduceScalar(r.summary(r.u), comm.OpSum); err != nil {
+			if res.Summary, err = c.AllreduceScalar(r.summary(r.u), comm.OpSum); err != nil {
 				return err
 			}
 		}
-		if res.clock, err = c.AllreduceScalar(c.Clock(), comm.OpMax); err != nil {
+		if res.FinalClock, err = c.AllreduceScalar(c.Clock(), comm.OpMax); err != nil {
 			return err
 		}
 		if r.update != nil {
@@ -187,7 +200,7 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 			if err != nil {
 				return err
 			}
-			res.replaySteps = int(replayed)
+			res.ReplaySteps = int(replayed)
 		}
 		if c.Rank() == 0 {
 			resCh <- res
@@ -195,10 +208,10 @@ func run(world *comm.World, store *Store, sp spec, bind func(*comm.Comm) app) (r
 		return nil
 	})
 	if err != nil {
-		return result{}, err
+		return Result{}, err
 	}
 	res := <-resCh
-	res.recoveries = recoveries
+	res.Recoveries = recoveries
 	return res, nil
 }
 
@@ -211,7 +224,7 @@ func (r *rank) mainLoop() error {
 		case err == nil:
 			continue
 		case errors.Is(err, comm.ErrRankFailed):
-			r.ctx.AwaitRepair()
+			r.ctx.awaitRepair()
 			if err := r.recover(); err != nil {
 				return err
 			}
@@ -269,7 +282,7 @@ func (r *rank) doStep() error {
 // haloStep sends this rank's boundary halos, recording each in its
 // sender-side log under the step, receives the neighbours', and updates.
 func (r *rank) haloStep() error {
-	c := r.ctx.Comm
+	c := r.ctx.comm
 	var halos [2][]float64
 	for _, o := range r.out {
 		halo := la.Copy(r.u[o.lo:o.hi])
@@ -293,7 +306,7 @@ func (r *rank) haloStep() error {
 // previous state, which is what lets a survivor roll back one step.
 func (r *rank) apply(halos [2][]float64) {
 	u, v := r.u, r.uPrev
-	r.update(r.ctx.Comm, u, v, halos)
+	r.update(r.ctx.comm, u, v, halos)
 	r.u, r.uPrev = v, u
 	r.updates++
 }
@@ -304,13 +317,13 @@ func (r *rank) apply(halos [2][]float64) {
 // *at* s, in which case the replacement restores step s−k and needs logs
 // back to it.
 func (r *rank) persist(step int) {
-	c := r.ctx.Comm
+	c := r.ctx.comm
 	data := r.u
 	if r.replica != nil {
 		data = r.replica(r.u)
 	}
-	r.ctx.Store.Save(c, r.key, data)
-	r.ctx.Store.SaveScalar(c, "step", float64(step))
+	r.ctx.store.save(c, r.key, data)
+	r.ctx.store.saveScalar(c, "step", float64(step))
 	for _, o := range r.out {
 		for s := range o.log {
 			if s < step-r.persistEvery {
@@ -324,12 +337,12 @@ func (r *rank) persist(step int) {
 // recovery-function contract for a respawned rank, and the valid state a
 // guard violation rolls back to.
 func (r *rank) restore() error {
-	c := r.ctx.Comm
-	u, ok := r.ctx.Store.Restore(c, r.key)
+	c := r.ctx.comm
+	u, ok := r.ctx.store.restore(c, r.key)
 	if !ok {
 		return fmt.Errorf("lflr: rank %d has no %s", c.Rank(), r.lost)
 	}
-	sv, _ := r.ctx.Store.RestoreScalar(c, "step")
+	sv, _ := r.ctx.store.restoreScalar(c, "step")
 	if r.rebuild != nil {
 		var err error
 		if u, err = r.rebuild(u); err != nil {
@@ -353,9 +366,9 @@ func (r *rank) restore() error {
 // Afterwards every rank holds the state of step `target` and the main
 // loop resumes; the redone collective ordering is identical on all ranks.
 func (r *rank) recover() error {
-	c := r.ctx.Comm
+	c := r.ctx.comm
 	rec := 0.0
-	if r.ctx.Recovering {
+	if r.ctx.recovering {
 		rec = 1
 	}
 	info, err := c.Allgather([]float64{float64(r.updates), rec})
@@ -382,7 +395,7 @@ func (r *rank) recover() error {
 		r.refValid = false // the replacement never saw the baseline: all re-take it
 	}
 
-	if !r.ctx.Recovering {
+	if !r.ctx.recovering {
 		// Survivors ahead of the consensus roll back one step.
 		if r.updates > target {
 			r.u, r.uPrev = r.uPrev, r.u

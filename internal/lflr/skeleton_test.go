@@ -9,21 +9,21 @@ import (
 )
 
 // TestRunRejectsBadGeometry: the skeleton's one validation answers for
-// all three apps, before any world is driven — more ranks than rows or
-// cells, a grid with no columns and a negative step count are errors,
+// all three apps, before any world is driven — no ranks, more ranks than
+// rows or cells, a grid with no columns and a negative step count are errors,
 // not panics on a rank coroutine.
 func TestRunRejectsBadGeometry(t *testing.T) {
 	run := map[string]func(p, nx, n, steps int) error{
 		"heat": func(p, nx, n, steps int) error {
-			_, err := RunHeat(heatWorld(p), NewStore(), HeatConfig{Nx: nx, Ny: n, Nu: 0.25, Steps: steps})
+			_, err := RunHeat(heatWorld(p), HeatConfig{Nx: nx, Ny: n, Nu: 0.25, Steps: steps})
 			return err
 		},
 		"advect": func(p, _, n, steps int) error {
-			_, err := RunAdvection(heatWorld(p), NewStore(), AdvectConfig{N: n, C: 0.5, Steps: steps})
+			_, err := RunAdvection(heatWorld(p), AdvectConfig{N: n, C: 0.5, Steps: steps})
 			return err
 		},
 		"implicit": func(p, nx, n, steps int) error {
-			_, err := RunImplicitHeat(heatWorld(p), NewStore(), ImplicitConfig{Nx: nx, Ny: n, Nu: 1, Steps: steps})
+			_, err := RunImplicitHeat(heatWorld(p), ImplicitConfig{Nx: nx, Ny: n, Nu: 1, Steps: steps})
 			return err
 		},
 	}
@@ -37,6 +37,7 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 			want             string
 			skipOneDimension bool
 		}{
+			{"no ranks", 0, 4, 8, 2, "lflr: 0 ranks, want at least 1", false},
 			{"more ranks than rows", 9, 4, 8, 2, "lflr: 9 ranks exceed 8 ", false},
 			{"no rows", 1, 4, 0, 2, "lflr: 1 ranks exceed 0 ", false},
 			{"no columns", 3, 0, 8, 2, "lflr: grid width 0", true},
@@ -57,7 +58,7 @@ func TestRunRejectsBadGeometry(t *testing.T) {
 // survivor to agree a target step with. That is an error from the
 // agreement, not a replay towards a step nobody named.
 func TestLoneRankCannotRecover(t *testing.T) {
-	_, err := RunHeat(heatWorld(1), NewStore(), HeatConfig{
+	_, err := RunHeat(heatWorld(1), HeatConfig{
 		Nx: 4, Ny: 6, Nu: 0.25, Steps: 20, PersistEvery: 5, Faults: plan(fault.StepKill(0, 7)),
 	})
 	if err == nil || !strings.Contains(err.Error(), "no survivor") {

@@ -7,15 +7,18 @@
 // hold valid state are not restarted — only the failed rank recovers,
 // with neighbours assisting (here: by replaying logged halo messages).
 //
-// Three layers. The model is Store and Runtime: the persistent data, and
-// the supervisor that respawns a failed rank and releases the parked
-// survivors. The skeleton (skeleton.go) is the one time-stepping loop
-// around it: step, agree on a rollback target after a repair, persist
-// and restore, ship and replay sender-side halo logs, roll back when a
-// skeptical invariant fires, gather the result. The applications are
-// three values of its app type, holding only a stencil, a halo topology,
-// a replica transform and an invariant (docs/ARCHITECTURE.md tabulates
-// them): explicit heat (the "easy" case of §III-C, recovering bitwise),
+// Three layers. The model is the store and the supervisor: the
+// persistent data, and the runtime that respawns a failed rank and
+// releases the parked survivors. Both belong to the runtime, not to the
+// application, so neither is exported: each run opens its own world
+// from a comm.Config and its own fresh store. The skeleton
+// (skeleton.go) is the one time-stepping loop around them: step, agree
+// on a rollback target after a repair, persist and restore, ship and
+// replay sender-side halo logs, roll back when a skeptical invariant
+// fires, gather the one Result. The applications are three values of
+// its app type, holding only a stencil, a halo topology, a replica
+// transform and an invariant (docs/ARCHITECTURE.md tabulates them):
+// explicit heat (the "easy" case of §III-C, recovering bitwise),
 // upwind advection (the same, under a two-sided mass invariant), and
 // implicit backward-Euler heat bootstrapped from a coarsened redundant
 // replica (§III-C's "redundant storage of coarse model" bullet).
@@ -28,27 +31,27 @@ import (
 	"repro/internal/la"
 )
 
-// Store is the per-rank persistent key-value store of the LFLR model.
+// store is the per-rank persistent key-value store of the LFLR model.
 // Data written here survives the owner's process failure — physically it
 // would live in NVM or a neighbour's memory; the simulation keeps it in
 // the supervisor's address space and charges the owning rank the
-// replication cost of shipping each Save to a partner rank, so virtual
+// replication cost of shipping each save to a partner rank, so virtual
 // time reflects the real protocol while the payload takes the reliable
 // path.
-type Store struct {
+type store struct {
 	mu   sync.Mutex
 	vals map[int]map[string][]float64
 }
 
-// NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{vals: make(map[int]map[string][]float64)}
+// newStore returns an empty store.
+func newStore() *store {
+	return &store{vals: make(map[int]map[string][]float64)}
 }
 
-// Save persists data under key for the calling rank, charging the rank
+// save persists data under key for the calling rank, charging the rank
 // one neighbour-replication transfer (latency + bandwidth + both
 // overheads) of virtual time.
-func (s *Store) Save(c *comm.Comm, key string, data []float64) {
+func (s *store) save(c *comm.Comm, key string, data []float64) {
 	c.AdvanceClock(chargeModel(c, len(data)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -60,14 +63,14 @@ func (s *Store) Save(c *comm.Comm, key string, data []float64) {
 	m[key] = la.Copy(data)
 }
 
-// SaveScalar persists a single value.
-func (s *Store) SaveScalar(c *comm.Comm, key string, v float64) {
-	s.Save(c, key, []float64{v})
+// saveScalar persists a single value.
+func (s *store) saveScalar(c *comm.Comm, key string, v float64) {
+	s.save(c, key, []float64{v})
 }
 
-// Restore fetches the calling rank's persisted data for key, charging
+// restore fetches the calling rank's persisted data for key, charging
 // one replica-fetch transfer. ok is false if nothing was saved.
-func (s *Store) Restore(c *comm.Comm, key string) (data []float64, ok bool) {
+func (s *store) restore(c *comm.Comm, key string) (data []float64, ok bool) {
 	s.mu.Lock()
 	m := s.vals[c.Rank()]
 	var v []float64
@@ -82,9 +85,9 @@ func (s *Store) Restore(c *comm.Comm, key string) (data []float64, ok bool) {
 	return la.Copy(v), true
 }
 
-// RestoreScalar fetches a single persisted value.
-func (s *Store) RestoreScalar(c *comm.Comm, key string) (float64, bool) {
-	v, ok := s.Restore(c, key)
+// restoreScalar fetches a single persisted value.
+func (s *store) restoreScalar(c *comm.Comm, key string) (float64, bool) {
+	v, ok := s.restore(c, key)
 	if !ok || len(v) == 0 {
 		return 0, false
 	}
